@@ -1,38 +1,12 @@
 GO ?= go
 
-# Benchmarks tracked in BENCH_lookup.json: the host-side lookup/update
-# speed of the functional simulator (not modelled hardware time).
-BENCHES ?= BenchmarkDeviceLookup$$|BenchmarkDeviceLookupBatch$$|BenchmarkDeviceInsertDelete$$
-BENCH_JSON ?= BENCH_lookup.json
-
-# Benchmarks tracked in BENCH_cluster.json: scale-out classify
-# throughput of the sharded cluster (per-lookup ns, comparable to
-# BenchmarkDeviceLookup; parallel speedup needs GOMAXPROCS >= shards).
-BENCHES_CLUSTER ?= BenchmarkClusterLookupParallel$$|BenchmarkClusterShardScaling
-BENCH_CLUSTER_JSON ?= BENCH_cluster.json
-
-# Benchmarks tracked in BENCH_parallel.json: goroutine scaling of the
-# lock-free classify path on ONE device (the PR-7 epoch-snapshot
-# figure). Scaling figures are only meaningful against a baseline from
-# the same machine class, so the compare target passes
-# -require-same-cpu (hard error on mismatch, not a warning).
-BENCHES_PARALLEL ?= BenchmarkDeviceLookupParallel
-BENCH_PARALLEL_JSON ?= BENCH_parallel.json
-
-# Benchmarks tracked in BENCH_ingress.json: the wire-rate ingress front
-# end (internal/ingress). ns/op is one 64-packet burst; the custom
-# ReportMetric figures ("Mpps/core", "hit-rate", "p999-burst-ns") land
-# in the JSON under "extra".
-BENCHES_INGRESS ?= BenchmarkIngress
-BENCH_INGRESS_JSON ?= BENCH_ingress.json
-
 # Pinned versions for the networked lint extras (CI installs these;
 # they are NOT required locally — lint and lint-selftest are
 # self-contained).
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race vet fmt lint lint-json lint-selftest staticcheck govulncheck bench bench-compare bench-cluster bench-cluster-compare bench-parallel bench-parallel-compare bench-ingress bench-ingress-compare
+.PHONY: all build test race vet fmt lint lint-json lint-selftest staticcheck govulncheck bench bench-check
 
 all: build lint test
 
@@ -88,55 +62,14 @@ staticcheck:
 govulncheck:
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION) ./...
 
-# bench refreshes the committed benchmark baseline: runs the tracked
-# benchmarks with allocation reporting and rewrites $(BENCH_JSON).
+# bench runs the layered benchmark (BENCHMARK.json, benchmark/README.md),
+# the one bench surface: all four workloads, timed and traced. For one
+# workload or a comparison call the script with its flags.
 bench:
-	$(GO) test -run '^$$' -bench '$(BENCHES)' -benchmem -benchtime=1s -count 1 . \
-		| $(GO) run ./cmd/bench-json -out $(BENCH_JSON)
-	@cat $(BENCH_JSON)
+	bash benchmark/run.sh
 
-# bench-compare runs the same benchmarks and prints benchstat-style
-# deltas against the committed baseline. Informational only (host
-# numbers are machine-dependent); it never fails the build.
-bench-compare:
-	$(GO) test -run '^$$' -bench '$(BENCHES)' -benchmem -benchtime=1s -count 1 . \
-		| $(GO) run ./cmd/bench-json -baseline $(BENCH_JSON)
-
-# bench-cluster refreshes the committed cluster scale-out baseline.
-bench-cluster:
-	$(GO) test -run '^$$' -bench '$(BENCHES_CLUSTER)' -benchmem -benchtime=1s -count 1 . \
-		| $(GO) run ./cmd/bench-json -out $(BENCH_CLUSTER_JSON)
-	@cat $(BENCH_CLUSTER_JSON)
-
-# bench-cluster-compare prints deltas against the committed cluster
-# baseline. Informational only, like bench-compare.
-bench-cluster-compare:
-	$(GO) test -run '^$$' -bench '$(BENCHES_CLUSTER)' -benchmem -benchtime=1s -count 1 . \
-		| $(GO) run ./cmd/bench-json -baseline $(BENCH_CLUSTER_JSON)
-
-# bench-parallel refreshes the committed goroutine-scaling baseline of
-# the lock-free classify path.
-bench-parallel:
-	$(GO) test -run '^$$' -bench '$(BENCHES_PARALLEL)' -benchmem -benchtime=1s -count 1 . \
-		| $(GO) run ./cmd/bench-json -out $(BENCH_PARALLEL_JSON)
-	@cat $(BENCH_PARALLEL_JSON)
-
-# bench-parallel-compare prints deltas against the committed scaling
-# baseline — and HARD-ERRORS when the baseline came from a different
-# CPU count or GOMAXPROCS, because goroutine-scaling deltas across
-# machine classes measure the hardware, not the change.
-bench-parallel-compare:
-	$(GO) test -run '^$$' -bench '$(BENCHES_PARALLEL)' -benchmem -benchtime=1s -count 1 . \
-		| $(GO) run ./cmd/bench-json -baseline $(BENCH_PARALLEL_JSON) -require-same-cpu
-
-# bench-ingress refreshes the committed ingress wire-rate baseline.
-bench-ingress:
-	$(GO) test -run '^$$' -bench '$(BENCHES_INGRESS)' -benchmem -benchtime=1s -count 1 ./internal/ingress/ \
-		| $(GO) run ./cmd/bench-json -out $(BENCH_INGRESS_JSON)
-	@cat $(BENCH_INGRESS_JSON)
-
-# bench-ingress-compare prints deltas against the committed ingress
-# baseline. Informational only, like bench-compare.
-bench-ingress-compare:
-	$(GO) test -run '^$$' -bench '$(BENCHES_INGRESS)' -benchmem -benchtime=1s -count 1 ./internal/ingress/ \
-		| $(GO) run ./cmd/bench-json -baseline $(BENCH_INGRESS_JSON)
+# bench-check vets and tests the benchmark. It is its own module
+# (replace catcam => ../), so build/test/lint above skip it; this is
+# what catches an internal/ API change that breaks the instrument.
+bench-check:
+	cd benchmark && $(GO) vet . && $(GO) test .

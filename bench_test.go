@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"catcam"
 	"catcam/internal/bench"
@@ -17,8 +16,6 @@ import (
 	"catcam/internal/cluster"
 	"catcam/internal/metrics"
 	"catcam/internal/rules"
-	"catcam/internal/stateobs"
-	"catcam/internal/telemetry"
 )
 
 // benchWorkload is shared across update-cost benchmarks.
@@ -183,87 +180,16 @@ func BenchmarkOccupancy(b *testing.B) {
 	b.ReportMetric(cpr, "cycles/insert")
 }
 
-// BenchmarkDeviceLookup measures the functional simulator's raw lookup
-// speed (host-side, not modelled hardware time), with the state
-// observatory attached and sweeping concurrently: structural sampling
-// rides the published snapshot, so the classify path must stay at zero
-// allocations and the reported allocs/op must stay 0.
-func BenchmarkDeviceLookup(b *testing.B) {
-	// ACL rules range-expand ~2.5x and random-order load fragments
-	// intervals, so use the prototype's 64K-entry geometry.
-	dev := catcam.New(catcam.Compact())
-	rs := classbench.Generate(classbench.Config{Family: classbench.ACL, Size: 1000, Seed: 5})
-	for _, r := range rs.Rules {
-		if _, err := dev.InsertRule(r); err != nil {
-			b.Fatal(err)
-		}
-	}
-	obs := stateobs.New(dev, stateobs.Config{RingFrames: 4})
-	obs.AttachTelemetry(telemetry.NewRegistry(), nil)
-	for i := 0; i < 4; i++ { // warm every ring slot's fill row
-		obs.Sweep(time.Now())
-	}
-	time.Sleep(time.Millisecond) // warm this goroutine's runtime timer
-	stop := make(chan struct{})
-	swept := make(chan struct{})
-	go func() {
-		defer close(swept)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				obs.Sweep(time.Now())
-				time.Sleep(time.Millisecond)
-			}
-		}
-	}()
-	headers := classbench.PacketTrace(rs, 1024, 0.9, 6)
-	dev.Lookup(headers[0]) // warm the lookup scratch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dev.Lookup(headers[i%len(headers)])
-	}
-	b.StopTimer()
-	close(stop)
-	<-swept
-}
-
-// BenchmarkDeviceLookupBatch is BenchmarkDeviceLookup through the
-// batched API: one snapshot load and one pooled-scratch checkout per
-// 256 packets, one result append per packet, zero allocations at
-// steady state.
-func BenchmarkDeviceLookupBatch(b *testing.B) {
-	dev := catcam.New(catcam.Compact())
-	rs := classbench.Generate(classbench.Config{Family: classbench.ACL, Size: 1000, Seed: 5})
-	for _, r := range rs.Rules {
-		if _, err := dev.InsertRule(r); err != nil {
-			b.Fatal(err)
-		}
-	}
-	headers := classbench.PacketTrace(rs, 256, 0.9, 6)
-	results := make([]catcam.LookupResult, 0, len(headers))
-	results = dev.LookupHeaderBatch(headers, results[:0]) // warm scratch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		results = dev.LookupHeaderBatch(headers, results[:0])
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(headers)), "ns/lookup")
-}
-
 // BenchmarkDeviceLookupParallel measures the lock-free classify path
 // under goroutine scaling: g goroutines split b.N batched lookups over
-// ONE device on the BenchmarkDeviceLookup workload. Before the
-// epoch-snapshot path (PR 7) every variant serialized on the device
-// mutex; now each goroutine loads the published snapshot and traverses
-// it with pooled scratch, so on a multi-core host throughput should
-// scale near-linearly until memory bandwidth binds (acceptance target:
-// >= 3x at g=4 vs g=1 on a 4+ core machine). ns/op is per lookup.
-// Single-core hosts will show flat (slightly degraded) scaling — the
-// figure measures the machine; compare only same-CPU baselines
-// (bench-json -require-same-cpu enforces this).
+// ONE device loaded with ACL-1K. Each goroutine loads the published
+// snapshot and traverses it with pooled scratch, so on a multi-core
+// host throughput should scale near-linearly until memory bandwidth
+// binds (acceptance target: >= 3x at g=4 vs g=1 on a 4+ core machine).
+// ns/op is per lookup. Single-core hosts will show flat (slightly
+// degraded) scaling — the figure measures the machine, so compare only
+// runs from the same CPU count and GOMAXPROCS. No workload of the
+// layered benchmark sweeps goroutines over one device.
 func BenchmarkDeviceLookupParallel(b *testing.B) {
 	dev := catcam.New(catcam.Compact())
 	rs := classbench.Generate(classbench.Config{Family: classbench.ACL, Size: 1000, Seed: 5})
@@ -307,10 +233,10 @@ func BenchmarkDeviceLookupParallel(b *testing.B) {
 	}
 }
 
-// clusterBenchSetup loads the BenchmarkDeviceLookup workload (same
-// ruleset, same geometry per shard, same trace) into an n-shard
-// cluster, so cluster ns/op is directly comparable to the committed
-// single-device baseline.
+// clusterBenchSetup loads BenchmarkDeviceLookupParallel's workload
+// (same ruleset, same geometry per shard, same trace) into an n-shard
+// cluster, so cluster ns/op is directly comparable to its goroutines=1
+// figure.
 func clusterBenchSetup(b *testing.B, shards int, batch int) (*cluster.Cluster, []rules.Header) {
 	b.Helper()
 	c := cluster.New(cluster.Config{Shards: shards, Mode: cluster.ModeInterval, Device: catcam.Compact()})
@@ -324,27 +250,11 @@ func clusterBenchSetup(b *testing.B, shards int, batch int) (*cluster.Cluster, [
 	return c, classbench.PacketTrace(rs, batch, 0.9, 6)
 }
 
-// BenchmarkClusterLookupParallel measures fan-out classify through a
-// 4-shard cluster on the BenchmarkDeviceLookup workload. The stride
-// loop advances b.N by the batch size, so ns/op is per *lookup* —
-// compare directly against BenchmarkDeviceLookup in BENCH_lookup.json.
-// Each shard holds ~1/4 of the rules (fewer active subtables to
-// bit-slice through) and the four shard workers search concurrently,
-// so at GOMAXPROCS >= 4 this should run several times faster than the
-// single-device baseline.
-func BenchmarkClusterLookupParallel(b *testing.B) {
-	c, headers := clusterBenchSetup(b, 4, 256)
-	results := c.LookupHeaderBatch(headers, nil) // warm the fan-out working set
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += len(headers) {
-		results = c.LookupHeaderBatch(headers, results[:0])
-	}
-}
-
 // BenchmarkClusterShardScaling sweeps the shard count on the same
-// workload — the scaling table in README's "Cluster mode" section.
-// shards=1 measures the pure fan-out overhead over a bare device.
+// workload; the stride loop advances b.N by the batch size, so ns/op is
+// per lookup. shards=1 measures the pure fan-out overhead over a bare
+// device. The layered benchmark's tables_sharded workload fixes the
+// shard count at 2, so the sweep lives here.
 func BenchmarkClusterShardScaling(b *testing.B) {
 	for _, n := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
@@ -356,26 +266,6 @@ func BenchmarkClusterShardScaling(b *testing.B) {
 				results = c.LookupHeaderBatch(headers, results[:0])
 			}
 		})
-	}
-}
-
-// BenchmarkDeviceInsertDelete measures the simulator's raw update speed.
-func BenchmarkDeviceInsertDelete(b *testing.B) {
-	dev := catcam.New(catcam.Config{Subtables: 64, SubtableCapacity: 64, KeyWidth: 160})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := catcam.Rule{
-			ID: i, Priority: 1 + i%65535, Action: i,
-			SrcIP:   catcam.Prefix{Addr: uint32(i * 2654435761), Len: 24}.Canonical(),
-			SrcPort: catcam.FullPortRange(), DstPort: catcam.FullPortRange(),
-			ProtoWildcard: true,
-		}
-		if _, err := dev.InsertRule(r); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := dev.DeleteRule(i); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -578,14 +578,18 @@ func (c *Cluster) auditReduce(r *fanRound, i, win int) {
 	// shard has not published a new epoch since its worker classified:
 	// a concurrent delete removes the owner record after the round
 	// answered, and flagging that window would report churn as
-	// corruption. The epoch stamp detects exactly that window.
-	if c.shards[win].dev.Epoch() != r.epochs[win] {
-		return
-	}
+	// corruption. Seqlock order: the worker stamped the epoch before it
+	// classified, the record is read here, and the stamp is validated
+	// only after that read. DeleteRule publishes before it drops the
+	// record, so a record it removed is never seen under a stamp that
+	// still validates; checking before the read leaves that window open.
 	id := r.results[win][i].Entry.Rank.RuleID
 	c.routeMu.Lock()
 	o, ok := c.owner[id]
 	c.routeMu.Unlock()
+	if c.shards[win].dev.Epoch() != r.epochs[win] {
+		return
+	}
 	c.aud.Check(flightrec.InvArbiterWinner, ok && o.shard == win, func() flightrec.Violation {
 		return flightrec.Violation{
 			Table: -1, Subtable: win, RuleID: id,

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"errors"
+	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -110,10 +112,28 @@ func TestClusterModifyMayChangeShard(t *testing.T) {
 	}
 }
 
+// sameWinners holds an N-shard cluster to one single device holding the
+// same rules: same hit/miss and same winning rule, header by header.
+func sameWinners(t *testing.T, c *Cluster, ref *core.Device, hs []rules.Header) {
+	t.Helper()
+	got := c.LookupHeaderBatch(hs, nil)
+	want := ref.LookupHeaderBatch(hs, nil)
+	for i := range hs {
+		if got[i].OK != want[i].OK {
+			t.Fatalf("header %d: cluster hit=%v, device hit=%v", i, got[i].OK, want[i].OK)
+		}
+		if got[i].OK && got[i].Entry.Rank.RuleID != want[i].Entry.Rank.RuleID {
+			t.Fatalf("header %d: cluster winner %d, device winner %d",
+				i, got[i].Entry.Rank.RuleID, want[i].Entry.Rank.RuleID)
+		}
+	}
+}
+
 // TestClusterDifferential is the subsystem's ground truth: for both
-// partition modes and every ClassBench family, an N-shard cluster must
-// classify a packet trace identically to one single device holding the
-// same rules — same hit/miss and same winning rule, header by header.
+// partition modes, an N-shard cluster must classify identically to one
+// single device holding the same rules — over every ClassBench family
+// with a packet trace after load and churn, and over every op stream in
+// core's FuzzDeviceVsLinear seed corpus after each op.
 func TestClusterDifferential(t *testing.T) {
 	for _, mode := range []Mode{ModeInterval, ModeHash} {
 		for _, fam := range classbench.Families() {
@@ -151,18 +171,7 @@ func TestClusterDifferential(t *testing.T) {
 						}
 					}
 				}
-				hs := classbench.PacketTrace(rs, 2000, 0.9, 3)
-				got := c.LookupHeaderBatch(hs, nil)
-				want := ref.LookupHeaderBatch(hs, nil)
-				for i := range hs {
-					if got[i].OK != want[i].OK {
-						t.Fatalf("header %d: cluster hit=%v, device hit=%v", i, got[i].OK, want[i].OK)
-					}
-					if got[i].OK && got[i].Entry.Rank.RuleID != want[i].Entry.Rank.RuleID {
-						t.Fatalf("header %d: cluster winner %d, device winner %d",
-							i, got[i].Entry.Rank.RuleID, want[i].Entry.Rank.RuleID)
-					}
-				}
+				sameWinners(t, c, ref, classbench.PacketTrace(rs, 2000, 0.9, 3))
 				if err := c.CheckInvariant(); err != nil {
 					t.Fatal(err)
 				}
@@ -175,6 +184,63 @@ func TestClusterDifferential(t *testing.T) {
 				}
 			})
 		}
+		// The op streams of core's FuzzDeviceVsLinear seed corpus, op by op.
+		probes := streamProbes()
+		for name, data := range streamSeeds(t, "../core/testdata/fuzz/FuzzDeviceVsLinear") {
+			t.Run(mode.String()+"/"+name, func(t *testing.T) {
+				c := testCluster(t, 4, mode)
+				ref := core.NewDevice(testDeviceConfig())
+				live := map[int]bool{}
+				for op, o := range decodeStream(data) {
+					kind, r := o.kind, o.rule
+					if kind == opInsert && live[r.ID] {
+						kind = opModify
+					}
+					var gotErr, wantErr error
+					switch kind {
+					case opInsert:
+						_, gotErr = c.InsertRule(r)
+						_, wantErr = ref.InsertRule(r)
+					case opDelete:
+						_, gotErr = c.DeleteRule(r.ID)
+						_, wantErr = ref.DeleteRule(r.ID)
+					case opModify:
+						_, gotErr = c.ModifyRule(r.ID, r)
+						_, wantErr = ref.ModifyRule(r.ID, r)
+					case opLookup:
+						sameWinners(t, c, ref, []rules.Header{o.header})
+						continue
+					}
+					// The shards are sized so that neither side fills: the
+					// only error a stream can draw is ErrNotFound, from both.
+					if !errors.Is(gotErr, wantErr) || (wantErr != nil && !errors.Is(wantErr, core.ErrNotFound)) {
+						t.Fatalf("op %d: cluster says %v, device says %v", op, gotErr, wantErr)
+					}
+					live[r.ID] = kind != opDelete && wantErr == nil
+					sameWinners(t, c, ref, probes)
+					if err := c.CheckInvariant(); err != nil {
+						t.Fatalf("op %d: %v", op, err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestOpstreamCopy holds opstream_test.go to the file it copies: the
+// op-stream format has one definition, in internal/core, and this
+// package replays core's corpus with exactly that decoder.
+func TestOpstreamCopy(t *testing.T) {
+	src, err := os.ReadFile("../core/opstream_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, err := os.ReadFile("opstream_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := strings.Replace(string(src), "package core\n", "package cluster\n", 1); string(own) != want {
+		t.Fatal("opstream_test.go differs from ../core/opstream_test.go beyond the package clause: copy core's over it")
 	}
 }
 

@@ -140,10 +140,6 @@ type Device struct {
 	rdPrio   atomicArrayStats
 	rdGlobal atomicArrayStats
 
-	// scratch holds the legacy locked path's reusable lookup buffers;
-	// guarded by mu.
-	scratch lookupScratch //catcam:guarded-by mu
-
 	// meta is the metadata cache (§VI): per-subtable activity, maximum
 	// rank, and the rule locator.
 	active []bool //catcam:guarded-by mu
@@ -153,8 +149,11 @@ type Device struct {
 	order []int //catcam:guarded-by mu
 	// freeSubs holds inactive subtable IDs available for assignment.
 	freeSubs []int //catcam:guarded-by mu
-	// locs maps an entry key (ruleID, seq) to its location.
-	locs map[entryKey]location //catcam:guarded-by mu
+	// locs is the rule locator: rule ID → that rule's stored entries in
+	// seq order, so a delete walks its own entries and nothing else.
+	locs map[int][]entryLoc //catcam:guarded-by mu
+	// entries counts the stored entries across locs.
+	entries int //catcam:guarded-by mu
 	// seqCounter makes ranks unique across expansion entries.
 	seqCounter int //catcam:guarded-by mu
 
@@ -193,24 +192,11 @@ type Device struct {
 	trShard int //catcam:guarded-by mu
 }
 
-type entryKey struct {
-	ruleID int
-	seq    int
-}
-
-// lookupScratch is the legacy locked path's reusable per-lookup
-// working set, kept for the mutex-serialized reference lookup the
-// differential tests compare the lock-free path against. The paper's
-// lookup allocates nothing — it drives fixed wires — and both lookup
-// paths mirror that: every vector and key buffer is sized once and
-// reused per lookup (the lock-free path keeps its equivalent in pooled
-// readScratch, see snapshot.go).
-type lookupScratch struct {
-	encKey      ternary.Key      // header-encode buffer (rules.TupleBits wide)
-	padKey      ternary.Key      // key padded to the device width
-	globalMatch *bitvec.Vector   // one bit per subtable with any local match
-	report      *bitvec.Vector   // global priority report vector
-	locals      []*bitvec.Vector // per-subtable local match vectors, indexed by id
+// entryLoc is one stored entry of a rule: its expansion sequence number
+// and where it lives.
+type entryLoc struct {
+	seq int
+	location
 }
 
 // NewDevice builds a CATCAM device from the configuration, using the
@@ -244,7 +230,7 @@ func NewDevice(cfg Config) *Device {
 		active:  make([]bool, cfg.Subtables),
 		maxOf:   make([]Rank, cfg.Subtables),
 		dirty:   make([]bool, cfg.Subtables),
-		locs:    make(map[entryKey]location),
+		locs:    make(map[int][]entryLoc),
 		frTable: -1,
 		trShard: -1,
 	}
@@ -254,13 +240,6 @@ func NewDevice(cfg Config) *Device {
 	}
 	for i := cfg.Subtables - 1; i >= 0; i-- {
 		d.freeSubs = append(d.freeSubs, i)
-	}
-	d.scratch = lookupScratch{
-		encKey:      ternary.NewKey(rules.TupleBits),
-		padKey:      ternary.NewKey(cfg.KeyWidth),
-		globalMatch: bitvec.New(cfg.Subtables),
-		report:      bitvec.New(cfg.Subtables),
-		locals:      make([]*bitvec.Vector, cfg.Subtables),
 	}
 	d.mu.Lock()
 	d.publishLocked() // epoch 0: the empty device
@@ -327,21 +306,6 @@ func (d *Device) padWord(w ternary.Word) ternary.Word {
 	return out
 }
 
-// padKeyScratch widens a search key with trailing zeros into the
-// device's reusable pad buffer (no copy when the key is already
-// device-wide). Callers hold d.mu; the returned key is only valid
-// until the next lookup.
-func (d *Device) padKeyScratch(k ternary.Key) ternary.Key {
-	if k.Width() == d.cfg.KeyWidth {
-		return k
-	}
-	if k.Width() > d.cfg.KeyWidth {
-		panic(fmt.Sprintf("core: key width %d exceeds device width %d", k.Width(), d.cfg.KeyWidth))
-	}
-	d.scratch.padKey.LoadPadded(k)
-	return d.scratch.padKey
-}
-
 // LookupKey performs one pipelined lookup (§VI): (1) the key is
 // broadcast to every active subtable's match matrix; (2) the global
 // match vector — one bit per subtable with any local match — traverses
@@ -357,82 +321,6 @@ func (d *Device) LookupKey(k ternary.Key) (Entry, bool) {
 	e, _, ok := s.lookup(sc, s.padKey(sc, k), nil, 0, false)
 	d.putScratch(sc, s)
 	return e, ok
-}
-
-// lookupLocked is the legacy mutex-serialized lookup core, retained as
-// the reference implementation the differential tests replay against
-// the lock-free snapshot path. Callers hold d.mu and pass a key
-// already padded to the device width. Production entry points no
-// longer route here.
-func (d *Device) lookupLocked(k ternary.Key) (Entry, bool) {
-	d.stats.lookups.Add(1)
-	d.stats.lookupCycles.Add(1)
-	if t := d.tel; t != nil {
-		t.lookups.Inc()
-	}
-
-	globalMatch := d.scratch.globalMatch
-	globalMatch.Reset()
-	for _, id := range d.order {
-		mv := d.scratch.locals[id]
-		if mv == nil {
-			mv = bitvec.New(d.cfg.SubtableCapacity)
-			d.scratch.locals[id] = mv
-		}
-		d.subs[id].SearchInto(mv, k)
-		if mv.Any() {
-			globalMatch.Set(id)
-		}
-	}
-	if !globalMatch.Any() {
-		return Entry{}, false
-	}
-	report := d.global.ColumnNORInto(d.scratch.report, globalMatch)
-	oneHot := report.IsOneHot()
-	var winner int
-	if oneHot {
-		winner = report.First()
-	} else {
-		// The hardware encoding guarantees a one-hot report; a broken
-		// guarantee is fail-stop without an auditor, fail-report with
-		// one — the violation is recorded and the lookup answered from
-		// the metadata cache so traffic keeps flowing.
-		if d.aud == nil {
-			panic(fmt.Sprintf("core: global report not one-hot: %s", report))
-		}
-		d.aud.Fail(flightrec.Violation{
-			Invariant: flightrec.InvReportOneHot, Table: -1, Subtable: -1, RuleID: -1,
-			Detail: fmt.Sprintf("global report %s has %d bits set", report, report.Count()),
-		})
-		winner = d.metadataWinner(globalMatch)
-		if winner < 0 {
-			return Entry{}, false
-		}
-	}
-	slot := d.subs[winner].Decide(d.scratch.locals[winner])
-	if slot < 0 {
-		return Entry{}, false
-	}
-	if d.aud.SampleLookup() {
-		d.auditLookup(oneHot, winner, slot)
-	}
-	return d.subs[winner].ReadEntryMeta(slot), true
-}
-
-// lookupKeyLegacy is the locked reference lookup — the differential
-// test's oracle for the lock-free path.
-func (d *Device) lookupKeyLegacy(k ternary.Key) (Entry, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.lookupLocked(d.padKeyScratch(k))
-}
-
-// lookupHeaderLegacy is the locked reference header lookup.
-func (d *Device) lookupHeaderLegacy(h rules.Header) (Entry, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	rules.EncodeHeaderInto(&d.scratch.encKey, h)
-	return d.lookupLocked(d.padKeyScratch(d.scratch.encKey))
 }
 
 // LookupResult is one LookupBatch outcome.
@@ -533,7 +421,10 @@ func (d *Device) InsertRule(r rules.Rule) (UpdateResult, error) {
 func (d *Device) insertRule(r rules.Rule) (UpdateResult, error) {
 	var total UpdateResult
 	words := r.Encode()
-	inserted := make([]entryKey, 0, len(words))
+	if d.locs[r.ID] == nil && len(words) > 0 {
+		d.locs[r.ID] = make([]entryLoc, 0, len(words))
+	}
+	first := d.seqCounter
 	for i, w := range words {
 		d.trace.NextEntry(i)
 		seq := d.seqCounter
@@ -542,12 +433,9 @@ func (d *Device) insertRule(r rules.Rule) (UpdateResult, error) {
 		res, err := d.insertEntry(e)
 		d.auditEvictionBound(res)
 		if err != nil {
-			for _, k := range inserted {
-				d.deleteEntry(k)
-			}
+			d.rollBack(r.ID, first)
 			return total, err
 		}
-		inserted = append(inserted, entryKey{r.ID, seq})
 		total.Cycles += res.Cycles
 		total.Reallocated += res.Reallocated
 		total.FreshTables += res.FreshTables
@@ -601,23 +489,34 @@ func (d *Device) DeleteRule(ruleID int) (UpdateResult, error) {
 	return res, err
 }
 
-func (d *Device) deleteRule(ruleID int) (UpdateResult, error) {
-	var keys []entryKey
-	for k := range d.locs {
-		if k.ruleID == ruleID {
-			keys = append(keys, k)
-		}
+// rollBack undoes a failed rule insert: the entries this request stored
+// (seq >= first, the tail of the rule's seq-ordered locator record) are
+// deleted in insertion order.
+func (d *Device) rollBack(ruleID, first int) {
+	locs := d.locs[ruleID]
+	keep := sort.Search(len(locs), func(i int) bool { return locs[i].seq >= first })
+	for _, l := range locs[keep:] {
+		d.deleteEntry(l.location)
 	}
-	if len(keys) == 0 {
+	if keep == 0 {
+		delete(d.locs, ruleID)
+	} else {
+		d.locs[ruleID] = locs[:keep]
+	}
+}
+
+func (d *Device) deleteRule(ruleID int) (UpdateResult, error) {
+	locs := d.locs[ruleID]
+	if len(locs) == 0 {
 		return UpdateResult{}, ErrNotFound
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].seq < keys[j].seq })
+	delete(d.locs, ruleID)
 	var total UpdateResult
 	total.Class = ClassDelete
 	total.Subtable = -1
-	for i, k := range keys {
+	for i, l := range locs {
 		d.trace.NextEntry(i)
-		d.deleteEntry(k)
+		d.deleteEntry(l.location)
 		total.Cycles += ClassDelete.Cycles()
 	}
 	return total, nil
@@ -737,7 +636,7 @@ func (d *Device) insertEntry(e Entry) (UpdateResult, error) {
 	evicted := st.ReadEntry(maxSlot)
 	st.Delete(maxSlot)
 	d.dirty[target] = true
-	d.forgetLoc(evicted)
+	d.forgetLoc(evicted.Rank)
 	if t := d.tel; t != nil {
 		t.reallocs.Inc()
 		t.event(telemetry.Event{Kind: telemetry.EvRealloc, Subtable: target,
@@ -863,11 +762,36 @@ func (d *Device) placeEntry(id int, e Entry) int {
 func (d *Device) placeEntryAt(id, slot int, e Entry) {
 	d.subs[id].Insert(slot, e)
 	d.dirty[id] = true
-	d.locs[entryKey{e.Rank.RuleID, e.Rank.Seq}] = location{st: id, slot: slot}
+	d.setLoc(e.Rank, location{st: id, slot: slot})
 }
 
-func (d *Device) forgetLoc(e Entry) {
-	delete(d.locs, entryKey{e.Rank.RuleID, e.Rank.Seq})
+// setLoc records where the entry ranked r lives, keeping its rule's
+// record in seq order. A new entry carries the highest seq issued so
+// far and lands at the end; only an evicted entry being re-placed
+// shifts later ones.
+func (d *Device) setLoc(r Rank, loc location) {
+	locs := append(d.locs[r.RuleID], entryLoc{})
+	i := len(locs) - 1
+	for ; i > 0 && locs[i-1].seq > r.Seq; i-- {
+		locs[i] = locs[i-1]
+	}
+	locs[i] = entryLoc{seq: r.Seq, location: loc}
+	d.locs[r.RuleID] = locs
+	d.entries++
+}
+
+// forgetLoc drops the entry ranked r (an eviction in flight) from its
+// rule's record. The record itself stays, possibly empty, so the
+// re-placement that follows reuses its storage.
+func (d *Device) forgetLoc(r Rank) {
+	locs := d.locs[r.RuleID]
+	for i := range locs {
+		if locs[i].seq == r.Seq {
+			d.locs[r.RuleID] = append(locs[:i], locs[i+1:]...)
+			d.entries--
+			return
+		}
+	}
 }
 
 // assignSubtable activates a fresh subtable whose interval slots in at
@@ -963,20 +887,17 @@ func (d *Device) refreshMax(id int) {
 	d.maxOf[id] = r
 }
 
-// deleteEntry removes one entry (1 cycle). If the subtable max was
+// deleteEntry removes the entry stored at loc (1 cycle); the caller
+// drops it from the rule's locator record. If the subtable max was
 // deleted the metadata max is re-derived; an emptied subtable returns
 // to the free pool.
-func (d *Device) deleteEntry(k entryKey) {
-	loc, ok := d.locs[k]
-	if !ok {
-		return
-	}
+func (d *Device) deleteEntry(loc location) {
 	st := d.subs[loc.st]
 	r, _ := st.Rank(loc.slot)
 	st.Delete(loc.slot)
+	d.entries--
 	d.dirty[loc.st] = true
 	d.trace.Step(flightrec.StepDelete, loc.st, loc.slot, ClassDelete.Cycles())
-	delete(d.locs, k)
 	d.stats.deletes.Add(1)
 	d.stats.updateCycles.Add(ClassDelete.Cycles())
 	if r == d.maxOf[loc.st] {
@@ -1106,11 +1027,21 @@ func (d *Device) globalInvariantLocked() error {
 			}
 		}
 	}
-	for k, loc := range d.locs {
-		r, ok := d.subs[loc.st].Rank(loc.slot)
-		if !ok || r.RuleID != k.ruleID || r.Seq != k.seq {
-			return fmt.Errorf("core: locator desync for %+v", k)
+	stored := 0
+	for id, locs := range d.locs {
+		for i, l := range locs {
+			r, ok := d.subs[l.st].Rank(l.slot)
+			if !ok || r.RuleID != id || r.Seq != l.seq {
+				return fmt.Errorf("core: locator desync for rule %d seq %d", id, l.seq)
+			}
+			if i > 0 && locs[i-1].seq >= l.seq {
+				return fmt.Errorf("core: locator record of rule %d out of seq order at %d", id, i)
+			}
 		}
+		stored += len(locs)
+	}
+	if stored != d.entries {
+		return fmt.Errorf("core: locator holds %d entries, count says %d", stored, d.entries)
 	}
 	return nil
 }

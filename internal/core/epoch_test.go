@@ -65,51 +65,72 @@ func TestEpochAdvancesAndSharesCleanViews(t *testing.T) {
 	}
 }
 
-// TestEpochDifferentialVsLegacy replays a seeded ClassBench trace
-// against both classify implementations at several churn points: the
-// lock-free epoch path must answer bit-identically to the retained
-// legacy locked path (lookupLocked over the live arrays), which is the
-// PR's correctness oracle.
-func TestEpochDifferentialVsLegacy(t *testing.T) {
+// TestEpochDifferentialVsLinear replays a seeded ClassBench trace at
+// four churn points and holds every classify entry point (LookupKey,
+// Lookup, LookupHeaderBatch) to swclass.Linear, the one semantic
+// reference: it shares no array, matrix or kernel with the device.
+// ClassBench gives every rule its own action, so the action also names
+// the rule the reference chose.
+func TestEpochDifferentialVsLinear(t *testing.T) {
 	rs := classbench.Generate(classbench.Config{Family: classbench.ACL, Size: 200, Seed: 41})
 	d := NewDevice(Config{Subtables: 64, SubtableCapacity: 64, KeyWidth: 160})
+	ref := swclass.NewLinear()
 	headers := classbench.PacketTrace(rs, 128, 0.9, 42)
+	idOf := make(map[int]int, len(rs.Rules))
+	for _, r := range rs.Rules {
+		if _, dup := idOf[r.Action]; dup {
+			t.Fatalf("action %d shared by two rules: it cannot stand for the rule ID", r.Action)
+		}
+		idOf[r.Action] = r.ID
+	}
 
 	compare := func(phase string) {
 		t.Helper()
+		batch := d.LookupHeaderBatch(headers, nil)
 		for i, h := range headers {
-			k := rules.EncodeHeader(h)
-			e1, ok1 := d.LookupKey(k)
-			e2, ok2 := d.lookupKeyLegacy(k)
-			if ok1 != ok2 || e1.Rank != e2.Rank || e1.Action != e2.Action {
-				t.Fatalf("%s key %d: epoch path %+v/%v != legacy path %+v/%v", phase, i, e1, ok1, e2, ok2)
+			want, wantOK, _ := ref.Lookup(h)
+			agree := func(path string, e Entry, ok bool) {
+				t.Helper()
+				if ok != wantOK || (ok && (e.Action != want || e.Rank.RuleID != idOf[want])) {
+					t.Fatalf("%s header %d: %s = rule %d action %d matched %v, swclass.Linear says rule %d action %d matched %v",
+						phase, i, path, e.Rank.RuleID, e.Action, ok, idOf[want], want, wantOK)
+				}
 			}
-			e3, ok3 := d.lookupHeaderLegacy(h)
-			res := d.LookupHeaderBatch(headers[i:i+1], nil)
-			if res[0].OK != ok3 || res[0].Entry.Rank != e3.Rank || res[0].Entry.Action != e3.Action {
-				t.Fatalf("%s header %d: epoch batch %+v/%v != legacy path %+v/%v", phase, i, res[0].Entry, res[0].OK, e3, ok3)
+			e, ok := d.LookupKey(rules.EncodeHeader(h))
+			agree("LookupKey", e, ok)
+			agree("LookupHeaderBatch", batch[i].Entry, batch[i].OK)
+			if action, ok := d.Lookup(h); ok != wantOK || (ok && action != want) {
+				t.Fatalf("%s header %d: Lookup = %d/%v, swclass.Linear says %d/%v", phase, i, action, ok, want, wantOK)
 			}
+		}
+	}
+	insert := func(r rules.Rule) {
+		t.Helper()
+		if _, err := d.InsertRule(r); err != nil {
+			t.Fatalf("insert: %v", err)
+		}
+		if err := ref.Insert(r); err != nil {
+			t.Fatal(err)
 		}
 	}
 
 	compare("empty")
 	half := len(rs.Rules) / 2
 	for _, r := range rs.Rules[:half] {
-		if _, err := d.InsertRule(r); err != nil {
-			t.Fatalf("insert: %v", err)
-		}
+		insert(r)
 	}
 	compare("half-loaded")
 	for _, r := range rs.Rules[half:] {
-		if _, err := d.InsertRule(r); err != nil {
-			t.Fatalf("insert: %v", err)
-		}
+		insert(r)
 	}
 	compare("loaded")
 	for i, r := range rs.Rules {
 		if i%3 == 0 {
 			if _, err := d.DeleteRule(r.ID); err != nil {
 				t.Fatalf("delete: %v", err)
+			}
+			if err := ref.Delete(r.ID); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"catcam/internal/bitvec"
 	"catcam/internal/flightrec"
 )
 
@@ -52,45 +51,6 @@ func (d *Device) AttachShadow(sh *flightrec.Shadow) {
 	defer d.mu.Unlock()
 	d.shadow = sh
 	d.publishLocked() // also stamps sh with the current epoch
-}
-
-// metadataWinner derives the winning subtable from the metadata cache
-// alone: the highest interval with a local match, i.e. the last set bit
-// of globalMatch in order. This is the independent reference the
-// winner-agreement audit compares the global priority matrix against,
-// and the fallback reporter when the matrix misbehaves.
-func (d *Device) metadataWinner(globalMatch *bitvec.Vector) int {
-	for i := len(d.order) - 1; i >= 0; i-- {
-		if globalMatch.Get(d.order[i]) {
-			return d.order[i]
-		}
-	}
-	return -1
-}
-
-// auditLookup runs the inline lookup checks for one sampled lookup:
-// the global report vector was one-hot, the array-derived winner agrees
-// with a metadata-cache walk, and the winning slot is the matched slot
-// with the highest stored rank. Called under d.mu with the lookup's
-// scratch vectors still live.
-func (d *Device) auditLookup(oneHot bool, winner, slot int) {
-	if oneHot {
-		d.aud.CheckPass(flightrec.InvReportOneHot)
-	}
-	meta := d.metadataWinner(d.scratch.globalMatch)
-	d.aud.Check(flightrec.InvWinnerAgreement, meta == winner, func() flightrec.Violation {
-		return flightrec.Violation{
-			Table: -1, Subtable: winner, RuleID: -1,
-			Detail: fmt.Sprintf("global matrix chose subtable %d, metadata walk %d", winner, meta),
-		}
-	})
-	best := d.subs[winner].bestMatched(d.scratch.locals[winner])
-	d.aud.Check(flightrec.InvWinnerAgreement, best == slot, func() flightrec.Violation {
-		return flightrec.Violation{
-			Table: -1, Subtable: winner, RuleID: -1,
-			Detail: fmt.Sprintf("local matrix chose slot %d, stored ranks prefer %d", slot, best),
-		}
-	})
 }
 
 // auditEvictionBound checks the paper's constant-time alteration claim

@@ -136,7 +136,7 @@ type snapshot struct {
 	// entries are shared by reference with the previous epoch.
 	subs   []*subtableView  //catcam:immutable
 	global *sram.MatrixView //catcam:immutable
-	count  int              // stored entries (len of the locator map)
+	count  int              // stored entries (the locator's entry count)
 
 	// Global-matrix write-pressure stamps at publish time (the matrix's
 	// own counters are mutated only under d.mu, so they ride the epoch
@@ -163,7 +163,7 @@ func (d *Device) publishLocked() {
 		order:   append([]int(nil), d.order...),
 		maxOf:   append([]Rank(nil), d.maxOf...),
 		subs:    make([]*subtableView, len(d.subs)),
-		count:   len(d.locs),
+		count:   d.entries,
 		aud:     d.aud,
 		shadow:  d.shadow,
 		tel:     d.tel,
@@ -216,10 +216,11 @@ func (d *Device) Epoch() uint64 {
 }
 
 // readScratch is one goroutine's private lookup working set, pooled in
-// d.readPool: the buffers lookupScratch provides on the legacy locked
-// path, plus the kernel accumulator the shared views cannot own and
-// the batch-local accounting that is flushed to device atomics when
-// the scratch is returned.
+// d.readPool. The paper's lookup allocates nothing — it drives fixed
+// wires — and the scratch mirrors that: every key buffer and vector is
+// sized once and reused per lookup, next to the kernel accumulator the
+// shared views cannot own and the batch-local accounting that is
+// flushed to device atomics when the scratch is returned.
 //
 //catcam:scratch
 type readScratch struct {
@@ -297,12 +298,12 @@ func (s *snapshot) padKey(sc *readScratch, k ternary.Key) ternary.Key {
 	return sc.padKey
 }
 
-// lookup is the lock-free lookup core: lookupLocked's pipeline —
-// subtable search fan-out, global priority decision, local priority
-// decision, metadata readout — over the frozen snapshot, with all
-// working state in sc. It returns the winning entry and subtable ID
-// (-1 on miss). tr/keyIdx/focus carry the span layer's trace context;
-// tr is nil on every untraced lookup.
+// lookup is the lock-free lookup core: subtable search fan-out, global
+// priority decision, local priority decision, metadata readout, all
+// over the frozen snapshot with every piece of working state in sc. It
+// returns the winning entry and subtable ID (-1 on miss).
+// tr/keyIdx/focus carry the span layer's trace context; tr is nil on
+// every untraced lookup.
 //
 //catcam:hotpath
 func (s *snapshot) lookup(sc *readScratch, k ternary.Key, tr *tracepkg.Trace, keyIdx int, focus bool) (Entry, int, bool) {
@@ -343,7 +344,10 @@ func (s *snapshot) lookup(sc *readScratch, k ternary.Key, tr *tracepkg.Trace, ke
 	if oneHot {
 		winner = report.First()
 	} else {
-		// Identical fail-stop/fail-report split to the locked path.
+		// The hardware encoding guarantees a one-hot report; a broken
+		// guarantee is fail-stop without an auditor, fail-report with
+		// one — the violation is recorded and the lookup answered from
+		// the metadata so traffic keeps flowing.
 		if s.aud == nil {
 			panic(fmt.Sprintf("core: global report not one-hot: %s", report))
 		}
@@ -369,7 +373,10 @@ func (s *snapshot) lookup(sc *readScratch, k ternary.Key, tr *tracepkg.Trace, ke
 }
 
 // metadataWinner derives the winning subtable from the snapshot's
-// metadata alone: the highest interval with a local match.
+// metadata alone: the highest interval with a local match, i.e. the
+// last set bit of globalMatch in order. This is the independent
+// reference the winner-agreement audit compares the global priority
+// matrix against, and the fallback reporter when the matrix misbehaves.
 func (s *snapshot) metadataWinner(globalMatch *bitvec.Vector) int {
 	for i := len(s.order) - 1; i >= 0; i-- {
 		if globalMatch.Get(s.order[i]) {
@@ -379,9 +386,11 @@ func (s *snapshot) metadataWinner(globalMatch *bitvec.Vector) int {
 	return -1
 }
 
-// auditLookup runs the inline lookup checks for one sampled lock-free
-// lookup, against the same epoch the answer came from — the
-// snapshot-side counterpart of Device.auditLookup.
+// auditLookup runs the inline lookup checks for one sampled lookup,
+// against the same epoch the answer came from: the global report
+// vector was one-hot, the array-derived winner agrees with a metadata
+// walk, and the winning slot is the matched slot with the highest
+// stored rank.
 func (s *snapshot) auditLookup(sc *readScratch, oneHot bool, winner, slot int) {
 	if oneHot {
 		s.aud.CheckPass(flightrec.InvReportOneHot)

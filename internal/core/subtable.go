@@ -80,13 +80,6 @@ func (st *Subtable) FreeSlot() int { return st.match.FirstFree() }
 // (1 cycle in the match matrix).
 func (st *Subtable) Search(k ternary.Key) *bitvec.Vector { return st.match.Search(k) }
 
-// SearchInto is Search writing the match vector into a caller-provided
-// buffer of Capacity bits — the allocation-free path the device's
-// lookup scratch uses.
-func (st *Subtable) SearchInto(dst *bitvec.Vector, k ternary.Key) *bitvec.Vector {
-	return st.match.SearchInto(dst, k)
-}
-
 // Decide runs the in-memory priority decision over the given match
 // vector and returns the winning slot, or -1 when the vector is empty.
 // The report vector is checked to be one-hot — the hardware guarantee
@@ -169,14 +162,6 @@ func (st *Subtable) ReadEntry(slot int) Entry {
 	}
 	r, _ := st.store.Rank(slot)
 	return Entry{Word: w, Rank: r, Action: st.actions[slot]}
-}
-
-// ReadEntryMeta returns the rank and action at slot without touching
-// the match matrix — the reporter's metadata path at the end of a
-// lookup, not a counted array access.
-func (st *Subtable) ReadEntryMeta(slot int) Entry {
-	r, _ := st.store.Rank(slot)
-	return Entry{Rank: r, Action: st.actions[slot]}
 }
 
 // Rank returns the rank at slot.

@@ -113,7 +113,7 @@ func (t *deviceTelemetry) syncGauges(d *Device) {
 		return
 	}
 	t.activeSubs.Set(int64(len(d.order)))
-	t.entries.Set(int64(len(d.locs)))
+	t.entries.Set(int64(d.entries))
 	if s := d.snap.Load(); s != nil {
 		t.epochG.Set(int64(s.epoch))
 	}

@@ -34,13 +34,24 @@ func TestDeviceTelemetryHistograms(t *testing.T) {
 	if _, err := d.DeleteRule(3); err != nil {
 		t.Fatal(err)
 	}
+	// One rule whose port range expands to several stored entries: the
+	// entries gauge counts entries, the insert histogram counts rules.
+	wide := telRule(12, 13)
+	wide.DstPort = rules.PortRange{Lo: 1, Hi: 6}
+	before := d.Len()
+	if _, err := d.InsertRule(wide); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Len() - before; got < 2 {
+		t.Fatalf("wide rule stored %d entries, want a multi-entry rule", got)
+	}
 	snap := reg.Snapshot()
 	ins, ok := snap.Histograms[`catcam_update_cycles{op="insert"}`]
 	if !ok {
 		t.Fatalf("missing insert histogram; have %v", snap.Histograms)
 	}
-	if ins.Count != 12 {
-		t.Errorf("insert count = %d, want 12", ins.Count)
+	if ins.Count != 13 {
+		t.Errorf("insert count = %d, want 13", ins.Count)
 	}
 	if ins.P99 == 0 {
 		t.Error("insert p99 = 0, want non-zero")

@@ -129,7 +129,7 @@ type Auditor struct {
 	ring   *telemetry.EventRing
 	table  int
 
-	lookupSampler Sampler
+	lookupSampler telemetry.Sampler
 
 	totalChecks atomic.Uint64
 	totalFails  atomic.Uint64

@@ -35,34 +35,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
-	"sync/atomic"
+
+	"catcam/internal/telemetry"
 )
-
-// Sampler is a deterministic 1-in-N sampling gate. N == 0 disables
-// sampling entirely; N == 1 samples every event. Hit is one atomic
-// load (plus one atomic add when enabled) and never allocates, which
-// is what keeps un-sampled hot paths allocation-free.
-type Sampler struct {
-	every atomic.Uint64
-	n     atomic.Uint64
-}
-
-// SetEvery sets the sampling period (0 disables).
-func (s *Sampler) SetEvery(n uint64) { s.every.Store(n) }
-
-// Every returns the sampling period.
-func (s *Sampler) Every() uint64 { return s.every.Load() }
-
-// Hit reports whether this event is sampled.
-func (s *Sampler) Hit() bool {
-	e := s.every.Load()
-	if e == 0 {
-		return false
-	}
-	return s.n.Add(1)%e == 0
-}
 
 // StepKind tags one causal step of an update (or pipeline request)
 // trace.
@@ -183,22 +159,16 @@ func (t *Trace) StepCycles() uint64 {
 }
 
 // Recorder samples update requests and retains their causal traces in
-// a bounded lock-free ring (oldest overwritten), the same publication
-// scheme as telemetry.EventRing: one atomic increment to claim a slot,
-// one atomic pointer store to publish.
+// a bounded lock-free ring (oldest overwritten).
 type Recorder struct {
-	sampler Sampler
-	slots   []atomic.Pointer[Trace] //catcam:allow epoch "flight-recorder ring of retained traces; slots are replaced, never republished as classify state"
-	seq     atomic.Uint64           // traces ever published
+	sampler telemetry.Sampler
+	ring    *telemetry.Ring[Trace]
 }
 
 // NewRecorder builds a recorder retaining up to capacity traces.
 // Sampling starts disabled; call SetSampleEvery.
 func NewRecorder(capacity int) *Recorder {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("flightrec: invalid trace ring capacity %d", capacity))
-	}
-	return &Recorder{slots: make([]atomic.Pointer[Trace], capacity)}
+	return &Recorder{ring: telemetry.NewRing(capacity, func(t *Trace) *uint64 { return &t.Seq })}
 }
 
 // SetSampleEvery samples one update trace per n update requests
@@ -229,9 +199,7 @@ func (r *Recorder) Finish(t *Trace, cycles uint64, err error) {
 	if err != nil {
 		t.Err = err.Error()
 	}
-	s := r.seq.Add(1)
-	t.Seq = s
-	r.slots[(s-1)%uint64(len(r.slots))].Store(t)
+	r.ring.Publish(t)
 }
 
 // Total returns the number of traces ever published.
@@ -239,7 +207,7 @@ func (r *Recorder) Total() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.seq.Load()
+	return r.ring.Total()
 }
 
 // Cap returns the ring capacity.
@@ -247,35 +215,17 @@ func (r *Recorder) Cap() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.slots)
+	return r.ring.Cap()
 }
 
-// Snapshot returns the retained traces oldest-first. Concurrent
-// publishers may overwrite slots mid-read; stale or in-flight slots
-// are filtered by sequence number (see telemetry.EventRing.Snapshot).
+// Snapshot returns copies of the retained traces oldest-first (see
+// telemetry.Ring.Each for what concurrent publishers can trim).
 func (r *Recorder) Snapshot() []Trace {
-	if r == nil {
-		return nil
+	if r.Total() == 0 {
+		return nil // nothing ever recorded: the handler serves null, not []
 	}
-	hi := r.seq.Load()
-	if hi == 0 {
-		return nil
-	}
-	lo := uint64(1)
-	if c := uint64(len(r.slots)); hi > c {
-		lo = hi - c + 1
-	}
-	out := make([]Trace, 0, hi-lo+1)
-	for i := range r.slots {
-		p := r.slots[i].Load()
-		if p == nil {
-			continue
-		}
-		if p.Seq >= lo && p.Seq <= hi {
-			out = append(out, *p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	out := []Trace{}
+	r.ring.Each(func(t *Trace) { out = append(out, *t) })
 	return out
 }
 

@@ -12,28 +12,44 @@ import (
 	"catcam/internal/telemetry"
 )
 
+// TestSamplerGating drives the 1-in-N gate (a telemetry.Sampler) where
+// each instrument meets it: the recorder's Start, the auditor's
+// SampleLookup and the shadow's Sample.
 func TestSamplerGating(t *testing.T) {
-	var s Sampler
-	for i := 0; i < 10; i++ {
-		if s.Hit() {
-			t.Fatal("disabled sampler fired")
-		}
+	rec := NewRecorder(4)
+	aud := NewAuditor(nil, nil, 4, nil)
+	sh := NewShadow(swclass.NewLinear(), aud, -1)
+	gates := []struct {
+		name     string
+		setEvery func(uint64)
+		hit      func() bool
+	}{
+		{"recorder", rec.SetSampleEvery, func() bool { return rec.Start("insert", -1, 0) != nil }},
+		{"auditor", aud.SetLookupSampleEvery, aud.SampleLookup},
+		{"shadow", sh.SetSampleEvery, sh.Sample},
 	}
-	s.SetEvery(1)
-	for i := 0; i < 10; i++ {
-		if !s.Hit() {
-			t.Fatal("every=1 sampler missed")
+	for _, g := range gates {
+		for i := 0; i < 10; i++ {
+			if g.hit() {
+				t.Fatalf("%s: disabled sampler fired", g.name)
+			}
 		}
-	}
-	s.SetEvery(4)
-	hits := 0
-	for i := 0; i < 400; i++ {
-		if s.Hit() {
-			hits++
+		g.setEvery(1)
+		for i := 0; i < 10; i++ {
+			if !g.hit() {
+				t.Fatalf("%s: every=1 sampler missed", g.name)
+			}
 		}
-	}
-	if hits != 100 {
-		t.Fatalf("every=4 sampler hit %d/400, want 100", hits)
+		g.setEvery(4)
+		hits := 0
+		for i := 0; i < 400; i++ {
+			if g.hit() {
+				hits++
+			}
+		}
+		if hits != 100 {
+			t.Fatalf("%s: every=4 sampler hit %d/400, want 100", g.name, hits)
+		}
 	}
 }
 

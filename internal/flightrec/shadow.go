@@ -7,6 +7,7 @@ import (
 
 	"catcam/internal/rules"
 	"catcam/internal/swclass"
+	"catcam/internal/telemetry"
 )
 
 // Shadow is the differential checker: it mirrors every installed rule
@@ -27,7 +28,7 @@ type Shadow struct {
 	aud   *Auditor
 	table int
 
-	sampler  Sampler
+	sampler  telemetry.Sampler
 	mu       sync.Mutex
 	desynced atomic.Bool
 	reason   string

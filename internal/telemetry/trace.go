@@ -1,10 +1,6 @@
 package telemetry
 
-import (
-	"fmt"
-	"sort"
-	"sync/atomic"
-)
+import "fmt"
 
 // EventKind tags a structured trace event.
 type EventKind uint8
@@ -92,23 +88,16 @@ type Event struct {
 	Note string `json:"note,omitempty"`
 }
 
-// EventRing is a bounded ring buffer of trace events. Writers claim a
-// slot with one atomic increment and publish the event with one atomic
-// pointer store; readers take a consistent snapshot without blocking
-// writers (and vice versa) — no locks anywhere. When the ring is full
-// the oldest events are overwritten; Total() minus Cap() tells a
-// reader how many it can no longer see.
+// EventRing is the bounded ring of trace events: a Ring whose records
+// are Events stamped with their emission sequence. All methods are
+// nil-receiver safe, so an unattached layer emits into nothing.
 type EventRing struct {
-	slots []atomic.Pointer[Event] //catcam:allow epoch "observability ring; slots are replaced, never republished as classify state"
-	seq   atomic.Uint64           // total events ever emitted
+	ring *Ring[Event]
 }
 
 // NewEventRing builds a ring holding up to capacity events.
 func NewEventRing(capacity int) *EventRing {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("telemetry: invalid ring capacity %d", capacity))
-	}
-	return &EventRing{slots: make([]atomic.Pointer[Event], capacity)}
+	return &EventRing{ring: NewRing(capacity, func(e *Event) *uint64 { return &e.Seq })}
 }
 
 // Emit records an event, overwriting the oldest when full. The ring
@@ -117,9 +106,7 @@ func (r *EventRing) Emit(e Event) {
 	if r == nil {
 		return
 	}
-	s := r.seq.Add(1)
-	e.Seq = s
-	r.slots[(s-1)%uint64(len(r.slots))].Store(&e)
+	r.ring.Publish(&e)
 }
 
 // Cap returns the ring capacity.
@@ -127,7 +114,7 @@ func (r *EventRing) Cap() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.slots)
+	return r.ring.Cap()
 }
 
 // Total returns the number of events ever emitted (including
@@ -136,36 +123,17 @@ func (r *EventRing) Total() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.seq.Load()
+	return r.ring.Total()
 }
 
-// Snapshot returns the retained events oldest-first. Concurrent
-// writers may overwrite slots mid-read; stale or in-flight slots are
-// filtered by sequence number, so the result is always a consistent
-// (if slightly trimmed) suffix of the emission order.
+// Snapshot returns copies of the retained events oldest-first (see
+// Ring.Each for what concurrent emitters can trim).
 func (r *EventRing) Snapshot() []Event {
-	if r == nil {
-		return nil
+	if r.Total() == 0 {
+		return nil // nothing ever emitted: the handler serves null, not []
 	}
-	hi := r.seq.Load()
-	if hi == 0 {
-		return nil
-	}
-	lo := uint64(1)
-	if c := uint64(len(r.slots)); hi > c {
-		lo = hi - c + 1
-	}
-	out := make([]Event, 0, hi-lo+1)
-	for i := range r.slots {
-		p := r.slots[i].Load()
-		if p == nil {
-			continue
-		}
-		if p.Seq >= lo && p.Seq <= hi {
-			out = append(out, *p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	out := []Event{}
+	r.ring.Each(func(e *Event) { out = append(out, *e) })
 	return out
 }
 
@@ -175,7 +143,5 @@ func (r *EventRing) Reset() {
 	if r == nil {
 		return
 	}
-	for i := range r.slots {
-		r.slots[i].Store(nil)
-	}
+	r.ring.Reset()
 }

@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestRingBasics(t *testing.T) {
 	r := NewEventRing(8)
@@ -24,32 +21,6 @@ func TestRingBasics(t *testing.T) {
 	}
 }
 
-func TestRingWraparound(t *testing.T) {
-	const capacity = 4
-	r := NewEventRing(capacity)
-	for i := 1; i <= 10; i++ {
-		r.Emit(Event{Kind: EvInsert, RuleID: i})
-	}
-	got := r.Snapshot()
-	if len(got) != capacity {
-		t.Fatalf("snapshot has %d events, want %d (oldest overwritten)", len(got), capacity)
-	}
-	// The retained window is the last `capacity` emissions, oldest first.
-	for i, e := range got {
-		wantSeq := uint64(10 - capacity + 1 + i)
-		if e.Seq != wantSeq {
-			t.Errorf("event %d has seq %d, want %d", i, e.Seq, wantSeq)
-		}
-		if e.RuleID != int(wantSeq) {
-			t.Errorf("event %d has rule %d, want %d", i, e.RuleID, wantSeq)
-		}
-	}
-	// Truncation accounting: 10 emitted, 4 visible.
-	if r.Total() != 10 {
-		t.Errorf("Total = %d, want 10", r.Total())
-	}
-}
-
 func TestRingReset(t *testing.T) {
 	r := NewEventRing(4)
 	for i := 0; i < 6; i++ {
@@ -66,57 +37,6 @@ func TestRingReset(t *testing.T) {
 		t.Errorf("post-reset snapshot = %+v, want one event with seq 7", got)
 	}
 }
-
-func TestRingConcurrent(t *testing.T) {
-	// Run with -race: writers and a reader race on the ring; every
-	// snapshot must be sorted, in the live window, and duplicate-free.
-	r := NewEventRing(64)
-	const workers, perWorker = 4, 2_000
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	var snapErr error
-	var reader sync.WaitGroup
-	reader.Add(1)
-	go func() {
-		defer reader.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			snap := r.Snapshot()
-			for i := 1; i < len(snap); i++ {
-				if snap[i].Seq <= snap[i-1].Seq {
-					snapErr = &seqError{snap[i-1].Seq, snap[i].Seq}
-					return
-				}
-			}
-		}
-	}()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				r.Emit(Event{Kind: EvInsert, Cycles: 3})
-			}
-		}()
-	}
-	wg.Wait()
-	close(stop)
-	reader.Wait()
-	if snapErr != nil {
-		t.Fatalf("inconsistent snapshot: %v", snapErr)
-	}
-	if r.Total() != workers*perWorker {
-		t.Errorf("Total = %d, want %d", r.Total(), workers*perWorker)
-	}
-}
-
-type seqError struct{ a, b uint64 }
-
-func (e *seqError) Error() string { return "non-increasing seq" }
 
 func TestEventKindStrings(t *testing.T) {
 	kinds := []EventKind{EvInsert, EvDelete, EvModify, EvRealloc, EvFreshSubtable, EvChain, EvClassify}

@@ -35,6 +35,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"catcam/internal/telemetry"
 )
 
 // epoch anchors the package's monotonic clock; all span stamps are
@@ -150,6 +152,7 @@ type Trace struct {
 
 	mu    sync.Mutex
 	focus int
+	seq   uint64 // publication sequence, stamped by the tracer's ring
 }
 
 // TraceID renders an ID the way exemplars and ?trace= spell it.
@@ -241,46 +244,18 @@ func (t *Trace) snapshot() *Trace {
 	}
 }
 
-// Sampler is the deterministic 1-in-N gate (0 disables, 1 samples
-// every request); same contract as flightrec.Sampler.
-type Sampler struct {
-	every atomic.Uint64
-	n     atomic.Uint64
-}
-
-// SetEvery sets the sampling period (0 disables).
-func (s *Sampler) SetEvery(n uint64) { s.every.Store(n) }
-
-// Every returns the sampling period.
-func (s *Sampler) Every() uint64 { return s.every.Load() }
-
-// Hit reports whether this request is sampled: one atomic load when
-// disabled, plus one atomic add when enabled. Never allocates.
-func (s *Sampler) Hit() bool {
-	e := s.every.Load()
-	if e == 0 {
-		return false
-	}
-	return s.n.Add(1)%e == 0
-}
-
 // Tracer samples requests and retains their completed traces in a
-// bounded lock-free ring (oldest overwritten) — the publication scheme
-// shared with telemetry.EventRing and flightrec.Recorder.
+// bounded lock-free ring (oldest overwritten).
 type Tracer struct {
-	sampler Sampler
-	slots   []atomic.Pointer[Trace] //catcam:allow epoch "observability ring of finished traces; slots are replaced, never republished as classify state"
-	seq     atomic.Uint64           // traces ever published
-	ids     atomic.Uint64           // trace IDs ever issued
+	sampler telemetry.Sampler
+	ring    *telemetry.Ring[Trace]
+	ids     atomic.Uint64 // trace IDs ever issued
 }
 
 // NewTracer builds a tracer retaining up to capacity finished traces.
 // Sampling starts disabled; call SetSampleEvery.
 func NewTracer(capacity int) *Tracer {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("trace: invalid trace ring capacity %d", capacity))
-	}
-	return &Tracer{slots: make([]atomic.Pointer[Trace], capacity)}
+	return &Tracer{ring: telemetry.NewRing(capacity, func(t *Trace) *uint64 { return &t.seq })}
 }
 
 // SetSampleEvery samples one trace per n requests (0 disables, 1
@@ -317,8 +292,7 @@ func (tt *Tracer) Finish(t *Trace) {
 		return
 	}
 	t.DurNs = Nanos() - t.StartNs
-	s := tt.seq.Add(1)
-	tt.slots[(s-1)%uint64(len(tt.slots))].Store(t)
+	tt.ring.Publish(t)
 }
 
 // Total returns the number of traces ever published.
@@ -326,7 +300,7 @@ func (tt *Tracer) Total() uint64 {
 	if tt == nil {
 		return 0
 	}
-	return tt.seq.Load()
+	return tt.ring.Total()
 }
 
 // Cap returns the ring capacity.
@@ -334,7 +308,7 @@ func (tt *Tracer) Cap() int {
 	if tt == nil {
 		return 0
 	}
-	return len(tt.slots)
+	return tt.ring.Cap()
 }
 
 // Snapshot returns consistent copies of the retained traces,
@@ -343,26 +317,22 @@ func (tt *Tracer) Snapshot() []*Trace {
 	if tt == nil {
 		return nil
 	}
-	out := make([]*Trace, 0, len(tt.slots))
-	for i := range tt.slots {
-		if p := tt.slots[i].Load(); p != nil {
-			out = append(out, p.snapshot())
-		}
-	}
+	out := make([]*Trace, 0, tt.ring.Cap())
+	tt.ring.Each(func(p *Trace) { out = append(out, p.snapshot()) })
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
 // Get retrieves a retained trace by ID (nil when evicted or unknown) —
 // the exemplar → trace link.
-func (tt *Tracer) Get(id uint64) *Trace {
+func (tt *Tracer) Get(id uint64) (t *Trace) {
 	if tt == nil {
 		return nil
 	}
-	for i := range tt.slots {
-		if p := tt.slots[i].Load(); p != nil && p.ID == id {
-			return p.snapshot()
+	tt.ring.Each(func(p *Trace) {
+		if p.ID == id {
+			t = p.snapshot()
 		}
-	}
-	return nil
+	})
+	return t
 }

@@ -7,26 +7,28 @@ import (
 	"testing"
 )
 
+// TestSamplerGate drives the tracer's 1-in-N gate (a telemetry.Sampler)
+// through Start, the one place the hot path meets it.
 func TestSamplerGate(t *testing.T) {
-	var s Sampler
+	tt := NewTracer(4)
 	for i := 0; i < 100; i++ {
-		if s.Hit() {
-			t.Fatal("disabled sampler hit")
+		if tt.Start("x") != nil {
+			t.Fatal("tracer with sampling off started a trace")
 		}
 	}
-	s.SetEvery(4)
+	tt.SetSampleEvery(4)
 	hits := 0
 	for i := 0; i < 400; i++ {
-		if s.Hit() {
+		if tt.Start("x") != nil {
 			hits++
 		}
 	}
 	if hits != 100 {
-		t.Fatalf("1-in-4 sampler: got %d hits in 400, want 100", hits)
+		t.Fatalf("1-in-4 tracer: started %d traces in 400 requests, want 100", hits)
 	}
-	s.SetEvery(1)
-	if !s.Hit() {
-		t.Fatal("every=1 sampler must hit")
+	tt.SetSampleEvery(1)
+	if tt.Start("x") == nil || tt.SampleEvery() != 1 {
+		t.Fatal("every=1 tracer must start a trace per request")
 	}
 }
 
