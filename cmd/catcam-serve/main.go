@@ -38,15 +38,13 @@
 // Usage:
 //
 //	catcam-serve [-addr :9090] [-family ACL] [-size 1000] [-rate 10000]
-//	             [-subtables 256] [-slots 256] [-ring 4096] [-seed 1]
+//	             [-subtables 256] [-slots 256] [-seed 1]
 //	             [-shards 1] [-partition interval] [-rebalance 0]
-//	             [-rebalance-batch 64] [-classify-workers 0]
-//	             [-trace-every 0] [-trace-ring 1024] [-audit-every 0]
+//	             [-classify-workers 0] [-trace-every 0] [-audit-every 0]
 //	             [-audit-interval 0] [-shadow-every 0] [-duration 0]
-//	             [-span-every 0] [-span-ring 256] [-slo-interval 5s]
-//	             [-slo-latency-ns 1048576] [-escalation-window 30s]
-//	             [-state-interval 5s] [-state-horizon 10m]
-//	             [-state-ring 360] [-ingress] [-workers 4]
+//	             [-span-every 0] [-slo-interval 5s]
+//	             [-slo-latency-ns 1048576] [-state-interval 5s]
+//	             [-state-horizon 10m] [-ingress] [-workers 4]
 //	             [-flowcache-size 65536] [-zipf-s 1.2]
 //	             [-ingress-flows 1000000] [-ingress-rate 0]
 //	             [-final-dir ""]
@@ -78,7 +76,7 @@
 // The span layer rides on top: -span-every N samples every Nth classify
 // batch into a full end-to-end span trace (fan-out dispatch, per-shard
 // kernels, per-key device lookups, focus-key SRAM kernel searches,
-// arbiter merge) retained in a ring of -span-ring traces, served at
+// arbiter merge) retained in a ring of 256 traces, served at
 // /debug/timeline and /debug/blame, and linked from the
 // catcam_serve_lookup_ns histogram's bucket exemplars. The SLO engine
 // evaluates three objectives every -slo-interval — batch latency under
@@ -86,7 +84,7 @@
 // fast (5m) and slow (1h) burn windows. When both windows burn, the
 // escalation raises every sampling knob (span traces, causal traces,
 // inline audits, shadows) to 1-in-1 and captures a CPU profile for
-// -escalation-window, then restores the configured rates. -final-dir D
+// 30 s, then restores the configured rates. -final-dir D
 // writes metrics.json, slo.json, timeline.json and state.json there at
 // shutdown for CI artifact upload.
 //
@@ -109,7 +107,7 @@
 //
 // The state observatory sweeps the engine's published snapshot every
 // -state-interval (lock-free — never the device mutex), recording
-// per-subtable structure into a ring of -state-ring frames served at
+// per-subtable structure into a ring of 360 frames served at
 // /debug/state and mirrored into catcam_state_* metrics. Its linear
 // capacity forecaster projects time-to-fill and time-to-fragmentation-
 // stall; when either falls inside -state-horizon the sweep counts as a
@@ -155,6 +153,18 @@ import (
 	"catcam/internal/trace"
 )
 
+// Sizes with one value in use: ring capacities, the rebalancer's batch
+// and how long an SLO burn holds sampling at 100% with the CPU profile
+// running.
+const (
+	eventRingCap     = 4096 // /events
+	traceRingCap     = 1024 // /debug/trace
+	spanRingCap      = 256  // /debug/timeline, /debug/blame
+	stateRingFrames  = 360  // /debug/state
+	rebalanceBatch   = 64   // max entries migrated per rebalance pass
+	escalationWindow = 30 * time.Second
+)
+
 // options collects the parsed command line.
 type options struct {
 	addr      string
@@ -164,30 +174,24 @@ type options struct {
 	rate      int
 	subtables int
 	slots     int
-	ringCap   int
 
 	shards          int
 	partition       string
 	rebalance       time.Duration
-	rebalanceBatch  int
 	classifyWorkers int
 
 	traceEvery    uint64
-	traceRing     int
 	auditEvery    uint64
 	auditInterval time.Duration
 	shadowEvery   uint64
 	duration      time.Duration
 
 	spanEvery    uint64
-	spanRing     int
 	sloInterval  time.Duration
 	sloLatencyNs uint64
-	escWindow    time.Duration
 
 	stateInterval time.Duration
 	stateHorizon  time.Duration
-	stateRing     int
 
 	ingress       bool
 	workers       int
@@ -208,26 +212,20 @@ func main() {
 	flag.IntVar(&o.rate, "rate", 10000, "updates per second (0 = unthrottled)")
 	flag.IntVar(&o.subtables, "subtables", 256, "subtable count (per shard in cluster mode)")
 	flag.IntVar(&o.slots, "slots", 256, "entries per subtable")
-	flag.IntVar(&o.ringCap, "ring", 4096, "event trace ring capacity")
 	flag.IntVar(&o.shards, "shards", 1, "shard count; >= 2 runs a sharded cluster")
 	flag.StringVar(&o.partition, "partition", "interval", "cluster partition mode: interval or hash")
 	flag.DurationVar(&o.rebalance, "rebalance", 0, "cluster rebalance pass period (0 = off)")
-	flag.IntVar(&o.rebalanceBatch, "rebalance-batch", 64, "max entries migrated per rebalance pass")
 	flag.IntVar(&o.classifyWorkers, "classify-workers", 0, "extra concurrent classify goroutines replaying the trace against the lock-free path; in cluster mode also the per-shard fan-out worker count (0 = churn-loop lookups only)")
 	flag.Uint64Var(&o.traceEvery, "trace-every", 0, "record a causal trace for every Nth update (0 = off)")
-	flag.IntVar(&o.traceRing, "trace-ring", 1024, "causal trace ring capacity")
 	flag.Uint64Var(&o.auditEvery, "audit-every", 0, "audit every Nth lookup inline (0 = off)")
 	flag.DurationVar(&o.auditInterval, "audit-interval", 0, "background invariant sweep period (0 = off)")
 	flag.Uint64Var(&o.shadowEvery, "shadow-every", 0, "shadow-check every Nth lookup against the software classifier (0 = off)")
 	flag.DurationVar(&o.duration, "duration", 0, "run for this long, final-sweep and exit; nonzero exit on violations (0 = serve until signalled)")
 	flag.Uint64Var(&o.spanEvery, "span-every", 0, "span-trace every Nth classify batch end-to-end (0 = off)")
-	flag.IntVar(&o.spanRing, "span-ring", 256, "span trace ring capacity")
 	flag.DurationVar(&o.sloInterval, "slo-interval", 5*time.Second, "SLO sample/evaluate period")
 	flag.Uint64Var(&o.sloLatencyNs, "slo-latency-ns", 1<<20, "classify-batch latency budget for the p999 objective (ns)")
-	flag.DurationVar(&o.escWindow, "escalation-window", 30*time.Second, "how long an SLO burn holds sampling at 100% and the CPU profile running")
 	flag.DurationVar(&o.stateInterval, "state-interval", 5*time.Second, "state observatory sweep period")
 	flag.DurationVar(&o.stateHorizon, "state-horizon", 10*time.Minute, "capacity-headroom horizon: forecast time-to-fill/time-to-stall inside it burns the capacity SLO")
-	flag.IntVar(&o.stateRing, "state-ring", 360, "state observatory frame ring capacity")
 	flag.BoolVar(&o.ingress, "ingress", false, "run the streaming packet front end: Zipf traffic through per-worker rings and flow caches into the classify path")
 	flag.IntVar(&o.workers, "workers", 4, "ingress run-to-completion worker count (with -ingress)")
 	flag.IntVar(&o.flowcacheSize, "flowcache-size", 65536, "per-worker flow-cache capacity in decisions; 0 disables the cache (with -ingress)")
@@ -248,7 +246,6 @@ func main() {
 type engine interface {
 	InsertRule(rules.Rule) (core.UpdateResult, error)
 	DeleteRule(ruleID int) (core.UpdateResult, error)
-	LookupHeaderBatch(hs []rules.Header, dst []core.LookupResult) []core.LookupResult
 	LookupHeaderBatchTraced(tr *trace.Trace, hs []rules.Header, dst []core.LookupResult) []core.LookupResult
 	Epoch() uint64
 	AttachTelemetry(reg *telemetry.Registry, ring *telemetry.EventRing, labels telemetry.Labels)
@@ -281,7 +278,7 @@ func run(o options) error {
 	}
 
 	reg := telemetry.NewRegistry()
-	ring := telemetry.NewEventRing(o.ringCap)
+	ring := telemetry.NewEventRing(eventRingCap)
 	devCfg := core.Config{
 		Subtables: o.subtables, SubtableCapacity: o.slots,
 		KeyWidth: 160, FrequencyMHz: 500,
@@ -305,7 +302,7 @@ func run(o options) error {
 	// /debug/state. Its Reset rides the engine's stats-reset hook, so the
 	// post-bulk-load ResetStats below also clears the frame ring.
 	obs := stateobs.New(eng, stateobs.Config{
-		RingFrames: o.stateRing,
+		RingFrames: stateRingFrames,
 		Horizon:    o.stateHorizon,
 	})
 	obs.AttachTelemetry(reg, nil)
@@ -314,7 +311,7 @@ func run(o options) error {
 	// attached so a corrupted decision is reported rather than fatal),
 	// and the optional shadow classifier. The shadow must attach before
 	// the bulk load so it mirrors every rule.
-	rec := flightrec.NewRecorder(o.traceRing)
+	rec := flightrec.NewRecorder(traceRingCap)
 	rec.SetSampleEvery(o.traceEvery)
 	eng.AttachFlightRecorder(rec, -1)
 	aud := flightrec.NewAuditor(reg, ring, 256, nil)
@@ -340,7 +337,7 @@ func run(o options) error {
 	// Span layer: the tracer samples whole classify batches end-to-end;
 	// the serve latency histogram carries per-bucket exemplars linking
 	// /metrics.json tail buckets to retained traces.
-	tracer := trace.NewTracer(o.spanRing)
+	tracer := trace.NewTracer(spanRingCap)
 	tracer.SetSampleEvery(o.spanEvery)
 	lookupHist := reg.Histogram("catcam_serve_lookup_ns",
 		"wall-clock latency of one batched classify call", telemetry.DefaultLatencyBuckets, nil)
@@ -421,7 +418,7 @@ func run(o options) error {
 	}
 	stopRebal := func() {}
 	if cl != nil && o.rebalance > 0 {
-		stopRebal = cl.StartRebalancer(o.rebalance, o.rebalanceBatch)
+		stopRebal = cl.StartRebalancer(o.rebalance, rebalanceBatch)
 	}
 	bgWG.Add(1)
 	go func() {
@@ -447,7 +444,7 @@ func run(o options) error {
 		}
 	}
 	esc := &slo.Escalation{
-		Window: o.escWindow,
+		Window: escalationWindow,
 		Raise: func() {
 			tracer.SetSampleEvery(1)
 			rec.SetSampleEvery(1)
@@ -881,7 +878,7 @@ func (c *churner) readLoop(worker int, done <-chan struct{}) {
 			batch = append(batch, c.headers[next%len(c.headers)])
 			next++
 		}
-		results = c.eng.LookupHeaderBatch(batch, results[:0])
+		results = c.eng.LookupHeaderBatchTraced(nil, batch, results[:0])
 	}
 }
 

@@ -277,13 +277,14 @@ func (c *Cluster) worker(s *shard) {
 		// publication happened in between, so the snapshot classified
 		// against was exactly this epoch's.
 		r.epochs[s.id] = s.dev.Epoch()
-		if tr := r.tr; tr != nil {
-			start := trace.Nanos()
-			r.results[s.id] = s.dev.LookupHeaderBatchTraced(tr, r.hdrs, r.results[s.id][:0])
+		var start uint64
+		if r.tr != nil {
+			start = trace.Nanos()
+		}
+		r.results[s.id] = s.dev.LookupHeaderBatchTraced(r.tr, r.hdrs, r.results[s.id][:0])
+		if r.tr != nil {
 			//catcam:allow alloc "sampled trace span; rate-gated off the steady-state path"
-			tr.Span(trace.StageShardKernel, -1, s.id, -1, -1, start, 0)
-		} else {
-			r.results[s.id] = s.dev.LookupHeaderBatch(r.hdrs, r.results[s.id][:0])
+			r.tr.Span(trace.StageShardKernel, -1, s.id, -1, -1, start, 0)
 		}
 		r.wg.Done()
 	}
@@ -379,15 +380,47 @@ func (c *Cluster) DeleteRule(ruleID int) (core.UpdateResult, error) {
 	return res, err
 }
 
-// ModifyRule replaces a rule with a new version keeping its ID. The
-// new priority may route to a different shard, so modify is
-// delete-then-insert at the cluster level; cycle costs of both phases
-// are reported together, mirroring Device.ModifyRule.
+// ModifyRule replaces a rule with a new version keeping its ID. When
+// the new version routes to the shard that holds the old one — always
+// in hash mode, where routing is by ID, and in interval mode whenever
+// the new priority stays inside that shard's interval — the shard's
+// Device.ModifyRule publishes the change as one epoch, so no reader
+// ever sees the rule absent. A modify that crosses shards is still
+// delete-then-insert: two epochs, and between them a reader falls
+// through to the next lower-priority rule (ROADMAP item 3's Apply owns
+// closing that). Cycle costs of both phases are reported together,
+// mirroring Device.ModifyRule.
 func (c *Cluster) ModifyRule(ruleID int, newRule rules.Rule) (core.UpdateResult, error) {
 	if newRule.ID != ruleID {
 		return core.UpdateResult{}, fmt.Errorf("cluster: modify must keep rule ID %d, got %d", ruleID, newRule.ID)
 	}
-	del, err := c.DeleteRule(ruleID)
+	if newRule.ExpansionCount() == 0 {
+		// Rejected before either path deletes the old version.
+		return core.UpdateResult{}, fmt.Errorf("cluster: modify of rule %d: %w", ruleID, core.ErrEmptyRule)
+	}
+	// mu.RLock keeps the rebalancer from moving the rule between the
+	// routing read and the device call.
+	c.mu.RLock()
+	c.routeMu.Lock()
+	o, ok := c.owner[ruleID]
+	inPlace := ok && (c.mode == ModeHash || c.routeLocked(newRule.Priority) == o.shard)
+	c.routeMu.Unlock()
+	if inPlace {
+		res, err := c.shards[o.shard].dev.ModifyRule(ruleID, newRule)
+		c.routeMu.Lock()
+		switch {
+		case err == nil:
+			c.owner[ruleID] = ownedRule{shard: o.shard, rule: newRule}
+		case !errors.Is(err, core.ErrNotFound):
+			// The device deleted the old version before its insert failed.
+			delete(c.owner, ruleID)
+		}
+		c.routeMu.Unlock()
+		c.mu.RUnlock()
+		return res, err
+	}
+	c.mu.RUnlock()
+	del, err := c.DeleteRule(ruleID) // ErrNotFound for an unknown ID
 	if err != nil {
 		return core.UpdateResult{}, err
 	}
@@ -428,38 +461,29 @@ func (c *Cluster) putRound(r *fanRound) {
 	c.roundPool.Put(r) //catcam:allow alloc "sync.Pool return; the checkin itself does not allocate"
 }
 
-// LookupHeaderBatch classifies headers through the whole cluster: the
-// batch fans out to every shard in parallel (each worker classifies
+// LookupHeaderBatch is LookupHeaderBatchTraced without a trace.
+//
+//catcam:hotpath
+func (c *Cluster) LookupHeaderBatch(hs []rules.Header, dst []core.LookupResult) []core.LookupResult {
+	return c.LookupHeaderBatchTraced(nil, hs, dst)
+}
+
+// LookupHeaderBatchTraced classifies headers through the whole cluster:
+// the batch fans out to every shard in parallel (each worker classifies
 // against its own device, lock-free, with pooled scratch), then the
 // arbiter reduces the per-shard winners to one result per header,
 // appended to dst in input order. Concurrent batches proceed
 // independently — each checks its own fanRound out of the pool. With a
 // reused dst the steady-state path allocates nothing.
 //
-//catcam:hotpath
-func (c *Cluster) LookupHeaderBatch(hs []rules.Header, dst []core.LookupResult) []core.LookupResult {
-	if len(hs) == 0 {
-		return dst
-	}
-	r := c.getRound()
-	dst = c.lookupBatch(r, hs, dst)
-	c.putRound(r)
-	return dst
-}
-
-// LookupHeaderBatchTraced is LookupHeaderBatch recording spans for one
-// sampled batch into tr: a fanout_dispatch span around the whole
-// fan-out (wake every worker, wait for the last), one shard_kernel
-// span per shard (recorded by that shard's worker, on the shard's own
-// timeline lane), the per-shard device/sram spans beneath them, and an
-// arbiter_merge span around the reduce loop. A nil tr degrades to the
-// untraced path.
+// A sampled batch's tr (nil otherwise) receives a fanout_dispatch span
+// around the whole fan-out (wake every worker, wait for the last), one
+// shard_kernel span per shard (recorded by that shard's worker, on the
+// shard's own timeline lane), the per-shard device/sram spans beneath
+// them, and an arbiter_merge span around the reduce loop.
 //
 //catcam:hotpath
 func (c *Cluster) LookupHeaderBatchTraced(tr *trace.Trace, hs []rules.Header, dst []core.LookupResult) []core.LookupResult {
-	if tr == nil {
-		return c.LookupHeaderBatch(hs, dst)
-	}
 	if len(hs) == 0 {
 		return dst
 	}
@@ -492,12 +516,10 @@ func (c *Cluster) lookupBatch(r *fanRound, hs []rules.Header, dst []core.LookupR
 		s.work <- r
 	}
 	r.wg.Wait()
+	var mergeStart uint64
 	if tr != nil {
 		//catcam:allow alloc "sampled trace span; rate-gated off the steady-state path"
 		tr.Span(trace.StageFanoutDispatch, -1, -1, -1, -1, dispatchStart, 0)
-	}
-	var mergeStart uint64
-	if tr != nil {
 		mergeStart = trace.Nanos()
 	}
 	for i := range hs {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -106,6 +107,81 @@ func TestClusterModifyMayChangeShard(t *testing.T) {
 	}
 	if a, ok := c.Lookup(rules.Header{SrcIP: 0x0A010203}); !ok || a != 30 {
 		t.Fatalf("lookup after modify = %d,%v", a, ok)
+	}
+	if err := c.CheckInvariant(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestClusterModifySameShardOneEpoch: a modify whose new version stays
+// on the shard holding the old one is that device's ModifyRule, one
+// publication, and the owner record follows the new body.
+func TestClusterModifySameShardOneEpoch(t *testing.T) {
+	for _, mode := range []Mode{ModeInterval, ModeHash} {
+		t.Run(mode.String(), func(t *testing.T) {
+			c := testCluster(t, 4, mode)
+			src := rules.Prefix{Addr: 0x0A000000, Len: 8}
+			if _, err := c.InsertRule(clRule(3, 40000, src)); err != nil {
+				t.Fatal(err)
+			}
+			// 40000 -> 40001 stays inside shard 2's interval (32768, 49152].
+			mod := clRule(3, 40001, src)
+			mod.Action = 77
+			before := c.Epoch()
+			if _, err := c.ModifyRule(3, mod); err != nil {
+				t.Fatal(err)
+			}
+			if got := c.Epoch() - before; got != 1 {
+				t.Fatalf("same-shard modify advanced the epoch by %d, want 1", got)
+			}
+			if a, ok := c.Lookup(rules.Header{SrcIP: 0x0A010203}); !ok || a != 77 {
+				t.Fatalf("lookup after modify = %d,%v, want 77", a, ok)
+			}
+			if err := c.CheckInvariant(); err != nil {
+				t.Fatal(err)
+			}
+			var held []rules.Rule
+			for _, rs := range c.Snapshot().Shards {
+				held = append(held, rs...)
+			}
+			if len(held) != 1 || held[0] != mod {
+				t.Fatalf("owner map holds %+v, want the new version %+v", held, mod)
+			}
+			if _, err := c.ModifyRule(9, clRule(9, 1, src)); !errors.Is(err, core.ErrNotFound) {
+				t.Fatalf("modify of an unknown rule: %v, want ErrNotFound", err)
+			}
+		})
+	}
+}
+
+// TestClusterEmptyRuleReleasesOwner: a rule that encodes to no entries
+// is refused by the device, so the cluster's claim on its ID is
+// released (the ID can be inserted again) and a modify to such a
+// version, on either path, leaves the old version installed.
+func TestClusterEmptyRuleReleasesOwner(t *testing.T) {
+	c := testCluster(t, 4, ModeInterval)
+	src := rules.Prefix{Addr: 0x0A000000, Len: 8}
+	empty := func(prio int) rules.Rule {
+		r := clRule(5, prio, src)
+		r.SrcPort = rules.PortRange{Lo: 9, Hi: 3}
+		return r
+	}
+	if _, err := c.InsertRule(empty(100)); !errors.Is(err, core.ErrEmptyRule) {
+		t.Fatalf("insert of an empty rule: %v, want ErrEmptyRule", err)
+	}
+	if c.Len() != 0 {
+		t.Fatalf("owner map kept %d records for a rule no device holds", c.Len())
+	}
+	if _, err := c.InsertRule(clRule(5, 100, src)); err != nil {
+		t.Fatalf("the refused ID is still claimed: %v", err)
+	}
+	for _, prio := range []int{101, 65000} { // same shard, another shard
+		if _, err := c.ModifyRule(5, empty(prio)); !errors.Is(err, core.ErrEmptyRule) {
+			t.Fatalf("modify to an empty version (priority %d): %v, want ErrEmptyRule", prio, err)
+		}
+		if a, ok := c.Lookup(rules.Header{SrcIP: 0x0A010203}); !ok || a != 50 {
+			t.Fatalf("after the refused modify the old version answers %d,%v, want 50", a, ok)
+		}
 	}
 	if err := c.CheckInvariant(); err != nil {
 		t.Fatal(err)
@@ -401,6 +477,56 @@ func TestClusterChurnVsClassify(t *testing.T) {
 				}
 				t.Fatalf("%d audit violations under cluster churn-vs-classify", n)
 			}
+			if err := c.CheckInvariant(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestClusterModifyChurnVsClassify: while a writer keeps modifying a
+// rule in place, a reader of a header that rule and a lower-priority
+// catch-all both cover must see one version or the other of the rule,
+// never the catch-all: a same-shard modify leaves no hole.
+func TestClusterModifyChurnVsClassify(t *testing.T) {
+	for _, mode := range []Mode{ModeInterval, ModeHash} {
+		t.Run(mode.String(), func(t *testing.T) {
+			c := testCluster(t, 4, mode)
+			const catchAll = 1
+			low := clRule(1, 10, rules.Prefix{Len: 0})
+			low.Action = catchAll
+			if _, err := c.InsertRule(low); err != nil {
+				t.Fatal(err)
+			}
+			src := rules.Prefix{Addr: 0x0A000000, Len: 8}
+			if _, err := c.InsertRule(clRule(2, 40000, src)); err != nil {
+				t.Fatal(err)
+			}
+			h := rules.Header{SrcIP: 0x0A010203}
+
+			var stop atomic.Bool
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for !stop.Load() {
+					if a, ok := c.Lookup(h); !ok || a == catchAll {
+						t.Errorf("reader fell through the modified rule: action %d matched %v", a, ok)
+						return
+					}
+				}
+			}()
+			for i := 0; i < 2000 && !t.Failed(); i++ {
+				mod := clRule(2, 40000+i%2, src)
+				mod.Action = 100 + i
+				if _, err := c.ModifyRule(2, mod); err != nil {
+					t.Errorf("modify %d: %v", i, err)
+					break
+				}
+				runtime.Gosched() // on one P, let the reader in between modifies
+			}
+			stop.Store(true)
+			wg.Wait()
 			if err := c.CheckInvariant(); err != nil {
 				t.Fatal(err)
 			}

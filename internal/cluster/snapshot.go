@@ -56,47 +56,80 @@ func (c *Cluster) WriteSnapshot(w io.Writer) error {
 	return enc.Encode(c.Snapshot())
 }
 
-// ReadSnapshot parses a snapshot previously written by WriteSnapshot.
+// ReadSnapshot parses and validates a snapshot previously written by
+// WriteSnapshot.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	var s Snapshot
 	if err := json.NewDecoder(r).Decode(&s); err != nil {
 		return nil, fmt.Errorf("cluster: decoding snapshot: %w", err)
 	}
-	if _, err := ParseMode(s.Mode); err != nil {
+	if _, err := s.validate(); err != nil {
 		return nil, err
 	}
-	if len(s.Shards) == 0 {
-		return nil, fmt.Errorf("cluster: snapshot has no shards")
-	}
 	return &s, nil
+}
+
+// validate checks everything Restore would otherwise trust from the
+// blob: the mode, the shard count, the device geometry, the rule bodies
+// (unique IDs, encodable fields), ascending bounds and, in interval
+// mode, that every rule sits in the shard its priority routes to — the
+// arbiter there picks winners by shard order, so a misfiled rule is a
+// silently wrong answer. Hash mode accepts any placement: the
+// rebalancer moves rules off their hash home and the arbiter compares
+// ranks.
+func (s *Snapshot) validate() (Mode, error) {
+	mode, err := ParseMode(s.Mode)
+	if err != nil {
+		return 0, err
+	}
+	if len(s.Shards) == 0 {
+		return 0, fmt.Errorf("cluster: snapshot has no shards")
+	}
+	if err := s.Device.Validate(); err != nil {
+		return 0, fmt.Errorf("cluster: snapshot device: %w", err)
+	}
+	var all rules.Ruleset
+	for _, rs := range s.Shards {
+		all.Rules = append(all.Rules, rs...)
+	}
+	if err := all.Validate(); err != nil {
+		return 0, fmt.Errorf("cluster: snapshot: %w", err)
+	}
+	if mode != ModeInterval {
+		return mode, nil
+	}
+	if len(s.Bounds) != len(s.Shards)-1 {
+		return 0, fmt.Errorf("cluster: snapshot has %d bounds for %d shards", len(s.Bounds), len(s.Shards))
+	}
+	if !sort.IntsAreSorted(s.Bounds) {
+		return 0, fmt.Errorf("cluster: snapshot bounds not ascending: %v", s.Bounds)
+	}
+	for sh, rs := range s.Shards {
+		for _, r := range rs {
+			if want := sort.SearchInts(s.Bounds, r.Priority); want != sh {
+				return 0, fmt.Errorf("cluster: snapshot files rule %d (priority %d) under shard %d, its interval is shard %d",
+					r.ID, r.Priority, sh, want)
+			}
+		}
+	}
+	return mode, nil
 }
 
 // Restore builds a cluster from a snapshot: same partition mode and
 // bounds, every rule reloaded into the shard that held it at dump
 // time. The per-shard reloads are plain device inserts, so all derived
 // state (subtable intervals, priority matrices, bit planes) is rebuilt
-// rather than trusted from the dump.
+// rather than trusted from the dump. A snapshot that fails validation
+// (see validate) returns an error instead of building anything.
 func Restore(s *Snapshot) (*Cluster, error) {
-	mode, err := ParseMode(s.Mode)
+	mode, err := s.validate()
 	if err != nil {
 		return nil, err
 	}
-	cfg := Config{Shards: len(s.Shards), Mode: mode, Device: s.Device}
-	if mode == ModeInterval {
-		if len(s.Bounds) != len(s.Shards)-1 {
-			return nil, fmt.Errorf("cluster: snapshot has %d bounds for %d shards", len(s.Bounds), len(s.Shards))
-		}
-		cfg.Bounds = s.Bounds
-	}
-	c := New(cfg)
+	c := New(Config{Shards: len(s.Shards), Mode: mode, Device: s.Device, Bounds: s.Bounds})
 	for sh, rs := range s.Shards {
 		for _, r := range rs {
 			c.routeMu.Lock()
-			if _, dup := c.owner[r.ID]; dup {
-				c.routeMu.Unlock()
-				c.Close()
-				return nil, fmt.Errorf("cluster: snapshot repeats rule %d", r.ID)
-			}
 			c.owner[r.ID] = ownedRule{shard: sh, rule: r}
 			c.routeMu.Unlock()
 			if _, err := c.shards[sh].dev.InsertRule(r); err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"catcam/internal/classbench"
+	"catcam/internal/core"
 	"catcam/internal/rules"
 )
 
@@ -101,4 +102,97 @@ func TestRestoreRejectsDuplicateIDs(t *testing.T) {
 	if _, err := Restore(snap); err == nil {
 		t.Fatal("duplicate rule ID across shards accepted")
 	}
+}
+
+// restoreProbes are snapshots a careless or hostile writer could hand
+// to ReadSnapshot + Restore; each must come back as an error. The first
+// four used to panic inside core.NewDevice or New, the fifth restored
+// into a cluster whose own CheckInvariant failed (and whose interval
+// arbiter, trusting shard order, would answer wrongly), the last two
+// carry rule bodies the device cannot encode.
+var restoreProbes = []struct{ name, blob string }{
+	{"no device field", `{"mode":"hash","shards":[[]]}`},
+	{"negative subtable capacity", `{"mode":"hash","device":{"Subtables":4,"SubtableCapacity":-1,"KeyWidth":160},"shards":[[]]}`},
+	{"key width 8", `{"mode":"hash","device":{"Subtables":4,"SubtableCapacity":4,"KeyWidth":8},"shards":[[]]}`},
+	{"descending bounds", `{"mode":"interval","bounds":[200,100],"device":{"Subtables":4,"SubtableCapacity":4,"KeyWidth":160},"shards":[[],[],[]]}`},
+	{"rule filed under the wrong shard", `{"mode":"interval","bounds":[100],"device":{"Subtables":4,"SubtableCapacity":4,"KeyWidth":160},
+		"shards":[[{"ID":1,"Priority":500,"SrcPort":{"Lo":0,"Hi":65535},"DstPort":{"Lo":0,"Hi":65535},"ProtoWildcard":true}],[]]}`},
+	{"rule with an empty port range", `{"mode":"hash","device":{"Subtables":4,"SubtableCapacity":4,"KeyWidth":160},
+		"shards":[[{"ID":1,"Priority":5,"SrcPort":{"Lo":9,"Hi":3},"DstPort":{"Lo":0,"Hi":65535},"ProtoWildcard":true}]]}`},
+	{"rule with a 99-bit prefix", `{"mode":"hash","device":{"Subtables":4,"SubtableCapacity":4,"KeyWidth":160},
+		"shards":[[{"ID":1,"Priority":5,"SrcIP":{"Addr":1,"Len":99},"SrcPort":{"Lo":0,"Hi":65535},"DstPort":{"Lo":0,"Hi":65535},"ProtoWildcard":true}]]}`},
+}
+
+// restoreBlob is the whole outside-input path: parse, validate, build.
+func restoreBlob(blob []byte) (*Cluster, error) {
+	snap, err := ReadSnapshot(bytes.NewReader(blob))
+	if err != nil {
+		return nil, err
+	}
+	return Restore(snap)
+}
+
+func TestRestoreRejectsHostileSnapshots(t *testing.T) {
+	for _, p := range restoreProbes {
+		t.Run(p.name, func(t *testing.T) {
+			c, err := restoreBlob([]byte(p.blob))
+			if err == nil {
+				c.Close()
+				t.Fatalf("restored without error (CheckInvariant: %v)", c.CheckInvariant())
+			}
+		})
+	}
+	// Restore also takes a Snapshot built in memory, which never went
+	// through ReadSnapshot.
+	if _, err := Restore(&Snapshot{Mode: "hash", Shards: [][]rules.Rule{{}}}); err == nil {
+		t.Fatal("in-memory snapshot without a device config accepted")
+	}
+}
+
+// FuzzRestoreSnapshot: whatever the bytes, ReadSnapshot + Restore
+// return an error or a cluster that holds every rule of the blob and
+// passes its own CheckInvariant; they never panic.
+func FuzzRestoreSnapshot(f *testing.F) {
+	for _, p := range restoreProbes {
+		f.Add([]byte(p.blob))
+	}
+	c := New(Config{Shards: 2, Mode: ModeInterval, Device: core.Config{Subtables: 4, SubtableCapacity: 8, KeyWidth: 160}})
+	for i, prio := range []int{7, 40000, 40000, 65535} {
+		if _, err := c.InsertRule(clRule(i, prio, rules.Prefix{Addr: 0x0A000000, Len: 8 * i})); err != nil {
+			f.Fatal(err)
+		}
+	}
+	var valid bytes.Buffer
+	if err := c.WriteSnapshot(&valid); err != nil {
+		f.Fatal(err)
+	}
+	c.Close()
+	f.Add(valid.Bytes())
+
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		snap, err := ReadSnapshot(bytes.NewReader(blob))
+		if err != nil {
+			return
+		}
+		// A valid geometry can still be too large to build in a fuzz
+		// worker; the interesting inputs are small.
+		if d := snap.Device; d.Subtables > 64 || d.SubtableCapacity > 64 || d.KeyWidth > 640 || len(snap.Shards) > 8 {
+			t.Skip("geometry beyond the fuzz budget")
+		}
+		c, err := Restore(snap)
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		want := 0
+		for _, rs := range snap.Shards {
+			want += len(rs)
+		}
+		if c.Len() != want {
+			t.Fatalf("restored %d rules of %d", c.Len(), want)
+		}
+		if err := c.CheckInvariant(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

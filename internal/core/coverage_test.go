@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"catcam/internal/rules"
@@ -80,7 +81,12 @@ func TestNewDeviceValidation(t *testing.T) {
 		{Subtables: 0, SubtableCapacity: 8},
 		{Subtables: 8, SubtableCapacity: 0},
 		{Subtables: 8, SubtableCapacity: 8, KeyWidth: 100}, // not a multiple of 160
+		{Subtables: 8, SubtableCapacity: -1},
+		{Subtables: 8, SubtableCapacity: 8, KeyWidth: -160},
 	} {
+		if cfg.Validate() == nil {
+			t.Fatalf("case %d: Validate accepts %+v", i, cfg)
+		}
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -91,6 +97,9 @@ func TestNewDeviceValidation(t *testing.T) {
 		}()
 	}
 	// Zero key width and frequency take defaults.
+	if err := (Config{Subtables: 2, SubtableCapacity: 4}).Validate(); err != nil {
+		t.Fatal(err)
+	}
 	d := NewDevice(Config{Subtables: 2, SubtableCapacity: 4})
 	if d.Config().KeyWidth != 160 || d.Config().FrequencyMHz != 500 {
 		t.Fatalf("defaults not applied: %+v", d.Config())
@@ -210,5 +219,46 @@ func TestModifyRule(t *testing.T) {
 	}
 	if _, err := d.ModifyRule(42, mkRule(42, 9, rules.Prefix{Len: 0})); err == nil {
 		t.Fatal("modify of missing rule accepted")
+	}
+}
+
+// TestEmptyRuleRejected: a rule whose port range has Lo > Hi encodes to
+// no entries. Insert and modify reject it before touching any state: no
+// epoch, no stored entry, and a modify leaves the old version in place.
+func TestEmptyRuleRejected(t *testing.T) {
+	empty := func(id int) rules.Rule {
+		r := mkRule(id, 50, rules.Prefix{Len: 0})
+		r.DstPort = rules.PortRange{Lo: 9, Hi: 3}
+		return r
+	}
+	d := NewDevice(smallConfig())
+	if _, err := d.InsertRule(mkRule(1, 5, rules.Prefix{Len: 0})); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := d.Lookup(rules.Header{})
+	epoch, entries := d.Epoch(), d.Len()
+	for _, tc := range []struct {
+		name string
+		do   func() (UpdateResult, error)
+	}{
+		{"insert", func() (UpdateResult, error) { return d.InsertRule(empty(2)) }},
+		{"modify", func() (UpdateResult, error) { return d.ModifyRule(1, empty(1)) }},
+	} {
+		if _, err := tc.do(); !errors.Is(err, ErrEmptyRule) {
+			t.Fatalf("%s of an empty rule: %v, want ErrEmptyRule", tc.name, err)
+		}
+		if d.Epoch() != epoch || d.Len() != entries {
+			t.Fatalf("%s of an empty rule touched the device: epoch %d -> %d, entries %d -> %d",
+				tc.name, epoch, d.Epoch(), entries, d.Len())
+		}
+		if act, ok := d.Lookup(rules.Header{}); !ok || act != want {
+			t.Fatalf("after a rejected %s the old rule answers %d,%v, want %d", tc.name, act, ok, want)
+		}
+	}
+	if _, err := d.DeleteRule(2); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("the rejected insert left a rule behind: delete says %v", err)
+	}
+	if err := d.CheckInvariant(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"catcam/internal/sram"
 	"catcam/internal/telemetry"
 	"catcam/internal/ternary"
+	tracepkg "catcam/internal/trace"
 )
 
 // ErrFull is returned when no subtable can accommodate an insertion.
@@ -20,6 +21,12 @@ var ErrFull = errors.New("core: device full")
 
 // ErrNotFound is returned when a delete names an unknown rule.
 var ErrNotFound = errors.New("core: rule not present")
+
+// ErrEmptyRule is returned when an insert or modify carries a rule that
+// encodes to no entries (a port range with Lo > Hi): storing nothing
+// and reporting success would leave the caller's rule store naming a
+// rule the device does not hold.
+var ErrEmptyRule = errors.New("core: rule encodes to no entries")
 
 // Config sizes a CATCAM device.
 type Config struct {
@@ -40,6 +47,21 @@ type Config struct {
 	// paper's design explicitly breaks; update cost becomes O(k) in the
 	// subtable count. Off in the paper's design.
 	ChainedReallocation bool
+}
+
+// Validate reports whether the configuration describes a buildable
+// device: positive geometry and a key width that is zero (one
+// subarray) or a positive multiple of the match subarray width.
+// NewDevice panics with this error; callers that take a Config from
+// outside the program check it first.
+func (c Config) Validate() error {
+	if c.Subtables <= 0 || c.SubtableCapacity <= 0 {
+		return fmt.Errorf("core: invalid config %+v", c)
+	}
+	if cols := sram.MatchMatrixParams().Cols; c.KeyWidth < 0 || c.KeyWidth%cols != 0 {
+		return fmt.Errorf("core: key width %d not a multiple of subarray width %d", c.KeyWidth, cols)
+	}
+	return nil
 }
 
 // Prototype returns the paper's system configuration (§VII, Table II):
@@ -106,7 +128,7 @@ type location struct {
 //
 // All exported methods are safe for concurrent use. Updates serialize
 // on one mutex; the classify path (LookupKey, Lookup, LookupBatch,
-// LookupHeaderBatch and the *Traced variants) acquires no lock at all —
+// LookupHeaderBatch, LookupHeaderBatchTraced) acquires no lock at all —
 // it loads the current epoch snapshot (d.snap) with one atomic pointer
 // read and traverses the frozen structure with per-goroutine pooled
 // scratch, so concurrent lookups scale with cores. The hot path
@@ -187,8 +209,8 @@ type Device struct {
 	// trShard is the cluster shard ID carried on emitted spans (-1
 	// standalone); written under mu, read via the snapshot. The rest of
 	// the span-layer trace context (which batch, which focus key)
-	// arrives with the request and travels through lookup arguments —
-	// see trace.go.
+	// arrives with the request and rides the read scratch — see
+	// LookupHeaderBatchTraced.
 	trShard int //catcam:guarded-by mu
 }
 
@@ -202,8 +224,8 @@ type entryLoc struct {
 // NewDevice builds a CATCAM device from the configuration, using the
 // paper's Table I array parameters scaled to the configured geometry.
 func NewDevice(cfg Config) *Device {
-	if cfg.Subtables <= 0 || cfg.SubtableCapacity <= 0 {
-		panic(fmt.Sprintf("core: invalid config %+v", cfg))
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	if cfg.FrequencyMHz == 0 {
 		cfg.FrequencyMHz = 500
@@ -212,10 +234,6 @@ func NewDevice(cfg Config) *Device {
 	matchP.Rows = cfg.SubtableCapacity
 	if cfg.KeyWidth == 0 {
 		cfg.KeyWidth = matchP.Cols
-	}
-	if cfg.KeyWidth%matchP.Cols != 0 {
-		panic(fmt.Sprintf("core: key width %d not a multiple of subarray width %d",
-			cfg.KeyWidth, matchP.Cols))
 	}
 	prioP := sram.PriorityMatrixParams()
 	prioP.Rows, prioP.Cols = cfg.SubtableCapacity, cfg.SubtableCapacity
@@ -306,21 +324,31 @@ func (d *Device) padWord(w ternary.Word) ternary.Word {
 	return out
 }
 
+// SetTraceShard sets the cluster shard ID carried on spans this device
+// emits (-1, the default, for a standalone device). The cluster calls
+// this once per shard at construction. Republishes the snapshot so
+// in-flight readers keep their old shard ID and new readers see the
+// new one.
+func (d *Device) SetTraceShard(shard int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.trShard = shard
+	d.publishLocked()
+}
+
 // LookupKey performs one pipelined lookup (§VI): (1) the key is
 // broadcast to every active subtable's match matrix; (2) the global
 // match vector — one bit per subtable with any local match — traverses
 // the global priority matrix; (3) the chosen subtable's local priority
 // matrix reduces its match vector to the report vector. Amortized one
-// cycle per lookup at full pipeline. Lock-free: runs against the
-// published epoch snapshot.
+// cycle per lookup at full pipeline. Lock-free: a LookupBatch of one.
 //
 //catcam:hotpath
 func (d *Device) LookupKey(k ternary.Key) (Entry, bool) {
-	s := d.snap.Load()
-	sc := d.getScratch()
-	e, _, ok := s.lookup(sc, s.padKey(sc, k), nil, 0, false)
-	d.putScratch(sc, s)
-	return e, ok
+	keys := [1]ternary.Key{k}
+	var res [1]LookupResult
+	r := d.LookupBatch(keys[:], res[:0])[0]
+	return r.Entry, r.OK
 }
 
 // LookupResult is one LookupBatch outcome.
@@ -342,25 +370,51 @@ func (d *Device) LookupBatch(keys []ternary.Key, dst []LookupResult) []LookupRes
 	s := d.snap.Load()
 	sc := d.getScratch()
 	for _, k := range keys {
-		e, _, ok := s.lookup(sc, s.padKey(sc, k), nil, 0, false)
+		e, _, ok := s.lookup(sc, s.padKey(sc, k))
 		dst = append(dst, LookupResult{Entry: e, OK: ok})
 	}
 	d.putScratch(sc, s)
 	return dst
 }
 
-// LookupHeaderBatch is LookupBatch over packet headers: each header is
-// encoded into the scratch key and classified, with one result
-// appended to dst per header. Allocates nothing when dst has capacity;
-// safe for any number of concurrent callers.
+// LookupHeaderBatch is LookupHeaderBatchTraced without a trace.
 //
 //catcam:hotpath
 func (d *Device) LookupHeaderBatch(hs []rules.Header, dst []LookupResult) []LookupResult {
+	return d.LookupHeaderBatchTraced(nil, hs, dst)
+}
+
+// LookupHeaderBatchTraced is LookupBatch over packet headers, the one
+// header classify loop: each header is encoded into the scratch key and
+// classified, with one result appended to dst per header. Allocates
+// nothing when dst has capacity; safe for any number of concurrent
+// callers.
+//
+// A sampled batch's tr (nil otherwise) receives, per key, a
+// device_lookup span carrying the winning subtable and the modeled
+// cycle cost and, for the batch's focus key (tr.Focus(), default key
+// 0), one sram_kernel span per active subtable searched, emitted inside
+// snapshot.lookup from the trace context the scratch carries. The spans
+// ride the same epoch snapshot as the answers they annotate, so a trace
+// never mixes state from two epochs.
+//
+//catcam:hotpath
+func (d *Device) LookupHeaderBatchTraced(tr *tracepkg.Trace, hs []rules.Header, dst []LookupResult) []LookupResult {
 	s := d.snap.Load()
 	sc := d.getScratch()
-	for _, h := range hs {
+	sc.tr, sc.focus = tr, tr.Focus()
+	for i, h := range hs {
+		var start, cyc0 uint64
+		if tr != nil {
+			start, cyc0 = tracepkg.Nanos(), sc.lookupCycles
+			sc.keyIdx = i
+		}
 		rules.EncodeHeaderInto(&sc.encKey, h)
-		e, _, ok := s.lookup(sc, s.padKey(sc, sc.encKey), nil, 0, false)
+		e, sub, ok := s.lookup(sc, s.padKey(sc, sc.encKey))
+		if tr != nil {
+			//catcam:allow alloc "sampled trace span; rate-gated off the steady-state path"
+			tr.Span(tracepkg.StageDeviceLookup, s.frTable, s.trShard, sub, i, start, sc.lookupCycles-cyc0)
+		}
 		if s.shadow.Sample() {
 			s.shadow.ObserveEpoch(h, e.Action, ok, s.epoch) //catcam:allow alloc "sampled shadow re-classification; rate-gated off the steady-state path"
 		}
@@ -371,22 +425,17 @@ func (d *Device) LookupHeaderBatch(hs []rules.Header, dst []LookupResult) []Look
 }
 
 // Lookup classifies a packet header and returns the winning action.
-// Lock-free: runs against the published epoch snapshot.
+// Lock-free: a LookupHeaderBatch of one.
 //
 //catcam:hotpath
 func (d *Device) Lookup(h rules.Header) (int, bool) {
-	s := d.snap.Load()
-	sc := d.getScratch()
-	rules.EncodeHeaderInto(&sc.encKey, h)
-	e, _, ok := s.lookup(sc, s.padKey(sc, sc.encKey), nil, 0, false)
-	if s.shadow.Sample() {
-		s.shadow.ObserveEpoch(h, e.Action, ok, s.epoch) //catcam:allow alloc "sampled shadow re-classification; rate-gated off the steady-state path"
-	}
-	d.putScratch(sc, s)
-	if !ok {
+	hs := [1]rules.Header{h}
+	var res [1]LookupResult
+	r := d.LookupHeaderBatchTraced(nil, hs[:], res[:0])[0]
+	if !r.OK {
 		return 0, false
 	}
-	return e.Action, true
+	return r.Entry.Action, true
 }
 
 // UpdateResult describes the cost of one update request.
@@ -401,14 +450,19 @@ type UpdateResult struct {
 
 // InsertRule inserts all range-expansion entries of r. On failure the
 // already-inserted entries of this rule are rolled back and ErrFull is
-// returned.
+// returned. A rule with no entries is rejected with ErrEmptyRule before
+// any state is touched.
 func (d *Device) InsertRule(r rules.Rule) (UpdateResult, error) {
+	words := r.Encode()
+	if len(words) == 0 {
+		return UpdateResult{}, fmt.Errorf("%w: rule %d", ErrEmptyRule, r.ID)
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	defer d.publishLocked()
 	d.shadow.BeginEpoch()
 	d.trace = d.rec.Start("insert", d.frTable, r.ID)
-	res, err := d.insertRule(r)
+	res, err := d.insertRule(r, words)
 	d.rec.Finish(d.trace, res.Cycles, err)
 	d.trace = nil
 	d.observeOp(telemetry.EvInsert, r.ID, res, err)
@@ -418,10 +472,10 @@ func (d *Device) InsertRule(r rules.Rule) (UpdateResult, error) {
 	return res, err
 }
 
-func (d *Device) insertRule(r rules.Rule) (UpdateResult, error) {
+// insertRule stores words, the (non-empty) encoding of r.
+func (d *Device) insertRule(r rules.Rule, words []ternary.Word) (UpdateResult, error) {
 	var total UpdateResult
-	words := r.Encode()
-	if d.locs[r.ID] == nil && len(words) > 0 {
+	if d.locs[r.ID] == nil {
 		d.locs[r.ID] = make([]entryLoc, 0, len(words))
 	}
 	first := d.seqCounter
@@ -525,13 +579,19 @@ func (d *Device) deleteRule(ruleID int) (UpdateResult, error) {
 // ModifyRule replaces a rule with a new version, per §III-C:
 // "Modification can be processed by deleting the original rule then
 // inserting its new version." The new rule keeps the given ID; cycle
-// costs of both phases are reported together.
+// costs of both phases are reported together. Both phases publish as
+// one epoch, so no reader sees the rule absent. A new version with no
+// entries is rejected with ErrEmptyRule before the old one is deleted.
 func (d *Device) ModifyRule(ruleID int, newRule rules.Rule) (UpdateResult, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if newRule.ID != ruleID {
 		return UpdateResult{}, fmt.Errorf("core: modify must keep rule ID %d, got %d", ruleID, newRule.ID)
 	}
+	words := newRule.Encode()
+	if len(words) == 0 {
+		return UpdateResult{}, fmt.Errorf("%w: rule %d", ErrEmptyRule, ruleID)
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	defer d.publishLocked()
 	d.shadow.BeginEpoch()
 	d.trace = d.rec.Start("modify", d.frTable, ruleID)
@@ -543,7 +603,7 @@ func (d *Device) ModifyRule(ruleID int, newRule rules.Rule) (UpdateResult, error
 		return UpdateResult{}, err
 	}
 	d.shadow.OnDelete(ruleID)
-	ins, err := d.insertRule(newRule)
+	ins, err := d.insertRule(newRule, words)
 	ins.Cycles += del.Cycles
 	d.rec.Finish(d.trace, ins.Cycles, err)
 	d.trace = nil

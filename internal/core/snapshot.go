@@ -241,6 +241,15 @@ type readScratch struct {
 	match        sram.Stats // all match matrices, aggregated
 	prio         sram.Stats // all local priority matrices, aggregated
 	global       sram.Stats // the global priority matrix
+
+	// Span-layer trace context of the batch in flight: tr is nil on every
+	// untraced batch, keyIdx is the batch index of the key being looked
+	// up and focus the one key index traced at SRAM-kernel depth. The
+	// header loop sets them and putScratch clears them, so a pooled
+	// scratch never carries a finished trace into the next batch.
+	tr     *tracepkg.Trace
+	keyIdx int
+	focus  int
 }
 
 func (d *Device) newReadScratch() *readScratch {
@@ -282,6 +291,7 @@ func (d *Device) putScratch(sc *readScratch, s *snapshot) {
 	d.rdGlobal.add(&sc.global)
 	sc.lookups, sc.lookupCycles = 0, 0
 	sc.match, sc.prio, sc.global = sram.Stats{}, sram.Stats{}, sram.Stats{}
+	sc.tr, sc.keyIdx, sc.focus = nil, 0, 0
 	d.readPool.Put(sc) //catcam:allow alloc "sync.Pool return; boxing a pointer does not allocate at steady state"
 }
 
@@ -301,18 +311,17 @@ func (s *snapshot) padKey(sc *readScratch, k ternary.Key) ternary.Key {
 // lookup is the lock-free lookup core: subtable search fan-out, global
 // priority decision, local priority decision, metadata readout, all
 // over the frozen snapshot with every piece of working state in sc. It
-// returns the winning entry and subtable ID (-1 on miss).
-// tr/keyIdx/focus carry the span layer's trace context; tr is nil on
-// every untraced lookup.
+// returns the winning entry and subtable ID (-1 on miss). The span
+// layer's trace context rides in sc (see readScratch.tr).
 //
 //catcam:hotpath
-func (s *snapshot) lookup(sc *readScratch, k ternary.Key, tr *tracepkg.Trace, keyIdx int, focus bool) (Entry, int, bool) {
+func (s *snapshot) lookup(sc *readScratch, k ternary.Key) (Entry, int, bool) {
 	sc.lookups++
 	sc.lookupCycles++
 
 	// traceKernel gates the per-subtable sram_kernel spans: only the
 	// traced batch's one focus key records them.
-	traceKernel := focus && tr != nil
+	traceKernel := sc.tr != nil && sc.keyIdx == sc.focus
 
 	globalMatch := sc.globalMatch
 	globalMatch.Reset()
@@ -329,7 +338,7 @@ func (s *snapshot) lookup(sc *readScratch, k ternary.Key, tr *tracepkg.Trace, ke
 		s.subs[id].match.SearchInto(mv, sc.acc, k, &sc.match)
 		if traceKernel {
 			//catcam:allow alloc "sampled trace span; rate-gated off the steady-state path"
-			tr.Span(tracepkg.StageSRAMKernel, s.frTable, s.trShard, id, keyIdx, kernelStart, 1)
+			sc.tr.Span(tracepkg.StageSRAMKernel, s.frTable, s.trShard, id, sc.keyIdx, kernelStart, 1)
 		}
 		if mv.Any() {
 			globalMatch.Set(id)

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"catcam/internal/rules"
 	"catcam/internal/trace"
 )
 
@@ -74,6 +75,29 @@ func TestDeviceTraceSpans(t *testing.T) {
 	}
 	if want := d.ActiveSubtables(); kernels != want {
 		t.Fatalf("%d sram_kernel spans, want one per active subtable (%d)", kernels, want)
+	}
+}
+
+// TestTraceDoesNotOutliveItsBatch pins that the trace context riding the
+// pooled scratch is cleared on return: after a traced batch, untraced
+// lookups on the same goroutine (which get the same scratch back) add
+// no span to the finished trace. The focus is the batch's last key, so
+// a scratch that kept its context would kernel-trace the next key.
+func TestTraceDoesNotOutliveItsBatch(t *testing.T) {
+	d, headers := loadedDevice(t, 100)
+	hs := headers[:4]
+	tr := &trace.Trace{ID: 9}
+	tr.SetFocus(len(hs) - 1)
+	d.LookupHeaderBatchTraced(tr, hs, nil)
+	want := tr.SpanCount()
+	if want == 0 {
+		t.Fatal("traced batch recorded no spans")
+	}
+	d.LookupKey(rules.EncodeHeader(hs[0]))
+	d.Lookup(hs[0])
+	d.LookupHeaderBatch(hs, nil)
+	if got := tr.SpanCount(); got != want {
+		t.Fatalf("untraced lookups added %d spans to a finished trace", got-want)
 	}
 }
 

@@ -40,8 +40,7 @@ import (
 	"catcam/internal/telemetry"
 )
 
-// StepKind tags one causal step of an update (or pipeline request)
-// trace.
+// StepKind tags one causal step of an update trace.
 type StepKind uint8
 
 // Step kinds, in the order the update datapath walks them.
@@ -68,12 +67,6 @@ const (
 	StepMaxRederive
 	// StepDelete: one entry invalidation (1 cycle).
 	StepDelete
-	// StepQueueWait: cycles a request waited in the pipeline FIFO
-	// before issuing (pipeline traces only).
-	StepQueueWait
-	// StepExecute: cycles a request occupied the array pipeline
-	// (pipeline traces only).
-	StepExecute
 )
 
 var stepNames = [...]string{
@@ -85,8 +78,6 @@ var stepNames = [...]string{
 	StepEvictionHop:    "eviction_hop",
 	StepMaxRederive:    "max_rederive",
 	StepDelete:         "delete",
-	StepQueueWait:      "queue_wait",
-	StepExecute:        "execute",
 }
 
 // String names the step kind.

@@ -168,7 +168,7 @@ func TestRecorderHandlerFilters(t *testing.T) {
 }
 
 func TestStepKindStrings(t *testing.T) {
-	for k := StepSubtableSelect; k <= StepExecute; k++ {
+	for k := StepSubtableSelect; k <= StepDelete; k++ {
 		if s := k.String(); s == "" || s[0] == 'S' {
 			t.Fatalf("step kind %d has no symbolic name: %q", k, s)
 		}

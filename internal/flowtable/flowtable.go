@@ -38,7 +38,6 @@ import (
 type Backend interface {
 	InsertRule(rules.Rule) (core.UpdateResult, error)
 	DeleteRule(ruleID int) (core.UpdateResult, error)
-	LookupHeaderBatch(hs []rules.Header, dst []core.LookupResult) []core.LookupResult
 	LookupHeaderBatchTraced(tr *tracepkg.Trace, hs []rules.Header, dst []core.LookupResult) []core.LookupResult
 	AttachTelemetry(reg *telemetry.Registry, ring *telemetry.EventRing, labels telemetry.Labels)
 	AttachFlightRecorder(rec *flightrec.Recorder, table int)
@@ -416,7 +415,7 @@ func (p *Pipeline) classify(h rules.Header) (int, []Trace, error) {
 		id := p.order[idx]
 		t := p.tables[id]
 		s.hdr1[0] = h
-		s.results = t.dev.LookupHeaderBatch(s.hdr1[:], s.results[:0])
+		s.results = t.dev.LookupHeaderBatchTraced(nil, s.hdr1[:], s.results[:0])
 		ent, ok := s.results[0].Entry, s.results[0].OK
 		if !ok {
 			t.misses.Inc()
@@ -463,7 +462,7 @@ func (p *Pipeline) ClassifyBatch(hs []rules.Header, dst []int) []int {
 // batch into tr: one table_classify span per table wave (all packets
 // parked at that table classified in one batched backend call), with
 // the backend's own fan-out/shard/kernel spans beneath it. A nil tr is
-// exactly ClassifyBatch — the untraced path adds one nil test per wave.
+// exactly ClassifyBatch — the untraced path adds two nil tests per wave.
 // (Like ClassifyBatch, this is not a hotpath analyzer root: the
 // backend calls go through the Backend interface, which the analyzer
 // cannot prove through; the proven roots are the concrete device and
@@ -493,13 +492,14 @@ func (p *Pipeline) ClassifyBatchTraced(tr *tracepkg.Trace, hs []rules.Header, ds
 		if len(s.hdrs) == 0 {
 			continue
 		}
+		var waveStart uint64
 		if tr != nil {
-			waveStart := tracepkg.Nanos()
-			s.results = t.dev.LookupHeaderBatchTraced(tr, s.hdrs, s.results[:0])
+			waveStart = tracepkg.Nanos()
+		}
+		s.results = t.dev.LookupHeaderBatchTraced(tr, s.hdrs, s.results[:0])
+		if tr != nil {
 			//catcam:allow alloc "sampled trace span; rate-gated off the steady-state path"
 			tr.Span(tracepkg.StageTableClassify, id, -1, -1, -1, waveStart, 0)
-		} else {
-			s.results = t.dev.LookupHeaderBatch(s.hdrs, s.results[:0])
 		}
 		for j, r := range s.results {
 			i := s.idxs[j]

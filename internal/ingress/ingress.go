@@ -308,10 +308,6 @@ func (e *Engine) AttachTelemetry(reg *telemetry.Registry, labels telemetry.Label
 // AttachTelemetry) so callers can wire SLO objectives against it.
 func (e *Engine) BurstLatency() *telemetry.Histogram { return e.burstHist }
 
-// PacketLatency exposes the per-packet latency histogram (nil before
-// AttachTelemetry).
-func (e *Engine) PacketLatency() *telemetry.Histogram { return e.pktHist }
-
 // Start launches the worker goroutines plus the pps sampler.
 func (e *Engine) Start() {
 	if e.started {

@@ -17,10 +17,7 @@ import (
 	"fmt"
 
 	"catcam/internal/core"
-	"catcam/internal/flightrec"
 	"catcam/internal/rules"
-	"catcam/internal/telemetry"
-	"catcam/internal/trace"
 )
 
 // ErrQueueFull is returned when the request FIFO is at capacity.
@@ -55,11 +52,6 @@ type Request struct {
 	Rule   rules.Rule   // Insert
 	RuleID int          // Delete
 	Tag    int          // caller-chosen identifier echoed in the response
-
-	// enqueued is the cycle the request entered the FIFO, stamped by
-	// Enqueue; sampled request traces report IssueCycle-enqueued as
-	// their queue_wait step.
-	enqueued uint64
 }
 
 // Response reports a completed request with its timing.
@@ -96,23 +88,13 @@ type Engine struct {
 	cycle uint64
 	// inflight holds lookups issued but not yet retired; index 0 is the
 	// oldest (stage closest to retirement).
-	inflight []pendingLookup
+	inflight []Response
 	// busyUntil is the first cycle at which the arrays can accept a new
 	// request (updates reserve the array ports for their cycle class).
 	busyUntil uint64
 
 	stats     Stats
 	responses []Response
-	// tel is the attached runtime telemetry; nil until AttachTelemetry.
-	tel *engineTelemetry
-	// rec is the attached flight recorder; nil until
-	// AttachFlightRecorder. Sampled requests record a queue_wait +
-	// execute trace on completion.
-	rec *flightrec.Recorder
-	// tracer is the attached span layer; nil until AttachTracer.
-	// Sampled requests publish a span-layer trace carrying the same
-	// queue_wait/execute decomposition as modeled-cycle spans.
-	tracer *trace.Tracer
 
 	// Lookup batching scratch: consecutive lookups at the FIFO head are
 	// classified in one batched device call (one lock, no allocation),
@@ -123,102 +105,6 @@ type Engine struct {
 	hdrBatch  []rules.Header
 	results   []core.LookupResult
 	batchNext int
-}
-
-// engineTelemetry holds the engine's attached metric instances.
-type engineTelemetry struct {
-	queueDepth    *telemetry.Gauge
-	queueDepthMax *telemetry.Gauge
-	latency       [3]*telemetry.Histogram // indexed by Kind
-	requests      [3]*telemetry.Counter   // indexed by Kind
-	stallCycles   *telemetry.Counter
-	idleCycles    *telemetry.Counter
-}
-
-// AttachTelemetry registers the engine's metrics on reg: a request
-// queue depth gauge (plus high-watermark), per-kind end-to-end latency
-// histograms fed from Response cycle timestamps, and stall/idle cycle
-// counters. Labels are attached to every series. Note this instruments
-// the *engine*; attach the underlying device separately for update
-// cycle histograms and trace events.
-func (e *Engine) AttachTelemetry(reg *telemetry.Registry, labels telemetry.Labels) {
-	if reg == nil {
-		e.tel = nil
-		return
-	}
-	t := &engineTelemetry{
-		queueDepth:    reg.Gauge("catcam_pipeline_queue_depth", "requests waiting in the FIFO", labels),
-		queueDepthMax: reg.Gauge("catcam_pipeline_queue_depth_max", "FIFO depth high-watermark", labels),
-		stallCycles:   reg.Counter("catcam_pipeline_stall_cycles_total", "cycles the issue slot was blocked", labels),
-		idleCycles:    reg.Counter("catcam_pipeline_idle_cycles_total", "cycles with nothing to do", labels),
-	}
-	for k := Lookup; k <= Delete; k++ {
-		kl := labels.Merged(telemetry.Labels{"kind": k.String()})
-		t.latency[k] = reg.Histogram("catcam_pipeline_latency_cycles",
-			"issue-to-completion latency per request", telemetry.DefaultCycleBuckets, kl)
-		t.requests[k] = reg.Counter("catcam_pipeline_requests_total", "requests completed", kl)
-	}
-	e.tel = t
-}
-
-// pipeOps names the flight-recorder trace operations per request kind,
-// distinct from the device-level "insert"/"delete" trace ops so both
-// layers can share one recorder and stay filterable via ?op=.
-var pipeOps = [...]string{
-	Lookup: "pipeline_lookup",
-	Insert: "pipeline_insert",
-	Delete: "pipeline_delete",
-}
-
-// AttachFlightRecorder starts sampling per-request causal traces into
-// rec: each sampled request records the cycles it waited in the FIFO
-// (queue_wait) and the cycles it occupied the array pipeline (execute).
-// This traces the *engine's* timing model; attach the underlying device
-// separately for the datapath spans inside an update. Passing nil
-// detaches.
-func (e *Engine) AttachFlightRecorder(rec *flightrec.Recorder) {
-	e.rec = rec
-}
-
-// AttachTracer starts sampling span-layer traces into tt: each sampled
-// request publishes a trace whose queue_wait and execute spans carry
-// the engine's modeled cycle costs (host-time span durations are zero
-// — the timing model is the clock here). Passing nil detaches.
-func (e *Engine) AttachTracer(tt *trace.Tracer) {
-	e.tracer = tt
-}
-
-// traceRequest records one completed request's timing trace when
-// sampled.
-//
-//catcam:allow alloc "sampled trace emission; an unsampled or nil recorder records nothing"
-func (e *Engine) traceRequest(req Request, ruleID int, issue, execCycles uint64, err error) {
-	wait := issue - req.enqueued
-	if st := e.tracer.Start(pipeOps[req.Kind]); st != nil {
-		st.CycleSpan(trace.StageQueueWait, -1, -1, wait)
-		st.CycleSpan(trace.StageExecute, -1, -1, execCycles)
-		e.tracer.Finish(st)
-	}
-	tr := e.rec.Start(pipeOps[req.Kind], -1, ruleID)
-	if tr == nil {
-		return
-	}
-	tr.Step(flightrec.StepQueueWait, -1, -1, wait)
-	tr.Step(flightrec.StepExecute, -1, -1, execCycles)
-	e.rec.Finish(tr, wait+execCycles, err)
-}
-
-// observeResponse records a completed request's latency.
-func (t *engineTelemetry) observeResponse(r Response) {
-	if t == nil {
-		return
-	}
-	t.latency[r.Kind].Observe(r.Latency())
-	t.requests[r.Kind].Inc()
-}
-
-type pendingLookup struct {
-	resp Response
 }
 
 // lookupLatency is the pipeline depth: entry match, global decision,
@@ -250,14 +136,9 @@ func (e *Engine) Enqueue(r Request) error {
 	if len(e.queue) >= e.depth {
 		return ErrQueueFull
 	}
-	r.enqueued = e.cycle
 	e.queue = append(e.queue, r)
 	if len(e.queue) > e.stats.MaxQueueLen {
 		e.stats.MaxQueueLen = len(e.queue)
-	}
-	if t := e.tel; t != nil {
-		t.queueDepth.Set(int64(len(e.queue)))
-		t.queueDepthMax.SetMax(int64(len(e.queue)))
 	}
 	return nil
 }
@@ -270,26 +151,19 @@ func (e *Engine) Tick() {
 	e.stats.Cycles++
 
 	// Retire lookups whose results are ready this cycle.
-	for len(e.inflight) > 0 && e.inflight[0].resp.DoneCycle <= e.cycle {
-		e.tel.observeResponse(e.inflight[0].resp)
-		e.responses = append(e.responses, e.inflight[0].resp)
+	for len(e.inflight) > 0 && e.inflight[0].DoneCycle <= e.cycle {
+		e.responses = append(e.responses, e.inflight[0])
 		e.inflight = e.inflight[1:]
 	}
 
 	if len(e.queue) == 0 {
 		if len(e.inflight) == 0 {
 			e.stats.IdleCycles++
-			if t := e.tel; t != nil {
-				t.idleCycles.Inc()
-			}
 		}
 		return
 	}
 	if e.cycle < e.busyUntil {
 		e.stats.StallCycles++
-		if t := e.tel; t != nil {
-			t.stallCycles.Inc()
-		}
 		return
 	}
 
@@ -297,9 +171,6 @@ func (e *Engine) Tick() {
 	switch req.Kind {
 	case Lookup:
 		e.queue = e.queue[1:]
-		if t := e.tel; t != nil {
-			t.queueDepth.Set(int64(len(e.queue)))
-		}
 		if e.batchNext >= len(e.results) {
 			// Refill: classify the whole run of consecutive lookups at
 			// the FIFO head in one batched device call.
@@ -316,11 +187,10 @@ func (e *Engine) Tick() {
 		}
 		res := e.results[e.batchNext]
 		e.batchNext++
-		e.inflight = append(e.inflight, pendingLookup{resp: Response{
+		e.inflight = append(e.inflight, Response{
 			Tag: req.Tag, Kind: Lookup, Action: res.Entry.Action, OK: res.OK,
 			IssueCycle: e.cycle, DoneCycle: e.cycle + lookupLatency,
-		}})
-		e.traceRequest(req, -1, e.cycle, lookupLatency, nil)
+		})
 		e.stats.Lookups++
 		e.stats.LookupCycles++
 	case Insert, Delete:
@@ -329,20 +199,12 @@ func (e *Engine) Tick() {
 		// the update's cycle class.
 		if len(e.inflight) > 0 {
 			e.stats.StallCycles++
-			if t := e.tel; t != nil {
-				t.stallCycles.Inc()
-			}
 			return
 		}
 		e.queue = e.queue[1:]
-		if t := e.tel; t != nil {
-			t.queueDepth.Set(int64(len(e.queue)))
-		}
 		resp := Response{Tag: req.Tag, Kind: req.Kind, IssueCycle: e.cycle}
 		var cycles uint64
-		ruleID := req.RuleID
 		if req.Kind == Insert {
-			ruleID = req.Rule.ID
 			res, err := e.dev.InsertRule(req.Rule) //catcam:allow alloc "update control path; alteration cost is accounted in modeled cycles, not allocations"
 			resp.Err, resp.OK = err, err == nil
 			cycles = res.Cycles
@@ -356,8 +218,6 @@ func (e *Engine) Tick() {
 		}
 		resp.DoneCycle = e.cycle + cycles
 		e.busyUntil = e.cycle + cycles
-		e.traceRequest(req, ruleID, e.cycle, cycles, resp.Err)
-		e.tel.observeResponse(resp)
 		e.responses = append(e.responses, resp)
 		e.stats.Updates++
 	}

@@ -343,9 +343,6 @@ func (t *TernaryArray) ResetStats() { t.stats = Stats{} }
 // ValidCount returns the number of valid entries.
 func (t *TernaryArray) ValidCount() int { return t.validCount }
 
-// ValidMask returns a copy of the valid-entry mask.
-func (t *TernaryArray) ValidMask() *bitvec.Vector { return t.valid.Copy() }
-
 // IsValid reports whether entry r holds a rule.
 func (t *TernaryArray) IsValid(r int) bool { return t.valid.Get(r) }
 

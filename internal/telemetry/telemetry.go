@@ -130,19 +130,6 @@ func (g *Gauge) Add(delta int64) {
 	g.v.Add(delta)
 }
 
-// SetMax raises the gauge to v if v is larger (high-watermark use).
-func (g *Gauge) SetMax(v int64) {
-	if g == nil {
-		return
-	}
-	for {
-		cur := g.v.Load()
-		if v <= cur || g.v.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 {
 	if g == nil {

@@ -92,11 +92,6 @@ func TestGauge(t *testing.T) {
 	if got := g.Value(); got != 3 {
 		t.Errorf("gauge = %d, want 3", got)
 	}
-	g.SetMax(10)
-	g.SetMax(7)
-	if got := g.Value(); got != 10 {
-		t.Errorf("gauge after SetMax = %d, want 10", got)
-	}
 }
 
 func TestLabelsSignature(t *testing.T) {

@@ -19,11 +19,10 @@ import (
 // lane per shard so they nest; everything a single lookup does on one
 // shard is sequential, so containment is unambiguous.
 const (
-	laneIngress  = 0 // ingress worker bursts (above the request layer)
-	laneRequest  = 1 // request, table_classify
-	lanePipeline = 2 // queue_wait, execute (modeled cycles)
-	laneCluster  = 3 // fanout_dispatch, arbiter_merge
-	laneShard0   = 10
+	laneIngress = 0 // ingress worker bursts (above the request layer)
+	laneRequest = 1 // request, table_classify
+	laneCluster = 3 // fanout_dispatch, arbiter_merge
+	laneShard0  = 10
 )
 
 func lane(s Span) int {
@@ -32,8 +31,6 @@ func lane(s Span) int {
 		return laneIngress
 	case StageRequest, StageTableClassify:
 		return laneRequest
-	case StageQueueWait, StageExecute:
-		return lanePipeline
 	case StageFanoutDispatch, StageArbiterMerge:
 		return laneCluster
 	default: // shard_kernel, device_lookup, sram_kernel
@@ -50,8 +47,6 @@ func laneName(tid int) string {
 		return "ingress"
 	case laneRequest:
 		return "request"
-	case lanePipeline:
-		return "pipeline (modeled cycles)"
 	case laneCluster:
 		return "cluster"
 	default:

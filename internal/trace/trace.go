@@ -1,10 +1,9 @@
 // Package trace is CATCAM's request-tracing layer: a cheap,
 // cycle-stamped span recorder whose trace context follows one lookup
 // end-to-end through every layer of the system — the serve churn loop's
-// batched classify call, flowtable's per-table waves, the pipeline's
-// FIFO queue-wait/execute timing, the cluster fan-out (dispatch,
-// per-shard kernel, arbiter merge) and, inside one designated "focus"
-// key, the per-subtable SRAM kernel searches.
+// batched classify call, flowtable's per-table waves, the cluster
+// fan-out (dispatch, per-shard kernel, arbiter merge) and, inside one
+// designated "focus" key, the per-subtable SRAM kernel searches.
 //
 // Where internal/telemetry answers "how slow is p999" and
 // internal/flightrec answers "is the datapath still correct", this
@@ -60,13 +59,6 @@ const (
 	// StageTableClassify is one flowtable wave: every packet parked at
 	// one table classified in a single batched backend call.
 	StageTableClassify
-	// StageQueueWait is the modeled cycles a request waited in the
-	// pipeline FIFO before issuing (cycle-accurate model; Cycles
-	// carries the cost, DurNs is zero).
-	StageQueueWait
-	// StageExecute is the modeled cycles a request occupied the array
-	// pipeline (cycle-accurate model).
-	StageExecute
 	// StageFanoutDispatch covers the cluster fan-out: waking every
 	// shard worker and waiting for the last one to finish.
 	StageFanoutDispatch
@@ -92,8 +84,6 @@ const (
 var stageNames = [...]string{
 	StageRequest:        "request",
 	StageTableClassify:  "table_classify",
-	StageQueueWait:      "queue_wait",
-	StageExecute:        "execute",
 	StageFanoutDispatch: "fanout_dispatch",
 	StageShardKernel:    "shard_kernel",
 	StageArbiterMerge:   "arbiter_merge",
@@ -144,7 +134,7 @@ const maxSpans = 2048
 // untraced request costs nothing.
 type Trace struct {
 	ID      uint64 `json:"id"`
-	Kind    string `json:"kind"` // caller-chosen root label ("classify", "pipeline", ...)
+	Kind    string `json:"kind"` // caller-chosen root label ("classify", "ingress", ...)
 	StartNs uint64 `json:"start_ns"`
 	DurNs   uint64 `json:"dur_ns"`
 	Spans   []Span `json:"spans"`
@@ -209,17 +199,6 @@ func (t *Trace) Span(stage Stage, table, shard, subtable, key int, startNs, cycl
 	}
 	t.Add(Span{Stage: stage, Table: table, Shard: shard, Subtable: subtable,
 		Key: key, StartNs: startNs, DurNs: Nanos() - startNs, Cycles: cycles})
-}
-
-// CycleSpan records a zero-duration span carrying only a modeled cycle
-// cost — the form the cycle-accurate pipeline model uses for
-// queue_wait/execute, where host nanoseconds are meaningless.
-func (t *Trace) CycleSpan(stage Stage, table, key int, cycles uint64) {
-	if t == nil {
-		return
-	}
-	t.Add(Span{Stage: stage, Table: table, Shard: -1, Subtable: -1,
-		Key: key, StartNs: Nanos(), DurNs: 0, Cycles: cycles})
 }
 
 // SpanCount returns the number of recorded spans (lock-taken; callers

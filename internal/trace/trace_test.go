@@ -49,7 +49,6 @@ func TestNilSafety(t *testing.T) {
 	var nilTrace *Trace
 	nilTrace.Add(Span{})
 	nilTrace.Span(StageRequest, -1, -1, -1, -1, 0, 0)
-	nilTrace.CycleSpan(StageQueueWait, -1, -1, 0)
 	nilTrace.SetFocus(3)
 	if nilTrace.Focus() != -1 || nilTrace.SpanCount() != 0 {
 		t.Fatal("nil trace accessors wrong")
@@ -217,7 +216,6 @@ func TestTimelineFormat(t *testing.T) {
 	tr := tt.Start("classify")
 	tr.Add(Span{Stage: StageFanoutDispatch, Shard: -1, Subtable: -1, Key: -1, StartNs: tr.StartNs, DurNs: 3000})
 	tr.Add(Span{Stage: StageShardKernel, Shard: 2, Subtable: -1, Key: -1, StartNs: tr.StartNs + 100, DurNs: 2500, Cycles: 9})
-	tr.CycleSpan(StageQueueWait, 0, 0, 4)
 	tt.Finish(tr)
 
 	var buf bytes.Buffer
@@ -244,8 +242,8 @@ func TestTimelineFormat(t *testing.T) {
 			metaNames++
 		}
 	}
-	if xEvents != 4 { // root + 3 spans
-		t.Fatalf("got %d X events, want 4", xEvents)
+	if xEvents != 3 { // root + 2 spans
+		t.Fatalf("got %d X events, want 3", xEvents)
 	}
 	if metaNames == 0 {
 		t.Fatal("no metadata name events")
@@ -253,8 +251,8 @@ func TestTimelineFormat(t *testing.T) {
 	if !lanes[float64(laneShard0+2)] {
 		t.Fatalf("shard 2 span not on its own lane: lanes %v", lanes)
 	}
-	if !lanes[lanePipeline] {
-		t.Fatalf("cycle span not on pipeline lane: lanes %v", lanes)
+	if !lanes[laneCluster] {
+		t.Fatalf("fan-out span not on the cluster lane: lanes %v", lanes)
 	}
 
 	// Handler: ?trace= selects one, unknown id 404s.
