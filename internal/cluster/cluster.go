@@ -124,8 +124,9 @@ type ownedRule struct {
 //
 //   - mu (RWMutex) is the migration epoch: classify and updates hold
 //     RLock, so they run concurrently with each other; a rebalance
-//     batch, snapshot restore and attach calls hold Lock, so a rule is
-//     never observed mid-flight between shards.
+//     batch, a modify that crosses shards, snapshot restore and attach
+//     calls hold Lock, so a rule is never observed mid-flight between
+//     shards.
 //   - routeMu guards the routing state (owner map, interval bounds).
 //   - Fan-outs take no cluster-wide lock: each round checks its own
 //     working set (a fanRound) out of roundPool, so concurrent
@@ -380,16 +381,18 @@ func (c *Cluster) DeleteRule(ruleID int) (core.UpdateResult, error) {
 	return res, err
 }
 
-// ModifyRule replaces a rule with a new version keeping its ID. When
-// the new version routes to the shard that holds the old one — always
-// in hash mode, where routing is by ID, and in interval mode whenever
-// the new priority stays inside that shard's interval — the shard's
-// Device.ModifyRule publishes the change as one epoch, so no reader
-// ever sees the rule absent. A modify that crosses shards is still
-// delete-then-insert: two epochs, and between them a reader falls
-// through to the next lower-priority rule (ROADMAP item 3's Apply owns
-// closing that). Cycle costs of both phases are reported together,
-// mirroring Device.ModifyRule.
+// ModifyRule replaces a rule with a new version keeping its ID; no
+// reader ever sees the rule absent. When the new version routes to the
+// shard that holds the old one — always in hash mode, where routing is
+// by ID, and in interval mode whenever the new priority stays inside
+// that shard's interval — the shard's Device.ModifyRule publishes the
+// change as one epoch. A modify that crosses shards takes the migration
+// epoch (mu.Lock, as a rebalance batch does): insert into the
+// destination shard, delete from the source, move the owner record,
+// with classify excluded until all three are done. A destination that
+// cannot take the new version returns its error with the old version
+// still installed and owned. Cycle costs of both phases are reported
+// together, mirroring Device.ModifyRule.
 func (c *Cluster) ModifyRule(ruleID int, newRule rules.Rule) (core.UpdateResult, error) {
 	if newRule.ID != ruleID {
 		return core.UpdateResult{}, fmt.Errorf("cluster: modify must keep rule ID %d, got %d", ruleID, newRule.ID)
@@ -401,32 +404,51 @@ func (c *Cluster) ModifyRule(ruleID int, newRule rules.Rule) (core.UpdateResult,
 	// mu.RLock keeps the rebalancer from moving the rule between the
 	// routing read and the device call.
 	c.mu.RLock()
+	res, crosses, err := c.modify(ruleID, newRule, false)
+	c.mu.RUnlock()
+	if crosses {
+		// Routing is read again under the write lock: the rebalancer
+		// may have moved the rule or the bound since.
+		c.mu.Lock()
+		res, _, err = c.modify(ruleID, newRule, true)
+		c.mu.Unlock()
+	}
+	return res, err
+}
+
+// modify runs one modify with mu held. Crossing shards needs the write
+// side: with only the read side held (exclusive false) such a modify
+// touches nothing and reports crosses.
+func (c *Cluster) modify(ruleID int, newRule rules.Rule, exclusive bool) (res core.UpdateResult, crosses bool, err error) {
 	c.routeMu.Lock()
 	o, ok := c.owner[ruleID]
-	inPlace := ok && (c.mode == ModeHash || c.routeLocked(newRule.Priority) == o.shard)
+	dst := o.shard
+	if c.mode == ModeInterval {
+		dst = c.routeLocked(newRule.Priority)
+	}
 	c.routeMu.Unlock()
-	if inPlace {
-		res, err := c.shards[o.shard].dev.ModifyRule(ruleID, newRule)
-		c.routeMu.Lock()
-		switch {
-		case err == nil:
-			c.owner[ruleID] = ownedRule{shard: o.shard, rule: newRule}
-		case !errors.Is(err, core.ErrNotFound):
-			// The device deleted the old version before its insert failed.
-			delete(c.owner, ruleID)
+	switch {
+	case !ok:
+		return res, false, core.ErrNotFound
+	case dst != o.shard && !exclusive:
+		return res, true, nil
+	case dst == o.shard:
+		res, err = c.shards[dst].dev.ModifyRule(ruleID, newRule)
+	default:
+		if res, err = c.move(newRule, o.shard, dst); err != nil {
+			return res, false, err // the old version is still installed and owned
 		}
-		c.routeMu.Unlock()
-		c.mu.RUnlock()
-		return res, err
 	}
-	c.mu.RUnlock()
-	del, err := c.DeleteRule(ruleID) // ErrNotFound for an unknown ID
-	if err != nil {
-		return core.UpdateResult{}, err
+	c.routeMu.Lock()
+	switch {
+	case err == nil:
+		c.owner[ruleID] = ownedRule{shard: dst, rule: newRule}
+	case !errors.Is(err, core.ErrNotFound):
+		// The device deleted the old version before its insert failed.
+		delete(c.owner, ruleID)
 	}
-	ins, err := c.InsertRule(newRule)
-	ins.Cycles += del.Cycles
-	return ins, err
+	c.routeMu.Unlock()
+	return res, false, err
 }
 
 // Lookup classifies one header and returns the winning action.

@@ -485,13 +485,29 @@ func TestClusterChurnVsClassify(t *testing.T) {
 }
 
 // TestClusterModifyChurnVsClassify: while a writer keeps modifying a
-// rule in place, a reader of a header that rule and a lower-priority
-// catch-all both cover must see one version or the other of the rule,
-// never the catch-all: a same-shard modify leaves no hole.
+// rule, a reader of a header that rule and a lower-priority catch-all
+// both cover must see one version or the other of the rule, never the
+// catch-all. A modify that stays on its shard is one device epoch; one
+// that flips the priority across a shard bound every iteration moves
+// the rule between shards under the migration epoch. Neither leaves a
+// hole, and the arbiter audit at 1-in-1 sees no winner it cannot
+// account for.
 func TestClusterModifyChurnVsClassify(t *testing.T) {
-	for _, mode := range []Mode{ModeInterval, ModeHash} {
-		t.Run(mode.String(), func(t *testing.T) {
-			c := testCluster(t, 4, mode)
+	for _, tc := range []struct {
+		name string
+		mode Mode
+		flip int // the modify alternates priority 40000 and 40000+flip
+	}{
+		{"interval", ModeInterval, 1},
+		{"hash", ModeHash, 1},
+		// 40000 is shard 2's, 50000 shard 3's (bounds 16384, 32768, 49152).
+		{"interval/cross-shard", ModeInterval, 10000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := testCluster(t, 4, tc.mode)
+			aud := flightrec.NewAuditor(nil, nil, 64, nil)
+			aud.SetLookupSampleEvery(1)
+			c.AttachAuditor(aud)
 			const catchAll = 1
 			low := clRule(1, 10, rules.Prefix{Len: 0})
 			low.Action = catchAll
@@ -517,7 +533,7 @@ func TestClusterModifyChurnVsClassify(t *testing.T) {
 				}
 			}()
 			for i := 0; i < 2000 && !t.Failed(); i++ {
-				mod := clRule(2, 40000+i%2, src)
+				mod := clRule(2, 40000+i%2*tc.flip, src)
 				mod.Action = 100 + i
 				if _, err := c.ModifyRule(2, mod); err != nil {
 					t.Errorf("modify %d: %v", i, err)
@@ -527,6 +543,64 @@ func TestClusterModifyChurnVsClassify(t *testing.T) {
 			}
 			stop.Store(true)
 			wg.Wait()
+			if n := aud.ViolationCount(flightrec.InvArbiterWinner); n != 0 {
+				t.Fatalf("%d arbiter_winner violations under modify churn: %+v", n, aud.Violations())
+			}
+			if err := c.CheckInvariant(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestClusterModifyDestinationFull: a modify that crosses shards
+// inserts before it deletes, so a destination shard that cannot take
+// the new version — outright, or part-way through its expansion —
+// returns ErrFull with the old version still installed, still owned and
+// still answering.
+func TestClusterModifyDestinationFull(t *testing.T) {
+	src := rules.Prefix{Addr: 0x0A000000, Len: 8}
+	for _, tc := range []struct {
+		name    string
+		preload int             // rules already in the 4-slot destination shard
+		dstPort rules.PortRange // the new version's expansion
+	}{
+		{"no free slot", 4, rules.FullPortRange()},
+		{"expansion does not fit", 2, rules.PortRange{Lo: 1, Hi: 6}}, // 4 entries into 2 slots
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Two shards of one 4-slot subtable; shard 1 owns priorities
+			// above 32768.
+			c := New(Config{Shards: 2, Mode: ModeInterval,
+				Device: core.Config{Subtables: 1, SubtableCapacity: 4, KeyWidth: 160}})
+			t.Cleanup(c.Close)
+			for i := 0; i < tc.preload; i++ {
+				if _, err := c.InsertRule(clRule(10+i, 50000+i, rules.Prefix{Addr: 0x0B000000, Len: 8})); err != nil {
+					t.Fatal(err)
+				}
+			}
+			old := clRule(1, 100, src)
+			if _, err := c.InsertRule(old); err != nil {
+				t.Fatal(err)
+			}
+			mod := clRule(1, 40000, src)
+			mod.Action, mod.DstPort = 99, tc.dstPort
+			epochs := [2]uint64{c.Shard(0).Epoch(), c.Shard(1).Epoch()}
+			if _, err := c.ModifyRule(1, mod); !errors.Is(err, core.ErrFull) {
+				t.Fatalf("modify into a full shard: %v, want ErrFull", err)
+			}
+			if got := c.Shard(0).Epoch(); got != epochs[0] {
+				t.Fatalf("source shard published %d epochs for a refused modify", got-epochs[0])
+			}
+			if a, ok := c.Lookup(rules.Header{SrcIP: 0x0A010203, DstPort: 3}); !ok || a != old.Action {
+				t.Fatalf("after the refused modify the old version answers %d,%v, want %d", a, ok, old.Action)
+			}
+			if got := c.Snapshot().Shards[0]; len(got) != 1 || got[0] != old {
+				t.Fatalf("shard 0 owns %+v, want the old version %+v", got, old)
+			}
+			if got := c.ShardEntries(); got[0] != 1 || got[1] != tc.preload {
+				t.Fatalf("shard entries %v, want [1 %d]", got, tc.preload)
+			}
 			if err := c.CheckInvariant(); err != nil {
 				t.Fatal(err)
 			}

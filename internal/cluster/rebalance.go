@@ -6,6 +6,8 @@ import (
 	"sync"
 	"time"
 
+	"catcam/internal/core"
+	"catcam/internal/rules"
 	"catcam/internal/telemetry"
 )
 
@@ -208,29 +210,37 @@ func (c *Cluster) moveAny(donor, recipient, target int) int {
 	return moved
 }
 
-// migrateGroup moves one rule group donor -> recipient: insert into
-// the recipient first, then delete from the donor, so the group is
-// never absent from both devices (classifies are excluded by mu
-// anyway; this keeps the devices individually consistent at every
-// step). On a recipient-full failure the group's already-moved members
-// return to the donor and the migration reports false. Callers hold
-// mu.
+// move puts r on shard to, then deletes the rule of that ID from shard
+// from — in that order, so the rule is never absent from both devices
+// (classifies are excluded by mu anyway; this keeps the devices
+// individually consistent at every step) and a full destination leaves
+// everything as it was. Cycle costs of both phases are reported
+// together. Callers hold mu.Lock and move the owner record.
+func (c *Cluster) move(r rules.Rule, from, to int) (core.UpdateResult, error) {
+	res, err := c.shards[to].dev.InsertRule(r)
+	if err != nil {
+		return res, err
+	}
+	del, err := c.shards[from].dev.DeleteRule(r.ID)
+	if err != nil {
+		panic(fmt.Sprintf("cluster: rule %d moved to shard %d but its delete from shard %d failed: %v", r.ID, to, from, err))
+	}
+	res.Cycles += del.Cycles
+	return res, nil
+}
+
+// migrateGroup moves one rule group donor -> recipient. On a
+// recipient-full failure the group's already-moved members return to
+// the donor and the migration reports false. Callers hold mu.
 func (c *Cluster) migrateGroup(group []ownedRule, donor, recipient int) bool {
 	for k, o := range group {
-		if _, err := c.shards[recipient].dev.InsertRule(o.rule); err != nil {
-			// Roll back the members already copied into the recipient.
+		if _, err := c.move(o.rule, donor, recipient); err != nil {
 			for _, prev := range group[:k] {
-				if _, derr := c.shards[recipient].dev.DeleteRule(prev.rule.ID); derr != nil {
-					panic(fmt.Sprintf("cluster: rollback delete of rule %d failed: %v", prev.rule.ID, derr))
-				}
-				if _, ierr := c.shards[donor].dev.InsertRule(prev.rule); ierr != nil {
-					panic(fmt.Sprintf("cluster: rollback reinsert of rule %d failed: %v", prev.rule.ID, ierr))
+				if _, err := c.move(prev.rule, recipient, donor); err != nil {
+					panic(fmt.Sprintf("cluster: rollback of rule %d to shard %d failed: %v", prev.rule.ID, donor, err))
 				}
 			}
 			return false
-		}
-		if _, err := c.shards[donor].dev.DeleteRule(o.rule.ID); err != nil {
-			panic(fmt.Sprintf("cluster: migration delete of rule %d failed: %v", o.rule.ID, err))
 		}
 	}
 	c.routeMu.Lock()

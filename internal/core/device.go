@@ -127,7 +127,10 @@ type location struct {
 // Device is a complete CATCAM instance.
 //
 // All exported methods are safe for concurrent use. Updates serialize
-// on one mutex; the classify path (LookupKey, Lookup, LookupBatch,
+// on one mutex, taken in one place: InsertRule, InsertWord, DeleteRule
+// and ModifyRule all run through the update bracket (Device.update),
+// which publishes exactly one epoch per request (DESIGN.md §17). The
+// classify path (LookupKey, Lookup, LookupBatch,
 // LookupHeaderBatch, LookupHeaderBatchTraced) acquires no lock at all —
 // it loads the current epoch snapshot (d.snap) with one atomic pointer
 // read and traverses the frozen structure with per-goroutine pooled
@@ -448,6 +451,54 @@ type UpdateResult struct {
 	StoreCompare uint64
 }
 
+// updateOp describes one update request to the bracket: a plain value
+// whose fields the bracket switches on, so a request allocates nothing.
+type updateOp struct {
+	name  string              // flight-recorder op name
+	event telemetry.EventKind // the request's telemetry kind
+	del   bool                // run the delete body on rule.ID first
+	rule  rules.Rule          // the ID; for a storing request also priority, action and body
+	words []ternary.Word      // the entries to store, encoded before the lock; nil for a delete
+	raw   bool                // words have no rule-level form the shadow could mirror
+}
+
+// update is the one update bracket; every alteration of the table goes
+// through it. It takes the device lock, pauses shadow comparisons, opens
+// the (sampled) causal trace, runs the delete body and then the insert
+// body as the request asks — an insert or a delete is one of them, a
+// modify is both (§III-C) — finishes the trace with the request's total
+// modelled cycles, reports to telemetry, mirrors the change into the
+// shadow, and publishes exactly one epoch on the way out.
+func (d *Device) update(op updateOp) (UpdateResult, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	defer d.publishLocked()
+	d.shadow.BeginEpoch()
+	id := op.rule.ID
+	d.trace = d.rec.Start(op.name, d.frTable, id)
+	var res UpdateResult
+	var err error
+	if op.del {
+		if res, err = d.deleteRule(id); err == nil {
+			d.shadow.OnDelete(id)
+		}
+	}
+	if err == nil && op.words != nil {
+		deleted := res.Cycles
+		res, err = d.insertRule(op.rule, op.words)
+		res.Cycles += deleted // a modify reports both phases together
+		if err == nil && op.raw {
+			d.shadow.Desync("raw word insert bypasses the rule-level mirror")
+		} else if err == nil {
+			d.shadow.OnInsert(op.rule)
+		}
+	}
+	d.rec.Finish(d.trace, res.Cycles, err)
+	d.trace = nil
+	d.observeOp(op.event, id, res, err)
+	return res, err
+}
+
 // InsertRule inserts all range-expansion entries of r. On failure the
 // already-inserted entries of this rule are rolled back and ErrFull is
 // returned. A rule with no entries is rejected with ErrEmptyRule before
@@ -457,22 +508,46 @@ func (d *Device) InsertRule(r rules.Rule) (UpdateResult, error) {
 	if len(words) == 0 {
 		return UpdateResult{}, fmt.Errorf("%w: rule %d", ErrEmptyRule, r.ID)
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	defer d.publishLocked()
-	d.shadow.BeginEpoch()
-	d.trace = d.rec.Start("insert", d.frTable, r.ID)
-	res, err := d.insertRule(r, words)
-	d.rec.Finish(d.trace, res.Cycles, err)
-	d.trace = nil
-	d.observeOp(telemetry.EvInsert, r.ID, res, err)
-	if err == nil {
-		d.shadow.OnInsert(r)
-	}
-	return res, err
+	return d.update(updateOp{name: "insert", event: telemetry.EvInsert, rule: r, words: words})
 }
 
-// insertRule stores words, the (non-empty) encoding of r.
+// InsertWord inserts one pre-encoded ternary entry — the path a
+// programmable-pipeline front end (e.g. a dRMT key extractor, see
+// internal/phv) uses when rules are authored as field specs rather than
+// 5-tuples. The word is padded to the device key width; ruleID is the
+// handle for DeleteRule.
+func (d *Device) InsertWord(w ternary.Word, priority, ruleID, action int) (UpdateResult, error) {
+	words := [1]ternary.Word{w}
+	return d.update(updateOp{name: "insert_word", event: telemetry.EvInsert, words: words[:], raw: true,
+		rule: rules.Rule{ID: ruleID, Priority: priority, Action: action}})
+}
+
+// DeleteRule removes every entry of the rule.
+func (d *Device) DeleteRule(ruleID int) (UpdateResult, error) {
+	return d.update(updateOp{name: "delete", event: telemetry.EvDelete, del: true, rule: rules.Rule{ID: ruleID}})
+}
+
+// ModifyRule replaces a rule with a new version, per §III-C:
+// "Modification can be processed by deleting the original rule then
+// inserting its new version." The new rule keeps the given ID; cycle
+// costs of both phases are reported together. Both phases run inside
+// one update bracket and publish as one epoch, so no reader sees the
+// rule absent. A new version with no entries is rejected with
+// ErrEmptyRule before the old one is deleted; one whose insert fails
+// with ErrFull leaves the old version deleted (ROADMAP item 3).
+func (d *Device) ModifyRule(ruleID int, newRule rules.Rule) (UpdateResult, error) {
+	if newRule.ID != ruleID {
+		return UpdateResult{}, fmt.Errorf("core: modify must keep rule ID %d, got %d", ruleID, newRule.ID)
+	}
+	words := newRule.Encode()
+	if len(words) == 0 {
+		return UpdateResult{}, fmt.Errorf("%w: rule %d", ErrEmptyRule, ruleID)
+	}
+	return d.update(updateOp{name: "modify", event: telemetry.EvModify, del: true, rule: newRule, words: words})
+}
+
+// insertRule is the insert body: it stores words, the (non-empty)
+// entries of r, rolling all of them back when one does not fit.
 func (d *Device) insertRule(r rules.Rule, words []ternary.Word) (UpdateResult, error) {
 	var total UpdateResult
 	if d.locs[r.ID] == nil {
@@ -490,6 +565,7 @@ func (d *Device) insertRule(r rules.Rule, words []ternary.Word) (UpdateResult, e
 			d.rollBack(r.ID, first)
 			return total, err
 		}
+		d.account(res)
 		total.Cycles += res.Cycles
 		total.Reallocated += res.Reallocated
 		total.FreshTables += res.FreshTables
@@ -497,50 +573,6 @@ func (d *Device) insertRule(r rules.Rule, words []ternary.Word) (UpdateResult, e
 		total.Subtable = res.Subtable
 	}
 	return total, nil
-}
-
-// InsertWord inserts one pre-encoded ternary entry — the path a
-// programmable-pipeline front end (e.g. a dRMT key extractor, see
-// internal/phv) uses when rules are authored as field specs rather than
-// 5-tuples. The word is padded to the device key width; ruleID is the
-// handle for DeleteRule.
-func (d *Device) InsertWord(w ternary.Word, priority, ruleID, action int) (UpdateResult, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	defer d.publishLocked()
-	d.shadow.BeginEpoch()
-	d.trace = d.rec.Start("insert_word", d.frTable, ruleID)
-	seq := d.seqCounter
-	d.seqCounter++
-	e := Entry{Word: d.padWord(w), Rank: Rank{Priority: priority, RuleID: ruleID, Seq: seq}, Action: action}
-	res, err := d.insertEntry(e)
-	d.auditEvictionBound(res)
-	d.rec.Finish(d.trace, res.Cycles, err)
-	d.trace = nil
-	d.observeOp(telemetry.EvInsert, ruleID, res, err)
-	if err == nil {
-		// A raw ternary word has no rule-level representation the
-		// reference classifier could mirror.
-		d.shadow.Desync("raw word insert bypasses the rule-level mirror")
-	}
-	return res, err
-}
-
-// DeleteRule removes every entry of the rule.
-func (d *Device) DeleteRule(ruleID int) (UpdateResult, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	defer d.publishLocked()
-	d.shadow.BeginEpoch()
-	d.trace = d.rec.Start("delete", d.frTable, ruleID)
-	res, err := d.deleteRule(ruleID)
-	d.rec.Finish(d.trace, res.Cycles, err)
-	d.trace = nil
-	d.observeOp(telemetry.EvDelete, ruleID, res, err)
-	if err == nil {
-		d.shadow.OnDelete(ruleID)
-	}
-	return res, err
 }
 
 // rollBack undoes a failed rule insert: the entries this request stored
@@ -559,6 +591,7 @@ func (d *Device) rollBack(ruleID, first int) {
 	}
 }
 
+// deleteRule is the delete body: one 1-cycle invalidation per entry.
 func (d *Device) deleteRule(ruleID int) (UpdateResult, error) {
 	locs := d.locs[ruleID]
 	if len(locs) == 0 {
@@ -576,44 +609,6 @@ func (d *Device) deleteRule(ruleID int) (UpdateResult, error) {
 	return total, nil
 }
 
-// ModifyRule replaces a rule with a new version, per §III-C:
-// "Modification can be processed by deleting the original rule then
-// inserting its new version." The new rule keeps the given ID; cycle
-// costs of both phases are reported together. Both phases publish as
-// one epoch, so no reader sees the rule absent. A new version with no
-// entries is rejected with ErrEmptyRule before the old one is deleted.
-func (d *Device) ModifyRule(ruleID int, newRule rules.Rule) (UpdateResult, error) {
-	if newRule.ID != ruleID {
-		return UpdateResult{}, fmt.Errorf("core: modify must keep rule ID %d, got %d", ruleID, newRule.ID)
-	}
-	words := newRule.Encode()
-	if len(words) == 0 {
-		return UpdateResult{}, fmt.Errorf("%w: rule %d", ErrEmptyRule, ruleID)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	defer d.publishLocked()
-	d.shadow.BeginEpoch()
-	d.trace = d.rec.Start("modify", d.frTable, ruleID)
-	del, err := d.deleteRule(ruleID)
-	if err != nil {
-		d.rec.Finish(d.trace, 0, err)
-		d.trace = nil
-		d.observeOp(telemetry.EvModify, ruleID, UpdateResult{}, err)
-		return UpdateResult{}, err
-	}
-	d.shadow.OnDelete(ruleID)
-	ins, err := d.insertRule(newRule, words)
-	ins.Cycles += del.Cycles
-	d.rec.Finish(d.trace, ins.Cycles, err)
-	d.trace = nil
-	d.observeOp(telemetry.EvModify, ruleID, ins, err)
-	if err == nil {
-		d.shadow.OnInsert(newRule)
-	}
-	return ins, err
-}
-
 // targetSubtable locates the interval containing rank r: the active
 // subtable with the smallest max >= r. Returns index into d.order, or
 // len(d.order) when r exceeds every max.
@@ -623,158 +618,121 @@ func (d *Device) targetSubtable(r Rank) int {
 	})
 }
 
-// insertEntry is the interval scheduler (§IV-B). It returns the cycle
-// class actually taken. When the current update is sampled, each
-// datapath step lands on the trace with its modeled cycle cost; the
-// steps of one entry sum to the entry's cycle class (overlapped steps
-// — scheduling, global-matrix writes, max rederivation — carry 0).
+// What the scheduler can decide besides a subtable ID.
+const (
+	freshSubtable = -1 // a subtable assigned from the free pool
+	viaScheduler  = -2 // chained ablation: the evicted entry re-enters the scheduler
+	noEviction    = -3 // the destination has room
+)
+
+// insertEntry is the interval scheduler's datapath (§IV-B): decide, then
+// one placement tail — the 3-cycle entry write into a free slot or the
+// slot an eviction just vacated, then the evicted maximum's single hop
+// (5 cycles in all). It returns the entry's modelled cost uncharged; the
+// caller accounts once per request entry. When the current update is
+// sampled, each datapath step lands on the trace with its modelled
+// cycles; the steps of one entry sum to its cost (overlapped steps —
+// scheduling, global-matrix writes, max rederivation — carry 0).
 func (d *Device) insertEntry(e Entry) (UpdateResult, error) {
-	var res UpdateResult
+	// Decide, before any mutation: the destination dst (freshSubtable:
+	// one slotted into the order at pos), whether e raises the top
+	// subtable's max, where a full dst's evicted maximum goes, or full.
 	pos := d.targetSubtable(e.Rank)
-
-	if pos == len(d.order) {
-		// Rank above every interval: extend the top subtable if it has
-		// room, otherwise assign a fresh subtable above everything.
-		if len(d.order) > 0 {
-			top := d.order[len(d.order)-1]
-			if !d.subs[top].Full() {
-				d.trace.Step(flightrec.StepSubtableSelect, top, -1, 0)
-				slot := d.placeEntry(top, e)
-				d.trace.Step(flightrec.StepEntryWrite, top, slot, ClassInsertDirect.Cycles())
-				d.setMax(top, e.Rank)
-				res.Class = ClassInsertDirect
-				res.Subtable = top
-				d.account(&res)
-				return res, nil
-			}
+	dst, evictTo, raise, full := freshSubtable, noEviction, false, false
+	switch next := pos + 1; {
+	case pos < len(d.order) && !d.subs[d.order[pos]].Full():
+		dst = d.order[pos]
+	case pos < len(d.order):
+		// Target full: evict its maximum, which belongs to the next
+		// interval.
+		dst = d.order[pos]
+		switch {
+		case next < len(d.order) && !d.subs[d.order[next]].Full():
+			evictTo = d.order[next]
+		case d.cfg.ChainedReallocation && next < len(d.order) && d.chainFeasible(next):
+			evictTo = viaScheduler
+		case len(d.freeSubs) > 0:
+			evictTo = freshSubtable
+		default:
+			full = true
 		}
-		d.trace.Step(flightrec.StepSubtableSelect, -1, -1, 0)
-		id, ok := d.assignSubtable(e.Rank, len(d.order))
-		if !ok {
-			return res, ErrFull
-		}
-		slot := d.placeEntry(id, e)
-		d.trace.Step(flightrec.StepEntryWrite, id, slot, ClassInsertDirect.Cycles())
-		res.Class = ClassInsertDirect
-		res.FreshTables = 1
-		res.Subtable = id
-		d.account(&res)
-		return res, nil
-	}
-
-	target := d.order[pos]
-	if !d.subs[target].Full() {
-		d.trace.Step(flightrec.StepSubtableSelect, target, -1, 0)
-		slot := d.placeEntry(target, e)
-		d.trace.Step(flightrec.StepEntryWrite, target, slot, ClassInsertDirect.Cycles())
-		res.Class = ClassInsertDirect
-		res.Subtable = target
-		d.account(&res)
-		return res, nil
-	}
-	d.trace.Step(flightrec.StepSubtableSelect, target, -1, 0)
-
-	// Target full: evict its maximum, which belongs to the next
-	// interval. Check feasibility BEFORE mutating.
-	nextPos := pos + 1
-	var evictDst int
-	fresh, cascade := false, false
-	switch {
-	case nextPos < len(d.order) && !d.subs[d.order[nextPos]].Full():
-		evictDst = d.order[nextPos]
-	case d.cfg.ChainedReallocation && nextPos < len(d.order) && d.chainFeasible(nextPos):
-		cascade = true
-	case len(d.freeSubs) > 0:
-		fresh = true
+	case pos > 0 && !d.subs[d.order[pos-1]].Full():
+		// Rank above every interval: extend the top subtable. Raising
+		// the top max is always order-preserving.
+		dst, raise = d.order[pos-1], true
 	default:
-		return res, ErrFull
+		// ... or assign a fresh subtable above everything.
+		full = len(d.freeSubs) == 0
+	}
+	d.trace.Step(flightrec.StepSubtableSelect, dst, -1, 0)
+	if full {
+		return UpdateResult{}, ErrFull
 	}
 
-	st := d.subs[target]
-	maxSlot := st.RecomputeMax() // 1 cycle: locate the rule to evict
-	d.trace.Step(flightrec.StepEvictLocate, target, maxSlot, 1)
-	evicted := st.ReadEntry(maxSlot)
-	st.Delete(maxSlot)
-	d.dirty[target] = true
-	d.forgetLoc(evicted.Rank)
-	if t := d.tel; t != nil {
-		t.reallocs.Inc()
-		t.event(telemetry.Event{Kind: telemetry.EvRealloc, Subtable: target,
-			RuleID: evicted.Rank.RuleID, Cycles: ClassInsertRealloc.Cycles(), Depth: 1})
+	res := UpdateResult{Class: ClassInsertDirect, Cycles: ClassInsertDirect.Cycles()}
+	if dst == freshSubtable {
+		dst = d.assignSubtable(e.Rank, pos)
+		res.FreshTables = 1
+	}
+	var slot int
+	var evicted Entry
+	if evictTo == noEviction {
+		slot = d.placeEntry(dst, e)
+	} else {
+		// The new rule takes the slot of the evicted maximum, which the
+		// all-true priority decision locates in 1 cycle.
+		st := d.subs[dst]
+		slot = st.RecomputeMax()
+		d.trace.Step(flightrec.StepEvictLocate, dst, slot, 1)
+		evicted = st.ReadEntry(slot)
+		st.Delete(slot)
+		d.forgetLoc(evicted.Rank)
+		if t := d.tel; t != nil {
+			t.reallocs.Inc()
+			t.event(telemetry.Event{Kind: telemetry.EvRealloc, Subtable: dst,
+				RuleID: evicted.Rank.RuleID, Cycles: ClassInsertRealloc.Cycles(), Depth: 1})
+		}
+		d.placeEntryAt(dst, slot, e)
+	}
+	d.trace.Step(flightrec.StepEntryWrite, dst, slot, ClassInsertDirect.Cycles())
+	res.Subtable = dst
+	if raise {
+		d.maxOf[dst] = e.Rank
+	}
+	if evictTo == noEviction {
+		return res, nil
 	}
 
-	// New rule takes the evicted slot (3 cycles, parallel matrices).
-	d.placeEntryAt(target, maxSlot, e)
-	d.trace.Step(flightrec.StepEntryWrite, target, maxSlot, ClassInsertDirect.Cycles())
-	res.Subtable = target
 	// The target's max shrinks to its new maximum (1 cycle, all-true
 	// trick); the interval boundary moves but the order is unchanged.
-	d.refreshMax(target)
-
-	if cascade {
-		d.trace.Step(flightrec.StepEvictionHop, -1, -1, 1)
+	d.refreshMax(dst)
+	res.Class, res.Cycles, res.Reallocated = ClassInsertRealloc, ClassInsertRealloc.Cycles(), 1
+	switch evictTo {
+	case viaScheduler:
 		// Ablation path: push the evicted rule through the (full) next
 		// subtable, which evicts its own maximum onward — the O(k)
-		// reallocation chain. Cycle/statistics accounting folds the
-		// whole chain into this request.
+		// reallocation chain, its whole cost folded into this request.
+		d.trace.Step(flightrec.StepEvictionHop, -1, -1, 1)
 		sub, err := d.insertEntry(evicted)
 		if err != nil {
-			// Defensive: chainFeasible guarantees this cannot happen,
-			// but re-home the evicted rule rather than lose it.
-			id, ok := d.assignSubtable(evicted.Rank, d.targetSubtable(evicted.Rank))
-			if !ok {
-				return res, ErrFull
-			}
-			d.placeEntry(id, evicted)
-			res.FreshTables++
-		} else {
-			// The cascaded insert self-accounted as its own request;
-			// fold its costs into ours and undo the double count.
-			atomicSub(&d.stats.inserts, 1)
-			if sub.Class == ClassInsertRealloc {
-				atomicSub(&d.stats.reallocInserts, 1)
-			} else {
-				atomicSub(&d.stats.directInserts, 1)
-			}
-			atomicSub(&d.stats.updateCycles, sub.Cycles)
-			res.Reallocated += sub.Reallocated
-			res.FreshTables += sub.FreshTables
-			res.Cycles += sub.Cycles
+			panic(fmt.Sprintf("core: reallocation chain from subtable %d lost feasibility: %v", dst, err))
 		}
-		res.Class = ClassInsertRealloc
-		res.Reallocated++
-		extra := res.Cycles
-		d.account(&res)
-		// account() set res.Cycles to the base class cost; add the
-		// chain's extra cycles on top for both the result and the
-		// device counter.
-		res.Cycles += extra
-		d.stats.updateCycles.Add(extra)
+		res.Cycles += sub.Cycles
+		res.Reallocated += sub.Reallocated
+		res.FreshTables += sub.FreshTables
 		if t := d.tel; t != nil {
-			t.event(telemetry.Event{Kind: telemetry.EvChain, Subtable: target,
+			t.event(telemetry.Event{Kind: telemetry.EvChain, Subtable: dst,
 				RuleID: e.Rank.RuleID, Cycles: res.Cycles, Depth: res.Reallocated})
 		}
 		return res, nil
-	}
-
-	// Reinsert the evicted rule.
-	if fresh {
-		id, ok := d.assignSubtable(evicted.Rank, nextPos)
-		if !ok {
-			panic("core: fresh subtable vanished")
-		}
-		evictDst = id
+	case freshSubtable:
+		evictTo = d.assignSubtable(evicted.Rank, pos+1)
 		res.FreshTables = 1
 	}
-	slot := d.placeEntry(evictDst, evicted)
-	d.trace.Step(flightrec.StepEvictionHop, evictDst, slot, 1)
-	if d.maxOf[evictDst].Less(evicted.Rank) {
-		d.setMax(evictDst, evicted.Rank)
-	}
-
-	res.Class = ClassInsertRealloc
-	res.Reallocated = 1
-	d.account(&res)
+	// The evicted rule ranks below everything in the next interval, so
+	// landing there moves no max.
+	hop := d.placeEntry(evictTo, evicted)
+	d.trace.Step(flightrec.StepEvictionHop, evictTo, hop, 1)
 	return res, nil
 }
 
@@ -793,18 +751,19 @@ func (d *Device) chainFeasible(pos int) bool {
 	return false
 }
 
-// account finalizes cycle bookkeeping for an insert result.
-func (d *Device) account(res *UpdateResult) {
-	res.Cycles = res.Class.Cycles()
+// account charges one request entry's modelled cost to the device
+// counters: the one place insert cycles and counts are charged, so the
+// totals are the sums of the results callers were handed. A chain's
+// hops are moves of this entry's request, not inserts of their own.
+func (d *Device) account(res UpdateResult) {
 	d.stats.inserts.Add(1)
 	d.stats.updateCycles.Add(res.Cycles)
-	switch res.Class {
-	case ClassInsertDirect:
-		d.stats.directInserts.Add(1)
-	case ClassInsertRealloc:
+	if res.Class == ClassInsertRealloc {
 		d.stats.reallocInserts.Add(1)
-		d.stats.reallocations.Add(1)
+	} else {
+		d.stats.directInserts.Add(1)
 	}
+	d.stats.reallocations.Add(uint64(res.Reallocated))
 	d.stats.freshSubtables.Add(uint64(res.FreshTables))
 }
 
@@ -857,10 +816,11 @@ func (d *Device) forgetLoc(r Rank) {
 // assignSubtable activates a fresh subtable whose interval slots in at
 // position pos of the order, with the given initial max rank, and
 // updates the global priority matrix (row + column write, overlapped
-// with the local update per §VIII-A).
-func (d *Device) assignSubtable(max Rank, pos int) (int, bool) {
+// with the local update per §VIII-A). The scheduler only decides on a
+// fresh subtable when the pool has one.
+func (d *Device) assignSubtable(max Rank, pos int) int {
 	if len(d.freeSubs) == 0 {
-		return 0, false
+		panic("core: fresh subtable vanished")
 	}
 	id := d.freeSubs[len(d.freeSubs)-1]
 	d.freeSubs = d.freeSubs[:len(d.freeSubs)-1]
@@ -882,7 +842,7 @@ func (d *Device) assignSubtable(max Rank, pos int) (int, bool) {
 		t.event(telemetry.Event{Kind: telemetry.EvFreshSubtable, Subtable: id,
 			RuleID: -1, Depth: pos})
 	}
-	return id, true
+	return id
 }
 
 // releaseSubtable deactivates an emptied subtable and clears its global
@@ -923,13 +883,6 @@ func (d *Device) writeGlobalRelations(id int) {
 	d.global.WriteRow(id, row)
 	d.global.WriteColumn(id, col)
 	d.globalDirty = true
-}
-
-// setMax raises subtable id's max rank (its position in the order is
-// unchanged when the new max still sits below the successor's interval;
-// raising the top subtable's max is always order-preserving).
-func (d *Device) setMax(id int, r Rank) {
-	d.maxOf[id] = r
 }
 
 // refreshMax re-derives subtable id's max after an eviction or a

@@ -7,6 +7,7 @@ import (
 
 	"catcam/internal/classbench"
 	"catcam/internal/rules"
+	"catcam/internal/telemetry"
 )
 
 // smallConfig keeps tests fast: 8 subtables of 8 slots, 160-bit keys.
@@ -472,5 +473,76 @@ func TestChainedModeConformance(t *testing.T) {
 		if ok != wantOK || (ok && got != want.Action) {
 			t.Fatalf("chained-mode lookup diverges on %+v", h)
 		}
+	}
+}
+
+// The chained-ablation counters, pinned with bench.SchedulingAblation's
+// fill loop at seed 1 on a 64×64 device. Every figure is charged once
+// per request entry from the request's own UpdateResult, so the device
+// totals equal the sums over results; in particular a reallocation
+// chain's fresh subtable is counted once, not once per hop.
+func TestSchedulingAblationCountersPinned(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		chained bool
+		rules   int
+		want    Stats
+		digest  uint64 // FNV-1a over every request's (class, cycles, reallocated, fresh, subtable)
+	}{
+		{"paper", false, 3104, Stats{Inserts: 3104, Reallocations: 2185, DirectInserts: 919,
+			ReallocInserts: 2185, UpdateCycles: 13682, FreshSubtables: 64}, 13020085460687641667},
+		{"chained", true, 4096, Stats{Inserts: 4096, Reallocations: 65686, DirectInserts: 201,
+			ReallocInserts: 3895, UpdateCycles: 329033, FreshSubtables: 64}, 13793649868822650981},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d := NewDevice(Config{Subtables: 64, SubtableCapacity: 64, KeyWidth: 160,
+				ChainedReallocation: c.chained})
+			reg := telemetry.NewRegistry()
+			d.AttachTelemetry(reg, nil, nil)
+			rng := rand.New(rand.NewSource(1))
+			var sum UpdateResult
+			digest := uint64(14695981039346656037)
+			inserted := 0
+			for id := 0; ; id++ {
+				r := rules.Rule{
+					ID: id, Priority: 1 + rng.Intn(1<<24), Action: id,
+					SrcIP:   rules.Prefix{Addr: rng.Uint32(), Len: 16}.Canonical(),
+					SrcPort: rules.FullPortRange(), DstPort: rules.FullPortRange(),
+					ProtoWildcard: true,
+				}
+				res, err := d.InsertRule(r)
+				if err != nil {
+					break
+				}
+				inserted++
+				sum.Cycles += res.Cycles
+				sum.Reallocated += res.Reallocated
+				sum.FreshTables += res.FreshTables
+				for _, v := range []uint64{uint64(res.Class), res.Cycles, uint64(res.Reallocated),
+					uint64(res.FreshTables), uint64(res.Subtable)} {
+					digest = (digest ^ v) * 1099511628211
+				}
+			}
+			if inserted != c.rules {
+				t.Fatalf("inserted %d rules, want %d", inserted, c.rules)
+			}
+			if got := d.Stats(); got != c.want {
+				t.Fatalf("stats = %+v\n want %+v", got, c.want)
+			}
+			if digest != c.digest {
+				t.Fatalf("per-request UpdateResult digest = %d, want %d", digest, c.digest)
+			}
+			st := d.Stats()
+			if sum.Cycles != st.UpdateCycles || uint64(sum.Reallocated) != st.Reallocations {
+				t.Fatalf("results sum to %d cycles / %d moves, stats say %d / %d",
+					sum.Cycles, sum.Reallocated, st.UpdateCycles, st.Reallocations)
+			}
+			fresh := reg.Snapshot().Counters["catcam_fresh_subtables_total"]
+			if n := uint64(d.ActiveSubtables()); st.FreshSubtables != n ||
+				uint64(sum.FreshTables) != n || fresh != n {
+				t.Fatalf("fresh subtables: stats %d, results %d, counter %d, active %d",
+					st.FreshSubtables, sum.FreshTables, fresh, n)
+			}
+		})
 	}
 }

@@ -4,13 +4,47 @@ import (
 	"testing"
 
 	"catcam/internal/bitvec"
+	"catcam/internal/flightrec"
+	"catcam/internal/sram"
 	"catcam/internal/ternary"
 )
 
 // Fault injection: the priority decision's one-hot guarantee doubles as
 // an integrity check. Corrupting the antisymmetry of the priority
 // matrix (a stuck-at or disturbed cell) makes two matched columns
-// survive the NOR — and the decision path detects it.
+// survive the NOR — and the decision path traffic reaches, the
+// published view's, detects it: fail-stop without an auditor,
+// fail-report with one.
+
+// expectDecidePanic runs the view's decision with no auditor attached
+// and requires the fail-stop.
+func expectDecidePanic(t *testing.T, sv *subtableView, mv *bitvec.Vector, what string) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s not detected", what)
+		}
+	}()
+	viewDecide(sv, mv, nil)
+}
+
+// expectDecideReport runs the same decision with an auditor attached:
+// one report_one_hot violation naming the subtable, and the answer the
+// stored ranks give instead of a panic.
+func expectDecideReport(t *testing.T, sv *subtableView, mv *bitvec.Vector, want int) {
+	t.Helper()
+	aud := flightrec.NewAuditor(nil, nil, 8, nil)
+	if slot := viewDecide(sv, mv, aud); slot != want {
+		t.Fatalf("fallback slot = %d, want %d (highest stored rank among the matched)", slot, want)
+	}
+	if n := aud.ViolationCount(flightrec.InvReportOneHot); n != 1 {
+		t.Fatalf("report_one_hot violations = %d, want 1", n)
+	}
+	if v := aud.Violations(); len(v) != 1 || v[0].Subtable != sv.id {
+		t.Fatalf("violation = %+v, want subtable %d", v, sv.id)
+	}
+}
+
 func TestFaultInjectionPriorityMatrixDetected(t *testing.T) {
 	st := testSubtable(8, 4)
 	st.Insert(1, Entry{Word: ternary.MustParse("1***"), Rank: Rank{Priority: 1, RuleID: 0}})
@@ -18,8 +52,9 @@ func TestFaultInjectionPriorityMatrixDetected(t *testing.T) {
 	st.Insert(6, Entry{Word: ternary.MustParse("100*"), Rank: Rank{Priority: 9, RuleID: 2}})
 
 	// Healthy decision works.
-	mv := st.Search(ternary.MustParseKey("1000"))
-	if slot := st.Decide(mv.Copy()); slot != 6 {
+	sv := st.snapshotView()
+	mv := viewSearch(sv, ternary.MustParseKey("1000"), &sram.Stats{})
+	if slot := viewDecide(sv, mv, nil); slot != 6 {
 		t.Fatalf("pre-fault winner = %d", slot)
 	}
 
@@ -30,12 +65,14 @@ func TestFaultInjectionPriorityMatrixDetected(t *testing.T) {
 	row.Clear(4)
 	st.prio.WriteRow(6, row)
 
-	defer func() {
-		if recover() == nil {
-			t.Fatal("corrupted priority matrix not detected")
-		}
-	}()
-	st.Decide(mv)
+	// The view published before the fault still decides correctly; the
+	// next one carries the corrupted matrix.
+	if slot := viewDecide(sv, mv, nil); slot != 6 {
+		t.Fatalf("published view changed under the fault: winner = %d", slot)
+	}
+	sv = st.snapshotView()
+	expectDecidePanic(t, sv, mv, "corrupted priority matrix")
+	expectDecideReport(t, sv, mv, 6)
 }
 
 // CheckInvariant catches the same corruption statically.
@@ -55,7 +92,8 @@ func TestFaultInjectionCaughtByInvariant(t *testing.T) {
 }
 
 // A symmetric fault — a spurious 1 making two rules each "beat" the
-// other — also breaks one-hotness and is detected.
+// other — leaves no column unsuppressed: the report is empty, not
+// one-hot, and is detected the same way.
 func TestFaultInjectionMutualDominance(t *testing.T) {
 	st := testSubtable(8, 4)
 	st.Insert(2, Entry{Word: ternary.MustParse("1***"), Rank: Rank{Priority: 1, RuleID: 0}})
@@ -65,11 +103,8 @@ func TestFaultInjectionMutualDominance(t *testing.T) {
 	row.Set(5)
 	st.prio.WriteRow(2, row)
 
+	sv := st.snapshotView()
 	mv := bitvec.FromIndices(8, 2, 5)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mutual dominance not detected")
-		}
-	}()
-	st.Decide(mv)
+	expectDecidePanic(t, sv, mv, "mutual dominance")
+	expectDecideReport(t, sv, mv, 5)
 }

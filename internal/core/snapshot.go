@@ -83,8 +83,13 @@ func (st *Subtable) snapshotView() *subtableView {
 	}
 }
 
-// decide is Subtable.Decide over the frozen priority rows, with the
-// report vector and statistics living in caller scratch.
+// decide runs the in-memory priority decision over the given match
+// vector and returns the winning slot, or -1 when the vector is empty.
+// The report vector is checked to be one-hot — the hardware guarantee
+// the encoding scheme provides: fail-stop without an auditor,
+// fail-report with one (the violation is recorded and the answer comes
+// from the stored ranks). Report vector and statistics live in caller
+// scratch; no allocation.
 func (sv *subtableView) decide(report, matchVec *bitvec.Vector, st *sram.Stats, aud *flightrec.Auditor) int {
 	if !matchVec.Any() {
 		return -1
@@ -104,8 +109,9 @@ func (sv *subtableView) decide(report, matchVec *bitvec.Vector, st *sram.Stats, 
 	return sv.bestMatched(matchVec)
 }
 
-// bestMatched is Subtable.bestMatched over the frozen ranks: the
-// matched slot with the highest stored rank. Audit/fallback path only.
+// bestMatched walks the match vector and returns the matched slot with
+// the highest stored rank — the metadata-derived answer the one-hot
+// hardware decision must agree with. Audit/fallback path only.
 //
 //catcam:allow alloc "audit/fallback path; the ForEach closure is off the steady-state decision"
 func (sv *subtableView) bestMatched(matchVec *bitvec.Vector) int {
@@ -517,11 +523,4 @@ func (s *deviceStats) reset() {
 	s.updateCycles.Store(0)
 	s.lookupCycles.Store(0)
 	s.freshSubtables.Store(0)
-}
-
-// atomicSub subtracts n from an atomic counter (two's-complement add)
-// — the chained-reallocation ablation folds a cascaded insert's
-// self-account back out of the device totals.
-func atomicSub(c *atomic.Uint64, n uint64) {
-	c.Add(^n + 1)
 }

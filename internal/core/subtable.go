@@ -28,12 +28,13 @@ type Subtable struct {
 	store *PriorityStore
 	// actions is reporter metadata (what the switch does on a match).
 	actions []int
-	// report is the reusable priority-decision output buffer, so
-	// Decide and RecomputeMax allocate nothing at steady state.
+	// report is the reusable output buffer of RecomputeMax's priority
+	// decision, so it allocates nothing at steady state.
 	report *bitvec.Vector
-	// aud, when attached by the device, switches broken one-hot
-	// guarantees from fail-stop (panic) to fail-report with a
-	// metadata-derived fallback answer.
+	// aud, when attached by the device, switches a broken one-hot
+	// guarantee in RecomputeMax from fail-stop (panic) to fail-report
+	// with a metadata-derived fallback answer. Lookups decide over the
+	// published view (subtableView.decide), never over the live arrays.
 	aud *flightrec.Auditor
 }
 
@@ -75,55 +76,6 @@ func (st *Subtable) Empty() bool { return st.Count() == 0 }
 
 // FreeSlot returns the lowest free slot, or -1.
 func (st *Subtable) FreeSlot() int { return st.match.FirstFree() }
-
-// Search broadcasts the key and returns the local match vector
-// (1 cycle in the match matrix).
-func (st *Subtable) Search(k ternary.Key) *bitvec.Vector { return st.match.Search(k) }
-
-// Decide runs the in-memory priority decision over the given match
-// vector and returns the winning slot, or -1 when the vector is empty.
-// The report vector is checked to be one-hot — the hardware guarantee
-// the encoding scheme provides. The decision lands in the subtable's
-// reusable report buffer; no allocation.
-func (st *Subtable) Decide(matchVec *bitvec.Vector) int {
-	if !matchVec.Any() {
-		return -1
-	}
-	report := st.prio.ColumnNORInto(st.report, matchVec)
-	if report.IsOneHot() {
-		return report.First()
-	}
-	if st.aud == nil {
-		panic(fmt.Sprintf("core: subtable %d report vector not one-hot: %s", st.id, report))
-	}
-	//catcam:allow alloc "fail-report path for a broken hardware guarantee, never taken at steady state"
-	st.aud.Fail(flightrec.Violation{
-		Invariant: flightrec.InvReportOneHot, Table: -1, Subtable: st.id, RuleID: -1,
-		Detail: fmt.Sprintf("local report %s has %d bits set", report, report.Count()),
-	})
-	return st.bestMatched(matchVec)
-}
-
-// bestMatched walks the match vector and returns the matched slot with
-// the highest stored rank — the metadata-derived answer the one-hot
-// hardware decision must agree with. Audit/fallback path only.
-//
-//catcam:allow alloc "audit/fallback path; the ForEach closure is off the steady-state decision"
-func (st *Subtable) bestMatched(matchVec *bitvec.Vector) int {
-	best := -1
-	var bestRank Rank
-	matchVec.ForEach(func(i int) bool {
-		r, ok := st.store.Rank(i)
-		if !ok {
-			return true
-		}
-		if best < 0 || bestRank.Less(r) {
-			best, bestRank = i, r
-		}
-		return true
-	})
-	return best
-}
 
 // Insert writes e into the given free slot: the match matrix row
 // (1 cycle) in parallel with the priority matrix row + column write

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"catcam/internal/bitvec"
+	"catcam/internal/flightrec"
 	"catcam/internal/sram"
 	"catcam/internal/ternary"
 )
@@ -14,6 +15,19 @@ func testSubtable(cap, width int) *Subtable {
 	pp := sram.PriorityMatrixParams()
 	pp.Rows, pp.Cols = cap, cap
 	return NewSubtable(0, cap, width, mp, pp)
+}
+
+// viewSearch and viewDecide are what a lookup does inside one subtable:
+// the key is searched in the published view's match planes and the
+// priority decision runs over its frozen matrix. A subtable decides
+// nowhere else, so this is the path the tests below must exercise.
+func viewSearch(sv *subtableView, k ternary.Key, st *sram.Stats) *bitvec.Vector {
+	n := len(sv.ranks)
+	return sv.match.SearchInto(bitvec.New(n), make([]uint64, (n+63)/64), k, st)
+}
+
+func viewDecide(sv *subtableView, mv *bitvec.Vector, aud *flightrec.Auditor) int {
+	return sv.decide(bitvec.New(len(sv.ranks)), mv, &sram.Stats{}, aud)
 }
 
 func TestRankOrder(t *testing.T) {
@@ -87,13 +101,14 @@ func TestSubtableFig5(t *testing.T) {
 	put(4, "1010", 4, 2) // R2
 	put(2, "101*", 3, 3) // R3
 
-	mv := st.Search(ternary.MustParseKey("1010"))
+	sv := st.snapshotView()
+	mv := viewSearch(sv, ternary.MustParseKey("1010"), &sram.Stats{})
 	if got := mv.Indices(); len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 4 {
 		t.Fatalf("match vector = %v, want [1 2 4]", got)
 	}
-	slot := st.Decide(mv)
+	slot := viewDecide(sv, mv, nil)
 	if slot != 4 {
-		t.Fatalf("Decide = slot %d, want 4 (R2)", slot)
+		t.Fatalf("decide = slot %d, want 4 (R2)", slot)
 	}
 	if st.Action(slot) != 2 {
 		t.Fatalf("action = %d", st.Action(slot))
@@ -125,9 +140,9 @@ func TestSubtableInsertAnySlotFig6(t *testing.T) {
 		{"1100", 4}, // only R4
 		{"0110", 1}, // R1
 	}
+	sv := st.snapshotView()
 	for _, c := range cases {
-		mv := st.Search(ternary.MustParseKey(c.key))
-		slot := st.Decide(mv)
+		slot := viewDecide(sv, viewSearch(sv, ternary.MustParseKey(c.key), &sram.Stats{}), nil)
 		if slot < 0 || st.Action(slot) != c.want {
 			t.Fatalf("key %s: got slot %d action %d, want action %d",
 				c.key, slot, st.Action(slot), c.want)
@@ -139,8 +154,8 @@ func TestSubtableInsertAnySlotFig6(t *testing.T) {
 }
 
 func TestSubtableDecideEmpty(t *testing.T) {
-	st := testSubtable(4, 4)
-	if st.Decide(bitvec.New(4)) != -1 {
+	sv := testSubtable(4, 4).snapshotView()
+	if viewDecide(sv, bitvec.New(4), nil) != -1 {
 		t.Fatal("empty match vector should yield -1")
 	}
 }
@@ -173,8 +188,8 @@ func TestSubtableDeleteReinsert(t *testing.T) {
 	// Reinsert into the same slot with a different rank: stale priority
 	// bits must be fully overwritten.
 	st.Insert(0, Entry{Word: ternary.MustParse("1***"), Rank: Rank{Priority: 9, RuleID: 2}})
-	mv := st.Search(ternary.MustParseKey("1100"))
-	if slot := st.Decide(mv); slot != 0 {
+	sv := st.snapshotView()
+	if slot := viewDecide(sv, viewSearch(sv, ternary.MustParseKey("1100"), &sram.Stats{}), nil); slot != 0 {
 		t.Fatalf("reinserted high-priority rule should win, got slot %d", slot)
 	}
 	if err := st.CheckInvariant(); err != nil {
@@ -222,10 +237,12 @@ func TestSubtableCycleCosts(t *testing.T) {
 	if p.Cycles != 3 {
 		t.Fatalf("priority cycles = %d, want 3", p.Cycles)
 	}
+	// A search is charged to the reader's statistics, not the arrays'.
 	st.ResetStats()
-	st.Search(ternary.MustParseKey("0000"))
+	var search sram.Stats
+	viewSearch(st.snapshotView(), ternary.MustParseKey("0000"), &search)
 	m, p = st.Stats()
-	if m.Cycles != 1 || p.Cycles != 0 {
-		t.Fatalf("search cycles = %d/%d", m.Cycles, p.Cycles)
+	if search.Cycles != 1 || m.Cycles != 0 || p.Cycles != 0 {
+		t.Fatalf("search cycles = %d, arrays charged %d/%d", search.Cycles, m.Cycles, p.Cycles)
 	}
 }

@@ -10,11 +10,12 @@ import (
 // when telemetry is attached. All fields may be nil-backed no-ops;
 // every hot-path hook is a single nil test plus a few atomics.
 type deviceTelemetry struct {
-	insertCycles *telemetry.Histogram
-	deleteCycles *telemetry.Histogram
-	modifyCycles *telemetry.Histogram
+	// updateCycles and updateErrors are the per-request series, indexed
+	// by the request's event kind (EvInsert, EvDelete, EvModify), whose
+	// name is the op label.
+	updateCycles [telemetry.EvModify + 1]*telemetry.Histogram
+	updateErrors [telemetry.EvModify + 1]*telemetry.Counter
 	lookups      *telemetry.Counter
-	updateErrors [3]*telemetry.Counter // indexed by opIndex
 	reallocs     *telemetry.Counter
 	fresh        *telemetry.Counter
 	chainDepth   *telemetry.Histogram
@@ -23,17 +24,6 @@ type deviceTelemetry struct {
 	epochG       *telemetry.Gauge
 	ring         *telemetry.EventRing
 	table        int // flowtable ID carried on events; -1 standalone
-}
-
-// opIndex maps a top-level operation kind to its error-counter slot.
-func opIndex(kind telemetry.EventKind) int {
-	switch kind {
-	case telemetry.EvDelete:
-		return 1
-	case telemetry.EvModify:
-		return 2
-	}
-	return 0
 }
 
 // AttachTelemetry registers this device's metrics on reg and starts
@@ -74,24 +64,12 @@ func (d *Device) AttachTelemetry(reg *telemetry.Registry, ring *telemetry.EventR
 		ring:  ring,
 		table: table,
 	}
-	const cyclesHelp = "cycle cost per update request"
-	t.insertCycles = reg.Histogram("catcam_update_cycles", cyclesHelp,
-		telemetry.DefaultCycleBuckets, labels.Merged(telemetry.Labels{"op": "insert"}))
-	t.deleteCycles = reg.Histogram("catcam_update_cycles", cyclesHelp,
-		nil, labels.Merged(telemetry.Labels{"op": "delete"}))
-	t.modifyCycles = reg.Histogram("catcam_update_cycles", cyclesHelp,
-		nil, labels.Merged(telemetry.Labels{"op": "modify"}))
-	for _, op := range []string{"insert", "delete", "modify"} {
-		kind := telemetry.EvInsert
-		switch op {
-		case "delete":
-			kind = telemetry.EvDelete
-		case "modify":
-			kind = telemetry.EvModify
-		}
-		t.updateErrors[opIndex(kind)] = reg.Counter("catcam_update_errors_total",
-			"updates rejected (device full / rule not present)",
-			labels.Merged(telemetry.Labels{"op": op}))
+	for kind := range t.updateCycles {
+		op := labels.Merged(telemetry.Labels{"op": telemetry.EventKind(kind).String()})
+		t.updateCycles[kind] = reg.Histogram("catcam_update_cycles", "cycle cost per update request",
+			telemetry.DefaultCycleBuckets, op)
+		t.updateErrors[kind] = reg.Counter("catcam_update_errors_total",
+			"updates rejected (device full / rule not present)", op)
 	}
 	d.tel = t
 	t.syncGauges(d)
@@ -126,17 +104,10 @@ func (d *Device) observeOp(kind telemetry.EventKind, ruleID int, res UpdateResul
 		return
 	}
 	if err != nil {
-		t.updateErrors[opIndex(kind)].Inc()
+		t.updateErrors[kind].Inc()
 		return
 	}
-	switch kind {
-	case telemetry.EvInsert:
-		t.insertCycles.Observe(res.Cycles)
-	case telemetry.EvDelete:
-		t.deleteCycles.Observe(res.Cycles)
-	case telemetry.EvModify:
-		t.modifyCycles.Observe(res.Cycles)
-	}
+	t.updateCycles[kind].Observe(res.Cycles)
 	if res.Reallocated > 0 {
 		t.chainDepth.Observe(uint64(res.Reallocated))
 	}
@@ -159,16 +130,14 @@ func (d *Device) resetTelemetry() {
 	if t == nil {
 		return
 	}
-	t.insertCycles.Reset()
-	t.deleteCycles.Reset()
-	t.modifyCycles.Reset()
+	for kind := range t.updateCycles {
+		t.updateCycles[kind].Reset()
+		t.updateErrors[kind].Reset()
+	}
 	t.lookups.Reset()
 	t.reallocs.Reset()
 	t.fresh.Reset()
 	t.chainDepth.Reset()
-	for _, c := range t.updateErrors {
-		c.Reset()
-	}
 	t.ring.Reset()
 	t.syncGauges(d)
 }

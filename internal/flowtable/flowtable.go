@@ -143,7 +143,6 @@ type Pipeline struct {
 //
 //catcam:scratch
 type classifyScratch struct {
-	hdr1    [1]rules.Header
 	cur     []int // per-packet position in order; -1 = terminated
 	depth   []int // per-packet table visits, for telemetry
 	hdrs    []rules.Header
@@ -251,7 +250,6 @@ func (p *Pipeline) AuditSweep() flightrec.SweepInfo {
 var (
 	ErrUnknownTable = errors.New("flowtable: unknown table")
 	ErrBackwardGoto = errors.New("flowtable: goto-table must target a later table")
-	ErrLoopBound    = errors.New("flowtable: traversal exceeded table count")
 )
 
 // NewPipeline builds a pipeline; table IDs must be unique and are
@@ -381,14 +379,17 @@ type Trace struct {
 }
 
 // Classify walks the pipeline for a header and returns the final action
-// plus the per-table trace.
+// plus the per-table trace: the batch wave on a batch of one, with the
+// visit log switched on. The error is ErrUnknownTable when a matched
+// entry's goto target is not a table of this pipeline (the packet
+// drops).
 func (p *Pipeline) Classify(h rules.Header) (int, []Trace, error) {
-	action, traces, err := p.classify(h)
+	hs := [1]rules.Header{h}
+	var visits [1][]Trace
+	var out [1]int
+	dst, err := p.wave(nil, hs[:], out[:0], visits[:])
+	action, traces := dst[0], visits[0]
 	if t := p.tel; t != nil {
-		t.gotoDepth.Observe(uint64(len(traces)))
-		if action == Drop {
-			t.drops.Inc()
-		}
 		ev := telemetry.Event{Kind: telemetry.EvClassify, Table: -1, Subtable: -1,
 			RuleID: -1, Depth: len(traces)}
 		if n := len(traces); n > 0 {
@@ -398,50 +399,6 @@ func (p *Pipeline) Classify(h rules.Header) (int, []Trace, error) {
 		t.ring.Emit(ev)
 	}
 	return action, traces, err
-}
-
-func (p *Pipeline) classify(h rules.Header) (int, []Trace, error) {
-	s := p.scratchPool.Get().(*classifyScratch)
-	defer p.scratchPool.Put(s)
-	p.instrMu.RLock()
-	defer p.instrMu.RUnlock()
-	var traces []Trace
-	idx := 0 // position in p.order
-	for steps := 0; steps <= len(p.order); steps++ {
-		if idx >= len(p.order) {
-			// Fell off the end of a Continue chain: drop.
-			return Drop, traces, nil
-		}
-		id := p.order[idx]
-		t := p.tables[id]
-		s.hdr1[0] = h
-		s.results = t.dev.LookupHeaderBatchTraced(nil, s.hdr1[:], s.results[:0])
-		ent, ok := s.results[0].Entry, s.results[0].OK
-		if !ok {
-			t.misses.Inc()
-			traces = append(traces, Trace{TableID: id, RuleID: -1, Action: t.cfg.Miss.MissAction})
-			if t.cfg.Miss.Continue {
-				idx++
-				continue
-			}
-			return t.cfg.Miss.MissAction, traces, nil
-		}
-		t.hits.Inc()
-		ruleID := ent.Rank.RuleID
-		ins := p.instr[[2]int{id, ruleID}]
-		traces = append(traces, Trace{TableID: id, RuleID: ruleID, Action: ins.Action})
-		if ins.GotoTable < 0 {
-			return ins.Action, traces, nil
-		}
-		// advance to the goto target
-		for idx < len(p.order) && p.order[idx] != ins.GotoTable {
-			idx++
-		}
-		if idx >= len(p.order) {
-			return Drop, traces, fmt.Errorf("%w: goto %d", ErrUnknownTable, ins.GotoTable)
-		}
-	}
-	return Drop, traces, ErrLoopBound
 }
 
 // ClassifyBatch classifies a batch of headers and appends one final
@@ -468,6 +425,17 @@ func (p *Pipeline) ClassifyBatch(hs []rules.Header, dst []int) []int {
 // cannot prove through; the proven roots are the concrete device and
 // cluster batch lookups underneath.)
 func (p *Pipeline) ClassifyBatchTraced(tr *tracepkg.Trace, hs []rules.Header, dst []int) []int {
+	dst, _ = p.wave(tr, hs, dst, nil) // a vanished goto target drops the packet
+	return dst
+}
+
+// wave is the one goto walk: the ascending sweep ClassifyBatch
+// describes. visits, nil on the batch path, is Classify's per-packet
+// visit log (one slice per header); it costs the batch path one nil
+// test per visited table. The error reports the first goto whose
+// target is not in the pipeline; that packet drops.
+func (p *Pipeline) wave(tr *tracepkg.Trace, hs []rules.Header, dst []int, visits [][]Trace) ([]int, error) {
+	var err error
 	base := len(dst)
 	s := p.scratchPool.Get().(*classifyScratch)
 	defer p.scratchPool.Put(s)
@@ -525,7 +493,20 @@ func (p *Pipeline) ClassifyBatchTraced(tr *tracepkg.Trace, hs []rules.Header, ds
 			for np < len(p.order) && p.order[np] != ins.GotoTable {
 				np++
 			}
-			s.cur[i] = np // len(order) (= drop) only if the target vanished
+			if np == len(p.order) && err == nil {
+				err = fmt.Errorf("%w: goto %d", ErrUnknownTable, ins.GotoTable)
+			}
+			s.cur[i] = np // len(order) drops the packet
+		}
+		if visits != nil {
+			for j, r := range s.results {
+				v := Trace{TableID: id, RuleID: -1, Action: t.cfg.Miss.MissAction}
+				if r.OK {
+					v.RuleID = r.Entry.Rank.RuleID
+					v.Action = p.instr[[2]int{id, v.RuleID}].Action
+				}
+				visits[s.idxs[j]] = append(visits[s.idxs[j]], v)
+			}
 		}
 	}
 	if t := p.tel; t != nil {
@@ -536,7 +517,7 @@ func (p *Pipeline) ClassifyBatchTraced(tr *tracepkg.Trace, hs []rules.Header, ds
 			}
 		}
 	}
-	return dst
+	return dst, err
 }
 
 // UpdateStats sums update statistics across every table.

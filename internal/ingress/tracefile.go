@@ -58,8 +58,17 @@ func WriteTrace(w io.Writer, hs []rules.Header) error {
 }
 
 // ReadTrace parses a trace from r, verifying magic, version, and that
-// the byte stream carries exactly the declared packet count.
+// the byte stream carries exactly the declared packet count. The count
+// is a claim until the records back it: at most 1 MiB of headers is
+// allocated on the header's word, and the result grows from there with
+// the records actually read.
 func ReadTrace(r io.Reader) ([]rules.Header, error) {
+	return readTrace(r, 1<<16)
+}
+
+// readTrace is ReadTrace allocating at most prealloc headers before a
+// record has been read.
+func readTrace(r io.Reader, prealloc uint64) ([]rules.Header, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -72,23 +81,23 @@ func ReadTrace(r io.Reader) ([]rules.Header, error) {
 		return nil, fmt.Errorf("ingress: unsupported trace version %d", v)
 	}
 	n := binary.LittleEndian.Uint64(hdr[8:16])
-	const maxTracePackets = 1 << 32 // refuse absurd counts before allocating
+	const maxTracePackets = 1 << 32 // refuse absurd counts outright
 	if n > maxTracePackets {
 		return nil, fmt.Errorf("ingress: trace declares %d packets (max %d)", n, uint64(maxTracePackets))
 	}
-	out := make([]rules.Header, n)
+	out := make([]rules.Header, 0, min(n, prealloc))
 	var rec [recordSize]byte
-	for i := range out {
+	for i := uint64(0); i < n; i++ {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {
 			return nil, fmt.Errorf("ingress: trace record %d of %d: %w", i, n, err)
 		}
-		out[i] = rules.Header{
+		out = append(out, rules.Header{
 			SrcIP:   binary.LittleEndian.Uint32(rec[0:4]),
 			DstIP:   binary.LittleEndian.Uint32(rec[4:8]),
 			SrcPort: binary.LittleEndian.Uint16(rec[8:10]),
 			DstPort: binary.LittleEndian.Uint16(rec[10:12]),
 			Proto:   rec[12],
-		}
+		})
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
 		return nil, fmt.Errorf("ingress: trailing bytes after %d records", n)
@@ -109,12 +118,18 @@ func WriteTraceFile(path string, hs []rules.Header) error {
 	return f.Close()
 }
 
-// ReadTraceFile reads the trace at path.
+// ReadTraceFile reads the trace at path. A file's size bounds the
+// records it can hold, so a well-formed trace's headers are allocated
+// once, exactly.
 func ReadTraceFile(path string) ([]rules.Header, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadTrace(f)
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return readTrace(f, uint64(max(st.Size()-headerSize, 0))/recordSize)
 }
