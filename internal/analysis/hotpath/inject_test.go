@@ -64,8 +64,8 @@ func TestInjectedAllocationInSearchIntoGraph(t *testing.T) {
 	}
 
 	// Inject: LoadWords now reallocates the backing slice instead of
-	// copying in place. SearchInto's kernels deposit their accumulator
-	// via dst.LoadWords(acc), so the hot graph picks this up.
+	// copying in place. SearchInto deposits its accumulator via
+	// dst.LoadWords(acc), so the hot graph picks this up.
 	orig, err := os.ReadFile(bitvecPath)
 	if err != nil {
 		t.Fatal(err)

@@ -272,6 +272,42 @@ func TestAuditorDetectsCorruptedGlobalMatrix(t *testing.T) {
 	}
 }
 
+// TestGlobalMatrixNamingAnotherSubtable inverts one dominance pair of
+// the global matrix, so the report is one-hot but names the lower of
+// two matching subtables. The lookup answers from the subtable the
+// matrix named, whose match vector the walk did not keep, and charges
+// only the walk's searches; the inline audit flags the disagreement.
+func TestGlobalMatrixNamingAnotherSubtable(t *testing.T) {
+	d, _, aud, _ := instrumented(Config{Subtables: 4, SubtableCapacity: 2, KeyWidth: 160})
+	// The top subtable's match vector for key 1000 differs from the
+	// bottom one's, so deciding over the wrong vector shows.
+	for i, w := range []string{"1***", "1***", "1***", "0***"} {
+		if _, err := d.InsertWord(ternary.MustParse(w), i, i, 100+i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	top, bottom := d.order[1], d.order[0]
+	row := d.global.ReadRow(top)
+	row.Clear(bottom)
+	d.global.WriteRow(top, row)
+	row = d.global.ReadRow(bottom)
+	row.Set(top)
+	d.global.WriteRow(bottom, row)
+	republish(d)
+
+	match0, _, _ := d.ArrayStats()
+	e, ok := d.LookupKey(ternary.MustParseKey("1000"))
+	if !ok || e.Action != 101 {
+		t.Fatalf("answer = %+v/%v, want action 101 (the best entry of the subtable the matrix named)", e, ok)
+	}
+	if match1, _, _ := d.ArrayStats(); match1.Searches-match0.Searches != 2 {
+		t.Fatalf("lookup charged %d searches, want 2 (one per active subtable)", match1.Searches-match0.Searches)
+	}
+	if aud.ViolationCount(flightrec.InvWinnerAgreement) == 0 {
+		t.Fatal("global matrix / interval order disagreement not flagged")
+	}
+}
+
 // TestAuditSweepDetectsPlaneFault desynchronizes a bit-sliced value
 // plane from its row-major word and checks the sweep's bit-plane
 // parity audit catches it.

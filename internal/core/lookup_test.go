@@ -1,11 +1,13 @@
 package core
 
 import (
+	"math"
 	"sync"
 	"testing"
 
 	"catcam/internal/classbench"
 	"catcam/internal/rules"
+	"catcam/internal/sram"
 	"catcam/internal/ternary"
 )
 
@@ -63,7 +65,7 @@ func TestLookupAllocFree(t *testing.T) {
 	}
 	results := make([]LookupResult, 0, len(headers))
 
-	// Warm up: the scratch local vectors are created on first touch.
+	// Warm up: the pool creates the read scratch on first checkout.
 	d.LookupBatch(keys, results[:0])
 
 	if n := testing.AllocsPerRun(20, func() {
@@ -122,5 +124,57 @@ func TestLookupBatchConcurrentResetStats(t *testing.T) {
 	wg.Wait()
 	if err := d.CheckInvariant(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLookupAccountingPinned holds the modelled counts of a load and a
+// lookup batch to the values the pre-compaction kernel produced: on
+// ACL-1K and ACL-5K (the benchmark's tables) loaded into a Compact
+// device, 4,096 headers through LookupHeaderBatch must leave
+// ArrayStats() and Stats() exactly here, EnergyFJ bit for bit. A host
+// optimization of the search or decision kernels may move time, never
+// these. The trace mixes uniform headers with rule-matching ones:
+// uniform headers alone reach no priority decision on ACL-1K and 43
+// on ACL-5K, so they would leave the NOR counts unpinned.
+func TestLookupAccountingPinned(t *testing.T) {
+	fj := math.Float64frombits
+	for _, tc := range []struct {
+		size  int
+		array [3]sram.Stats // match, prio, global
+		stats Stats
+	}{
+		{1000, [3]sram.Stats{
+			{Cycles: 137922, RowReads: 3374, RowWrites: 11668, Searches: 122880, EnergyFJ: fj(0x41ebaf31dd00124d)},
+			{Cycles: 34948, RowWrites: 8294, ColWrites: 8294, NOROps: 10066, EnergyFJ: fj(0x41ce523cacd1eb52)},
+			{Cycles: 3408, RowWrites: 30, ColWrites: 30, NOROps: 3318, EnergyFJ: fj(0x415477f66147ae8a)},
+		}, Stats{Lookups: 4096, Inserts: 4920, Reallocations: 3374, DirectInserts: 1546,
+			ReallocInserts: 3374, UpdateCycles: 21508, LookupCycles: 4096, FreshSubtables: 30}},
+		{5000, [3]sram.Stats{
+			{Cycles: 612734, RowReads: 16392, RowWrites: 55670, Searches: 540672, EnergyFJ: fj(0x420f6a2d4465dba3)},
+			{Cycles: 153944, RowWrites: 39278, ColWrites: 39278, NOROps: 36110, EnergyFJ: fj(0x41f20855a6affff5)},
+			{Cycles: 3722, RowWrites: 132, ColWrites: 132, NOROps: 3326, EnergyFJ: fj(0x416c1f01d47ae179)},
+		}, Stats{Lookups: 4096, Inserts: 22886, Reallocations: 16392, DirectInserts: 6494,
+			ReallocInserts: 16392, UpdateCycles: 101442, LookupCycles: 4096, FreshSubtables: 132}},
+	} {
+		rs := classbench.Generate(classbench.Config{Family: classbench.ACL, Size: tc.size, Seed: 5})
+		d := NewDevice(Compact())
+		for _, r := range rs.Rules {
+			if _, err := d.InsertRule(r); err != nil {
+				t.Fatalf("ACL-%d load: %v", tc.size, err)
+			}
+		}
+		d.LookupHeaderBatch(classbench.PacketTrace(rs, 4096, 0.8, 1), nil)
+
+		var got [3]sram.Stats
+		got[0], got[1], got[2] = d.ArrayStats()
+		for i, name := range []string{"match", "prio", "global"} {
+			// != on EnergyFJ is bitwise for the finite non-zero values pinned.
+			if got[i] != tc.array[i] {
+				t.Errorf("ACL-%d %s array stats:\ngot  %+v\nwant %+v", tc.size, name, got[i], tc.array[i])
+			}
+		}
+		if got := d.Stats(); got != tc.stats {
+			t.Errorf("ACL-%d device stats:\ngot  %+v\nwant %+v", tc.size, got, tc.stats)
+		}
 	}
 }

@@ -233,10 +233,11 @@ type readScratch struct {
 	encKey      ternary.Key
 	padKey      ternary.Key
 	globalMatch *bitvec.Vector
-	report      *bitvec.Vector   // global priority report
-	localReport *bitvec.Vector   // winning subtable's report
-	locals      []*bitvec.Vector // per-subtable match vectors, by id
-	acc         []uint64         // bit-sliced kernel accumulator
+	report      *bitvec.Vector // global priority report
+	localReport *bitvec.Vector // winning subtable's report
+	top         *bitvec.Vector // match vector of the highest matching subtable
+	probe       *bitvec.Vector // match vector of the subtable being searched
+	acc         []uint64       // bit-sliced kernel accumulator
 
 	// Batch-local accounting: accumulated per lookup without
 	// synchronization, flushed once per batch (putScratch) into the
@@ -266,7 +267,8 @@ func (d *Device) newReadScratch() *readScratch {
 		globalMatch: bitvec.New(d.cfg.Subtables),
 		report:      bitvec.New(d.cfg.Subtables),
 		localReport: bitvec.New(d.cfg.SubtableCapacity),
-		locals:      make([]*bitvec.Vector, d.cfg.Subtables),
+		top:         bitvec.New(d.cfg.SubtableCapacity),
+		probe:       bitvec.New(d.cfg.SubtableCapacity),
 		acc:         make([]uint64, (d.cfg.SubtableCapacity+63)/64),
 	}
 }
@@ -329,28 +331,32 @@ func (s *snapshot) lookup(sc *readScratch, k ternary.Key) (Entry, int, bool) {
 	// traced batch's one focus key records them.
 	traceKernel := sc.tr != nil && sc.keyIdx == sc.focus
 
+	// Every active subtable is searched, as the silicon does in
+	// parallel: the global decision's energy is charged by how many of
+	// them match, so the walk cannot stop at the first hit. order runs
+	// up the disjoint intervals, so the last subtable that matches, top,
+	// is the metadata's answer to which one wins, and only its match
+	// vector is kept.
 	globalMatch := sc.globalMatch
 	globalMatch.Reset()
+	top := -1
 	for _, id := range s.order {
-		mv := sc.locals[id]
-		if mv == nil {
-			mv = bitvec.New(s.cfg.SubtableCapacity) //catcam:allow alloc "one-time warm-up of a per-scratch subtable vector; steady state reuses it"
-			sc.locals[id] = mv
-		}
 		var kernelStart uint64
 		if traceKernel {
 			kernelStart = tracepkg.Nanos()
 		}
-		s.subs[id].match.SearchInto(mv, sc.acc, k, &sc.match)
+		s.subs[id].match.SearchInto(sc.probe, sc.acc, k, &sc.match)
 		if traceKernel {
 			//catcam:allow alloc "sampled trace span; rate-gated off the steady-state path"
 			sc.tr.Span(tracepkg.StageSRAMKernel, s.frTable, s.trShard, id, sc.keyIdx, kernelStart, 1)
 		}
-		if mv.Any() {
+		if sc.probe.Any() {
 			globalMatch.Set(id)
+			sc.top, sc.probe = sc.probe, sc.top
+			top = id
 		}
 	}
-	if !globalMatch.Any() {
+	if top < 0 {
 		return Entry{}, -1, false
 	}
 	report := s.global.ColumnNORInto(sc.report, globalMatch, &sc.global)
@@ -371,53 +377,44 @@ func (s *snapshot) lookup(sc *readScratch, k ternary.Key) (Entry, int, bool) {
 			Invariant: flightrec.InvReportOneHot, Table: -1, Subtable: -1, RuleID: -1,
 			Detail: fmt.Sprintf("global report %s has %d bits set", report, report.Count()),
 		})
-		winner = s.metadataWinner(globalMatch)
-		if winner < 0 {
-			return Entry{}, -1, false
-		}
+		winner = top
+	}
+	matchVec := sc.top
+	if winner != top {
+		// A one-hot report naming another subtable: the global matrix
+		// disagrees with the interval order (the winner-agreement audit
+		// reports it). Re-search the named subtable off the books — the
+		// modelled search already happened in the walk above.
+		var offBooks sram.Stats
+		matchVec = s.subs[winner].match.SearchInto(sc.probe, sc.acc, k, &offBooks)
 	}
 	sv := s.subs[winner]
-	slot := sv.decide(sc.localReport, sc.locals[winner], &sc.prio, s.aud)
+	slot := sv.decide(sc.localReport, matchVec, &sc.prio, s.aud)
 	if slot < 0 {
 		return Entry{}, -1, false
 	}
 	if s.aud.SampleLookup() {
-		s.auditLookup(sc, oneHot, winner, slot) //catcam:allow alloc "sampled inline audit; rate-gated off the steady-state path"
+		s.auditLookup(matchVec, oneHot, top, winner, slot) //catcam:allow alloc "sampled inline audit; rate-gated off the steady-state path"
 	}
 	return Entry{Rank: sv.ranks[slot], Action: sv.actions[slot]}, winner, true
 }
 
-// metadataWinner derives the winning subtable from the snapshot's
-// metadata alone: the highest interval with a local match, i.e. the
-// last set bit of globalMatch in order. This is the independent
-// reference the winner-agreement audit compares the global priority
-// matrix against, and the fallback reporter when the matrix misbehaves.
-func (s *snapshot) metadataWinner(globalMatch *bitvec.Vector) int {
-	for i := len(s.order) - 1; i >= 0; i-- {
-		if globalMatch.Get(s.order[i]) {
-			return s.order[i]
-		}
-	}
-	return -1
-}
-
 // auditLookup runs the inline lookup checks for one sampled lookup,
 // against the same epoch the answer came from: the global report
-// vector was one-hot, the array-derived winner agrees with a metadata
-// walk, and the winning slot is the matched slot with the highest
-// stored rank.
-func (s *snapshot) auditLookup(sc *readScratch, oneHot bool, winner, slot int) {
+// vector was one-hot, the array-derived winner agrees with top, the
+// highest interval the walk found a match in, and the winning slot is
+// the matched slot with the highest stored rank.
+func (s *snapshot) auditLookup(matchVec *bitvec.Vector, oneHot bool, top, winner, slot int) {
 	if oneHot {
 		s.aud.CheckPass(flightrec.InvReportOneHot)
 	}
-	meta := s.metadataWinner(sc.globalMatch)
-	s.aud.Check(flightrec.InvWinnerAgreement, meta == winner, func() flightrec.Violation {
+	s.aud.Check(flightrec.InvWinnerAgreement, top == winner, func() flightrec.Violation {
 		return flightrec.Violation{
 			Table: -1, Subtable: winner, RuleID: -1,
-			Detail: fmt.Sprintf("global matrix chose subtable %d, metadata walk %d", winner, meta),
+			Detail: fmt.Sprintf("global matrix chose subtable %d, metadata walk %d", winner, top),
 		}
 	})
-	best := s.subs[winner].bestMatched(sc.locals[winner])
+	best := s.subs[winner].bestMatched(matchVec)
 	s.aud.Check(flightrec.InvWinnerAgreement, best == slot, func() flightrec.Violation {
 		return flightrec.Violation{
 			Table: -1, Subtable: winner, RuleID: -1,

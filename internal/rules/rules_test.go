@@ -165,42 +165,6 @@ func TestRangeToPrefixes(t *testing.T) {
 	}
 }
 
-// Property: the prefix cover is exact — covers every port in range and
-// none outside.
-func TestRangeToPrefixesExactCover(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 100; trial++ {
-		lo := uint16(rng.Intn(65536))
-		hi := lo + uint16(rng.Intn(int(65535-lo)+1))
-		r := PortRange{lo, hi}
-		prefixes := RangeToPrefixes(r)
-		contains := func(v uint16) bool {
-			for _, p := range prefixes {
-				if p.Contains(v) {
-					return true
-				}
-			}
-			return false
-		}
-		// exhaustive check is 64K*100 = 6.5M membership tests; sample edges + random interior
-		probes := []uint16{lo, hi, lo + (hi-lo)/2}
-		if lo > 0 {
-			probes = append(probes, lo-1)
-		}
-		if hi < 0xFFFF {
-			probes = append(probes, hi+1)
-		}
-		for i := 0; i < 50; i++ {
-			probes = append(probes, uint16(rng.Intn(65536)))
-		}
-		for _, v := range probes {
-			if contains(v) != r.Contains(v) {
-				t.Fatalf("range %v: port %d cover=%v want %v", r, v, contains(v), r.Contains(v))
-			}
-		}
-	}
-}
-
 // Property: encoded ternary words match a key iff the rule matches the header.
 func TestEncodeAgreesWithMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))

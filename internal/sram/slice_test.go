@@ -17,30 +17,50 @@ func newTestArray(rows, width int) *TernaryArray {
 	return NewTernaryArray(p, width)
 }
 
-// checkEquivalence asserts the bit-sliced Search agrees with both the
-// scalar SearchReference kernel and a from-scratch Word.Match loop.
+// viewSearch freezes a view of a and searches it with k, the way the
+// classify path searches a published view, accounting into st.
+func viewSearch(a *TernaryArray, k ternary.Key, st *Stats) *bitvec.Vector {
+	v := a.SnapshotView()
+	// A dirty destination proves the kernel overwrites every word.
+	dst := bitvec.New(a.Rows())
+	dst.SetAll()
+	return v.SearchInto(dst, make([]uint64, v.RowWords()), k, st)
+}
+
+// checkEquivalence asserts a view's search agrees with both the scalar
+// SearchReference kernel and a from-scratch Word.Match loop, and
+// accounts exactly one search.
 func checkEquivalence(t *testing.T, a *TernaryArray, k ternary.Key) {
 	t.Helper()
-	got := a.Search(k)
+	var st Stats
+	got := viewSearch(a, k, &st)
+	want := Stats{Cycles: 1, Searches: 1,
+		EnergyFJ: float64(a.Subarrays()) * a.Params().ComputeEnergyFJ(a.ValidCount())}
+	if st != want {
+		t.Fatalf("view search accounted %+v, want %+v", st, want)
+	}
 	ref := a.SearchReference(k)
 	if !got.Equal(ref) {
-		t.Fatalf("bit-sliced %s != reference %s\nkey %s", got, ref, k)
+		t.Fatalf("view %s != reference %s\nkey %s", got, ref, k)
 	}
 	direct := bitvec.New(a.Rows())
 	for r := 0; r < a.Rows(); r++ {
-		if w, ok := a.ReadEntry(r); ok && w.Match(k) {
+		if w, ok := a.EntryWord(r); ok && w.Match(k) {
 			direct.Set(r)
 		}
 	}
 	if !got.Equal(direct) {
-		t.Fatalf("bit-sliced %s != direct Word.Match %s\nkey %s", got, direct, k)
+		t.Fatalf("view %s != direct Word.Match %s\nkey %s", got, direct, k)
+	}
+	if err := a.AuditPlanes(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestSearchEquivalenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, geom := range []struct{ rows, width int }{
-		{64, 64}, {256, 160}, {100, 130}, {256, 640}, {17, 70},
+		{64, 64}, {256, 160}, {100, 130}, {256, 640}, {17, 70}, {300, 100}, {520, 160},
 	} {
 		a := newTestArray(geom.rows, geom.width)
 		for r := 0; r < geom.rows; r++ {
@@ -54,7 +74,7 @@ func TestSearchEquivalenceRandom(t *testing.T) {
 		}
 		// Keys that definitely hit: random matching keys of stored words.
 		for r := 0; r < geom.rows; r++ {
-			if w, ok := a.ReadEntry(r); ok {
+			if w, ok := a.EntryWord(r); ok {
 				checkEquivalence(t, a, ternary.RandomMatchingKey(rng, w))
 			}
 		}
@@ -102,8 +122,9 @@ func TestSearchEquivalenceEdgeWords(t *testing.T) {
 
 // TestSearchAccountingParity pins the acceptance criterion that the
 // bit-sliced kernel changes host speed only: cycle/energy statistics of
-// a Search-driven array are byte-for-byte identical to a
-// SearchReference-driven one across an interleaved update stream.
+// an array whose searches run through frozen views are byte-for-byte
+// identical to a SearchReference-driven one across an interleaved
+// update stream.
 func TestSearchAccountingParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	fast := newTestArray(256, 640)
@@ -119,11 +140,126 @@ func TestSearchAccountingParity(t *testing.T) {
 			slow.WriteEntry(r, w)
 		}
 		k := ternary.RandomKey(rng, 640)
-		fast.Search(k)
+		viewSearch(fast, k, &fast.stats)
 		slow.SearchReference(k)
 	}
 	if fast.Stats() != slow.Stats() {
-		t.Fatalf("stats diverged:\nbit-sliced %+v\nreference  %+v", fast.Stats(), slow.Stats())
+		t.Fatalf("stats diverged:\nview      %+v\nreference %+v", fast.Stats(), slow.Stats())
+	}
+}
+
+// TestViewDropsPositionsOnlyInvalidRowsCare: a position cared at only
+// by entries that were since invalidated (their stale plane bits stay)
+// leaves the view, and the search still answers exactly.
+func TestViewDropsPositionsOnlyInvalidRowsCare(t *testing.T) {
+	a := newTestArray(256, 160)
+	// SetBit counts from the most significant end: index 9 is storage
+	// position 150, index 156 position 3.
+	only := ternary.NewWord(160)
+	only.SetBit(9, ternary.One) // nobody else cares at position 150
+	shared := ternary.NewWord(160)
+	shared.SetBit(156, ternary.Zero)
+	a.WriteEntry(7, only)
+	a.WriteEntry(8, shared)
+	if got := a.SnapshotView().order; len(got) != 2 {
+		t.Fatalf("view lists %v, want positions 150 and 3", got)
+	}
+	a.Invalidate(7)
+	v := a.SnapshotView()
+	if len(v.order) != 1 || v.order[0] != 3 {
+		t.Fatalf("view lists %v after invalidating the only entry caring at 150, want [3]", v.order)
+	}
+	for _, bits := range [][]int{nil, {9}, {156}, {9, 156}} {
+		k := ternary.NewKey(160)
+		for _, i := range bits {
+			k.SetKeyBit(i, true)
+		}
+		checkEquivalence(t, a, k)
+	}
+}
+
+// TestViewExactToStarOverwrite: overwriting a fully specified entry
+// with an all-wildcard one in place takes every one of its care counts
+// back, so an array of wildcards lists nothing and matches any key.
+func TestViewExactToStarOverwrite(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	a := newTestArray(256, 160)
+	a.WriteEntry(5, ternary.FromUint(0xDEAD, 160))
+	if got := len(a.SnapshotView().order); got != 160 {
+		t.Fatalf("exact entry lists %d positions, want 160", got)
+	}
+	a.WriteEntry(5, ternary.NewWord(160))
+	if got := a.SnapshotView().order; len(got) != 0 {
+		t.Fatalf("all-wildcard array lists %v", got)
+	}
+	checkEquivalence(t, a, ternary.KeyFromUint(0xDEAD, 160))
+	checkEquivalence(t, a, ternary.RandomKey(rng, 160))
+}
+
+// TestViewAllWildcardArray: a full array of wildcards matches every
+// key on every valid row, and an empty array matches nothing.
+func TestViewAllWildcardArray(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	a := newTestArray(300, 70)
+	checkEquivalence(t, a, ternary.RandomKey(rng, 70))
+	for r := 0; r < 300; r++ {
+		a.WriteEntry(r, ternary.NewWord(70))
+	}
+	for i := 0; i < 5; i++ {
+		k := ternary.RandomKey(rng, 70)
+		checkEquivalence(t, a, k)
+		if got := a.Search(k).Count(); got != 300 {
+			t.Fatalf("all-wildcard search matched %d of 300", got)
+		}
+	}
+}
+
+// TestViewCareOrder: the view lists exactly the positions some valid
+// entry cares at, by falling care count, with CarePerPosition agreeing
+// with the counts the live array keeps.
+func TestViewCareOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	a := newTestArray(300, 160)
+	for step := 0; step < 900; step++ {
+		if r := rng.Intn(300); rng.Intn(3) == 0 && a.IsValid(r) {
+			a.Invalidate(r)
+		} else {
+			a.WriteEntry(r, ternary.Random(rng, 160, rng.Float64()))
+		}
+	}
+	v := a.SnapshotView()
+	prof := v.CarePerPosition(nil)
+	listed := 0
+	for pos, n := range prof {
+		if int32(n) != a.cares[pos] {
+			t.Fatalf("position %d: view counts %d carers, array %d", pos, n, a.cares[pos])
+		}
+		if n > 0 {
+			listed++
+		}
+	}
+	if listed != len(v.order) {
+		t.Fatalf("view lists %d positions, %d are cared at", len(v.order), listed)
+	}
+	for i := 1; i < len(v.order); i++ {
+		if prof[v.order[i-1]] < prof[v.order[i]] {
+			t.Fatalf("order[%d]=%d (%d carers) before order[%d]=%d (%d carers)",
+				i-1, v.order[i-1], prof[v.order[i-1]], i, v.order[i], prof[v.order[i]])
+		}
+	}
+}
+
+// TestAuditPlanesCatchesCareCountMismatch seeds a care count that
+// disagrees with the stored words: AuditPlanes must report it.
+func TestAuditPlanesCatchesCareCountMismatch(t *testing.T) {
+	a := newTestArray(64, 64)
+	a.WriteEntry(0, ternary.FromUint(0xF0, 64))
+	if err := a.AuditPlanes(); err != nil {
+		t.Fatal(err)
+	}
+	a.cares[10]++
+	if err := a.AuditPlanes(); err == nil {
+		t.Fatal("care count mismatch not detected")
 	}
 }
 
@@ -150,25 +286,35 @@ func TestFirstFree(t *testing.T) {
 }
 
 // FuzzSearchEquivalence drives random rulesets and keys from a fuzzed
-// seed and asserts kernel equivalence on every probe.
+// seed and asserts on every probe that a view's search equals the
+// scalar reference, with the heights above 256 entries that span more
+// than one block.
 func FuzzSearchEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(64), uint8(80))
 	f.Add(int64(42), uint8(200), uint8(160))
-	f.Fuzz(func(t *testing.T, seed int64, rows, width uint8) {
-		if rows == 0 || width == 0 {
+	f.Add(int64(7), uint8(255), uint8(33))
+	f.Fuzz(func(t *testing.T, seed int64, rows8, width uint8) {
+		if rows8 == 0 || width == 0 {
 			return
 		}
+		// Odd seeds double the height, so blocks past the first are fuzzed.
+		rows := int(rows8) * (1 + int(seed&1))
 		rng := rand.New(rand.NewSource(seed))
-		a := newTestArray(int(rows), int(width))
-		for i := 0; i < int(rows); i++ {
+		a := newTestArray(rows, int(width))
+		for i := 0; i < rows; i++ {
 			if rng.Intn(3) != 0 {
-				a.WriteEntry(rng.Intn(int(rows)), ternary.Random(rng, int(width), rng.Float64()))
-			} else if r := rng.Intn(int(rows)); a.IsValid(r) {
+				a.WriteEntry(rng.Intn(rows), ternary.Random(rng, int(width), rng.Float64()))
+			} else if r := rng.Intn(rows); a.IsValid(r) {
 				a.Invalidate(r)
 			}
 		}
 		for i := 0; i < 10; i++ {
 			checkEquivalence(t, a, ternary.RandomKey(rng, int(width)))
+		}
+		for r := 0; r < rows; r += 1 + rows/8 {
+			if w, ok := a.EntryWord(r); ok {
+				checkEquivalence(t, a, ternary.RandomMatchingKey(rng, w))
+			}
 		}
 	})
 }

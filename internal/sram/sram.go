@@ -110,12 +110,14 @@ func (s *Stats) Add(o Stats) {
 	s.EnergyFJ += o.EnergyFJ
 }
 
-// Array is the bit-matrix flavour used for priority matrices. Row i is a
-// bitvec of Cols bits.
+// Array is the bit-matrix flavour used for priority matrices. Row r
+// occupies words [r*rowWords, (r+1)*rowWords) of one flat slab, so a
+// snapshot (MatrixView) is a single copy.
 type Array struct {
-	params Params
-	rows   []*bitvec.Vector //catcam:cycle-state
-	stats  Stats
+	params   Params
+	rowWords int
+	bits     []uint64 //catcam:cycle-state
+	stats    Stats
 }
 
 // NewArray returns a zeroed array with the given parameters.
@@ -123,11 +125,8 @@ func NewArray(p Params) *Array {
 	if p.Rows <= 0 || p.Cols <= 0 {
 		panic(fmt.Sprintf("sram: invalid dimensions %dx%d", p.Rows, p.Cols))
 	}
-	a := &Array{params: p, rows: make([]*bitvec.Vector, p.Rows)}
-	for i := range a.rows {
-		a.rows[i] = bitvec.New(p.Cols)
-	}
-	return a
+	rowWords := (p.Cols + 63) / 64
+	return &Array{params: p, rowWords: rowWords, bits: make([]uint64, p.Rows*rowWords)}
 }
 
 // Params returns the array's physical parameters.
@@ -151,13 +150,18 @@ func (a *Array) checkCol(c int) {
 	}
 }
 
+// row returns row r's words in the slab.
+func (a *Array) row(r int) []uint64 {
+	return a.bits[r*a.rowWords : (r+1)*a.rowWords]
+}
+
 // ReadRow returns a copy of row r. One cycle, one row-read energy.
 func (a *Array) ReadRow(r int) *bitvec.Vector {
 	a.checkRow(r)
 	a.stats.Cycles++
 	a.stats.RowReads++
 	a.stats.EnergyFJ += a.params.ReadEnergyPJ * 1000
-	return a.rows[r].Copy()
+	return bitvec.New(a.params.Cols).LoadWords(a.row(r))
 }
 
 // WriteRow overwrites row r. One cycle, one row-write energy. This is
@@ -171,7 +175,7 @@ func (a *Array) WriteRow(r int, v *bitvec.Vector) {
 	a.stats.Cycles++
 	a.stats.RowWrites++
 	a.stats.EnergyFJ += a.params.WriteEnergyPJ * 1000
-	a.rows[r].CopyFrom(v)
+	copy(a.row(r), v.Words())
 }
 
 // WriteColumn writes column c across all rows using the dual-voltage
@@ -186,8 +190,13 @@ func (a *Array) WriteColumn(c int, v *bitvec.Vector) {
 	a.stats.Cycles += 2
 	a.stats.ColWrites++
 	a.stats.EnergyFJ += 2 * a.params.WriteEnergyPJ * 1000
+	wi, bit := c/64, uint64(1)<<(c%64)
 	for r := 0; r < a.params.Rows; r++ {
-		a.rows[r].SetBool(c, v.Get(r))
+		if v.Get(r) {
+			a.bits[r*a.rowWords+wi] |= bit
+		} else {
+			a.bits[r*a.rowWords+wi] &^= bit
+		}
 	}
 }
 
@@ -203,8 +212,13 @@ func (a *Array) WriteColumnRowwise(c int, v *bitvec.Vector) {
 	a.stats.Cycles += uint64(a.params.Rows)
 	a.stats.RowWrites += uint64(a.params.Rows)
 	a.stats.EnergyFJ += float64(a.params.Rows) * a.params.WriteEnergyPJ * 1000
+	wi, bit := c/64, uint64(1)<<(c%64)
 	for r := 0; r < a.params.Rows; r++ {
-		a.rows[r].SetBool(c, v.Get(r))
+		if v.Get(r) {
+			a.bits[r*a.rowWords+wi] |= bit
+		} else {
+			a.bits[r*a.rowWords+wi] &^= bit
+		}
 	}
 }
 
@@ -213,7 +227,7 @@ func (a *Array) WriteColumnRowwise(c int, v *bitvec.Vector) {
 func (a *Array) Bit(r, c int) bool {
 	a.checkRow(r)
 	a.checkCol(c)
-	return a.rows[r].Get(c)
+	return a.bits[r*a.rowWords+c/64]&(1<<(c%64)) != 0
 }
 
 // ColumnNOR performs the in-memory priority decision: the read word-line
@@ -241,18 +255,28 @@ func (a *Array) ColumnNORInto(dst, active *bitvec.Vector) *bitvec.Vector {
 	if a.params.Rows != a.params.Cols {
 		panic("sram: ColumnNOR requires a square array")
 	}
-	if active.Len() != a.params.Rows {
-		panic(fmt.Sprintf("sram: active vector length %d != %d", active.Len(), a.params.Rows))
-	}
-	a.stats.Cycles++
-	a.stats.NOROps++
-	a.stats.EnergyFJ += a.params.ComputeEnergyFJ(active.Count())
+	return columnNOR(a.params, a.bits, dst, active, &a.stats)
+}
 
+// columnNOR is the one priority-decision kernel, shared by the live
+// array and its frozen MatrixView: rows is the flat row slab of a
+// square matrix, and the decision's cycle and energy land in st.
+//
+//catcam:hotpath
+func columnNOR(p Params, rows []uint64, dst, active *bitvec.Vector, st *Stats) *bitvec.Vector {
+	if active.Len() != p.Rows {
+		panic(fmt.Sprintf("sram: active vector length %d != %d", active.Len(), p.Rows))
+	}
+	st.Cycles++
+	st.NOROps++
+	st.EnergyFJ += p.ComputeEnergyFJ(active.Count())
+
+	rowWords := (p.Cols + 63) / 64
 	dst.CopyFrom(active)
 	for wi, w := range active.Words() {
 		for w != 0 {
 			r := wi*64 + bits.TrailingZeros64(w)
-			dst.AndNot(a.rows[r])
+			dst.AndNotWords(rows[r*rowWords : (r+1)*rowWords])
 			w &= w - 1
 		}
 	}
@@ -268,7 +292,9 @@ func (a *Array) ColumnNORInto(dst, active *bitvec.Vector) *bitvec.Vector {
 // value plane and one care plane, each one bit per entry packed into
 // uint64 words, so a search evaluates 64 entries per word operation —
 // the same bulk bit-parallelism the silicon's match lines provide,
-// applied to simulator throughput. Cycle and energy accounting are
+// applied to simulator throughput. Searches run over a frozen
+// TernaryView (view.go), which keeps only the positions some valid
+// entry cares at, most-cared first. Cycle and energy accounting are
 // independent of which representation the host touches.
 type TernaryArray struct {
 	params  Params
@@ -280,25 +306,31 @@ type TernaryArray struct {
 	// scales search energy accounting.
 	subarrays int
 
-	// Bit-sliced planes. rowWords is the uint64 count per plane
-	// (ceil(Rows/64)); plane p for ternary position pos occupies
-	// [pos*rowWords, (pos+1)*rowWords). Positions follow the storage
-	// order of ternary.Word.PlaneWords: position 0 is the least
-	// significant (right-most) ternary bit.
-	rowWords   int
-	planeValue []uint64 //catcam:cycle-state
-	planeCare  []uint64 //catcam:cycle-state
-	// careAny marks positions where at least one entry has ever cared —
-	// all-wildcard columns (padding, flat port fields) are skipped by
-	// the kernel. Bits are set on write and conservatively never
-	// cleared on invalidate, which only costs a skipped optimization.
-	careAny []uint64 //catcam:cycle-state
-	// acc is the kernel's match accumulator scratch.
-	acc []uint64
+	// planes holds the bit-sliced planes in lines (see blockRows):
+	// position pos of block b is the line at (b*Width()+pos)*lineWords.
+	// Positions follow the storage order of ternary.Word.PlaneWords:
+	// position 0 is the least significant (right-most) ternary bit.
+	planes []uint64 //catcam:cycle-state
+	// cares[pos] counts the valid entries caring at position pos: the
+	// order a view visits positions in, and which it drops. Kept exact
+	// by WriteEntry and Invalidate; nil until the first write, so an
+	// array that never holds a rule does not pay for it.
+	cares []int32
 	// validCount caches valid.Count() so per-search energy accounting
 	// does not re-popcount the mask.
 	validCount int
 }
+
+// The planes are cut into blocks of blockRows entries. Within a block
+// each position owns one line: its blockWords value-plane words, then
+// its blockWords care-plane words, so a search visiting a position
+// reads one 64-byte line and keeps the block's accumulator in four
+// registers. Arrays of other heights pad their last block.
+const (
+	blockRows  = 256
+	blockWords = blockRows / 64
+	lineWords  = 2 * blockWords
+)
 
 // NewTernaryArray returns an empty match matrix of rows entries, each
 // width ternary bits wide, built from physical subarrays with the given
@@ -308,17 +340,13 @@ func NewTernaryArray(p Params, width int) *TernaryArray {
 	if width <= 0 || width%p.Cols != 0 {
 		panic(fmt.Sprintf("sram: width %d not a multiple of subarray cols %d", width, p.Cols))
 	}
-	rowWords := (p.Rows + 63) / 64
+	blocks := (p.Rows + blockRows - 1) / blockRows
 	return &TernaryArray{
-		params:     p,
-		entries:    make([]ternary.Word, p.Rows),
-		valid:      bitvec.New(p.Rows),
-		subarrays:  width / p.Cols,
-		rowWords:   rowWords,
-		planeValue: make([]uint64, width*rowWords),
-		planeCare:  make([]uint64, width*rowWords),
-		careAny:    make([]uint64, (width+63)/64),
-		acc:        make([]uint64, rowWords),
+		params:    p,
+		entries:   make([]ternary.Word, p.Rows),
+		valid:     bitvec.New(p.Rows),
+		subarrays: width / p.Cols,
+		planes:    make([]uint64, blocks*width*lineWords),
 	}
 }
 
@@ -358,6 +386,13 @@ func (t *TernaryArray) checkRow(r int) {
 	}
 }
 
+// cell locates entry r at position pos in the planes: the index of its
+// value-plane word (its care-plane word is blockWords further on) and
+// its bit within both.
+func (t *TernaryArray) cell(r, pos int) (int, uint64) {
+	return (r/blockRows*t.Width()+pos)*lineWords + r%blockRows/64, 1 << (r % 64)
+}
+
 // WriteEntry stores a ternary word in row r and marks it valid. One
 // cycle (the paper's match-matrix update cost), write energy per
 // spanned subarray.
@@ -374,36 +409,44 @@ func (t *TernaryArray) WriteEntry(r int, w ternary.Word) {
 	t.stats.Cycles++
 	t.stats.RowWrites++
 	t.stats.EnergyFJ += float64(t.subarrays) * t.params.WriteEnergyPJ * 1000
-	t.entries[r] = w
-	if !t.valid.Get(r) {
+	if t.cares == nil {
+		t.cares = make([]int32, t.Width())
+	}
+	replacing := t.valid.Get(r)
+	if !replacing {
 		t.validCount++
 	}
+	t.entries[r] = w
 	t.valid.Set(r)
-	t.sliceEntry(r, w)
+	t.sliceEntry(r, w, replacing)
 }
 
 // sliceEntry scatters w's (value, care) bit pairs into the transposed
 // planes at entry column r. Every position is written — set or cleared
-// — so stale planes from a previous occupant cannot survive.
+// — so stale planes from a previous occupant cannot survive. The care
+// counts move with the care bits: the previous occupant's leave with
+// it when it was valid, w's arrive.
 //
 //catcam:allow cycles "plane scatter is part of WriteEntry's single modeled write cycle"
-func (t *TernaryArray) sliceEntry(r int, w ternary.Word) {
+func (t *TernaryArray) sliceEntry(r int, w ternary.Word, replacing bool) {
 	value, care := w.PlaneWords()
-	wi, bit := r/64, uint64(1)<<(r%64)
-	width := t.Width()
-	for pos := 0; pos < width; pos++ {
+	first, bit := t.cell(r, 0)
+	for pos := range t.cares {
+		i := first + pos*lineWords
 		pw, pb := pos/64, uint(pos%64)
-		i := pos*t.rowWords + wi
+		if replacing && t.planes[i+blockWords]&bit != 0 {
+			t.cares[pos]--
+		}
 		if value[pw]&(1<<pb) != 0 {
-			t.planeValue[i] |= bit
+			t.planes[i] |= bit
 		} else {
-			t.planeValue[i] &^= bit
+			t.planes[i] &^= bit
 		}
 		if care[pw]&(1<<pb) != 0 {
-			t.planeCare[i] |= bit
-			t.careAny[pw] |= 1 << pb
+			t.planes[i+blockWords] |= bit
+			t.cares[pos]++
 		} else {
-			t.planeCare[i] &^= bit
+			t.planes[i+blockWords] &^= bit
 		}
 	}
 }
@@ -434,9 +477,11 @@ func (t *TernaryArray) EntryWord(r int) (ternary.Word, bool) {
 }
 
 // Invalidate clears entry r (rule deletion: one cycle). The planes are
-// left stale on purpose: the kernel starts its accumulator from the
-// valid mask, so plane bits of invalid entries can never surface, and
-// the next WriteEntry into the row rewrites every position.
+// left stale on purpose: a search starts its accumulator from the valid
+// mask, so plane bits of invalid entries can never surface, and the
+// next WriteEntry into the row rewrites every position. The care
+// counts drop the entry at once, so a position only it cared at leaves
+// the next view.
 func (t *TernaryArray) Invalidate(r int) {
 	t.checkRow(r)
 	t.stats.Cycles++
@@ -444,6 +489,12 @@ func (t *TernaryArray) Invalidate(r int) {
 	t.stats.EnergyFJ += t.params.WriteEnergyPJ * 1000 // single valid-bit write
 	if t.valid.Get(r) {
 		t.validCount--
+		_, care := t.entries[r].PlaneWords()
+		for wi, cw := range care {
+			for ; cw != 0; cw &= cw - 1 {
+				t.cares[wi*64+bits.TrailingZeros64(cw)]--
+			}
+		}
 	}
 	t.valid.Clear(r)
 	t.entries[r] = ternary.Word{}
@@ -453,110 +504,18 @@ func (t *TernaryArray) Invalidate(r int) {
 // line, returning the match vector. One cycle; energy is (base +
 // incremental per valid entry) per subarray, since every valid entry's
 // match line is pre-charged regardless of outcome.
+//
+// The host runs it through the one search kernel, TernaryView.SearchInto,
+// over a view frozen for the call, with the accounting landing in the
+// array's own statistics. It allocates: the classify path searches
+// published views directly and never calls it.
 func (t *TernaryArray) Search(k ternary.Key) *bitvec.Vector {
-	m := bitvec.New(t.params.Rows)
-	t.SearchInto(m, k)
-	return m
+	v := t.SnapshotView()
+	return v.SearchInto(bitvec.New(t.params.Rows), make([]uint64, v.RowWords()), k, &t.stats)
 }
 
-// SearchInto is Search depositing the match vector into a
-// caller-provided vector of Rows bits, allocation-free. Accounting is
-// identical to Search.
-//
-//catcam:hotpath
-func (t *TernaryArray) SearchInto(dst *bitvec.Vector, k ternary.Key) *bitvec.Vector {
-	if k.Width() != t.Width() {
-		panic(fmt.Sprintf("sram: key width %d != %d", k.Width(), t.Width()))
-	}
-	t.stats.Cycles++
-	t.stats.Searches++
-	t.stats.EnergyFJ += float64(t.subarrays) * t.params.ComputeEnergyFJ(t.validCount)
-
-	// Bit-sliced kernel: acc starts as the valid mask; each cared-for
-	// position knocks out the entries whose stored value disagrees with
-	// the broadcast key bit. 64 entries per word op. Positions are
-	// walked most significant first: the discriminating bits (IP
-	// prefixes) sit at the top of the encoded key, so the accumulator
-	// usually empties within a few planes; careAny words skip
-	// all-wildcard columns (padding, flat port fields) outright.
-	acc := t.acc
-	copy(acc, t.valid.Words())
-	if t.rowWords == 4 {
-		kernel4(k.Words(), acc, t.planeValue, t.planeCare, t.careAny)
-	} else {
-		kernelN(k.Words(), acc, t.planeValue, t.planeCare, t.careAny, t.rowWords)
-	}
-	return dst.LoadWords(acc)
-}
-
-// kernel4 is the match kernel specialized for 256-entry subtables
-// (four accumulator words, the paper's geometry): the accumulator
-// stays in registers across the whole search. It is a free function
-// over raw plane slices so the live array and the immutable snapshot
-// views (view.go) share one kernel.
-//
-//catcam:hotpath
-func kernel4(kw, acc, pv, pc, careAny []uint64) {
-	a0, a1, a2, a3 := acc[0], acc[1], acc[2], acc[3]
-	for pw := len(careAny) - 1; pw >= 0; pw-- {
-		ca := careAny[pw]
-		if ca == 0 {
-			continue
-		}
-		kword := kw[pw]
-		for ca != 0 {
-			pb := 63 - bits.LeadingZeros64(ca)
-			ca &^= 1 << uint(pb)
-			bcast := uint64(0)
-			if kword&(1<<uint(pb)) != 0 {
-				bcast = ^uint64(0)
-			}
-			base := (pw*64 + pb) * 4
-			a0 &^= (pv[base] ^ bcast) & pc[base]
-			a1 &^= (pv[base+1] ^ bcast) & pc[base+1]
-			a2 &^= (pv[base+2] ^ bcast) & pc[base+2]
-			a3 &^= (pv[base+3] ^ bcast) & pc[base+3]
-			if a0|a1|a2|a3 == 0 {
-				acc[0], acc[1], acc[2], acc[3] = 0, 0, 0, 0
-				return
-			}
-		}
-	}
-	acc[0], acc[1], acc[2], acc[3] = a0, a1, a2, a3
-}
-
-// kernelN is the generic-width match kernel.
-//
-//catcam:hotpath
-func kernelN(kw, acc, pv, pc, careAny []uint64, rw int) {
-	for pw := len(careAny) - 1; pw >= 0; pw-- {
-		ca := careAny[pw]
-		if ca == 0 {
-			continue
-		}
-		kword := kw[pw]
-		for ca != 0 {
-			pb := 63 - bits.LeadingZeros64(ca)
-			ca &^= 1 << uint(pb)
-			bcast := uint64(0)
-			if kword&(1<<uint(pb)) != 0 {
-				bcast = ^uint64(0)
-			}
-			base := (pw*64 + pb) * rw
-			live := uint64(0)
-			for i := 0; i < rw; i++ {
-				acc[i] &^= (pv[base+i] ^ bcast) & pc[base+i]
-				live |= acc[i]
-			}
-			if live == 0 {
-				return
-			}
-		}
-	}
-}
-
-// AuditSearchParity re-runs one search through both kernels — the
-// bit-sliced production path and the scalar reference — and reports a
+// AuditSearchParity searches a freshly frozen view — the kernel lookup
+// traffic runs — and the scalar reference with one key, and reports a
 // non-nil error when their match vectors disagree. The array statistics
 // are snapshotted and restored around the probe, so audit traffic never
 // pollutes the cycle/energy accounting the paper's experiments read.
@@ -573,41 +532,53 @@ func (t *TernaryArray) AuditSearchParity(k ternary.Key) error {
 	return nil
 }
 
-// AuditPlanes verifies the bit-sliced search view against the row-major
-// write view: for every valid entry, the stored (value, care) plane
-// bits must equal the planes re-derived from the entry's word, and
-// every cared position must be marked in careAny (a cleared careAny bit
-// would make the kernel skip a discriminating column). Returns the
-// first divergence. Verification access: no cycle/energy accounting.
+// AuditPlanes verifies the bit-sliced search state against the
+// row-major write view: for every valid entry, the stored (value, care)
+// plane bits must equal the planes re-derived from the entry's word,
+// and every position's care count must equal the number of valid
+// entries caring there (an undercount would drop or demote a
+// discriminating position in the next view). Returns the first
+// divergence. Verification access: no cycle/energy accounting.
 func (t *TernaryArray) AuditPlanes() error {
+	width := t.Width()
+	want := make([]int32, width)
 	var err error
 	t.valid.ForEach(func(r int) bool {
 		value, care := t.entries[r].PlaneWords()
-		wi, bit := r/64, uint64(1)<<(r%64)
-		width := t.Width()
 		for pos := 0; pos < width; pos++ {
+			i, bit := t.cell(r, pos)
 			pw, pb := pos/64, uint(pos%64)
-			i := pos*t.rowWords + wi
 			wantValue := value[pw]&(1<<pb) != 0
 			wantCare := care[pw]&(1<<pb) != 0
-			if got := t.planeValue[i]&bit != 0; got != wantValue {
+			if got := t.planes[i]&bit != 0; got != wantValue {
 				err = fmt.Errorf("sram: entry %d position %d value plane %v != stored word %v",
 					r, pos, got, wantValue)
 				return false
 			}
-			if got := t.planeCare[i]&bit != 0; got != wantCare {
+			if got := t.planes[i+blockWords]&bit != 0; got != wantCare {
 				err = fmt.Errorf("sram: entry %d position %d care plane %v != stored word %v",
 					r, pos, got, wantCare)
 				return false
 			}
-			if wantCare && t.careAny[pw]&(1<<pb) == 0 {
-				err = fmt.Errorf("sram: entry %d cares at position %d but careAny is clear", r, pos)
-				return false
+			if wantCare {
+				want[pos]++
 			}
 		}
 		return true
 	})
-	return err
+	if err != nil {
+		return err
+	}
+	for pos, n := range want {
+		var got int32
+		if t.cares != nil {
+			got = t.cares[pos]
+		}
+		if got != n {
+			return fmt.Errorf("sram: position %d care count %d != %d valid entries caring", pos, got, n)
+		}
+	}
+	return nil
 }
 
 // InjectPlaneFault flips the value-plane bit of entry r at its first
@@ -622,10 +593,9 @@ func (t *TernaryArray) InjectPlaneFault(r int) int {
 	if !t.valid.Get(r) {
 		return -1
 	}
-	wi, bit := r/64, uint64(1)<<(r%64)
 	for pos := 0; pos < t.Width(); pos++ {
-		if t.planeCare[pos*t.rowWords+wi]&bit != 0 {
-			t.planeValue[pos*t.rowWords+wi] ^= bit
+		if i, bit := t.cell(r, pos); t.planes[i+blockWords]&bit != 0 {
+			t.planes[i] ^= bit
 			return pos
 		}
 	}
@@ -634,8 +604,9 @@ func (t *TernaryArray) InjectPlaneFault(r int) int {
 
 // SearchReference is the scalar reference kernel: one Word.Match per
 // valid entry, exactly the pre-bit-sliced implementation, with
-// identical cycle/energy accounting. Tests assert SearchInto ≡
-// SearchReference on both the match vector and the statistics.
+// identical cycle/energy accounting. Tests assert that a view's
+// SearchInto ≡ SearchReference on both the match vector and the
+// statistics.
 func (t *TernaryArray) SearchReference(k ternary.Key) *bitvec.Vector {
 	if k.Width() != t.Width() {
 		panic(fmt.Sprintf("sram: key width %d != %d", k.Width(), t.Width()))
