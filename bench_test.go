@@ -239,7 +239,7 @@ func BenchmarkDeviceLookupParallel(b *testing.B) {
 // figure.
 func clusterBenchSetup(b *testing.B, shards int, batch int) (*cluster.Cluster, []rules.Header) {
 	b.Helper()
-	c := cluster.New(cluster.Config{Shards: shards, Mode: cluster.ModeInterval, Device: catcam.Compact()})
+	c := cluster.New(cluster.Config{Shards: shards, Device: catcam.Compact()})
 	b.Cleanup(c.Close)
 	rs := classbench.Generate(classbench.Config{Family: classbench.ACL, Size: 1000, Seed: 5})
 	for _, r := range rs.Rules {

@@ -4,10 +4,10 @@
 // real SDN switch agent's admin plane.
 //
 // The engine is a single device by default; -shards N (N >= 2) runs a
-// sharded cluster instead — N devices behind the global shard arbiter,
-// with -partition choosing the interval or hash partition and
-// -rebalance enabling the background migrator. Cluster shards export
-// their device series with a {shard="<i>"} label on the same registry.
+// sharded cluster instead — N devices, each owning one interval of the
+// priority range, behind the global shard arbiter, with -rebalance
+// enabling the background migrator. Cluster shards export their device
+// series with a {shard="<i>"} label on the same registry.
 //
 // Endpoints:
 //
@@ -39,7 +39,7 @@
 //
 //	catcam-serve [-addr :9090] [-family ACL] [-size 1000] [-rate 10000]
 //	             [-subtables 256] [-slots 256] [-seed 1]
-//	             [-shards 1] [-partition interval] [-rebalance 0]
+//	             [-shards 1] [-rebalance 0]
 //	             [-classify-workers 0] [-trace-every 0] [-audit-every 0]
 //	             [-audit-interval 0] [-shadow-every 0] [-duration 0]
 //	             [-span-every 0] [-slo-interval 5s]
@@ -176,7 +176,6 @@ type options struct {
 	slots     int
 
 	shards          int
-	partition       string
 	rebalance       time.Duration
 	classifyWorkers int
 
@@ -213,7 +212,6 @@ func main() {
 	flag.IntVar(&o.subtables, "subtables", 256, "subtable count (per shard in cluster mode)")
 	flag.IntVar(&o.slots, "slots", 256, "entries per subtable")
 	flag.IntVar(&o.shards, "shards", 1, "shard count; >= 2 runs a sharded cluster")
-	flag.StringVar(&o.partition, "partition", "interval", "cluster partition mode: interval or hash")
 	flag.DurationVar(&o.rebalance, "rebalance", 0, "cluster rebalance pass period (0 = off)")
 	flag.IntVar(&o.classifyWorkers, "classify-workers", 0, "extra concurrent classify goroutines replaying the trace against the lock-free path; in cluster mode also the per-shard fan-out worker count (0 = churn-loop lookups only)")
 	flag.Uint64Var(&o.traceEvery, "trace-every", 0, "record a causal trace for every Nth update (0 = off)")
@@ -272,10 +270,6 @@ func run(o options) error {
 	if o.shards < 1 {
 		return fmt.Errorf("invalid -shards %d", o.shards)
 	}
-	mode, err := cluster.ParseMode(o.partition)
-	if err != nil {
-		return err
-	}
 
 	reg := telemetry.NewRegistry()
 	ring := telemetry.NewEventRing(eventRingCap)
@@ -287,7 +281,7 @@ func run(o options) error {
 	var cl *cluster.Cluster
 	var dev *core.Device
 	if o.shards >= 2 {
-		cl = cluster.New(cluster.Config{Shards: o.shards, Mode: mode, Device: devCfg,
+		cl = cluster.New(cluster.Config{Shards: o.shards, Device: devCfg,
 			FanWorkers: o.classifyWorkers})
 		defer cl.Close()
 		eng = cl
@@ -584,7 +578,8 @@ func run(o options) error {
 		}
 		if cl != nil {
 			passes, moved := cl.RebalanceStats()
-			body["partition"] = cl.Mode().String()
+			body["partition"] = "interval"
+			body["bounds"] = cl.Bounds()
 			body["entries"] = cl.Entries()
 			body["shard_entries"] = cl.ShardEntries()
 			body["rebalance_passes"] = passes
@@ -594,9 +589,6 @@ func run(o options) error {
 				epochs[i] = cl.Shard(i).Epoch()
 			}
 			body["shard_epochs"] = epochs
-			if cl.Mode() == cluster.ModeInterval {
-				body["bounds"] = cl.Bounds()
-			}
 		} else {
 			body["entries"] = reg.Gauge("catcam_entries", "", nil).Value()
 			body["active_subtables"] = reg.Gauge("catcam_active_subtables", "", nil).Value()
@@ -610,7 +602,7 @@ func run(o options) error {
 
 	engDesc := fmt.Sprintf("%dx%d device", o.subtables, o.slots)
 	if cl != nil {
-		engDesc = fmt.Sprintf("%d-shard %s cluster of %dx%d devices", o.shards, cl.Mode(), o.subtables, o.slots)
+		engDesc = fmt.Sprintf("%d-shard interval cluster of %dx%d devices", o.shards, o.subtables, o.slots)
 	}
 	fmt.Printf("catcam-serve: %s %d rules on %s, churn %d updates/s\n",
 		fam, o.size, engDesc, o.rate)

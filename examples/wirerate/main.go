@@ -22,7 +22,7 @@ import (
 func main() {
 	// A 4-shard interval-partitioned cluster holding a 2000-rule ACL.
 	cl := cluster.New(cluster.Config{
-		Shards: 4, Mode: cluster.ModeInterval,
+		Shards: 4,
 		Device: core.Config{Subtables: 64, SubtableCapacity: 64, KeyWidth: 160},
 	})
 	defer cl.Close()

@@ -4,9 +4,9 @@
 // global priority matrix assigns each subtable a disjoint priority
 // interval and reduces per-subtable match reports to one winner; here,
 // a cluster-level arbiter assigns each *shard* a disjoint priority
-// interval (or a hash partition for priority-free workloads), fans a
-// lookup out to every shard in parallel, and reduces the per-shard
-// winners the same way the global matrix reduces subtable reports.
+// interval, fans a lookup out to every shard in parallel, and reduces
+// the per-shard winners the same way the global matrix reduces subtable
+// reports: the highest matched shard wins.
 // Updates route to exactly one shard, so the O(1)-update story holds
 // end to end: a cluster insert is one device insert.
 //
@@ -43,42 +43,18 @@ import (
 	"catcam/internal/trace"
 )
 
-// Mode selects how rules are partitioned across shards.
+// Mode names a partition scheme. The cluster has one, the interval
+// partition.
+//
+// Deprecated: kept only because benchmark/ still sets
+// flowtable.TableConfig.Partition; both are deleted with the
+// benchmark-side edits of ROADMAP item 5.
 type Mode int
 
-const (
-	// ModeInterval assigns each shard a disjoint priority interval —
-	// the paper-faithful partition: the arbiter picks the winner by
-	// shard order exactly as the global priority matrix picks the
-	// winning subtable by interval order.
-	ModeInterval Mode = iota
-	// ModeHash routes rules by a hash of their ID — the partition for
-	// priority-free workloads; the arbiter reduces per-shard winners
-	// by full rank comparison.
-	ModeHash
-)
-
-// String names the mode as the -partition flag spells it.
-func (m Mode) String() string {
-	switch m {
-	case ModeInterval:
-		return "interval"
-	case ModeHash:
-		return "hash"
-	}
-	return fmt.Sprintf("Mode(%d)", int(m))
-}
-
-// ParseMode parses a -partition flag value.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "interval":
-		return ModeInterval, nil
-	case "hash":
-		return ModeHash, nil
-	}
-	return 0, fmt.Errorf("cluster: unknown partition mode %q (want interval or hash)", s)
-}
+// ModeInterval is the interval partition, the only scheme.
+//
+// Deprecated: see Mode.
+const ModeInterval Mode = 0
 
 // ErrDuplicate is returned when an insert reuses a live rule ID; the
 // cluster's router requires IDs to be unique so deletes can be routed
@@ -89,8 +65,6 @@ var ErrDuplicate = errors.New("cluster: rule ID already installed")
 type Config struct {
 	// Shards is the device count (>= 1).
 	Shards int
-	// Mode selects the partition scheme.
-	Mode Mode
 	// Device sizes each shard (every shard gets the same geometry).
 	Device core.Config
 	// Bounds optionally seeds the interval partition: Shards-1
@@ -133,7 +107,6 @@ type ownedRule struct {
 //     classify batches proceed independently.
 type Cluster struct {
 	cfg    Config
-	mode   Mode
 	shards []*shard
 
 	mu      sync.RWMutex
@@ -215,7 +188,6 @@ func New(cfg Config) *Cluster {
 	}
 	c := &Cluster{
 		cfg:   cfg,
-		mode:  cfg.Mode,
 		owner: make(map[int]ownedRule),
 	}
 	c.roundPool.New = func() any {
@@ -234,19 +206,17 @@ func New(cfg Config) *Cluster {
 			go c.worker(s)
 		}
 	}
-	if cfg.Mode == ModeInterval {
-		if cfg.Bounds != nil {
-			if len(cfg.Bounds) != cfg.Shards-1 {
-				panic(fmt.Sprintf("cluster: %d bounds for %d shards", len(cfg.Bounds), cfg.Shards))
-			}
-			if !sort.IntsAreSorted(cfg.Bounds) {
-				panic(fmt.Sprintf("cluster: bounds not ascending: %v", cfg.Bounds))
-			}
-			c.bounds = append([]int(nil), cfg.Bounds...)
-		} else {
-			for i := 1; i < cfg.Shards; i++ {
-				c.bounds = append(c.bounds, i*65536/cfg.Shards)
-			}
+	if cfg.Bounds != nil {
+		if len(cfg.Bounds) != cfg.Shards-1 {
+			panic(fmt.Sprintf("cluster: %d bounds for %d shards", len(cfg.Bounds), cfg.Shards))
+		}
+		if !sort.IntsAreSorted(cfg.Bounds) {
+			panic(fmt.Sprintf("cluster: bounds not ascending: %v", cfg.Bounds))
+		}
+		c.bounds = append([]int(nil), cfg.Bounds...)
+	} else {
+		for i := 1; i < cfg.Shards; i++ {
+			c.bounds = append(c.bounds, i*65536/cfg.Shards)
 		}
 	}
 	return c
@@ -291,30 +261,19 @@ func (c *Cluster) worker(s *shard) {
 	}
 }
 
-// Mode returns the partition mode.
-func (c *Cluster) Mode() Mode { return c.mode }
-
 // NumShards returns the shard count.
 func (c *Cluster) NumShards() int { return len(c.shards) }
 
 // Shard exposes one backing device (stats, invariants, tests).
 func (c *Cluster) Shard(i int) *core.Device { return c.shards[i].dev }
 
-// Bounds returns a copy of the interval partition bounds (nil in hash
-// mode).
+// Bounds returns a copy of the interval partition bounds: Shards-1
+// ascending priority upper bounds, as Config.Bounds describes them.
+// The rebalancer moves them, so two calls may differ.
 func (c *Cluster) Bounds() []int {
 	c.routeMu.Lock()
 	defer c.routeMu.Unlock()
 	return append([]int(nil), c.bounds...)
-}
-
-// hashShard is the ModeHash router: a 64-bit mix of the rule ID.
-func hashShard(id, n int) int {
-	x := uint64(id)*0x9E3779B97F4A7C15 + 0xBF58476D1CE4E5B9
-	x ^= x >> 31
-	x *= 0x94D049BB133111EB
-	x ^= x >> 29
-	return int(x % uint64(n))
 }
 
 // routeLocked picks the home shard for a priority under routeMu.
@@ -322,28 +281,23 @@ func (c *Cluster) routeLocked(priority int) int {
 	return sort.SearchInts(c.bounds, priority)
 }
 
-// routeInsert claims r's owner-map slot and returns its home shard —
-// by priority interval or ID hash. Rejects duplicate IDs.
+// routeInsert claims r's owner-map slot and returns its home shard, the
+// one whose priority interval holds r. Rejects duplicate IDs.
 func (c *Cluster) routeInsert(r rules.Rule) (int, error) {
 	c.routeMu.Lock()
 	defer c.routeMu.Unlock()
 	if _, dup := c.owner[r.ID]; dup {
 		return 0, fmt.Errorf("%w: %d", ErrDuplicate, r.ID)
 	}
-	var sh int
-	if c.mode == ModeInterval {
-		sh = c.routeLocked(r.Priority)
-	} else {
-		sh = hashShard(r.ID, len(c.shards))
-	}
+	sh := c.routeLocked(r.Priority)
 	c.owner[r.ID] = ownedRule{shard: sh, rule: r}
 	return sh, nil
 }
 
-// InsertRule routes the rule to its home shard — by priority interval
-// or ID hash — and inserts it there. Exactly one device is touched, so
-// the update cost is one device update: the cluster preserves the
-// paper's O(1) alteration end to end.
+// InsertRule routes the rule to the shard whose priority interval holds
+// it and inserts it there. Exactly one device is touched, so the update
+// cost is one device update: the cluster preserves the paper's O(1)
+// alteration end to end.
 func (c *Cluster) InsertRule(r rules.Rule) (core.UpdateResult, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -382,17 +336,16 @@ func (c *Cluster) DeleteRule(ruleID int) (core.UpdateResult, error) {
 }
 
 // ModifyRule replaces a rule with a new version keeping its ID; no
-// reader ever sees the rule absent. When the new version routes to the
-// shard that holds the old one — always in hash mode, where routing is
-// by ID, and in interval mode whenever the new priority stays inside
-// that shard's interval — the shard's Device.ModifyRule publishes the
-// change as one epoch. A modify that crosses shards takes the migration
-// epoch (mu.Lock, as a rebalance batch does): insert into the
-// destination shard, delete from the source, move the owner record,
-// with classify excluded until all three are done. A destination that
-// cannot take the new version returns its error with the old version
-// still installed and owned. Cycle costs of both phases are reported
-// together, mirroring Device.ModifyRule.
+// reader ever sees the rule absent. When the new priority stays inside
+// the interval of the shard that holds the old version, the shard's
+// Device.ModifyRule publishes the change as one epoch. A modify that
+// crosses shards takes the migration epoch (mu.Lock, as a rebalance
+// batch does): insert into the destination shard, delete from the
+// source, move the owner record, with classify excluded until all
+// three are done. A destination that cannot take the new version
+// returns its error with the old version still installed and owned.
+// Cycle costs of both phases are reported together, mirroring
+// Device.ModifyRule.
 func (c *Cluster) ModifyRule(ruleID int, newRule rules.Rule) (core.UpdateResult, error) {
 	if newRule.ID != ruleID {
 		return core.UpdateResult{}, fmt.Errorf("cluster: modify must keep rule ID %d, got %d", ruleID, newRule.ID)
@@ -422,10 +375,7 @@ func (c *Cluster) ModifyRule(ruleID int, newRule rules.Rule) (core.UpdateResult,
 func (c *Cluster) modify(ruleID int, newRule rules.Rule, exclusive bool) (res core.UpdateResult, crosses bool, err error) {
 	c.routeMu.Lock()
 	o, ok := c.owner[ruleID]
-	dst := o.shard
-	if c.mode == ModeInterval {
-		dst = c.routeLocked(newRule.Priority)
-	}
+	dst := c.routeLocked(newRule.Priority)
 	c.routeMu.Unlock()
 	switch {
 	case !ok:
@@ -559,30 +509,14 @@ func (c *Cluster) lookupBatch(r *fanRound, hs []rules.Header, dst []core.LookupR
 }
 
 // reduce arbitrates header i's per-shard winners into the cluster
-// winner. In interval mode the arbiter picks the highest matched shard
-// — shard order IS priority order, exactly as the global priority
-// matrix picks the winning subtable by interval order. In hash mode
-// priorities interleave across shards, so the arbiter compares the
-// winners' ranks. Sampled classifications additionally verify the
+// winner: the highest matched shard. Shard order IS priority order,
+// exactly as the global priority matrix picks the winning subtable by
+// interval order. Sampled classifications additionally verify the
 // arbiter against an independent rank walk (InvArbiterWinner).
 func (c *Cluster) reduce(r *fanRound, i int) core.LookupResult {
-	win := -1
-	if c.mode == ModeInterval {
-		for s := len(c.shards) - 1; s >= 0; s-- {
-			if r.results[s][i].OK {
-				win = s
-				break
-			}
-		}
-	} else {
-		for s := range c.shards {
-			if !r.results[s][i].OK {
-				continue
-			}
-			if win < 0 || r.results[win][i].Entry.Rank.Less(r.results[s][i].Entry.Rank) {
-				win = s
-			}
-		}
+	win := len(c.shards) - 1
+	for win >= 0 && !r.results[win][i].OK {
+		win--
 	}
 	if c.aud.SampleLookup() {
 		c.auditReduce(r, i, win) //catcam:allow alloc "sampled arbiter cross-check; rate-gated off the steady-state path"
@@ -737,20 +671,18 @@ func (c *Cluster) CheckInvariant() error {
 }
 
 // routingInvariant checks the cluster-level structural invariants:
-// ascending interval bounds and every owned rule inside its shard's
-// interval (interval mode), and every owner record naming a live
-// shard. Callers hold mu (read or write).
+// ascending interval bounds, every owner record naming a live shard,
+// and every owned rule inside its shard's interval. Callers hold mu
+// (read or write).
 func (c *Cluster) routingInvariant() error {
 	c.routeMu.Lock()
 	defer c.routeMu.Unlock()
-	if c.mode == ModeInterval {
-		if len(c.bounds) != len(c.shards)-1 {
-			return fmt.Errorf("cluster: %d bounds for %d shards", len(c.bounds), len(c.shards))
-		}
-		for i := 1; i < len(c.bounds); i++ {
-			if c.bounds[i] < c.bounds[i-1] {
-				return fmt.Errorf("cluster: bounds out of order at %d: %v", i, c.bounds)
-			}
+	if len(c.bounds) != len(c.shards)-1 {
+		return fmt.Errorf("cluster: %d bounds for %d shards", len(c.bounds), len(c.shards))
+	}
+	for i := 1; i < len(c.bounds); i++ {
+		if c.bounds[i] < c.bounds[i-1] {
+			return fmt.Errorf("cluster: bounds out of order at %d: %v", i, c.bounds)
 		}
 	}
 	for id, o := range c.owner {
@@ -760,11 +692,9 @@ func (c *Cluster) routingInvariant() error {
 		if o.rule.ID != id {
 			return fmt.Errorf("cluster: owner map key %d holds rule %d", id, o.rule.ID)
 		}
-		if c.mode == ModeInterval {
-			if want := c.routeLocked(o.rule.Priority); want != o.shard {
-				return fmt.Errorf("cluster: rule %d priority %d lives on shard %d outside its interval (want shard %d, bounds %v)",
-					id, o.rule.Priority, o.shard, want, c.bounds)
-			}
+		if want := c.routeLocked(o.rule.Priority); want != o.shard {
+			return fmt.Errorf("cluster: rule %d priority %d lives on shard %d outside its interval (want shard %d, bounds %v)",
+				id, o.rule.Priority, o.shard, want, c.bounds)
 		}
 	}
 	return nil

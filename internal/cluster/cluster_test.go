@@ -23,9 +23,9 @@ func testDeviceConfig() core.Config {
 	return core.Config{Subtables: 128, SubtableCapacity: 64, KeyWidth: 160, FrequencyMHz: 500}
 }
 
-func testCluster(t *testing.T, shards int, mode Mode) *Cluster {
+func testCluster(t *testing.T, shards int) *Cluster {
 	t.Helper()
-	c := New(Config{Shards: shards, Mode: mode, Device: testDeviceConfig()})
+	c := New(Config{Shards: shards, Device: testDeviceConfig()})
 	t.Cleanup(c.Close)
 	return c
 }
@@ -40,48 +40,44 @@ func clRule(id, prio int, src rules.Prefix) rules.Rule {
 }
 
 func TestClusterBasicUpdateLookup(t *testing.T) {
-	for _, mode := range []Mode{ModeInterval, ModeHash} {
-		t.Run(mode.String(), func(t *testing.T) {
-			c := testCluster(t, 4, mode)
-			broad := clRule(1, 100, rules.Prefix{Len: 0})
-			narrow := clRule(2, 40000, rules.Prefix{Addr: 0x0A000000, Len: 8})
-			if _, err := c.InsertRule(broad); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := c.InsertRule(narrow); err != nil {
-				t.Fatal(err)
-			}
-			if mode == ModeInterval {
-				// Priorities 100 and 40000 must land on different shards
-				// under the default even split of [0, 65536).
-				if got := c.ShardEntries(); got[0] == 0 || got[2] == 0 {
-					t.Fatalf("expected shards 0 and 2 populated, got %v", got)
-				}
-			}
-			if a, ok := c.Lookup(rules.Header{SrcIP: 0x0A010203}); !ok || a != 20 {
-				t.Fatalf("overlap lookup = %d,%v want 20,true", a, ok)
-			}
-			if a, ok := c.Lookup(rules.Header{SrcIP: 0xC0A80101}); !ok || a != 10 {
-				t.Fatalf("broad lookup = %d,%v want 10,true", a, ok)
-			}
-			if _, err := c.DeleteRule(2); err != nil {
-				t.Fatal(err)
-			}
-			if a, ok := c.Lookup(rules.Header{SrcIP: 0x0A010203}); !ok || a != 10 {
-				t.Fatalf("post-delete lookup = %d,%v want 10,true", a, ok)
-			}
-			if _, err := c.DeleteRule(2); !errors.Is(err, core.ErrNotFound) {
-				t.Fatalf("double delete err = %v, want ErrNotFound", err)
-			}
-			if err := c.CheckInvariant(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+	t.Run("interval", func(t *testing.T) {
+		c := testCluster(t, 4)
+		broad := clRule(1, 100, rules.Prefix{Len: 0})
+		narrow := clRule(2, 40000, rules.Prefix{Addr: 0x0A000000, Len: 8})
+		if _, err := c.InsertRule(broad); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.InsertRule(narrow); err != nil {
+			t.Fatal(err)
+		}
+		// Priorities 100 and 40000 must land on different shards under
+		// the default even split of [0, 65536).
+		if got := c.ShardEntries(); got[0] == 0 || got[2] == 0 {
+			t.Fatalf("expected shards 0 and 2 populated, got %v", got)
+		}
+		if a, ok := c.Lookup(rules.Header{SrcIP: 0x0A010203}); !ok || a != 20 {
+			t.Fatalf("overlap lookup = %d,%v want 20,true", a, ok)
+		}
+		if a, ok := c.Lookup(rules.Header{SrcIP: 0xC0A80101}); !ok || a != 10 {
+			t.Fatalf("broad lookup = %d,%v want 10,true", a, ok)
+		}
+		if _, err := c.DeleteRule(2); err != nil {
+			t.Fatal(err)
+		}
+		if a, ok := c.Lookup(rules.Header{SrcIP: 0x0A010203}); !ok || a != 10 {
+			t.Fatalf("post-delete lookup = %d,%v want 10,true", a, ok)
+		}
+		if _, err := c.DeleteRule(2); !errors.Is(err, core.ErrNotFound) {
+			t.Fatalf("double delete err = %v, want ErrNotFound", err)
+		}
+		if err := c.CheckInvariant(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestClusterDuplicateID(t *testing.T) {
-	c := testCluster(t, 2, ModeInterval)
+	c := testCluster(t, 2)
 	if _, err := c.InsertRule(clRule(7, 10, rules.Prefix{Len: 0})); err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +90,7 @@ func TestClusterDuplicateID(t *testing.T) {
 }
 
 func TestClusterModifyMayChangeShard(t *testing.T) {
-	c := testCluster(t, 4, ModeInterval)
+	c := testCluster(t, 4)
 	if _, err := c.InsertRule(clRule(3, 100, rules.Prefix{Addr: 0x0A000000, Len: 8})); err != nil {
 		t.Fatal(err)
 	}
@@ -117,41 +113,39 @@ func TestClusterModifyMayChangeShard(t *testing.T) {
 // on the shard holding the old one is that device's ModifyRule, one
 // publication, and the owner record follows the new body.
 func TestClusterModifySameShardOneEpoch(t *testing.T) {
-	for _, mode := range []Mode{ModeInterval, ModeHash} {
-		t.Run(mode.String(), func(t *testing.T) {
-			c := testCluster(t, 4, mode)
-			src := rules.Prefix{Addr: 0x0A000000, Len: 8}
-			if _, err := c.InsertRule(clRule(3, 40000, src)); err != nil {
-				t.Fatal(err)
-			}
-			// 40000 -> 40001 stays inside shard 2's interval (32768, 49152].
-			mod := clRule(3, 40001, src)
-			mod.Action = 77
-			before := c.Epoch()
-			if _, err := c.ModifyRule(3, mod); err != nil {
-				t.Fatal(err)
-			}
-			if got := c.Epoch() - before; got != 1 {
-				t.Fatalf("same-shard modify advanced the epoch by %d, want 1", got)
-			}
-			if a, ok := c.Lookup(rules.Header{SrcIP: 0x0A010203}); !ok || a != 77 {
-				t.Fatalf("lookup after modify = %d,%v, want 77", a, ok)
-			}
-			if err := c.CheckInvariant(); err != nil {
-				t.Fatal(err)
-			}
-			var held []rules.Rule
-			for _, rs := range c.Snapshot().Shards {
-				held = append(held, rs...)
-			}
-			if len(held) != 1 || held[0] != mod {
-				t.Fatalf("owner map holds %+v, want the new version %+v", held, mod)
-			}
-			if _, err := c.ModifyRule(9, clRule(9, 1, src)); !errors.Is(err, core.ErrNotFound) {
-				t.Fatalf("modify of an unknown rule: %v, want ErrNotFound", err)
-			}
-		})
-	}
+	t.Run("interval", func(t *testing.T) {
+		c := testCluster(t, 4)
+		src := rules.Prefix{Addr: 0x0A000000, Len: 8}
+		if _, err := c.InsertRule(clRule(3, 40000, src)); err != nil {
+			t.Fatal(err)
+		}
+		// 40000 -> 40001 stays inside shard 2's interval (32768, 49152].
+		mod := clRule(3, 40001, src)
+		mod.Action = 77
+		before := c.Epoch()
+		if _, err := c.ModifyRule(3, mod); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Epoch() - before; got != 1 {
+			t.Fatalf("same-shard modify advanced the epoch by %d, want 1", got)
+		}
+		if a, ok := c.Lookup(rules.Header{SrcIP: 0x0A010203}); !ok || a != 77 {
+			t.Fatalf("lookup after modify = %d,%v, want 77", a, ok)
+		}
+		if err := c.CheckInvariant(); err != nil {
+			t.Fatal(err)
+		}
+		var held []rules.Rule
+		for _, rs := range c.Snapshot().Shards {
+			held = append(held, rs...)
+		}
+		if len(held) != 1 || held[0] != mod {
+			t.Fatalf("owner map holds %+v, want the new version %+v", held, mod)
+		}
+		if _, err := c.ModifyRule(9, clRule(9, 1, src)); !errors.Is(err, core.ErrNotFound) {
+			t.Fatalf("modify of an unknown rule: %v, want ErrNotFound", err)
+		}
+	})
 }
 
 // TestClusterEmptyRuleReleasesOwner: a rule that encodes to no entries
@@ -159,7 +153,7 @@ func TestClusterModifySameShardOneEpoch(t *testing.T) {
 // released (the ID can be inserted again) and a modify to such a
 // version, on either path, leaves the old version installed.
 func TestClusterEmptyRuleReleasesOwner(t *testing.T) {
-	c := testCluster(t, 4, ModeInterval)
+	c := testCluster(t, 4)
 	src := rules.Prefix{Addr: 0x0A000000, Len: 8}
 	empty := func(prio int) rules.Rule {
 		r := clRule(5, prio, src)
@@ -205,101 +199,99 @@ func sameWinners(t *testing.T, c *Cluster, ref *core.Device, hs []rules.Header) 
 	}
 }
 
-// TestClusterDifferential is the subsystem's ground truth: for both
-// partition modes, an N-shard cluster must classify identically to one
-// single device holding the same rules — over every ClassBench family
-// with a packet trace after load and churn, and over every op stream in
-// core's FuzzDeviceVsLinear seed corpus after each op.
+// TestClusterDifferential is the subsystem's ground truth: an N-shard
+// interval-partitioned cluster must classify identically to one single
+// device holding the same rules — over every ClassBench family with a
+// packet trace after load and churn, and over every op stream in core's
+// FuzzDeviceVsLinear seed corpus after each op.
 func TestClusterDifferential(t *testing.T) {
-	for _, mode := range []Mode{ModeInterval, ModeHash} {
-		for _, fam := range classbench.Families() {
-			t.Run(mode.String()+"/"+fam.String(), func(t *testing.T) {
-				rs := classbench.Generate(classbench.Config{Family: fam, Size: 300, Seed: 11})
-				c := testCluster(t, 4, mode)
-				ref := core.NewDevice(testDeviceConfig())
-				aud := flightrec.NewAuditor(nil, nil, 0, nil)
-				aud.SetLookupSampleEvery(1)
-				c.AttachAuditor(aud)
-				for _, r := range rs.Rules {
-					if _, err := c.InsertRule(r); err != nil {
-						t.Fatal(err)
-					}
-					if _, err := ref.InsertRule(r); err != nil {
-						t.Fatal(err)
-					}
-				}
-				// Churn half the rules so the differential also covers
-				// the delete path and re-insertion placement.
-				for _, u := range classbench.UpdateTrace(rs, 200, 7) {
-					if u.Op == classbench.OpInsert {
-						if _, err := c.InsertRule(u.Rule); err != nil {
-							t.Fatal(err)
-						}
-						if _, err := ref.InsertRule(u.Rule); err != nil {
-							t.Fatal(err)
-						}
-					} else {
-						if _, err := c.DeleteRule(u.Rule.ID); err != nil {
-							t.Fatal(err)
-						}
-						if _, err := ref.DeleteRule(u.Rule.ID); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				sameWinners(t, c, ref, classbench.PacketTrace(rs, 2000, 0.9, 3))
-				if err := c.CheckInvariant(); err != nil {
+	for _, fam := range classbench.Families() {
+		t.Run("interval/"+fam.String(), func(t *testing.T) {
+			rs := classbench.Generate(classbench.Config{Family: fam, Size: 300, Seed: 11})
+			c := testCluster(t, 4)
+			ref := core.NewDevice(testDeviceConfig())
+			aud := flightrec.NewAuditor(nil, nil, 0, nil)
+			aud.SetLookupSampleEvery(1)
+			c.AttachAuditor(aud)
+			for _, r := range rs.Rules {
+				if _, err := c.InsertRule(r); err != nil {
 					t.Fatal(err)
 				}
-				// Every lookup was arbiter-audited (SampleEvery: 1).
-				if aud.ViolationCount(flightrec.InvArbiterWinner) != 0 {
-					t.Fatalf("arbiter audit violations: %v", aud.Violations())
+				if _, err := ref.InsertRule(r); err != nil {
+					t.Fatal(err)
 				}
-				if aud.Checks(flightrec.InvArbiterWinner) == 0 {
-					t.Fatal("arbiter audit never ran")
-				}
-			})
-		}
-		// The op streams of core's FuzzDeviceVsLinear seed corpus, op by op.
-		probes := streamProbes()
-		for name, data := range streamSeeds(t, "../core/testdata/fuzz/FuzzDeviceVsLinear") {
-			t.Run(mode.String()+"/"+name, func(t *testing.T) {
-				c := testCluster(t, 4, mode)
-				ref := core.NewDevice(testDeviceConfig())
-				live := map[int]bool{}
-				for op, o := range decodeStream(data) {
-					kind, r := o.kind, o.rule
-					if kind == opInsert && live[r.ID] {
-						kind = opModify
+			}
+			// Churn half the rules so the differential also covers the
+			// delete path and re-insertion placement.
+			for _, u := range classbench.UpdateTrace(rs, 200, 7) {
+				if u.Op == classbench.OpInsert {
+					if _, err := c.InsertRule(u.Rule); err != nil {
+						t.Fatal(err)
 					}
-					var gotErr, wantErr error
-					switch kind {
-					case opInsert:
-						_, gotErr = c.InsertRule(r)
-						_, wantErr = ref.InsertRule(r)
-					case opDelete:
-						_, gotErr = c.DeleteRule(r.ID)
-						_, wantErr = ref.DeleteRule(r.ID)
-					case opModify:
-						_, gotErr = c.ModifyRule(r.ID, r)
-						_, wantErr = ref.ModifyRule(r.ID, r)
-					case opLookup:
-						sameWinners(t, c, ref, []rules.Header{o.header})
-						continue
+					if _, err := ref.InsertRule(u.Rule); err != nil {
+						t.Fatal(err)
 					}
-					// The shards are sized so that neither side fills: the
-					// only error a stream can draw is ErrNotFound, from both.
-					if !errors.Is(gotErr, wantErr) || (wantErr != nil && !errors.Is(wantErr, core.ErrNotFound)) {
-						t.Fatalf("op %d: cluster says %v, device says %v", op, gotErr, wantErr)
+				} else {
+					if _, err := c.DeleteRule(u.Rule.ID); err != nil {
+						t.Fatal(err)
 					}
-					live[r.ID] = kind != opDelete && wantErr == nil
-					sameWinners(t, c, ref, probes)
-					if err := c.CheckInvariant(); err != nil {
-						t.Fatalf("op %d: %v", op, err)
+					if _, err := ref.DeleteRule(u.Rule.ID); err != nil {
+						t.Fatal(err)
 					}
 				}
-			})
-		}
+			}
+			sameWinners(t, c, ref, classbench.PacketTrace(rs, 2000, 0.9, 3))
+			if err := c.CheckInvariant(); err != nil {
+				t.Fatal(err)
+			}
+			// Every lookup was arbiter-audited (SampleEvery: 1).
+			if aud.ViolationCount(flightrec.InvArbiterWinner) != 0 {
+				t.Fatalf("arbiter audit violations: %v", aud.Violations())
+			}
+			if aud.Checks(flightrec.InvArbiterWinner) == 0 {
+				t.Fatal("arbiter audit never ran")
+			}
+		})
+	}
+	// The op streams of core's FuzzDeviceVsLinear seed corpus, op by op.
+	probes := streamProbes()
+	for name, data := range streamSeeds(t, "../core/testdata/fuzz/FuzzDeviceVsLinear") {
+		t.Run("interval/"+name, func(t *testing.T) {
+			c := testCluster(t, 4)
+			ref := core.NewDevice(testDeviceConfig())
+			live := map[int]bool{}
+			for op, o := range decodeStream(data) {
+				kind, r := o.kind, o.rule
+				if kind == opInsert && live[r.ID] {
+					kind = opModify
+				}
+				var gotErr, wantErr error
+				switch kind {
+				case opInsert:
+					_, gotErr = c.InsertRule(r)
+					_, wantErr = ref.InsertRule(r)
+				case opDelete:
+					_, gotErr = c.DeleteRule(r.ID)
+					_, wantErr = ref.DeleteRule(r.ID)
+				case opModify:
+					_, gotErr = c.ModifyRule(r.ID, r)
+					_, wantErr = ref.ModifyRule(r.ID, r)
+				case opLookup:
+					sameWinners(t, c, ref, []rules.Header{o.header})
+					continue
+				}
+				// The shards are sized so that neither side fills: the
+				// only error a stream can draw is ErrNotFound, from both.
+				if !errors.Is(gotErr, wantErr) || (wantErr != nil && !errors.Is(wantErr, core.ErrNotFound)) {
+					t.Fatalf("op %d: cluster says %v, device says %v", op, gotErr, wantErr)
+				}
+				live[r.ID] = kind != opDelete && wantErr == nil
+				sameWinners(t, c, ref, probes)
+				if err := c.CheckInvariant(); err != nil {
+					t.Fatalf("op %d: %v", op, err)
+				}
+			}
+		})
 	}
 }
 
@@ -330,7 +322,7 @@ func TestClusterFanoutAllocFree(t *testing.T) {
 		t.Skip("race detector perturbs AllocsPerRun")
 	}
 	rs := classbench.Generate(classbench.Config{Family: classbench.ACL, Size: 200, Seed: 4})
-	c := testCluster(t, 4, ModeInterval)
+	c := testCluster(t, 4)
 	c.AttachAuditor(flightrec.NewAuditor(nil, nil, 0, nil))
 	for _, r := range rs.Rules {
 		if _, err := c.InsertRule(r); err != nil {
@@ -355,7 +347,7 @@ func TestClusterFanoutAllocFree(t *testing.T) {
 func TestClusterTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	ring := telemetry.NewEventRing(64)
-	c := testCluster(t, 2, ModeInterval)
+	c := testCluster(t, 2)
 	c.AttachTelemetry(reg, ring, nil)
 	if _, err := c.InsertRule(clRule(1, 10, rules.Prefix{Len: 0})); err != nil {
 		t.Fatal(err)
@@ -388,7 +380,7 @@ func TestClusterTelemetry(t *testing.T) {
 }
 
 func TestClusterAuditSweep(t *testing.T) {
-	c := testCluster(t, 2, ModeInterval)
+	c := testCluster(t, 2)
 	aud := flightrec.NewAuditor(nil, nil, 0, nil)
 	c.AttachAuditor(aud)
 	if _, err := c.InsertRule(clRule(1, 10, rules.Prefix{Len: 0})); err != nil {
@@ -426,62 +418,60 @@ func TestClusterAuditSweep(t *testing.T) {
 // here means the audit reports churn as corruption (or a real arbiter
 // bug). Run with -race for the memory-model half of the claim.
 func TestClusterChurnVsClassify(t *testing.T) {
-	for _, mode := range []Mode{ModeInterval, ModeHash} {
-		t.Run(mode.String(), func(t *testing.T) {
-			rs := classbench.Generate(classbench.Config{Family: classbench.ACL, Size: 150, Seed: 71})
-			c := New(Config{Shards: 4, Mode: mode, Device: testDeviceConfig(), FanWorkers: 2})
-			defer c.Close()
-			aud := flightrec.NewAuditor(nil, nil, 64, nil)
-			aud.SetLookupSampleEvery(1)
-			c.AttachAuditor(aud)
+	t.Run("interval", func(t *testing.T) {
+		rs := classbench.Generate(classbench.Config{Family: classbench.ACL, Size: 150, Seed: 71})
+		c := New(Config{Shards: 4, Device: testDeviceConfig(), FanWorkers: 2})
+		defer c.Close()
+		aud := flightrec.NewAuditor(nil, nil, 64, nil)
+		aud.SetLookupSampleEvery(1)
+		c.AttachAuditor(aud)
 
-			half := len(rs.Rules) / 2
-			for _, r := range rs.Rules[:half] {
+		half := len(rs.Rules) / 2
+		for _, r := range rs.Rules[:half] {
+			if _, err := c.InsertRule(r); err != nil {
+				t.Fatalf("preload: %v", err)
+			}
+		}
+		headers := classbench.PacketTrace(rs, 64, 0.9, 72)
+
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		for g := 0; g < 3; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				var results []core.LookupResult
+				for !stop.Load() {
+					results = c.LookupHeaderBatch(headers, results[:0])
+					c.Lookup(headers[g%len(headers)])
+				}
+			}(g)
+		}
+		for iter := 0; iter < 10; iter++ {
+			for _, r := range rs.Rules[half:] {
 				if _, err := c.InsertRule(r); err != nil {
-					t.Fatalf("preload: %v", err)
+					t.Errorf("churn insert: %v", err)
 				}
 			}
-			headers := classbench.PacketTrace(rs, 64, 0.9, 72)
+			for _, r := range rs.Rules[half:] {
+				if _, err := c.DeleteRule(r.ID); err != nil {
+					t.Errorf("churn delete: %v", err)
+				}
+			}
+		}
+		stop.Store(true)
+		wg.Wait()
 
-			var stop atomic.Bool
-			var wg sync.WaitGroup
-			for g := 0; g < 3; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					var results []core.LookupResult
-					for !stop.Load() {
-						results = c.LookupHeaderBatch(headers, results[:0])
-						c.Lookup(headers[g%len(headers)])
-					}
-				}(g)
+		if n := aud.TotalViolations(); n != 0 {
+			for _, v := range aud.Violations() {
+				t.Logf("violation: %+v", v)
 			}
-			for iter := 0; iter < 10; iter++ {
-				for _, r := range rs.Rules[half:] {
-					if _, err := c.InsertRule(r); err != nil {
-						t.Errorf("churn insert: %v", err)
-					}
-				}
-				for _, r := range rs.Rules[half:] {
-					if _, err := c.DeleteRule(r.ID); err != nil {
-						t.Errorf("churn delete: %v", err)
-					}
-				}
-			}
-			stop.Store(true)
-			wg.Wait()
-
-			if n := aud.TotalViolations(); n != 0 {
-				for _, v := range aud.Violations() {
-					t.Logf("violation: %+v", v)
-				}
-				t.Fatalf("%d audit violations under cluster churn-vs-classify", n)
-			}
-			if err := c.CheckInvariant(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+			t.Fatalf("%d audit violations under cluster churn-vs-classify", n)
+		}
+		if err := c.CheckInvariant(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestClusterModifyChurnVsClassify: while a writer keeps modifying a
@@ -495,16 +485,14 @@ func TestClusterChurnVsClassify(t *testing.T) {
 func TestClusterModifyChurnVsClassify(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		mode Mode
 		flip int // the modify alternates priority 40000 and 40000+flip
 	}{
-		{"interval", ModeInterval, 1},
-		{"hash", ModeHash, 1},
+		{"interval", 1},
 		// 40000 is shard 2's, 50000 shard 3's (bounds 16384, 32768, 49152).
-		{"interval/cross-shard", ModeInterval, 10000},
+		{"interval/cross-shard", 10000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := testCluster(t, 4, tc.mode)
+			c := testCluster(t, 4)
 			aud := flightrec.NewAuditor(nil, nil, 64, nil)
 			aud.SetLookupSampleEvery(1)
 			c.AttachAuditor(aud)
@@ -571,7 +559,7 @@ func TestClusterModifyDestinationFull(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			// Two shards of one 4-slot subtable; shard 1 owns priorities
 			// above 32768.
-			c := New(Config{Shards: 2, Mode: ModeInterval,
+			c := New(Config{Shards: 2,
 				Device: core.Config{Subtables: 1, SubtableCapacity: 4, KeyWidth: 160}})
 			t.Cleanup(c.Close)
 			for i := 0; i < tc.preload; i++ {
@@ -608,25 +596,15 @@ func TestClusterModifyDestinationFull(t *testing.T) {
 	}
 }
 
-func TestParseMode(t *testing.T) {
-	if m, err := ParseMode("interval"); err != nil || m != ModeInterval {
-		t.Fatalf("interval = %v,%v", m, err)
-	}
-	if m, err := ParseMode("hash"); err != nil || m != ModeHash {
-		t.Fatalf("hash = %v,%v", m, err)
-	}
-	if _, err := ParseMode("nope"); err == nil {
-		t.Fatal("bad mode accepted")
-	}
-}
-
 func TestClusterStatsAggregate(t *testing.T) {
-	c := testCluster(t, 3, ModeHash)
+	c := testCluster(t, 3)
+	// Priorities 1 .. 56001 cross both default bounds (21845, 43690).
 	for i := 0; i < 9; i++ {
 		if _, err := c.InsertRule(clRule(i, 1+i*7000, rules.Prefix{Len: 0})); err != nil {
 			t.Fatal(err)
 		}
 	}
+	everyShardHolds(t, c)
 	if got := c.Stats().Inserts; got != 9 {
 		t.Fatalf("aggregate inserts = %d, want 9", got)
 	}

@@ -12,24 +12,22 @@ import (
 )
 
 // Live rebalancing: a background pass migrates rules from the fullest
-// shard to a colder one in bounded batches, so a skewed priority
-// distribution (interval mode) or hash hot spot does not strand
-// capacity. Each batch runs under the cluster's write lock — the
-// migration epoch — so a classify never observes a rule mid-flight
-// between shards; the batches are bounded (entries, not rules) to keep
-// that exclusion window short. In interval mode only boundary rules
-// move, and the interval bound moves with them, so the partition stays
-// disjoint; rules sharing the cut priority migrate together, because
-// interval routing is a pure function of priority.
+// shard to a neighbour in bounded batches, so a skewed priority
+// distribution does not strand capacity. Each batch runs under the
+// cluster's write lock — the migration epoch — so a classify never
+// observes a rule mid-flight between shards; the batches are bounded
+// (entries, not rules) to keep that exclusion window short. Only
+// boundary rules move, and the interval bound moves with them, so the
+// partition stays disjoint; rules sharing the cut priority migrate
+// together, because interval routing is a pure function of priority.
 
 // RebalanceOnce runs one bounded migration pass: it picks the shard
-// with the most stored entries as donor and a colder recipient (in
-// interval mode, the donor's lighter neighbor — intervals only stretch
-// across adjacent shards), then moves rules until about batch entries
-// have migrated or the pair is balanced. Returns the number of rules
-// moved; 0 means the cluster is already balanced (donor exceeds
-// recipient by no more than batch entries). Safe under concurrent
-// classify and update traffic.
+// with the most stored entries as donor and the donor's lighter
+// neighbor as recipient (intervals only stretch across adjacent
+// shards), then moves rules until about batch entries have migrated or
+// the pair is balanced. Returns the number of rules moved; 0 means the
+// cluster is already balanced (donor exceeds recipient by no more than
+// batch entries). Safe under concurrent classify and update traffic.
 func (c *Cluster) RebalanceOnce(batch int) int {
 	if batch <= 0 {
 		batch = 64
@@ -41,9 +39,6 @@ func (c *Cluster) RebalanceOnce(batch int) int {
 	defer c.mu.Unlock()
 
 	donor, recipient := c.pickPair()
-	if donor < 0 {
-		return 0
-	}
 	donorN, recipN := c.shards[donor].dev.Len(), c.shards[recipient].dev.Len()
 	if donorN-recipN <= batch {
 		return 0
@@ -55,12 +50,7 @@ func (c *Cluster) RebalanceOnce(batch int) int {
 		target = batch
 	}
 
-	var moved int
-	if c.mode == ModeInterval {
-		moved = c.moveBoundary(donor, recipient, target)
-	} else {
-		moved = c.moveAny(donor, recipient, target)
-	}
+	moved := c.moveBoundary(donor, recipient, target)
 	if moved > 0 {
 		c.rebalMu.Lock()
 		c.rebalPasses++
@@ -80,7 +70,8 @@ func (c *Cluster) RebalanceOnce(batch int) int {
 }
 
 // pickPair chooses (donor, recipient) by stored entry count; callers
-// hold mu. Returns donor -1 when no legal pair exists.
+// hold mu and ensure at least two shards. Intervals are contiguous, so
+// rules can only spill into an adjacent shard.
 func (c *Cluster) pickPair() (donor, recipient int) {
 	donor = 0
 	for i, s := range c.shards {
@@ -88,20 +79,6 @@ func (c *Cluster) pickPair() (donor, recipient int) {
 			donor = i
 		}
 	}
-	if c.mode == ModeHash {
-		recipient = 0
-		for i, s := range c.shards {
-			if s.dev.Len() < c.shards[recipient].dev.Len() {
-				recipient = i
-			}
-		}
-		if recipient == donor {
-			return -1, -1
-		}
-		return donor, recipient
-	}
-	// Interval mode: intervals are contiguous, so rules can only spill
-	// into an adjacent shard.
 	switch {
 	case donor == 0:
 		recipient = 1
@@ -135,10 +112,10 @@ func (c *Cluster) donorRules(donor int) []ownedRule {
 	return out
 }
 
-// moveBoundary migrates interval-mode boundary rules from donor to the
-// adjacent recipient until about target entries moved, then slides the
-// interval bound to match. Rules tied at the cut priority move as one
-// group (routing is a function of priority alone); a group that cannot
+// moveBoundary migrates boundary rules from donor to the adjacent
+// recipient until about target entries moved, then slides the interval
+// bound to match. Rules tied at the cut priority move as one group
+// (routing is a function of priority alone); a group that cannot
 // complete — recipient full — is rolled back so the bound stays exact.
 // Callers hold mu.
 func (c *Cluster) moveBoundary(donor, recipient, target int) int {
@@ -187,25 +164,6 @@ func (c *Cluster) moveBoundary(donor, recipient, target int) int {
 		}
 		c.routeMu.Unlock()
 		i = j
-	}
-	return moved
-}
-
-// moveAny migrates hash-mode rules (lowest IDs first, for determinism)
-// from donor to recipient until about target entries moved. Callers
-// hold mu.
-func (c *Cluster) moveAny(donor, recipient, target int) int {
-	rs := c.donorRules(donor)
-	var moved, movedEntries int
-	for _, o := range rs {
-		if movedEntries >= target {
-			break
-		}
-		if !c.migrateGroup([]ownedRule{o}, donor, recipient) {
-			break
-		}
-		movedEntries += o.rule.ExpansionCount()
-		moved++
 	}
 	return moved
 }

@@ -21,7 +21,7 @@ func skewedRules(n int) []rules.Rule {
 }
 
 func TestRebalanceIntervalMovesBoundary(t *testing.T) {
-	c := testCluster(t, 4, ModeInterval)
+	c := testCluster(t, 4)
 	for _, r := range skewedRules(120) { // priorities 1..477, all shard 0
 		if _, err := c.InsertRule(r); err != nil {
 			t.Fatal(err)
@@ -61,34 +61,8 @@ func TestRebalanceIntervalMovesBoundary(t *testing.T) {
 	}
 }
 
-func TestRebalanceHashMode(t *testing.T) {
-	c := testCluster(t, 2, ModeHash)
-	// Force imbalance by inserting directly through the owner map is
-	// not possible; instead rely on hash skew over a small ID set, then
-	// verify RebalanceOnce either balances or reports balanced.
-	for i := 0; i < 64; i++ {
-		if _, err := c.InsertRule(clRule(i, 1+i*1000%65000, rules.Prefix{Addr: uint32(i) << 8, Len: 24})); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := c.ShardEntries()
-	c.RebalanceOnce(4)
-	if err := c.CheckInvariant(); err != nil {
-		t.Fatal(err)
-	}
-	after := c.ShardEntries()
-	if before[0]+before[1] != after[0]+after[1] {
-		t.Fatalf("rules lost: %v -> %v", before, after)
-	}
-	for i := 0; i < 64; i++ {
-		if a, ok := c.Lookup(rules.Header{SrcIP: uint32(i) << 8}); !ok || a != i*10 {
-			t.Fatalf("rule %d lost: action=%d ok=%v", i, a, ok)
-		}
-	}
-}
-
 func TestRebalanceBalancedClusterIsNoop(t *testing.T) {
-	c := testCluster(t, 2, ModeInterval)
+	c := testCluster(t, 2)
 	if _, err := c.InsertRule(clRule(1, 100, rules.Prefix{Len: 0})); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +81,7 @@ func TestRebalanceBalancedClusterIsNoop(t *testing.T) {
 // hold at every quiescent point.
 func TestRebalanceUnderChurn(t *testing.T) {
 	rs := classbench.Generate(classbench.Config{Family: classbench.ACL, Size: 250, Seed: 21})
-	c := testCluster(t, 4, ModeInterval)
+	c := testCluster(t, 4)
 	for _, r := range rs.Rules {
 		if _, err := c.InsertRule(r); err != nil {
 			t.Fatal(err)

@@ -10,36 +10,34 @@ import (
 	"catcam/internal/rules"
 )
 
-// Snapshot is a deterministic dump of a whole cluster: the partition
-// scheme, the live interval bounds, the shard geometry and each
-// shard's rules sorted by ID. Restoring a snapshot rebuilds a cluster
-// that classifies identically and snapshots back to the same bytes —
-// rules return to the exact shard the dump recorded, not their hash or
-// interval home, so a rebalanced layout survives the round trip.
+// Snapshot is a deterministic dump of a whole cluster: the live
+// interval bounds, the shard geometry and each shard's rules sorted by
+// ID. Restoring a snapshot rebuilds a cluster that classifies
+// identically and snapshots back to the same bytes, with every rule on
+// the shard the dump recorded, so a rebalanced layout survives the
+// round trip. Older dumps carry a "mode" field, which decoding ignores:
+// an interval dump restores, and a multi-shard hash dump has no bounds
+// and fails validation.
 type Snapshot struct {
-	Mode   string         `json:"mode"`
 	Bounds []int          `json:"bounds,omitempty"`
 	Device core.Config    `json:"device"`
 	Shards [][]rules.Rule `json:"shards"`
 }
 
 // Snapshot captures the cluster's current rules and routing state. It
-// quiesces updates and migration for the duration (classify keeps
-// running until the final routing read), and reads only the
-// control-plane rule store — no device state is touched.
+// holds the migration epoch (mu.Lock) for the duration, so updates,
+// migration and classify all wait until it returns, and it reads only
+// the control-plane rule store — no device state is touched.
 func (c *Cluster) Snapshot() *Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	snap := &Snapshot{
-		Mode:   c.mode.String(),
 		Device: c.cfg.Device,
 		Shards: make([][]rules.Rule, len(c.shards)),
 	}
 	c.routeMu.Lock()
 	defer c.routeMu.Unlock()
-	if c.mode == ModeInterval {
-		snap.Bounds = append([]int(nil), c.bounds...)
-	}
+	snap.Bounds = append([]int(nil), c.bounds...)
 	for _, o := range c.owner {
 		snap.Shards[o.shard] = append(snap.Shards[o.shard], o.rule)
 	}
@@ -63,70 +61,59 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if err := json.NewDecoder(r).Decode(&s); err != nil {
 		return nil, fmt.Errorf("cluster: decoding snapshot: %w", err)
 	}
-	if _, err := s.validate(); err != nil {
+	if err := s.validate(); err != nil {
 		return nil, err
 	}
 	return &s, nil
 }
 
 // validate checks everything Restore would otherwise trust from the
-// blob: the mode, the shard count, the device geometry, the rule bodies
-// (unique IDs, encodable fields), ascending bounds and, in interval
-// mode, that every rule sits in the shard its priority routes to — the
-// arbiter there picks winners by shard order, so a misfiled rule is a
-// silently wrong answer. Hash mode accepts any placement: the
-// rebalancer moves rules off their hash home and the arbiter compares
-// ranks.
-func (s *Snapshot) validate() (Mode, error) {
-	mode, err := ParseMode(s.Mode)
-	if err != nil {
-		return 0, err
-	}
+// blob: the shard count, the device geometry, the rule bodies (unique
+// IDs, encodable fields), ascending bounds and that every rule sits in
+// the shard its priority routes to — the arbiter picks winners by shard
+// order, so a misfiled rule is a silently wrong answer.
+func (s *Snapshot) validate() error {
 	if len(s.Shards) == 0 {
-		return 0, fmt.Errorf("cluster: snapshot has no shards")
+		return fmt.Errorf("cluster: snapshot has no shards")
 	}
 	if err := s.Device.Validate(); err != nil {
-		return 0, fmt.Errorf("cluster: snapshot device: %w", err)
+		return fmt.Errorf("cluster: snapshot device: %w", err)
 	}
 	var all rules.Ruleset
 	for _, rs := range s.Shards {
 		all.Rules = append(all.Rules, rs...)
 	}
 	if err := all.Validate(); err != nil {
-		return 0, fmt.Errorf("cluster: snapshot: %w", err)
-	}
-	if mode != ModeInterval {
-		return mode, nil
+		return fmt.Errorf("cluster: snapshot: %w", err)
 	}
 	if len(s.Bounds) != len(s.Shards)-1 {
-		return 0, fmt.Errorf("cluster: snapshot has %d bounds for %d shards", len(s.Bounds), len(s.Shards))
+		return fmt.Errorf("cluster: snapshot has %d bounds for %d shards", len(s.Bounds), len(s.Shards))
 	}
 	if !sort.IntsAreSorted(s.Bounds) {
-		return 0, fmt.Errorf("cluster: snapshot bounds not ascending: %v", s.Bounds)
+		return fmt.Errorf("cluster: snapshot bounds not ascending: %v", s.Bounds)
 	}
 	for sh, rs := range s.Shards {
 		for _, r := range rs {
 			if want := sort.SearchInts(s.Bounds, r.Priority); want != sh {
-				return 0, fmt.Errorf("cluster: snapshot files rule %d (priority %d) under shard %d, its interval is shard %d",
+				return fmt.Errorf("cluster: snapshot files rule %d (priority %d) under shard %d, its interval is shard %d",
 					r.ID, r.Priority, sh, want)
 			}
 		}
 	}
-	return mode, nil
+	return nil
 }
 
-// Restore builds a cluster from a snapshot: same partition mode and
-// bounds, every rule reloaded into the shard that held it at dump
-// time. The per-shard reloads are plain device inserts, so all derived
-// state (subtable intervals, priority matrices, bit planes) is rebuilt
-// rather than trusted from the dump. A snapshot that fails validation
-// (see validate) returns an error instead of building anything.
+// Restore builds a cluster from a snapshot: same bounds, every rule
+// reloaded into the shard that held it at dump time. The per-shard
+// reloads are plain device inserts, so all derived state (subtable
+// intervals, priority matrices, bit planes) is rebuilt rather than
+// trusted from the dump. A snapshot that fails validation (see
+// validate) returns an error instead of building anything.
 func Restore(s *Snapshot) (*Cluster, error) {
-	mode, err := s.validate()
-	if err != nil {
+	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	c := New(Config{Shards: len(s.Shards), Mode: mode, Device: s.Device, Bounds: s.Bounds})
+	c := New(Config{Shards: len(s.Shards), Device: s.Device, Bounds: s.Bounds})
 	for sh, rs := range s.Shards {
 		for _, r := range rs {
 			c.routeMu.Lock()

@@ -9,7 +9,7 @@ import (
 )
 
 func TestClusterDeriveStructure(t *testing.T) {
-	c := testCluster(t, 4, ModeInterval)
+	c := testCluster(t, 4)
 	// Spread priorities across the interval partition so several shards
 	// hold rules.
 	for i := 0; i < 64; i++ {
@@ -74,15 +74,32 @@ func TestClusterDeriveStructure(t *testing.T) {
 	}
 }
 
+// spreadRule is the i-th of a set of rules that alternate between the
+// two sides of a 2-shard cluster's default bound (32768).
+func spreadRule(i int) rules.Rule {
+	return clRule(i+1, 100+i%2*40000+i, rules.Prefix{Addr: uint32(i) << 8, Len: 24})
+}
+
+// everyShardHolds fails the test unless each shard stores some entry.
+func everyShardHolds(t *testing.T, c *Cluster) {
+	t.Helper()
+	for sh, n := range c.ShardEntries() {
+		if n == 0 {
+			t.Fatalf("shard %d holds no rules: %v", sh, c.ShardEntries())
+		}
+	}
+}
+
 func TestClusterResetStatsRunsHooks(t *testing.T) {
-	c := testCluster(t, 2, ModeHash)
+	c := testCluster(t, 2)
 	hooks := 0
 	c.OnStatsReset(func() { hooks++ })
 	for i := 0; i < 8; i++ {
-		if _, err := c.InsertRule(clRule(i+1, i+1, rules.Prefix{Addr: uint32(i) << 8, Len: 24})); err != nil {
+		if _, err := c.InsertRule(spreadRule(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	everyShardHolds(t, c)
 	c.ResetStats()
 	if hooks != 1 {
 		t.Fatalf("cluster reset hook ran %d times, want 1", hooks)
@@ -99,14 +116,15 @@ func TestClusterResetStatsRunsHooks(t *testing.T) {
 // TestClusterEpochGauges: each shard exports its own catcam_epoch
 // series under its {shard="<i>"} label.
 func TestClusterEpochGauges(t *testing.T) {
-	c := testCluster(t, 2, ModeHash)
+	c := testCluster(t, 2)
 	reg := telemetry.NewRegistry()
 	c.AttachTelemetry(reg, nil, nil)
 	for i := 0; i < 8; i++ {
-		if _, err := c.InsertRule(clRule(i+1, i+1, rules.Prefix{Addr: uint32(i) << 8, Len: 24})); err != nil {
+		if _, err := c.InsertRule(spreadRule(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	everyShardHolds(t, c)
 	for i := 0; i < 2; i++ {
 		labels := telemetry.Labels{"shard": strconv.Itoa(i)}
 		got := reg.Gauge("catcam_epoch", "", labels).Value()
@@ -117,12 +135,13 @@ func TestClusterEpochGauges(t *testing.T) {
 }
 
 func TestClusterCarePerPosition(t *testing.T) {
-	c := testCluster(t, 2, ModeHash)
+	c := testCluster(t, 2)
 	for i := 0; i < 16; i++ {
-		if _, err := c.InsertRule(clRule(i+1, i+1, rules.Prefix{Addr: uint32(i) << 8, Len: 24})); err != nil {
+		if _, err := c.InsertRule(spreadRule(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	everyShardHolds(t, c)
 	prof := c.CarePerPosition(nil)
 	if len(prof) != 160 {
 		t.Fatalf("profile width %d, want 160", len(prof))

@@ -129,5 +129,5 @@ func (c *Cluster) AuditSweep() flightrec.SweepInfo {
 
 // String describes the cluster for logs.
 func (c *Cluster) String() string {
-	return fmt.Sprintf("cluster(%d shards, %s)", len(c.shards), c.mode)
+	return fmt.Sprintf("cluster(%d shards, interval)", len(c.shards))
 }

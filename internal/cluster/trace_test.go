@@ -15,7 +15,7 @@ import (
 // to the untraced path.
 func TestClusterTracedSpans(t *testing.T) {
 	rs := classbench.Generate(classbench.Config{Family: classbench.ACL, Size: 200, Seed: 4})
-	c := testCluster(t, 4, ModeInterval)
+	c := testCluster(t, 4)
 	for _, r := range rs.Rules {
 		if _, err := c.InsertRule(r); err != nil {
 			t.Fatal(err)
@@ -85,7 +85,7 @@ func TestClusterTracedEntryPointAllocFree(t *testing.T) {
 		t.Skip("race detector perturbs AllocsPerRun")
 	}
 	rs := classbench.Generate(classbench.Config{Family: classbench.ACL, Size: 200, Seed: 4})
-	c := testCluster(t, 4, ModeInterval)
+	c := testCluster(t, 4)
 	for _, r := range rs.Rules {
 		if _, err := c.InsertRule(r); err != nil {
 			t.Fatal(err)

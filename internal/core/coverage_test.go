@@ -41,11 +41,11 @@ func TestInsertWordAndPadding(t *testing.T) {
 	}
 	// A 4-bit key pads with zeros; the stored word pads with wildcards,
 	// so the padded key matches iff the prefix matches.
-	e, ok := d.LookupKey(ternary.MustParseKey("1010"))
+	e, ok := classifyKey(d, ternary.MustParseKey("1010"))
 	if !ok || e.Action != 42 {
-		t.Fatalf("LookupKey = %+v %v", e, ok)
+		t.Fatalf("lookup = %+v %v", e, ok)
 	}
-	if _, ok := d.LookupKey(ternary.MustParseKey("1011")); ok {
+	if _, ok := classifyKey(d, ternary.MustParseKey("1011")); ok {
 		t.Fatal("wrong key matched")
 	}
 	if _, err := d.DeleteRule(1); err != nil {
@@ -66,14 +66,14 @@ func TestInsertWordOversizePanics(t *testing.T) {
 	d.InsertWord(ternary.NewWord(320), 1, 1, 1)
 }
 
-func TestLookupKeyOversizePanics(t *testing.T) {
+func TestLookupBatchOversizePanics(t *testing.T) {
 	d := NewDevice(Config{Subtables: 2, SubtableCapacity: 4, KeyWidth: 160})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("oversize key accepted")
 		}
 	}()
-	d.LookupKey(ternary.NewKey(320))
+	d.LookupBatch([]ternary.Key{ternary.NewKey(320)}, nil)
 }
 
 func TestNewDeviceValidation(t *testing.T) {

@@ -130,8 +130,8 @@ type location struct {
 // on one mutex, taken in one place: InsertRule, InsertWord, DeleteRule
 // and ModifyRule all run through the update bracket (Device.update),
 // which publishes exactly one epoch per request (DESIGN.md §17). The
-// classify path (LookupKey, Lookup, LookupBatch,
-// LookupHeaderBatch, LookupHeaderBatchTraced) acquires no lock at all —
+// classify path (Lookup, LookupBatch, LookupHeaderBatch,
+// LookupHeaderBatchTraced) acquires no lock at all —
 // it loads the current epoch snapshot (d.snap) with one atomic pointer
 // read and traverses the frozen structure with per-goroutine pooled
 // scratch, so concurrent lookups scale with cores. The hot path
@@ -339,21 +339,6 @@ func (d *Device) SetTraceShard(shard int) {
 	d.publishLocked()
 }
 
-// LookupKey performs one pipelined lookup (§VI): (1) the key is
-// broadcast to every active subtable's match matrix; (2) the global
-// match vector — one bit per subtable with any local match — traverses
-// the global priority matrix; (3) the chosen subtable's local priority
-// matrix reduces its match vector to the report vector. Amortized one
-// cycle per lookup at full pipeline. Lock-free: a LookupBatch of one.
-//
-//catcam:hotpath
-func (d *Device) LookupKey(k ternary.Key) (Entry, bool) {
-	keys := [1]ternary.Key{k}
-	var res [1]LookupResult
-	r := d.LookupBatch(keys[:], res[:0])[0]
-	return r.Entry, r.OK
-}
-
 // LookupResult is one LookupBatch outcome.
 type LookupResult struct {
 	Entry Entry
@@ -361,12 +346,18 @@ type LookupResult struct {
 }
 
 // LookupBatch classifies keys in order, appending one result per key
-// to dst and returning it. Passing a reused dst[:0] keeps the whole
-// call allocation-free at steady state. The epoch snapshot is loaded
-// once and the scratch checked out once for the batch, which amortizes
-// the pool round-trip and stats flush across high-rate traffic the way
-// the hardware pipeline amortizes its fill latency; concurrent batches
-// proceed in parallel, never serializing on a lock.
+// to dst and returning it. Each key is one pipelined lookup (§VI): (1)
+// the key is broadcast to every active subtable's match matrix; (2)
+// the global match vector — one bit per subtable with any local match
+// — traverses the global priority matrix; (3) the chosen subtable's
+// local priority matrix reduces its match vector to the report vector.
+// Amortized one cycle per lookup at full pipeline. Passing a reused
+// dst[:0] keeps the whole call allocation-free at steady state. The
+// epoch snapshot is loaded once and the scratch checked out once for
+// the batch, which amortizes the pool round-trip and stats flush across
+// high-rate traffic the way the hardware pipeline amortizes its fill
+// latency; concurrent batches proceed in parallel, never serializing on
+// a lock.
 //
 //catcam:hotpath
 func (d *Device) LookupBatch(keys []ternary.Key, dst []LookupResult) []LookupResult {
@@ -443,12 +434,11 @@ func (d *Device) Lookup(h rules.Header) (int, bool) {
 
 // UpdateResult describes the cost of one update request.
 type UpdateResult struct {
-	Class        UpdateClass
-	Cycles       uint64
-	Reallocated  int // entries moved between subtables (0 or 1 per entry)
-	FreshTables  int // subtables assigned during this update
-	Subtable     int // subtable the (last) entry landed in; -1 for deletes
-	StoreCompare uint64
+	Class       UpdateClass
+	Cycles      uint64
+	Reallocated int // entries moved between subtables (0 or 1 per entry)
+	FreshTables int // subtables assigned during this update
+	Subtable    int // subtable the (last) entry landed in; -1 for deletes
 }
 
 // updateOp describes one update request to the bracket: a plain value

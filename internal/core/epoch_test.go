@@ -66,7 +66,7 @@ func TestEpochAdvancesAndSharesCleanViews(t *testing.T) {
 }
 
 // TestEpochDifferentialVsLinear replays a seeded ClassBench trace at
-// four churn points and holds every classify entry point (LookupKey,
+// four churn points and holds every classify entry point (LookupBatch,
 // Lookup, LookupHeaderBatch) to swclass.Linear, the one semantic
 // reference: it shares no array, matrix or kernel with the device.
 // ClassBench gives every rule its own action, so the action also names
@@ -96,8 +96,8 @@ func TestEpochDifferentialVsLinear(t *testing.T) {
 						phase, i, path, e.Rank.RuleID, e.Action, ok, idOf[want], want, wantOK)
 				}
 			}
-			e, ok := d.LookupKey(rules.EncodeHeader(h))
-			agree("LookupKey", e, ok)
+			e, ok := classifyKey(d, rules.EncodeHeader(h))
+			agree("LookupBatch", e, ok)
 			agree("LookupHeaderBatch", batch[i].Entry, batch[i].OK)
 			if action, ok := d.Lookup(h); ok != wantOK || (ok && action != want) {
 				t.Fatalf("%s header %d: Lookup = %d/%v, swclass.Linear says %d/%v", phase, i, action, ok, want, wantOK)

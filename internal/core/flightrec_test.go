@@ -227,7 +227,7 @@ func TestAuditorDetectsCorruptedLocalMatrix(t *testing.T) {
 	st.prio.WriteRow(win, row)
 	republish(d)
 
-	e, ok := d.LookupKey(ternary.MustParseKey("1000"))
+	e, ok := classifyKey(d, ternary.MustParseKey("1000"))
 	if !ok || e.Action != 200 {
 		t.Fatalf("fallback answer = %+v/%v, want action 200", e, ok)
 	}
@@ -260,7 +260,7 @@ func TestAuditorDetectsCorruptedGlobalMatrix(t *testing.T) {
 	d.global.WriteRow(top, row)
 	republish(d)
 
-	e, ok := d.LookupKey(ternary.MustParseKey("1000"))
+	e, ok := classifyKey(d, ternary.MustParseKey("1000"))
 	if !ok || e.Action != 103 {
 		t.Fatalf("fallback answer = %+v/%v, want action 103", e, ok)
 	}
@@ -296,7 +296,7 @@ func TestGlobalMatrixNamingAnotherSubtable(t *testing.T) {
 	republish(d)
 
 	match0, _, _ := d.ArrayStats()
-	e, ok := d.LookupKey(ternary.MustParseKey("1000"))
+	e, ok := classifyKey(d, ternary.MustParseKey("1000"))
 	if !ok || e.Action != 101 {
 		t.Fatalf("answer = %+v/%v, want action 101 (the best entry of the subtable the matrix named)", e, ok)
 	}

@@ -119,8 +119,8 @@ func runStream(t *testing.T, data []byte) streamEdges {
 			}
 		case opLookup:
 			h := o.header
-			e, ok := d.LookupKey(rules.EncodeHeader(h))
-			agree(op, "LookupKey", h, e, ok)
+			e, ok := classifyKey(d, rules.EncodeHeader(h))
+			agree(op, "LookupBatch", h, e, ok)
 			action, ok := d.Lookup(h)
 			agree(op, "Lookup", h, Entry{Rank: e.Rank, Action: action}, ok)
 			continue // nothing changed: the probes and invariants below hold from the last op

@@ -14,8 +14,6 @@ import (
 type PriorityStore struct {
 	ranks []Rank
 	valid *bitvec.Vector
-
-	compares uint64 // comparator activations, for firmware-op accounting
 }
 
 // NewPriorityStore returns an empty store with the given slot capacity.
@@ -31,9 +29,6 @@ func (s *PriorityStore) Capacity() int { return len(s.ranks) }
 
 // Count returns the number of valid slots.
 func (s *PriorityStore) Count() int { return s.valid.Count() }
-
-// Compares returns the accumulated comparator activations.
-func (s *PriorityStore) Compares() uint64 { return s.compares }
 
 // Set records rank at slot.
 func (s *PriorityStore) Set(slot int, r Rank) {
@@ -70,7 +65,6 @@ func (s *PriorityStore) CompareAll(r Rank) (row, col *bitvec.Vector) {
 	row = bitvec.New(len(s.ranks))
 	col = bitvec.New(len(s.ranks))
 	s.valid.ForEach(func(i int) bool {
-		s.compares++
 		if r.Beats(s.ranks[i]) {
 			row.Set(i)
 		} else {

@@ -52,7 +52,9 @@ func TestRankOrder(t *testing.T) {
 	}
 }
 
-func TestPriorityStoreCompareAll(t *testing.T) {
+// TestPriorityStoreBroadcast: CompareAll splits the valid slots into the
+// new rank's row (slots it beats) and column (slots that beat it).
+func TestPriorityStoreBroadcast(t *testing.T) {
 	s := NewPriorityStore(8)
 	s.Set(1, Rank{Priority: 10})
 	s.Set(3, Rank{Priority: 30})
@@ -63,9 +65,6 @@ func TestPriorityStoreCompareAll(t *testing.T) {
 	}
 	if got := col.Indices(); len(got) != 1 || got[0] != 5 {
 		t.Fatalf("col = %v, want [5]", got)
-	}
-	if s.Compares() != 3 {
-		t.Fatalf("Compares = %d", s.Compares())
 	}
 	if s.MaxSlot() != 5 {
 		t.Fatalf("MaxSlot = %d", s.MaxSlot())

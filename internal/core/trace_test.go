@@ -93,7 +93,7 @@ func TestTraceDoesNotOutliveItsBatch(t *testing.T) {
 	if want == 0 {
 		t.Fatal("traced batch recorded no spans")
 	}
-	d.LookupKey(rules.EncodeHeader(hs[0]))
+	classifyKey(d, rules.EncodeHeader(hs[0]))
 	d.Lookup(hs[0])
 	d.LookupHeaderBatch(hs, nil)
 	if got := tr.SpanCount(); got != want {

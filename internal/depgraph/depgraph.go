@@ -121,11 +121,15 @@ func (g *Graph) UpperCount(h int) int { return len(g.up[h]) }
 // LowerCount returns the number of entries that must sit below h.
 func (g *Graph) LowerCount(h int) int { return len(g.down[h]) }
 
+// keys returns m's handles in ascending order: the update schedulers
+// break ties by neighbour order, so map order would make their moves
+// and firmware work differ from run to run.
 func keys(m map[int]bool) []int {
 	out := make([]int, 0, len(m))
 	for k := range m {
 		out = append(out, k)
 	}
+	sort.Ints(out)
 	return out
 }
 

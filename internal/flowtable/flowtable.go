@@ -105,10 +105,15 @@ type TableConfig struct {
 	Device core.Config
 	Miss   MissPolicy
 	// Shards, when >= 2, backs this table with a sharded cluster of
-	// identical devices instead of a single one; Partition selects the
-	// cluster's partition scheme and FanWorkers its per-shard classify
-	// worker count (see cluster.Config.FanWorkers).
-	Shards     int
+	// identical devices instead of a single one; FanWorkers is its
+	// per-shard classify worker count (see cluster.Config.FanWorkers).
+	Shards int
+	// Partition must be cluster.ModeInterval (the zero value);
+	// NewPipeline rejects anything else.
+	//
+	// Deprecated: the cluster has one partition scheme. The field stays
+	// only because benchmark/ still sets it, and is deleted with the
+	// benchmark-side edits of ROADMAP item 5.
 	Partition  cluster.Mode
 	FanWorkers int
 }
@@ -267,11 +272,13 @@ func NewPipeline(configs []TableConfig) (*Pipeline, error) {
 		if _, dup := p.tables[c.ID]; dup {
 			return nil, fmt.Errorf("flowtable: duplicate table %d", c.ID)
 		}
+		if c.Partition != cluster.ModeInterval {
+			return nil, fmt.Errorf("flowtable: table %d: unknown partition %d, the cluster only partitions by priority interval", c.ID, c.Partition)
+		}
 		var dev Backend
 		if c.Shards >= 2 {
 			dev = cluster.New(cluster.Config{
-				Shards: c.Shards, Mode: c.Partition, Device: c.Device,
-				FanWorkers: c.FanWorkers,
+				Shards: c.Shards, Device: c.Device, FanWorkers: c.FanWorkers,
 			})
 		} else {
 			dev = core.NewDevice(c.Device)

@@ -177,8 +177,8 @@ func TestPrototypeIntegration(t *testing.T) {
 
 	classify := func(h rules.Header) (int, bool) {
 		key := e.ExtractKey(FromHeader(l, h))
-		ent, ok := d.LookupKey(key)
-		return ent.Action, ok
+		r := d.LookupBatch([]ternary.Key{key}, nil)[0]
+		return r.Entry.Action, r.OK
 	}
 
 	if act, ok := classify(rules.Header{SrcIP: 0x0A0A0101, DstPort: 80, Proto: 6}); !ok || act != 90 {

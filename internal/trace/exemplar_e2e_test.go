@@ -21,7 +21,7 @@ import (
 func TestExemplarToSpanTree(t *testing.T) {
 	rs := classbench.Generate(classbench.Config{Family: classbench.ACL, Size: 200, Seed: 4})
 	c := cluster.New(cluster.Config{
-		Shards: 4, Mode: cluster.ModeInterval,
+		Shards: 4,
 		Device: core.Config{Subtables: 16, SubtableCapacity: 64, KeyWidth: 160},
 	})
 	defer c.Close()

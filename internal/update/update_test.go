@@ -332,10 +332,14 @@ func TestQuickChurnInvariant(t *testing.T) {
 		}
 		for step := 0; step < 150; step++ {
 			if rng.Intn(2) == 0 && len(live) > 0 {
-				var id int
+				// Delete the oldest live rule (lowest ID), so the churn,
+				// and with it whether TreeCAM's table fills, is the same
+				// on every run.
+				id := -1
 				for k := range live {
-					id = k
-					break
+					if id < 0 || k < id {
+						id = k
+					}
 				}
 				if _, err := a.Delete(id); err != nil {
 					t.Fatalf("%s delete: %v", a.Name(), err)
@@ -361,6 +365,51 @@ func TestQuickChurnInvariant(t *testing.T) {
 		}
 		if err := a.CheckInvariant(); err != nil {
 			t.Fatalf("%s after churn: %v", a.Name(), err)
+		}
+	}
+}
+
+// The chain schedulers are deterministic: replaying one seeded load and
+// update trace twice yields the same moves and firmware work per request.
+// Their decisions walk dependency-graph neighbour lists, so any map
+// iteration order leaking into those lists shows up here.
+func TestChainSchedulersDeterministic(t *testing.T) {
+	rs := classbench.Generate(classbench.Config{Family: classbench.ACL, Size: 300, Seed: 31})
+	trace := classbench.UpdateTrace(rs, 200, 32)
+	replay := func(a Algorithm) []Result {
+		var out []Result
+		for _, r := range rs.Rules {
+			res, err := a.Insert(r)
+			if err != nil {
+				t.Fatalf("%s load: %v", a.Name(), err)
+			}
+			out = append(out, res)
+		}
+		for _, u := range trace {
+			var res Result
+			var err error
+			if u.Op == classbench.OpInsert {
+				res, err = a.Insert(u.Rule)
+			} else {
+				res, err = a.Delete(u.Rule.ID)
+			}
+			if err != nil {
+				t.Fatalf("%s trace: %v", a.Name(), err)
+			}
+			out = append(out, res)
+		}
+		return out
+	}
+	for _, mk := range []func() Algorithm{
+		func() Algorithm { return NewFastRule(2048, rules.TupleBits) },
+		func() Algorithm { return NewRuleTris(2048, rules.TupleBits) },
+		func() Algorithm { return NewPOT(2048, rules.TupleBits) },
+	} {
+		first, second := replay(mk()), replay(mk())
+		for i := range first {
+			if first[i] != second[i] {
+				t.Fatalf("%s request %d: %+v, then %+v on replay", mk().Name(), i, first[i], second[i])
+			}
 		}
 	}
 }
