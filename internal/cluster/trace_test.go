@@ -5,6 +5,7 @@ import (
 
 	"catcam/internal/classbench"
 	"catcam/internal/core"
+	"catcam/internal/rules"
 	"catcam/internal/trace"
 )
 
@@ -12,7 +13,10 @@ import (
 // batch: a fanout_dispatch and arbiter_merge span from the dispatcher,
 // one shard_kernel span per shard (each on its own shard), device and
 // kernel spans beneath them carrying shard IDs, and identical results
-// to the untraced path.
+// to the untraced path. A device emits kernel spans only for the
+// subtables it searches, so the focus key must match a rule in every
+// shard: one all-wildcard rule per shard, at a priority inside that
+// shard's interval, makes every key such a key.
 func TestClusterTracedSpans(t *testing.T) {
 	rs := classbench.Generate(classbench.Config{Family: classbench.ACL, Size: 200, Seed: 4})
 	c := testCluster(t, 4)
@@ -21,7 +25,22 @@ func TestClusterTracedSpans(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	bounds := c.Bounds()
+	for i := 0; i < c.NumShards(); i++ {
+		prio := bounds[len(bounds)-1] + 1 // above every bound: the top shard
+		if i < len(bounds) {
+			prio = bounds[i]
+		}
+		if _, err := c.InsertRule(clRule(1<<20+i, prio, rules.Prefix{})); err != nil {
+			t.Fatal(err)
+		}
+	}
 	hs := classbench.PacketTrace(rs, 64, 0.9, 9)
+	for i, sh := range c.shards {
+		if _, ok := sh.dev.Lookup(hs[0]); !ok { // key 0 is the default focus
+			t.Fatalf("shard %d matches no rule for the focus key", i)
+		}
+	}
 
 	plain := c.LookupHeaderBatch(hs, nil)
 	tr := &trace.Trace{ID: 11}

@@ -182,6 +182,12 @@ type Device struct {
 	// seqCounter makes ranks unique across expansion entries.
 	seqCounter int //catcam:guarded-by mu
 
+	// sel is the bit-selection filter's key positions, shared by every
+	// match array and by the snapshots published since they were
+	// chosen; selAt is d.entries at that choice (see rechooseFilter).
+	sel   *sram.Selection //catcam:guarded-by mu
+	selAt int             //catcam:guarded-by mu
+
 	// stats fields are atomic: update-side counters are written only
 	// under mu, lookup counters are flushed from read scratches, and
 	// Stats() reads everything without taking the lock.
@@ -256,8 +262,10 @@ func NewDevice(cfg Config) *Device {
 		trShard: -1,
 	}
 	d.readPool.New = func() any { return d.newReadScratch() }
+	d.sel = sram.SelectPositions(cfg.KeyWidth, nil)
 	for i := range d.subs {
 		d.subs[i] = NewSubtable(i, cfg.SubtableCapacity, cfg.KeyWidth, matchP, prioP)
+		d.subs[i].match.SetSelection(d.sel)
 	}
 	for i := cfg.Subtables - 1; i >= 0; i-- {
 		d.freeSubs = append(d.freeSubs, i)
@@ -387,10 +395,11 @@ func (d *Device) LookupHeaderBatch(hs []rules.Header, dst []LookupResult) []Look
 // A sampled batch's tr (nil otherwise) receives, per key, a
 // device_lookup span carrying the winning subtable and the modeled
 // cycle cost and, for the batch's focus key (tr.Focus(), default key
-// 0), one sram_kernel span per active subtable searched, emitted inside
-// snapshot.lookup from the trace context the scratch carries. The spans
-// ride the same epoch snapshot as the answers they annotate, so a trace
-// never mixes state from two epochs.
+// 0), one sram_kernel span per subtable the host searched (none for
+// the subtables the filter skips), emitted inside snapshot.lookup from
+// the trace context the scratch carries. The spans ride the same epoch
+// snapshot as the answers they annotate, so a trace never mixes state
+// from two epochs.
 //
 //catcam:hotpath
 func (d *Device) LookupHeaderBatchTraced(tr *tracepkg.Trace, hs []rules.Header, dst []LookupResult) []LookupResult {
@@ -955,6 +964,16 @@ func (d *Device) ResetArrayStats() {
 	}
 }
 
+// HostSearches returns how many match-matrix searches the host ran on
+// the classify path since creation or the last ResetStats. The model
+// charges one search per active subtable per lookup (ArrayStats'
+// match Searches); the host runs only those the bit-selection filter
+// admits, so HostSearches divided by Stats().Lookups is what the
+// filter leaves of the model's searches per lookup.
+func (d *Device) HostSearches() uint64 {
+	return d.churn.hostSearches.Load()
+}
+
 // Occupancy returns stored entries / total slots, as of the last
 // published epoch. Served from the snapshot, no lock.
 func (d *Device) Occupancy() float64 {
@@ -964,9 +983,11 @@ func (d *Device) Occupancy() float64 {
 // CheckInvariant verifies the scheduler's structural invariants: the
 // order is strictly sorted by max rank, every entry's rank lies in its
 // subtable's interval, subtable maxes match their contents, the global
-// priority matrix encodes the order, and every subtable's priority
-// matrix agrees with its stored ranks. Test support; the flight
-// recorder's AuditSweep runs the same checks incrementally.
+// priority matrix encodes the order, every view the last epoch
+// published was filtered on that epoch's key positions, and every
+// subtable's priority matrix agrees with its stored ranks. Test
+// support; the flight recorder's AuditSweep runs the same checks
+// incrementally.
 func (d *Device) CheckInvariant() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -982,9 +1003,10 @@ func (d *Device) CheckInvariant() error {
 }
 
 // globalInvariantLocked verifies the device-level invariants — the
-// interval structure, the global matrix encoding, and the rule locator
-// — without descending into per-subtable priority matrices (the audit
-// sweep checks those separately, per subtable). Callers hold d.mu.
+// interval structure, the global matrix encoding, the published views'
+// filter positions, and the rule locator — without descending into
+// per-subtable priority matrices (the audit sweep checks those
+// separately, per subtable). Callers hold d.mu.
 func (d *Device) globalInvariantLocked() error {
 	for i := 1; i < len(d.order); i++ {
 		if !d.maxOf[d.order[i-1]].Less(d.maxOf[d.order[i]]) {
@@ -1028,6 +1050,12 @@ func (d *Device) globalInvariantLocked() error {
 			if got := d.global.Bit(a, b); got != want {
 				return fmt.Errorf("core: global matrix [%d][%d]=%v, want %v", a, b, got, want)
 			}
+		}
+	}
+	s := d.snap.Load()
+	for _, id := range s.order {
+		if sel := s.subs[id].match.Selection(); sel != s.sel {
+			return fmt.Errorf("core: subtable %d view filtered on %p, epoch %d on %p", id, sel, s.epoch, s.sel)
 		}
 	}
 	stored := 0

@@ -217,3 +217,100 @@ func TestEpochChurnVsClassify(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFilterRechoiceChurnVsClassify races readers against a writer
+// whose load crosses two doubling thresholds of the entry count and
+// whose deletes then cross a halving one, so the filter's key positions
+// are re-chosen (every match array recounted, every active view
+// republished) while lookups are in flight. The epoch-stamped shadow
+// re-classifies every lookup through swclass.Linear and must never
+// disagree; lookups racing an update see a stale epoch and are not
+// compared, so after every re-choice the writer also classifies the
+// batch itself, on the epoch it just published, and CheckInvariant
+// confirms each published view carries its snapshot's positions. Run
+// with -race.
+func TestFilterRechoiceChurnVsClassify(t *testing.T) {
+	rs := classbench.Generate(classbench.Config{Family: classbench.ACL, Size: 240, Seed: 93})
+	d := NewDevice(Config{Subtables: 64, SubtableCapacity: 64, KeyWidth: 160})
+	aud := flightrec.NewAuditor(nil, nil, 64, nil)
+	sh := flightrec.NewShadow(swclass.NewLinear(), aud, -1)
+	sh.SetSampleEvery(1)
+	d.AttachAuditor(aud)
+	d.AttachShadow(sh)
+
+	eighth := len(rs.Rules) / 8
+	for _, r := range rs.Rules[:eighth] {
+		if _, err := d.InsertRule(r); err != nil {
+			t.Fatalf("preload: %v", err)
+		}
+	}
+	headers := classbench.PacketTrace(rs, 64, 0.9, 94)
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var results []LookupResult
+			for !stop.Load() {
+				results = d.LookupHeaderBatch(headers, results[:0])
+			}
+		}()
+	}
+
+	choices, moved := 0, 0
+	d.mu.Lock()
+	selAt, sel := d.selAt, d.sel
+	d.mu.Unlock()
+	check := func(phase string) {
+		t.Helper()
+		d.mu.Lock()
+		at, now := d.selAt, d.sel
+		d.mu.Unlock()
+		if at == selAt {
+			return
+		}
+		choices++
+		if now != sel {
+			moved++
+		}
+		selAt, sel = at, now
+		if err := d.CheckInvariant(); err != nil {
+			t.Fatalf("%s, after re-choosing at %d entries: %v", phase, at, err)
+		}
+		d.LookupHeaderBatch(headers, nil)
+	}
+	for _, r := range rs.Rules[eighth:] {
+		if _, err := d.InsertRule(r); err != nil {
+			t.Fatalf("load: %v", err)
+		}
+		check("load")
+	}
+	loadChoices := choices
+	for _, r := range rs.Rules[:len(rs.Rules)*7/8] {
+		if _, err := d.DeleteRule(r.ID); err != nil {
+			t.Fatalf("delete: %v", err)
+		}
+		check("delete")
+	}
+	stop.Store(true)
+	wg.Wait()
+
+	if loadChoices < 2 || choices == loadChoices || moved == 0 {
+		t.Fatalf("%d re-choices while loading, %d while deleting, %d moved the positions: want >= 2, >= 1, >= 1",
+			loadChoices, choices-loadChoices, moved)
+	}
+	if got, reason := sh.Desynced(); got {
+		t.Fatalf("shadow desynced: %s", reason)
+	}
+	if aud.Checks(flightrec.InvShadowMatch) == 0 {
+		t.Fatal("the shadow compared no lookup")
+	}
+	if n := aud.TotalViolations(); n != 0 {
+		t.Fatalf("%d violations: the filter hid a match or mixed epochs", n)
+	}
+	if err := d.CheckInvariant(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -309,21 +309,26 @@ func TestGlobalMatrixNamingAnotherSubtable(t *testing.T) {
 }
 
 // TestAuditSweepDetectsPlaneFault desynchronizes a bit-sliced value
-// plane from its row-major word and checks the sweep's bit-plane
-// parity audit catches it.
+// plane from its row-major word, or skews a filter count against the
+// stored words, and checks the sweep's bit-plane parity audit catches
+// it.
 func TestAuditSweepDetectsPlaneFault(t *testing.T) {
-	d, _ := loadedDevice(t, 60)
-	aud := flightrec.NewAuditor(nil, nil, 8, nil)
-	d.AttachAuditor(aud)
-	st := d.subs[d.order[0]]
-	slot := st.store.ValidRef().First()
-	if pos := st.match.InjectPlaneFault(slot); pos < 0 {
-		t.Fatal("entry has no cared position to corrupt")
-	}
-	info := d.AuditSweep()
-	if info.Violations == 0 || aud.ViolationCount(flightrec.InvBitPlaneParity) == 0 {
-		t.Fatalf("plane fault not detected: sweep %+v, parity violations %d",
-			info, aud.ViolationCount(flightrec.InvBitPlaneParity))
+	for name, inject := range map[string]func(st *Subtable, slot int) bool{
+		"value plane":  func(st *Subtable, slot int) bool { return st.match.InjectPlaneFault(slot) >= 0 },
+		"filter count": func(st *Subtable, slot int) bool { return st.match.InjectFilterFault(slot) },
+	} {
+		d, _ := loadedDevice(t, 60)
+		aud := flightrec.NewAuditor(nil, nil, 8, nil)
+		d.AttachAuditor(aud)
+		st := d.subs[d.order[0]]
+		if !inject(st, st.store.ValidRef().First()) {
+			t.Fatalf("%s: nothing to corrupt", name)
+		}
+		info := d.AuditSweep()
+		if info.Violations == 0 || aud.ViolationCount(flightrec.InvBitPlaneParity) == 0 {
+			t.Fatalf("%s fault not detected: sweep %+v, parity violations %d",
+				name, info, aud.ViolationCount(flightrec.InvBitPlaneParity))
+		}
 	}
 }
 

@@ -136,7 +136,10 @@ func TestLookupBatchConcurrentResetStats(t *testing.T) {
 // optimization of the search or decision kernels may move time, never
 // these. The trace mixes uniform headers with rule-matching ones:
 // uniform headers alone reach no priority decision on ACL-1K and 43
-// on ACL-5K, so they would leave the NOR counts unpinned.
+// on ACL-5K, so they would leave the NOR counts unpinned. The same run
+// bounds what the host actually searched (HostSearches): at most 8
+// subtables per lookup on ACL-1K and 25 on ACL-5K, where the model
+// charges 30 and 132.
 func TestLookupAccountingPinned(t *testing.T) {
 	fj := math.Float64frombits
 	for _, tc := range []struct {
@@ -176,6 +179,18 @@ func TestLookupAccountingPinned(t *testing.T) {
 		}
 		if got := d.Stats(); got != tc.stats {
 			t.Errorf("ACL-%d device stats:\ngot  %+v\nwant %+v", tc.size, got, tc.stats)
+		}
+		// The model charged every active subtable per lookup, bit for bit
+		// as above; the host searched only those the bit-selection filter
+		// admits.
+		limit := 8.0
+		if tc.size == 5000 {
+			limit = 25
+		}
+		host := float64(d.HostSearches()) / float64(tc.stats.Lookups)
+		t.Logf("ACL-%d: host searches %.2f per lookup, model %d", tc.size, host, tc.array[0].Searches/tc.stats.Lookups)
+		if host > limit {
+			t.Errorf("ACL-%d: host searched %.2f subtables per lookup, want <= %.0f", tc.size, host, limit)
 		}
 	}
 }

@@ -143,6 +143,11 @@ type snapshot struct {
 	subs   []*subtableView  //catcam:immutable
 	global *sram.MatrixView //catcam:immutable
 	count  int              // stored entries (the locator's entry count)
+	// sel is the filter's key positions, shared across epochs until
+	// the device re-chooses them; every view in subs was frozen for
+	// exactly these (CheckInvariant), so lookup extracts a key's
+	// patterns once for all of them.
+	sel *sram.Selection //catcam:immutable
 
 	// Global-matrix write-pressure stamps at publish time (the matrix's
 	// own counters are mutated only under d.mu, so they ride the epoch
@@ -163,6 +168,7 @@ type snapshot struct {
 // previous snapshot's clean views, publishes it, and re-stamps the
 // shadow. Caller holds d.mu; this is the only place d.snap is stored.
 func (d *Device) publishLocked() {
+	d.rechooseFilter()
 	old := d.snap.Load()
 	s := &snapshot{
 		cfg:     d.cfg,
@@ -170,6 +176,7 @@ func (d *Device) publishLocked() {
 		maxOf:   append([]Rank(nil), d.maxOf...),
 		subs:    make([]*subtableView, len(d.subs)),
 		count:   d.entries,
+		sel:     d.sel,
 		aud:     d.aud,
 		shadow:  d.shadow,
 		tel:     d.tel,
@@ -214,6 +221,37 @@ func (d *Device) publishLocked() {
 	d.shadow.SetEpoch(s.epoch)
 }
 
+// rechooseFilter re-picks the bit-selection filter's key positions
+// when the entry count has doubled or halved since the last choice, so
+// a bulk load re-picks a logarithmic number of times and a table
+// churning at a steady size never does. Each position scores
+// min(entries caring 0, entries caring 1) summed over the active
+// subtables, and the top scores win (sram.SelectPositions). A new
+// choice recounts every match array's filter and marks every active
+// subtable dirty, so the epoch being published carries one selection
+// throughout. Caller holds d.mu.
+func (d *Device) rechooseFilter() {
+	if d.entries == 0 || d.selAt > 0 && d.entries < 2*d.selAt && 2*d.entries > d.selAt {
+		return
+	}
+	d.selAt = d.entries
+	scores := make([]int, d.cfg.KeyWidth)
+	for _, id := range d.order {
+		d.subs[id].match.AddSplitScores(scores)
+	}
+	sel := sram.SelectPositions(d.cfg.KeyWidth, scores)
+	if *sel == *d.sel {
+		return
+	}
+	d.sel = sel
+	for _, st := range d.subs {
+		st.match.SetSelection(sel)
+	}
+	for _, id := range d.order {
+		d.dirty[id] = true
+	}
+}
+
 // Epoch returns the published epoch counter — one increment per
 // publication (every update, attach, and trace-shard change). Serves
 // from the snapshot, no lock.
@@ -245,6 +283,7 @@ type readScratch struct {
 	// a shared cache line per lookup.
 	lookups      uint64
 	lookupCycles uint64
+	hostSearches uint64     // searches the host ran; the model charges every active subtable
 	match        sram.Stats // all match matrices, aggregated
 	prio         sram.Stats // all local priority matrices, aggregated
 	global       sram.Stats // the global priority matrix
@@ -289,6 +328,7 @@ func (d *Device) getScratch() *readScratch {
 //catcam:hotpath
 func (d *Device) putScratch(sc *readScratch, s *snapshot) {
 	d.churn.scratchBatches.Add(1)
+	d.churn.hostSearches.Add(sc.hostSearches)
 	d.stats.lookups.Add(sc.lookups)
 	d.stats.lookupCycles.Add(sc.lookupCycles)
 	if t := s.tel; t != nil {
@@ -297,7 +337,7 @@ func (d *Device) putScratch(sc *readScratch, s *snapshot) {
 	d.rdMatch.add(&sc.match)
 	d.rdPrio.add(&sc.prio)
 	d.rdGlobal.add(&sc.global)
-	sc.lookups, sc.lookupCycles = 0, 0
+	sc.lookups, sc.lookupCycles, sc.hostSearches = 0, 0, 0
 	sc.match, sc.prio, sc.global = sram.Stats{}, sram.Stats{}, sram.Stats{}
 	sc.tr, sc.keyIdx, sc.focus = nil, 0, 0
 	d.readPool.Put(sc) //catcam:allow alloc "sync.Pool return; boxing a pointer does not allocate at steady state"
@@ -331,21 +371,32 @@ func (s *snapshot) lookup(sc *readScratch, k ternary.Key) (Entry, int, bool) {
 	// traced batch's one focus key records them.
 	traceKernel := sc.tr != nil && sc.keyIdx == sc.focus
 
-	// Every active subtable is searched, as the silicon does in
-	// parallel: the global decision's energy is charged by how many of
-	// them match, so the walk cannot stop at the first hit. order runs
-	// up the disjoint intervals, so the last subtable that matches, top,
-	// is the metadata's answer to which one wins, and only its match
-	// vector is kept.
+	// The silicon searches every active subtable at once, and the model
+	// charges every one of them: the global decision's energy is
+	// charged by how many match, so the walk cannot stop at the first
+	// hit. The host searches only the subtables the bit-selection
+	// filter admits; one it rules out would come back empty, so it is
+	// charged without a search, in the same order, which leaves every
+	// counter and energy sum bit-identical. order runs up the disjoint
+	// intervals, so the last subtable that matches, top, is the
+	// metadata's answer to which one wins, and only its match vector is
+	// kept.
 	globalMatch := sc.globalMatch
 	globalMatch.Reset()
 	top := -1
+	pats := s.sel.Patterns(k)
 	for _, id := range s.order {
+		view := s.subs[id].match
+		if !view.Admits(pats) {
+			view.Charge(&sc.match)
+			continue
+		}
+		sc.hostSearches++
 		var kernelStart uint64
 		if traceKernel {
 			kernelStart = tracepkg.Nanos()
 		}
-		s.subs[id].match.SearchInto(sc.probe, sc.acc, k, &sc.match)
+		view.SearchInto(sc.probe, sc.acc, k, &sc.match)
 		if traceKernel {
 			//catcam:allow alloc "sampled trace span; rate-gated off the steady-state path"
 			sc.tr.Span(tracepkg.StageSRAMKernel, s.frTable, s.trShard, id, sc.keyIdx, kernelStart, 1)
@@ -386,6 +437,7 @@ func (s *snapshot) lookup(sc *readScratch, k ternary.Key) (Entry, int, bool) {
 		// reports it). Re-search the named subtable off the books — the
 		// modelled search already happened in the walk above.
 		var offBooks sram.Stats
+		sc.hostSearches++
 		matchVec = s.subs[winner].match.SearchInto(sc.probe, sc.acc, k, &offBooks)
 	}
 	sv := s.subs[winner]

@@ -24,6 +24,7 @@ type epochChurn struct {
 	globalRebuilds atomic.Uint64
 	scratchAllocs  atomic.Uint64
 	scratchBatches atomic.Uint64
+	hostSearches   atomic.Uint64
 }
 
 func (c *epochChurn) reset() {
@@ -33,6 +34,7 @@ func (c *epochChurn) reset() {
 	c.globalRebuilds.Store(0)
 	c.scratchAllocs.Store(0)
 	c.scratchBatches.Store(0)
+	c.hostSearches.Store(0)
 }
 
 // StructuralChurn is the exported snapshot of epoch-churn accounting.

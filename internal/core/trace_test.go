@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"catcam/internal/rules"
+	"catcam/internal/ternary"
 	"catcam/internal/trace"
 )
 
@@ -30,7 +31,8 @@ func TestLookupHeaderBatchTracedMatchesUntraced(t *testing.T) {
 
 // TestDeviceTraceSpans checks the span shape of one traced batch: one
 // device_lookup span per key carrying the winning subtable and the
-// modeled cycle cost, plus sram_kernel spans only for the focus key.
+// modeled cycle cost, plus sram_kernel spans only for the focus key,
+// one per subtable the host searched: those the filter admits.
 func TestDeviceTraceSpans(t *testing.T) {
 	d, headers := loadedDevice(t, 100)
 	hs := headers[:8]
@@ -38,7 +40,19 @@ func TestDeviceTraceSpans(t *testing.T) {
 	tr.SetFocus(3)
 	res := d.LookupHeaderBatchTraced(tr, hs, nil)
 
-	var lookups, kernels int
+	s := d.snap.Load()
+	focus := ternary.NewKey(d.cfg.KeyWidth)
+	focus.LoadPadded(rules.EncodeHeader(hs[3]))
+	pats := s.sel.Patterns(focus)
+	admitted := map[int]bool{}
+	for _, id := range s.order {
+		if s.subs[id].match.Admits(pats) {
+			admitted[id] = true
+		}
+	}
+
+	var lookups int
+	kernels := map[int]int{}
 	for _, sp := range tr.Spans {
 		switch sp.Stage {
 		case trace.StageDeviceLookup:
@@ -56,12 +70,12 @@ func TestDeviceTraceSpans(t *testing.T) {
 				t.Fatalf("miss on key %d reports subtable %d", sp.Key, sp.Subtable)
 			}
 		case trace.StageSRAMKernel:
-			kernels++
+			kernels[sp.Subtable]++
 			if sp.Key != 3 {
 				t.Fatalf("sram_kernel span for key %d, only the focus key (3) is kernel-traced", sp.Key)
 			}
-			if sp.Subtable < 0 {
-				t.Fatalf("sram_kernel span without subtable: %+v", sp)
+			if !admitted[sp.Subtable] {
+				t.Fatalf("sram_kernel span for subtable %d, which the filter skips for the focus key", sp.Subtable)
 			}
 			if sp.Shard != -1 {
 				t.Fatalf("standalone device must emit shard -1, got %d", sp.Shard)
@@ -73,8 +87,14 @@ func TestDeviceTraceSpans(t *testing.T) {
 	if lookups != len(hs) {
 		t.Fatalf("%d device_lookup spans for %d keys", lookups, len(hs))
 	}
-	if want := d.ActiveSubtables(); kernels != want {
-		t.Fatalf("%d sram_kernel spans, want one per active subtable (%d)", kernels, want)
+	for id, n := range kernels {
+		if n != 1 {
+			t.Fatalf("%d sram_kernel spans for subtable %d, want 1", n, id)
+		}
+	}
+	if len(kernels) != len(admitted) || len(admitted) == 0 {
+		t.Fatalf("sram_kernel spans for %d subtables, want one per subtable searched (%d of %d active)",
+			len(kernels), len(admitted), d.ActiveSubtables())
 	}
 }
 

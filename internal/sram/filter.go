@@ -1,0 +1,197 @@
+package sram
+
+import (
+	"math/bits"
+	"sort"
+
+	"catcam/internal/ternary"
+)
+
+// This file holds the bit-selection filter (DESIGN.md §8), the host's
+// answer to replaying a parallel search serially: before searching a
+// frozen view, a lookup asks it whether any valid entry could match the
+// key on FilterGroups groups of FilterBits chosen key positions, and
+// skips the search when none could. The filter is exact about matches:
+// an entry that matches the key agrees with it on every position, so
+// its group patterns are among those the view admits. It is host-side
+// only — a skipped search is still charged to the model (Charge) — so
+// the positions may be chosen freely; a good choice only makes it skip
+// more. The technique is bit-selection partitioning from TCAM power
+// work (Zane, Narlikar & Basu, "CoolCAMs", INFOCOM 2003).
+
+// The filter's shape: FilterGroups groups of FilterBits positions, so a
+// key has one filterPatterns-valued pattern per group.
+const (
+	FilterGroups   = 4
+	FilterBits     = 8
+	filterPatterns = 1 << FilterBits
+)
+
+// Selection is the filter's choice of key positions: pattern bit j of
+// group g is the key bit at storage position pos[g][j] (position 0 is
+// the least significant, as in ternary.Word.PlaneWords). One selection
+// is shared by every array of a device, by the views frozen from them
+// and by the epochs that publish those views, so it is never written
+// after SelectPositions builds it.
+//
+//catcam:snapshot
+type Selection struct {
+	pos [FilterGroups][FilterBits]uint16
+}
+
+// SelectPositions picks the FilterGroups*FilterBits positions of a
+// width-wide key with the highest scores, among equal scores the most
+// significant first, and deals them to the groups in turn: the best
+// position opens group 0, the next group 1, and so on, so every group
+// mixes strong and weak positions. (On ClassBench ACL-5K that left a
+// lookup 13.8 subtables to search, against 24.5 when group 0 took the
+// top 8.) A nil scores counts as all zero. A key narrower than the
+// selection repeats positions, which leaves the filter exact, only
+// weaker.
+func SelectPositions(width int, scores []int) *Selection {
+	byScore := make([]int, width)
+	for i := range byScore {
+		byScore[i] = width - 1 - i
+	}
+	if scores != nil {
+		sort.SliceStable(byScore, func(a, b int) bool { return scores[byScore[a]] > scores[byScore[b]] })
+	}
+	s := &Selection{}
+	for i := 0; i < FilterGroups*FilterBits; i++ {
+		s.pos[i%FilterGroups][i/FilterGroups] = uint16(byScore[i%width])
+	}
+	return s
+}
+
+// Patterns extracts key k's pattern in every group.
+//
+//catcam:hotpath
+func (s *Selection) Patterns(k ternary.Key) [FilterGroups]uint8 {
+	return s.patterns(k.Words())
+}
+
+// patterns gathers the selected bits of a packed plane (a key, or a
+// word's value or care plane): bit j of pattern g is the plane's bit at
+// s.pos[g][j].
+//
+//catcam:hotpath
+func (s *Selection) patterns(plane []uint64) [FilterGroups]uint8 {
+	var pats [FilterGroups]uint8
+	for g := range s.pos {
+		var p uint
+		for j, pos := range s.pos[g] {
+			p |= uint(plane[pos>>6]>>(pos&63)&1) << j
+		}
+		pats[g] = uint8(p)
+	}
+	return pats
+}
+
+// filterCounts holds, per group and pattern, how many valid entries are
+// compatible with that pattern on the group's positions (agree with it
+// wherever they care), and beside the counts the bitmap of the non-zero
+// ones, kept current as counts cross zero so a view freezes it by copy.
+type filterCounts struct {
+	n   [FilterGroups][filterPatterns]uint16
+	set filterBitmap
+}
+
+// filterBitmap has bit p of group g set when some valid entry is
+// compatible with pattern p.
+type filterBitmap [FilterGroups][filterPatterns / 64]uint64
+
+// tally moves entry word w's contributions to the per-position care and
+// one counts and to the filter counts by delta: +1 as w arrives, -1 as
+// it leaves. (WriteEntry counts an arriving word's positions in the
+// plane scatter it runs anyway, and tallies only its groups.)
+func (t *TernaryArray) tally(w ternary.Word, delta int32) {
+	value, care := w.PlaneWords()
+	for wi, cw := range care {
+		for ; cw != 0; cw &= cw - 1 {
+			b := bits.TrailingZeros64(cw)
+			t.cares[wi*64+b] += delta
+			t.ones[wi*64+b] += delta & -int32(value[wi]>>b&1)
+		}
+	}
+	t.tallyGroups(w, uint16(delta))
+}
+
+// tallyGroups adds delta (mod 2^16, so 0xFFFF takes one away) to the
+// filter count of every pattern w is compatible with. An entry that is
+// a wildcard at k of a group's positions is compatible with 2^k
+// patterns, enumerated by a subset walk of those free positions.
+func (t *TernaryArray) tallyGroups(w ternary.Word, delta uint16) {
+	value, care := w.PlaneWords()
+	f := t.filter
+	for g, positions := range t.sel.pos {
+		var fixed, free uint
+		for j, pos := range positions {
+			c := uint(care[pos>>6]>>(pos&63)) & 1
+			v := uint(value[pos>>6]>>(pos&63)) & 1
+			fixed |= c & v << j
+			free |= (c ^ 1) << j
+		}
+		for sub := free; ; sub = (sub - 1) & free {
+			p := fixed | sub
+			f.n[g][p] += delta
+			if f.n[g][p] != 0 {
+				f.set[g][p/64] |= 1 << (p % 64)
+			} else {
+				f.set[g][p/64] &^= 1 << (p % 64)
+			}
+			if sub == 0 {
+				break
+			}
+		}
+	}
+}
+
+// SetSelection switches the array's filter to sel and recounts the
+// filter counts from the valid entries; views frozen afterwards carry
+// sel. Not a modeled hardware access: the filter is host-side.
+func (t *TernaryArray) SetSelection(sel *Selection) {
+	t.sel = sel
+	if t.filter == nil {
+		return
+	}
+	*t.filter = filterCounts{}
+	t.valid.ForEach(func(r int) bool {
+		t.tallyGroups(t.entries[r], 1)
+		return true
+	})
+}
+
+// filterSet returns the filter bitmap a view freezes: empty before the
+// first write allocates the counts.
+func (t *TernaryArray) filterSet() filterBitmap {
+	if t.filter == nil {
+		return filterBitmap{}
+	}
+	return t.filter.set
+}
+
+// AddSplitScores adds, for every position, min(valid entries caring 0,
+// valid entries caring 1) to scores[pos]: how evenly the position
+// splits the array's entries, and so how well it tells the array's
+// patterns apart.
+func (t *TernaryArray) AddSplitScores(scores []int) {
+	for pos, c := range t.cares {
+		scores[pos] += int(min(c-t.ones[pos], t.ones[pos]))
+	}
+}
+
+// Admits reports whether some valid entry of the view is compatible
+// with the key patterns pats (Selection.Patterns of the view's
+// selection) in every group. False means no entry can match the key,
+// so its search would come back empty.
+//
+//catcam:hotpath
+func (v *TernaryView) Admits(pats [FilterGroups]uint8) bool {
+	return (v.filter[0][pats[0]>>6]>>(pats[0]&63))&
+		(v.filter[1][pats[1]>>6]>>(pats[1]&63))&
+		(v.filter[2][pats[2]>>6]>>(pats[2]&63))&
+		(v.filter[3][pats[3]>>6]>>(pats[3]&63))&1 != 0
+}
+
+// Selection returns the positions the view's filter was frozen for.
+func (v *TernaryView) Selection() *Selection { return v.sel }

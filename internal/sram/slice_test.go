@@ -28,8 +28,9 @@ func viewSearch(a *TernaryArray, k ternary.Key, st *Stats) *bitvec.Vector {
 }
 
 // checkEquivalence asserts a view's search agrees with both the scalar
-// SearchReference kernel and a from-scratch Word.Match loop, and
-// accounts exactly one search.
+// SearchReference kernel and a from-scratch Word.Match loop, accounts
+// exactly one search, and is admitted by the view's filter whenever it
+// matches anything.
 func checkEquivalence(t *testing.T, a *TernaryArray, k ternary.Key) {
 	t.Helper()
 	var st Stats
@@ -51,6 +52,9 @@ func checkEquivalence(t *testing.T, a *TernaryArray, k ternary.Key) {
 	}
 	if !got.Equal(direct) {
 		t.Fatalf("view %s != direct Word.Match %s\nkey %s", got, direct, k)
+	}
+	if v := a.SnapshotView(); got.Any() && !v.Admits(v.Selection().Patterns(k)) {
+		t.Fatalf("filter on %v rejects key %s, which matches %s", v.Selection().pos, k, got)
 	}
 	if err := a.AuditPlanes(); err != nil {
 		t.Fatal(err)
@@ -249,18 +253,98 @@ func TestViewCareOrder(t *testing.T) {
 	}
 }
 
-// TestAuditPlanesCatchesCareCountMismatch seeds a care count that
-// disagrees with the stored words: AuditPlanes must report it.
-func TestAuditPlanesCatchesCareCountMismatch(t *testing.T) {
+// TestAuditPlanesCatchesCountMismatch seeds a care, one or filter
+// count, or a filter bitmap bit, that disagrees with the stored words:
+// AuditPlanes must report each.
+func TestAuditPlanesCatchesCountMismatch(t *testing.T) {
+	for name, skew := range map[string]func(a *TernaryArray){
+		"care":   func(a *TernaryArray) { a.cares[10]++ },
+		"one":    func(a *TernaryArray) { a.ones[4]-- },
+		"filter": func(a *TernaryArray) { a.InjectFilterFault(0) },
+		"bitmap": func(a *TernaryArray) { a.filter.set[3][2] ^= 1 << 7 },
+	} {
+		a := newTestArray(64, 64)
+		a.WriteEntry(0, ternary.FromUint(0xF0, 64))
+		a.WriteEntry(1, ternary.Random(rand.New(rand.NewSource(3)), 64, 0.5))
+		if err := a.AuditPlanes(); err != nil {
+			t.Fatal(err)
+		}
+		skew(a)
+		if err := a.AuditPlanes(); err == nil {
+			t.Fatalf("%s count mismatch not detected", name)
+		}
+	}
+}
+
+// TestFilterSkipsAndAdmits: on an array of exact entries the filter
+// admits each stored word's key and rejects a key that differs from
+// every entry on a selected position; the counts survive overwrites,
+// invalidations and changes of selection.
+func TestFilterSkipsAndAdmits(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
 	a := newTestArray(64, 64)
-	a.WriteEntry(0, ternary.FromUint(0xF0, 64))
-	if err := a.AuditPlanes(); err != nil {
-		t.Fatal(err)
+	for r := 0; r < 8; r++ {
+		a.WriteEntry(r, ternary.FromUint(uint64(r)<<60, 64)) // differ in the top 3 bits
 	}
-	a.cares[10]++
-	if err := a.AuditPlanes(); err == nil {
-		t.Fatal("care count mismatch not detected")
+	a.WriteEntry(3, ternary.FromUint(3<<60|1, 64))
+	a.Invalidate(5)
+	for _, sel := range []*Selection{a.sel, randomSelection(rng, 64)} {
+		a.SetSelection(sel)
+		if err := a.AuditPlanes(); err != nil {
+			t.Fatal(err)
+		}
+		v := a.SnapshotView()
+		if v.Selection() != sel {
+			t.Fatal("view does not carry the array's selection")
+		}
+		for r := 0; r < 8; r++ {
+			if w, ok := a.EntryWord(r); ok && !v.Admits(sel.Patterns(w.MatchingKey())) {
+				t.Fatalf("entry %d's own key rejected", r)
+			}
+		}
 	}
+	// The default selection is the 32 most significant positions; every
+	// entry stores 0 at position 32, so a key with a 1 there is rejected.
+	a.SetSelection(SelectPositions(64, nil))
+	if v := a.SnapshotView(); v.Admits(v.Selection().Patterns(ternary.KeyFromUint(1<<32, 64))) {
+		t.Fatal("key no entry can match admitted")
+	}
+}
+
+// TestSelectPositions: the highest scores are dealt to the groups in
+// turn, ties go to the more significant position, and a narrow key
+// repeats positions.
+func TestSelectPositions(t *testing.T) {
+	scores := make([]int, 160)
+	scores[7], scores[100], scores[3] = 9, 5, 5
+	s := SelectPositions(160, scores)
+	if p := s.pos; p[0][0] != 7 || p[1][0] != 100 || p[2][0] != 3 || p[3][0] != 159 || p[0][1] != 158 || p[3][7] != 131 {
+		t.Fatalf("selection %v", p)
+	}
+	if p := SelectPositions(5, nil).pos; p[0][0] != 4 || p[3][0] != 1 || p[0][1] != 0 || p[1][1] != 4 {
+		t.Fatalf("narrow selection %v", p)
+	}
+	a := newTestArray(64, 64)
+	a.WriteEntry(0, ternary.FromUint(1, 64))
+	a.WriteEntry(1, ternary.FromUint(0, 64))
+	a.WriteEntry(2, ternary.NewWord(64))
+	got := make([]int, 64)
+	a.AddSplitScores(got)
+	if got[0] != 1 || got[1] != 0 {
+		t.Fatalf("split scores %v, want 1 at position 0 only", got[:2])
+	}
+}
+
+// randomSelection draws a selection of positions of a width-wide key,
+// repeats allowed.
+func randomSelection(rng *rand.Rand, width int) *Selection {
+	s := &Selection{}
+	for g := range s.pos {
+		for j := range s.pos[g] {
+			s.pos[g][j] = uint16(rng.Intn(width))
+		}
+	}
+	return s
 }
 
 func TestFirstFree(t *testing.T) {
@@ -285,10 +369,12 @@ func TestFirstFree(t *testing.T) {
 	}
 }
 
-// FuzzSearchEquivalence drives random rulesets and keys from a fuzzed
-// seed and asserts on every probe that a view's search equals the
-// scalar reference, with the heights above 256 entries that span more
-// than one block.
+// FuzzSearchEquivalence drives random rulesets, filter positions and
+// keys from a fuzzed seed and asserts on every probe that a view's
+// search equals the scalar reference, with the heights above 256
+// entries that span more than one block, and that the filter admits
+// every key that matches. The positions change halfway through the
+// writes, so both the recount and the per-write upkeep are fuzzed.
 func FuzzSearchEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(64), uint8(80))
 	f.Add(int64(42), uint8(200), uint8(160))
@@ -302,6 +388,9 @@ func FuzzSearchEquivalence(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		a := newTestArray(rows, int(width))
 		for i := 0; i < rows; i++ {
+			if i == rows/2 {
+				a.SetSelection(randomSelection(rng, int(width)))
+			}
 			if rng.Intn(3) != 0 {
 				a.WriteEntry(rng.Intn(rows), ternary.Random(rng, int(width), rng.Float64()))
 			} else if r := rng.Intn(rows); a.IsValid(r) {

@@ -25,6 +25,7 @@ package sram
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"catcam/internal/bitvec"
@@ -294,8 +295,10 @@ func columnNOR(p Params, rows []uint64, dst, active *bitvec.Vector, st *Stats) *
 // the same bulk bit-parallelism the silicon's match lines provide,
 // applied to simulator throughput. Searches run over a frozen
 // TernaryView (view.go), which keeps only the positions some valid
-// entry cares at, most-cared first. Cycle and energy accounting are
-// independent of which representation the host touches.
+// entry cares at, most-cared first, and carries the bit-selection
+// filter (filter.go) that lets a lookup skip a search that cannot
+// match. Cycle and energy accounting are independent of which
+// representation the host touches, and of whether it searches at all.
 type TernaryArray struct {
 	params  Params
 	entries []ternary.Word //catcam:cycle-state
@@ -312,10 +315,17 @@ type TernaryArray struct {
 	// position 0 is the least significant (right-most) ternary bit.
 	planes []uint64 //catcam:cycle-state
 	// cares[pos] counts the valid entries caring at position pos: the
-	// order a view visits positions in, and which it drops. Kept exact
-	// by WriteEntry and Invalidate; nil until the first write, so an
-	// array that never holds a rule does not pay for it.
-	cares []int32
+	// order a view visits positions in, and which it drops. ones[pos]
+	// counts those of them caring with value 1; with cares it scores
+	// pos for the filter (AddSplitScores). filter counts, for the key
+	// positions sel names, the valid entries compatible with each
+	// group pattern. All are kept exact by WriteEntry and Invalidate
+	// (tally) and are nil until the first write, so an array that never
+	// holds a rule does not pay for them.
+	cares  []int32
+	ones   []int32
+	filter *filterCounts
+	sel    *Selection
 	// validCount caches valid.Count() so per-search energy accounting
 	// does not re-popcount the mask.
 	validCount int
@@ -335,10 +345,15 @@ const (
 // NewTernaryArray returns an empty match matrix of rows entries, each
 // width ternary bits wide, built from physical subarrays with the given
 // parameters. width must be a multiple of p.Cols; the ratio is the
-// subarray count.
+// subarray count. Width and height are at most 65,535, so a frozen
+// view holds positions and counts in 16 bits. The filter starts on the
+// positions SelectPositions picks from zero scores.
 func NewTernaryArray(p Params, width int) *TernaryArray {
 	if width <= 0 || width%p.Cols != 0 {
 		panic(fmt.Sprintf("sram: width %d not a multiple of subarray cols %d", width, p.Cols))
+	}
+	if width > math.MaxUint16 || p.Rows > math.MaxUint16 {
+		panic(fmt.Sprintf("sram: %d entries x %d positions exceeds %d on a side", p.Rows, width, math.MaxUint16))
 	}
 	blocks := (p.Rows + blockRows - 1) / blockRows
 	return &TernaryArray{
@@ -347,6 +362,7 @@ func NewTernaryArray(p Params, width int) *TernaryArray {
 		valid:     bitvec.New(p.Rows),
 		subarrays: width / p.Cols,
 		planes:    make([]uint64, blocks*width*lineWords),
+		sel:       SelectPositions(width, nil),
 	}
 }
 
@@ -411,32 +427,32 @@ func (t *TernaryArray) WriteEntry(r int, w ternary.Word) {
 	t.stats.EnergyFJ += float64(t.subarrays) * t.params.WriteEnergyPJ * 1000
 	if t.cares == nil {
 		t.cares = make([]int32, t.Width())
+		t.ones = make([]int32, t.Width())
+		t.filter = new(filterCounts)
 	}
-	replacing := t.valid.Get(r)
-	if !replacing {
+	if t.valid.Get(r) {
+		t.tally(t.entries[r], -1) // the previous occupant leaves
+	} else {
 		t.validCount++
 	}
 	t.entries[r] = w
 	t.valid.Set(r)
-	t.sliceEntry(r, w, replacing)
+	t.sliceEntry(r, w)
+	t.tallyGroups(w, 1)
 }
 
 // sliceEntry scatters w's (value, care) bit pairs into the transposed
-// planes at entry column r. Every position is written — set or cleared
-// — so stale planes from a previous occupant cannot survive. The care
-// counts move with the care bits: the previous occupant's leave with
-// it when it was valid, w's arrive.
+// planes at entry column r, and counts w in the care and one counts of
+// the positions it cares at. Every position is written — set or
+// cleared — so stale planes from a previous occupant cannot survive.
 //
 //catcam:allow cycles "plane scatter is part of WriteEntry's single modeled write cycle"
-func (t *TernaryArray) sliceEntry(r int, w ternary.Word, replacing bool) {
+func (t *TernaryArray) sliceEntry(r int, w ternary.Word) {
 	value, care := w.PlaneWords()
 	first, bit := t.cell(r, 0)
 	for pos := range t.cares {
 		i := first + pos*lineWords
 		pw, pb := pos/64, uint(pos%64)
-		if replacing && t.planes[i+blockWords]&bit != 0 {
-			t.cares[pos]--
-		}
 		if value[pw]&(1<<pb) != 0 {
 			t.planes[i] |= bit
 		} else {
@@ -445,6 +461,7 @@ func (t *TernaryArray) sliceEntry(r int, w ternary.Word, replacing bool) {
 		if care[pw]&(1<<pb) != 0 {
 			t.planes[i+blockWords] |= bit
 			t.cares[pos]++
+			t.ones[pos] += int32(value[pw] >> pb & 1)
 		} else {
 			t.planes[i+blockWords] &^= bit
 		}
@@ -479,9 +496,10 @@ func (t *TernaryArray) EntryWord(r int) (ternary.Word, bool) {
 // Invalidate clears entry r (rule deletion: one cycle). The planes are
 // left stale on purpose: a search starts its accumulator from the valid
 // mask, so plane bits of invalid entries can never surface, and the
-// next WriteEntry into the row rewrites every position. The care
-// counts drop the entry at once, so a position only it cared at leaves
-// the next view.
+// next WriteEntry into the row rewrites every position. The counts
+// drop the entry at once, so a position only it cared at leaves the
+// next view, and a pattern only it was compatible with leaves the next
+// view's filter.
 func (t *TernaryArray) Invalidate(r int) {
 	t.checkRow(r)
 	t.stats.Cycles++
@@ -489,12 +507,7 @@ func (t *TernaryArray) Invalidate(r int) {
 	t.stats.EnergyFJ += t.params.WriteEnergyPJ * 1000 // single valid-bit write
 	if t.valid.Get(r) {
 		t.validCount--
-		_, care := t.entries[r].PlaneWords()
-		for wi, cw := range care {
-			for ; cw != 0; cw &= cw - 1 {
-				t.cares[wi*64+bits.TrailingZeros64(cw)]--
-			}
-		}
+		t.tally(t.entries[r], -1)
 	}
 	t.valid.Clear(r)
 	t.entries[r] = ternary.Word{}
@@ -534,14 +547,16 @@ func (t *TernaryArray) AuditSearchParity(k ternary.Key) error {
 
 // AuditPlanes verifies the bit-sliced search state against the
 // row-major write view: for every valid entry, the stored (value, care)
-// plane bits must equal the planes re-derived from the entry's word,
-// and every position's care count must equal the number of valid
+// plane bits must equal the planes re-derived from the entry's word;
+// every position's care and one counts must equal the number of valid
 // entries caring there (an undercount would drop or demote a
-// discriminating position in the next view). Returns the first
+// discriminating position in the next view); and every filter count
+// and bitmap bit must equal its recount from the words (an undercount
+// could make a lookup skip a subtable that matches). Returns the first
 // divergence. Verification access: no cycle/energy accounting.
 func (t *TernaryArray) AuditPlanes() error {
 	width := t.Width()
-	want := make([]int32, width)
+	want := &TernaryArray{sel: t.sel, cares: make([]int32, width), ones: make([]int32, width), filter: new(filterCounts)}
 	var err error
 	t.valid.ForEach(func(r int) bool {
 		value, care := t.entries[r].PlaneWords()
@@ -560,22 +575,29 @@ func (t *TernaryArray) AuditPlanes() error {
 					r, pos, got, wantCare)
 				return false
 			}
-			if wantCare {
-				want[pos]++
-			}
 		}
+		want.tally(t.entries[r], 1)
 		return true
 	})
-	if err != nil {
+	if err != nil || t.cares == nil { // counts exist from the first write on
 		return err
 	}
-	for pos, n := range want {
-		var got int32
-		if t.cares != nil {
-			got = t.cares[pos]
-		}
-		if got != n {
+	for pos := range want.cares {
+		if got, n := t.cares[pos], want.cares[pos]; got != n {
 			return fmt.Errorf("sram: position %d care count %d != %d valid entries caring", pos, got, n)
+		}
+		if got, n := t.ones[pos], want.ones[pos]; got != n {
+			return fmt.Errorf("sram: position %d one count %d != %d valid entries caring 1", pos, got, n)
+		}
+	}
+	for g := range want.filter.n {
+		for p, n := range want.filter.n[g] {
+			if got := t.filter.n[g][p]; got != n {
+				return fmt.Errorf("sram: filter group %d pattern %#02x count %d != %d compatible valid entries", g, p, got, n)
+			}
+		}
+		if got := t.filter.set[g]; got != want.filter.set[g] {
+			return fmt.Errorf("sram: filter group %d bitmap %x != %x", g, got, want.filter.set[g])
 		}
 	}
 	return nil
@@ -600,6 +622,20 @@ func (t *TernaryArray) InjectPlaneFault(r int) int {
 		}
 	}
 	return -1
+}
+
+// InjectFilterFault takes valid entry r out of the filter count of the
+// pattern it fixes in group 0, as a lost update would — the seeded
+// counter skew the auditor tests use to prove AuditPlanes recounts the
+// filter. Returns false when the entry is invalid. Test hook only.
+func (t *TernaryArray) InjectFilterFault(r int) bool {
+	t.checkRow(r)
+	if !t.valid.Get(r) {
+		return false
+	}
+	value, care := t.entries[r].PlaneWords()
+	t.filter.n[0][t.sel.patterns(value)[0]&t.sel.patterns(care)[0]]--
+	return true
 }
 
 // SearchReference is the scalar reference kernel: one Word.Match per

@@ -2,7 +2,6 @@ package sram
 
 import (
 	"fmt"
-	"math/bits"
 
 	"catcam/internal/bitvec"
 	"catcam/internal/ternary"
@@ -25,20 +24,28 @@ import (
 // TernaryView is an immutable snapshot of a TernaryArray's search
 // state, compacted and ordered for the search kernel: order lists the
 // positions at least one valid entry cares at, most-cared first, and
-// lines holds, block by block (see blockRows), one line per listed
-// position in that order; valid is the valid mask, padded to whole
-// blocks. Positions no valid entry cares at match every entry and are
-// dropped. All fields are written only at construction.
+// counts how many valid entries care at each; lines holds, block by
+// block (see blockRows), one line per listed position in that order;
+// valid is the valid mask, padded to whole blocks. Positions no valid
+// entry cares at match every entry and are dropped. filter is the
+// bit-selection filter's bitmap (filter.go) for the positions sel
+// names, held inline so freezing it allocates nothing. searchFJ is the
+// energy one search of the view is charged. All fields are written only
+// at construction.
 //
 //catcam:snapshot
 type TernaryView struct {
 	params     Params
 	subarrays  int
 	rowWords   int
-	order      []uint32 //catcam:immutable
-	lines      []uint64 //catcam:immutable
-	valid      []uint64 //catcam:immutable
+	order      []uint16     //catcam:immutable
+	counts     []uint16     //catcam:immutable
+	lines      []uint64     //catcam:immutable
+	valid      []uint64     //catcam:immutable
+	filter     filterBitmap //catcam:immutable
+	sel        *Selection   //catcam:immutable
 	validCount int
+	searchFJ   float64
 }
 
 // SnapshotView freezes the array's current search state into an
@@ -52,8 +59,11 @@ func (t *TernaryArray) SnapshotView() *TernaryView {
 			n++
 		}
 	}
-	order := make([]uint32, n)
+	order, counts := make([]uint16, n), make([]uint16, n)
 	t.careOrder(order)
+	for i, pos := range order {
+		counts[i] = uint16(t.cares[pos])
+	}
 	width := t.Width()
 	blocks := len(t.planes) / (width * lineWords)
 	lines := make([]uint64, blocks*n*lineWords)
@@ -70,9 +80,13 @@ func (t *TernaryArray) SnapshotView() *TernaryView {
 		subarrays:  t.subarrays,
 		rowWords:   len(t.valid.Words()),
 		order:      order,
+		counts:     counts,
 		lines:      lines,
 		valid:      valid,
+		filter:     t.filterSet(),
+		sel:        t.sel,
 		validCount: t.validCount,
+		searchFJ:   float64(t.subarrays) * t.params.ComputeEnergyFJ(t.validCount),
 	}
 }
 
@@ -80,7 +94,7 @@ func (t *TernaryArray) SnapshotView() *TernaryView {
 // valid entry cares at, with those positions by falling care count and,
 // among equal counts, most significant first: a counting sort, since a
 // count is at most Rows.
-func (t *TernaryArray) careOrder(order []uint32) {
+func (t *TernaryArray) careOrder(order []uint16) {
 	var small [blockRows + 1]int32
 	first := small[:]
 	if t.params.Rows >= len(small) {
@@ -97,7 +111,7 @@ func (t *TernaryArray) careOrder(order []uint32) {
 	}
 	for pos := len(t.cares) - 1; pos >= 0; pos-- {
 		if c := t.cares[pos]; c > 0 {
-			order[first[c]] = uint32(pos)
+			order[first[c]] = uint16(pos)
 			first[c]++
 		}
 	}
@@ -115,23 +129,6 @@ func (v *TernaryView) ValidCount() int { return v.validCount }
 // Width returns the ternary key width (positions) the view matches.
 func (v *TernaryView) Width() int { return v.params.Cols * v.subarrays }
 
-// caresAt returns the number of valid entries caring at the i-th listed
-// position. Stale care bits of invalidated entries are masked out by
-// the valid words.
-//
-//catcam:hotpath
-func (v *TernaryView) caresAt(i int) uint64 {
-	var cared uint64
-	n := len(v.order)
-	for b := 0; b*blockWords < len(v.valid); b++ {
-		l := v.lines[(b*n+i)*lineWords : (b*n+i+1)*lineWords]
-		for j, w := range l[blockWords:] {
-			cared += uint64(bits.OnesCount64(w & v.valid[b*blockWords+j]))
-		}
-	}
-	return cared
-}
-
 // CareCount returns the number of cared (non-wildcard) ternary
 // positions summed over the valid entries. Paired with ValidCount and
 // Width it yields the view's care-bit density: CareCount divided by
@@ -140,8 +137,8 @@ func (v *TernaryView) caresAt(i int) uint64 {
 //catcam:hotpath
 func (v *TernaryView) CareCount() uint64 {
 	var cared uint64
-	for i := range v.order {
-		cared += v.caresAt(i)
+	for _, c := range v.counts {
+		cared += uint64(c)
 	}
 	return cared
 }
@@ -156,17 +153,31 @@ func (v *TernaryView) CarePerPosition(dst []uint64) []uint64 {
 		dst = append(dst, 0)
 	}
 	for i, pos := range v.order {
-		dst[base+int(pos)] = v.caresAt(i)
+		dst[base+int(pos)] = uint64(v.counts[i])
 	}
 	return dst
+}
+
+// Charge accounts one search of the view into st, the caller's private
+// accumulator: one cycle, one search, and (base + incremental per valid
+// entry) energy per subarray, since the silicon pre-charges every
+// valid entry's match line whatever the outcome; the view works that
+// energy out once, at construction. SearchInto charges
+// through it, and so does a lookup that skips a search the filter
+// rules out, so the model cannot tell the two apart.
+//
+//catcam:hotpath
+func (v *TernaryView) Charge(st *Stats) {
+	st.Cycles++
+	st.Searches++
+	st.EnergyFJ += v.searchFJ
 }
 
 // SearchInto is the one match kernel: it searches the frozen lines with
 // key k, depositing the match vector into dst (Rows bits). acc is the
 // caller's accumulator scratch of RowWords length — the view is shared
-// between goroutines, so it cannot own one. One cycle; energy is (base
-// + incremental per valid entry) per subarray, landing in st, the
-// caller's private accumulator.
+// between goroutines, so it cannot own one. The search is charged to
+// st (Charge).
 //
 // Each block's accumulator starts as its valid mask and lives in four
 // registers. Visiting a listed position broadcasts the key bit there to
@@ -183,9 +194,7 @@ func (v *TernaryView) SearchInto(dst *bitvec.Vector, acc []uint64, k ternary.Key
 		panic(fmt.Sprintf("sram: key width %d != %d", k.Width(), v.Width()))
 	}
 	acc = acc[:v.rowWords]
-	st.Cycles++
-	st.Searches++
-	st.EnergyFJ += float64(v.subarrays) * v.params.ComputeEnergyFJ(v.validCount)
+	v.Charge(st)
 
 	kw := k.Words()
 	n := len(v.order)
