@@ -240,7 +240,6 @@ func BenchmarkDeviceLookupParallel(b *testing.B) {
 func clusterBenchSetup(b *testing.B, shards int, batch int) (*cluster.Cluster, []rules.Header) {
 	b.Helper()
 	c := cluster.New(cluster.Config{Shards: shards, Device: catcam.Compact()})
-	b.Cleanup(c.Close)
 	rs := classbench.Generate(classbench.Config{Family: classbench.ACL, Size: 1000, Seed: 5})
 	for _, r := range rs.Rules {
 		if _, err := c.InsertRule(r); err != nil {
@@ -252,8 +251,8 @@ func clusterBenchSetup(b *testing.B, shards int, batch int) (*cluster.Cluster, [
 
 // BenchmarkClusterShardScaling sweeps the shard count on the same
 // workload; the stride loop advances b.N by the batch size, so ns/op is
-// per lookup. shards=1 measures the pure fan-out overhead over a bare
-// device. The layered benchmark's tables_sharded workload fixes the
+// per lookup. shards=1 measures the cluster's own overhead (pooled
+// round, arbiter reduce) over a bare device. The layered benchmark's tables_sharded workload fixes the
 // shard count at 2, so the sweep lives here.
 func BenchmarkClusterShardScaling(b *testing.B) {
 	for _, n := range []int{1, 2, 4, 8} {

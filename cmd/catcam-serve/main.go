@@ -58,8 +58,8 @@
 // -classify-workers N adds N free-running classify goroutines that
 // replay the packet trace concurrently with the churn loop — readers
 // racing the writer through the lock-free epoch-snapshot path. In
-// cluster mode the same N also sizes each shard's fan-out worker pool,
-// so concurrent rounds overlap inside every shard. /healthz reports
+// cluster mode each reader walks every shard itself, so N readers are
+// also N concurrent cluster rounds. /healthz reports
 // the device's current snapshot epoch (per shard in cluster mode), a
 // live view of publication progress.
 //
@@ -74,7 +74,7 @@
 // CI soak mode.
 //
 // The span layer rides on top: -span-every N samples every Nth classify
-// batch into a full end-to-end span trace (fan-out dispatch, per-shard
+// batch into a full end-to-end span trace (cluster shard walk, per-shard
 // kernels, per-key device lookups, focus-key SRAM kernel searches,
 // arbiter merge) retained in a ring of 256 traces, served at
 // /debug/timeline and /debug/blame, and linked from the
@@ -213,7 +213,7 @@ func main() {
 	flag.IntVar(&o.slots, "slots", 256, "entries per subtable")
 	flag.IntVar(&o.shards, "shards", 1, "shard count; >= 2 runs a sharded cluster")
 	flag.DurationVar(&o.rebalance, "rebalance", 0, "cluster rebalance pass period (0 = off)")
-	flag.IntVar(&o.classifyWorkers, "classify-workers", 0, "extra concurrent classify goroutines replaying the trace against the lock-free path; in cluster mode also the per-shard fan-out worker count (0 = churn-loop lookups only)")
+	flag.IntVar(&o.classifyWorkers, "classify-workers", 0, "extra concurrent classify goroutines replaying the trace against the lock-free path (0 = churn-loop lookups only)")
 	flag.Uint64Var(&o.traceEvery, "trace-every", 0, "record a causal trace for every Nth update (0 = off)")
 	flag.Uint64Var(&o.auditEvery, "audit-every", 0, "audit every Nth lookup inline (0 = off)")
 	flag.DurationVar(&o.auditInterval, "audit-interval", 0, "background invariant sweep period (0 = off)")
@@ -281,9 +281,7 @@ func run(o options) error {
 	var cl *cluster.Cluster
 	var dev *core.Device
 	if o.shards >= 2 {
-		cl = cluster.New(cluster.Config{Shards: o.shards, Device: devCfg,
-			FanWorkers: o.classifyWorkers})
-		defer cl.Close()
+		cl = cluster.New(cluster.Config{Shards: o.shards, Device: devCfg})
 		eng = cl
 	} else {
 		dev = core.NewDevice(devCfg)

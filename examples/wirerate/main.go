@@ -25,7 +25,6 @@ func main() {
 		Shards: 4,
 		Device: core.Config{Subtables: 64, SubtableCapacity: 64, KeyWidth: 160},
 	})
-	defer cl.Close()
 	rs := classbench.Generate(classbench.Config{Family: classbench.ACL, Size: 2000, Seed: 42})
 	for _, r := range rs.Rules {
 		if _, err := cl.InsertRule(r); err != nil {

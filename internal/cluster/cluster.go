@@ -4,26 +4,24 @@
 // global priority matrix assigns each subtable a disjoint priority
 // interval and reduces per-subtable match reports to one winner; here,
 // a cluster-level arbiter assigns each *shard* a disjoint priority
-// interval, fans a lookup out to every shard in parallel, and reduces
-// the per-shard winners the same way the global matrix reduces subtable
-// reports: the highest matched shard wins.
+// interval, classifies a lookup against every shard, and reduces the
+// per-shard winners the same way the global priority matrix reduces
+// subtable reports: the highest matched shard wins.
 // Updates route to exactly one shard, so the O(1)-update story holds
 // end to end: a cluster insert is one device insert.
 //
-// # Concurrent fan-out rounds
+// # Classify runs in the caller
 //
 // Each shard is a complete core.Device whose classify path is
 // lock-free (epoch-published snapshots, see internal/core/snapshot.go
 // and DESIGN.md §13), so nothing below the cluster serializes
-// concurrent lookups. The cluster matches that: every classify call
-// checks a complete working set — headers, per-shard result slices, a
-// WaitGroup — out of a sync.Pool as a fanRound, dispatches it to the
-// per-shard worker channels, and returns it after the reduce. Rounds
-// carry all their own state, so any number of batches fan out
-// concurrently; Config.FanWorkers workers per shard (default 1) bound
-// how many rounds one shard serves at once. Steady state allocates
-// nothing: the pool recycles rounds and each round's slices are
-// reused across checkouts.
+// concurrent lookups. A classify call walks the shards itself, in the
+// caller's goroutine and in shard order, then reduces; the cluster
+// starts no goroutine. Parallelism comes from concurrent callers, as it
+// does for a single device. Each call checks its per-shard result
+// slices and epoch stamps out of a sync.Pool as a fanRound and returns
+// them after the reduce, so any number of calls run concurrently and
+// steady state allocates nothing.
 //
 // Live rebalancing migrates rules from hot/full shards to cold ones in
 // bounded batches (see rebalance.go), and snapshot/restore round-trips
@@ -74,11 +72,6 @@ type Config struct {
 	// for ClassBench-style uniform priorities; the rebalancer adapts
 	// the bounds to whatever the workload actually is.
 	Bounds []int
-	// FanWorkers is the number of classify workers per shard — the
-	// number of fan-out rounds one shard can serve concurrently. The
-	// device classify path is lock-free, so workers on the same shard
-	// genuinely run in parallel. <= 0 means 1.
-	FanWorkers int
 }
 
 // ownedRule is the cluster's control-plane record of one installed
@@ -102,12 +95,12 @@ type ownedRule struct {
 //     calls hold Lock, so a rule is never observed mid-flight between
 //     shards.
 //   - routeMu guards the routing state (owner map, interval bounds).
-//   - Fan-outs take no cluster-wide lock: each round checks its own
-//     working set (a fanRound) out of roundPool, so concurrent
-//     classify batches proceed independently.
+//   - Classify takes no cluster-wide lock beyond mu.RLock: each call
+//     checks its own working set (a fanRound) out of roundPool, so
+//     concurrent classify batches proceed independently.
 type Cluster struct {
 	cfg    Config
-	shards []*shard
+	shards []*core.Device // indexed by shard ID
 
 	mu      sync.RWMutex
 	routeMu sync.Mutex
@@ -118,8 +111,6 @@ type Cluster struct {
 	// classify path allocates nothing. Rounds are self-contained: a
 	// checked-out round is owned by exactly one classify call.
 	roundPool sync.Pool
-
-	closeOnce sync.Once
 
 	tel *clusterTelemetry
 	aud *flightrec.Auditor
@@ -136,55 +127,30 @@ type Cluster struct {
 	resetHooks   []func() //catcam:guarded-by hookMu
 }
 
-// shard is one device plus its fan-out worker plumbing.
-type shard struct {
-	id  int
-	dev *core.Device
-	// work carries fan-out rounds to this shard's workers. Each round
-	// is sent to every shard once; whichever of the shard's FanWorkers
-	// workers receives it classifies the round's headers against this
-	// device into the round's per-shard result slot.
-	work chan *fanRound
-}
-
-// fanRound is one fan-out's complete working set: the batch headers,
-// the optional span sink, one result slice per shard, and the
-// WaitGroup that orders the workers' writes before the dispatcher's
-// reduce. Rounds live in Cluster.roundPool; because every round owns
-// all of its mutable state, any number of rounds may be in flight
-// concurrently — the per-shard classify underneath is lock-free.
+// fanRound is one classify call's working set: one result slice and
+// one epoch stamp per shard. Rounds live in Cluster.roundPool; because
+// every round owns all of its mutable state, any number of rounds may
+// be in flight concurrently — the per-shard classify underneath is
+// lock-free.
 //
 //catcam:scratch
 type fanRound struct {
-	hdrs []rules.Header
-	// tr is this round's span sink (nil on untraced rounds). Workers
-	// read it like hdrs: ownership transfers with the channel send and
-	// returns with the WaitGroup.
-	tr      *trace.Trace
 	results [][]core.LookupResult // indexed by shard ID
-	// epochs records each shard's snapshot epoch as observed by its
-	// worker just before classifying. auditReduce compares against the
-	// shard's current epoch to detect that an update published between
-	// classify and audit — the owner-map cross-check is skipped for
-	// such stale rounds (same suppression the shadow applies), because
-	// comparing time-T results against a time-T+δ owner map would
-	// report churn as corruption.
+	// epochs records each shard's snapshot epoch just before that
+	// shard classified. auditReduce compares against the shard's
+	// current epoch to detect that an update published between classify
+	// and audit — the owner-map cross-check is skipped for such stale
+	// rounds (same suppression the shadow applies), because comparing
+	// time-T results against a time-T+δ owner map would report churn as
+	// corruption.
 	epochs []uint64 // indexed by shard ID
-	wg     sync.WaitGroup
-	hdr1   [1]rules.Header     // Lookup's single-header batch
-	res1   []core.LookupResult // Lookup's reduce output
 }
 
-// New builds a cluster of cfg.Shards devices and starts
-// cfg.FanWorkers (default 1) fan-out workers per shard. Call Close to
-// stop the workers when done.
+// New builds a cluster of cfg.Shards devices. It starts no goroutine:
+// classify runs in the caller.
 func New(cfg Config) *Cluster {
 	if cfg.Shards < 1 {
 		panic(fmt.Sprintf("cluster: invalid shard count %d", cfg.Shards))
-	}
-	workers := cfg.FanWorkers
-	if workers < 1 {
-		workers = 1
 	}
 	c := &Cluster{
 		cfg:   cfg,
@@ -197,14 +163,9 @@ func New(cfg Config) *Cluster {
 		}
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		// The channel is buffered one slot per worker so a dispatcher
-		// never blocks behind another round's send when a worker is free.
-		s := &shard{id: i, dev: core.NewDevice(cfg.Device), work: make(chan *fanRound, workers)}
-		s.dev.SetTraceShard(i)
-		c.shards = append(c.shards, s)
-		for w := 0; w < workers; w++ {
-			go c.worker(s)
-		}
+		dev := core.NewDevice(cfg.Device)
+		dev.SetTraceShard(i)
+		c.shards = append(c.shards, dev)
 	}
 	if cfg.Bounds != nil {
 		if len(cfg.Bounds) != cfg.Shards-1 {
@@ -222,50 +183,11 @@ func New(cfg Config) *Cluster {
 	return c
 }
 
-// Close stops the fan-out workers and the cluster's background
-// machinery. The cluster must be idle; classify after Close panics.
-func (c *Cluster) Close() {
-	c.closeOnce.Do(func() {
-		for _, s := range c.shards {
-			close(s.work)
-		}
-	})
-}
-
-// worker is one of a shard's long-lived fan-out goroutines: each
-// received round is classified against this shard only, into the
-// round's per-shard result slot. The channel receive orders the read
-// of the round's headers after the dispatcher's write; the round's
-// WaitGroup orders the dispatcher's read of the results after the
-// write here. The device path underneath is lock-free, so workers on
-// the same shard serving different rounds run in parallel.
-//
-//catcam:hotpath
-func (c *Cluster) worker(s *shard) {
-	for r := range s.work {
-		// Stamp the epoch BEFORE loading the classify snapshot: if the
-		// shard's epoch still equals this stamp at audit time, no
-		// publication happened in between, so the snapshot classified
-		// against was exactly this epoch's.
-		r.epochs[s.id] = s.dev.Epoch()
-		var start uint64
-		if r.tr != nil {
-			start = trace.Nanos()
-		}
-		r.results[s.id] = s.dev.LookupHeaderBatchTraced(r.tr, r.hdrs, r.results[s.id][:0])
-		if r.tr != nil {
-			//catcam:allow alloc "sampled trace span; rate-gated off the steady-state path"
-			r.tr.Span(trace.StageShardKernel, -1, s.id, -1, -1, start, 0)
-		}
-		r.wg.Done()
-	}
-}
-
 // NumShards returns the shard count.
 func (c *Cluster) NumShards() int { return len(c.shards) }
 
 // Shard exposes one backing device (stats, invariants, tests).
-func (c *Cluster) Shard(i int) *core.Device { return c.shards[i].dev }
+func (c *Cluster) Shard(i int) *core.Device { return c.shards[i] }
 
 // Bounds returns a copy of the interval partition bounds: Shards-1
 // ascending priority upper bounds, as Config.Bounds describes them.
@@ -306,7 +228,7 @@ func (c *Cluster) InsertRule(r rules.Rule) (core.UpdateResult, error) {
 		return core.UpdateResult{}, err
 	}
 
-	res, err := c.shards[sh].dev.InsertRule(r)
+	res, err := c.shards[sh].InsertRule(r)
 	if err != nil {
 		c.routeMu.Lock()
 		delete(c.owner, r.ID)
@@ -326,7 +248,7 @@ func (c *Cluster) DeleteRule(ruleID int) (core.UpdateResult, error) {
 	if !ok {
 		return core.UpdateResult{}, core.ErrNotFound
 	}
-	res, err := c.shards[o.shard].dev.DeleteRule(ruleID)
+	res, err := c.shards[o.shard].DeleteRule(ruleID)
 	if err == nil {
 		c.routeMu.Lock()
 		delete(c.owner, ruleID)
@@ -383,7 +305,7 @@ func (c *Cluster) modify(ruleID int, newRule rules.Rule, exclusive bool) (res co
 	case dst != o.shard && !exclusive:
 		return res, true, nil
 	case dst == o.shard:
-		res, err = c.shards[dst].dev.ModifyRule(ruleID, newRule)
+		res, err = c.shards[dst].ModifyRule(ruleID, newRule)
 	default:
 		if res, err = c.move(newRule, o.shard, dst); err != nil {
 			return res, false, err // the old version is still installed and owned
@@ -401,36 +323,18 @@ func (c *Cluster) modify(ruleID int, newRule rules.Rule, exclusive bool) (res co
 	return res, false, err
 }
 
-// Lookup classifies one header and returns the winning action.
+// Lookup classifies one header and returns the winning action: a
+// LookupHeaderBatch of one.
 //
 //catcam:hotpath
 func (c *Cluster) Lookup(h rules.Header) (int, bool) {
-	r := c.getRound()
-	r.hdr1[0] = h
-	res := c.lookupBatch(r, r.hdr1[:], r.res1[:0])
-	r.res1 = res[:0]
-	e, ok := res[0].Entry, res[0].OK
-	c.putRound(r)
-	if !ok {
+	hs := [1]rules.Header{h}
+	var res [1]core.LookupResult
+	r := c.LookupHeaderBatchTraced(nil, hs[:], res[:0])[0]
+	if !r.OK {
 		return 0, false
 	}
-	return e.Action, true
-}
-
-// getRound checks a fan-out working set out of the pool.
-//
-//catcam:hotpath
-func (c *Cluster) getRound() *fanRound {
-	return c.roundPool.Get().(*fanRound) //catcam:allow alloc "sync.Pool checkout; allocates only while the pool is cold"
-}
-
-// putRound returns a round to the pool for the next classify call.
-//
-//catcam:hotpath
-func (c *Cluster) putRound(r *fanRound) {
-	r.hdrs = nil
-	r.tr = nil
-	c.roundPool.Put(r) //catcam:allow alloc "sync.Pool return; the checkin itself does not allocate"
+	return r.Entry.Action, true
 }
 
 // LookupHeaderBatch is LookupHeaderBatchTraced without a trace.
@@ -441,35 +345,34 @@ func (c *Cluster) LookupHeaderBatch(hs []rules.Header, dst []core.LookupResult) 
 }
 
 // LookupHeaderBatchTraced classifies headers through the whole cluster:
-// the batch fans out to every shard in parallel (each worker classifies
-// against its own device, lock-free, with pooled scratch), then the
-// arbiter reduces the per-shard winners to one result per header,
-// appended to dst in input order. Concurrent batches proceed
-// independently — each checks its own fanRound out of the pool. With a
-// reused dst the steady-state path allocates nothing.
+// the caller's goroutine runs the batch against every shard in shard
+// order (each lock-free, with pooled scratch), then the arbiter reduces
+// the per-shard winners to one result per header, appended to dst in
+// input order. Concurrent batches proceed independently — each checks
+// its own fanRound out of the pool. With a reused dst the steady-state
+// path allocates nothing.
 //
 // A sampled batch's tr (nil otherwise) receives a fanout_dispatch span
-// around the whole fan-out (wake every worker, wait for the last), one
-// shard_kernel span per shard (recorded by that shard's worker, on the
-// shard's own timeline lane), the per-shard device/sram spans beneath
-// them, and an arbiter_merge span around the reduce loop.
+// around the walk over the shards, one shard_kernel span per shard
+// inside it, the per-shard device/sram spans beneath those, and an
+// arbiter_merge span around the reduce loop. Every span nests in time
+// inside its caller's.
 //
 //catcam:hotpath
 func (c *Cluster) LookupHeaderBatchTraced(tr *trace.Trace, hs []rules.Header, dst []core.LookupResult) []core.LookupResult {
 	if len(hs) == 0 {
 		return dst
 	}
-	r := c.getRound()
-	r.tr = tr
-	dst = c.lookupBatch(r, hs, dst)
-	c.putRound(r)
+	r := c.roundPool.Get().(*fanRound) //catcam:allow alloc "sync.Pool checkout; allocates only while the pool is cold"
+	dst = c.lookupBatch(r, tr, hs, dst)
+	c.roundPool.Put(r) //catcam:allow alloc "sync.Pool return; the checkin itself does not allocate"
 	return dst
 }
 
-// lookupBatch runs one fan-out round through the round's own working
-// set. Takes only mu.RLock (the migration epoch) — concurrent rounds
-// do not serialize against each other.
-func (c *Cluster) lookupBatch(r *fanRound, hs []rules.Header, dst []core.LookupResult) []core.LookupResult {
+// lookupBatch classifies hs against every shard into the round's
+// working set, then reduces. Takes only mu.RLock (the migration epoch)
+// — concurrent rounds do not serialize against each other.
+func (c *Cluster) lookupBatch(r *fanRound, tr *trace.Trace, hs []rules.Header, dst []core.LookupResult) []core.LookupResult {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	var start time.Time
@@ -477,17 +380,26 @@ func (c *Cluster) lookupBatch(r *fanRound, hs []rules.Header, dst []core.LookupR
 	if t != nil {
 		start = time.Now()
 	}
-	tr := r.tr
 	var dispatchStart uint64
 	if tr != nil {
 		dispatchStart = trace.Nanos()
 	}
-	r.hdrs = hs
-	r.wg.Add(len(c.shards))
-	for _, s := range c.shards {
-		s.work <- r
+	for id, dev := range c.shards {
+		// Stamp the epoch BEFORE loading the classify snapshot: if the
+		// shard's epoch still equals this stamp at audit time, no
+		// publication happened in between, so the snapshot classified
+		// against was exactly this epoch's.
+		r.epochs[id] = dev.Epoch()
+		var shardStart uint64
+		if tr != nil {
+			shardStart = trace.Nanos()
+		}
+		r.results[id] = dev.LookupHeaderBatchTraced(tr, hs, r.results[id][:0])
+		if tr != nil {
+			//catcam:allow alloc "sampled trace span; rate-gated off the steady-state path"
+			tr.Span(trace.StageShardKernel, -1, id, -1, -1, shardStart, 0)
+		}
 	}
-	r.wg.Wait()
 	var mergeStart uint64
 	if tr != nil {
 		//catcam:allow alloc "sampled trace span; rate-gated off the steady-state path"
@@ -530,7 +442,7 @@ func (c *Cluster) reduce(r *fanRound, i int) core.LookupResult {
 // auditReduce cross-checks one sampled arbitration: the arbiter's
 // winner must equal the rank-walk winner (the metadata reduction), and
 // the winning rule's owner-map record must name the shard that
-// reported it. Cold path; runs under mu.RLock with the fan-out results
+// reported it. Cold path; runs under mu.RLock with the round's results
 // still live.
 func (c *Cluster) auditReduce(r *fanRound, i, win int) {
 	best := -1
@@ -553,11 +465,11 @@ func (c *Cluster) auditReduce(r *fanRound, i, win int) {
 	}
 	// The owner-map cross-check compares the round's results against
 	// shared mutable state, so it is only meaningful when the winning
-	// shard has not published a new epoch since its worker classified:
-	// a concurrent delete removes the owner record after the round
+	// shard has not published a new epoch since it classified: a
+	// concurrent delete removes the owner record after the round
 	// answered, and flagging that window would report churn as
-	// corruption. Seqlock order: the worker stamped the epoch before it
-	// classified, the record is read here, and the stamp is validated
+	// corruption. Seqlock order: lookupBatch stamped the epoch before the
+	// shard classified, the record is read here, and the stamp is validated
 	// only after that read. DeleteRule publishes before it drops the
 	// record, so a record it removed is never seen under a stamp that
 	// still validates; checking before the read leaves that window open.
@@ -565,7 +477,7 @@ func (c *Cluster) auditReduce(r *fanRound, i, win int) {
 	c.routeMu.Lock()
 	o, ok := c.owner[id]
 	c.routeMu.Unlock()
-	if c.shards[win].dev.Epoch() != r.epochs[win] {
+	if c.shards[win].Epoch() != r.epochs[win] {
 		return
 	}
 	c.aud.Check(flightrec.InvArbiterWinner, ok && o.shard == win, func() flightrec.Violation {
@@ -588,7 +500,7 @@ func (c *Cluster) Len() int {
 func (c *Cluster) Entries() int {
 	n := 0
 	for _, s := range c.shards {
-		n += s.dev.Len()
+		n += s.Len()
 	}
 	return n
 }
@@ -605,7 +517,7 @@ func (c *Cluster) Entries() int {
 func (c *Cluster) Epoch() uint64 {
 	var e uint64
 	for _, s := range c.shards {
-		e += s.dev.Epoch()
+		e += s.Epoch()
 	}
 	return e
 }
@@ -615,7 +527,7 @@ func (c *Cluster) Epoch() uint64 {
 func (c *Cluster) ShardEntries() []int {
 	out := make([]int, len(c.shards))
 	for i, s := range c.shards {
-		out[i] = s.dev.Len()
+		out[i] = s.Len()
 	}
 	return out
 }
@@ -624,7 +536,7 @@ func (c *Cluster) ShardEntries() []int {
 func (c *Cluster) Stats() core.Stats {
 	var total core.Stats
 	for _, s := range c.shards {
-		st := s.dev.Stats()
+		st := s.Stats()
 		total.Lookups += st.Lookups
 		total.Inserts += st.Inserts
 		total.Deletes += st.Deletes
@@ -642,7 +554,7 @@ func (c *Cluster) Stats() core.Stats {
 // the cluster-level reset observers (see OnStatsReset).
 func (c *Cluster) ResetStats() {
 	for _, s := range c.shards {
-		s.dev.ResetStats()
+		s.ResetStats()
 	}
 	c.hookMu.Lock()
 	hooks := append([]func(){}, c.resetHooks...)
@@ -663,7 +575,7 @@ func (c *Cluster) CheckInvariant() error {
 		return err
 	}
 	for i, s := range c.shards {
-		if err := s.dev.CheckInvariant(); err != nil {
+		if err := s.CheckInvariant(); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
 	}

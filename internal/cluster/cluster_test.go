@@ -23,11 +23,8 @@ func testDeviceConfig() core.Config {
 	return core.Config{Subtables: 128, SubtableCapacity: 64, KeyWidth: 160, FrequencyMHz: 500}
 }
 
-func testCluster(t *testing.T, shards int) *Cluster {
-	t.Helper()
-	c := New(Config{Shards: shards, Device: testDeviceConfig()})
-	t.Cleanup(c.Close)
-	return c
+func testCluster(shards int) *Cluster {
+	return New(Config{Shards: shards, Device: testDeviceConfig()})
 }
 
 func clRule(id, prio int, src rules.Prefix) rules.Rule {
@@ -41,7 +38,7 @@ func clRule(id, prio int, src rules.Prefix) rules.Rule {
 
 func TestClusterBasicUpdateLookup(t *testing.T) {
 	t.Run("interval", func(t *testing.T) {
-		c := testCluster(t, 4)
+		c := testCluster(4)
 		broad := clRule(1, 100, rules.Prefix{Len: 0})
 		narrow := clRule(2, 40000, rules.Prefix{Addr: 0x0A000000, Len: 8})
 		if _, err := c.InsertRule(broad); err != nil {
@@ -77,7 +74,7 @@ func TestClusterBasicUpdateLookup(t *testing.T) {
 }
 
 func TestClusterDuplicateID(t *testing.T) {
-	c := testCluster(t, 2)
+	c := testCluster(2)
 	if _, err := c.InsertRule(clRule(7, 10, rules.Prefix{Len: 0})); err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +87,7 @@ func TestClusterDuplicateID(t *testing.T) {
 }
 
 func TestClusterModifyMayChangeShard(t *testing.T) {
-	c := testCluster(t, 4)
+	c := testCluster(4)
 	if _, err := c.InsertRule(clRule(3, 100, rules.Prefix{Addr: 0x0A000000, Len: 8})); err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +111,7 @@ func TestClusterModifyMayChangeShard(t *testing.T) {
 // publication, and the owner record follows the new body.
 func TestClusterModifySameShardOneEpoch(t *testing.T) {
 	t.Run("interval", func(t *testing.T) {
-		c := testCluster(t, 4)
+		c := testCluster(4)
 		src := rules.Prefix{Addr: 0x0A000000, Len: 8}
 		if _, err := c.InsertRule(clRule(3, 40000, src)); err != nil {
 			t.Fatal(err)
@@ -153,7 +150,7 @@ func TestClusterModifySameShardOneEpoch(t *testing.T) {
 // released (the ID can be inserted again) and a modify to such a
 // version, on either path, leaves the old version installed.
 func TestClusterEmptyRuleReleasesOwner(t *testing.T) {
-	c := testCluster(t, 4)
+	c := testCluster(4)
 	src := rules.Prefix{Addr: 0x0A000000, Len: 8}
 	empty := func(prio int) rules.Rule {
 		r := clRule(5, prio, src)
@@ -208,7 +205,7 @@ func TestClusterDifferential(t *testing.T) {
 	for _, fam := range classbench.Families() {
 		t.Run("interval/"+fam.String(), func(t *testing.T) {
 			rs := classbench.Generate(classbench.Config{Family: fam, Size: 300, Seed: 11})
-			c := testCluster(t, 4)
+			c := testCluster(4)
 			ref := core.NewDevice(testDeviceConfig())
 			aud := flightrec.NewAuditor(nil, nil, 0, nil)
 			aud.SetLookupSampleEvery(1)
@@ -257,7 +254,7 @@ func TestClusterDifferential(t *testing.T) {
 	probes := streamProbes()
 	for name, data := range streamSeeds(t, "../core/testdata/fuzz/FuzzDeviceVsLinear") {
 		t.Run("interval/"+name, func(t *testing.T) {
-			c := testCluster(t, 4)
+			c := testCluster(4)
 			ref := core.NewDevice(testDeviceConfig())
 			live := map[int]bool{}
 			for op, o := range decodeStream(data) {
@@ -312,17 +309,18 @@ func TestOpstreamCopy(t *testing.T) {
 	}
 }
 
-// TestClusterFanoutAllocFree proves the satellite claim: with a reused
-// dst, steady-state fan-out classify allocates nothing — the per-shard
-// workers reuse their result slices and the audit closures only form on
-// the sampled cold path (sampling disabled here, auditor still
-// attached, as in production between samples).
-func TestClusterFanoutAllocFree(t *testing.T) {
+// TestClusterLookupAllocFree: with a reused dst, steady-state classify
+// allocates nothing, batch or single Lookup — the pooled round reuses
+// its per-shard result slices, Lookup's batch of one lives on the
+// stack, and the audit closures only form on the sampled cold path
+// (sampling disabled here, auditor still attached, as in production
+// between samples).
+func TestClusterLookupAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector perturbs AllocsPerRun")
 	}
 	rs := classbench.Generate(classbench.Config{Family: classbench.ACL, Size: 200, Seed: 4})
-	c := testCluster(t, 4)
+	c := testCluster(4)
 	c.AttachAuditor(flightrec.NewAuditor(nil, nil, 0, nil))
 	for _, r := range rs.Rules {
 		if _, err := c.InsertRule(r); err != nil {
@@ -331,11 +329,11 @@ func TestClusterFanoutAllocFree(t *testing.T) {
 	}
 	hs := classbench.PacketTrace(rs, 256, 0.9, 9)
 	dst := make([]core.LookupResult, 0, len(hs))
-	c.LookupHeaderBatch(hs, dst) // warm the fan-out working set
+	c.LookupHeaderBatch(hs, dst) // warm the pooled round
 	if avg := testing.AllocsPerRun(50, func() {
 		dst = c.LookupHeaderBatch(hs, dst[:0])
 	}); avg != 0 {
-		t.Fatalf("fan-out batch allocates %.1f times per call, want 0", avg)
+		t.Fatalf("batch allocates %.1f times per call, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(50, func() {
 		c.Lookup(hs[0])
@@ -344,10 +342,33 @@ func TestClusterFanoutAllocFree(t *testing.T) {
 	}
 }
 
+// TestClusterStartsNoGoroutines: classify runs in the caller, so
+// building a cluster and classifying through it leave the goroutine
+// count where it was, and there is nothing to Close.
+func TestClusterStartsNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	c := testCluster(4)
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("New started %d goroutines", n-before)
+	}
+	if _, err := c.InsertRule(clRule(1, 100, rules.Prefix{Len: 0})); err != nil {
+		t.Fatal(err)
+	}
+	hs := []rules.Header{{SrcIP: 1}, {SrcIP: 2}, {SrcIP: 3}, {SrcIP: 4}}
+	var dst []core.LookupResult
+	for i := 0; i < 100; i++ {
+		dst = c.LookupHeaderBatch(hs, dst[:0])
+		c.Lookup(hs[i%len(hs)])
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("classify left %d goroutines behind", n-before)
+	}
+}
+
 func TestClusterTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	ring := telemetry.NewEventRing(64)
-	c := testCluster(t, 2)
+	c := testCluster(2)
 	c.AttachTelemetry(reg, ring, nil)
 	if _, err := c.InsertRule(clRule(1, 10, rules.Prefix{Len: 0})); err != nil {
 		t.Fatal(err)
@@ -380,7 +401,7 @@ func TestClusterTelemetry(t *testing.T) {
 }
 
 func TestClusterAuditSweep(t *testing.T) {
-	c := testCluster(t, 2)
+	c := testCluster(2)
 	aud := flightrec.NewAuditor(nil, nil, 0, nil)
 	c.AttachAuditor(aud)
 	if _, err := c.InsertRule(clRule(1, 10, rules.Prefix{Len: 0})); err != nil {
@@ -410,18 +431,16 @@ func TestClusterAuditSweep(t *testing.T) {
 	}
 }
 
-// TestClusterChurnVsClassify races concurrent classify rounds (two
-// fan-out workers per shard, several dispatcher goroutines) against
-// rule churn, with the arbiter cross-check auditing every reduced
-// header. Each round's epoch stamps must suppress the owner-map check
+// TestClusterChurnVsClassify races concurrent classify calls (three
+// caller goroutines, each walking every shard) against rule churn, with
+// the arbiter cross-check auditing every reduced header. Each round's epoch stamps must suppress the owner-map check
 // exactly for the rounds a concurrent update overtook — a violation
 // here means the audit reports churn as corruption (or a real arbiter
 // bug). Run with -race for the memory-model half of the claim.
 func TestClusterChurnVsClassify(t *testing.T) {
 	t.Run("interval", func(t *testing.T) {
 		rs := classbench.Generate(classbench.Config{Family: classbench.ACL, Size: 150, Seed: 71})
-		c := New(Config{Shards: 4, Device: testDeviceConfig(), FanWorkers: 2})
-		defer c.Close()
+		c := testCluster(4)
 		aud := flightrec.NewAuditor(nil, nil, 64, nil)
 		aud.SetLookupSampleEvery(1)
 		c.AttachAuditor(aud)
@@ -492,7 +511,7 @@ func TestClusterModifyChurnVsClassify(t *testing.T) {
 		{"interval/cross-shard", 10000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := testCluster(t, 4)
+			c := testCluster(4)
 			aud := flightrec.NewAuditor(nil, nil, 64, nil)
 			aud.SetLookupSampleEvery(1)
 			c.AttachAuditor(aud)
@@ -518,6 +537,10 @@ func TestClusterModifyChurnVsClassify(t *testing.T) {
 						t.Errorf("reader fell through the modified rule: action %d matched %v", a, ok)
 						return
 					}
+					// Lookup runs in this goroutine and never blocks, so on
+					// one P hand the writer its turn instead of spinning to
+					// the next preemption.
+					runtime.Gosched()
 				}
 			}()
 			for i := 0; i < 2000 && !t.Failed(); i++ {
@@ -561,7 +584,6 @@ func TestClusterModifyDestinationFull(t *testing.T) {
 			// above 32768.
 			c := New(Config{Shards: 2,
 				Device: core.Config{Subtables: 1, SubtableCapacity: 4, KeyWidth: 160}})
-			t.Cleanup(c.Close)
 			for i := 0; i < tc.preload; i++ {
 				if _, err := c.InsertRule(clRule(10+i, 50000+i, rules.Prefix{Addr: 0x0B000000, Len: 8})); err != nil {
 					t.Fatal(err)
@@ -597,7 +619,7 @@ func TestClusterModifyDestinationFull(t *testing.T) {
 }
 
 func TestClusterStatsAggregate(t *testing.T) {
-	c := testCluster(t, 3)
+	c := testCluster(3)
 	// Priorities 1 .. 56001 cross both default bounds (21845, 43690).
 	for i := 0; i < 9; i++ {
 		if _, err := c.InsertRule(clRule(i, 1+i*7000, rules.Prefix{Len: 0})); err != nil {

@@ -39,7 +39,7 @@ func (c *Cluster) RebalanceOnce(batch int) int {
 	defer c.mu.Unlock()
 
 	donor, recipient := c.pickPair()
-	donorN, recipN := c.shards[donor].dev.Len(), c.shards[recipient].dev.Len()
+	donorN, recipN := c.shards[donor].Len(), c.shards[recipient].Len()
 	if donorN-recipN <= batch {
 		return 0
 	}
@@ -75,7 +75,7 @@ func (c *Cluster) RebalanceOnce(batch int) int {
 func (c *Cluster) pickPair() (donor, recipient int) {
 	donor = 0
 	for i, s := range c.shards {
-		if s.dev.Len() > c.shards[donor].dev.Len() {
+		if s.Len() > c.shards[donor].Len() {
 			donor = i
 		}
 	}
@@ -84,7 +84,7 @@ func (c *Cluster) pickPair() (donor, recipient int) {
 		recipient = 1
 	case donor == len(c.shards)-1:
 		recipient = donor - 1
-	case c.shards[donor-1].dev.Len() <= c.shards[donor+1].dev.Len():
+	case c.shards[donor-1].Len() <= c.shards[donor+1].Len():
 		recipient = donor - 1
 	default:
 		recipient = donor + 1
@@ -175,11 +175,11 @@ func (c *Cluster) moveBoundary(donor, recipient, target int) int {
 // everything as it was. Cycle costs of both phases are reported
 // together. Callers hold mu.Lock and move the owner record.
 func (c *Cluster) move(r rules.Rule, from, to int) (core.UpdateResult, error) {
-	res, err := c.shards[to].dev.InsertRule(r)
+	res, err := c.shards[to].InsertRule(r)
 	if err != nil {
 		return res, err
 	}
-	del, err := c.shards[from].dev.DeleteRule(r.ID)
+	del, err := c.shards[from].DeleteRule(r.ID)
 	if err != nil {
 		panic(fmt.Sprintf("cluster: rule %d moved to shard %d but its delete from shard %d failed: %v", r.ID, to, from, err))
 	}

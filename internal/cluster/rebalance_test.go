@@ -21,7 +21,7 @@ func skewedRules(n int) []rules.Rule {
 }
 
 func TestRebalanceIntervalMovesBoundary(t *testing.T) {
-	c := testCluster(t, 4)
+	c := testCluster(4)
 	for _, r := range skewedRules(120) { // priorities 1..477, all shard 0
 		if _, err := c.InsertRule(r); err != nil {
 			t.Fatal(err)
@@ -62,7 +62,7 @@ func TestRebalanceIntervalMovesBoundary(t *testing.T) {
 }
 
 func TestRebalanceBalancedClusterIsNoop(t *testing.T) {
-	c := testCluster(t, 2)
+	c := testCluster(2)
 	if _, err := c.InsertRule(clRule(1, 100, rules.Prefix{Len: 0})); err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestRebalanceBalancedClusterIsNoop(t *testing.T) {
 // hold at every quiescent point.
 func TestRebalanceUnderChurn(t *testing.T) {
 	rs := classbench.Generate(classbench.Config{Family: classbench.ACL, Size: 250, Seed: 21})
-	c := testCluster(t, 4)
+	c := testCluster(4)
 	for _, r := range rs.Rules {
 		if _, err := c.InsertRule(r); err != nil {
 			t.Fatal(err)

@@ -119,8 +119,7 @@ func Restore(s *Snapshot) (*Cluster, error) {
 			c.routeMu.Lock()
 			c.owner[r.ID] = ownedRule{shard: sh, rule: r}
 			c.routeMu.Unlock()
-			if _, err := c.shards[sh].dev.InsertRule(r); err != nil {
-				c.Close()
+			if _, err := c.shards[sh].InsertRule(r); err != nil {
 				return nil, fmt.Errorf("cluster: restoring rule %d into shard %d: %w", r.ID, sh, err)
 			}
 		}

@@ -18,7 +18,7 @@ import (
 func TestSnapshotRoundTrip(t *testing.T) {
 	t.Run("interval", func(t *testing.T) {
 		rs := classbench.Generate(classbench.Config{Family: classbench.IPC, Size: 200, Seed: 13})
-		c := testCluster(t, 4)
+		c := testCluster(4)
 		for _, r := range rs.Rules {
 			if _, err := c.InsertRule(r); err != nil {
 				t.Fatal(err)
@@ -43,7 +43,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer restored.Close()
 
 		if err := restored.CheckInvariant(); err != nil {
 			t.Fatal(err)
@@ -144,7 +143,6 @@ func TestRestoreRejectsHostileSnapshots(t *testing.T) {
 		t.Run(p.name, func(t *testing.T) {
 			c, err := restoreBlob([]byte(p.blob))
 			if err == nil {
-				c.Close()
 				t.Fatalf("restored without error (CheckInvariant: %v)", c.CheckInvariant())
 			}
 		})
@@ -159,7 +157,6 @@ func TestRestoreRejectsHostileSnapshots(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer c.Close()
 		want, err := ReadSnapshot(strings.NewReader(intervalModeDump))
 		if err != nil {
 			t.Fatal(err)
@@ -187,7 +184,6 @@ func FuzzRestoreSnapshot(f *testing.F) {
 	if err := c.WriteSnapshot(&valid); err != nil {
 		f.Fatal(err)
 	}
-	c.Close()
 	f.Add(valid.Bytes())
 	f.Add([]byte(intervalModeDump))
 
@@ -205,7 +201,6 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		if err != nil {
 			return
 		}
-		defer c.Close()
 		want := 0
 		for _, rs := range snap.Shards {
 			want += len(rs)

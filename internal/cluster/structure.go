@@ -32,7 +32,7 @@ func (c *Cluster) DeriveStructure(dst *core.Structure) *core.Structure {
 	var weightedFrag float64
 	offset := 0
 	for i, s := range c.shards {
-		sh := s.dev.DeriveStructure(&c.shardStructs[i])
+		sh := s.DeriveStructure(&c.shardStructs[i])
 		dst.ShardEpochs = append(dst.ShardEpochs, sh.Epoch)
 		if sh.Epoch > dst.Epoch {
 			dst.Epoch = sh.Epoch
@@ -96,7 +96,7 @@ func (c *Cluster) CarePerPosition(dst []uint64) []uint64 {
 	base := len(dst)
 	var scratch []uint64
 	for _, s := range c.shards {
-		scratch = s.dev.CarePerPosition(scratch[:0])
+		scratch = s.CarePerPosition(scratch[:0])
 		for len(dst)-base < len(scratch) {
 			dst = append(dst, 0)
 		}

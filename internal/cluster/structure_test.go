@@ -9,7 +9,7 @@ import (
 )
 
 func TestClusterDeriveStructure(t *testing.T) {
-	c := testCluster(t, 4)
+	c := testCluster(4)
 	// Spread priorities across the interval partition so several shards
 	// hold rules.
 	for i := 0; i < 64; i++ {
@@ -91,7 +91,7 @@ func everyShardHolds(t *testing.T, c *Cluster) {
 }
 
 func TestClusterResetStatsRunsHooks(t *testing.T) {
-	c := testCluster(t, 2)
+	c := testCluster(2)
 	hooks := 0
 	c.OnStatsReset(func() { hooks++ })
 	for i := 0; i < 8; i++ {
@@ -116,7 +116,7 @@ func TestClusterResetStatsRunsHooks(t *testing.T) {
 // TestClusterEpochGauges: each shard exports its own catcam_epoch
 // series under its {shard="<i>"} label.
 func TestClusterEpochGauges(t *testing.T) {
-	c := testCluster(t, 2)
+	c := testCluster(2)
 	reg := telemetry.NewRegistry()
 	c.AttachTelemetry(reg, nil, nil)
 	for i := 0; i < 8; i++ {
@@ -135,7 +135,7 @@ func TestClusterEpochGauges(t *testing.T) {
 }
 
 func TestClusterCarePerPosition(t *testing.T) {
-	c := testCluster(t, 2)
+	c := testCluster(2)
 	for i := 0; i < 16; i++ {
 		if _, err := c.InsertRule(spreadRule(i)); err != nil {
 			t.Fatal(err)

@@ -28,7 +28,7 @@ func (t *clusterTelemetry) event(e telemetry.Event) {
 }
 
 // AttachTelemetry registers cluster metrics on reg — an aggregate
-// classify counter, the fan-out batch latency histogram and rebalance
+// classify counter, the classify batch latency histogram and rebalance
 // counters — and attaches every shard's device with a {"shard": "<i>"}
 // label so per-shard update histograms, lookup counters and occupancy
 // gauges stay distinct series on the shared registry. Passing a nil
@@ -39,15 +39,15 @@ func (c *Cluster) AttachTelemetry(reg *telemetry.Registry, ring *telemetry.Event
 	if reg == nil {
 		c.tel = nil
 		for _, s := range c.shards {
-			s.dev.AttachTelemetry(nil, nil, nil)
+			s.AttachTelemetry(nil, nil, nil)
 		}
 		return
 	}
 	c.tel = &clusterTelemetry{
 		lookups: reg.Counter("catcam_cluster_lookups_total",
-			"headers classified through the cluster fan-out", labels),
+			"headers classified through the cluster", labels),
 		fanoutNs: reg.Histogram("catcam_cluster_fanout_ns",
-			"wall-clock nanoseconds per fan-out classify batch (dispatch, parallel shard search, arbiter reduce)",
+			"wall-clock nanoseconds per cluster classify batch (shard walk, arbiter reduce)",
 			telemetry.DefaultLatencyBuckets, labels),
 		rebalances: reg.Counter("catcam_cluster_rebalance_passes_total",
 			"rebalance passes that migrated at least one rule", labels),
@@ -56,7 +56,7 @@ func (c *Cluster) AttachTelemetry(reg *telemetry.Registry, ring *telemetry.Event
 		ring: ring,
 	}
 	for i, s := range c.shards {
-		s.dev.AttachTelemetry(reg, ring, labels.Merged(telemetry.Labels{"shard": strconv.Itoa(i)}))
+		s.AttachTelemetry(reg, ring, labels.Merged(telemetry.Labels{"shard": strconv.Itoa(i)}))
 	}
 }
 
@@ -65,20 +65,20 @@ func (c *Cluster) AttachTelemetry(reg *telemetry.Registry, ring *telemetry.Event
 // trace (-1 outside a flowtable). Passing nil detaches.
 func (c *Cluster) AttachFlightRecorder(rec *flightrec.Recorder, table int) {
 	for _, s := range c.shards {
-		s.dev.AttachFlightRecorder(rec, table)
+		s.AttachFlightRecorder(rec, table)
 	}
 }
 
 // AttachAuditor wires aud into every shard's device (inline lookup
 // audits, fail-report semantics) and into the cluster's own arbiter
-// checks: sampled fan-out reductions verify InvArbiterWinner, and
+// checks: sampled arbiter reductions verify InvArbiterWinner, and
 // AuditSweep verifies InvShardInterval. Passing nil detaches.
 func (c *Cluster) AttachAuditor(aud *flightrec.Auditor) {
 	c.mu.Lock()
 	c.aud = aud
 	c.mu.Unlock()
 	for _, s := range c.shards {
-		s.dev.AttachAuditor(aud)
+		s.AttachAuditor(aud)
 	}
 }
 
@@ -89,7 +89,7 @@ func (c *Cluster) AttachAuditor(aud *flightrec.Auditor) {
 // rules; a nil return leaves that shard unshadowed.
 func (c *Cluster) AttachShadows(mk func(shard int) *flightrec.Shadow) {
 	for i, s := range c.shards {
-		s.dev.AttachShadow(mk(i))
+		s.AttachShadow(mk(i))
 	}
 }
 
@@ -107,7 +107,7 @@ func (c *Cluster) AuditSweep() flightrec.SweepInfo {
 	}
 	var total flightrec.SweepInfo
 	for _, s := range c.shards {
-		info := s.dev.AuditSweep()
+		info := s.AuditSweep()
 		total.Checks += info.Checks
 		total.Violations += info.Violations
 		total.DurationMs += info.DurationMs

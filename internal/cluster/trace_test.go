@@ -9,17 +9,17 @@ import (
 	"catcam/internal/trace"
 )
 
-// TestClusterTracedSpans checks the fan-out span shape of one traced
-// batch: a fanout_dispatch and arbiter_merge span from the dispatcher,
-// one shard_kernel span per shard (each on its own shard), device and
-// kernel spans beneath them carrying shard IDs, and identical results
-// to the untraced path. A device emits kernel spans only for the
+// TestClusterTracedSpans checks the span shape of one traced batch: a
+// fanout_dispatch span around the walk over the shards, one
+// shard_kernel span per shard nested inside it, device and kernel spans
+// beneath those carrying shard IDs, an arbiter_merge span, and
+// identical results to the untraced path. A device emits kernel spans only for the
 // subtables it searches, so the focus key must match a rule in every
 // shard: one all-wildcard rule per shard, at a priority inside that
 // shard's interval, makes every key such a key.
 func TestClusterTracedSpans(t *testing.T) {
 	rs := classbench.Generate(classbench.Config{Family: classbench.ACL, Size: 200, Seed: 4})
-	c := testCluster(t, 4)
+	c := testCluster(4)
 	for _, r := range rs.Rules {
 		if _, err := c.InsertRule(r); err != nil {
 			t.Fatal(err)
@@ -37,7 +37,7 @@ func TestClusterTracedSpans(t *testing.T) {
 	}
 	hs := classbench.PacketTrace(rs, 64, 0.9, 9)
 	for i, sh := range c.shards {
-		if _, ok := sh.dev.Lookup(hs[0]); !ok { // key 0 is the default focus
+		if _, ok := sh.Lookup(hs[0]); !ok { // key 0 is the default focus
 			t.Fatalf("shard %d matches no rule for the focus key", i)
 		}
 	}
@@ -55,6 +55,7 @@ func TestClusterTracedSpans(t *testing.T) {
 	}
 
 	var dispatch, merge int
+	var walk trace.Span
 	shardKernels := map[int]int{}
 	deviceShards := map[int]bool{}
 	kernelShards := map[int]bool{}
@@ -62,6 +63,7 @@ func TestClusterTracedSpans(t *testing.T) {
 		switch sp.Stage {
 		case trace.StageFanoutDispatch:
 			dispatch++
+			walk = sp
 		case trace.StageArbiterMerge:
 			merge++
 		case trace.StageShardKernel:
@@ -80,6 +82,12 @@ func TestClusterTracedSpans(t *testing.T) {
 	if len(shardKernels) != c.NumShards() {
 		t.Fatalf("shard_kernel spans cover %d shards, want %d", len(shardKernels), c.NumShards())
 	}
+	for _, sp := range tr.Spans {
+		if sp.Stage == trace.StageShardKernel && (sp.StartNs < walk.StartNs || sp.End() > walk.End()) {
+			t.Fatalf("shard %d kernel span [%d, %d] outside the dispatch walk [%d, %d]",
+				sp.Shard, sp.StartNs, sp.End(), walk.StartNs, walk.End())
+		}
+	}
 	for sh, n := range shardKernels {
 		if n != 1 {
 			t.Fatalf("shard %d recorded %d shard_kernel spans, want 1", sh, n)
@@ -96,7 +104,7 @@ func TestClusterTracedSpans(t *testing.T) {
 	}
 }
 
-// TestClusterTracedEntryPointAllocFree extends the fan-out
+// TestClusterTracedEntryPointAllocFree extends the classify
 // zero-allocation guarantee to the traced entry point with no trace in
 // flight.
 func TestClusterTracedEntryPointAllocFree(t *testing.T) {
@@ -104,7 +112,7 @@ func TestClusterTracedEntryPointAllocFree(t *testing.T) {
 		t.Skip("race detector perturbs AllocsPerRun")
 	}
 	rs := classbench.Generate(classbench.Config{Family: classbench.ACL, Size: 200, Seed: 4})
-	c := testCluster(t, 4)
+	c := testCluster(4)
 	for _, r := range rs.Rules {
 		if _, err := c.InsertRule(r); err != nil {
 			t.Fatal(err)
@@ -112,7 +120,7 @@ func TestClusterTracedEntryPointAllocFree(t *testing.T) {
 	}
 	hs := classbench.PacketTrace(rs, 256, 0.9, 9)
 	dst := make([]core.LookupResult, 0, len(hs))
-	c.LookupHeaderBatch(hs, dst) // warm the fan-out working set
+	c.LookupHeaderBatch(hs, dst) // warm the pooled round
 	if avg := testing.AllocsPerRun(50, func() {
 		dst = c.LookupHeaderBatchTraced(nil, hs, dst[:0])
 	}); avg != 0 {

@@ -21,7 +21,6 @@ func buildShardedPipeline(t *testing.T) *Pipeline {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(p.Close)
 	mustInstall(t, p, 0, FlowRule{Rule: srcRule(1, 10, 0x0A666600, 24), Instruction: Terminal(Drop)})
 	mustInstall(t, p, 0, FlowRule{Rule: anyRule(2, 1), Instruction: Goto(1)})
 	mustInstall(t, p, 1, FlowRule{Rule: srcRule(3, 5, 0x0A000000, 8), Instruction: Goto(2)})
@@ -133,6 +132,18 @@ func TestPipelineRejectsUnknownPartition(t *testing.T) {
 			{ID: 0, Device: smallDev(), Shards: shards, Partition: cluster.ModeInterval + 1},
 		}); err == nil {
 			t.Fatalf("%d-shard table with partition %d accepted", shards, cluster.ModeInterval+1)
+		}
+	}
+}
+
+// TestPipelineRejectsFanWorkers: a cluster classifies in the caller, so
+// the deprecated FanWorkers field accepts only the values that meant
+// one worker.
+func TestPipelineRejectsFanWorkers(t *testing.T) {
+	for _, w := range []int{0, 1, 2} {
+		_, err := NewPipeline([]TableConfig{{ID: 0, Device: smallDev(), Shards: 2, FanWorkers: w}})
+		if (err == nil) != (w <= 1) {
+			t.Fatalf("FanWorkers %d: err = %v", w, err)
 		}
 	}
 }

@@ -105,8 +105,7 @@ type TableConfig struct {
 	Device core.Config
 	Miss   MissPolicy
 	// Shards, when >= 2, backs this table with a sharded cluster of
-	// identical devices instead of a single one; FanWorkers is its
-	// per-shard classify worker count (see cluster.Config.FanWorkers).
+	// identical devices instead of a single one.
 	Shards int
 	// Partition must be cluster.ModeInterval (the zero value);
 	// NewPipeline rejects anything else.
@@ -114,7 +113,13 @@ type TableConfig struct {
 	// Deprecated: the cluster has one partition scheme. The field stays
 	// only because benchmark/ still sets it, and is deleted with the
 	// benchmark-side edits of ROADMAP item 5.
-	Partition  cluster.Mode
+	Partition cluster.Mode
+	// FanWorkers must be 0 or 1; NewPipeline rejects anything more.
+	//
+	// Deprecated: a cluster classifies in the caller's goroutine and has
+	// no workers to count. The field stays only because benchmark/ still
+	// sets it, and is deleted with the benchmark-side edits of ROADMAP
+	// item 5.
 	FanWorkers int
 }
 
@@ -125,7 +130,7 @@ type TableConfig struct {
 // of a sync.Pool, the instruction map is read under a shared lock, and
 // the backing devices classify lock-free — and may also run
 // concurrently with Install/Remove. Construction-time wiring
-// (Attach*, Close) still requires a quiescent pipeline.
+// (Attach*) still requires a quiescent pipeline.
 type Pipeline struct {
 	tables map[int]*table
 	order  []int
@@ -275,11 +280,12 @@ func NewPipeline(configs []TableConfig) (*Pipeline, error) {
 		if c.Partition != cluster.ModeInterval {
 			return nil, fmt.Errorf("flowtable: table %d: unknown partition %d, the cluster only partitions by priority interval", c.ID, c.Partition)
 		}
+		if c.FanWorkers > 1 {
+			return nil, fmt.Errorf("flowtable: table %d: %d fan-out workers, a cluster classifies in the caller", c.ID, c.FanWorkers)
+		}
 		var dev Backend
 		if c.Shards >= 2 {
-			dev = cluster.New(cluster.Config{
-				Shards: c.Shards, Device: c.Device, FanWorkers: c.FanWorkers,
-			})
+			dev = cluster.New(cluster.Config{Shards: c.Shards, Device: c.Device})
 		} else {
 			dev = core.NewDevice(c.Device)
 		}
@@ -305,16 +311,11 @@ func (p *Pipeline) Table(id int) (Backend, bool) {
 	return t.dev, true
 }
 
-// Close releases background resources held by sharded tables (fan-out
-// workers). Single-device tables hold none; calling Close on any
-// pipeline is safe and idempotent.
-func (p *Pipeline) Close() {
-	for _, id := range p.order {
-		if c, ok := p.tables[id].dev.(*cluster.Cluster); ok {
-			c.Close()
-		}
-	}
-}
+// Close does nothing: no table holds background resources.
+//
+// Deprecated: kept only because benchmark/ still calls it; deleted with
+// the benchmark-side edits of ROADMAP item 5.
+func (p *Pipeline) Close() {}
 
 // TableIDs returns the traversal order.
 func (p *Pipeline) TableIDs() []int { return append([]int(nil), p.order...) }
@@ -425,7 +426,7 @@ func (p *Pipeline) ClassifyBatch(hs []rules.Header, dst []int) []int {
 // ClassifyBatchTraced is ClassifyBatch recording spans for one sampled
 // batch into tr: one table_classify span per table wave (all packets
 // parked at that table classified in one batched backend call), with
-// the backend's own fan-out/shard/kernel spans beneath it. A nil tr is
+// the backend's own dispatch/shard/kernel spans beneath it. A nil tr is
 // exactly ClassifyBatch — the untraced path adds two nil tests per wave.
 // (Like ClassifyBatch, this is not a hotpath analyzer root: the
 // backend calls go through the Backend interface, which the analyzer

@@ -18,7 +18,7 @@ var DefaultCycleBuckets = []uint64{1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 24, 32, 48, 
 var DefaultDepthBuckets = []uint64{1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 24, 32, 48, 64}
 
 // DefaultLatencyBuckets covers host wall-clock latencies in
-// nanoseconds (cluster fan-out batches, migration passes): geometric
+// nanoseconds (cluster classify batches, migration passes): geometric
 // from 512ns to ~67ms.
 var DefaultLatencyBuckets = []uint64{
 	512, 1024, 2048, 4096, 8192, 16384, 32768, 65536,

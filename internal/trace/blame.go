@@ -11,11 +11,12 @@ import (
 // This file is the tail-latency attribution report (/debug/blame): it
 // takes the slowest retained traces and decomposes their time by stage
 // and by shard/subtable using *self* time — each span's duration minus
-// the duration of spans nested inside it on the same lane — so a slow
-// fan-out whose time is really spent in one shard's kernel blames the
-// kernel, not the dispatch wrapper. Lanes matter: shards run in
-// parallel, so a shard span is never subtracted from the cluster-lane
-// dispatch span that "contains" it in wall-clock terms.
+// the duration of the spans directly nested inside it — so a slow
+// cluster walk whose time is really spent in one shard's kernel blames
+// the kernel, not the dispatch wrapper. Every trace is recorded by one
+// goroutine at a time and each span lies inside its caller's, so
+// nesting is read from the time stamps alone; lanes are only
+// timeline.go's rendering.
 
 // StageBlame aggregates one stage across the examined traces.
 type StageBlame struct {
@@ -65,8 +66,8 @@ type BlameReport struct {
 }
 
 // selfTimes returns each span's self duration: its DurNs minus the
-// DurNs of spans directly nested inside it on the same lane. Nesting is
-// duration containment — the same rule the timeline viewers apply.
+// DurNs of spans directly nested inside it. Nesting is duration
+// containment — the same rule the timeline viewers apply.
 func selfTimes(spans []Span) []uint64 {
 	self := make([]uint64, len(spans))
 	order := make([]int, len(spans))
@@ -74,27 +75,18 @@ func selfTimes(spans []Span) []uint64 {
 		self[i] = spans[i].DurNs
 		order[i] = i
 	}
-	// Per lane, in start order (ties: longer first so parents precede
-	// children), subtract each span from its innermost enclosing span.
+	// In start order (ties: longer first so parents precede children),
+	// subtract each span from its innermost enclosing span.
 	sort.SliceStable(order, func(a, b int) bool {
 		sa, sb := spans[order[a]], spans[order[b]]
-		la, lb := lane(sa), lane(sb)
-		if la != lb {
-			return la < lb
-		}
 		if sa.StartNs != sb.StartNs {
 			return sa.StartNs < sb.StartNs
 		}
 		return sa.DurNs > sb.DurNs
 	})
 	var stack []int // indices into spans, innermost last
-	lastLane := -1
 	for _, i := range order {
 		sp := spans[i]
-		if l := lane(sp); l != lastLane {
-			stack = stack[:0]
-			lastLane = l
-		}
 		for len(stack) > 0 {
 			top := spans[stack[len(stack)-1]]
 			if sp.StartNs >= top.StartNs && sp.End() <= top.End() {

@@ -12,11 +12,11 @@ import (
 )
 
 // TestExemplarToSpanTree is the tentpole's end-to-end acceptance path:
-// drive a slow (traced, cluster fan-out) lookup among a population of
+// drive a slow (traced, cluster) lookup among a population of
 // fast ones, then follow the latency histogram's p999 bucket exemplar
 // — exactly as an operator would from /metrics.json — to the full
 // retained span tree, and check the tree decomposes the request
-// through every layer: fan-out dispatch, per-shard kernels, per-key
+// through every layer: the shard walk, per-shard kernels, per-key
 // device lookups, focus-key SRAM kernel searches, arbiter merge.
 func TestExemplarToSpanTree(t *testing.T) {
 	rs := classbench.Generate(classbench.Config{Family: classbench.ACL, Size: 200, Seed: 4})
@@ -24,7 +24,6 @@ func TestExemplarToSpanTree(t *testing.T) {
 		Shards: 4,
 		Device: core.Config{Subtables: 16, SubtableCapacity: 64, KeyWidth: 160},
 	})
-	defer c.Close()
 	for _, r := range rs.Rules {
 		if _, err := c.InsertRule(r); err != nil {
 			t.Fatal(err)
@@ -42,7 +41,7 @@ func TestExemplarToSpanTree(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		hist.Observe(600)
 	}
-	// ... and one traced fan-out batch, orders of magnitude slower.
+	// ... and one traced cluster batch, orders of magnitude slower.
 	tr := tracer.Start("classify")
 	if tr == nil {
 		t.Fatal("sampling at 1 must trace the batch")
@@ -54,7 +53,7 @@ func TestExemplarToSpanTree(t *testing.T) {
 	tracer.Finish(tr)
 	hist.ObserveExemplar(tr.DurNs, tr.ID)
 	if tr.DurNs <= 2048 {
-		t.Fatalf("traced fan-out batch took %dns; too fast to separate from the fast population", tr.DurNs)
+		t.Fatalf("traced cluster batch took %dns; too fast to separate from the fast population", tr.DurNs)
 	}
 
 	// Operator's view: the JSON snapshot. Locate the bucket holding the

@@ -1,8 +1,8 @@
 // Package trace is CATCAM's request-tracing layer: a cheap,
 // cycle-stamped span recorder whose trace context follows one lookup
 // end-to-end through every layer of the system — the serve churn loop's
-// batched classify call, flowtable's per-table waves, the cluster
-// fan-out (dispatch, per-shard kernel, arbiter merge) and, inside one
+// batched classify call, flowtable's per-table waves, the cluster's
+// shard walk (dispatch, per-shard kernel, arbiter merge) and, inside one
 // designated "focus" key, the per-subtable SRAM kernel searches.
 //
 // Where internal/telemetry answers "how slow is p999" and
@@ -59,11 +59,12 @@ const (
 	// StageTableClassify is one flowtable wave: every packet parked at
 	// one table classified in a single batched backend call.
 	StageTableClassify
-	// StageFanoutDispatch covers the cluster fan-out: waking every
-	// shard worker and waiting for the last one to finish.
+	// StageFanoutDispatch covers the cluster's walk over its shards:
+	// every shard's batched lookup, run in turn in the caller's
+	// goroutine.
 	StageFanoutDispatch
 	// StageShardKernel is one shard's whole batched device lookup,
-	// recorded by that shard's fan-out worker.
+	// nested inside the walk's fanout_dispatch span.
 	StageShardKernel
 	// StageArbiterMerge is the cluster arbiter reducing per-shard
 	// winners to one result per header.
@@ -127,11 +128,11 @@ func (s Span) End() uint64 { return s.StartNs + s.DurNs }
 // are counted in Dropped.
 const maxSpans = 2048
 
-// Trace is one sampled request's span record. Span appends are
-// internally locked: cluster fan-out workers record shard spans
-// concurrently into the same trace. All methods are nil-receiver safe,
-// so instrumented code guards with a single pointer test and an
-// untraced request costs nothing.
+// Trace is one sampled request's span record. Span appends and export
+// copies are internally locked, so a trace is safe to record into from
+// any goroutine holding it and to copy out while it is being recorded.
+// All methods are nil-receiver safe, so instrumented code guards with a
+// single pointer test and an untraced request costs nothing.
 type Trace struct {
 	ID      uint64 `json:"id"`
 	Kind    string `json:"kind"` // caller-chosen root label ("classify", "ingress", ...)
@@ -176,8 +177,8 @@ func (t *Trace) SetFocus(key int) {
 }
 
 // Add records one completed span. Nil-receiver safe; concurrent callers
-// (fan-out workers) serialize on the trace's own mutex — sampled-path
-// only, never on an untraced request.
+// serialize on the trace's own mutex — sampled-path only, never on an
+// untraced request.
 func (t *Trace) Add(s Span) {
 	if t == nil {
 		return

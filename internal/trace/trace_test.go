@@ -114,30 +114,47 @@ func TestTraceIDRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSelfTimes verifies the containment-based self-time computation:
-// a shard_kernel span enclosing two sram_kernel spans on the same lane
-// self-accounts only the uncovered remainder, while a fan-out span on
-// the cluster lane is never debited for parallel shard work.
+// TestSelfTimes verifies the containment-based self-time computation
+// on a cluster walk: the dispatch span is debited for the shard kernels
+// it runs one after another, and a shard kernel for the sram searches
+// inside it, leaving each span only its uncovered remainder. For a
+// well-nested trace the self times then sum to the root span's
+// duration: no time is counted twice, none is lost.
 func TestSelfTimes(t *testing.T) {
 	spans := []Span{
 		{Stage: StageFanoutDispatch, Shard: -1, StartNs: 0, DurNs: 100},
-		{Stage: StageShardKernel, Shard: 0, StartNs: 5, DurNs: 90},
-		{Stage: StageSRAMKernel, Shard: 0, Subtable: 0, StartNs: 10, DurNs: 30},
-		{Stage: StageSRAMKernel, Shard: 0, Subtable: 1, StartNs: 50, DurNs: 40},
-		{Stage: StageShardKernel, Shard: 1, StartNs: 5, DurNs: 80},
+		{Stage: StageShardKernel, Shard: 0, StartNs: 5, DurNs: 45},
+		{Stage: StageSRAMKernel, Shard: 0, Subtable: 0, StartNs: 10, DurNs: 10},
+		{Stage: StageSRAMKernel, Shard: 0, Subtable: 1, StartNs: 25, DurNs: 20},
+		{Stage: StageShardKernel, Shard: 1, StartNs: 50, DurNs: 45},
 	}
 	self := selfTimes(spans)
-	if self[0] != 100 {
-		t.Fatalf("fanout self = %d, want 100 (cross-lane children must not be subtracted)", self[0])
+	if self[0] != 10 {
+		t.Fatalf("dispatch self = %d, want 100-45-45=10 (sequential shard spans are its children)", self[0])
 	}
-	if self[1] != 20 {
-		t.Fatalf("shard0 kernel self = %d, want 90-30-40=20", self[1])
+	if self[1] != 15 {
+		t.Fatalf("shard0 kernel self = %d, want 45-10-20=15", self[1])
 	}
-	if self[2] != 30 || self[3] != 40 {
-		t.Fatalf("sram self = %d,%d, want 30,40", self[2], self[3])
+	if self[2] != 10 || self[3] != 20 {
+		t.Fatalf("sram self = %d,%d, want 10,20", self[2], self[3])
 	}
-	if self[4] != 80 {
-		t.Fatalf("shard1 kernel self = %d, want 80", self[4])
+	if self[4] != 45 {
+		t.Fatalf("shard1 kernel self = %d, want 45", self[4])
+	}
+
+	// The same walk under a request, a table wave and an arbiter merge.
+	nested := append([]Span{
+		{Stage: StageRequest, Shard: -1, StartNs: 0, DurNs: 200},
+		{Stage: StageTableClassify, Shard: -1, StartNs: 0, DurNs: 150},
+		{Stage: StageArbiterMerge, Shard: -1, StartNs: 100, DurNs: 30},
+		{Stage: StageDeviceLookup, Shard: -1, StartNs: 160, DurNs: 25},
+	}, spans...)
+	var sum uint64
+	for _, ns := range selfTimes(nested) {
+		sum += ns
+	}
+	if sum != nested[0].DurNs {
+		t.Fatalf("self times sum to %d, want the root's %d", sum, nested[0].DurNs)
 	}
 }
 
