@@ -11,14 +11,15 @@
 // -telemetry additionally runs an instrumented ClassBench churn pass
 // with the runtime telemetry registry attached and prints the latency
 // quantile summary plus the full Prometheus text exposition — the same
-// data cmd/catcam-serve exports live.
+// data cmd/catcam-serve exports live. The output is deterministic;
+// testdata/quick.golden pins the -quick -updates 50 sweep.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"time"
 
 	"catcam/internal/bench"
 	"catcam/internal/classbench"
@@ -36,13 +37,14 @@ func main() {
 	withTelemetry := flag.Bool("telemetry", false, "run an instrumented churn pass and print quantiles + Prometheus text")
 	flag.Parse()
 
-	if err := run(*experiment, *quick, *updates, *rtUpdates, *withTelemetry); err != nil {
+	if err := run(os.Stdout, *experiment, *quick, *updates, *rtUpdates, *withTelemetry); err != nil {
 		fmt.Fprintln(os.Stderr, "catcam-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(experiment string, quick bool, updates, rtUpdates int, withTelemetry bool) error {
+// run writes the selected experiments' tables and figures to out.
+func run(out io.Writer, experiment string, quick bool, updates, rtUpdates int, withTelemetry bool) error {
 	matrixCfg := bench.DefaultMatrixConfig()
 	matrixCfg.Updates = updates
 	matrixCfg.RuleTrisUpdates = rtUpdates
@@ -54,36 +56,39 @@ func run(experiment string, quick bool, updates, rtUpdates int, withTelemetry bo
 	}
 
 	section := func(name string) {
-		fmt.Printf("\n================ %s ================\n", name)
+		fmt.Fprintf(out, "\n================ %s ================\n", name)
 	}
+	want := func(name string) bool { return experiment == "all" || experiment == name }
 
 	needMatrix := experiment == "all" || experiment == "table3" ||
 		experiment == "table4" || experiment == "cpr" || experiment == "table2"
 	var rows []bench.UpdateCostRow
 	var cprs map[string]bench.CPRStats
 	if needMatrix {
-		start := time.Now()
 		var err error
 		rows, cprs, err = bench.RunUpdateMatrix(matrixCfg)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("(update matrix computed in %v)\n", time.Since(start).Round(time.Millisecond))
 	}
-
-	want := func(name string) bool { return experiment == "all" || experiment == name }
+	// Table II's update rate and the occupancy section share one
+	// fill-to-failure run.
+	var occ bench.OccupancyResult
+	if want("table2") || want("occupancy") {
+		occ = bench.Occupancy(1)
+	}
 
 	if want("fig1a") {
 		section("Fig 1(a)")
-		fmt.Print(bench.FormatFig1a(bench.Fig1a()))
+		fmt.Fprint(out, bench.FormatFig1a(bench.Fig1a()))
 	}
 	if want("fig1b") {
 		section("Fig 1(b)")
-		fmt.Print(bench.FormatFig1b(bench.Fig1b(10)))
+		fmt.Fprint(out, bench.FormatFig1b(bench.Fig1b(10)))
 	}
 	if want("table1") {
 		section("Table I")
-		fmt.Print(bench.FormatTableI(metrics.TableI()))
+		fmt.Fprint(out, bench.FormatTableI(metrics.TableI()))
 	}
 	if want("table2") {
 		section("Table II")
@@ -91,22 +96,21 @@ func run(experiment string, quick bool, updates, rtUpdates int, withTelemetry bo
 		// occupancy (§VIII-A further benchmarking, 28%/72% split), which
 		// is the fill-to-failure regime, not the lightly-loaded churn of
 		// Table III.
-		occ := bench.Occupancy(1)
-		fmt.Print(bench.FormatTableII(metrics.ComputeSystem(core.Prototype(), occ.InsertCPR)))
-		fmt.Printf("(update rate uses CPR %.2f measured at %.0f%% occupancy; light-load churn CPR %.2f)\n",
+		fmt.Fprint(out, bench.FormatTableII(metrics.ComputeSystem(core.Prototype(), occ.InsertCPR)))
+		fmt.Fprintf(out, "(update rate uses CPR %.2f measured at %.0f%% occupancy; light-load churn CPR %.2f)\n",
 			occ.InsertCPR, occ.Occupancy*100, lightCPR(cprs))
 	}
 	if want("table3") {
 		section("Table III")
-		fmt.Print(bench.FormatTableIII(rows))
+		fmt.Fprint(out, bench.FormatTableIII(rows))
 	}
 	if want("table4") {
 		section("Table IV")
-		fmt.Print(bench.FormatTableIV(rows))
+		fmt.Fprint(out, bench.FormatTableIV(rows))
 	}
 	if want("table5") {
 		section("Table V")
-		fmt.Print(bench.FormatTableV(metrics.TableV()))
+		fmt.Fprint(out, bench.FormatTableV(metrics.TableV()))
 	}
 	if want("fig15") {
 		section("Fig 15")
@@ -116,26 +120,26 @@ func run(experiment string, quick bool, updates, rtUpdates int, withTelemetry bo
 		if err != nil {
 			return err
 		}
-		fmt.Print(bench.FormatFig15(f15))
+		fmt.Fprint(out, bench.FormatFig15(f15))
 	}
 	if want("fig16") {
 		section("Fig 16")
 		points := []int{1, 2, 4, 8, 16, 32, 64, 128, 192, 256}
-		fmt.Print(bench.FormatFig16(
+		fmt.Fprint(out, bench.FormatFig16(
 			metrics.MatchEnergyCurve(640, points),
 			metrics.PriorityEnergyCurve(points)))
 	}
 	if want("cpr") {
 		section("CPR breakdown (§VIII-A)")
-		fmt.Print(bench.FormatCPR(cprs))
+		fmt.Fprint(out, bench.FormatCPR(cprs))
 	}
 	if want("occupancy") {
 		section("Occupancy (§VIII-B)")
-		fmt.Print(bench.FormatOccupancy(bench.Occupancy(1)))
+		fmt.Fprint(out, bench.FormatOccupancy(occ))
 	}
 	if want("ablation") {
 		section("Design ablations")
-		fmt.Print(bench.FormatAblation([]bench.AblationRow{
+		fmt.Fprint(out, bench.FormatAblation([]bench.AblationRow{
 			bench.ColumnWriteAblation(core.Prototype()),
 			bench.GlobalArbitrationAblation(256, 8),
 			bench.SchedulingAblation(3),
@@ -149,7 +153,7 @@ func run(experiment string, quick bool, updates, rtUpdates int, withTelemetry bo
 		if err != nil {
 			return err
 		}
-		fmt.Print(bench.FormatEnergyReport(w.Label(), rep))
+		fmt.Fprint(out, bench.FormatEnergyReport(w.Label(), rep))
 	}
 	if withTelemetry || want("telemetry") {
 		section("Telemetry (runtime observability)")
@@ -161,12 +165,12 @@ func run(experiment string, quick bool, updates, rtUpdates int, withTelemetry bo
 		if err != nil {
 			return err
 		}
-		fmt.Printf("workload %s: %d updates, occupancy %.0f%%\n",
+		fmt.Fprintf(out, "workload %s: %d updates, occupancy %.0f%%\n",
 			w.Label(), len(w.Trace), dev.Occupancy()*100)
-		fmt.Print(bench.FormatTelemetrySummary(reg))
-		fmt.Printf("(trace ring retains %d of %d events)\n", len(ring.Snapshot()), ring.Total())
-		fmt.Println("\n--- Prometheus exposition (/metrics) ---")
-		if err := reg.WritePrometheus(os.Stdout); err != nil {
+		fmt.Fprint(out, bench.FormatTelemetrySummary(reg))
+		fmt.Fprintf(out, "(trace ring retains %d of %d events)\n", len(ring.Snapshot()), ring.Total())
+		fmt.Fprintln(out, "\n--- Prometheus exposition (/metrics) ---")
+		if err := reg.WritePrometheus(out); err != nil {
 			return err
 		}
 	}
@@ -174,10 +178,10 @@ func run(experiment string, quick bool, updates, rtUpdates int, withTelemetry bo
 		section("RRAM endurance projection (§IX future work)")
 		cb := rram.New(256, 0)
 		m := metrics.ComputeSystem(core.Prototype(), 4.4)
-		fmt.Printf("priority matrix as a 256x256 RRAM crossbar, endurance %.0e writes/cell\n", rram.Endurance)
-		fmt.Println(cb.ProjectLifetime(m.UpdateRateMOPS * 1e6))
-		fmt.Println(cb.ProjectLifetime(1e6), "(a softer 1M updates/s workload)")
-		fmt.Println("-> the paper's conclusion: RRAM-based CATCAM fails within hours at full rate")
+		fmt.Fprintf(out, "priority matrix as a 256x256 RRAM crossbar, endurance %.0e writes/cell\n", rram.Endurance)
+		fmt.Fprintln(out, cb.ProjectLifetime(m.UpdateRateMOPS*1e6))
+		fmt.Fprintln(out, cb.ProjectLifetime(1e6), "(a softer 1M updates/s workload)")
+		fmt.Fprintln(out, "-> the paper's conclusion: RRAM-based CATCAM fails within hours at full rate")
 	}
 	return nil
 }

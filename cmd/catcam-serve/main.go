@@ -21,7 +21,7 @@
 //	                rebalancer accounting
 //	/slo            SLO burn-rate status (objectives, fast/slow burn,
 //	                paging verdict), evaluated at request time
-//	/debug/trace    sampled causal update traces (?op= ?n= filters)
+//	/debug/trace    sampled update traces as step lists (?op= ?n= filters)
 //	/debug/timeline sampled request span trees as Chrome trace-event
 //	                JSON — load directly in Perfetto (?trace=<hex id>)
 //	/debug/blame    tail-latency attribution: the slowest traces
@@ -40,7 +40,7 @@
 //	catcam-serve [-addr :9090] [-family ACL] [-size 1000] [-rate 10000]
 //	             [-subtables 256] [-slots 256] [-seed 1]
 //	             [-shards 1] [-rebalance 0]
-//	             [-classify-workers 0] [-trace-every 0] [-audit-every 0]
+//	             [-classify-workers 0] [-audit-every 0]
 //	             [-audit-interval 0] [-shadow-every 0] [-duration 0]
 //	             [-span-every 0] [-slo-interval 5s]
 //	             [-slo-latency-ns 1048576] [-state-interval 5s]
@@ -64,7 +64,6 @@
 // live view of publication progress.
 //
 // The flight-recorder flags turn on the observability layer:
-// -trace-every N samples every Nth update into the /debug/trace ring;
 // -audit-every N audits every Nth lookup's report vector and winner;
 // -audit-interval D runs a background invariant sweep every D;
 // -shadow-every N re-classifies every Nth lookup through the software
@@ -73,18 +72,20 @@
 // exits — nonzero if any invariant violation was detected. That is the
 // CI soak mode.
 //
-// The span layer rides on top: -span-every N samples every Nth classify
-// batch into a full end-to-end span trace (cluster shard walk, per-shard
+// The span layer rides on top: -span-every N samples every Nth request
+// (classify batch, update or ingress burst; one shared counter) into a
+// span trace — a batch end-to-end (cluster shard walk, per-shard
 // kernels, per-key device lookups, focus-key SRAM kernel searches,
-// arbiter merge) retained in a ring of 256 traces, served at
-// /debug/timeline and /debug/blame, and linked from the
-// catcam_serve_lookup_ns histogram's bucket exemplars. The SLO engine
-// evaluates three objectives every -slo-interval — batch latency under
-// -slo-latency-ns, audit-violation rate, shadow-divergence rate — over
-// fast (5m) and slow (1h) burn windows. When both windows burn, the
-// escalation raises every sampling knob (span traces, causal traces,
-// inline audits, shadows) to 1-in-1 and captures a CPU profile for
-// 30 s, then restores the configured rates. -final-dir D
+// arbiter merge), an update step by step up to its epoch publish. One
+// ring of 1024 traces, about 6 s at the default -rate with -span-every
+// 64, serves /debug/timeline, /debug/blame and /debug/trace and is
+// linked from the catcam_serve_lookup_ns histogram's bucket exemplars.
+// The SLO engine evaluates three objectives every -slo-interval — batch
+// latency under -slo-latency-ns, audit-violation rate,
+// shadow-divergence rate — over fast (5m) and slow (1h) burn windows.
+// When both windows burn, the escalation raises every sampling knob
+// (span traces, inline audits, shadows) to 1-in-1 and captures a CPU
+// profile for 30 s, then restores the configured rates. -final-dir D
 // writes metrics.json, slo.json, timeline.json and state.json there at
 // shutdown for CI artifact upload.
 //
@@ -158,8 +159,7 @@ import (
 // running.
 const (
 	eventRingCap     = 4096 // /events
-	traceRingCap     = 1024 // /debug/trace
-	spanRingCap      = 256  // /debug/timeline, /debug/blame
+	spanRingCap      = 1024 // /debug/trace, /debug/timeline, /debug/blame
 	stateRingFrames  = 360  // /debug/state
 	rebalanceBatch   = 64   // max entries migrated per rebalance pass
 	escalationWindow = 30 * time.Second
@@ -179,7 +179,6 @@ type options struct {
 	rebalance       time.Duration
 	classifyWorkers int
 
-	traceEvery    uint64
 	auditEvery    uint64
 	auditInterval time.Duration
 	shadowEvery   uint64
@@ -214,12 +213,11 @@ func main() {
 	flag.IntVar(&o.shards, "shards", 1, "shard count; >= 2 runs a sharded cluster")
 	flag.DurationVar(&o.rebalance, "rebalance", 0, "cluster rebalance pass period (0 = off)")
 	flag.IntVar(&o.classifyWorkers, "classify-workers", 0, "extra concurrent classify goroutines replaying the trace against the lock-free path (0 = churn-loop lookups only)")
-	flag.Uint64Var(&o.traceEvery, "trace-every", 0, "record a causal trace for every Nth update (0 = off)")
 	flag.Uint64Var(&o.auditEvery, "audit-every", 0, "audit every Nth lookup inline (0 = off)")
 	flag.DurationVar(&o.auditInterval, "audit-interval", 0, "background invariant sweep period (0 = off)")
 	flag.Uint64Var(&o.shadowEvery, "shadow-every", 0, "shadow-check every Nth lookup against the software classifier (0 = off)")
 	flag.DurationVar(&o.duration, "duration", 0, "run for this long, final-sweep and exit; nonzero exit on violations (0 = serve until signalled)")
-	flag.Uint64Var(&o.spanEvery, "span-every", 0, "span-trace every Nth classify batch end-to-end (0 = off)")
+	flag.Uint64Var(&o.spanEvery, "span-every", 0, "span-trace every Nth request (classify batch, update, ingress burst) end-to-end (0 = off)")
 	flag.DurationVar(&o.sloInterval, "slo-interval", 5*time.Second, "SLO sample/evaluate period")
 	flag.Uint64Var(&o.sloLatencyNs, "slo-latency-ns", 1<<20, "classify-batch latency budget for the p999 objective (ns)")
 	flag.DurationVar(&o.stateInterval, "state-interval", 5*time.Second, "state observatory sweep period")
@@ -247,7 +245,7 @@ type engine interface {
 	LookupHeaderBatchTraced(tr *trace.Trace, hs []rules.Header, dst []core.LookupResult) []core.LookupResult
 	Epoch() uint64
 	AttachTelemetry(reg *telemetry.Registry, ring *telemetry.EventRing, labels telemetry.Labels)
-	AttachFlightRecorder(rec *flightrec.Recorder, table int)
+	AttachTracer(tt *trace.Tracer)
 	AttachAuditor(aud *flightrec.Auditor)
 	AuditSweep() flightrec.SweepInfo
 	ResetStats()
@@ -299,13 +297,18 @@ func run(o options) error {
 	})
 	obs.AttachTelemetry(reg, nil)
 
-	// Flight recorder: causal traces, the invariant auditor (always
-	// attached so a corrupted decision is reported rather than fatal),
-	// and the optional shadow classifier. The shadow must attach before
-	// the bulk load so it mirrors every rule.
-	rec := flightrec.NewRecorder(traceRingCap)
-	rec.SetSampleEvery(o.traceEvery)
-	eng.AttachFlightRecorder(rec, -1)
+	// Span layer: one tracer samples classify batches, updates and
+	// ingress bursts end-to-end; the serve latency histogram carries
+	// per-bucket exemplars linking /metrics.json tail buckets to
+	// retained traces.
+	tracer := trace.NewTracer(spanRingCap)
+	tracer.SetSampleEvery(o.spanEvery)
+	eng.AttachTracer(tracer)
+
+	// Flight recorder: the invariant auditor (always attached so a
+	// corrupted decision is reported rather than fatal) and the optional
+	// shadow classifier. The shadow must attach before the bulk load so
+	// it mirrors every rule.
 	aud := flightrec.NewAuditor(reg, ring, 256, nil)
 	aud.SetLookupSampleEvery(o.auditEvery)
 	eng.AttachAuditor(aud)
@@ -326,11 +329,6 @@ func run(o options) error {
 		}
 	}
 
-	// Span layer: the tracer samples whole classify batches end-to-end;
-	// the serve latency histogram carries per-bucket exemplars linking
-	// /metrics.json tail buckets to retained traces.
-	tracer := trace.NewTracer(spanRingCap)
-	tracer.SetSampleEvery(o.spanEvery)
 	lookupHist := reg.Histogram("catcam_serve_lookup_ns",
 		"wall-clock latency of one batched classify call", telemetry.DefaultLatencyBuckets, nil)
 
@@ -439,7 +437,6 @@ func run(o options) error {
 		Window: escalationWindow,
 		Raise: func() {
 			tracer.SetSampleEvery(1)
-			rec.SetSampleEvery(1)
 			aud.SetLookupSampleEvery(1)
 			for _, sh := range shadows {
 				sh.SetSampleEvery(1)
@@ -462,7 +459,6 @@ func run(o options) error {
 		},
 		Restore: func() {
 			tracer.SetSampleEvery(o.spanEvery)
-			rec.SetSampleEvery(o.traceEvery)
 			aud.SetLookupSampleEvery(o.auditEvery)
 			for _, sh := range shadows {
 				sh.SetSampleEvery(o.shadowEvery)
@@ -540,7 +536,7 @@ func run(o options) error {
 	http.Handle("/metrics", reg.MetricsHandler())
 	http.Handle("/metrics.json", reg.JSONHandler())
 	http.Handle("/events", ring.Handler())
-	http.Handle("/debug/trace", rec.Handler())
+	http.Handle("/debug/trace", tracer.UpdateHandler())
 	http.Handle("/debug/audit", aud.Handler())
 	http.Handle("/slo", sloEng.Handler())
 	http.Handle("/debug/timeline", tracer.TimelineHandler())
@@ -555,7 +551,7 @@ func run(o options) error {
 			"events_emitted":    ring.Total(),
 			"audit_checks":      aud.TotalChecks(),
 			"audit_violations":  aud.TotalViolations(),
-			"traces_recorded":   rec.Total(),
+			"traces_recorded":   tracer.Total(), // the one tracer, as span_traces
 			"span_traces":       tracer.Total(),
 			"slo_healthy":       sloEng.Healthy(),
 			"capacity_headroom": obs.Forecast().HeadroomOK,

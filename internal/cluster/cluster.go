@@ -164,7 +164,7 @@ func New(cfg Config) *Cluster {
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		dev := core.NewDevice(cfg.Device)
-		dev.SetTraceShard(i)
+		dev.SetTraceLabels(-1, i)
 		c.shards = append(c.shards, dev)
 	}
 	if cfg.Bounds != nil {

@@ -6,6 +6,7 @@ import (
 
 	"catcam/internal/flightrec"
 	"catcam/internal/telemetry"
+	"catcam/internal/trace"
 )
 
 // clusterTelemetry holds the cluster-level metric instances; per-shard
@@ -60,12 +61,12 @@ func (c *Cluster) AttachTelemetry(reg *telemetry.Registry, ring *telemetry.Event
 	}
 }
 
-// AttachFlightRecorder starts sampling causal update traces from every
-// shard's device into the shared recorder. table is carried on every
-// trace (-1 outside a flowtable). Passing nil detaches.
-func (c *Cluster) AttachFlightRecorder(rec *flightrec.Recorder, table int) {
+// AttachTracer starts sampling update requests on every shard's device
+// into tt; each update trace carries its shard's label. Passing nil
+// detaches.
+func (c *Cluster) AttachTracer(tt *trace.Tracer) {
 	for _, s := range c.shards {
-		s.AttachFlightRecorder(rec, table)
+		s.AttachTracer(tt)
 	}
 }
 

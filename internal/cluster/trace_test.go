@@ -104,6 +104,67 @@ func TestClusterTracedSpans(t *testing.T) {
 	}
 }
 
+// TestClusterUpdateTraces traces every update of ClassBench churn —
+// inserts, deletes and modifies, a quarter of them staying on their
+// shard and the rest moving shards — on a 4-shard cluster. Each trace
+// carries its shard's label on every step, ends in its one publish
+// span, and has step cycles summing to the request's modelled cost; the
+// traces' cycles add up to what the shards charged.
+func TestClusterUpdateTraces(t *testing.T) {
+	rs := classbench.Generate(classbench.Config{Family: classbench.ACL, Size: 300, Seed: 11})
+	c := testCluster(4)
+	tt := trace.NewTracer(1024)
+	tt.SetSampleEvery(1)
+	c.AttachTracer(tt)
+	for _, r := range rs.Rules {
+		if _, err := c.InsertRule(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, r := range rs.Rules[:100] {
+		mod := r
+		mod.Priority = 1 + (r.Priority-1+16384*(i%4))%65535
+		if _, err := c.ModifyRule(r.ID, mod); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range rs.Rules[200:] {
+		if _, err := c.DeleteRule(r.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	traces := tt.Snapshot()
+	if uint64(len(traces)) != tt.Total() {
+		t.Fatalf("ring kept %d of %d traces", len(traces), tt.Total())
+	}
+	var cycles uint64
+	shards := map[int]bool{}
+	for _, tr := range traces {
+		n := len(tr.Spans)
+		if tr.Err != "" || n == 0 || tr.Spans[n-1].Stage != trace.StagePublish {
+			t.Fatalf("%s trace of rule %d: err %q, spans %+v", tr.Kind, tr.RuleID, tr.Err, tr.Spans)
+		}
+		if tr.SpanCycles() != tr.Cycles {
+			t.Fatalf("%s trace of rule %d: step cycles %d != request cycles %d", tr.Kind, tr.RuleID, tr.SpanCycles(), tr.Cycles)
+		}
+		shard := tr.Spans[n-1].Shard
+		for i, sp := range tr.Spans {
+			if sp.Shard != shard || sp.Table != -1 || sp.Stage == trace.StagePublish && i != n-1 {
+				t.Fatalf("%s trace of rule %d: step %d %+v on shard %d", tr.Kind, tr.RuleID, i, sp, shard)
+			}
+		}
+		shards[shard] = true
+		cycles += tr.Cycles
+	}
+	if len(shards) != c.NumShards() {
+		t.Fatalf("update traces from shards %v, want all %d", shards, c.NumShards())
+	}
+	if charged := c.Stats().UpdateCycles; cycles != charged {
+		t.Fatalf("update traces sum to %d cycles, the shards charged %d", cycles, charged)
+	}
+}
+
 // TestClusterTracedEntryPointAllocFree extends the classify
 // zero-allocation guarantee to the traced entry point with no trace in
 // flight.

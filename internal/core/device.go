@@ -206,20 +206,21 @@ type Device struct {
 	// attached, and every hook below is nil-safe. The instruments
 	// themselves are internally synchronized, so the pointers are not
 	// mutex-guarded once attached.
-	rec     *flightrec.Recorder
-	aud     *flightrec.Auditor
-	shadow  *flightrec.Shadow
-	frTable int //catcam:guarded-by mu
-	// trace is the in-flight update's causal trace (nil when the
-	// current update is unsampled); guarded by mu like the update
-	// itself.
-	trace *flightrec.Trace //catcam:guarded-by mu
+	aud    *flightrec.Auditor
+	shadow *flightrec.Shadow
+	// tracer samples update requests (see AttachTracer); trace is the
+	// in-flight update's trace (nil when the current update is
+	// unsampled). Both are guarded by mu like the update itself.
+	tracer *tracepkg.Tracer //catcam:guarded-by mu
+	trace  *tracepkg.Trace  //catcam:guarded-by mu
 
-	// trShard is the cluster shard ID carried on emitted spans (-1
-	// standalone); written under mu, read via the snapshot. The rest of
+	// trTable and trShard are the flow-table and cluster-shard IDs
+	// carried on emitted spans (-1 when the device is not part of one);
+	// written under mu, read by lookups via the snapshot. The rest of
 	// the span-layer trace context (which batch, which focus key)
 	// arrives with the request and rides the read scratch — see
 	// LookupHeaderBatchTraced.
+	trTable int //catcam:guarded-by mu
 	trShard int //catcam:guarded-by mu
 }
 
@@ -258,7 +259,7 @@ func NewDevice(cfg Config) *Device {
 		maxOf:   make([]Rank, cfg.Subtables),
 		dirty:   make([]bool, cfg.Subtables),
 		locs:    make(map[int][]entryLoc),
-		frTable: -1,
+		trTable: -1,
 		trShard: -1,
 	}
 	d.readPool.New = func() any { return d.newReadScratch() }
@@ -335,15 +336,16 @@ func (d *Device) padWord(w ternary.Word) ternary.Word {
 	return out
 }
 
-// SetTraceShard sets the cluster shard ID carried on spans this device
-// emits (-1, the default, for a standalone device). The cluster calls
-// this once per shard at construction. Republishes the snapshot so
-// in-flight readers keep their old shard ID and new readers see the
-// new one.
-func (d *Device) SetTraceShard(shard int) {
+// SetTraceLabels sets the flow-table and cluster-shard IDs carried on
+// every span this device emits, lookup and update alike (-1, the
+// default, for a device outside a flowtable or a cluster). The cluster
+// and the flowtable pipeline call it once per device at construction.
+// Republishes the snapshot so in-flight readers keep their old labels
+// and new readers see the new ones.
+func (d *Device) SetTraceLabels(table, shard int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.trShard = shard
+	d.trTable, d.trShard = table, shard
 	d.publishLocked()
 }
 
@@ -416,7 +418,7 @@ func (d *Device) LookupHeaderBatchTraced(tr *tracepkg.Trace, hs []rules.Header, 
 		e, sub, ok := s.lookup(sc, s.padKey(sc, sc.encKey))
 		if tr != nil {
 			//catcam:allow alloc "sampled trace span; rate-gated off the steady-state path"
-			tr.Span(tracepkg.StageDeviceLookup, s.frTable, s.trShard, sub, i, start, sc.lookupCycles-cyc0)
+			tr.Span(tracepkg.StageDeviceLookup, s.trTable, s.trShard, sub, i, start, sc.lookupCycles-cyc0)
 		}
 		if s.shadow.Sample() {
 			s.shadow.ObserveEpoch(h, e.Action, ok, s.epoch) //catcam:allow alloc "sampled shadow re-classification; rate-gated off the steady-state path"
@@ -453,7 +455,7 @@ type UpdateResult struct {
 // updateOp describes one update request to the bracket: a plain value
 // whose fields the bracket switches on, so a request allocates nothing.
 type updateOp struct {
-	name  string              // flight-recorder op name
+	name  string              // the update trace's op name
 	event telemetry.EventKind // the request's telemetry kind
 	del   bool                // run the delete body on rule.ID first
 	rule  rules.Rule          // the ID; for a storing request also priority, action and body
@@ -463,18 +465,18 @@ type updateOp struct {
 
 // update is the one update bracket; every alteration of the table goes
 // through it. It takes the device lock, pauses shadow comparisons, opens
-// the (sampled) causal trace, runs the delete body and then the insert
+// the (sampled) update trace, runs the delete body and then the insert
 // body as the request asks — an insert or a delete is one of them, a
-// modify is both (§III-C) — finishes the trace with the request's total
-// modelled cycles, reports to telemetry, mirrors the change into the
-// shadow, and publishes exactly one epoch on the way out.
+// modify is both (§III-C) — mirrors the change into the shadow,
+// publishes exactly one epoch (the trace's publish step), reports to
+// telemetry, and finishes the trace with the request's total modelled
+// cycles.
 func (d *Device) update(op updateOp) (UpdateResult, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	defer d.publishLocked()
 	d.shadow.BeginEpoch()
 	id := op.rule.ID
-	d.trace = d.rec.Start(op.name, d.frTable, id)
+	d.trace = d.tracer.StartUpdate(op.name, id, d.trTable, d.trShard)
 	var res UpdateResult
 	var err error
 	if op.del {
@@ -492,9 +494,10 @@ func (d *Device) update(op updateOp) (UpdateResult, error) {
 			d.shadow.OnInsert(op.rule)
 		}
 	}
-	d.rec.Finish(d.trace, res.Cycles, err)
-	d.trace = nil
+	d.publishLocked()
 	d.observeOp(op.event, id, res, err)
+	d.tracer.FinishUpdate(d.trace, res.Cycles, err)
+	d.trace = nil
 	return res, err
 }
 
@@ -663,7 +666,7 @@ func (d *Device) insertEntry(e Entry) (UpdateResult, error) {
 		// ... or assign a fresh subtable above everything.
 		full = len(d.freeSubs) == 0
 	}
-	d.trace.Step(flightrec.StepSubtableSelect, dst, -1, 0)
+	d.trace.Step(tracepkg.StageSubtableSelect, dst, -1, 0)
 	if full {
 		return UpdateResult{}, ErrFull
 	}
@@ -682,7 +685,7 @@ func (d *Device) insertEntry(e Entry) (UpdateResult, error) {
 		// all-true priority decision locates in 1 cycle.
 		st := d.subs[dst]
 		slot = st.RecomputeMax()
-		d.trace.Step(flightrec.StepEvictLocate, dst, slot, 1)
+		d.trace.Step(tracepkg.StageEvictLocate, dst, slot, 1)
 		evicted = st.ReadEntry(slot)
 		st.Delete(slot)
 		d.forgetLoc(evicted.Rank)
@@ -693,7 +696,7 @@ func (d *Device) insertEntry(e Entry) (UpdateResult, error) {
 		}
 		d.placeEntryAt(dst, slot, e)
 	}
-	d.trace.Step(flightrec.StepEntryWrite, dst, slot, ClassInsertDirect.Cycles())
+	d.trace.Step(tracepkg.StageEntryWrite, dst, slot, ClassInsertDirect.Cycles())
 	res.Subtable = dst
 	if raise {
 		d.maxOf[dst] = e.Rank
@@ -711,7 +714,7 @@ func (d *Device) insertEntry(e Entry) (UpdateResult, error) {
 		// Ablation path: push the evicted rule through the (full) next
 		// subtable, which evicts its own maximum onward — the O(k)
 		// reallocation chain, its whole cost folded into this request.
-		d.trace.Step(flightrec.StepEvictionHop, -1, -1, 1)
+		d.trace.Step(tracepkg.StageEvictionHop, -1, -1, 1)
 		sub, err := d.insertEntry(evicted)
 		if err != nil {
 			panic(fmt.Sprintf("core: reallocation chain from subtable %d lost feasibility: %v", dst, err))
@@ -731,7 +734,7 @@ func (d *Device) insertEntry(e Entry) (UpdateResult, error) {
 	// The evicted rule ranks below everything in the next interval, so
 	// landing there moves no max.
 	hop := d.placeEntry(evictTo, evicted)
-	d.trace.Step(flightrec.StepEvictionHop, evictTo, hop, 1)
+	d.trace.Step(tracepkg.StageEvictionHop, evictTo, hop, 1)
 	return res, nil
 }
 
@@ -831,11 +834,11 @@ func (d *Device) assignSubtable(max Rank, pos int) int {
 	copy(d.order[pos+1:], d.order[pos:])
 	d.order[pos] = id
 
-	d.trace.Step(flightrec.StepFreshSubtable, id, -1, 0)
+	d.trace.Step(tracepkg.StageFreshSubtable, id, -1, 0)
 	d.writeGlobalRelations(id)
 	// Overlapped with the local 3-cycle entry write (§VIII-A), so it
 	// adds no cycles of its own to the update class.
-	d.trace.Step(flightrec.StepGlobalUpdate, id, -1, 0)
+	d.trace.Step(tracepkg.StageGlobalUpdate, id, -1, 0)
 	if t := d.tel; t != nil {
 		t.fresh.Inc()
 		t.event(telemetry.Event{Kind: telemetry.EvFreshSubtable, Subtable: id,
@@ -890,7 +893,7 @@ func (d *Device) writeGlobalRelations(id int) {
 // trace step carries no cycles.
 func (d *Device) refreshMax(id int) {
 	slot := d.subs[id].RecomputeMax()
-	d.trace.Step(flightrec.StepMaxRederive, id, slot, 0)
+	d.trace.Step(tracepkg.StageMaxRederive, id, slot, 0)
 	if slot < 0 {
 		d.releaseSubtable(id)
 		return
@@ -909,7 +912,7 @@ func (d *Device) deleteEntry(loc location) {
 	st.Delete(loc.slot)
 	d.entries--
 	d.dirty[loc.st] = true
-	d.trace.Step(flightrec.StepDelete, loc.st, loc.slot, ClassDelete.Cycles())
+	d.trace.Step(tracepkg.StageDelete, loc.st, loc.slot, ClassDelete.Cycles())
 	d.stats.deletes.Add(1)
 	d.stats.updateCycles.Add(ClassDelete.Cycles())
 	if r == d.maxOf[loc.st] {

@@ -5,25 +5,25 @@ import (
 	"time"
 
 	"catcam/internal/flightrec"
+	tracepkg "catcam/internal/trace"
 )
 
-// This file wires the flight recorder (internal/flightrec) into the
-// device: causal update tracing, inline lookup audits, and the
-// background invariant sweep. Every hook is nil-safe and sampling-rate
-// gated, so an unattached or unsampled device pays one pointer test on
-// the update path and one atomic load on the lookup path — the PR-2
-// zero-allocation lookup guarantee is preserved (see lookup_test.go's
-// AllocsPerRun coverage).
+// This file wires the update tracer (internal/trace) and the flight
+// recorder (internal/flightrec) into the device: update traces, inline
+// lookup audits, and the background invariant sweep. Every hook is
+// nil-safe and sampling-rate gated, so an unattached or unsampled
+// device pays one pointer test per update step and one atomic load on
+// the lookup path — the zero-allocation lookup guarantee is
+// preserved (see lookup_test.go's AllocsPerRun coverage).
 
-// AttachFlightRecorder starts sampling causal update traces into rec.
-// table is carried on every trace (-1 outside a flowtable). Passing a
-// nil recorder detaches.
-func (d *Device) AttachFlightRecorder(rec *flightrec.Recorder, table int) {
+// AttachTracer starts sampling update requests into tt, the tracer the
+// classify path's traces go to: a sampled insert, delete or modify
+// becomes a trace of its datapath steps, each with its modelled cycles,
+// ending in the epoch publish. Passing nil detaches.
+func (d *Device) AttachTracer(tt *tracepkg.Tracer) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.rec = rec
-	d.frTable = table
-	d.publishLocked() // the snapshot carries frTable for span labels
+	d.tracer = tt
 }
 
 // AttachAuditor starts reporting invariant check outcomes into aud:

@@ -9,6 +9,7 @@ import (
 	"catcam/internal/rules"
 	"catcam/internal/swclass"
 	"catcam/internal/ternary"
+	"catcam/internal/trace"
 )
 
 // republish forces a fresh snapshot publication covering every
@@ -27,30 +28,56 @@ func republish(d *Device) {
 	d.mu.Unlock()
 }
 
-// instrumented attaches a full flight-recorder suite (all sampling at
-// 1-in-1) to a fresh device.
-func instrumented(cfg Config) (*Device, *flightrec.Recorder, *flightrec.Auditor, *flightrec.Shadow) {
+// instrumented attaches an update tracer and a full flight-recorder
+// suite (all sampling at 1-in-1) to a fresh device.
+func instrumented(cfg Config) (*Device, *trace.Tracer, *flightrec.Auditor, *flightrec.Shadow) {
 	d := NewDevice(cfg)
-	rec := flightrec.NewRecorder(512)
-	rec.SetSampleEvery(1)
+	tt := trace.NewTracer(512)
+	tt.SetSampleEvery(1)
 	aud := flightrec.NewAuditor(nil, nil, 32, nil)
 	aud.SetLookupSampleEvery(1)
 	sh := flightrec.NewShadow(swclass.NewLinear(), aud, -1)
 	sh.SetSampleEvery(1)
-	d.AttachFlightRecorder(rec, -1)
+	d.AttachTracer(tt)
 	d.AttachAuditor(aud)
 	d.AttachShadow(sh)
-	return d, rec, aud, sh
+	return d, tt, aud, sh
+}
+
+// checkUpdateTrace asserts the shape every update trace has: its step
+// spans tile the trace from its start, one after another, and the last
+// and only publish span ends it. A request that succeeded also has step
+// cycles summing to its modelled cost.
+func checkUpdateTrace(t *testing.T, tr *trace.Trace) {
+	t.Helper()
+	n := len(tr.Spans)
+	if n == 0 || tr.Spans[n-1].Stage != trace.StagePublish {
+		t.Fatalf("trace %d (%s rule %d) does not end in a publish span: %+v", tr.ID, tr.Kind, tr.RuleID, tr.Spans)
+	}
+	end := tr.StartNs
+	for i, sp := range tr.Spans {
+		if sp.StartNs != end {
+			t.Fatalf("trace %d step %d (%s) starts at %d, previous step ended at %d", tr.ID, i, sp.Stage, sp.StartNs, end)
+		}
+		if sp.Stage == trace.StagePublish && i != n-1 {
+			t.Fatalf("trace %d: publish at step %d of %d", tr.ID, i, n)
+		}
+		end = sp.End()
+	}
+	if tr.Err == "" && tr.SpanCycles() != tr.Cycles {
+		t.Fatalf("trace %d (%s rule %d): step cycles %d != request cycles %d: %+v",
+			tr.ID, tr.Kind, tr.RuleID, tr.SpanCycles(), tr.Cycles, tr.Spans)
+	}
 }
 
 // TestFlightRecorderCleanChurn drives ClassBench install/lookup/churn
 // traffic with every instrument sampling at 100% and demands a
 // perfectly clean bill: no invariant violations inline or from the
-// sweep, no shadow divergence, and every recorded trace's step cycles
-// summing to the request's modeled cost.
+// sweep, no shadow divergence, and every update trace well formed, its
+// step cycles summing to the request's modelled cost.
 func TestFlightRecorderCleanChurn(t *testing.T) {
 	rs := classbench.Generate(classbench.Config{Family: classbench.ACL, Size: 120, Seed: 77})
-	d, rec, aud, sh := instrumented(Config{Subtables: 64, SubtableCapacity: 64, KeyWidth: 160})
+	d, tt, aud, sh := instrumented(Config{Subtables: 64, SubtableCapacity: 64, KeyWidth: 160})
 
 	for _, r := range rs.Rules {
 		if _, err := d.InsertRule(r); err != nil {
@@ -98,18 +125,12 @@ func TestFlightRecorderCleanChurn(t *testing.T) {
 		t.Fatalf("shadow desynced: %s", reason)
 	}
 
-	traces := rec.Snapshot()
+	traces := tt.Snapshot()
 	if len(traces) == 0 {
 		t.Fatal("no traces recorded at 100%% sampling")
 	}
 	for _, tr := range traces {
-		if tr.Err != "" {
-			continue
-		}
-		if got := tr.StepCycles(); got != tr.Cycles {
-			t.Errorf("trace %d (%s rule %d): step cycles %d != request cycles %d: %+v",
-				tr.Seq, tr.Op, tr.RuleID, got, tr.Cycles, tr.Steps)
-		}
+		checkUpdateTrace(t, tr)
 	}
 	if err := d.CheckInvariant(); err != nil {
 		t.Fatal(err)
@@ -121,7 +142,7 @@ func TestFlightRecorderCleanChurn(t *testing.T) {
 // entry write into the vacated slot, the eviction hop, and per-step
 // cycles summing to the class cost.
 func TestTraceReallocSteps(t *testing.T) {
-	d, rec, aud, _ := instrumented(Config{Subtables: 4, SubtableCapacity: 4, KeyWidth: 160})
+	d, tt, aud, _ := instrumented(Config{Subtables: 4, SubtableCapacity: 4, KeyWidth: 160})
 	w := ternary.MustParse("1***")
 	for i := 0; i < 8; i++ {
 		if _, err := d.InsertWord(w, i, i, i); err != nil {
@@ -135,21 +156,19 @@ func TestTraceReallocSteps(t *testing.T) {
 	if res.Class != ClassInsertRealloc || res.Reallocated != 1 {
 		t.Fatalf("expected single-eviction realloc, got %+v", res)
 	}
-	traces := rec.Snapshot()
+	traces := tt.Snapshot()
 	tr := traces[len(traces)-1]
-	if tr.RuleID != 100 || tr.Cycles != ClassInsertRealloc.Cycles() {
+	if tr.Kind != "insert_word" || tr.RuleID != 100 || tr.Cycles != ClassInsertRealloc.Cycles() {
 		t.Fatalf("unexpected trace %+v", tr)
 	}
-	if got := tr.StepCycles(); got != tr.Cycles {
-		t.Fatalf("step cycles %d != %d: %+v", got, tr.Cycles, tr.Steps)
+	checkUpdateTrace(t, tr)
+	var kinds []trace.Stage
+	for _, s := range tr.Spans {
+		kinds = append(kinds, s.Stage)
 	}
-	var kinds []flightrec.StepKind
-	for _, s := range tr.Steps {
-		kinds = append(kinds, s.Kind)
-	}
-	want := map[flightrec.StepKind]bool{
-		flightrec.StepEvictLocate: false, flightrec.StepEntryWrite: false,
-		flightrec.StepEvictionHop: false, flightrec.StepMaxRederive: false,
+	want := map[trace.Stage]bool{
+		trace.StageEvictLocate: false, trace.StageEntryWrite: false,
+		trace.StageEvictionHop: false, trace.StageMaxRederive: false,
 	}
 	for _, k := range kinds {
 		if _, tracked := want[k]; tracked {
@@ -172,7 +191,7 @@ func TestTraceReallocSteps(t *testing.T) {
 // enabled, one insert displaces several entries, and the auditor flags
 // exactly the O(k)-update behavior §VI rules out.
 func TestChainedReallocationViolatesEvictionBound(t *testing.T) {
-	d, rec, aud, _ := instrumented(Config{
+	d, tt, aud, _ := instrumented(Config{
 		Subtables: 4, SubtableCapacity: 4, KeyWidth: 160, ChainedReallocation: true,
 	})
 	w := ternary.MustParse("1***")
@@ -191,11 +210,8 @@ func TestChainedReallocationViolatesEvictionBound(t *testing.T) {
 	if aud.ViolationCount(flightrec.InvEvictionBound) == 0 {
 		t.Fatal("chained reallocation not flagged by the eviction-bound audit")
 	}
-	traces := rec.Snapshot()
-	tr := traces[len(traces)-1]
-	if got := tr.StepCycles(); got != tr.Cycles {
-		t.Fatalf("chained trace step cycles %d != %d: %+v", got, tr.Cycles, tr.Steps)
-	}
+	traces := tt.Snapshot()
+	checkUpdateTrace(t, traces[len(traces)-1])
 	if err := d.CheckInvariant(); err != nil {
 		t.Fatal(err)
 	}
@@ -366,18 +382,17 @@ func TestInsertWordDesyncsShadow(t *testing.T) {
 	}
 }
 
-// TestLookupAllocFreeInstrumented pins the PR-2 guarantee with the
-// whole flight-recorder suite attached but sampling off: the classify
-// fast path must still allocate nothing.
+// TestLookupAllocFreeInstrumented pins the zero-allocation guarantee with the
+// update tracer and the whole flight-recorder suite attached but
+// sampling off: the classify fast path must still allocate nothing.
 func TestLookupAllocFreeInstrumented(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts")
 	}
 	d, headers := loadedDevice(t, 100)
-	rec := flightrec.NewRecorder(64)
 	aud := flightrec.NewAuditor(nil, nil, 8, nil)
 	sh := flightrec.NewShadow(swclass.NewLinear(), aud, -1)
-	d.AttachFlightRecorder(rec, -1)
+	d.AttachTracer(trace.NewTracer(64))
 	d.AttachAuditor(aud)
 	d.AttachShadow(sh)
 

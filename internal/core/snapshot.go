@@ -160,13 +160,15 @@ type snapshot struct {
 	aud     *flightrec.Auditor //catcam:allow epoch "internally synchronized instrument, not classify-read state"
 	shadow  *flightrec.Shadow  //catcam:allow epoch "internally synchronized instrument, not classify-read state"
 	tel     *deviceTelemetry   //catcam:allow epoch "internally synchronized instrument, not classify-read state"
-	frTable int
+	trTable int
 	trShard int
 }
 
 // publishLocked builds the next epoch from the live state and the
 // previous snapshot's clean views, publishes it, and re-stamps the
-// shadow. Caller holds d.mu; this is the only place d.snap is stored.
+// shadow. Inside a sampled update it is the trace's publish step,
+// covering everything from the last datapath step to the Store. Caller
+// holds d.mu; this is the only place d.snap is stored.
 func (d *Device) publishLocked() {
 	d.rechooseFilter()
 	old := d.snap.Load()
@@ -180,7 +182,7 @@ func (d *Device) publishLocked() {
 		aud:     d.aud,
 		shadow:  d.shadow,
 		tel:     d.tel,
-		frTable: d.frTable,
+		trTable: d.trTable,
 		trShard: d.trShard,
 	}
 	if old != nil {
@@ -219,6 +221,7 @@ func (d *Device) publishLocked() {
 	// Readers holding this epoch may now compare against the shadow
 	// reference again (BeginEpoch paused comparisons for the update).
 	d.shadow.SetEpoch(s.epoch)
+	d.trace.Step(tracepkg.StagePublish, -1, -1, 0)
 }
 
 // rechooseFilter re-picks the bit-selection filter's key positions
@@ -399,7 +402,7 @@ func (s *snapshot) lookup(sc *readScratch, k ternary.Key) (Entry, int, bool) {
 		view.SearchInto(sc.probe, sc.acc, k, &sc.match)
 		if traceKernel {
 			//catcam:allow alloc "sampled trace span; rate-gated off the steady-state path"
-			sc.tr.Span(tracepkg.StageSRAMKernel, s.frTable, s.trShard, id, sc.keyIdx, kernelStart, 1)
+			sc.tr.Span(tracepkg.StageSRAMKernel, s.trTable, s.trShard, id, sc.keyIdx, kernelStart, 1)
 		}
 		if sc.probe.Any() {
 			globalMatch.Set(id)

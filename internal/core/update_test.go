@@ -10,16 +10,16 @@ import (
 
 // Every update entry point runs through the one bracket (Device.update),
 // so each request — accepted or rejected — publishes exactly one epoch,
-// finishes exactly one causal trace whose step cycles sum to the cost it
-// reported, lands exactly once in telemetry (an event, or an error
-// count), and leaves no trace in flight.
+// finishes exactly one update trace, ending in that publish, whose step
+// cycles sum to the cost it reported, lands exactly once in telemetry
+// (an event, or an error count), and leaves no trace in flight.
 func TestUpdateBracketOncePerRequest(t *testing.T) {
 	// A 2×2 device holding priorities 10, 20 | 30 (one free slot), or
 	// 10, 20 | 30, 40 (full, no free subtable) for the rejected inserts.
 	for _, c := range []struct {
 		name    string
 		full    bool
-		op      string              // flight-recorder op name
+		op      string              // the update trace's op name
 		kind    telemetry.EventKind // the request's own event; its name is the op label
 		run     func(d *Device) (UpdateResult, error)
 		wantErr error
@@ -52,7 +52,7 @@ func TestUpdateBracketOncePerRequest(t *testing.T) {
 		}, ErrFull},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			d, rec, _, _ := instrumented(Config{Subtables: 2, SubtableCapacity: 2, KeyWidth: 160})
+			d, tt, _, _ := instrumented(Config{Subtables: 2, SubtableCapacity: 2, KeyWidth: 160})
 			reg := telemetry.NewRegistry()
 			ring := telemetry.NewEventRing(64)
 			d.AttachTelemetry(reg, ring, nil)
@@ -66,7 +66,7 @@ func TestUpdateBracketOncePerRequest(t *testing.T) {
 				}
 			}
 			errKey := `catcam_update_errors_total{op="` + c.kind.String() + `"}`
-			epoch0, traces0 := d.Epoch(), rec.Total()
+			epoch0, traces0 := d.Epoch(), tt.Total()
 			events0, errs0 := ring.Total(), reg.Snapshot().Counters[errKey]
 
 			res, err := c.run(d)
@@ -77,17 +77,18 @@ func TestUpdateBracketOncePerRequest(t *testing.T) {
 			if got := d.Epoch() - epoch0; got != 1 {
 				t.Errorf("published %d epochs, want 1", got)
 			}
-			if got := rec.Total() - traces0; got != 1 {
+			if got := tt.Total() - traces0; got != 1 {
 				t.Fatalf("finished %d traces, want 1", got)
 			}
-			all := rec.Snapshot()
+			all := tt.Snapshot()
 			tr := all[len(all)-1]
-			if tr.Op != c.op || (tr.Err != "") != (err != nil) {
-				t.Errorf("trace op %q err %q, want op %q, failed=%v", tr.Op, tr.Err, c.op, err != nil)
+			if tr.Kind != c.op || (tr.Err != "") != (err != nil) {
+				t.Errorf("trace op %q err %q, want op %q, failed=%v", tr.Kind, tr.Err, c.op, err != nil)
 			}
-			if tr.Cycles != res.Cycles || tr.StepCycles() != res.Cycles {
+			checkUpdateTrace(t, tr)
+			if tr.Cycles != res.Cycles || tr.SpanCycles() != res.Cycles {
 				t.Errorf("trace cycles %d, steps sum %d, result %d: %+v",
-					tr.Cycles, tr.StepCycles(), res.Cycles, tr.Steps)
+					tr.Cycles, tr.SpanCycles(), res.Cycles, tr.Spans)
 			}
 			own := 0
 			evs := ring.Snapshot()

@@ -2,7 +2,6 @@ package flightrec
 
 import (
 	"encoding/json"
-	"errors"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -10,13 +9,13 @@ import (
 	"catcam/internal/rules"
 	"catcam/internal/swclass"
 	"catcam/internal/telemetry"
+	"catcam/internal/trace"
 )
 
 // TestSamplerGating drives the 1-in-N gate (a telemetry.Sampler) where
-// each instrument meets it: the recorder's Start, the auditor's
-// SampleLookup and the shadow's Sample.
+// each instrument meets it: the auditor's SampleLookup and the shadow's
+// Sample.
 func TestSamplerGating(t *testing.T) {
-	rec := NewRecorder(4)
 	aud := NewAuditor(nil, nil, 4, nil)
 	sh := NewShadow(swclass.NewLinear(), aud, -1)
 	gates := []struct {
@@ -24,7 +23,6 @@ func TestSamplerGating(t *testing.T) {
 		setEvery func(uint64)
 		hit      func() bool
 	}{
-		{"recorder", rec.SetSampleEvery, func() bool { return rec.Start("insert", -1, 0) != nil }},
 		{"auditor", aud.SetLookupSampleEvery, aud.SampleLookup},
 		{"shadow", sh.SetSampleEvery, sh.Sample},
 	}
@@ -49,128 +47,6 @@ func TestSamplerGating(t *testing.T) {
 		}
 		if hits != 100 {
 			t.Fatalf("%s: every=4 sampler hit %d/400, want 100", g.name, hits)
-		}
-	}
-}
-
-func TestRecorderSamplingAndRing(t *testing.T) {
-	r := NewRecorder(4)
-	if tr := r.Start("insert", -1, 1); tr != nil {
-		t.Fatal("recorder with sampling disabled returned a trace")
-	}
-	r.SetSampleEvery(1)
-	for i := 0; i < 6; i++ {
-		tr := r.Start("insert", -1, i)
-		if tr == nil {
-			t.Fatalf("trace %d not sampled at every=1", i)
-		}
-		tr.Step(StepSubtableSelect, 0, -1, 0)
-		tr.Step(StepEntryWrite, 0, i, 3)
-		r.Finish(tr, 3, nil)
-	}
-	if r.Total() != 6 {
-		t.Fatalf("total = %d, want 6", r.Total())
-	}
-	snap := r.Snapshot()
-	if len(snap) != 4 {
-		t.Fatalf("ring retained %d traces, want 4 (cap)", len(snap))
-	}
-	for i, tr := range snap {
-		if tr.Seq != uint64(3+i) {
-			t.Fatalf("snapshot[%d].Seq = %d, want %d (oldest-first suffix)", i, tr.Seq, 3+i)
-		}
-		if got := tr.StepCycles(); got != tr.Cycles {
-			t.Fatalf("trace %d: step cycles %d != total %d", i, got, tr.Cycles)
-		}
-	}
-
-	// Errors are recorded verbatim.
-	tr := r.Start("delete", 2, 99)
-	r.Finish(tr, 0, errors.New("not present"))
-	last := r.Snapshot()
-	if got := last[len(last)-1]; got.Err != "not present" || got.Op != "delete" || got.Table != 2 {
-		t.Fatalf("error trace mangled: %+v", got)
-	}
-}
-
-func TestTraceNilSafety(t *testing.T) {
-	var r *Recorder
-	tr := r.Start("insert", -1, 0) // nil recorder → nil trace
-	tr.Step(StepEntryWrite, 0, 0, 3)
-	tr.NextEntry(1)
-	r.Finish(tr, 3, nil)
-	if r.Total() != 0 || r.Cap() != 0 || r.Snapshot() != nil {
-		t.Fatal("nil recorder not inert")
-	}
-}
-
-func TestTraceEntryGrouping(t *testing.T) {
-	r := NewRecorder(2)
-	r.SetSampleEvery(1)
-	tr := r.Start("insert", -1, 7)
-	tr.Step(StepEntryWrite, 0, 0, 3)
-	tr.NextEntry(1)
-	tr.Step(StepEntryWrite, 0, 1, 3)
-	r.Finish(tr, 6, nil)
-	snap := r.Snapshot()
-	if snap[0].Steps[0].Entry != 0 || snap[0].Steps[1].Entry != 1 {
-		t.Fatalf("entry ordinals wrong: %+v", snap[0].Steps)
-	}
-}
-
-func TestRecorderHandlerFilters(t *testing.T) {
-	r := NewRecorder(16)
-	r.SetSampleEvery(1)
-	for i := 0; i < 5; i++ {
-		op := "insert"
-		if i%2 == 1 {
-			op = "delete"
-		}
-		r.Finish(r.Start(op, -1, i), 1, nil)
-	}
-	var body struct {
-		Total  uint64  `json:"total_sampled"`
-		Traces []Trace `json:"traces"`
-	}
-	get := func(url string) {
-		t.Helper()
-		rec := httptest.NewRecorder()
-		r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
-		if rec.Code != 200 {
-			t.Fatalf("GET %s: status %d", url, rec.Code)
-		}
-		body.Traces = nil
-		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-			t.Fatalf("GET %s: %v", url, err)
-		}
-	}
-	get("/debug/trace")
-	if body.Total != 5 || len(body.Traces) != 5 {
-		t.Fatalf("unfiltered: total %d traces %d", body.Total, len(body.Traces))
-	}
-	get("/debug/trace?n=2")
-	if len(body.Traces) != 2 || body.Traces[1].Seq != 5 {
-		t.Fatalf("n=2 filter wrong: %+v", body.Traces)
-	}
-	get("/debug/trace?op=delete")
-	if len(body.Traces) != 2 {
-		t.Fatalf("op=delete kept %d traces, want 2", len(body.Traces))
-	}
-	for _, tr := range body.Traces {
-		if tr.Op != "delete" {
-			t.Fatalf("op filter leaked %q", tr.Op)
-		}
-	}
-	get("/debug/trace?op=insert,delete&n=1")
-	if len(body.Traces) != 1 {
-		t.Fatalf("combined filter kept %d", len(body.Traces))
-	}
-}
-
-func TestStepKindStrings(t *testing.T) {
-	for k := StepSubtableSelect; k <= StepDelete; k++ {
-		if s := k.String(); s == "" || s[0] == 'S' {
-			t.Fatalf("step kind %d has no symbolic name: %q", k, s)
 		}
 	}
 }
@@ -351,13 +227,13 @@ func TestShadowNilSafety(t *testing.T) {
 }
 
 // TestConcurrentAuditAndTrace exercises the lock-free paths under the
-// race detector: concurrent trace publication, check/fail accounting,
-// shadow mirroring and report reads.
+// race detector: concurrent check/fail accounting, shadow mirroring and
+// report reads, beside update-trace publication on a shared tracer.
 func TestConcurrentAuditAndTrace(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	ring := telemetry.NewEventRing(64)
-	rec := NewRecorder(32)
-	rec.SetSampleEvery(2)
+	tt := trace.NewTracer(32)
+	tt.SetSampleEvery(2)
 	a := NewAuditor(reg, ring, 16, nil)
 	a.SetLookupSampleEvery(2)
 	s := NewShadow(swclass.NewLinear(), a, -1)
@@ -373,9 +249,9 @@ func TestConcurrentAuditAndTrace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				tr := rec.Start("insert", -1, i)
-				tr.Step(StepEntryWrite, g, i, 3)
-				rec.Finish(tr, 3, nil)
+				tr := tt.StartUpdate("insert", i, -1, -1)
+				tr.Step(trace.StageEntryWrite, g, i, 3)
+				tt.FinishUpdate(tr, 3, nil)
 				if a.SampleLookup() {
 					a.CheckPass(InvReportOneHot)
 				}
@@ -390,15 +266,15 @@ func TestConcurrentAuditAndTrace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
-			_ = rec.Snapshot()
+			_ = tt.Snapshot()
 			_ = a.Report()
 			_ = a.Violations()
 		}
 	}()
 	wg.Wait()
 
-	if rec.Total() != 400 {
-		t.Fatalf("expected 400 sampled traces, got %d", rec.Total())
+	if tt.Total() != 400 {
+		t.Fatalf("expected 400 sampled traces, got %d", tt.Total())
 	}
 	if a.ViolationCount(InvEvictionBound) != 16 {
 		t.Fatalf("expected 16 eviction-bound violations, got %d", a.ViolationCount(InvEvictionBound))

@@ -8,13 +8,14 @@ import (
 	"catcam/internal/rules"
 	"catcam/internal/swclass"
 	"catcam/internal/telemetry"
+	"catcam/internal/trace"
 )
 
 // TestFlightRecorderAcrossTables wires a full instrument set — shared
-// trace recorder, per-table auditors, per-table shadow classifiers —
+// update tracer, per-table auditors, per-table shadow classifiers —
 // into a three-table pipeline before any rule lands, churns it, and
-// checks the evidence: table-labelled traces, a clean aggregate sweep,
-// live shadow comparisons and zero violations.
+// checks the evidence: table-labelled update traces, a clean aggregate
+// sweep, live shadow comparisons and zero violations.
 func TestFlightRecorderAcrossTables(t *testing.T) {
 	p, err := NewPipeline([]TableConfig{
 		{ID: 0, Device: smallDev(), Miss: MissPolicy{Continue: true}},
@@ -25,9 +26,9 @@ func TestFlightRecorderAcrossTables(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec := flightrec.NewRecorder(128)
-	rec.SetSampleEvery(1)
-	p.AttachFlightRecorder(rec)
+	tt := trace.NewTracer(128)
+	tt.SetSampleEvery(1)
+	p.AttachTracer(tt)
 
 	auds := map[int]*flightrec.Auditor{}
 	p.AttachAuditors(func(id int) *flightrec.Auditor {
@@ -87,15 +88,22 @@ func TestFlightRecorderAcrossTables(t *testing.T) {
 		}
 	}
 
-	// Every table's installs produced device traces carrying its ID.
+	// Every table's installs produced update traces whose every step
+	// carries the table's ID.
 	sawInsert := map[int]bool{}
 	sawDelete := map[int]bool{}
-	for _, tr := range rec.Snapshot() {
-		switch tr.Op {
+	for _, tr := range tt.Snapshot() {
+		table := tr.Spans[0].Table
+		for _, sp := range tr.Spans {
+			if sp.Table != table {
+				t.Fatalf("%s trace of rule %d mixes tables %d and %d", tr.Kind, tr.RuleID, table, sp.Table)
+			}
+		}
+		switch tr.Kind {
 		case "insert":
-			sawInsert[tr.Table] = true
+			sawInsert[table] = true
 		case "delete":
-			sawDelete[tr.Table] = true
+			sawDelete[table] = true
 		}
 	}
 	for _, id := range p.TableIDs() {

@@ -40,7 +40,7 @@ type Backend interface {
 	DeleteRule(ruleID int) (core.UpdateResult, error)
 	LookupHeaderBatchTraced(tr *tracepkg.Trace, hs []rules.Header, dst []core.LookupResult) []core.LookupResult
 	AttachTelemetry(reg *telemetry.Registry, ring *telemetry.EventRing, labels telemetry.Labels)
-	AttachFlightRecorder(rec *flightrec.Recorder, table int)
+	AttachTracer(tt *tracepkg.Tracer)
 	AttachAuditor(aud *flightrec.Auditor)
 	AuditSweep() flightrec.SweepInfo
 	Stats() core.Stats
@@ -206,12 +206,12 @@ func (p *Pipeline) AttachTelemetry(reg *telemetry.Registry, ring *telemetry.Even
 	}
 }
 
-// AttachFlightRecorder starts sampling causal update traces from every
-// table's backing device into the shared recorder; each trace carries
-// its table ID. Passing nil detaches.
-func (p *Pipeline) AttachFlightRecorder(rec *flightrec.Recorder) {
+// AttachTracer starts sampling update requests on every table's backing
+// devices into tt; each update trace carries its table ID. Passing nil
+// detaches.
+func (p *Pipeline) AttachTracer(tt *tracepkg.Tracer) {
 	for _, id := range p.order {
-		p.tables[id].dev.AttachFlightRecorder(rec, id)
+		p.tables[id].dev.AttachTracer(tt)
 	}
 }
 
@@ -283,11 +283,18 @@ func NewPipeline(configs []TableConfig) (*Pipeline, error) {
 		if c.FanWorkers > 1 {
 			return nil, fmt.Errorf("flowtable: table %d: %d fan-out workers, a cluster classifies in the caller", c.ID, c.FanWorkers)
 		}
+		// Every span a table's devices emit carries the table ID.
 		var dev Backend
 		if c.Shards >= 2 {
-			dev = cluster.New(cluster.Config{Shards: c.Shards, Device: c.Device})
+			cl := cluster.New(cluster.Config{Shards: c.Shards, Device: c.Device})
+			for i := 0; i < cl.NumShards(); i++ {
+				cl.Shard(i).SetTraceLabels(c.ID, i)
+			}
+			dev = cl
 		} else {
-			dev = core.NewDevice(c.Device)
+			d := core.NewDevice(c.Device)
+			d.SetTraceLabels(c.ID, -1)
+			dev = d
 		}
 		p.tables[c.ID] = &table{cfg: c, dev: dev}
 		p.order = append(p.order, c.ID)

@@ -39,8 +39,8 @@ func checkRun(t *testing.T, snap []*rec, capacity int) {
 	}
 }
 
-// TestRing is the one test of the publication scheme EventRing,
-// trace.Tracer and flightrec.Recorder share. Run with -race.
+// TestRing is the one test of the publication scheme EventRing and
+// trace.Tracer share. Run with -race.
 func TestRing(t *testing.T) {
 	t.Run("wraparound", func(t *testing.T) {
 		const capacity = 4

@@ -1,16 +1,20 @@
-// Package trace is CATCAM's request-tracing layer: a cheap,
-// cycle-stamped span recorder whose trace context follows one lookup
-// end-to-end through every layer of the system — the serve churn loop's
-// batched classify call, flowtable's per-table waves, the cluster's
-// shard walk (dispatch, per-shard kernel, arbiter merge) and, inside one
-// designated "focus" key, the per-subtable SRAM kernel searches.
+// Package trace is CATCAM's request-tracing layer: one cheap,
+// cycle-stamped span model for lookups and updates. A lookup's trace
+// context follows it end-to-end through every layer — the serve churn
+// loop's batched classify call or an ingress burst, flowtable's
+// per-table waves, the cluster's shard walk (dispatch, per-shard kernel,
+// arbiter merge) and, inside one designated "focus" key, the
+// per-subtable SRAM kernel searches. An update's trace holds one span
+// per datapath step, ending in the epoch publish (Tracer.StartUpdate).
 //
 // Where internal/telemetry answers "how slow is p999" and
 // internal/flightrec answers "is the datapath still correct", this
-// package answers "*where* does p999 live": each span carries a stage
-// tag, its shard/subtable/table attribution, a monotonic nanosecond
-// stamp pair for host time and a modeled cycle count where the layer
-// tracks one. Three consumers are built on top:
+// package answers "*where* did the time go": each span carries a stage
+// tag, its table/shard/subtable attribution, a monotonic nanosecond
+// stamp pair for host time and a modelled cycle count where the layer
+// tracks one. Both kinds share one sampler and one ring, so a publish
+// and the flow-cache refill it causes land on one timeline. The
+// consumers:
 //
 //   - histogram exemplars (internal/telemetry): a sampled observation
 //     carries its trace ID, so a p999 bucket in /metrics.json links to
@@ -19,13 +23,13 @@
 //     span trees, loadable directly in Perfetto / chrome://tracing;
 //   - /debug/blame (blame.go): tail-latency attribution — the slowest
 //     traces decomposed by stage and by shard/subtable using
-//     self-time (span duration minus nested children).
+//     self-time (span duration minus nested children);
+//   - /debug/trace (updates.go): the update traces as step lists.
 //
-// The design rule carried over from flightrec: with sampling off the
-// instrumented hot paths pay one atomic load (Tracer.Start) or one
-// pointer test (nil *Trace) and never allocate — the PR-2/PR-5
-// zero-allocation classify guarantee is preserved and proven by the
-// hotpath analyzer plus AllocsPerRun guards.
+// With sampling off the instrumented hot paths pay one atomic load
+// (Tracer.Start) or one pointer test (nil *Trace) and never allocate —
+// the zero-allocation classify guarantee is preserved and
+// proven by the hotpath analyzer plus AllocsPerRun guards.
 package trace
 
 import (
@@ -80,6 +84,38 @@ const (
 	// scan, and (for the cache misses) the slow-path classify call whose
 	// own spans nest beneath it. Shard carries the worker ID.
 	StageIngress
+
+	// The update stages, in the order the device's update datapath walks
+	// them. Each is one Trace.Step: Subtable and Slot name what the step
+	// touched (-1 where nothing), Key the range-expansion entry ordinal.
+
+	// StageSubtableSelect: the interval scheduler located the target
+	// subtable in the metadata cache (firmware-free, 0 cycles).
+	StageSubtableSelect
+	// StageFreshSubtable: a free subtable was activated for the rule.
+	StageFreshSubtable
+	// StageGlobalUpdate: the global priority matrix row + column for a
+	// subtable were rewritten (overlapped with the local write, §VIII-A).
+	StageGlobalUpdate
+	// StageEntryWrite: match-matrix row write in parallel with the
+	// P-row + dual-voltage P-column write — the 3-cycle insert core.
+	StageEntryWrite
+	// StageEvictLocate: the all-true priority decision located the
+	// subtable maximum to evict (1 cycle).
+	StageEvictLocate
+	// StageEvictionHop: the evicted maximum moved into the successor
+	// (or a fresh) subtable — the +1 cycle of the 5-cycle class.
+	StageEvictionHop
+	// StageMaxRederive: the subtable max was re-derived after an
+	// eviction or max deletion (overlapped, 0 extra cycles).
+	StageMaxRederive
+	// StageDelete: one entry invalidation (1 cycle).
+	StageDelete
+	// StagePublish: the epoch publication that makes the request visible
+	// to lookups — a host-side snapshot rebuild, 0 modelled cycles. It is
+	// the last span of every update trace and covers the whole request,
+	// so its Key is -1.
+	StagePublish
 )
 
 var stageNames = [...]string{
@@ -91,10 +127,19 @@ var stageNames = [...]string{
 	StageDeviceLookup:   "device_lookup",
 	StageSRAMKernel:     "sram_kernel",
 	StageIngress:        "ingress",
+	StageSubtableSelect: "subtable_select",
+	StageFreshSubtable:  "fresh_subtable",
+	StageGlobalUpdate:   "global_update",
+	StageEntryWrite:     "entry_write",
+	StageEvictLocate:    "evict_locate",
+	StageEvictionHop:    "eviction_hop",
+	StageMaxRederive:    "max_rederive",
+	StageDelete:         "delete",
+	StagePublish:        "publish",
 }
 
 // StageCount sizes per-stage aggregation tables.
-const StageCount = int(StageIngress) + 1
+const StageCount = int(StagePublish) + 1
 
 // String names the stage.
 func (s Stage) String() string {
@@ -114,7 +159,8 @@ type Span struct {
 	Table    int    `json:"table"`
 	Shard    int    `json:"shard"`
 	Subtable int    `json:"subtable"`
-	Key      int    `json:"key"` // batch key index; -1 for batch-level spans
+	Slot     int    `json:"slot"` // entry slot an update step touched
+	Key      int    `json:"key"`  // batch key index, or an update's entry ordinal; -1 for batch-level spans
 	StartNs  uint64 `json:"start_ns"`
 	DurNs    uint64 `json:"dur_ns"`
 	Cycles   uint64 `json:"cycles"` // modeled cycles where the layer tracks them
@@ -135,15 +181,27 @@ const maxSpans = 2048
 // single pointer test and an untraced request costs nothing.
 type Trace struct {
 	ID      uint64 `json:"id"`
-	Kind    string `json:"kind"` // caller-chosen root label ("classify", "ingress", ...)
+	Kind    string `json:"kind"` // caller-chosen root label ("classify", "ingress", "insert", ...)
 	StartNs uint64 `json:"start_ns"`
 	DurNs   uint64 `json:"dur_ns"`
 	Spans   []Span `json:"spans"`
 	Dropped uint64 `json:"dropped,omitempty"`
 
+	// An update trace (StartUpdate) also carries its rule, the request's
+	// modelled cycles and its error.
+	RuleID int    `json:"rule_id,omitempty"`
+	Cycles uint64 `json:"cycles,omitempty"`
+	Err    string `json:"err,omitempty"`
+
 	mu    sync.Mutex
 	focus int
 	seq   uint64 // publication sequence, stamped by the tracer's ring
+
+	// update marks a StartUpdate trace. Step stamps table, shard and the
+	// entry ordinal on each span and starts it where the last one ended.
+	update              bool
+	table, shard, entry int
+	stepEnd             uint64
 }
 
 // TraceID renders an ID the way exemplars and ?trace= spell it.
@@ -198,8 +256,49 @@ func (t *Trace) Span(stage Stage, table, shard, subtable, key int, startNs, cycl
 	if t == nil {
 		return
 	}
-	t.Add(Span{Stage: stage, Table: table, Shard: shard, Subtable: subtable,
+	t.Add(Span{Stage: stage, Table: table, Shard: shard, Subtable: subtable, Slot: -1,
 		Key: key, StartNs: startNs, DurNs: Nanos() - startNs, Cycles: cycles})
+}
+
+// NextEntry sets the range-expansion entry ordinal the update steps
+// that follow carry in Key: one rule inserts several entries, and each
+// gets its own span group. Nil-receiver safe.
+func (t *Trace) NextEntry(ordinal int) {
+	if t == nil {
+		return
+	}
+	t.entry = ordinal
+}
+
+// Step records one update step that ran from the end of the previous
+// step (the trace's start, for the first) until now, so the steps of a
+// request tile its trace. The span carries the trace's table and shard
+// labels and the current entry ordinal. Nil-receiver safe, so the
+// update path guards each step with this one pointer test.
+func (t *Trace) Step(stage Stage, subtable, slot int, cycles uint64) {
+	if t == nil {
+		return
+	}
+	key := t.entry
+	if stage == StagePublish {
+		key = -1
+	}
+	now := Nanos()
+	t.Add(Span{Stage: stage, Table: t.table, Shard: t.shard, Subtable: subtable, Slot: slot,
+		Key: key, StartNs: t.stepEnd, DurNs: now - t.stepEnd, Cycles: cycles})
+	t.stepEnd = now
+}
+
+// SpanCycles sums the modelled cycles over the recorded spans. For an
+// update that succeeded it equals the request's Cycles.
+func (t *Trace) SpanCycles() uint64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var total uint64
+	for _, s := range t.Spans {
+		total += s.Cycles
+	}
+	return total
 }
 
 // SpanCount returns the number of recorded spans (lock-taken; callers
@@ -220,7 +319,8 @@ func (t *Trace) snapshot() *Trace {
 	return &Trace{
 		ID: t.ID, Kind: t.Kind, StartNs: t.StartNs, DurNs: t.DurNs,
 		Spans: append([]Span(nil), t.Spans...), Dropped: t.Dropped,
-		focus: t.focus,
+		RuleID: t.RuleID, Cycles: t.Cycles, Err: t.Err,
+		focus: t.focus, update: t.update, table: t.table,
 	}
 }
 
@@ -273,6 +373,33 @@ func (tt *Tracer) Finish(t *Trace) {
 	}
 	t.DurNs = Nanos() - t.StartNs
 	tt.ring.Publish(t)
+}
+
+// StartUpdate begins the trace of one update request — op names it
+// ("insert", "insert_word", "delete", "modify"), and table and shard are
+// the labels its steps carry — or returns nil when the request is not
+// sampled. Updates and lookups draw on the one sampler, so each kind is
+// sampled about one in SampleEvery. Nil-receiver safe.
+func (tt *Tracer) StartUpdate(op string, ruleID, table, shard int) *Trace {
+	t := tt.Start(op)
+	if t != nil {
+		t.update, t.RuleID, t.table, t.shard, t.stepEnd = true, ruleID, table, shard, t.StartNs
+	}
+	return t
+}
+
+// FinishUpdate records an update's modelled cycle cost and outcome,
+// then publishes its trace as Finish does. Nil-safe on both receiver
+// and trace.
+func (tt *Tracer) FinishUpdate(t *Trace, cycles uint64, err error) {
+	if t == nil {
+		return
+	}
+	t.Cycles = cycles
+	if err != nil {
+		t.Err = err.Error()
+	}
+	tt.Finish(t)
 }
 
 // Total returns the number of traces ever published.
