@@ -314,7 +314,7 @@ func (d *Device) CapacityEntries() int { return d.cfg.Subtables * d.cfg.Subtable
 // ActiveSubtables returns the number of subtables in use, as of the
 // last published epoch. Served from the snapshot, no lock.
 func (d *Device) ActiveSubtables() int {
-	return len(d.snap.Load().order)
+	return len(d.snap.Load().iv.order)
 }
 
 // CyclesToNanos converts cycles to nanoseconds at the configured clock.
@@ -1056,7 +1056,7 @@ func (d *Device) globalInvariantLocked() error {
 		}
 	}
 	s := d.snap.Load()
-	for _, id := range s.order {
+	for _, id := range s.iv.order {
 		if sel := s.subs[id].match.Selection(); sel != s.sel {
 			return fmt.Errorf("core: subtable %d view filtered on %p, epoch %d on %p", id, sel, s.epoch, s.sel)
 		}

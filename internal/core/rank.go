@@ -14,9 +14,11 @@
 //     priority space delimited by its maximum priority, so an insertion
 //     reallocates at most one existing rule.
 //
-// Devices are not safe for concurrent use; the hardware serializes
-// requests through one FIFO (see internal/pipeline), and simulations
-// should do the same.
+// A Device is safe for concurrent use: updates serialize on its mutex,
+// and lookups run lock-free over the published epoch snapshot
+// (snapshot.go), so any number of goroutines classify while one
+// updates. The hardware's own request FIFO is modelled separately, in
+// internal/pipeline.
 package core
 
 import "fmt"

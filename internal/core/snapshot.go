@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"catcam/internal/bitvec"
@@ -27,34 +28,44 @@ import (
 // period — a retired epoch is reclaimed exactly when its last reader
 // drops it, with no hazard-pointer bookkeeping.
 //
-// Publication is copy-on-write at subtable granularity: an update marks
-// the subtables it touched dirty (d.dirty) and publishLocked
-// re-materializes only those views, sharing every untouched view by
-// reference with the previous epoch — so an O(1) CATCAM insert pays an
-// O(subtable) republish, never an O(table) rebuild. Device-level
-// metadata (order, maxOf) is O(subtables) small and copied every
-// publish; the global relation matrix is copied only when an
-// assignment/release changed it (d.globalDirty).
+// Publication is copy-on-write at two levels. An update marks the
+// subtables it touched dirty (d.dirty), and publishLocked rebuilds only
+// those views, sharing every untouched view by reference with the
+// previous epoch — so an O(1) CATCAM insert pays an O(subtable)
+// republish, never an O(table) rebuild. Within a rebuilt view, the
+// match view is always frozen afresh, but the priority matrix and each
+// slotMeta chunk of ranks and actions are shared with the previous
+// epoch's view whenever their contents are equal: a delete, which
+// writes neither, republishes only its match view and the one chunk
+// holding the cleared rank. The interval sequence (order and max
+// priorities) is shared the same way, so only an update that moved a
+// subtable maximum or assigned or released a subtable copies it. The
+// global relation matrix is copied only when an assignment/release
+// changed it (d.globalDirty). Sharing is decided by comparing contents,
+// never by bookkeeping, so a shared part is byte-identical to a fresh
+// freeze whatever wrote the live arrays.
 //
-// Torn reads are impossible by construction: every slice inside a view
-// is copied out of the live arrays under d.mu (sram.SnapshotView), the
-// snapshot becomes reachable to readers only via the atomic Store
-// (which orders all those writes before the pointer publication), and
-// nothing ever writes a published snapshot again — the lint suite's
-// //catcam:immutable and //catcam:write-guarded-by annotations prove
-// both halves at compile time.
+// Torn reads are impossible by construction: every part of a view is
+// copied out of the live arrays under d.mu (sram.SnapshotView) or is
+// an equal part of an already published epoch, the snapshot becomes
+// reachable to readers only via the atomic Store (which orders all
+// those writes before the pointer publication), and nothing ever
+// writes a published snapshot again — the lint suite's
+// //catcam:snapshot, //catcam:immutable and //catcam:write-guarded-by
+// annotations prove both halves at compile time.
 
 // subtableView is the immutable per-subtable read state: the frozen
 // match and priority arrays plus the rank/action metadata the reporter
-// reads. Fields are written only at construction.
+// reads, slot s in meta[s/metaChunk]. Fields are written only at
+// construction; prio and the meta chunks may be shared with other
+// epochs' views of the subtable.
 //
 //catcam:snapshot
 type subtableView struct {
-	id      int
-	match   *sram.TernaryView //catcam:immutable
-	prio    *sram.MatrixView  //catcam:immutable
-	ranks   []Rank            //catcam:immutable
-	actions []int             //catcam:immutable
+	id    int
+	match *sram.TernaryView //catcam:immutable
+	prio  *sram.MatrixView  //catcam:immutable
+	meta  []*slotMeta       //catcam:immutable
 
 	// Write-pressure stamps: the live arrays' cumulative write counters
 	// at view-construction time. Array writes happen only under d.mu and
@@ -67,20 +78,68 @@ type subtableView struct {
 	prioColWrites  uint64 //catcam:immutable
 }
 
-// snapshotView freezes the subtable's current read state. Caller holds
-// d.mu.
-func (st *Subtable) snapshotView() *subtableView {
+// metaChunk is how many slots one slotMeta holds: the unit in which
+// publication shares rank/action metadata between epochs.
+const metaChunk = 16
+
+// slotMeta is the rank and action of metaChunk consecutive slots, as
+// the reporter reads them. Slots past the subtable's capacity, in its
+// last chunk, stay zero. Fields are written only at construction.
+//
+//catcam:snapshot
+type slotMeta struct {
+	ranks   [metaChunk]Rank //catcam:immutable
+	actions [metaChunk]int  //catcam:immutable
+}
+
+// snapshotView freezes the subtable's current read state, sharing with
+// prev (the previous epoch's view of this subtable, or nil) the
+// priority matrix and every metadata chunk whose contents have not
+// changed. Caller holds d.mu.
+func (st *Subtable) snapshotView(prev *subtableView) *subtableView {
+	var prevPrio *sram.MatrixView
+	var prevMeta []*slotMeta
+	if prev != nil {
+		prevPrio, prevMeta = prev.prio, prev.meta
+	}
 	match, prio := st.Stats()
 	return &subtableView{
 		id:             st.id,
 		match:          st.match.SnapshotView(),
-		prio:           st.prio.SnapshotView(),
-		ranks:          append([]Rank(nil), st.store.ranks...),
-		actions:        append([]int(nil), st.actions...),
+		prio:           st.prio.SnapshotViewSharing(prevPrio),
+		meta:           st.snapshotMeta(prevMeta),
 		matchRowWrites: match.RowWrites,
 		prioRowWrites:  prio.RowWrites,
 		prioColWrites:  prio.ColWrites,
 	}
+}
+
+// snapshotMeta freezes the slot metadata chunk by chunk, taking each
+// chunk of prev whose ranks and actions equal the live ones and
+// allocating only the chunks that changed.
+func (st *Subtable) snapshotMeta(prev []*slotMeta) []*slotMeta {
+	meta := make([]*slotMeta, (len(st.actions)+metaChunk-1)/metaChunk)
+	for c := range meta {
+		ranks, actions := chunkAt(st.store.ranks, c), chunkAt(st.actions, c)
+		if c < len(prev) && prev[c].ranks == ranks && prev[c].actions == actions {
+			meta[c] = prev[c]
+			continue
+		}
+		meta[c] = &slotMeta{ranks: ranks, actions: actions}
+	}
+	return meta
+}
+
+// chunkAt returns chunk c of s, zero-padded past the end of s.
+func chunkAt[T any](s []T, c int) (chunk [metaChunk]T) {
+	copy(chunk[:], s[c*metaChunk:])
+	return chunk
+}
+
+// entry returns the rank and action stored at slot.
+func (sv *subtableView) entry(slot int) Entry {
+	m := sv.meta[slot/metaChunk]
+	return Entry{Rank: m.ranks[slot%metaChunk], Action: m.actions[slot%metaChunk]}
 }
 
 // decide runs the in-memory priority decision over the given match
@@ -118,7 +177,7 @@ func (sv *subtableView) bestMatched(matchVec *bitvec.Vector) int {
 	best := -1
 	var bestRank Rank
 	matchVec.ForEach(func(i int) bool {
-		r := sv.ranks[i]
+		r := sv.entry(i).Rank
 		if best < 0 || bestRank.Less(r) {
 			best, bestRank = i, r
 		}
@@ -135,9 +194,9 @@ func (sv *subtableView) bestMatched(matchVec *bitvec.Vector) int {
 type snapshot struct {
 	epoch uint64
 	cfg   Config
-	// order and maxOf are the interval sequence at publish time.
-	order []int  //catcam:immutable
-	maxOf []Rank //catcam:immutable
+	// iv is the interval sequence at publish time, shared by reference
+	// with the previous epoch while it is unchanged.
+	iv *intervals //catcam:immutable
 	// subs is indexed by subtable ID; nil for inactive subtables. Clean
 	// entries are shared by reference with the previous epoch.
 	subs   []*subtableView  //catcam:immutable
@@ -164,51 +223,86 @@ type snapshot struct {
 	trShard int
 }
 
+// intervals is the interval sequence: order lists the active subtable
+// IDs by rising maximum rank, and maxPrio[i] is the priority of
+// order[i]'s maximum. Fields are written only at construction.
+//
+//catcam:snapshot
+type intervals struct {
+	order   []int //catcam:immutable
+	maxPrio []int //catcam:immutable
+}
+
+// snapshotIntervals freezes the interval sequence, returning prev (the
+// previous epoch's, or nil) when it is still current. Caller holds
+// d.mu.
+func (d *Device) snapshotIntervals(prev *intervals) *intervals {
+	same := prev != nil && slices.Equal(prev.order, d.order)
+	for i := 0; same && i < len(d.order); i++ {
+		same = prev.maxPrio[i] == d.maxOf[d.order[i]].Priority
+	}
+	if same {
+		return prev
+	}
+	maxPrio := make([]int, len(d.order))
+	for i, id := range d.order {
+		maxPrio[i] = d.maxOf[id].Priority
+	}
+	return &intervals{order: append([]int(nil), d.order...), maxPrio: maxPrio}
+}
+
 // publishLocked builds the next epoch from the live state and the
-// previous snapshot's clean views, publishes it, and re-stamps the
+// previous snapshot, sharing what is unchanged (see the copy-on-write
+// notes at the top of this file), publishes it, and re-stamps the
 // shadow. Inside a sampled update it is the trace's publish step,
 // covering everything from the last datapath step to the Store. Caller
 // holds d.mu; this is the only place d.snap is stored.
 func (d *Device) publishLocked() {
 	d.rechooseFilter()
 	old := d.snap.Load()
-	s := &snapshot{
-		cfg:     d.cfg,
-		order:   append([]int(nil), d.order...),
-		maxOf:   append([]Rank(nil), d.maxOf...),
-		subs:    make([]*subtableView, len(d.subs)),
-		count:   d.entries,
-		sel:     d.sel,
-		aud:     d.aud,
-		shadow:  d.shadow,
-		tel:     d.tel,
-		trTable: d.trTable,
-		trShard: d.trShard,
-	}
+	var epoch uint64
+	var prevIv *intervals
 	if old != nil {
-		s.epoch = old.epoch + 1
+		epoch, prevIv = old.epoch+1, old.iv
 	}
-	// The assignments below are the construction phase: s is private to
-	// this goroutine until the atomic Store publishes it, so filling in
-	// the immutable fields here is the composite literal continued.
+	subs := make([]*subtableView, len(d.subs))
 	for _, id := range d.order {
-		if old != nil && !d.dirty[id] && old.subs[id] != nil {
-			s.subs[id] = old.subs[id] //catcam:allow immutable "snapshot under construction; unpublished until the final Store"
-			d.churn.viewsShared.Add(1)
-			continue
+		var prev *subtableView
+		if old != nil {
+			prev = old.subs[id]
 		}
-		s.subs[id] = d.subs[id].snapshotView() //catcam:allow immutable "snapshot under construction; unpublished until the final Store"
-		d.churn.viewsRebuilt.Add(1)
+		if prev != nil && !d.dirty[id] {
+			subs[id] = prev
+			d.churn.viewsShared.Add(1)
+		} else {
+			subs[id] = d.subs[id].snapshotView(prev)
+			d.churn.viewsRebuilt.Add(1)
+		}
 	}
+	var global *sram.MatrixView
 	if old != nil && !d.globalDirty {
-		s.global = old.global //catcam:allow immutable "snapshot under construction; unpublished until the final Store"
+		global = old.global
 	} else {
-		s.global = d.global.SnapshotView() //catcam:allow immutable "snapshot under construction; unpublished until the final Store"
+		global = d.global.SnapshotView()
 		d.churn.globalRebuilds.Add(1)
 	}
 	gstats := d.global.Stats()
-	s.globalRowWrites = gstats.RowWrites //catcam:allow immutable "snapshot under construction; unpublished until the final Store"
-	s.globalColWrites = gstats.ColWrites //catcam:allow immutable "snapshot under construction; unpublished until the final Store"
+	s := &snapshot{
+		epoch:           epoch,
+		cfg:             d.cfg,
+		iv:              d.snapshotIntervals(prevIv),
+		subs:            subs,
+		global:          global,
+		count:           d.entries,
+		sel:             d.sel,
+		globalRowWrites: gstats.RowWrites,
+		globalColWrites: gstats.ColWrites,
+		aud:             d.aud,
+		shadow:          d.shadow,
+		tel:             d.tel,
+		trTable:         d.trTable,
+		trShard:         d.trShard,
+	}
 	for i := range d.dirty {
 		d.dirty[i] = false
 	}
@@ -388,7 +482,7 @@ func (s *snapshot) lookup(sc *readScratch, k ternary.Key) (Entry, int, bool) {
 	globalMatch.Reset()
 	top := -1
 	pats := s.sel.Patterns(k)
-	for _, id := range s.order {
+	for _, id := range s.iv.order {
 		view := s.subs[id].match
 		if !view.Admits(pats) {
 			view.Charge(&sc.match)
@@ -451,7 +545,7 @@ func (s *snapshot) lookup(sc *readScratch, k ternary.Key) (Entry, int, bool) {
 	if s.aud.SampleLookup() {
 		s.auditLookup(matchVec, oneHot, top, winner, slot) //catcam:allow alloc "sampled inline audit; rate-gated off the steady-state path"
 	}
-	return Entry{Rank: sv.ranks[slot], Action: sv.actions[slot]}, winner, true
+	return sv.entry(slot), winner, true
 }
 
 // auditLookup runs the inline lookup checks for one sampled lookup,

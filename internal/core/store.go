@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"catcam/internal/bitvec"
 )
@@ -58,21 +59,23 @@ func (s *PriorityStore) Valid() *bitvec.Vector { return s.valid.Copy() }
 func (s *PriorityStore) ValidRef() *bitvec.Vector { return s.valid }
 
 // CompareAll broadcasts the new rank against every valid slot and
-// returns the two vectors to write into the priority matrix for the new
-// rule's slot: row[j] = new beats slot j, col[i] = slot i beats new.
-// One comparator fires per valid slot (single-cycle in hardware).
-func (s *PriorityStore) CompareAll(r Rank) (row, col *bitvec.Vector) {
-	row = bitvec.New(len(s.ranks))
-	col = bitvec.New(len(s.ranks))
-	s.valid.ForEach(func(i int) bool {
-		if r.Beats(s.ranks[i]) {
-			row.Set(i)
-		} else {
-			col.Set(i)
+// fills the two vectors (Capacity bits each, overwritten) to write into
+// the priority matrix for the new rule's slot: row[j] = new beats slot
+// j, col[i] = slot i beats new. One comparator fires per valid slot
+// (single-cycle in hardware). Allocates nothing.
+func (s *PriorityStore) CompareAll(r Rank, row, col *bitvec.Vector) {
+	row.Reset()
+	col.Reset()
+	for wi, w := range s.valid.Words() {
+		for ; w != 0; w &= w - 1 {
+			i := wi*64 + bits.TrailingZeros64(w)
+			if r.Beats(s.ranks[i]) {
+				row.Set(i)
+			} else {
+				col.Set(i)
+			}
 		}
-		return true
-	})
-	return row, col
+	}
 }
 
 // MaxSlot returns the slot holding the highest rank, or -1 when empty.

@@ -177,8 +177,8 @@ func (d *Device) DeriveStructure(dst *Structure) *Structure {
 	dst.TotalSubtables = len(s.subs)
 	dst.SubtableCapacity = s.cfg.SubtableCapacity
 	dst.Capacity = len(s.subs) * s.cfg.SubtableCapacity
-	dst.ActiveSubtables = len(s.order)
-	dst.FreeSubtables = len(s.subs) - len(s.order)
+	dst.ActiveSubtables = len(s.iv.order)
+	dst.FreeSubtables = len(s.subs) - len(s.iv.order)
 	if dst.Capacity > 0 {
 		dst.Occupancy = float64(s.count) / float64(dst.Capacity)
 	}
@@ -188,11 +188,11 @@ func (d *Device) DeriveStructure(dst *Structure) *Structure {
 	prevMax := 0
 	fullRun := 0
 	var weightSum, weightedOcc float64
-	for i, id := range s.order {
+	for i, id := range s.iv.order {
 		sv := s.subs[id]
 		entries := sv.match.ValidCount()
 		capacity := sv.match.Rows()
-		maxP := s.maxOf[id].Priority
+		maxP := s.iv.maxPrio[i]
 		// Interval width in priority units: (prevMax, maxP], clamped to
 		// >= 1 (adjacent intervals can share a priority and differ only
 		// in rank tiebreaks; the first interval's floor is priority 0).
@@ -274,7 +274,7 @@ func (d *Device) CarePerPosition(dst []uint64) []uint64 {
 	base := len(dst)
 	dst = append(dst, make([]uint64, s.cfg.KeyWidth)...)
 	scratch := make([]uint64, 0, s.cfg.KeyWidth)
-	for _, id := range s.order {
+	for _, id := range s.iv.order {
 		scratch = s.subs[id].match.CarePerPosition(scratch[:0])
 		for i, c := range scratch {
 			dst[base+i] += c

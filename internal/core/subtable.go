@@ -29,8 +29,9 @@ type Subtable struct {
 	// actions is reporter metadata (what the switch does on a match).
 	actions []int
 	// report is the reusable output buffer of RecomputeMax's priority
-	// decision, so it allocates nothing at steady state.
-	report *bitvec.Vector
+	// decision, and row/col those of Insert's comparator broadcast, so
+	// neither allocates at steady state.
+	report, row, col *bitvec.Vector
 	// aud, when attached by the device, switches a broken one-hot
 	// guarantee in RecomputeMax from fail-stop (panic) to fail-report
 	// with a metadata-derived fallback answer. Lookups decide over the
@@ -56,6 +57,8 @@ func NewSubtable(id, capacity, width int, matchParams, prioParams sram.Params) *
 		store:   NewPriorityStore(capacity),
 		actions: make([]int, capacity),
 		report:  bitvec.New(capacity),
+		row:     bitvec.New(capacity),
+		col:     bitvec.New(capacity),
 	}
 }
 
@@ -85,10 +88,10 @@ func (st *Subtable) Insert(slot int, e Entry) {
 	if st.match.IsValid(slot) {
 		panic(fmt.Sprintf("core: subtable %d slot %d occupied", st.id, slot))
 	}
-	row, col := st.store.CompareAll(e.Rank)
+	st.store.CompareAll(e.Rank, st.row, st.col)
 	st.match.WriteEntry(slot, e.Word)
-	st.prio.WriteRow(slot, row)
-	st.prio.WriteColumn(slot, col)
+	st.prio.WriteRow(slot, st.row)
+	st.prio.WriteColumn(slot, st.col)
 	st.store.Set(slot, e.Rank)
 	st.actions[slot] = e.Action
 }

@@ -22,12 +22,12 @@ func testSubtable(cap, width int) *Subtable {
 // priority decision runs over its frozen matrix. A subtable decides
 // nowhere else, so this is the path the tests below must exercise.
 func viewSearch(sv *subtableView, k ternary.Key, st *sram.Stats) *bitvec.Vector {
-	n := len(sv.ranks)
+	n := sv.match.Rows()
 	return sv.match.SearchInto(bitvec.New(n), make([]uint64, (n+63)/64), k, st)
 }
 
 func viewDecide(sv *subtableView, mv *bitvec.Vector, aud *flightrec.Auditor) int {
-	return sv.decide(bitvec.New(len(sv.ranks)), mv, &sram.Stats{}, aud)
+	return sv.decide(bitvec.New(sv.match.Rows()), mv, &sram.Stats{}, aud)
 }
 
 func TestRankOrder(t *testing.T) {
@@ -59,7 +59,9 @@ func TestPriorityStoreBroadcast(t *testing.T) {
 	s.Set(1, Rank{Priority: 10})
 	s.Set(3, Rank{Priority: 30})
 	s.Set(5, Rank{Priority: 50})
-	row, col := s.CompareAll(Rank{Priority: 40})
+	row, col := bitvec.New(8), bitvec.New(8)
+	row.SetAll() // CompareAll overwrites, never accumulates
+	s.CompareAll(Rank{Priority: 40}, row, col)
 	if got := row.Indices(); len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Fatalf("row = %v, want [1 3]", got)
 	}
@@ -78,6 +80,12 @@ func TestPriorityStoreBroadcast(t *testing.T) {
 	}
 	if s.Count() != 2 || s.Capacity() != 8 {
 		t.Fatal("counts wrong")
+	}
+	if raceEnabled {
+		return // race instrumentation perturbs allocation counts
+	}
+	if n := testing.AllocsPerRun(10, func() { s.CompareAll(Rank{Priority: 40}, row, col) }); n != 0 {
+		t.Errorf("CompareAll allocates %.1f/op", n)
 	}
 }
 
@@ -100,7 +108,7 @@ func TestSubtableFig5(t *testing.T) {
 	put(4, "1010", 4, 2) // R2
 	put(2, "101*", 3, 3) // R3
 
-	sv := st.snapshotView()
+	sv := st.snapshotView(nil)
 	mv := viewSearch(sv, ternary.MustParseKey("1010"), &sram.Stats{})
 	if got := mv.Indices(); len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 4 {
 		t.Fatalf("match vector = %v, want [1 2 4]", got)
@@ -139,7 +147,7 @@ func TestSubtableInsertAnySlotFig6(t *testing.T) {
 		{"1100", 4}, // only R4
 		{"0110", 1}, // R1
 	}
-	sv := st.snapshotView()
+	sv := st.snapshotView(nil)
 	for _, c := range cases {
 		slot := viewDecide(sv, viewSearch(sv, ternary.MustParseKey(c.key), &sram.Stats{}), nil)
 		if slot < 0 || st.Action(slot) != c.want {
@@ -153,7 +161,7 @@ func TestSubtableInsertAnySlotFig6(t *testing.T) {
 }
 
 func TestSubtableDecideEmpty(t *testing.T) {
-	sv := testSubtable(4, 4).snapshotView()
+	sv := testSubtable(4, 4).snapshotView(nil)
 	if viewDecide(sv, bitvec.New(4), nil) != -1 {
 		t.Fatal("empty match vector should yield -1")
 	}
@@ -187,7 +195,7 @@ func TestSubtableDeleteReinsert(t *testing.T) {
 	// Reinsert into the same slot with a different rank: stale priority
 	// bits must be fully overwritten.
 	st.Insert(0, Entry{Word: ternary.MustParse("1***"), Rank: Rank{Priority: 9, RuleID: 2}})
-	sv := st.snapshotView()
+	sv := st.snapshotView(nil)
 	if slot := viewDecide(sv, viewSearch(sv, ternary.MustParseKey("1100"), &sram.Stats{}), nil); slot != 0 {
 		t.Fatalf("reinserted high-priority rule should win, got slot %d", slot)
 	}
@@ -239,7 +247,7 @@ func TestSubtableCycleCosts(t *testing.T) {
 	// A search is charged to the reader's statistics, not the arrays'.
 	st.ResetStats()
 	var search sram.Stats
-	viewSearch(st.snapshotView(), ternary.MustParseKey("0000"), &search)
+	viewSearch(st.snapshotView(nil), ternary.MustParseKey("0000"), &search)
 	m, p = st.Stats()
 	if search.Cycles != 1 || m.Cycles != 0 || p.Cycles != 0 {
 		t.Fatalf("search cycles = %d, arrays charged %d/%d", search.Cycles, m.Cycles, p.Cycles)

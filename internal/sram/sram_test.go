@@ -115,6 +115,29 @@ func TestColumnWriteDualVoltage(t *testing.T) {
 	}
 }
 
+// TestSnapshotViewSharing: a sharing freeze hands back the previous
+// view while the matrix is unchanged, and a fresh copy — which later
+// writes cannot reach — once a write changed it.
+func TestSnapshotViewSharing(t *testing.T) {
+	a := NewArray(smallParams(8, 8))
+	a.WriteRow(1, bitvec.FromIndices(8, 2, 5))
+	v1 := a.SnapshotView()
+	if v2 := a.SnapshotViewSharing(v1); v2 != v1 {
+		t.Fatal("an unchanged matrix was copied")
+	}
+	a.WriteColumn(3, bitvec.FromIndices(8, 0))
+	v3 := a.SnapshotViewSharing(v1)
+	if v3 == v1 || v1.rows[0] != 0 {
+		t.Fatal("a changed matrix shared, or wrote through to, the previous view")
+	}
+	if a.SnapshotViewSharing(v3) != v3 {
+		t.Fatal("the fresh view is not the matrix's contents")
+	}
+	if a.SnapshotViewSharing(nil) == v3 {
+		t.Fatal("a freeze with nothing to share returned a published view")
+	}
+}
+
 func TestColumnWritePreservesOtherColumns(t *testing.T) {
 	a := NewArray(smallParams(8, 8))
 	rowPattern := bitvec.FromIndices(8, 0, 1, 2, 3, 4, 5, 6, 7)

@@ -2,6 +2,7 @@ package sram
 
 import (
 	"fmt"
+	"slices"
 
 	"catcam/internal/bitvec"
 	"catcam/internal/ternary"
@@ -237,8 +238,21 @@ type MatrixView struct {
 // view with one copy of the row slab; later WriteRow/WriteColumn calls
 // on the array cannot reach it. Not a modeled hardware access.
 func (a *Array) SnapshotView() *MatrixView {
+	return a.SnapshotViewSharing(nil)
+}
+
+// SnapshotViewSharing is SnapshotView that returns prev itself when prev
+// (nil for none) already holds the array's current contents, so a
+// publisher whose update left the matrix alone — a delete never writes
+// it — shares the previous epoch's view instead of copying it. The
+// decision is one compare of the row slab, so a shared view is
+// byte-identical to a fresh freeze.
+func (a *Array) SnapshotViewSharing(prev *MatrixView) *MatrixView {
 	if a.params.Rows != a.params.Cols {
 		panic("sram: MatrixView requires a square array")
+	}
+	if prev != nil && prev.params == a.params && slices.Equal(prev.rows, a.bits) {
+		return prev
 	}
 	return &MatrixView{params: a.params, rows: append([]uint64(nil), a.bits...)}
 }

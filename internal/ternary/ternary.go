@@ -329,15 +329,36 @@ func (w Word) Copy() Word {
 
 // Slot writes word o into positions [off, off+o.width) of w (0 = most
 // significant), used to concatenate per-field encodings into one search
-// word. It panics if o does not fit.
+// word; positions outside the range are untouched. It panics if o does
+// not fit. The copy is word-wise: o's storage bits land shifted up by
+// the positions below the range.
 //
 //catcam:mutator
 func (w *Word) Slot(off int, o Word) {
 	if off < 0 || off+o.width > w.width {
 		panic(fmt.Sprintf("ternary: slot [%d,%d) outside width %d", off, off+o.width, w.width))
 	}
-	for i := 0; i < o.width; i++ {
-		w.SetBit(off+i, o.BitAt(i))
+	shift := uint(w.width - off - o.width)
+	insertBits(w.value, o.value, o.width, shift)
+	insertBits(w.care, o.care, o.width, shift)
+}
+
+// insertBits overwrites bits [shift, shift+n) of dst with bits [0, n)
+// of src, leaving every other bit of dst as it was.
+func insertBits(dst, src []uint64, n int, shift uint) {
+	ws, bs := int(shift/wordBits), shift%wordBits
+	last := words(n) - 1
+	for i := 0; i <= last; i++ {
+		mask := ^uint64(0)
+		if i == last {
+			mask = tailMask(n)
+		}
+		s := src[i] & mask
+		dst[ws+i] = dst[ws+i]&^(mask<<bs) | s<<bs
+		if hi := mask >> (wordBits - bs); hi != 0 { // zero when bs is 0
+
+			dst[ws+i+1] = dst[ws+i+1]&^hi | s>>(wordBits-bs)
+		}
 	}
 }
 

@@ -231,6 +231,30 @@ func TestQuickSlotMatchDistributes(t *testing.T) {
 	}
 }
 
+// Property: the word-wise Slot writes exactly what a bit-by-bit copy
+// would, and leaves every position outside its range untouched, over
+// random widths and offsets — ranges inside one storage word, ranges
+// straddling word boundaries and ranges spanning several words.
+func TestQuickSlotMatchesBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 3000; trial++ {
+		width := 1 + rng.Intn(200)
+		n := 1 + rng.Intn(width)
+		off := rng.Intn(width - n + 1)
+		w := Random(rng, width, 0.3)
+		o := Random(rng, n, 0.3)
+		want := w.Copy()
+		for i := 0; i < n; i++ {
+			want.SetBit(off+i, o.BitAt(i))
+		}
+		got := w.Copy()
+		got.Slot(off, o)
+		if !got.Equal(want) {
+			t.Fatalf("Slot(%d, %s) into %s = %s, want %s", off, o, w, got, want)
+		}
+	}
+}
+
 // Property: Subsumes implies Overlaps, and Subsumes implies every
 // matching key of the subsumed word matches the subsuming word.
 func TestQuickSubsumeImpliesOverlapAndMatch(t *testing.T) {
