@@ -131,10 +131,11 @@ type location struct {
 // and ModifyRule all run through the update bracket (Device.update),
 // which publishes exactly one epoch per request (DESIGN.md §17). The
 // classify path (Lookup, LookupBatch, LookupHeaderBatch,
-// LookupHeaderBatchTraced) acquires no lock at all —
-// it loads the current epoch snapshot (d.snap) with one atomic pointer
-// read and traverses the frozen structure with per-goroutine pooled
-// scratch, so concurrent lookups scale with cores. The hot path
+// LookupHeaderBatchTraced, and Revalidate over the change log)
+// acquires no lock at all — it loads the current epoch snapshot
+// (d.snap) with one atomic pointer read and traverses the frozen
+// structure with per-goroutine pooled scratch, so concurrent lookups
+// scale with cores. The hot path
 // performs no allocation at steady state. See snapshot.go for the
 // publication scheme and DESIGN.md §13 for why torn reads are
 // impossible.
@@ -154,6 +155,12 @@ type Device struct {
 	// globalDirty marks the global relation matrix changed (subtable
 	// assignment/release) since the last publish.
 	globalDirty bool //catcam:guarded-by mu
+	// pending is the rule-level change of the update in flight, which
+	// publishLocked logs for the epoch it publishes and then clears.
+	pending changeRecord //catcam:guarded-by mu
+	// log is the change log (changelog.go): written only by
+	// publishLocked, read lock-free by Revalidate.
+	log changeLog
 
 	// readPool holds per-goroutine readScratch working sets for the
 	// lock-free classify path.
@@ -467,10 +474,10 @@ type updateOp struct {
 // through it. It takes the device lock, pauses shadow comparisons, opens
 // the (sampled) update trace, runs the delete body and then the insert
 // body as the request asks — an insert or a delete is one of them, a
-// modify is both (§III-C) — mirrors the change into the shadow,
-// publishes exactly one epoch (the trace's publish step), reports to
-// telemetry, and finishes the trace with the request's total modelled
-// cycles.
+// modify is both (§III-C) — mirrors the change into the shadow and the
+// change log's pending record, publishes exactly one epoch (the trace's
+// publish step), reports to telemetry, and finishes the trace with the
+// request's total modelled cycles.
 func (d *Device) update(op updateOp) (UpdateResult, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -482,6 +489,7 @@ func (d *Device) update(op updateOp) (UpdateResult, error) {
 	if op.del {
 		if res, err = d.deleteRule(id); err == nil {
 			d.shadow.OnDelete(id)
+			d.pending.remove(id)
 		}
 	}
 	if err == nil && op.words != nil {
@@ -490,8 +498,10 @@ func (d *Device) update(op updateOp) (UpdateResult, error) {
 		res.Cycles += deleted // a modify reports both phases together
 		if err == nil && op.raw {
 			d.shadow.Desync("raw word insert bypasses the rule-level mirror")
+			d.pending.opaque()
 		} else if err == nil {
 			d.shadow.OnInsert(op.rule)
+			d.pending.add(op.rule)
 		}
 	}
 	d.publishLocked()

@@ -1,10 +1,11 @@
 package core
 
 // The op-stream format of FuzzDeviceVsLinear. internal/cluster's
-// TestClusterDifferential replays the same seed corpus, and a test file
-// cannot be imported, so internal/cluster/opstream_test.go is this file
-// under that package's clause: TestOpstreamCopy there fails as soon as
-// the two differ. Edit this one and copy it over.
+// TestClusterDifferential and internal/ingress's
+// TestFlowCacheChurnVsClassify replay the same seed corpus, and a test
+// file cannot be imported, so opstream_test.go in each of those
+// packages is this file under that package's clause: TestOpstreamCopy
+// there fails as soon as the two differ. Edit this one and copy it over.
 //
 // An op stream is four bytes per op: kind, rule ID, priority, shape.
 //

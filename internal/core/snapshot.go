@@ -253,10 +253,11 @@ func (d *Device) snapshotIntervals(prev *intervals) *intervals {
 
 // publishLocked builds the next epoch from the live state and the
 // previous snapshot, sharing what is unchanged (see the copy-on-write
-// notes at the top of this file), publishes it, and re-stamps the
-// shadow. Inside a sampled update it is the trace's publish step,
-// covering everything from the last datapath step to the Store. Caller
-// holds d.mu; this is the only place d.snap is stored.
+// notes at the top of this file), logs the pending change record for
+// it (changelog.go), publishes it, and re-stamps the shadow. Inside a
+// sampled update it is the trace's publish step, covering everything
+// from the last datapath step to the Store. Caller holds d.mu; this is
+// the only place d.snap is stored and the change log written.
 func (d *Device) publishLocked() {
 	d.rechooseFilter()
 	old := d.snap.Load()
@@ -311,6 +312,9 @@ func (d *Device) publishLocked() {
 	if t := d.tel; t != nil {
 		t.epochG.Set(int64(s.epoch))
 	}
+	// The epoch's change record is whole before the epoch is visible.
+	d.log.write(s.epoch, d.pending)
+	d.pending = changeRecord{}
 	d.snap.Store(s)
 	// Readers holding this epoch may now compare against the shadow
 	// reference again (BeginEpoch paused comparisons for the update).

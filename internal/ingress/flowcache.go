@@ -1,6 +1,9 @@
 package ingress
 
-import "catcam/internal/rules"
+import (
+	"catcam/internal/core"
+	"catcam/internal/rules"
+)
 
 // FlowCache is the exact-match CAM that fronts the ternary array: a
 // small 2-way set-associative table keyed on the full 5-tuple, caching
@@ -17,32 +20,52 @@ import "catcam/internal/rules"
 //
 // Correctness under rule churn is by epoch stamping, not by callbacks:
 // every entry records the backend epoch (see core.Device.Epoch) current
-// when it was filled, and Lookup only hits when the stored stamp equals
-// the epoch the worker loaded at the start of the burst. Any rule
-// change anywhere advances the epoch, so every cached decision that
-// could predate the change misses and refills through the ternary
-// array. Invalidation is therefore O(0) on the update path — the
-// epoch increment the snapshot publication already performs — and lazy
-// on the lookup path, mirroring the paper's separation of constant-time
-// alteration from the lookup pipeline.
+// when it was filled, and Lookup hits at once when the stored stamp
+// equals the epoch the worker loaded at the start of the burst. An
+// entry with an older stamp is revalidated, not flushed, when the
+// backend is a single device: the entry also keeps its winning rule's
+// priority and ID, and core.Device.Revalidate reads the device's change
+// log for the epochs since the stamp. The entry hits, restamped, unless
+// one of those changes removed its winner, added a rule that matches
+// the flow and does not lose to the winner, or has no rule-level form,
+// or the stamp is older than the log reaches. Any other backend (a
+// cluster, a flowtable pipeline, a wrapper) gives no change log, and
+// there a stale stamp misses and refills through the ternary array.
+// Invalidation is therefore O(0) on the update path — the epoch
+// increment and one change record the publication already writes —
+// and lazy on the lookup path, mirroring the paper's separation of
+// constant-time alteration from the lookup pipeline.
 //
 //catcam:scratch
 type FlowCache struct {
 	sets    uint64
 	entries []flowEntry // 2*sets entries; set i occupies [2i, 2i+1]
-	hits    uint64
-	misses  uint64
+	// dev revalidates entries with an older stamp; nil flushes them.
+	dev    *core.Device
+	hits   uint64
+	misses uint64
+	stale  uint64 // the misses on an entry with an older stamp
 }
 
 // flowEntry is one cached decision. ok distinguishes an empty slot from
 // a cached "no rule matched" verdict — negative results are cacheable
-// too, and invalidate the same way.
+// too, and invalidate the same way. prio and id are the winning rule's
+// priority and ID when ranked is set; only a ranked entry can be
+// revalidated.
 type flowEntry struct {
-	hdr    rules.Header
-	epoch  uint64
-	action int32
-	ok     bool
-	live   bool
+	hdr      rules.Header
+	epoch    uint64
+	action   int32
+	prio, id int32
+	ok       bool
+	live     bool
+	ranked   bool
+}
+
+// setWinner records the winning rule's rank, when it fits in 32 bits.
+func (e *flowEntry) setWinner(r core.Rank) {
+	e.prio, e.id = int32(r.Priority), int32(r.RuleID)
+	e.ranked = int(e.prio) == r.Priority && int(e.id) == r.RuleID
 }
 
 // NewFlowCache builds a cache holding capacity decisions, rounded up so
@@ -78,6 +101,16 @@ func (c *FlowCache) Stats() (hits, misses uint64) {
 	return c.hits, c.misses
 }
 
+// StaleMisses returns how many of the misses found an entry for the
+// flow stamped at an older epoch that could not be revalidated; the
+// rest are cold or capacity misses (0 for nil).
+func (c *FlowCache) StaleMisses() uint64 {
+	if c == nil {
+		return 0
+	}
+	return c.stale
+}
+
 // flowHash mixes the 5-tuple into 64 bits (a SplitMix64-style finisher
 // over the packed header words). Used both for set selection here and
 // for flow-affinity worker dispatch, so the same flow always lands on
@@ -94,10 +127,11 @@ func flowHash(h rules.Header) uint64 {
 	return x ^ x>>33
 }
 
-// Lookup returns the cached decision for h, valid only at the given
-// epoch: a hit requires an exact 5-tuple match AND a stamp equal to
-// epoch. A hit in the second way promotes the entry (in-set LRU).
-// Allocation-free; nil-safe (never hits).
+// Lookup returns the cached decision for h, valid at the given epoch: a
+// hit requires an exact 5-tuple match and a stamp equal to epoch, or
+// one the cache revalidates up to epoch (see FlowCache). A hit in the
+// second way promotes the entry (in-set LRU). Allocation-free;
+// nil-safe (never hits).
 //
 //catcam:hotpath
 func (c *FlowCache) Lookup(h rules.Header, epoch uint64) (action int32, matched, hit bool) {
@@ -110,36 +144,67 @@ func (c *FlowCache) Lookup(h rules.Header, epoch uint64) (action int32, matched,
 		c.hits++
 		return e0.action, e0.ok, true
 	}
-	e1 := &c.entries[i+1]
-	if e1.live && e1.epoch == epoch && e1.hdr == h {
-		*e0, *e1 = *e1, *e0
-		c.hits++
-		return e0.action, e0.ok, true
+	e := e0
+	if !(e.live && e.hdr == h) {
+		if e = &c.entries[i+1]; !(e.live && e.hdr == h) {
+			c.misses++
+			return 0, false, false
+		}
 	}
-	c.misses++
-	return 0, false, false
+	if e.epoch != epoch && !c.revalidate(e, epoch) {
+		c.misses++
+		c.stale++
+		return 0, false, false
+	}
+	if e != e0 {
+		*e0, *e = *e, *e0
+	}
+	c.hits++
+	return e0.action, e0.ok, true
+}
+
+// revalidate asks the device whether e's decision still holds at
+// epoch, and restamps e when it does.
+//
+//catcam:hotpath
+func (c *FlowCache) revalidate(e *flowEntry, epoch uint64) bool {
+	if c.dev == nil || !e.ranked ||
+		!c.dev.Revalidate(e.hdr, e.epoch, epoch, core.Rank{Priority: int(e.prio), RuleID: int(e.id)}, e.ok) {
+		return false
+	}
+	e.epoch = epoch
+	return true
 }
 
 // Insert caches the decision for h stamped with epoch. The new entry
 // takes the most-recently-used way; the previous occupant is demoted
 // and the set's LRU way is evicted. Inserting over an existing entry
-// for the same flow (the refill after an epoch miss) overwrites it in
-// place. Allocation-free; nil-safe (no-op).
+// for the same flow (the refill after a stale miss) overwrites it in
+// place. An entry inserted here carries no winner, so it is never
+// revalidated. Allocation-free; nil-safe (no-op).
 //
 //catcam:hotpath
 func (c *FlowCache) Insert(h rules.Header, epoch uint64, action int32, matched bool) {
+	c.insert(flowEntry{hdr: h, epoch: epoch, action: action, ok: matched})
+}
+
+// insert is Insert of a whole entry.
+//
+//catcam:hotpath
+func (c *FlowCache) insert(n flowEntry) {
 	if c == nil {
 		return
 	}
-	i := int(flowHash(h)&(c.sets-1)) * 2
+	n.live = true
+	i := int(flowHash(n.hdr)&(c.sets-1)) * 2
 	e0 := &c.entries[i]
 	e1 := &c.entries[i+1]
-	if e1.live && e1.hdr == h {
+	if e1.live && e1.hdr == n.hdr {
 		// Refill of the way-1 resident: promote while overwriting so the
 		// set never holds two entries for one flow.
 		*e1 = *e0
-	} else if !(e0.live && e0.hdr == h) {
+	} else if !(e0.live && e0.hdr == n.hdr) {
 		*e1 = *e0 // demote MRU, evicting the old LRU
 	}
-	*e0 = flowEntry{hdr: h, epoch: epoch, action: action, ok: matched, live: true}
+	*e0 = n
 }

@@ -1,6 +1,13 @@
 package ingress
 
-import "testing"
+import (
+	"testing"
+
+	"catcam/internal/cluster"
+	"catcam/internal/core"
+	"catcam/internal/flowtable"
+	"catcam/internal/rules"
+)
 
 func TestFlowCacheNilIsOff(t *testing.T) {
 	var c *FlowCache
@@ -14,8 +21,8 @@ func TestFlowCacheNilIsOff(t *testing.T) {
 	if c.Cap() != 0 {
 		t.Fatalf("nil Cap = %d", c.Cap())
 	}
-	if h, m := c.Stats(); h != 0 || m != 0 {
-		t.Fatalf("nil Stats = %d, %d", h, m)
+	if h, m := c.Stats(); h != 0 || m != 0 || c.StaleMisses() != 0 {
+		t.Fatalf("nil Stats = %d, %d, %d stale", h, m, c.StaleMisses())
 	}
 }
 
@@ -118,6 +125,9 @@ func TestFlowCacheStats(t *testing.T) {
 	if hits != 1 || misses != 2 {
 		t.Fatalf("Stats = (%d, %d), want (1, 2)", hits, misses)
 	}
+	if stale := c.StaleMisses(); stale != 1 {
+		t.Fatalf("StaleMisses = %d, want 1: the cold miss is not stale", stale)
+	}
 }
 
 func TestFlowCacheOpsAllocFree(t *testing.T) {
@@ -134,5 +144,168 @@ func TestFlowCacheOpsAllocFree(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("cache lookup/insert allocates %v per run, want 0", n)
+	}
+}
+
+// revalHdr is the flow the revalidation tests cache a decision for.
+var revalHdr = rules.Header{SrcIP: 0x0A000001, DstIP: 0x0B000001, SrcPort: 1000, DstPort: 3, Proto: 6}
+
+var (
+	revalIn  = rules.Prefix{Addr: 0x0A000000, Len: 8} // holds revalHdr's source
+	revalOut = rules.Prefix{Addr: 0x0C000000, Len: 8} // does not
+)
+
+// revalRule is a rule over src with every other field a wildcard.
+func revalRule(id, prio int, src rules.Prefix) rules.Rule {
+	return rules.Rule{ID: id, Priority: prio, SrcIP: src, SrcPort: rules.FullPortRange(),
+		DstPort: rules.FullPortRange(), ProtoWildcard: true, Action: 1000 + id}
+}
+
+// revalDevice is a device holding rule 10 at priority 100 above rule
+// 20 at 50, both matching revalHdr; empty when noMatch.
+func revalDevice(t *testing.T, noMatch bool) *core.Device {
+	t.Helper()
+	d := core.NewDevice(core.Config{Subtables: 16, SubtableCapacity: 16, KeyWidth: 160})
+	if !noMatch {
+		for _, r := range []rules.Rule{revalRule(10, 100, revalIn), revalRule(20, 50, revalIn)} {
+			if _, err := d.InsertRule(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return d
+}
+
+// TestFlowCacheRevalidates caches one decision through an engine over a
+// device, makes one change, and classifies the flow again. A decision
+// the change cannot alter hits without a device lookup and is restamped
+// to the new epoch; one it can alter is a stale miss, refilled from the
+// device. core's TestRevalidate covers every kind of change; these are
+// the engine's side of both outcomes.
+func TestFlowCacheRevalidates(t *testing.T) {
+	insert := func(r rules.Rule) func(*core.Device) error {
+		return func(d *core.Device) error { _, err := d.InsertRule(r); return err }
+	}
+	del := func(id int) func(*core.Device) error {
+		return func(d *core.Device) error { _, err := d.DeleteRule(id); return err }
+	}
+	for _, tc := range []struct {
+		name    string
+		noMatch bool
+		change  func(*core.Device) error
+		keep    bool
+	}{
+		{name: "non-matching insert", change: insert(revalRule(30, 200, revalOut)), keep: true},
+		{name: "matching insert, higher priority", change: insert(revalRule(30, 101, revalIn))},
+		{name: "delete the winner", change: del(10)},
+		{name: "delete another rule", change: del(20), keep: true},
+		{name: "no match, then a matching insert", noMatch: true, change: insert(revalRule(30, 1, revalIn))},
+		{name: "no match, then a non-matching insert", noMatch: true, change: insert(revalRule(30, 1, revalOut)), keep: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := revalDevice(t, tc.noMatch)
+			e := New(Config{Workers: 1, FlowCacheSize: 64, Backend: NewLookupBackend(d)})
+			burst := []rules.Header{revalHdr}
+			e.ProcessSync(0, burst) // fill
+			if err := tc.change(d); err != nil {
+				t.Fatal(err)
+			}
+			lookups := d.Stats().Lookups
+			got := e.ProcessSync(0, burst)[0]
+			refilled := d.Stats().Lookups - lookups
+			action, ok := d.Lookup(revalHdr)
+			if want := (Result{Action: int32(action), Matched: ok}); got != want {
+				t.Fatalf("decision %+v, the device answers %+v", got, want)
+			}
+			s := e.Snapshot()
+			if tc.keep {
+				if s.CacheHits != 1 || s.StaleMisses != 0 || refilled != 0 {
+					t.Fatalf("%d hits, %d stale misses, %d device lookups; want a revalidated hit", s.CacheHits, s.StaleMisses, refilled)
+				}
+				if _, _, hit := e.workers[0].cache.Lookup(revalHdr, d.Epoch()); !hit {
+					t.Fatal("the revalidated entry was not restamped")
+				}
+			} else if s.CacheHits != 0 || s.StaleMisses != 1 || refilled != 1 {
+				t.Fatalf("%d hits, %d stale misses, %d device lookups; want one stale miss, refilled", s.CacheHits, s.StaleMisses, refilled)
+			}
+		})
+	}
+}
+
+// foreignBackend wraps a Backend as code outside this package would:
+// only the two interface methods show through.
+type foreignBackend struct{ Backend }
+
+// TestFlowCacheFlushesWithoutChangeLog: over a cluster, whose epoch is a
+// sum over shards, a flowtable pipeline, or a Backend from outside the
+// package, a publish that changes no decision still turns every cached
+// decision into a stale miss.
+func TestFlowCacheFlushesWithoutChangeLog(t *testing.T) {
+	cfg := core.Config{Subtables: 16, SubtableCapacity: 16, KeyWidth: 160}
+	winner, other := revalRule(10, 100, revalIn), revalRule(30, 200, revalOut)
+	cl := cluster.New(cluster.Config{Shards: 2, Device: cfg})
+	p, err := flowtable.NewPipeline([]flowtable.TableConfig{{ID: 0, Device: cfg, Miss: flowtable.MissPolicy{MissAction: flowtable.Drop}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := core.NewDevice(cfg)
+	install := func(r rules.Rule) error {
+		_, err := p.Install(0, flowtable.FlowRule{Rule: r, Instruction: flowtable.Terminal(r.Action)})
+		return err
+	}
+	for _, tc := range []struct {
+		name    string
+		backend Backend
+		insert  func(rules.Rule) error
+	}{
+		{"cluster", NewLookupBackend(cl), func(r rules.Rule) error { _, err := cl.InsertRule(r); return err }},
+		{"pipeline", NewPipelineBackend(p), install},
+		{"foreign", foreignBackend{NewLookupBackend(d)}, func(r rules.Rule) error { _, err := d.InsertRule(r); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.insert(winner); err != nil {
+				t.Fatal(err)
+			}
+			e := New(Config{Workers: 1, FlowCacheSize: 64, Backend: tc.backend})
+			burst := []rules.Header{revalHdr}
+			e.ProcessSync(0, burst) // fill
+			if err := tc.insert(other); err != nil {
+				t.Fatal(err)
+			}
+			e.ProcessSync(0, burst)
+			if s := e.Snapshot(); s.CacheHits != 0 || s.StaleMisses != 1 {
+				t.Fatalf("%d hits, %d stale misses; want the flush: 0 hits, 1 stale miss", s.CacheHits, s.StaleMisses)
+			}
+		})
+	}
+}
+
+// TestFlowCacheUnrankedEntryNeverRevalidates: an entry filled through
+// Insert, or with a winner whose rank does not fit in 32 bits, carries
+// no rank to check, so a revalidating cache still misses on it.
+func TestFlowCacheUnrankedEntryNeverRevalidates(t *testing.T) {
+	d := revalDevice(t, false)
+	c := NewFlowCache(64)
+	c.dev = d
+	stamp := d.Epoch()
+	ranked, wide := hdr(1), hdr(2)
+	c.Insert(revalHdr, stamp, 1010, true)
+	for _, f := range []struct {
+		h    rules.Header
+		rank core.Rank
+	}{{ranked, core.Rank{Priority: 100, RuleID: 10}}, {wide, core.Rank{Priority: 1 << 40, RuleID: 10}}} {
+		e := flowEntry{hdr: f.h, epoch: stamp, action: 1010, ok: true}
+		e.setWinner(f.rank)
+		c.insert(e)
+	}
+	d.SetTraceLabels(-1, -1) // publishes an epoch that changes no rule
+	for _, f := range []struct {
+		name string
+		h    rules.Header
+		want bool
+	}{{"inserted", revalHdr, false}, {"ranked", ranked, true}, {"rank past 32 bits", wide, false}} {
+		if _, _, hit := c.Lookup(f.h, d.Epoch()); hit != f.want {
+			t.Errorf("%s entry: hit = %v, want %v", f.name, hit, f.want)
+		}
 	}
 }

@@ -11,12 +11,14 @@
 //
 // The flow cache is coherent under concurrent rule churn by epoch
 // validation (see FlowCache): each burst loads the backend's
-// published-snapshot epoch once, and cached decisions hit only when
-// their stamp equals it. A cached decision can outlive a rule change
-// only within the burst that raced it — the same transient window any
-// direct lock-free lookup has — so cache-on and cache-off produce
-// identical decisions at every quiescent point, which the differential
-// tests prove under the race detector.
+// published-snapshot epoch once, and a cached decision hits when its
+// stamp equals it or, over a single device, when the device's change
+// log shows that no change since the stamp can alter it. Every decision
+// a burst returns is therefore the answer at some epoch between an
+// epoch read before the burst and one read after it — the same window
+// any direct lock-free lookup has — which the window-oracle tests check
+// under the race detector; cache-on and cache-off produce identical
+// decisions at every quiescent point.
 package ingress
 
 import (
@@ -54,39 +56,73 @@ type Backend interface {
 
 // BatchClassifier is the surface shared by *core.Device,
 // *cluster.Cluster, and catcam-serve's engine facade that
-// NewLookupBackend adapts to the Backend interface.
+// NewLookupBackend adapts to the Backend interface. When its dynamic
+// type is *core.Device, the engine's flow caches revalidate stale
+// entries through the device's change log instead of missing on them.
 type BatchClassifier interface {
 	LookupHeaderBatchTraced(tr *tracepkg.Trace, hs []rules.Header, dst []core.LookupResult) []core.LookupResult
 	Epoch() uint64
+}
+
+// rankedBackend is a slow path whose answers carry their winning rule's
+// rank and whose epochs a flow cache can revalidate across: the lookup
+// backend over a single *core.Device. New type-asserts for it and hands
+// the device to every worker's flow cache. Every other Backend — over a
+// cluster, whose epoch is a sum over shards, a flowtable pipeline, or a
+// wrapper — keeps the flush behaviour: a stale stamp misses.
+type rankedBackend interface {
+	// classifyRanked is ClassifyBatch that also appends each answer's
+	// winning rank (zero for no match) to ranks.
+	classifyRanked(tr *tracepkg.Trace, hs []rules.Header, dst []Result, ranks []core.Rank) ([]Result, []core.Rank)
+	// revalidator is the device that revalidates cached answers, or nil
+	// when there is none.
+	revalidator() *core.Device
 }
 
 // lookupBackend adapts a BatchClassifier. The result-slice scratch is
 // pooled so concurrent workers share nothing and the steady state is
 // allocation-free.
 type lookupBackend struct {
-	dev  BatchClassifier
+	dev BatchClassifier
+	// rv is dev when it is a *core.Device, whose change log lets the flow
+	// cache revalidate; held concretely so the revalidating cache lookup
+	// stays a static, analyzer-checked call.
+	rv   *core.Device
 	pool sync.Pool // *[]core.LookupResult
 }
 
 // NewLookupBackend wraps a single device or a cluster as the ingress
 // slow path.
 func NewLookupBackend(dev BatchClassifier) Backend {
+	rv, _ := dev.(*core.Device)
 	return &lookupBackend{
 		dev:  dev,
+		rv:   rv,
 		pool: sync.Pool{New: func() any { s := make([]core.LookupResult, 0, 256); return &s }},
 	}
 }
 
 func (b *lookupBackend) ClassifyBatch(tr *tracepkg.Trace, hs []rules.Header, dst []Result) []Result {
+	dst, _ = b.classifyRanked(tr, hs, dst, nil)
+	return dst
+}
+
+// classifyRanked keeps no ranks when ranks is nil.
+func (b *lookupBackend) classifyRanked(tr *tracepkg.Trace, hs []rules.Header, dst []Result, ranks []core.Rank) ([]Result, []core.Rank) {
 	sp := b.pool.Get().(*[]core.LookupResult)
 	res := b.dev.LookupHeaderBatchTraced(tr, hs, (*sp)[:0])
 	for _, r := range res {
 		dst = append(dst, Result{Action: int32(r.Entry.Action), Matched: r.OK})
+		if ranks != nil {
+			ranks = append(ranks, r.Entry.Rank)
+		}
 	}
 	*sp = res[:0]
 	b.pool.Put(sp)
-	return dst
+	return dst, ranks
 }
+
+func (b *lookupBackend) revalidator() *core.Device { return b.rv }
 
 func (b *lookupBackend) Epoch() uint64 { return b.dev.Epoch() }
 
@@ -156,10 +192,14 @@ func (cfg Config) withDefaults() Config {
 // WorkerStats is one worker's counters, all monotonic except
 // RingOccupancy.
 type WorkerStats struct {
-	Packets       uint64 // packets classified (hits + misses)
-	Bursts        uint64 // ring drains that yielded at least one packet
-	CacheHits     uint64
-	CacheMisses   uint64
+	Packets     uint64 // packets classified (hits + misses)
+	Bursts      uint64 // ring drains that yielded at least one packet
+	CacheHits   uint64
+	CacheMisses uint64
+	// StaleMisses are the cache misses on an entry the flow already had,
+	// stamped at an older epoch and not revalidated; the rest of
+	// CacheMisses are cold or capacity misses.
+	StaleMisses   uint64
 	Drops         uint64 // packets rejected by a full ring
 	RingOccupancy int    // instantaneous
 }
@@ -170,6 +210,7 @@ type Stats struct {
 	Bursts      uint64
 	CacheHits   uint64
 	CacheMisses uint64
+	StaleMisses uint64
 	Drops       uint64
 	Workers     []WorkerStats
 }
@@ -200,12 +241,14 @@ type worker struct {
 	missHdrs []rules.Header // cache misses, in burst order
 	missIdx  []int          // burst index of each miss
 	slow     []Result       // slow-path results scratch
+	ranks    []core.Rank    // each slow-path result's winning rank, when the cache revalidates
 	results  []Result       // per-packet decisions for the burst
 
 	packets counter
 	bursts  counter
 	hits    counter
 	misses  counter
+	stale   counter
 }
 
 // counter is a padded atomic counter: written by one goroutine, read
@@ -230,6 +273,9 @@ func (c *counter) Value() uint64 { return c.v.Load() }
 type Engine struct {
 	cfg     Config
 	workers []*worker
+	// ranked is cfg.Backend when the flow caches revalidate through it,
+	// nil when they flush.
+	ranked rankedBackend
 
 	done    chan struct{}
 	wg      sync.WaitGroup
@@ -241,6 +287,7 @@ type Engine struct {
 	dropsC    *telemetry.Counter
 	hitsC     *telemetry.Counter
 	missesC   *telemetry.Counter
+	staleC    *telemetry.Counter
 	ppsGauge  *telemetry.Gauge
 	occGauges []*telemetry.Gauge
 	burstHist *telemetry.Histogram
@@ -255,6 +302,9 @@ func New(cfg Config) *Engine {
 		panic("ingress: Config.Backend is required")
 	}
 	e := &Engine{cfg: cfg, done: make(chan struct{})}
+	if rb, ok := cfg.Backend.(rankedBackend); ok && rb.revalidator() != nil && cfg.FlowCacheSize > 0 {
+		e.ranked = rb
+	}
 	for i := 0; i < cfg.Workers; i++ {
 		w := &worker{
 			id:       i,
@@ -266,6 +316,10 @@ func New(cfg Config) *Engine {
 			missIdx:  make([]int, 0, cfg.Burst),
 			slow:     make([]Result, 0, cfg.Burst),
 			results:  make([]Result, 0, cfg.Burst),
+		}
+		if e.ranked != nil {
+			w.cache.dev = e.ranked.revalidator()
+			w.ranks = make([]core.Rank, 0, cfg.Burst)
 		}
 		e.workers = append(e.workers, w)
 	}
@@ -289,6 +343,8 @@ func (e *Engine) AttachTelemetry(reg *telemetry.Registry, labels telemetry.Label
 		"Flow-cache hits (decision served without touching the ternary array).", labels)
 	e.missesC = reg.Counter("catcam_ingress_cache_misses_total",
 		"Flow-cache misses (decision refilled through the ternary slow path).", labels)
+	e.staleC = reg.Counter("catcam_ingress_cache_stale_misses_total",
+		"Flow-cache misses on an entry stamped at an older epoch that could not be revalidated (the rest are cold or capacity misses).", labels)
 	e.ppsGauge = reg.Gauge("catcam_ingress_pps",
 		"Ingress throughput over the last rate-sampling interval, packets per second.", labels)
 	e.burstHist = reg.Histogram("catcam_ingress_burst_ns",
@@ -352,6 +408,7 @@ func (e *Engine) Snapshot() Stats {
 			Bursts:        w.bursts.Value(),
 			CacheHits:     w.hits.Value(),
 			CacheMisses:   w.misses.Value(),
+			StaleMisses:   w.stale.Value(),
 			Drops:         w.drops.Value(),
 			RingOccupancy: w.ring.Len(),
 		}
@@ -360,6 +417,7 @@ func (e *Engine) Snapshot() Stats {
 		s.Bursts += ws.Bursts
 		s.CacheHits += ws.CacheHits
 		s.CacheMisses += ws.CacheMisses
+		s.StaleMisses += ws.StaleMisses
 		s.Drops += ws.Drops
 	}
 	return s
@@ -501,12 +559,14 @@ func (w *worker) run() {
 	}
 }
 
-// process classifies one burst: load the epoch once, scan the cache,
-// batch the misses through the slow path, refill the cache with the
-// results. Loading the epoch before the scan bounds staleness to this
-// burst: any rule change after the load has a strictly greater epoch,
-// so nothing this burst caches can be served once that change is
-// visible.
+// process classifies one burst: load the epoch once, scan the cache
+// (revalidating older stamps up to that epoch), batch the misses
+// through the slow path, refill the cache with the results. Loading the
+// epoch before the scan bounds staleness to this burst: a revalidated
+// entry is the answer at the loaded epoch, and any rule change after
+// the load has a strictly greater epoch, so nothing this burst caches
+// is served once that change is visible unless the change log clears
+// it.
 //
 //catcam:ring-consumer
 func (w *worker) process(hs []rules.Header) {
@@ -518,6 +578,7 @@ func (w *worker) process(hs []rules.Header) {
 	w.results = w.results[:0]
 	w.missHdrs = w.missHdrs[:0]
 	w.missIdx = w.missIdx[:0]
+	stale := w.cache.StaleMisses()
 	for i, h := range hs {
 		if action, matched, hit := w.cache.Lookup(h, epoch); hit {
 			w.results = append(w.results, Result{Action: action, Matched: matched})
@@ -527,11 +588,20 @@ func (w *worker) process(hs []rules.Header) {
 			w.missHdrs = append(w.missHdrs, h)
 		}
 	}
+	nStale := w.cache.StaleMisses() - stale
 	if len(w.missHdrs) > 0 {
-		w.slow = eng.cfg.Backend.ClassifyBatch(tr, w.missHdrs, w.slow[:0])
+		if eng.ranked != nil {
+			w.slow, w.ranks = eng.ranked.classifyRanked(tr, w.missHdrs, w.slow[:0], w.ranks[:0])
+		} else {
+			w.slow = eng.cfg.Backend.ClassifyBatch(tr, w.missHdrs, w.slow[:0])
+		}
 		for j, r := range w.slow {
 			w.results[w.missIdx[j]] = r
-			w.cache.Insert(w.missHdrs[j], epoch, r.Action, r.Matched)
+			e := flowEntry{hdr: w.missHdrs[j], epoch: epoch, action: r.Action, ok: r.Matched}
+			if eng.ranked != nil {
+				e.setWinner(w.ranks[j])
+			}
+			w.cache.insert(e)
 		}
 	}
 
@@ -542,9 +612,11 @@ func (w *worker) process(hs []rules.Header) {
 	w.bursts.Inc()
 	w.hits.Add(nPkts - nMiss)
 	w.misses.Add(nMiss)
+	w.stale.Add(nStale)
 	eng.packetsC.Add(nPkts)
 	eng.hitsC.Add(nPkts - nMiss)
 	eng.missesC.Add(nMiss)
+	eng.staleC.Add(nStale)
 	if eng.occGauges != nil {
 		eng.occGauges[w.id].Set(int64(w.ring.Len()))
 	}

@@ -109,6 +109,9 @@ func TestEngineEndToEnd(t *testing.T) {
 	if v := counterValue(t, reg, "catcam_ingress_cache_hits_total"); v != stats.CacheHits {
 		t.Errorf("hits counter = %d, want %d", v, stats.CacheHits)
 	}
+	if v := counterValue(t, reg, "catcam_ingress_cache_stale_misses_total"); v != stats.StaleMisses {
+		t.Errorf("stale-misses counter = %d, want %d", v, stats.StaleMisses)
+	}
 }
 
 func counterValue(t *testing.T, reg *telemetry.Registry, name string) uint64 {
@@ -213,36 +216,55 @@ func TestFlowCacheInvalidationOnUpdate(t *testing.T) {
 }
 
 // TestDifferentialCacheOnOffUnderChurn proves flow-cache-on and
-// flow-cache-off make identical decisions while rules churn
-// concurrently. Bursts that overlap an epoch change are skipped (the
-// two paths legitimately observe different snapshots mid-update — so
-// would two direct lookups); every clean window must agree exactly,
-// and after the churn quiesces, everything must.
+// flow-cache-off make the same decisions while rules churn
+// concurrently, with no burst skipped. The writer churns 20 rules
+// (delete, then reinsert with a flipped action, so a stale cached
+// decision is detectably wrong) and, after every update, records
+// swclass.Linear's decision for every flow of the traffic's universe
+// under the epoch it published. Each burst goes through both engines
+// between two epoch reads, and every decision of either must be the
+// reference at some epoch of that window: the same answer a direct
+// lookup could have given. Once the churn quiesces, the two must agree
+// exactly, and the cache must have hit for the equivalence to mean
+// anything.
 func TestDifferentialCacheOnOffUnderChurn(t *testing.T) {
+	const churnRounds = 8
 	dev, rs := testDevice(t, 200)
 	backend := NewLookupBackend(dev)
 	cached := New(Config{Workers: 1, FlowCacheSize: 2048, Backend: backend})
 	direct := New(Config{Workers: 1, FlowCacheSize: 0, Backend: backend})
-	gen := NewGenerator(rs, GenConfig{Flows: 1000, ZipfS: 1.2, Seed: 13})
+	gen := NewGenerator(rs, GenConfig{Flows: 128, ZipfS: 1.2, Seed: 13})
+	flows := make([]rules.Header, gen.NumFlows())
+	for k := range flows {
+		flows[k] = gen.Flow(k)
+	}
+	refs := newWindowRefs(flows, dev.Epoch(), 2*20*churnRounds+1)
+	for _, r := range rs.Rules {
+		if err := refs.ref.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := refs.record(dev.Epoch()); err != nil {
+		t.Fatal(err)
+	}
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
+	done := make(chan struct{})
 	go func() {
-		defer wg.Done()
-		// Churn the first 20 rules: delete and reinsert with a flipped
-		// action so a stale cached decision is detectably wrong.
-		flip := 0
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
+		defer close(done)
+		defer refs.quit.Store(true)
+		for flip := 0; flip < churnRounds; flip++ {
 			for i := 0; i < 20; i++ {
 				r := rs.Rules[i]
 				if _, err := dev.DeleteRule(r.ID); err != nil {
 					t.Errorf("churn delete %d: %v", r.ID, err)
+					return
+				}
+				if err := refs.ref.Delete(r.ID); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := refs.record(dev.Epoch()); err != nil {
+					t.Error(err)
 					return
 				}
 				r.Action += 1000 * (1 + flip%2)
@@ -250,38 +272,48 @@ func TestDifferentialCacheOnOffUnderChurn(t *testing.T) {
 					t.Errorf("churn insert %d: %v", r.ID, err)
 					return
 				}
+				if err := refs.ref.Insert(r); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := refs.record(dev.Epoch()); err != nil {
+					t.Error(err)
+					return
+				}
 			}
-			flip++
 			time.Sleep(200 * time.Microsecond)
 		}
 	}()
 
 	burst := make([]rules.Header, 32)
 	resA := make([]Result, 0, len(burst))
-	clean := 0
-	for i := 0; i < 3000; i++ {
+	bursts, raced := 0, 0
+	for churning := true; churning; bursts++ {
+		select {
+		case <-done:
+			churning = false // one more burst, after the last update
+		default:
+		}
 		gen.Fill(burst)
 		before := dev.Epoch()
 		resA = append(resA[:0], cached.ProcessSync(0, burst)...)
 		resB := direct.ProcessSync(0, burst)
-		if dev.Epoch() != before {
-			continue // an update raced this window; decisions may differ
+		after := dev.Epoch()
+		if after != before {
+			raced++
 		}
-		clean++
-		for j := range burst {
-			if resA[j] != resB[j] {
-				t.Fatalf("clean window %d packet %d (%v): cached %+v, direct %+v",
-					i, j, burst[j], resA[j], resB[j])
+		for _, c := range []struct {
+			name string
+			res  []Result
+		}{{"cached", resA}, {"direct", resB}} {
+			if err := refs.check(burst, c.res, before, after); err != nil {
+				t.Fatalf("burst %d, %s: %v", bursts, c.name, err)
 			}
 		}
 	}
-	close(stop)
-	wg.Wait()
+	<-done
 	if t.Failed() {
 		return
-	}
-	if clean == 0 {
-		t.Fatal("no clean windows observed; differential test never compared anything")
 	}
 
 	// Quiesced: every decision must agree, and the cache must be doing
@@ -300,7 +332,7 @@ func TestDifferentialCacheOnOffUnderChurn(t *testing.T) {
 	if hits, _ := cached.workers[0].cache.Stats(); hits == 0 {
 		t.Fatal("cached engine never hit its cache")
 	}
-	t.Logf("clean windows: %d/3000", clean)
+	t.Logf("%d bursts checked, %d raced an update", bursts, raced)
 }
 
 // TestEngineTraceSpans checks a sampled burst emits the ingress span
@@ -339,8 +371,10 @@ func TestEngineTraceSpans(t *testing.T) {
 }
 
 // TestCachedFastPathAllocFree is the hard 0-allocs guard on the cached
-// burst path: once the cache is warm and no rules change, processing a
-// burst — cache scan, stats, telemetry — must not allocate at all.
+// burst path: once the cache is warm, processing a burst — cache scan,
+// stats, telemetry — must not allocate at all, whether every entry hits
+// at its own epoch or every one is revalidated across an epoch that
+// changed a rule none of the flows match.
 func TestCachedFastPathAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -362,5 +396,34 @@ func TestCachedFastPathAllocFree(t *testing.T) {
 	hits, _ := e.workers[0].cache.Stats()
 	if hits == 0 {
 		t.Fatal("alloc guard measured a cold path")
+	}
+
+	// A rule no flow of the burst matches: every entry's stamp is now
+	// one epoch old. Each run winds the stamps back, so every lookup
+	// revalidates.
+	stamp := dev.Epoch()
+	aside := rules.Rule{ID: 1 << 20, Priority: 1 << 20, SrcIP: rules.Prefix{Addr: 0xFFFFFFFF, Len: 32},
+		SrcPort: rules.FullPortRange(), DstPort: rules.FullPortRange(), ProtoWildcard: true}
+	for _, h := range burst {
+		if aside.Matches(h) {
+			t.Fatalf("the aside rule matches %+v", h)
+		}
+	}
+	if _, err := dev.InsertRule(aside); err != nil {
+		t.Fatal(err)
+	}
+	c := e.workers[0].cache
+	before := e.Snapshot()
+	if n := testing.AllocsPerRun(200, func() {
+		for i := range c.entries {
+			c.entries[i].epoch = stamp
+		}
+		e.ProcessSync(0, burst)
+	}); n != 0 {
+		t.Fatalf("revalidating burst allocates %v per run, want 0", n)
+	}
+	if s := e.Snapshot(); s.CacheHits-before.CacheHits != 201*uint64(len(burst)) || s.StaleMisses != before.StaleMisses {
+		t.Fatalf("%d hits and %d stale misses over 201 revalidating bursts of %d",
+			s.CacheHits-before.CacheHits, s.StaleMisses-before.StaleMisses, len(burst))
 	}
 }

@@ -7,23 +7,27 @@ import (
 	"catcam/internal/classbench"
 	"catcam/internal/core"
 	"catcam/internal/ingress"
+	"catcam/internal/rules"
 	"catcam/internal/trace"
 )
 
 // TestPublishPrecedesRefill reads cause, then effect, off one timeline.
 // A device and an ingress engine share one tracer sampling 1 in 1. Once
 // the flow cache is warm a burst touches no device; then an insert
-// publishes an epoch, and the next burst misses and refills the cache
-// from the device. On the timeline the insert's publish ends before
-// that burst begins, and the burst holds the device_lookup spans of its
-// misses.
+// publishes an epoch, and the next burst refills from the device the
+// flows whose answer the new rule can change, and only those: the rest
+// revalidate. On the timeline the insert's publish ends before that
+// burst begins, and the burst holds one device_lookup span per flow the
+// new rule matches.
 func TestPublishPrecedesRefill(t *testing.T) {
 	rs := classbench.Generate(classbench.Config{Family: classbench.ACL, Size: 100, Seed: 4})
 	d := core.NewDevice(core.Config{Subtables: 16, SubtableCapacity: 64, KeyWidth: 160})
-	for _, r := range rs.Rules[1:] {
+	top := 0
+	for _, r := range rs.Rules {
 		if _, err := d.InsertRule(r); err != nil {
 			t.Fatal(err)
 		}
+		top = max(top, r.Priority)
 	}
 	tracer := trace.NewTracer(16)
 	tracer.SetSampleEvery(1)
@@ -32,10 +36,22 @@ func TestPublishPrecedesRefill(t *testing.T) {
 	hs := classbench.PacketTrace(rs, 32, 0.9, 9)
 	eng.ProcessSync(0, hs) // fill the flow cache
 	eng.ProcessSync(0, hs) // every flow hits
-	if _, err := d.InsertRule(rs.Rules[0]); err != nil {
+	// A rule above every other that matches exactly the first flow.
+	h := hs[0]
+	exact := rules.Rule{ID: len(rs.Rules) + 1, Priority: top + 1, Action: 1,
+		SrcIP: rules.Prefix{Addr: h.SrcIP, Len: 32}, DstIP: rules.Prefix{Addr: h.DstIP, Len: 32},
+		SrcPort: rules.PortRange{Lo: h.SrcPort, Hi: h.SrcPort}, DstPort: rules.PortRange{Lo: h.DstPort, Hi: h.DstPort},
+		Proto: h.Proto}
+	changed := 0
+	for _, h := range hs {
+		if exact.Matches(h) {
+			changed++
+		}
+	}
+	if _, err := d.InsertRule(exact); err != nil {
 		t.Fatal(err)
 	}
-	eng.ProcessSync(0, hs) // the new epoch invalidated every cached decision
+	eng.ProcessSync(0, hs) // the flows the new rule matches refill
 
 	var roots []string
 	var rootTs []float64
@@ -63,7 +79,8 @@ func TestPublishPrecedesRefill(t *testing.T) {
 	if publishEnd == 0 || publishEnd > rootTs[3] {
 		t.Fatalf("publish ends at %.3fus, the refill burst begins at %.3fus", publishEnd, rootTs[3])
 	}
-	if lookups[pids[3]] == 0 {
-		t.Fatal("the burst after the publish holds no device_lookup span")
+	if got := lookups[pids[3]]; got != changed || got >= len(hs) {
+		t.Fatalf("the burst after the publish looked up %d of %d keys on the device, want the %d the new rule matches",
+			got, len(hs), changed)
 	}
 }
