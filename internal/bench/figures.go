@@ -353,13 +353,6 @@ func SchedulingAblation(seed int64) AblationRow {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func maxU(a, b uint64) uint64 {
 	if a > b {
 		return a

@@ -13,11 +13,11 @@ import (
 
 // RunTelemetryChurn replays a workload's update trace and packet trace
 // against a device instrumented with the given registry and ring — the
-// live-data path behind `catcam-bench -telemetry` and the smoke test
-// for the whole observability substrate. The initial bulk load counts
-// as warmup: ResetStats clears both device statistics and telemetry
-// before the measured churn, so reported quantiles describe steady
-// state only. Lookups are interleaved with updates (one header drawn
+// live-data path behind `catcam-bench -experiment telemetry` and the
+// smoke test for the whole observability substrate. The initial bulk
+// load counts as warmup: ResetStats clears both device statistics and
+// telemetry before the measured churn, so reported quantiles describe
+// steady state only. Lookups are interleaved with updates (one header drawn
 // per update) to keep both the update and lookup counters moving the
 // way live traffic would.
 func RunTelemetryChurn(w *Workload, cfg core.Config, reg *telemetry.Registry, ring *telemetry.EventRing) (*core.Device, error) {

@@ -1,8 +1,8 @@
 // Package bench contains the experiment drivers that regenerate every
 // table and figure of the paper's evaluation (§VII-§VIII). Each driver
-// returns typed rows; Format* helpers render them as aligned text. The
-// cmd/catcam-bench binary and the repository's benchmark suite are thin
-// wrappers over this package.
+// returns typed rows; Format* helpers render them as aligned text.
+// cmd/catcam-bench is the thin wrapper over this package that prints
+// them and checks the paper's claims against them.
 package bench
 
 import (
