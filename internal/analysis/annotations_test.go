@@ -31,6 +31,7 @@ var pins = []pin{
 	{"internal/core/snapshot.go", "//catcam:snapshot", `^type subtableView struct`},
 	{"internal/sram/view.go", "//catcam:snapshot", `^type TernaryView struct`},
 	{"internal/sram/view.go", "//catcam:snapshot", `^type MatrixView struct`},
+	{"internal/sram/view.go", "//catcam:snapshot", `^type careLines struct`},
 
 	// SPSC ring roles: each mutating end of the ingress ring must keep
 	// its role mark, or ringcheck's cursor-ownership proof loses it.

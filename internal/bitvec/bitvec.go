@@ -181,6 +181,15 @@ func (v *Vector) AndNotWords(ws []uint64) *Vector {
 	return v
 }
 
+// AndNotWord clears in word i of v (bits 64i to 64i+63) the bits set in
+// w: AndNotWords one word at a time, for a row stored as scattered
+// words rather than one slice. Clearing bits keeps the canonical form.
+//
+//catcam:mutator
+func (v *Vector) AndNotWord(i int, w uint64) {
+	v.words[i] &^= w
+}
+
 // Or sets v = v OR o and returns v.
 //
 //catcam:mutator

@@ -38,7 +38,7 @@ func TestEpochAdvancesAndSharesCleanViews(t *testing.T) {
 	shared, changed := 0, 0
 	for id := range s2.subs {
 		switch {
-		case s1.subs[id] == nil || s2.subs[id] == nil:
+		case id >= len(s1.subs) || s1.subs[id] == nil || s2.subs[id] == nil:
 		case s1.subs[id] == s2.subs[id]:
 			shared++
 		default:
@@ -53,7 +53,7 @@ func TestEpochAdvancesAndSharesCleanViews(t *testing.T) {
 	if max := 1 + res.Reallocated; changed > max {
 		t.Errorf("%d subtable views rebuilt for an insert touching %d subtables", changed, max)
 	}
-	if s1.subs[res.Subtable] != nil && s1.subs[res.Subtable] == s2.subs[res.Subtable] {
+	if res.Subtable < len(s1.subs) && s1.subs[res.Subtable] != nil && s1.subs[res.Subtable] == s2.subs[res.Subtable] {
 		t.Errorf("subtable %d received the insert but kept its old view", res.Subtable)
 	}
 

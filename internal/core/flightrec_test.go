@@ -325,13 +325,14 @@ func TestGlobalMatrixNamingAnotherSubtable(t *testing.T) {
 }
 
 // TestAuditSweepDetectsPlaneFault desynchronizes a bit-sliced value
-// plane from its row-major word, or skews a filter count against the
-// stored words, and checks the sweep's bit-plane parity audit catches
-// it.
+// plane from its row-major word, skews a filter count against the
+// stored words, or undercounts a stored-care count against the care
+// planes, and checks the sweep's bit-plane parity audit catches it.
 func TestAuditSweepDetectsPlaneFault(t *testing.T) {
 	for name, inject := range map[string]func(st *Subtable, slot int) bool{
 		"value plane":  func(st *Subtable, slot int) bool { return st.match.InjectPlaneFault(slot) >= 0 },
 		"filter count": func(st *Subtable, slot int) bool { return st.match.InjectFilterFault(slot) },
+		"stored count": func(st *Subtable, slot int) bool { return st.match.InjectStoredFault(slot) >= 0 },
 	} {
 		d, _ := loadedDevice(t, 60)
 		aud := flightrec.NewAuditor(nil, nil, 8, nil)

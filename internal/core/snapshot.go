@@ -32,18 +32,22 @@ import (
 // subtables it touched dirty (d.dirty), and publishLocked rebuilds only
 // those views, sharing every untouched view by reference with the
 // previous epoch — so an O(1) CATCAM insert pays an O(subtable)
-// republish, never an O(table) rebuild. Within a rebuilt view, the
-// match view is always frozen afresh, but the priority matrix and each
-// slotMeta chunk of ranks and actions are shared with the previous
-// epoch's view whenever their contents are equal: a delete, which
-// writes neither, republishes only its match view and the one chunk
-// holding the cleared rank. The interval sequence (order and max
+// republish, never an O(table) rebuild. Within a rebuilt view, every
+// part is shared with the previous epoch's view whenever its contents
+// are equal: the match view's position order and line slab, each
+// 16-row chunk of the priority matrix (sram.Array) and each slotMeta
+// chunk of ranks and actions. A delete writes neither the planes nor
+// the priority matrix, so it republishes only the match view's valid
+// mask, counts and filter bitmap and the one metadata chunk holding
+// the cleared rank; an insert copies the priority chunks its row and
+// column writes changed. The interval sequence (order and max
 // priorities) is shared the same way, so only an update that moved a
 // subtable maximum or assigned or released a subtable copies it. The
-// global relation matrix is copied only when an assignment/release
-// changed it (d.globalDirty). Sharing is decided by comparing contents,
-// never by bookkeeping, so a shared part is byte-identical to a fresh
-// freeze whatever wrote the live arrays.
+// global relation matrix is republished only when an
+// assignment/release changed it (d.globalDirty), and then by chunk.
+// Sharing is decided by comparing contents, never by bookkeeping, so a
+// shared part is byte-identical to a fresh freeze whatever wrote the
+// live arrays.
 //
 // Torn reads are impossible by construction: every part of a view is
 // copied out of the live arrays under d.mu (sram.SnapshotView) or is
@@ -93,19 +97,20 @@ type slotMeta struct {
 }
 
 // snapshotView freezes the subtable's current read state, sharing with
-// prev (the previous epoch's view of this subtable, or nil) the
-// priority matrix and every metadata chunk whose contents have not
-// changed. Caller holds d.mu.
+// prev (the previous epoch's view of this subtable, or nil) the match
+// view's order and lines, every priority-matrix chunk and every
+// metadata chunk whose contents have not changed. Caller holds d.mu.
 func (st *Subtable) snapshotView(prev *subtableView) *subtableView {
+	var prevMatch *sram.TernaryView
 	var prevPrio *sram.MatrixView
 	var prevMeta []*slotMeta
 	if prev != nil {
-		prevPrio, prevMeta = prev.prio, prev.meta
+		prevMatch, prevPrio, prevMeta = prev.match, prev.prio, prev.meta
 	}
 	match, prio := st.Stats()
 	return &subtableView{
 		id:             st.id,
-		match:          st.match.SnapshotView(),
+		match:          st.match.SnapshotViewSharing(prevMatch),
 		prio:           st.prio.SnapshotViewSharing(prevPrio),
 		meta:           st.snapshotMeta(prevMeta),
 		matchRowWrites: match.RowWrites,
@@ -197,8 +202,9 @@ type snapshot struct {
 	// iv is the interval sequence at publish time, shared by reference
 	// with the previous epoch while it is unchanged.
 	iv *intervals //catcam:immutable
-	// subs is indexed by subtable ID; nil for inactive subtables. Clean
-	// entries are shared by reference with the previous epoch.
+	// subs is indexed by subtable ID, up to the highest active one;
+	// nil for inactive subtables. Clean entries are shared by reference
+	// with the previous epoch.
 	subs   []*subtableView  //catcam:immutable
 	global *sram.MatrixView //catcam:immutable
 	count  int              // stored entries (the locator's entry count)
@@ -266,10 +272,16 @@ func (d *Device) publishLocked() {
 	if old != nil {
 		epoch, prevIv = old.epoch+1, old.iv
 	}
-	subs := make([]*subtableView, len(d.subs))
+	// Subtable IDs are assigned lowest first (freeSubs), so the active
+	// ones are dense and subs need only reach the highest.
+	n := 0
+	for _, id := range d.order {
+		n = max(n, id+1)
+	}
+	subs := make([]*subtableView, n)
 	for _, id := range d.order {
 		var prev *subtableView
-		if old != nil {
+		if old != nil && id < len(old.subs) {
 			prev = old.subs[id]
 		}
 		if prev != nil && !d.dirty[id] {
@@ -284,7 +296,11 @@ func (d *Device) publishLocked() {
 	if old != nil && !d.globalDirty {
 		global = old.global
 	} else {
-		global = d.global.SnapshotView()
+		var prevGlobal *sram.MatrixView
+		if old != nil {
+			prevGlobal = old.global
+		}
+		global = d.global.SnapshotViewSharing(prevGlobal)
 		d.churn.globalRebuilds.Add(1)
 	}
 	gstats := d.global.Stats()

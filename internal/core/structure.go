@@ -174,11 +174,11 @@ func (d *Device) DeriveStructure(dst *Structure) *Structure {
 	dst.reset()
 	dst.Epoch = s.epoch
 	dst.Entries = s.count
-	dst.TotalSubtables = len(s.subs)
+	dst.TotalSubtables = s.cfg.Subtables
 	dst.SubtableCapacity = s.cfg.SubtableCapacity
-	dst.Capacity = len(s.subs) * s.cfg.SubtableCapacity
+	dst.Capacity = s.cfg.Subtables * s.cfg.SubtableCapacity
 	dst.ActiveSubtables = len(s.iv.order)
-	dst.FreeSubtables = len(s.subs) - len(s.iv.order)
+	dst.FreeSubtables = s.cfg.Subtables - len(s.iv.order)
 	if dst.Capacity > 0 {
 		dst.Occupancy = float64(s.count) / float64(dst.Capacity)
 	}

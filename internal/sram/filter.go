@@ -102,18 +102,20 @@ type filterBitmap [FilterGroups][filterPatterns / 64]uint64
 
 // tally moves entry word w's contributions to the per-position care and
 // one counts and to the filter counts by delta: +1 as w arrives, -1 as
-// it leaves. (WriteEntry counts an arriving word's positions in the
-// plane scatter it runs anyway, and tallies only its groups.)
+// it leaves, added mod 2^16 as tallyGroups adds. (WriteEntry counts an
+// arriving word's positions in the plane scatter it runs anyway, and
+// tallies only its groups.)
 func (t *TernaryArray) tally(w ternary.Word, delta int32) {
+	d := uint16(delta)
 	value, care := w.PlaneWords()
 	for wi, cw := range care {
 		for ; cw != 0; cw &= cw - 1 {
 			b := bits.TrailingZeros64(cw)
-			t.cares[wi*64+b] += delta
-			t.ones[wi*64+b] += delta & -int32(value[wi]>>b&1)
+			t.cares[wi*64+b] += d
+			t.ones[wi*64+b] += d & -uint16(value[wi]>>b&1)
 		}
 	}
-	t.tallyGroups(w, uint16(delta))
+	t.tallyGroups(w, d)
 }
 
 // tallyGroups adds delta (mod 2^16, so 0xFFFF takes one away) to the

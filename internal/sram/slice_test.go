@@ -2,6 +2,7 @@ package sram
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"catcam/internal/bitvec"
@@ -20,21 +21,32 @@ func newTestArray(rows, width int) *TernaryArray {
 // viewSearch freezes a view of a and searches it with k, the way the
 // classify path searches a published view, accounting into st.
 func viewSearch(a *TernaryArray, k ternary.Key, st *Stats) *bitvec.Vector {
-	v := a.SnapshotView()
+	return searchView(a.SnapshotView(), k, st)
+}
+
+// searchView searches v with k, accounting into st.
+func searchView(v *TernaryView, k ternary.Key, st *Stats) *bitvec.Vector {
 	// A dirty destination proves the kernel overwrites every word.
-	dst := bitvec.New(a.Rows())
+	dst := bitvec.New(v.Rows())
 	dst.SetAll()
 	return v.SearchInto(dst, make([]uint64, v.RowWords()), k, st)
 }
 
-// checkEquivalence asserts a view's search agrees with both the scalar
-// SearchReference kernel and a from-scratch Word.Match loop, accounts
-// exactly one search, and is admitted by the view's filter whenever it
-// matches anything.
+// checkEquivalence asserts a freshly frozen view's search agrees with
+// both the scalar SearchReference kernel and a from-scratch Word.Match
+// loop, accounts exactly one search, and is admitted by the view's
+// filter whenever it matches anything.
 func checkEquivalence(t *testing.T, a *TernaryArray, k ternary.Key) {
 	t.Helper()
+	checkViewEquivalence(t, a, a.SnapshotView(), k)
+}
+
+// checkViewEquivalence is checkEquivalence for v, a view of a's
+// current state however it was frozen.
+func checkViewEquivalence(t *testing.T, a *TernaryArray, v *TernaryView, k ternary.Key) {
+	t.Helper()
 	var st Stats
-	got := viewSearch(a, k, &st)
+	got := searchView(v, k, &st)
 	want := Stats{Cycles: 1, Searches: 1,
 		EnergyFJ: float64(a.Subarrays()) * a.Params().ComputeEnergyFJ(a.ValidCount())}
 	if st != want {
@@ -53,7 +65,7 @@ func checkEquivalence(t *testing.T, a *TernaryArray, k ternary.Key) {
 	if !got.Equal(direct) {
 		t.Fatalf("view %s != direct Word.Match %s\nkey %s", got, direct, k)
 	}
-	if v := a.SnapshotView(); got.Any() && !v.Admits(v.Selection().Patterns(k)) {
+	if got.Any() && !v.Admits(v.Selection().Patterns(k)) {
 		t.Fatalf("filter on %v rejects key %s, which matches %s", v.Selection().pos, k, got)
 	}
 	if err := a.AuditPlanes(); err != nil {
@@ -152,10 +164,11 @@ func TestSearchAccountingParity(t *testing.T) {
 	}
 }
 
-// TestViewDropsPositionsOnlyInvalidRowsCare: a position cared at only
-// by entries that were since invalidated (their stale plane bits stay)
-// leaves the view, and the search still answers exactly.
-func TestViewDropsPositionsOnlyInvalidRowsCare(t *testing.T) {
+// TestViewDropsPositionsNoStoredRowCares: a position cared at only by
+// an entry that was since invalidated stays in the view while the
+// row's stale planes do, with no valid entry counted there, and leaves
+// it once a write replaces them; the search answers exactly throughout.
+func TestViewDropsPositionsNoStoredRowCares(t *testing.T) {
 	a := newTestArray(256, 160)
 	// SetBit counts from the most significant end: index 9 is storage
 	// position 150, index 156 position 3.
@@ -165,21 +178,82 @@ func TestViewDropsPositionsOnlyInvalidRowsCare(t *testing.T) {
 	shared.SetBit(156, ternary.Zero)
 	a.WriteEntry(7, only)
 	a.WriteEntry(8, shared)
-	if got := a.SnapshotView().order; len(got) != 2 {
+	if got := a.SnapshotView().walk.order; len(got) != 2 {
 		t.Fatalf("view lists %v, want positions 150 and 3", got)
+	}
+	probe := func(step string) {
+		t.Helper()
+		for _, bits := range [][]int{nil, {9}, {156}, {9, 156}} {
+			k := ternary.NewKey(160)
+			for _, i := range bits {
+				k.SetKeyBit(i, true)
+			}
+			checkEquivalence(t, a, k)
+		}
+		if t.Failed() {
+			t.Fatalf("after %s", step)
+		}
 	}
 	a.Invalidate(7)
 	v := a.SnapshotView()
-	if len(v.order) != 1 || v.order[0] != 3 {
-		t.Fatalf("view lists %v after invalidating the only entry caring at 150, want [3]", v.order)
+	if len(v.walk.order) != 2 || v.walk.order[0] != 150 || v.counts[0] != 0 {
+		t.Fatalf("view lists %v with valid counts %v after invalidating row 7, want [150 3] with none at 150", v.walk.order, v.counts)
 	}
-	for _, bits := range [][]int{nil, {9}, {156}, {9, 156}} {
-		k := ternary.NewKey(160)
-		for _, i := range bits {
-			k.SetKeyBit(i, true)
+	probe("the invalidate")
+	a.WriteEntry(7, shared)
+	if v := a.SnapshotView(); len(v.walk.order) != 1 || v.walk.order[0] != 3 {
+		t.Fatalf("view lists %v once row 7 is rewritten, want [3]", v.walk.order)
+	}
+	probe("the rewrite")
+}
+
+// TestSnapshotViewSharingMatchLines: a freeze takes the previous view's
+// order and lines after invalidations, and builds its own once a write
+// changes the lines, whether or not it changes the order; either way
+// the view equals a fresh freeze and answers exactly.
+func TestSnapshotViewSharingMatchLines(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	a := newTestArray(256, 160)
+	for r := 0; r < 200; r++ {
+		a.WriteEntry(r, ternary.Random(rng, 160, 0.5))
+	}
+	check := func(step string, prev *TernaryView, wantShared bool) *TernaryView {
+		t.Helper()
+		v := a.SnapshotViewSharing(prev)
+		if prev != nil && v.SharesSearchState(prev) != wantShared {
+			t.Fatalf("%s: shares the previous order and lines = %v, want %v", step, !wantShared, wantShared)
 		}
-		checkEquivalence(t, a, k)
+		if !reflect.DeepEqual(v, a.SnapshotView()) {
+			t.Fatalf("%s: the sharing freeze differs from a fresh one", step)
+		}
+		for i := 0; i < 20; i++ {
+			checkViewEquivalence(t, a, v, ternary.RandomKey(rng, 160))
+		}
+		return v
 	}
+	v := check("load", nil, false) // nothing to share
+	w, _ := a.EntryWord(0)
+	for r := 0; r < 200; r += 7 {
+		a.Invalidate(r)
+	}
+	v = check("invalidations", v, true)
+
+	// Row 0's stale planes come back with every value flipped: the same
+	// care bits, so the stored counts and the order stay, but the lines
+	// change.
+	flipped := ternary.NewWord(160)
+	for i := 0; i < 160; i++ {
+		switch w.BitAt(i) {
+		case ternary.Zero:
+			flipped.SetBit(i, ternary.One)
+		case ternary.One:
+			flipped.SetBit(i, ternary.Zero)
+		}
+	}
+	a.WriteEntry(0, flipped)
+	v = check("a rewrite that keeps the care bits", v, false)
+	a.WriteEntry(7, ternary.FromUint(0xDEAD, 160))
+	check("a write that moves the order", v, false)
 }
 
 // TestViewExactToStarOverwrite: overwriting a fully specified entry
@@ -189,11 +263,11 @@ func TestViewExactToStarOverwrite(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	a := newTestArray(256, 160)
 	a.WriteEntry(5, ternary.FromUint(0xDEAD, 160))
-	if got := len(a.SnapshotView().order); got != 160 {
+	if got := len(a.SnapshotView().walk.order); got != 160 {
 		t.Fatalf("exact entry lists %d positions, want 160", got)
 	}
 	a.WriteEntry(5, ternary.NewWord(160))
-	if got := a.SnapshotView().order; len(got) != 0 {
+	if got := a.SnapshotView().walk.order; len(got) != 0 {
 		t.Fatalf("all-wildcard array lists %v", got)
 	}
 	checkEquivalence(t, a, ternary.KeyFromUint(0xDEAD, 160))
@@ -218,9 +292,9 @@ func TestViewAllWildcardArray(t *testing.T) {
 	}
 }
 
-// TestViewCareOrder: the view lists exactly the positions some valid
-// entry cares at, by falling care count, with CarePerPosition agreeing
-// with the counts the live array keeps.
+// TestViewCareOrder: the view lists exactly the positions some stored
+// row cares at, by falling stored-care count, with CarePerPosition
+// agreeing with the valid counts the live array keeps.
 func TestViewCareOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	a := newTestArray(300, 160)
@@ -235,33 +309,38 @@ func TestViewCareOrder(t *testing.T) {
 	prof := v.CarePerPosition(nil)
 	listed := 0
 	for pos, n := range prof {
-		if int32(n) != a.cares[pos] {
+		if n != uint64(a.cares[pos]) {
 			t.Fatalf("position %d: view counts %d carers, array %d", pos, n, a.cares[pos])
 		}
-		if n > 0 {
+		if a.stored[pos] > 0 {
 			listed++
 		}
 	}
-	if listed != len(v.order) {
-		t.Fatalf("view lists %d positions, %d are cared at", len(v.order), listed)
+	if listed != len(v.walk.order) {
+		t.Fatalf("view lists %d positions, stored rows care at %d", len(v.walk.order), listed)
 	}
-	for i := 1; i < len(v.order); i++ {
-		if prof[v.order[i-1]] < prof[v.order[i]] {
-			t.Fatalf("order[%d]=%d (%d carers) before order[%d]=%d (%d carers)",
-				i-1, v.order[i-1], prof[v.order[i-1]], i, v.order[i], prof[v.order[i]])
+	for i := 1; i < len(v.walk.order); i++ {
+		if c0, c1 := a.stored[v.walk.order[i-1]], a.stored[v.walk.order[i]]; c0 < c1 {
+			t.Fatalf("order[%d]=%d (%d stored carers) before order[%d]=%d (%d stored carers)",
+				i-1, v.walk.order[i-1], c0, i, v.walk.order[i], c1)
 		}
+	}
+	if !a.isCareOrder(v.walk.order) {
+		t.Fatal("isCareOrder rejects the order careOrder built")
 	}
 }
 
 // TestAuditPlanesCatchesCountMismatch seeds a care, one or filter
-// count, or a filter bitmap bit, that disagrees with the stored words:
-// AuditPlanes must report each.
+// count, a filter bitmap bit, or a stored-care undercount, that
+// disagrees with the stored words or planes: AuditPlanes must report
+// each.
 func TestAuditPlanesCatchesCountMismatch(t *testing.T) {
 	for name, skew := range map[string]func(a *TernaryArray){
 		"care":   func(a *TernaryArray) { a.cares[10]++ },
 		"one":    func(a *TernaryArray) { a.ones[4]-- },
 		"filter": func(a *TernaryArray) { a.InjectFilterFault(0) },
 		"bitmap": func(a *TernaryArray) { a.filter.set[3][2] ^= 1 << 7 },
+		"stored": func(a *TernaryArray) { a.InjectStoredFault(0) },
 	} {
 		a := newTestArray(64, 64)
 		a.WriteEntry(0, ternary.FromUint(0xF0, 64))
@@ -375,6 +454,9 @@ func TestFirstFree(t *testing.T) {
 // entries that span more than one block, and that the filter admits
 // every key that matches. The positions change halfway through the
 // writes, so both the recount and the per-write upkeep are fuzzed.
+// Last, rows are invalidated and the array frozen sharing with the
+// view before: that view's order and lines must be taken over, and
+// still answer exactly.
 func FuzzSearchEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(64), uint8(80))
 	f.Add(int64(42), uint8(200), uint8(160))
@@ -404,6 +486,26 @@ func FuzzSearchEquivalence(f *testing.F) {
 			if w, ok := a.EntryWord(r); ok {
 				checkEquivalence(t, a, ternary.RandomMatchingKey(rng, w))
 			}
+		}
+
+		prev := a.SnapshotView()
+		var keys []ternary.Key
+		for i := 0; i < 1+rows/4; i++ {
+			r := rng.Intn(rows)
+			if w, ok := a.EntryWord(r); ok {
+				keys = append(keys, ternary.RandomMatchingKey(rng, w))
+				a.Invalidate(r)
+			}
+		}
+		v := a.SnapshotViewSharing(prev)
+		if !v.SharesSearchState(prev) {
+			t.Fatal("a freeze after invalidations alone did not take the previous order and lines")
+		}
+		for i := 0; i < 10; i++ {
+			keys = append(keys, ternary.RandomKey(rng, int(width)))
+		}
+		for _, k := range keys {
+			checkViewEquivalence(t, a, v, k)
 		}
 	})
 }

@@ -111,15 +111,27 @@ func (s *Stats) Add(o Stats) {
 	s.EnergyFJ += o.EnergyFJ
 }
 
-// Array is the bit-matrix flavour used for priority matrices. Row r
-// occupies words [r*rowWords, (r+1)*rowWords) of one flat slab, so a
-// snapshot (MatrixView) is a single copy.
+// Array is the bit-matrix flavour used for priority matrices. Its slab
+// is cut into chunks of ChunkRows rows by one 64-bit column word: chunk
+// (r/ChunkRows)*rowWords + c/64 holds row r's columns c&^63 to c|63 in
+// its word r%ChunkRows, and a height that is not a multiple of
+// ChunkRows pads its last row of chunks. chunks slices the slab into
+// that chunk table, the one layout the priority-decision kernel reads,
+// so a snapshot (MatrixView) copies the chunks a write changed and
+// shares the rest with the previous one. A row write touches the
+// rowWords chunks of its row, a column write the chunks of its column
+// word: together at most 19 of a 256×256 matrix's 64.
 type Array struct {
 	params   Params
 	rowWords int
 	bits     []uint64 //catcam:cycle-state
+	chunks   []*[ChunkRows]uint64
 	stats    Stats
 }
+
+// ChunkRows is the height of a priority-matrix chunk, the unit in which
+// frozen matrices share storage between epochs.
+const ChunkRows = 16
 
 // NewArray returns a zeroed array with the given parameters.
 func NewArray(p Params) *Array {
@@ -127,7 +139,12 @@ func NewArray(p Params) *Array {
 		panic(fmt.Sprintf("sram: invalid dimensions %dx%d", p.Rows, p.Cols))
 	}
 	rowWords := (p.Cols + 63) / 64
-	return &Array{params: p, rowWords: rowWords, bits: make([]uint64, p.Rows*rowWords)}
+	chunks := make([]*[ChunkRows]uint64, (p.Rows+ChunkRows-1)/ChunkRows*rowWords)
+	bits := make([]uint64, len(chunks)*ChunkRows)
+	for k := range chunks {
+		chunks[k] = (*[ChunkRows]uint64)(bits[k*ChunkRows:])
+	}
+	return &Array{params: p, rowWords: rowWords, bits: bits, chunks: chunks}
 }
 
 // Params returns the array's physical parameters.
@@ -151,9 +168,10 @@ func (a *Array) checkCol(c int) {
 	}
 }
 
-// row returns row r's words in the slab.
-func (a *Array) row(r int) []uint64 {
-	return a.bits[r*a.rowWords : (r+1)*a.rowWords]
+// word returns the index in the slab of the word holding row r's
+// columns 64*wi to 64*wi+63.
+func (a *Array) word(r, wi int) int {
+	return (r/ChunkRows*a.rowWords+wi)*ChunkRows + r%ChunkRows
 }
 
 // ReadRow returns a copy of row r. One cycle, one row-read energy.
@@ -162,7 +180,11 @@ func (a *Array) ReadRow(r int) *bitvec.Vector {
 	a.stats.Cycles++
 	a.stats.RowReads++
 	a.stats.EnergyFJ += a.params.ReadEnergyPJ * 1000
-	return bitvec.New(a.params.Cols).LoadWords(a.row(r))
+	row := make([]uint64, a.rowWords)
+	for wi := range row {
+		row[wi] = a.bits[a.word(r, wi)]
+	}
+	return bitvec.New(a.params.Cols).LoadWords(row)
 }
 
 // WriteRow overwrites row r. One cycle, one row-write energy. This is
@@ -176,7 +198,9 @@ func (a *Array) WriteRow(r int, v *bitvec.Vector) {
 	a.stats.Cycles++
 	a.stats.RowWrites++
 	a.stats.EnergyFJ += a.params.WriteEnergyPJ * 1000
-	copy(a.row(r), v.Words())
+	for wi, w := range v.Words() {
+		a.bits[a.word(r, wi)] = w
+	}
 }
 
 // WriteColumn writes column c across all rows using the dual-voltage
@@ -194,9 +218,9 @@ func (a *Array) WriteColumn(c int, v *bitvec.Vector) {
 	wi, bit := c/64, uint64(1)<<(c%64)
 	for r := 0; r < a.params.Rows; r++ {
 		if v.Get(r) {
-			a.bits[r*a.rowWords+wi] |= bit
+			a.bits[a.word(r, wi)] |= bit
 		} else {
-			a.bits[r*a.rowWords+wi] &^= bit
+			a.bits[a.word(r, wi)] &^= bit
 		}
 	}
 }
@@ -216,9 +240,9 @@ func (a *Array) WriteColumnRowwise(c int, v *bitvec.Vector) {
 	wi, bit := c/64, uint64(1)<<(c%64)
 	for r := 0; r < a.params.Rows; r++ {
 		if v.Get(r) {
-			a.bits[r*a.rowWords+wi] |= bit
+			a.bits[a.word(r, wi)] |= bit
 		} else {
-			a.bits[r*a.rowWords+wi] &^= bit
+			a.bits[a.word(r, wi)] &^= bit
 		}
 	}
 }
@@ -228,7 +252,7 @@ func (a *Array) WriteColumnRowwise(c int, v *bitvec.Vector) {
 func (a *Array) Bit(r, c int) bool {
 	a.checkRow(r)
 	a.checkCol(c)
-	return a.bits[r*a.rowWords+c/64]&(1<<(c%64)) != 0
+	return a.bits[a.word(r, c/64)]&(1<<(c%64)) != 0
 }
 
 // ColumnNOR performs the in-memory priority decision: the read word-line
@@ -256,15 +280,16 @@ func (a *Array) ColumnNORInto(dst, active *bitvec.Vector) *bitvec.Vector {
 	if a.params.Rows != a.params.Cols {
 		panic("sram: ColumnNOR requires a square array")
 	}
-	return columnNOR(a.params, a.bits, dst, active, &a.stats)
+	return columnNOR(a.params, a.chunks, dst, active, &a.stats)
 }
 
 // columnNOR is the one priority-decision kernel, shared by the live
-// array and its frozen MatrixView: rows is the flat row slab of a
-// square matrix, and the decision's cycle and energy land in st.
+// array and its frozen MatrixView: chunks is the chunk table of a
+// square matrix (see Array), and the decision's cycle and energy land
+// in st.
 //
 //catcam:hotpath
-func columnNOR(p Params, rows []uint64, dst, active *bitvec.Vector, st *Stats) *bitvec.Vector {
+func columnNOR(p Params, chunks []*[ChunkRows]uint64, dst, active *bitvec.Vector, st *Stats) *bitvec.Vector {
 	if active.Len() != p.Rows {
 		panic(fmt.Sprintf("sram: active vector length %d != %d", active.Len(), p.Rows))
 	}
@@ -276,9 +301,18 @@ func columnNOR(p Params, rows []uint64, dst, active *bitvec.Vector, st *Stats) *
 	dst.CopyFrom(active)
 	for wi, w := range active.Words() {
 		for w != 0 {
-			r := wi*64 + bits.TrailingZeros64(w)
-			dst.AndNotWords(rows[r*rowWords : (r+1)*rowWords])
-			w &= w - 1
+			// Take the active rows of one row of chunks at a time: OR
+			// their words chunk by chunk, and clear each OR from dst once.
+			shift := bits.TrailingZeros64(w) &^ (ChunkRows - 1)
+			m := w >> shift & (1<<ChunkRows - 1)
+			w &^= m << shift
+			for cw, c := range chunks[(wi*64+shift)/ChunkRows*rowWords:][:rowWords] {
+				var rows uint64
+				for mm := m; mm != 0; mm &= mm - 1 {
+					rows |= c[bits.TrailingZeros64(mm)]
+				}
+				dst.AndNotWord(cw, rows)
+			}
 		}
 	}
 	return dst
@@ -294,8 +328,8 @@ func columnNOR(p Params, rows []uint64, dst, active *bitvec.Vector, st *Stats) *
 // uint64 words, so a search evaluates 64 entries per word operation —
 // the same bulk bit-parallelism the silicon's match lines provide,
 // applied to simulator throughput. Searches run over a frozen
-// TernaryView (view.go), which keeps only the positions some valid
-// entry cares at, most-cared first, and carries the bit-selection
+// TernaryView (view.go), which keeps only the positions some stored
+// row cares at, most-cared first, and carries the bit-selection
 // filter (filter.go) that lets a lookup skip a search that cannot
 // match. Cycle and energy accounting are independent of which
 // representation the host touches, and of whether it searches at all.
@@ -314,16 +348,22 @@ type TernaryArray struct {
 	// Positions follow the storage order of ternary.Word.PlaneWords:
 	// position 0 is the least significant (right-most) ternary bit.
 	planes []uint64 //catcam:cycle-state
-	// cares[pos] counts the valid entries caring at position pos: the
-	// order a view visits positions in, and which it drops. ones[pos]
-	// counts those of them caring with value 1; with cares it scores
-	// pos for the filter (AddSplitScores). filter counts, for the key
-	// positions sel names, the valid entries compatible with each
-	// group pattern. All are kept exact by WriteEntry and Invalidate
-	// (tally) and are nil until the first write, so an array that never
-	// holds a rule does not pay for them.
-	cares  []int32
-	ones   []int32
+	// stored[pos] counts the stored rows caring at position pos, that
+	// is the rows whose care plane is set there: valid entries, and
+	// invalidated ones no write has replaced yet (Invalidate leaves the
+	// planes alone). It is the order a view visits positions in, and
+	// which it drops, so a delete leaves both as they were.
+	// cares[pos] counts the valid entries caring at pos, and ones[pos]
+	// those of them caring with value 1; with cares it scores pos for
+	// the filter (AddSplitScores). filter counts, for the key positions
+	// sel names, the valid entries compatible with each group pattern.
+	// sliceEntry keeps stored exact, WriteEntry and Invalidate (tally)
+	// the rest. A count is at most Rows, so 16 bits hold it
+	// (NewTernaryArray). All are nil until the first write, so an array
+	// that never holds a rule does not pay for them.
+	stored []uint16
+	cares  []uint16
+	ones   []uint16
 	filter *filterCounts
 	sel    *Selection
 	// validCount caches valid.Count() so per-search energy accounting
@@ -426,8 +466,9 @@ func (t *TernaryArray) WriteEntry(r int, w ternary.Word) {
 	t.stats.RowWrites++
 	t.stats.EnergyFJ += float64(t.subarrays) * t.params.WriteEnergyPJ * 1000
 	if t.cares == nil {
-		t.cares = make([]int32, t.Width())
-		t.ones = make([]int32, t.Width())
+		t.stored = make([]uint16, t.Width())
+		t.cares = make([]uint16, t.Width())
+		t.ones = make([]uint16, t.Width())
 		t.filter = new(filterCounts)
 	}
 	if t.valid.Get(r) {
@@ -442,8 +483,9 @@ func (t *TernaryArray) WriteEntry(r int, w ternary.Word) {
 }
 
 // sliceEntry scatters w's (value, care) bit pairs into the transposed
-// planes at entry column r, and counts w in the care and one counts of
-// the positions it cares at. Every position is written — set or
+// planes at entry column r, counts w in the care and one counts of the
+// positions it cares at, and moves the stored-care count of every
+// position whose care bit it flips. Every position is written — set or
 // cleared — so stale planes from a previous occupant cannot survive.
 //
 //catcam:allow cycles "plane scatter is part of WriteEntry's single modeled write cycle"
@@ -458,12 +500,19 @@ func (t *TernaryArray) sliceEntry(r int, w ternary.Word) {
 		} else {
 			t.planes[i] &^= bit
 		}
+		was := t.planes[i+blockWords]&bit != 0
 		if care[pw]&(1<<pb) != 0 {
 			t.planes[i+blockWords] |= bit
 			t.cares[pos]++
-			t.ones[pos] += int32(value[pw] >> pb & 1)
+			t.ones[pos] += uint16(value[pw] >> pb & 1)
+			if !was {
+				t.stored[pos]++
+			}
 		} else {
 			t.planes[i+blockWords] &^= bit
+			if was {
+				t.stored[pos]--
+			}
 		}
 	}
 }
@@ -496,10 +545,12 @@ func (t *TernaryArray) EntryWord(r int) (ternary.Word, bool) {
 // Invalidate clears entry r (rule deletion: one cycle). The planes are
 // left stale on purpose: a search starts its accumulator from the valid
 // mask, so plane bits of invalid entries can never surface, and the
-// next WriteEntry into the row rewrites every position. The counts
-// drop the entry at once, so a position only it cared at leaves the
-// next view, and a pattern only it was compatible with leaves the next
-// view's filter.
+// next WriteEntry into the row rewrites every position. The valid
+// counts drop the entry at once, so a pattern only it was compatible
+// with leaves the next view's filter. The stored-care counts keep it
+// until that rewrite, so the next view lists the same positions in the
+// same order over the same lines, and can take both from the previous
+// view (SnapshotViewSharing).
 func (t *TernaryArray) Invalidate(r int) {
 	t.checkRow(r)
 	t.stats.Cycles++
@@ -548,15 +599,18 @@ func (t *TernaryArray) AuditSearchParity(k ternary.Key) error {
 // AuditPlanes verifies the bit-sliced search state against the
 // row-major write view: for every valid entry, the stored (value, care)
 // plane bits must equal the planes re-derived from the entry's word;
+// every position's stored-care count must equal its recount from the
+// care planes (an undercount would drop a position valid entries care
+// at from the next view, so its search would match keys they reject);
 // every position's care and one counts must equal the number of valid
-// entries caring there (an undercount would drop or demote a
-// discriminating position in the next view); and every filter count
-// and bitmap bit must equal its recount from the words (an undercount
-// could make a lookup skip a subtable that matches). Returns the first
-// divergence. Verification access: no cycle/energy accounting.
+// entries caring there (an undercount would misscore the position for
+// the filter); and every filter count and bitmap bit must equal its
+// recount from the words (an undercount could make a lookup skip a
+// subtable that matches). Returns the first divergence. Verification
+// access: no cycle/energy accounting.
 func (t *TernaryArray) AuditPlanes() error {
 	width := t.Width()
-	want := &TernaryArray{sel: t.sel, cares: make([]int32, width), ones: make([]int32, width), filter: new(filterCounts)}
+	want := &TernaryArray{sel: t.sel, cares: make([]uint16, width), ones: make([]uint16, width), filter: new(filterCounts)}
 	var err error
 	t.valid.ForEach(func(r int) bool {
 		value, care := t.entries[r].PlaneWords()
@@ -581,6 +635,17 @@ func (t *TernaryArray) AuditPlanes() error {
 	})
 	if err != nil || t.cares == nil { // counts exist from the first write on
 		return err
+	}
+	for pos, got := range t.stored {
+		n := 0
+		for i := pos*lineWords + blockWords; i < len(t.planes); i += width * lineWords {
+			for _, w := range t.planes[i : i+blockWords] {
+				n += bits.OnesCount64(w)
+			}
+		}
+		if int(got) != n {
+			return fmt.Errorf("sram: position %d stored-care count %d != %d rows whose care plane is set", pos, got, n)
+		}
 	}
 	for pos := range want.cares {
 		if got, n := t.cares[pos], want.cares[pos]; got != n {
@@ -636,6 +701,22 @@ func (t *TernaryArray) InjectFilterFault(r int) bool {
 	value, care := t.entries[r].PlaneWords()
 	t.filter.n[0][t.sel.patterns(value)[0]&t.sel.patterns(care)[0]]--
 	return true
+}
+
+// InjectStoredFault takes row r out of the stored-care count of the
+// first position its care plane is set at, as a lost update would — the
+// seeded undercount the auditor tests use to prove AuditPlanes recounts
+// the stored-care counts. Returns that position, or -1 when the row's
+// care plane is clear everywhere. Test hook only.
+func (t *TernaryArray) InjectStoredFault(r int) int {
+	t.checkRow(r)
+	for pos := range t.stored {
+		if i, bit := t.cell(r, pos); t.planes[i+blockWords]&bit != 0 {
+			t.stored[pos]--
+			return pos
+		}
+	}
+	return -1
 }
 
 // SearchReference is the scalar reference kernel: one Word.Match per

@@ -2,6 +2,7 @@ package sram
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"catcam/internal/bitvec"
@@ -127,7 +128,7 @@ func TestSnapshotViewSharing(t *testing.T) {
 	}
 	a.WriteColumn(3, bitvec.FromIndices(8, 0))
 	v3 := a.SnapshotViewSharing(v1)
-	if v3 == v1 || v1.rows[0] != 0 {
+	if v3 == v1 || v1.chunks[0][0] != 0 {
 		t.Fatal("a changed matrix shared, or wrote through to, the previous view")
 	}
 	if a.SnapshotViewSharing(v3) != v3 {
@@ -135,6 +136,70 @@ func TestSnapshotViewSharing(t *testing.T) {
 	}
 	if a.SnapshotViewSharing(nil) == v3 {
 		t.Fatal("a freeze with nothing to share returned a published view")
+	}
+}
+
+// TestMatrixViewColumnNORMatchesArray holds a frozen view's decision
+// to the live array's, bit for bit and in its accounting, at heights
+// that fill a chunk partly, exactly and many times over, both for a
+// fresh freeze and for one that shares chunks with the view before a
+// row and a column write. The shared view must equal a fresh freeze,
+// share every chunk the writes left alone, and leave the previous view
+// as it was.
+func TestMatrixViewColumnNORMatchesArray(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	randomVec := func(n int, p float64) *bitvec.Vector {
+		v := bitvec.New(n)
+		for i := 0; i < n; i++ {
+			if rng.Float64() < p {
+				v.Set(i)
+			}
+		}
+		return v
+	}
+	check := func(n int, a *Array, v *MatrixView) {
+		t.Helper()
+		for trial := 0; trial < 50; trial++ {
+			active := randomVec(n, []float64{0.02, 0.3, 1}[trial%3])
+			var st Stats
+			got := v.ColumnNORInto(bitvec.New(n), active, &st)
+			a.ResetStats()
+			want := a.ColumnNOR(active)
+			if !got.Equal(want) {
+				t.Fatalf("n=%d: view decides %s, array %s", n, got, want)
+			}
+			if st != a.Stats() {
+				t.Fatalf("n=%d: view accounted %+v, array %+v", n, st, a.Stats())
+			}
+		}
+	}
+	for _, n := range []int{2, 4, 8, 17, 64, 256} {
+		a := NewArray(smallParams(n, n))
+		for r := 0; r < n; r++ {
+			a.WriteRow(r, randomVec(n, 0.5))
+		}
+		prev := a.SnapshotView()
+		prevCopy := a.SnapshotView()
+		check(n, a, prev)
+
+		wr, wc := rng.Intn(n), rng.Intn(n)
+		a.WriteRow(wr, randomVec(n, 0.5))
+		a.WriteColumn(wc, randomVec(n, 0.5))
+		v := a.SnapshotViewSharing(prev)
+		check(n, a, v)
+		if !reflect.DeepEqual(v, a.SnapshotView()) {
+			t.Fatalf("n=%d: the sharing freeze differs from a fresh one", n)
+		}
+		if !reflect.DeepEqual(prev, prevCopy) {
+			t.Fatalf("n=%d: the writes reached the previous view", n)
+		}
+		for r := 0; r < n; r++ {
+			for c := 0; c < n; c++ {
+				if written := r/ChunkRows == wr/ChunkRows || c/64 == wc/64; !written && !v.SharesChunk(prev, r, c) {
+					t.Fatalf("n=%d: chunk of (%d, %d) copied, though the writes to row %d and column %d left it alone", n, r, c, wr, wc)
+				}
+			}
+		}
 	}
 }
 

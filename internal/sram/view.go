@@ -2,7 +2,6 @@ package sram
 
 import (
 	"fmt"
-	"slices"
 
 	"catcam/internal/bitvec"
 	"catcam/internal/ternary"
@@ -11,11 +10,13 @@ import (
 // This file holds the immutable read-side views of the two array
 // flavours. A view is a frozen copy of exactly the state a search
 // touches — bit-sliced match planes and the valid mask for the ternary
-// array, the row bits for a priority matrix — built under the writer's
-// lock by SnapshotView and then shared, unsynchronized, by any number
-// of concurrent readers. Every slice is copied at construction: a view
-// never aliases live array storage, so an in-place update to the array
-// can never tear a reader traversing an already-published view.
+// array, the row-bit chunks for a priority matrix — built under the
+// writer's lock by SnapshotViewSharing and then shared, unsynchronized,
+// by any number of concurrent readers. Every part is either copied out
+// of the array at construction or taken from an earlier view of the
+// same array whose contents it equals: a view never aliases live array
+// storage, so an in-place update to the array can never tear a reader
+// traversing an already-published view.
 //
 // Views carry no Stats of their own (they are shared across
 // goroutines); search and decision accounting accumulates into a
@@ -23,25 +24,23 @@ import (
 // scratch and flushes to device-level atomics per batch.
 
 // TernaryView is an immutable snapshot of a TernaryArray's search
-// state, compacted and ordered for the search kernel: order lists the
-// positions at least one valid entry cares at, most-cared first, and
-// counts how many valid entries care at each; lines holds, block by
-// block (see blockRows), one line per listed position in that order;
-// valid is the valid mask, padded to whole blocks. Positions no valid
-// entry cares at match every entry and are dropped. filter is the
-// bit-selection filter's bitmap (filter.go) for the positions sel
-// names, held inline so freezing it allocates nothing. searchFJ is the
-// energy one search of the view is charged. All fields are written only
-// at construction.
+// state, compacted and ordered for the search kernel: rows and width
+// are the array's entry count and key width; walk holds the
+// positions the kernel visits and their lines (careLines), held inline
+// so a search reaches them without another load; counts holds how many
+// valid entries care at each listed position; valid is the valid mask,
+// padded to whole blocks. filter is the bit-selection filter's bitmap
+// (filter.go) for the positions sel names, held inline so freezing it
+// allocates nothing. searchFJ is the energy one search of the view is
+// charged. All fields are written only at construction; walk's slices
+// may be shared with other views of the same array.
 //
 //catcam:snapshot
 type TernaryView struct {
-	params     Params
-	subarrays  int
-	rowWords   int
-	order      []uint16     //catcam:immutable
+	rows       int
+	width      int
+	walk       careLines    //catcam:immutable
 	counts     []uint16     //catcam:immutable
-	lines      []uint64     //catcam:immutable
 	valid      []uint64     //catcam:immutable
 	filter     filterBitmap //catcam:immutable
 	sel        *Selection   //catcam:immutable
@@ -49,40 +48,56 @@ type TernaryView struct {
 	searchFJ   float64
 }
 
+// careLines is what a search walks: order lists the positions at least
+// one stored row cares at (a valid entry, or an invalidated one whose
+// planes no write has replaced yet), by falling count of those rows;
+// lines holds, block by block (see blockRows), one line per listed
+// position in that order. Positions no stored row cares at match every
+// entry and are dropped. A search starts from the valid mask, so the
+// lines of invalidated rows never surface, and ordering by stored rows
+// rather than valid ones lets a delete leave order and lines as they
+// were. Fields are written only at construction.
+//
+//catcam:snapshot
+type careLines struct {
+	order []uint16 //catcam:immutable
+	lines []uint64 //catcam:immutable
+}
+
 // SnapshotView freezes the array's current search state into an
 // immutable view. Every line is copied; the returned view stays valid
 // (and constant) across later writes to the array. Not a modeled
 // hardware access: no cycle or energy accounting.
 func (t *TernaryArray) SnapshotView() *TernaryView {
-	n := 0
-	for _, c := range t.cares {
-		if c > 0 {
-			n++
-		}
+	return t.SnapshotViewSharing(nil)
+}
+
+// SnapshotViewSharing is SnapshotView that takes the position order and
+// the line slab from prev (the previous view of this array, or nil)
+// when they are still the array's: when prev lists the order the
+// stored-care counts give now and every line it holds equals the live
+// one. A delete changes neither, so its view copies only the valid
+// mask, the counts and the filter bitmap. The decision compares
+// contents, so a shared view is byte-identical to a fresh freeze.
+func (t *TernaryArray) SnapshotViewSharing(prev *TernaryView) *TernaryView {
+	var walk careLines
+	if prev != nil && prev.rows == t.params.Rows && prev.width == t.Width() &&
+		t.isCareOrder(prev.walk.order) && t.linesEqual(prev.walk) {
+		walk = prev.walk
+	} else {
+		walk = t.freezeLines()
 	}
-	order, counts := make([]uint16, n), make([]uint16, n)
-	t.careOrder(order)
-	for i, pos := range order {
+	counts := make([]uint16, len(walk.order))
+	for i, pos := range walk.order {
 		counts[i] = uint16(t.cares[pos])
 	}
-	width := t.Width()
-	blocks := len(t.planes) / (width * lineWords)
-	lines := make([]uint64, blocks*n*lineWords)
-	for b := 0; b < blocks; b++ {
-		for i, pos := range order {
-			from, to := (b*width+int(pos))*lineWords, (b*n+i)*lineWords
-			copy(lines[to:to+lineWords], t.planes[from:from+lineWords])
-		}
-	}
-	valid := make([]uint64, blocks*blockWords)
+	valid := make([]uint64, len(t.planes)/(t.Width()*lineWords)*blockWords)
 	copy(valid, t.valid.Words())
 	return &TernaryView{
-		params:     t.params,
-		subarrays:  t.subarrays,
-		rowWords:   len(t.valid.Words()),
-		order:      order,
+		rows:       t.params.Rows,
+		width:      t.Width(),
+		walk:       walk,
 		counts:     counts,
-		lines:      lines,
 		valid:      valid,
 		filter:     t.filterSet(),
 		sel:        t.sel,
@@ -91,44 +106,124 @@ func (t *TernaryArray) SnapshotView() *TernaryView {
 	}
 }
 
+// freezeLines copies the positions stored rows care at, in careOrder,
+// and their lines out of the planes.
+func (t *TernaryArray) freezeLines() careLines {
+	n := t.caredPositions()
+	order := make([]uint16, n)
+	t.careOrder(order)
+	width := t.Width()
+	lines := make([]uint64, len(t.planes)/width*n)
+	for b := 0; b*width*lineWords < len(t.planes); b++ {
+		for i, pos := range order {
+			from, to := (b*width+int(pos))*lineWords, (b*n+i)*lineWords
+			copy(lines[to:to+lineWords], t.planes[from:from+lineWords])
+		}
+	}
+	return careLines{order: order, lines: lines}
+}
+
+// caredPositions returns the number of positions at least one stored
+// row cares at.
+func (t *TernaryArray) caredPositions() int {
+	n := 0
+	for _, c := range t.stored {
+		if c > 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // careOrder fills order, sized to the number of positions at least one
-// valid entry cares at, with those positions by falling care count and,
-// among equal counts, most significant first: a counting sort, since a
-// count is at most Rows.
+// stored row cares at, with those positions by falling stored-care
+// count and, among equal counts, most significant first: a counting
+// sort, since a count is at most Rows.
 func (t *TernaryArray) careOrder(order []uint16) {
 	var small [blockRows + 1]int32
 	first := small[:]
 	if t.params.Rows >= len(small) {
 		first = make([]int32, t.params.Rows+1)
 	}
-	for _, c := range t.cares {
+	for _, c := range t.stored {
 		first[c]++
 	}
 	// first[c] becomes the order index of the first position cared at
-	// by exactly c entries.
+	// by exactly c stored rows.
 	next := int32(0)
 	for c := t.params.Rows; c > 0; c-- {
 		first[c], next = next, next+first[c]
 	}
-	for pos := len(t.cares) - 1; pos >= 0; pos-- {
-		if c := t.cares[pos]; c > 0 {
+	for pos := len(t.stored) - 1; pos >= 0; pos-- {
+		if c := t.stored[pos]; c > 0 {
 			order[first[c]] = uint16(pos)
 			first[c]++
 		}
 	}
 }
 
+// isCareOrder reports whether order is what careOrder would produce
+// now, without building it: order must list as many positions as
+// stored rows care at, each cared at, by strictly falling (count,
+// position). Strictness makes the listed positions distinct, so they
+// are exactly the cared-at ones, in the one order careOrder gives.
+func (t *TernaryArray) isCareOrder(order []uint16) bool {
+	if t.caredPositions() != len(order) {
+		return false
+	}
+	for i, pos := range order {
+		c := t.stored[pos]
+		if c == 0 {
+			return false
+		}
+		if i > 0 {
+			if p := order[i-1]; t.stored[p] < c || t.stored[p] == c && p < pos {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// linesEqual reports whether every line of w equals the live planes at
+// the position it is listed for.
+func (t *TernaryArray) linesEqual(w careLines) bool {
+	width, n := t.Width(), len(w.order)
+	for b := 0; b*width*lineWords < len(t.planes); b++ {
+		for i, pos := range w.order {
+			from, at := (b*width+int(pos))*lineWords, (b*n+i)*lineWords
+			if *(*[lineWords]uint64)(t.planes[from:]) != *(*[lineWords]uint64)(w.lines[at:]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// SharesSearchState reports whether v and o hold the same position
+// order and line slab in memory, not merely equal ones: what a freeze
+// that took both from the previous view hands back. Test support.
+func (v *TernaryView) SharesSearchState(o *TernaryView) bool {
+	return sameBacking(v.walk.order, o.walk.order) && sameBacking(v.walk.lines, o.walk.lines)
+}
+
+// sameBacking reports whether a and b are the same slice of the same
+// array.
+func sameBacking[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
 // Rows returns the entry capacity.
-func (v *TernaryView) Rows() int { return v.params.Rows }
+func (v *TernaryView) Rows() int { return v.rows }
 
 // RowWords returns the accumulator length SearchInto requires.
-func (v *TernaryView) RowWords() int { return v.rowWords }
+func (v *TernaryView) RowWords() int { return (v.rows + 63) / 64 }
 
 // ValidCount returns the number of valid entries at snapshot time.
 func (v *TernaryView) ValidCount() int { return v.validCount }
 
 // Width returns the ternary key width (positions) the view matches.
-func (v *TernaryView) Width() int { return v.params.Cols * v.subarrays }
+func (v *TernaryView) Width() int { return v.width }
 
 // CareCount returns the number of cared (non-wildcard) ternary
 // positions summed over the valid entries. Paired with ValidCount and
@@ -153,7 +248,7 @@ func (v *TernaryView) CarePerPosition(dst []uint64) []uint64 {
 	for pos := 0; pos < v.Width(); pos++ {
 		dst = append(dst, 0)
 	}
-	for i, pos := range v.order {
+	for i, pos := range v.walk.order {
 		dst[base+int(pos)] = uint64(v.counts[i])
 	}
 	return dst
@@ -194,16 +289,17 @@ func (v *TernaryView) SearchInto(dst *bitvec.Vector, acc []uint64, k ternary.Key
 	if k.Width() != v.Width() {
 		panic(fmt.Sprintf("sram: key width %d != %d", k.Width(), v.Width()))
 	}
-	acc = acc[:v.rowWords]
+	acc = acc[:v.RowWords()]
 	v.Charge(st)
 
 	kw := k.Words()
-	n := len(v.order)
+	order := v.walk.order
+	n := len(order)
 	for b := 0; b*blockWords < len(v.valid); b++ {
 		vw := (*[blockWords]uint64)(v.valid[b*blockWords:])
 		a0, a1, a2, a3 := vw[0], vw[1], vw[2], vw[3]
-		lines := v.lines[b*n*lineWords:]
-		for i, pos := range v.order {
+		lines := v.walk.lines[b*n*lineWords:]
+		for i, pos := range order {
 			if a0|a1|a2|a3 == 0 {
 				break
 			}
@@ -224,47 +320,75 @@ func (v *TernaryView) SearchInto(dst *bitvec.Vector, acc []uint64, k ternary.Key
 	return dst.LoadWords(acc)
 }
 
-// MatrixView is an immutable snapshot of a square priority matrix: a
-// copy of the array's flat row slab. All fields are written only at
-// construction.
+// MatrixView is an immutable snapshot of a square priority matrix: the
+// array's chunk table (see Array), each chunk either copied when the
+// view was frozen or shared with the previous view of the matrix. All
+// fields are written only at construction, and nothing writes a chunk
+// once a view holds it.
 //
 //catcam:snapshot
 type MatrixView struct {
 	params Params
-	rows   []uint64 //catcam:immutable
+	chunks []*[ChunkRows]uint64 //catcam:immutable
 }
 
 // SnapshotView freezes the matrix's current contents into an immutable
-// view with one copy of the row slab; later WriteRow/WriteColumn calls
+// view holding a copy of every chunk; later WriteRow/WriteColumn calls
 // on the array cannot reach it. Not a modeled hardware access.
 func (a *Array) SnapshotView() *MatrixView {
 	return a.SnapshotViewSharing(nil)
 }
 
-// SnapshotViewSharing is SnapshotView that returns prev itself when prev
-// (nil for none) already holds the array's current contents, so a
-// publisher whose update left the matrix alone — a delete never writes
-// it — shares the previous epoch's view instead of copying it. The
-// decision is one compare of the row slab, so a shared view is
-// byte-identical to a fresh freeze.
+// SnapshotViewSharing is SnapshotView that shares with prev (the
+// previous view of the matrix, or nil) every chunk whose contents are
+// unchanged, copying only the chunks a write changed, and returns prev
+// itself when none did — a delete never writes the matrix, and an
+// insert's row and column writes change at most 19 of a 256×256
+// matrix's 64 chunks. The decision compares chunk contents, so a view that shares
+// is byte-identical to a fresh freeze.
 func (a *Array) SnapshotViewSharing(prev *MatrixView) *MatrixView {
 	if a.params.Rows != a.params.Cols {
 		panic("sram: MatrixView requires a square array")
 	}
-	if prev != nil && prev.params == a.params && slices.Equal(prev.rows, a.bits) {
+	if prev != nil && prev.params != a.params {
+		prev = nil
+	}
+	var chunks []*[ChunkRows]uint64
+	for k, live := range a.chunks {
+		if prev != nil && *prev.chunks[k] == *live {
+			continue
+		}
+		if chunks == nil {
+			chunks = make([]*[ChunkRows]uint64, len(a.chunks))
+			if prev != nil {
+				copy(chunks, prev.chunks)
+			}
+		}
+		c := *live
+		chunks[k] = &c
+	}
+	if chunks == nil {
 		return prev
 	}
-	return &MatrixView{params: a.params, rows: append([]uint64(nil), a.bits...)}
+	return &MatrixView{params: a.params, chunks: chunks}
+}
+
+// SharesChunk reports whether v and o hold the chunk with bit (r, c) in
+// the same memory, not merely equal ones: what a freeze that shared it
+// with the previous view hands back. Test support.
+func (v *MatrixView) SharesChunk(o *MatrixView, r, c int) bool {
+	k := r/ChunkRows*((v.params.Cols+63)/64) + c/64
+	return v.chunks[k] == o.chunks[k]
 }
 
 // Rows returns the matrix dimension.
 func (v *MatrixView) Rows() int { return v.params.Rows }
 
 // ColumnNORInto runs the in-memory priority decision over the frozen
-// rows: identical semantics and accounting to Array.ColumnNORInto,
+// chunks: identical semantics and accounting to Array.ColumnNORInto,
 // with the statistics landing in st, the caller's private accumulator.
 //
 //catcam:hotpath
 func (v *MatrixView) ColumnNORInto(dst, active *bitvec.Vector, st *Stats) *bitvec.Vector {
-	return columnNOR(v.params, v.rows, dst, active, st)
+	return columnNOR(v.params, v.chunks, dst, active, st)
 }
