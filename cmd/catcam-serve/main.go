@@ -145,6 +145,7 @@ import (
 	"catcam/internal/cluster"
 	"catcam/internal/core"
 	"catcam/internal/flightrec"
+	"catcam/internal/flowtable"
 	"catcam/internal/ingress"
 	"catcam/internal/rules"
 	"catcam/internal/slo"
@@ -237,22 +238,6 @@ func main() {
 	}
 }
 
-// engine is the slice of *core.Device and *cluster.Cluster the serve
-// loop needs; both satisfy it unchanged.
-type engine interface {
-	InsertRule(rules.Rule) (core.UpdateResult, error)
-	DeleteRule(ruleID int) (core.UpdateResult, error)
-	LookupHeaderBatchTraced(tr *trace.Trace, hs []rules.Header, dst []core.LookupResult) []core.LookupResult
-	Epoch() uint64
-	AttachTelemetry(reg *telemetry.Registry, ring *telemetry.EventRing, labels telemetry.Labels)
-	AttachTracer(tt *trace.Tracer)
-	AttachAuditor(aud *flightrec.Auditor)
-	AuditSweep() flightrec.SweepInfo
-	ResetStats()
-	DeriveStructure(dst *core.Structure) *core.Structure
-	OnStatsReset(fn func())
-}
-
 func run(o options) error {
 	var fam classbench.Family
 	switch strings.ToUpper(o.family) {
@@ -275,7 +260,9 @@ func run(o options) error {
 		Subtables: o.subtables, SubtableCapacity: o.slots,
 		KeyWidth: 160, FrequencyMHz: 500,
 	}
-	var eng engine
+	// eng is the device or the cluster, through the surface a flow
+	// table uses for either.
+	var eng flowtable.Backend
 	var cl *cluster.Cluster
 	var dev *core.Device
 	if o.shards >= 2 {
@@ -726,7 +713,7 @@ func writeFinalArtifacts(dir string, snap any, st slo.Status, tracer *trace.Trac
 
 // finalAudit runs one last sweep after the churn drains and reports the
 // verdict: any violation observed during the run fails the process.
-func finalAudit(eng engine, aud *flightrec.Auditor, shadows []*flightrec.Shadow) error {
+func finalAudit(eng flowtable.Backend, aud *flightrec.Auditor, shadows []*flightrec.Shadow) error {
 	info := eng.AuditSweep()
 	fmt.Printf("catcam-serve: final sweep: %d checks in %.1fms\n", info.Checks, info.DurationMs)
 	for i, sh := range shadows {
@@ -751,7 +738,7 @@ func finalAudit(eng engine, aud *flightrec.Auditor, shadows []*flightrec.Shadow)
 // priority (classbench.UpdateTraceFresh semantics, generated online so
 // the stream never ends), plus one lookup.
 type churner struct {
-	eng     engine
+	eng     flowtable.Backend
 	rng     *rand.Rand
 	live    []rules.Rule
 	deleted []rules.Rule
@@ -768,7 +755,7 @@ type churner struct {
 	lookupHist *telemetry.Histogram
 }
 
-func newChurner(eng engine, fam classbench.Family, size int, seed int64) (*churner, error) {
+func newChurner(eng flowtable.Backend, fam classbench.Family, size int, seed int64) (*churner, error) {
 	rs := classbench.Generate(classbench.Config{Family: fam, Size: size, Seed: seed})
 	c := &churner{
 		eng:     eng,

@@ -536,16 +536,7 @@ func (c *Cluster) ShardEntries() []int {
 func (c *Cluster) Stats() core.Stats {
 	var total core.Stats
 	for _, s := range c.shards {
-		st := s.Stats()
-		total.Lookups += st.Lookups
-		total.Inserts += st.Inserts
-		total.Deletes += st.Deletes
-		total.Reallocations += st.Reallocations
-		total.DirectInserts += st.DirectInserts
-		total.ReallocInserts += st.ReallocInserts
-		total.UpdateCycles += st.UpdateCycles
-		total.LookupCycles += st.LookupCycles
-		total.FreshSubtables += st.FreshSubtables
+		total.Add(s.Stats())
 	}
 	return total
 }

@@ -12,11 +12,10 @@ import "catcam/internal/core"
 // publication progress.
 
 // DeriveStructure derives every shard's structural state and merges
-// them into dst (allocated when nil): entry/capacity/churn sums, a
-// capacity-weighted fragmentation index, per-shard epochs, and the
-// concatenated subtable list with Shard and dense heatmap Index set.
-// Lock-free with respect to classify and update traffic — each shard
-// derive is one atomic snapshot load plus frozen-view traversal.
+// them into dst (allocated when nil) with core.Structure.Merge, each
+// shard's subtables tagged with their shard. Lock-free with respect to
+// classify and update traffic — each shard derive is one atomic
+// snapshot load plus frozen-view traversal.
 func (c *Cluster) DeriveStructure(dst *core.Structure) *core.Structure {
 	if dst == nil {
 		dst = &core.Structure{}
@@ -26,67 +25,11 @@ func (c *Cluster) DeriveStructure(dst *core.Structure) *core.Structure {
 	if c.shardStructs == nil {
 		c.shardStructs = make([]core.Structure, len(c.shards))
 	}
-	shardEpochs, subtables := dst.ShardEpochs[:0], dst.Subtables[:0]
-	*dst = core.Structure{ShardEpochs: shardEpochs, Subtables: subtables}
-
-	var weightedFrag float64
-	offset := 0
+	dst.Reset()
 	for i, s := range c.shards {
-		sh := s.DeriveStructure(&c.shardStructs[i])
-		dst.ShardEpochs = append(dst.ShardEpochs, sh.Epoch)
-		if sh.Epoch > dst.Epoch {
-			dst.Epoch = sh.Epoch
-		}
-		dst.Entries += sh.Entries
-		dst.Capacity += sh.Capacity
-		dst.TotalSubtables += sh.TotalSubtables
-		dst.SubtableCapacity = sh.SubtableCapacity
-		dst.ActiveSubtables += sh.ActiveSubtables
-		dst.FreeSubtables += sh.FreeSubtables
-		dst.FullSubtables += sh.FullSubtables
-		if sh.MaxFullRun > dst.MaxFullRun {
-			dst.MaxFullRun = sh.MaxFullRun
-		}
-		dst.CareBits += sh.CareBits
-		dst.TernaryBits += sh.TernaryBits
-		dst.MatchRowWrites += sh.MatchRowWrites
-		dst.PrioRowWrites += sh.PrioRowWrites
-		dst.PrioColWrites += sh.PrioColWrites
-		dst.GlobalRowWrites += sh.GlobalRowWrites
-		dst.GlobalColWrites += sh.GlobalColWrites
-
-		dst.Churn.Publishes += sh.Churn.Publishes
-		dst.Churn.ViewsRebuilt += sh.Churn.ViewsRebuilt
-		dst.Churn.ViewsShared += sh.Churn.ViewsShared
-		dst.Churn.GlobalRebuilds += sh.Churn.GlobalRebuilds
-		dst.Churn.ScratchAllocs += sh.Churn.ScratchAllocs
-		dst.Churn.ScratchBatches += sh.Churn.ScratchBatches
-
-		dst.Ops.Lookups += sh.Ops.Lookups
-		dst.Ops.Inserts += sh.Ops.Inserts
-		dst.Ops.Deletes += sh.Ops.Deletes
-		dst.Ops.Reallocations += sh.Ops.Reallocations
-		dst.Ops.DirectInserts += sh.Ops.DirectInserts
-		dst.Ops.ReallocInserts += sh.Ops.ReallocInserts
-		dst.Ops.UpdateCycles += sh.Ops.UpdateCycles
-		dst.Ops.LookupCycles += sh.Ops.LookupCycles
-		dst.Ops.FreshSubtables += sh.Ops.FreshSubtables
-
-		weightedFrag += sh.FragIndex * float64(sh.Capacity)
-		for _, sub := range sh.Subtables {
-			sub.Shard = i
-			sub.Index = offset + sub.ID
-			dst.Subtables = append(dst.Subtables, sub)
-		}
-		offset += sh.TotalSubtables
+		dst.Merge(s.DeriveStructure(&c.shardStructs[i]), i, -1)
 	}
-	if dst.Capacity > 0 {
-		dst.Occupancy = float64(dst.Entries) / float64(dst.Capacity)
-		dst.FragIndex = weightedFrag / float64(dst.Capacity)
-	}
-	if dst.TernaryBits > 0 {
-		dst.CareDensity = float64(dst.CareBits) / float64(dst.TernaryBits)
-	}
+	dst.Finish()
 	return dst
 }
 

@@ -108,10 +108,7 @@ func (c *Cluster) AuditSweep() flightrec.SweepInfo {
 	}
 	var total flightrec.SweepInfo
 	for _, s := range c.shards {
-		info := s.AuditSweep()
-		total.Checks += info.Checks
-		total.Violations += info.Violations
-		total.DurationMs += info.DurationMs
+		total.Add(s.AuditSweep())
 	}
 	c.mu.RLock()
 	err := c.routingInvariant()

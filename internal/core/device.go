@@ -118,6 +118,20 @@ type Stats struct {
 	FreshSubtables uint64 // subtables assigned at runtime
 }
 
+// Add adds o's counters to s: a cluster's or pipeline's statistics are
+// the sums of its devices'.
+func (s *Stats) Add(o Stats) {
+	s.Lookups += o.Lookups
+	s.Inserts += o.Inserts
+	s.Deletes += o.Deletes
+	s.Reallocations += o.Reallocations
+	s.DirectInserts += o.DirectInserts
+	s.ReallocInserts += o.ReallocInserts
+	s.UpdateCycles += o.UpdateCycles
+	s.LookupCycles += o.LookupCycles
+	s.FreshSubtables += o.FreshSubtables
+}
+
 // location records where an entry lives.
 type location struct {
 	st   int

@@ -59,6 +59,15 @@ type StructuralChurn struct {
 	ScratchBatches uint64 `json:"scratch_batches"`
 }
 
+func (c *StructuralChurn) add(o StructuralChurn) {
+	c.Publishes += o.Publishes
+	c.ViewsRebuilt += o.ViewsRebuilt
+	c.ViewsShared += o.ViewsShared
+	c.GlobalRebuilds += o.GlobalRebuilds
+	c.ScratchAllocs += o.ScratchAllocs
+	c.ScratchBatches += o.ScratchBatches
+}
+
 // SubtableStructure is the derived structural state of one active
 // subtable, as of one published epoch.
 type SubtableStructure struct {
@@ -100,9 +109,12 @@ type SubtableStructure struct {
 // DeriveStructure truncates and refills the slices in place, so a
 // steady-state sampling loop allocates nothing.
 type Structure struct {
-	// Epoch is the published epoch the observation derives from.
-	// ShardEpochs carries per-shard epochs after cluster aggregation
-	// (nil for a standalone device).
+	// Epoch is the published epoch the observation derives from; after
+	// cluster or pipeline aggregation it is the highest part's epoch,
+	// not the sum Cluster.Epoch and Pipeline.Epoch return. ShardEpochs
+	// lists the parts' epochs: one per shard for a cluster, and for a
+	// pipeline one per single-device table or per shard of a sharded
+	// table, in pipeline order (nil for a standalone device).
 	Epoch       uint64   `json:"epoch"`
 	ShardEpochs []uint64 `json:"shard_epochs,omitempty"`
 
@@ -150,11 +162,69 @@ type Structure struct {
 	Subtables []SubtableStructure `json:"subtables"`
 }
 
-// reset truncates the reusable slices and zeroes the scalar fields.
-func (s *Structure) reset() {
+// Reset truncates the reusable slices and zeroes the scalar fields.
+func (s *Structure) Reset() {
 	s.ShardEpochs = s.ShardEpochs[:0]
 	s.Subtables = s.Subtables[:0]
 	*s = Structure{ShardEpochs: s.ShardEpochs, Subtables: s.Subtables}
+}
+
+// Merge folds part, one shard's or one table's derivation, into the
+// composite s. Counts, write pressure, Churn and Ops add up;
+// MaxFullRun, SubtableCapacity and Epoch keep the largest part's.
+// ShardEpochs gains the part's own ShardEpochs, or its Epoch when it
+// has none. The part's subtables are appended with Index shifted past
+// the TotalSubtables merged so far, and tagged with shard and table
+// where those are >= 0 (-1 keeps the part's own tag). Until Finish,
+// FragIndex holds the capacity-weighted sum of the parts' indices.
+// Start from a Reset Structure and call Finish after the last part.
+func (s *Structure) Merge(part *Structure, shard, table int) {
+	s.Epoch = max(s.Epoch, part.Epoch)
+	if len(part.ShardEpochs) > 0 {
+		s.ShardEpochs = append(s.ShardEpochs, part.ShardEpochs...)
+	} else {
+		s.ShardEpochs = append(s.ShardEpochs, part.Epoch)
+	}
+	for _, sub := range part.Subtables {
+		sub.Index += s.TotalSubtables
+		if shard >= 0 {
+			sub.Shard = shard
+		}
+		if table >= 0 {
+			sub.Table = table
+		}
+		s.Subtables = append(s.Subtables, sub)
+	}
+	s.Entries += part.Entries
+	s.Capacity += part.Capacity
+	s.TotalSubtables += part.TotalSubtables
+	s.SubtableCapacity = max(s.SubtableCapacity, part.SubtableCapacity)
+	s.ActiveSubtables += part.ActiveSubtables
+	s.FreeSubtables += part.FreeSubtables
+	s.FullSubtables += part.FullSubtables
+	s.FragIndex += part.FragIndex * float64(part.Capacity)
+	s.MaxFullRun = max(s.MaxFullRun, part.MaxFullRun)
+	s.CareBits += part.CareBits
+	s.TernaryBits += part.TernaryBits
+	s.MatchRowWrites += part.MatchRowWrites
+	s.PrioRowWrites += part.PrioRowWrites
+	s.PrioColWrites += part.PrioColWrites
+	s.GlobalRowWrites += part.GlobalRowWrites
+	s.GlobalColWrites += part.GlobalColWrites
+	s.Churn.add(part.Churn)
+	s.Ops.Add(part.Ops)
+}
+
+// Finish computes the composite's ratios once every part is merged:
+// Occupancy, the capacity-weighted FragIndex and CareDensity.
+func (s *Structure) Finish() {
+	if s.Capacity > 0 {
+		s.Occupancy = float64(s.Entries) / float64(s.Capacity)
+		s.FragIndex /= float64(s.Capacity)
+	}
+	if s.TernaryBits > 0 {
+		s.CareDensity = float64(s.CareBits) / float64(s.TernaryBits)
+	}
 }
 
 // DeriveStructure derives the device's structural state from the
@@ -171,7 +241,7 @@ func (d *Device) DeriveStructure(dst *Structure) *Structure {
 		dst = &Structure{} //catcam:allow alloc "nil-dst convenience; sampling loops pass a reused Structure"
 	}
 	s := d.snap.Load()
-	dst.reset()
+	dst.Reset()
 	dst.Epoch = s.epoch
 	dst.Entries = s.count
 	dst.TotalSubtables = s.cfg.Subtables

@@ -116,6 +116,16 @@ type SweepInfo struct {
 	UnixNano   int64   `json:"unix_nano"`
 }
 
+// Add folds o, the sweep of one part of a cluster or pipeline, into
+// s: checks, violations and duration add up, and UnixNano keeps the
+// later stamp.
+func (s *SweepInfo) Add(o SweepInfo) {
+	s.Checks += o.Checks
+	s.Violations += o.Violations
+	s.DurationMs += o.DurationMs
+	s.UnixNano = max(s.UnixNano, o.UnixNano)
+}
+
 // Auditor collects invariant check outcomes: per-invariant check and
 // violation counters (exported as catcam_audit_checks_total /
 // catcam_audit_violations_total{invariant=...}), a bounded ring of the

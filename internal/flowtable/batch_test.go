@@ -23,7 +23,7 @@ func batchHeaders() []rules.Header {
 func TestClassifyBatchMatchesClassify(t *testing.T) {
 	p := buildPipeline(t)
 	headers := batchHeaders()
-	got := p.ClassifyBatch(headers, nil)
+	got := p.ClassifyBatch(nil, headers, nil)
 	if len(got) != len(headers) {
 		t.Fatalf("batch returned %d actions for %d headers", len(got), len(headers))
 	}
@@ -38,7 +38,7 @@ func TestClassifyBatchMatchesClassify(t *testing.T) {
 	}
 	// Appending to a non-empty dst preserves the prefix.
 	dst := []int{42}
-	dst = p.ClassifyBatch(headers[:2], dst)
+	dst = p.ClassifyBatch(nil, headers[:2], dst)
 	if dst[0] != 42 || len(dst) != 3 {
 		t.Fatalf("dst prefix clobbered: %v", dst)
 	}
@@ -51,9 +51,9 @@ func TestClassifyBatchAllocFree(t *testing.T) {
 	p := buildPipeline(t)
 	headers := batchHeaders()
 	dst := make([]int, 0, len(headers))
-	p.ClassifyBatch(headers, dst[:0]) // warm up device scratch
+	p.ClassifyBatch(nil, headers, dst[:0]) // warm up device scratch
 	if n := testing.AllocsPerRun(20, func() {
-		dst = p.ClassifyBatch(headers, dst[:0])
+		dst = p.ClassifyBatch(nil, headers, dst[:0])
 	}); n != 0 {
 		t.Errorf("ClassifyBatch allocates %.1f/op", n)
 	}

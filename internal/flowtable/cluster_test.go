@@ -43,7 +43,7 @@ func TestClusterBackedPipeline(t *testing.T) {
 		if a, _, err := p.Classify(rules.Header{SrcIP: 0xC0A80101}); err != nil || a != 7 {
 			t.Fatalf("other traffic: action=%d err=%v", a, err)
 		}
-		got := p.ClassifyBatch([]rules.Header{
+		got := p.ClassifyBatch(nil, []rules.Header{
 			{SrcIP: 0x0A666601}, {SrcIP: 0x0A010203}, {SrcIP: 0xC0A80101},
 		}, nil)
 		want := []int{Drop, 7, 7}

@@ -58,7 +58,7 @@ func TestFlightRecorderAcrossTables(t *testing.T) {
 		}
 	}
 	hdrs := []rules.Header{{SrcIP: 0x0A666601}, {SrcIP: 0x0B010101}, {SrcIP: 0x0A020202}}
-	p.ClassifyBatch(hdrs, nil)
+	p.ClassifyBatch(nil, hdrs, nil)
 
 	// Churn: remove and reinstall through the pipeline so deletes are
 	// mirrored too.

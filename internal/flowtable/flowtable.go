@@ -32,9 +32,9 @@ import (
 )
 
 // Backend is the match-stage engine behind one flow table: the
-// intersection of *core.Device and *cluster.Cluster the pipeline
-// needs. Both satisfy it unchanged, so a pipeline can mix single-device
-// tables with sharded ones.
+// surface *core.Device and *cluster.Cluster share. Both satisfy it
+// unchanged, so a pipeline can mix single-device tables with sharded
+// ones, and catcam-serve drives either through it.
 type Backend interface {
 	InsertRule(rules.Rule) (core.UpdateResult, error)
 	DeleteRule(ruleID int) (core.UpdateResult, error)
@@ -44,6 +44,7 @@ type Backend interface {
 	AttachAuditor(aud *flightrec.Auditor)
 	AuditSweep() flightrec.SweepInfo
 	Stats() core.Stats
+	ResetStats()
 	CheckInvariant() error
 	// Epoch returns the backend's published-snapshot epoch stamp: a
 	// monotonic counter that advances on every rule change (see
@@ -125,12 +126,12 @@ type TableConfig struct {
 
 // Pipeline is an ordered set of flow tables.
 //
-// The classify paths (Classify, ClassifyBatch, ClassifyBatchTraced)
-// are safe for concurrent use — each call checks its working set out
-// of a sync.Pool, the instruction map is read under a shared lock, and
-// the backing devices classify lock-free — and may also run
-// concurrently with Install/Remove. Construction-time wiring
-// (Attach*) still requires a quiescent pipeline.
+// The classify paths (Classify and ClassifyBatch) are safe for
+// concurrent use — each call checks its working set out of a
+// sync.Pool, the instruction map is read under a shared lock, and the
+// backing devices classify lock-free — and may also run concurrently
+// with Install/Remove. Construction-time wiring (Attach*) still
+// requires a quiescent pipeline.
 type Pipeline struct {
 	tables map[int]*table
 	order  []int
@@ -248,10 +249,7 @@ func (p *Pipeline) AttachShadows(mk func(tableID int) *flightrec.Shadow) {
 func (p *Pipeline) AuditSweep() flightrec.SweepInfo {
 	var total flightrec.SweepInfo
 	for _, id := range p.order {
-		info := p.tables[id].dev.AuditSweep()
-		total.Checks += info.Checks
-		total.Violations += info.Violations
-		total.DurationMs += info.DurationMs
+		total.Add(p.tables[id].dev.AuditSweep())
 	}
 	return total
 }
@@ -424,22 +422,16 @@ func (p *Pipeline) Classify(h rules.Header) (int, []Trace, error) {
 // (lock-free on the device side), and survivors move strictly
 // forward. Safe for concurrent use — each call checks its own working
 // set out of the pipeline's scratch pool — and with a reused dst the
-// call allocates nothing at steady state. Traces are not collected;
-// use Classify for per-packet diagnostics.
-func (p *Pipeline) ClassifyBatch(hs []rules.Header, dst []int) []int {
-	return p.ClassifyBatchTraced(nil, hs, dst)
-}
-
-// ClassifyBatchTraced is ClassifyBatch recording spans for one sampled
-// batch into tr: one table_classify span per table wave (all packets
-// parked at that table classified in one batched backend call), with
-// the backend's own dispatch/shard/kernel spans beneath it. A nil tr is
-// exactly ClassifyBatch — the untraced path adds two nil tests per wave.
-// (Like ClassifyBatch, this is not a hotpath analyzer root: the
-// backend calls go through the Backend interface, which the analyzer
-// cannot prove through; the proven roots are the concrete device and
-// cluster batch lookups underneath.)
-func (p *Pipeline) ClassifyBatchTraced(tr *tracepkg.Trace, hs []rules.Header, dst []int) []int {
+// call allocates nothing at steady state. Per-packet traces are not
+// collected; use Classify for those.
+//
+// A non-nil tr records spans for one sampled batch: one table_classify
+// span per table wave, with the backend's own dispatch/shard/kernel
+// spans beneath it. A nil tr adds two nil tests per wave. (This is not
+// a hotpath analyzer root: the backend calls go through the Backend
+// interface, which the analyzer cannot prove through; the proven roots
+// are the concrete device and cluster batch lookups underneath.)
+func (p *Pipeline) ClassifyBatch(tr *tracepkg.Trace, hs []rules.Header, dst []int) []int {
 	dst, _ = p.wave(tr, hs, dst, nil) // a vanished goto target drops the packet
 	return dst
 }
@@ -539,16 +531,7 @@ func (p *Pipeline) wave(tr *tracepkg.Trace, hs []rules.Header, dst []int, visits
 func (p *Pipeline) UpdateStats() core.Stats {
 	var total core.Stats
 	for _, id := range p.order {
-		s := p.tables[id].dev.Stats()
-		total.Lookups += s.Lookups
-		total.Inserts += s.Inserts
-		total.Deletes += s.Deletes
-		total.Reallocations += s.Reallocations
-		total.DirectInserts += s.DirectInserts
-		total.ReallocInserts += s.ReallocInserts
-		total.UpdateCycles += s.UpdateCycles
-		total.LookupCycles += s.LookupCycles
-		total.FreshSubtables += s.FreshSubtables
+		total.Add(p.tables[id].dev.Stats())
 	}
 	return total
 }

@@ -13,17 +13,17 @@ import (
 // onto a dense pipeline-wide heatmap row (tables in pipeline order)
 // and tagged with their table ID.
 
-// structState holds the pipeline's reusable per-table derive buffers.
+// structState holds the pipeline's reusable per-table derive buffers,
+// indexed by position in pipeline order.
 type structState struct {
 	mu      sync.Mutex
-	scratch map[int]*core.Structure //catcam:guarded-by mu
+	scratch []core.Structure //catcam:guarded-by mu
 }
 
 // DeriveStructure derives every table's backend structure and merges
-// them into dst (allocated when nil), summing counters, weighting the
-// fragmentation index by capacity, and concatenating subtable lists
-// with Table set and Index shifted onto a dense pipeline-wide row.
-// Lock-free with respect to classify and update traffic.
+// them into dst (allocated when nil) with core.Structure.Merge, each
+// table's subtables tagged with its table ID. Lock-free with respect
+// to classify and update traffic.
 func (p *Pipeline) DeriveStructure(dst *core.Structure) *core.Structure {
 	if dst == nil {
 		dst = &core.Structure{}
@@ -31,78 +31,13 @@ func (p *Pipeline) DeriveStructure(dst *core.Structure) *core.Structure {
 	p.structs.mu.Lock()
 	defer p.structs.mu.Unlock()
 	if p.structs.scratch == nil {
-		p.structs.scratch = make(map[int]*core.Structure, len(p.order))
+		p.structs.scratch = make([]core.Structure, len(p.order))
 	}
-	shardEpochs, subtables := dst.ShardEpochs[:0], dst.Subtables[:0]
-	*dst = core.Structure{ShardEpochs: shardEpochs, Subtables: subtables}
-
-	var weightedFrag float64
-	offset := 0
-	for _, id := range p.order {
-		buf := p.structs.scratch[id]
-		if buf == nil {
-			buf = &core.Structure{}
-			p.structs.scratch[id] = buf
-		}
-		ts := p.tables[id].dev.DeriveStructure(buf)
-		if ts.Epoch > dst.Epoch {
-			dst.Epoch = ts.Epoch
-		}
-		if len(ts.ShardEpochs) > 0 {
-			dst.ShardEpochs = append(dst.ShardEpochs, ts.ShardEpochs...)
-		} else {
-			dst.ShardEpochs = append(dst.ShardEpochs, ts.Epoch)
-		}
-		dst.Entries += ts.Entries
-		dst.Capacity += ts.Capacity
-		dst.TotalSubtables += ts.TotalSubtables
-		dst.SubtableCapacity = ts.SubtableCapacity
-		dst.ActiveSubtables += ts.ActiveSubtables
-		dst.FreeSubtables += ts.FreeSubtables
-		dst.FullSubtables += ts.FullSubtables
-		if ts.MaxFullRun > dst.MaxFullRun {
-			dst.MaxFullRun = ts.MaxFullRun
-		}
-		dst.CareBits += ts.CareBits
-		dst.TernaryBits += ts.TernaryBits
-		dst.MatchRowWrites += ts.MatchRowWrites
-		dst.PrioRowWrites += ts.PrioRowWrites
-		dst.PrioColWrites += ts.PrioColWrites
-		dst.GlobalRowWrites += ts.GlobalRowWrites
-		dst.GlobalColWrites += ts.GlobalColWrites
-
-		dst.Churn.Publishes += ts.Churn.Publishes
-		dst.Churn.ViewsRebuilt += ts.Churn.ViewsRebuilt
-		dst.Churn.ViewsShared += ts.Churn.ViewsShared
-		dst.Churn.GlobalRebuilds += ts.Churn.GlobalRebuilds
-		dst.Churn.ScratchAllocs += ts.Churn.ScratchAllocs
-		dst.Churn.ScratchBatches += ts.Churn.ScratchBatches
-
-		dst.Ops.Lookups += ts.Ops.Lookups
-		dst.Ops.Inserts += ts.Ops.Inserts
-		dst.Ops.Deletes += ts.Ops.Deletes
-		dst.Ops.Reallocations += ts.Ops.Reallocations
-		dst.Ops.DirectInserts += ts.Ops.DirectInserts
-		dst.Ops.ReallocInserts += ts.Ops.ReallocInserts
-		dst.Ops.UpdateCycles += ts.Ops.UpdateCycles
-		dst.Ops.LookupCycles += ts.Ops.LookupCycles
-		dst.Ops.FreshSubtables += ts.Ops.FreshSubtables
-
-		weightedFrag += ts.FragIndex * float64(ts.Capacity)
-		for _, sub := range ts.Subtables {
-			sub.Table = id
-			sub.Index += offset
-			dst.Subtables = append(dst.Subtables, sub)
-		}
-		offset += ts.TotalSubtables
+	dst.Reset()
+	for i, id := range p.order {
+		dst.Merge(p.tables[id].dev.DeriveStructure(&p.structs.scratch[i]), -1, id)
 	}
-	if dst.Capacity > 0 {
-		dst.Occupancy = float64(dst.Entries) / float64(dst.Capacity)
-		dst.FragIndex = weightedFrag / float64(dst.Capacity)
-	}
-	if dst.TernaryBits > 0 {
-		dst.CareDensity = float64(dst.CareBits) / float64(dst.TernaryBits)
-	}
+	dst.Finish()
 	return dst
 }
 

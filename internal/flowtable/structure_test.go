@@ -52,7 +52,7 @@ func TestPipelineOnStatsReset(t *testing.T) {
 	hooks := 0
 	p.OnStatsReset(func() { hooks++ })
 	// Resetting one table's backend fires the hook once per reset.
-	p.tables[0].dev.(interface{ ResetStats() }).ResetStats()
+	p.tables[0].dev.ResetStats()
 	if hooks != 1 {
 		t.Fatalf("hook ran %d times after one table reset, want 1", hooks)
 	}

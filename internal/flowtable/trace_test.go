@@ -27,7 +27,7 @@ func TestLookupSpansCarryTable(t *testing.T) {
 
 	tr := &trace.Trace{ID: 1}
 	hs := []rules.Header{{SrcIP: 0x0A000001}, {SrcIP: 0x0B000002}}
-	if got := p.ClassifyBatchTraced(tr, hs, nil); got[0] != 8 || got[1] != 8 {
+	if got := p.ClassifyBatch(tr, hs, nil); got[0] != 8 || got[1] != 8 {
 		t.Fatalf("actions %v, want [8 8]", got)
 	}
 	wantTable := map[int]int{-1: 1, 0: 5, 1: 5} // by shard

@@ -54,9 +54,9 @@ type Backend interface {
 	Epoch() uint64
 }
 
-// BatchClassifier is the surface shared by *core.Device,
-// *cluster.Cluster, and catcam-serve's engine facade that
-// NewLookupBackend adapts to the Backend interface. When its dynamic
+// BatchClassifier is the surface of *core.Device and *cluster.Cluster
+// (and of any flowtable.Backend holding either) that NewLookupBackend
+// adapts to the Backend interface. When its dynamic
 // type is *core.Device, the engine's flow caches revalidate stale
 // entries through the device's change log instead of missing on them.
 type BatchClassifier interface {
@@ -144,7 +144,7 @@ func NewPipelineBackend(p *flowtable.Pipeline) Backend {
 
 func (b *pipelineBackend) ClassifyBatch(tr *tracepkg.Trace, hs []rules.Header, dst []Result) []Result {
 	sp := b.pool.Get().(*[]int)
-	acts := b.p.ClassifyBatchTraced(tr, hs, (*sp)[:0])
+	acts := b.p.ClassifyBatch(tr, hs, (*sp)[:0])
 	for _, a := range acts {
 		dst = append(dst, Result{Action: int32(a), Matched: a != flowtable.Drop})
 	}

@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"catcam/internal/cluster"
 	"catcam/internal/core"
+	"catcam/internal/flowtable"
 	"catcam/internal/rules"
 	"catcam/internal/slo"
 	"catcam/internal/stateobs"
@@ -223,23 +225,66 @@ func TestForecastFlatIsHealthy(t *testing.T) {
 }
 
 // TestSweepSteadyStateAllocs proves the observatory's sampling loop is
-// allocation-free once the ring is warm, telemetry attached and all.
+// allocation-free once the ring is warm, telemetry attached and all,
+// whether it samples one device or a composite that merges its parts:
+// a 2-shard cluster, and a pipeline whose one table is sharded.
 func TestSweepSteadyStateAllocs(t *testing.T) {
-	d := core.NewDevice(smallConfig())
-	seedDevice(t, d, 20)
-	reg := telemetry.NewRegistry()
-	obs := stateobs.New(d, stateobs.Config{RingFrames: 4})
-	obs.AttachTelemetry(reg, nil)
-	t0 := time.Unix(1000, 0)
-	for i := 0; i < 4; i++ { // warm every ring slot's fill row
-		obs.Sweep(t0.Add(time.Duration(i) * time.Second))
+	// spread's priorities straddle the default 2-shard bound, so both
+	// shards of a composite hold rules.
+	spread := func(i int) rules.Rule {
+		return mkRule(i+1, 1+i*3000, rules.Prefix{Addr: uint32(i) << 8, Len: 24})
 	}
-	i := 0
-	if n := testing.AllocsPerRun(100, func() {
-		i++
-		obs.Sweep(t0.Add(time.Duration(4+i) * time.Second))
-	}); n != 0 {
-		t.Fatalf("Sweep allocates %v/op at steady state", n)
+	sources := []struct {
+		name string
+		src  func(t *testing.T) stateobs.Source
+	}{
+		{"device", func(t *testing.T) stateobs.Source {
+			d := core.NewDevice(smallConfig())
+			seedDevice(t, d, 20)
+			return d
+		}},
+		{"cluster", func(t *testing.T) stateobs.Source {
+			c := cluster.New(cluster.Config{Shards: 2, Device: smallConfig()})
+			for i := 0; i < 20; i++ {
+				if _, err := c.InsertRule(spread(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return c
+		}},
+		{"pipeline", func(t *testing.T) stateobs.Source {
+			p, err := flowtable.NewPipeline([]flowtable.TableConfig{
+				{ID: 0, Device: smallConfig(), Shards: 2, Miss: flowtable.MissPolicy{MissAction: flowtable.Drop}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 20; i++ {
+				r := spread(i)
+				if _, err := p.Install(0, flowtable.FlowRule{Rule: r, Instruction: flowtable.Terminal(r.Action)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return p
+		}},
+	}
+	for _, tc := range sources {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			obs := stateobs.New(tc.src(t), stateobs.Config{RingFrames: 4})
+			obs.AttachTelemetry(reg, nil)
+			t0 := time.Unix(1000, 0)
+			for i := 0; i < 4; i++ { // warm every ring slot's fill row
+				obs.Sweep(t0.Add(time.Duration(i) * time.Second))
+			}
+			i := 0
+			if n := testing.AllocsPerRun(100, func() {
+				i++
+				obs.Sweep(t0.Add(time.Duration(4+i) * time.Second))
+			}); n != 0 {
+				t.Fatalf("Sweep allocates %v/op at steady state", n)
+			}
+		})
 	}
 }
 
