@@ -2,9 +2,7 @@ package cluster
 
 import (
 	"errors"
-	"os"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +11,7 @@ import (
 	"catcam/internal/classbench"
 	"catcam/internal/core"
 	"catcam/internal/flightrec"
+	"catcam/internal/oracle"
 	"catcam/internal/rules"
 	"catcam/internal/telemetry"
 )
@@ -252,61 +251,38 @@ func TestClusterDifferential(t *testing.T) {
 		})
 	}
 	// The op streams of core's FuzzDeviceVsLinear seed corpus, op by op.
-	probes := streamProbes()
-	for name, data := range streamSeeds(t, "../core/testdata/fuzz/FuzzDeviceVsLinear") {
+	probes := oracle.Probes()
+	seeds, err := oracle.Seeds("../core/testdata/fuzz/FuzzDeviceVsLinear")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range seeds {
 		t.Run("interval/"+name, func(t *testing.T) {
 			c := testCluster(4)
 			ref := core.NewDevice(testDeviceConfig())
-			live := map[int]bool{}
-			for op, o := range decodeStream(data) {
-				kind, r := o.kind, o.rule
-				if kind == opInsert && live[r.ID] {
-					kind = opModify
-				}
-				var gotErr, wantErr error
-				switch kind {
-				case opInsert:
-					_, gotErr = c.InsertRule(r)
-					_, wantErr = ref.InsertRule(r)
-				case opDelete:
-					_, gotErr = c.DeleteRule(r.ID)
-					_, wantErr = ref.DeleteRule(r.ID)
-				case opModify:
-					_, gotErr = c.ModifyRule(r.ID, r)
-					_, wantErr = ref.ModifyRule(r.ID, r)
-				case opLookup:
-					sameWinners(t, c, ref, []rules.Header{o.header})
+			m := oracle.NewMirror()
+			for op, o := range oracle.Decode(data) {
+				if o.Kind == oracle.Lookup {
+					sameWinners(t, c, ref, []rules.Header{o.Header})
 					continue
 				}
+				kind, r := m.Kind(o), o.Rule
+				_, gotErr := oracle.Run[core.UpdateResult](c, kind, r)
+				_, wantErr := oracle.Run[core.UpdateResult](ref, kind, r)
 				// The shards are sized so that neither side fills: the
 				// only error a stream can draw is ErrNotFound, from both.
 				if !errors.Is(gotErr, wantErr) || (wantErr != nil && !errors.Is(wantErr, core.ErrNotFound)) {
 					t.Fatalf("op %d: cluster says %v, device says %v", op, gotErr, wantErr)
 				}
-				live[r.ID] = kind != opDelete && wantErr == nil
+				if err := m.Apply(kind, r, wantErr); err != nil {
+					t.Fatalf("op %d: %v", op, err)
+				}
 				sameWinners(t, c, ref, probes)
 				if err := c.CheckInvariant(); err != nil {
 					t.Fatalf("op %d: %v", op, err)
 				}
 			}
 		})
-	}
-}
-
-// TestOpstreamCopy holds opstream_test.go to the file it copies: the
-// op-stream format has one definition, in internal/core, and this
-// package replays core's corpus with exactly that decoder.
-func TestOpstreamCopy(t *testing.T) {
-	src, err := os.ReadFile("../core/opstream_test.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	own, err := os.ReadFile("opstream_test.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := strings.Replace(string(src), "package core\n", "package cluster\n", 1); string(own) != want {
-		t.Fatal("opstream_test.go differs from ../core/opstream_test.go beyond the package clause: copy core's over it")
 	}
 }
 

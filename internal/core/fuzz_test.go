@@ -4,8 +4,8 @@ import (
 	"errors"
 	"testing"
 
+	"catcam/internal/oracle"
 	"catcam/internal/rules"
-	"catcam/internal/swclass"
 )
 
 // streamEdges records which capacity edges one op stream reached.
@@ -32,98 +32,67 @@ func runStream(t *testing.T, data []byte) streamEdges {
 	t.Helper()
 	var edges streamEdges
 	d := NewDevice(Config{Subtables: 16, SubtableCapacity: 16, KeyWidth: 160})
-	ref := swclass.NewLinear()
-	live := map[int]rules.Rule{}
+	m := oracle.NewMirror()
 	entries := 0 // what the installed rules expand to
-	probes := streamProbes()
+	probes := oracle.Probes()
 	var batch []LookupResult
 
 	// No t.Helper here: it walks the stack on each of ~20 calls an op,
 	// and the message names the op and the entry point itself.
 	agree := func(op int, path string, h rules.Header, e Entry, ok bool) {
-		want, wantOK, _ := ref.Lookup(h)
-		if ok != wantOK || (ok && (e.Action != want || e.Rank.RuleID != want%streamIDs)) {
+		want, wantOK, _ := m.Ref.Lookup(h)
+		if ok != wantOK || (ok && (e.Action != want || e.Rank.RuleID != want%oracle.IDs)) {
 			t.Fatalf("op %d: %s(%+v) = rule %d action %d matched %v, swclass.Linear says rule %d action %d matched %v",
-				op, path, h, e.Rank.RuleID, e.Action, ok, want%streamIDs, want, wantOK)
-		}
-	}
-	remove := func(op, id int) {
-		t.Helper()
-		d.mu.Lock()
-		for _, l := range d.locs[id] {
-			if r, _ := d.subs[l.st].Rank(l.slot); r == d.maxOf[l.st] {
-				edges.maxDeleted = true
-			}
-		}
-		d.mu.Unlock()
-		entries -= live[id].ExpansionCount()
-		delete(live, id)
-		if err := ref.Delete(id); err != nil {
-			t.Fatalf("op %d: %v", op, err)
-		}
-	}
-	install := func(op int, r rules.Rule, err error) {
-		t.Helper()
-		switch {
-		case err == nil:
-			live[r.ID] = r
-			entries += r.ExpansionCount()
-			if err := ref.Insert(r); err != nil {
-				t.Fatalf("op %d: %v", op, err)
-			}
-		case errors.Is(err, ErrFull):
-			edges.full = true
-		default:
-			t.Fatalf("op %d: insert %v: %v", op, r, err)
+				op, path, h, e.Rank.RuleID, e.Action, ok, want%oracle.IDs, want, wantOK)
 		}
 	}
 
-	ops := decodeStream(data)
+	ops := oracle.Decode(data)
 	updates := 0
 	for op, o := range ops {
-		kind, r := o.kind, o.rule
-		_, isLive := live[r.ID]
-		if kind == opInsert && isLive {
-			kind = opModify
-		}
-		active, before := d.ActiveSubtables(), d.Stats()
-		switch kind {
-		case opInsert:
-			_, err := d.InsertRule(r)
-			install(op, r, err)
-			if err != nil && d.Stats().Inserts > before.Inserts {
-				edges.rolledBack = true
-			}
-		case opDelete, opModify:
-			if isLive {
-				remove(op, r.ID)
-			}
-			var err error
-			if kind == opDelete {
-				_, err = d.DeleteRule(r.ID)
-			} else {
-				_, err = d.ModifyRule(r.ID, r)
-			}
-			if !isLive {
-				if !errors.Is(err, ErrNotFound) {
-					t.Fatalf("op %d: rule %d is not installed, got %v, want ErrNotFound", op, r.ID, err)
-				}
-				edges.notFound = true
-			} else if kind == opDelete {
-				if err != nil {
-					t.Fatalf("op %d: delete %d: %v", op, r.ID, err)
-				}
-				edges.released = edges.released || d.ActiveSubtables() < active
-			} else {
-				install(op, r, err) // on ErrFull the old version is gone and the new one is not in
-			}
-		case opLookup:
-			h := o.header
+		if o.Kind == oracle.Lookup {
+			h := o.Header
 			e, ok := classifyKey(d, rules.EncodeHeader(h))
 			agree(op, "LookupBatch", h, e, ok)
 			action, ok := d.Lookup(h)
 			agree(op, "Lookup", h, Entry{Rank: e.Rank, Action: action}, ok)
 			continue // nothing changed: the probes and invariants below hold from the last op
+		}
+		kind, r := m.Kind(o), o.Rule
+		old, isLive := m.Live[r.ID]
+		active, before := d.ActiveSubtables(), d.Stats()
+		if isLive { // a delete or modify: does it remove a subtable's maximum?
+			d.mu.Lock()
+			for _, l := range d.locs[r.ID] {
+				if rank, _ := d.subs[l.st].Rank(l.slot); rank == d.maxOf[l.st] {
+					edges.maxDeleted = true
+				}
+			}
+			d.mu.Unlock()
+		}
+		_, err := oracle.Run[UpdateResult](d, kind, r)
+		switch {
+		case !isLive && kind != oracle.Insert:
+			if !errors.Is(err, ErrNotFound) {
+				t.Fatalf("op %d: rule %d is not installed, got %v, want ErrNotFound", op, r.ID, err)
+			}
+			edges.notFound = true
+		case errors.Is(err, ErrFull) && kind != oracle.Delete: // a failed modify loses the old version too
+			edges.full = true
+			edges.rolledBack = edges.rolledBack || kind == oracle.Insert && d.Stats().Inserts > before.Inserts
+		case err != nil:
+			t.Fatalf("op %d: kind %d rule %v: %v", op, kind, r, err)
+		case kind == oracle.Delete:
+			edges.released = edges.released || d.ActiveSubtables() < active
+		}
+		if isLive {
+			entries -= old.ExpansionCount()
+		}
+		if err := m.Apply(kind, r, err); err != nil {
+			t.Fatalf("op %d: %v", op, err)
+		}
+		if now, in := m.Live[r.ID]; in {
+			entries += now.ExpansionCount()
 		}
 
 		if updates++; updates%invariantEvery == 0 {
@@ -169,7 +138,11 @@ func FuzzDeviceVsLinear(f *testing.F) {
 // device whose failed insert rolls entries back.
 func TestStreamSeedsReachEdges(t *testing.T) {
 	var all streamEdges
-	for name, data := range streamSeeds(t, "testdata/fuzz/FuzzDeviceVsLinear") {
+	seeds, err := oracle.Seeds("testdata/fuzz/FuzzDeviceVsLinear")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range seeds {
 		e := runStream(t, data)
 		t.Logf("%s: %+v", name, e)
 		all.evicted = all.evicted || e.evicted

@@ -4,15 +4,13 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"catcam/internal/classbench"
 	"catcam/internal/flightrec"
+	"catcam/internal/oracle"
 	"catcam/internal/rules"
 	"catcam/internal/sram"
-	"catcam/internal/swclass"
 )
 
 // TestPublishSharesUnchangedParts pins the copy-on-write granularity
@@ -169,36 +167,26 @@ func TestPublishSharesUnchangedParts(t *testing.T) {
 }
 
 // TestPartSharingChurnVsClassify runs a seeded insert/delete/modify
-// stream with readers classifying throughout and, after every op, holds
-// every published view to a fresh freeze of its live subtable: match
-// view, priority matrix, ranks and actions, every slot. The stream
-// opens with a modify whose delete empties the only subtable and whose
-// insert reassigns it, crosses filter re-choices while loading and
-// unloading, and mixes in ResetArrayStats and full republishes. Run
-// with -race.
+// stream with readers classifying throughout, every batch held to the
+// window, and, after every op, holds every published view to a fresh
+// freeze of its live subtable: match view, priority matrix, ranks and
+// actions, every slot. The stream opens with a modify whose delete
+// empties the only subtable and whose insert reassigns it, crosses
+// filter re-choices while loading and unloading, and mixes in
+// ResetArrayStats and full republishes, epochs that change no rule.
+// Run with -race.
 func TestPartSharingChurnVsClassify(t *testing.T) {
 	rs := classbench.Generate(classbench.Config{Family: classbench.ACL, Size: 200, Seed: 95})
 	d := NewDevice(Config{Subtables: 64, SubtableCapacity: 64, KeyWidth: 160})
 	aud := flightrec.NewAuditor(nil, nil, 64, nil)
 	aud.SetLookupSampleEvery(1)
-	sh := flightrec.NewShadow(swclass.NewLinear(), aud, -1)
-	sh.SetSampleEvery(1)
 	d.AttachAuditor(aud)
-	d.AttachShadow(sh)
 	headers := classbench.PacketTrace(rs, 64, 0.9, 96)
-
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var results []LookupResult
-			for !stop.Load() {
-				results = d.LookupHeaderBatch(headers, results[:0])
-			}
-		}()
-	}
+	m := oracle.NewMirror()
+	w := oracle.NewWindow(m.Ref, headers, d.Epoch(), 1+2*(2+320))
+	batch := func(dst []LookupResult) []LookupResult { return d.LookupHeaderBatch(headers, dst) }
+	stop := windowReaders(t, d, w, headers, batch, batch)
+	defer stop()
 
 	sharedPrio := 0
 	prev := d.snap.Load()
@@ -242,18 +230,11 @@ func TestPartSharingChurnVsClassify(t *testing.T) {
 	// A lone rule's modify empties its subtable, releases it, and the
 	// insert half takes the same subtable back from the free pool.
 	first := rs.Rules[0]
-	res, err := d.InsertRule(first)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lone := churn(t, d, m, w, oracle.Insert, first).Subtable
 	check("first insert")
-	lone := res.Subtable
 	next := rs.Rules[1]
 	next.ID = first.ID
-	if res, err = d.ModifyRule(first.ID, next); err != nil {
-		t.Fatal(err)
-	}
-	if res.FreshTables != 1 || res.Subtable != lone {
+	if res := churn(t, d, m, w, oracle.Modify, next); res.FreshTables != 1 || res.Subtable != lone {
 		t.Fatalf("lone modify %+v: want subtable %d released and reassigned", res, lone)
 	}
 	check("lone modify")
@@ -270,9 +251,7 @@ func TestPartSharingChurnVsClassify(t *testing.T) {
 		switch p := rng.Float64(); {
 		case len(live) > 0 && p < deleteBias:
 			j := rng.Intn(len(live))
-			if _, err := d.DeleteRule(live[j].ID); err != nil {
-				t.Fatalf("op %d: delete: %v", i, err)
-			}
+			churn(t, d, m, w, oracle.Delete, live[j])
 			pending = append(pending, live[j])
 			live[j] = live[len(live)-1]
 			live = live[:len(live)-1]
@@ -280,16 +259,12 @@ func TestPartSharingChurnVsClassify(t *testing.T) {
 			j := rng.Intn(len(live))
 			r := pending[rng.Intn(len(pending))]
 			r.ID, r.Priority = live[j].ID, rng.Intn(1<<16)
-			if _, err := d.ModifyRule(r.ID, r); err != nil {
-				t.Fatalf("op %d: modify: %v", i, err)
-			}
+			churn(t, d, m, w, oracle.Modify, r)
 			live[j] = r
 		case len(pending) > 0:
 			j := rng.Intn(len(pending))
 			r := pending[j]
-			if _, err := d.InsertRule(r); err != nil {
-				t.Fatalf("op %d: insert: %v", i, err)
-			}
+			churn(t, d, m, w, oracle.Insert, r)
 			live = append(live, r)
 			pending[j] = pending[len(pending)-1]
 			pending = pending[:len(pending)-1]
@@ -299,6 +274,9 @@ func TestPartSharingChurnVsClassify(t *testing.T) {
 			d.ResetArrayStats()
 		case i%61 == 0:
 			republish(d)
+		}
+		if err := w.Record(d.Epoch()); err != nil {
+			t.Fatalf("op %d: %v", i, err)
 		}
 		d.mu.Lock()
 		if d.selAt != selAt {
@@ -314,17 +292,13 @@ func TestPartSharingChurnVsClassify(t *testing.T) {
 	for i := 201; i <= 320; i++ {
 		step(i, 0.7)
 	}
-	stop.Store(true)
-	wg.Wait()
+	stop()
 
 	if choices < 2 {
 		t.Fatalf("%d filter re-choices, want >= 2", choices)
 	}
 	if sharedPrio == 0 {
 		t.Fatal("no rebuilt view shared its priority matrix: the stream never exercised part sharing")
-	}
-	if got, reason := sh.Desynced(); got {
-		t.Fatalf("shadow desynced: %s", reason)
 	}
 	if n := aud.TotalViolations(); n != 0 {
 		t.Fatalf("%d invariant violations under part-sharing churn", n)

@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"catcam/internal/core"
+	"catcam/internal/oracle"
 	"catcam/internal/rules"
+	"catcam/internal/swclass"
 	"catcam/internal/telemetry"
 	tracepkg "catcam/internal/trace"
 )
@@ -238,20 +240,18 @@ func TestDifferentialCacheOnOffUnderChurn(t *testing.T) {
 	for k := range flows {
 		flows[k] = gen.Flow(k)
 	}
-	refs := newWindowRefs(flows, dev.Epoch(), 2*20*churnRounds+1)
+	ref := swclass.NewLinear()
 	for _, r := range rs.Rules {
-		if err := refs.ref.Insert(r); err != nil {
+		if err := ref.Insert(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := refs.record(dev.Epoch()); err != nil {
-		t.Fatal(err)
-	}
+	w := oracle.NewWindow(ref, flows, dev.Epoch(), 2*20*churnRounds+1)
 
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		defer refs.quit.Store(true)
+		defer w.Close()
 		for flip := 0; flip < churnRounds; flip++ {
 			for i := 0; i < 20; i++ {
 				r := rs.Rules[i]
@@ -259,11 +259,11 @@ func TestDifferentialCacheOnOffUnderChurn(t *testing.T) {
 					t.Errorf("churn delete %d: %v", r.ID, err)
 					return
 				}
-				if err := refs.ref.Delete(r.ID); err != nil {
+				if err := w.Ref.Delete(r.ID); err != nil {
 					t.Error(err)
 					return
 				}
-				if err := refs.record(dev.Epoch()); err != nil {
+				if err := w.Record(dev.Epoch()); err != nil {
 					t.Error(err)
 					return
 				}
@@ -272,11 +272,11 @@ func TestDifferentialCacheOnOffUnderChurn(t *testing.T) {
 					t.Errorf("churn insert %d: %v", r.ID, err)
 					return
 				}
-				if err := refs.ref.Insert(r); err != nil {
+				if err := w.Ref.Insert(r); err != nil {
 					t.Error(err)
 					return
 				}
-				if err := refs.record(dev.Epoch()); err != nil {
+				if err := w.Record(dev.Epoch()); err != nil {
 					t.Error(err)
 					return
 				}
@@ -306,7 +306,7 @@ func TestDifferentialCacheOnOffUnderChurn(t *testing.T) {
 			name string
 			res  []Result
 		}{{"cached", resA}, {"direct", resB}} {
-			if err := refs.check(burst, c.res, before, after); err != nil {
+			if err := w.Check(burst, answers(c.res), before, after); err != nil {
 				t.Fatalf("burst %d, %s: %v", bursts, c.name, err)
 			}
 		}
