@@ -163,12 +163,21 @@ type Device struct {
 	// update side (under mu, by publishLocked), loaded freely by the
 	// lock-free classify path.
 	snap atomic.Pointer[snapshot] //catcam:write-guarded-by mu
-	// dirty marks subtables whose arrays changed since the last
-	// publish; publishLocked re-materializes exactly these views.
-	dirty []bool //catcam:guarded-by mu
-	// globalDirty marks the global relation matrix changed (subtable
-	// assignment/release) since the last publish.
+	// touched lists the subtables whose arrays or maximum changed since
+	// the last publish, possibly more than once; publishLocked
+	// re-materializes exactly these views and empties it.
+	touched []int //catcam:guarded-by mu
+	// span is one past the highest active subtable ID as of the last
+	// publish: how far the published view table reaches.
+	span int //catcam:guarded-by mu
+	// globalDirty marks the global relation matrix, and with it the
+	// interval order, changed (subtable assignment/release) since the
+	// last publish.
 	globalDirty bool //catcam:guarded-by mu
+	// relRow and relCol are the row and column a subtable assignment or
+	// release writes into the global matrix, reused across them
+	// (sram.Array copies what it is handed).
+	relRow, relCol *bitvec.Vector //catcam:guarded-by mu
 	// pending is the rule-level change of the update in flight, which
 	// publishLocked logs for the epoch it publishes and then clears.
 	pending changeRecord //catcam:guarded-by mu
@@ -278,7 +287,8 @@ func NewDevice(cfg Config) *Device {
 		global:  sram.NewArray(globalP),
 		active:  make([]bool, cfg.Subtables),
 		maxOf:   make([]Rank, cfg.Subtables),
-		dirty:   make([]bool, cfg.Subtables),
+		relRow:  bitvec.New(cfg.Subtables),
+		relCol:  bitvec.New(cfg.Subtables),
 		locs:    make(map[int][]entryLoc),
 		trTable: -1,
 		trShard: -1,
@@ -335,7 +345,7 @@ func (d *Device) CapacityEntries() int { return d.cfg.Subtables * d.cfg.Subtable
 // ActiveSubtables returns the number of subtables in use, as of the
 // last published epoch. Served from the snapshot, no lock.
 func (d *Device) ActiveSubtables() int {
-	return len(d.snap.Load().iv.order)
+	return len(d.snap.Load().order)
 }
 
 // CyclesToNanos converts cycles to nanoseconds at the configured clock.
@@ -395,7 +405,7 @@ func (d *Device) LookupBatch(keys []ternary.Key, dst []LookupResult) []LookupRes
 	s := d.snap.Load()
 	sc := d.getScratch()
 	for _, k := range keys {
-		e, _, ok := s.lookup(sc, s.padKey(sc, k))
+		e, _, ok := s.lookup(sc, d.padKey(sc, k))
 		dst = append(dst, LookupResult{Entry: e, OK: ok})
 	}
 	d.putScratch(sc, s)
@@ -436,7 +446,7 @@ func (d *Device) LookupHeaderBatchTraced(tr *tracepkg.Trace, hs []rules.Header, 
 			sc.keyIdx = i
 		}
 		rules.EncodeHeaderInto(&sc.encKey, h)
-		e, sub, ok := s.lookup(sc, s.padKey(sc, sc.encKey))
+		e, sub, ok := s.lookup(sc, d.padKey(sc, sc.encKey))
 		if tr != nil {
 			//catcam:allow alloc "sampled trace span; rate-gated off the steady-state path"
 			tr.Span(tracepkg.StageDeviceLookup, s.trTable, s.trShard, sub, i, start, sc.lookupCycles-cyc0)
@@ -806,7 +816,7 @@ func (d *Device) placeEntry(id int, e Entry) int {
 
 func (d *Device) placeEntryAt(id, slot int, e Entry) {
 	d.subs[id].Insert(slot, e)
-	d.dirty[id] = true
+	d.touched = append(d.touched, id)
 	d.setLoc(e.Rank, location{st: id, slot: slot})
 }
 
@@ -852,7 +862,7 @@ func (d *Device) assignSubtable(max Rank, pos int) int {
 	d.freeSubs = d.freeSubs[:len(d.freeSubs)-1]
 	d.active[id] = true
 	d.maxOf[id] = max
-	d.dirty[id] = true
+	d.touched = append(d.touched, id)
 
 	d.order = append(d.order, 0)
 	copy(d.order[pos+1:], d.order[pos:])
@@ -883,10 +893,11 @@ func (d *Device) releaseSubtable(id int) {
 	d.active[id] = false
 	d.maxOf[id] = Rank{}
 	d.freeSubs = append(d.freeSubs, id)
-	d.dirty[id] = true
+	d.touched = append(d.touched, id)
 	// Clear row and column so the matrix matches the metadata exactly.
-	d.global.WriteRow(id, bitvec.New(d.cfg.Subtables))
-	d.global.WriteColumn(id, bitvec.New(d.cfg.Subtables))
+	d.relRow.Reset()
+	d.global.WriteRow(id, d.relRow)
+	d.global.WriteColumn(id, d.relRow)
 	d.globalDirty = true
 }
 
@@ -894,8 +905,9 @@ func (d *Device) releaseSubtable(id int) {
 // global priority matrix from the metadata comparisons (the same
 // row/column scheme as a rule insert, §IV-A).
 func (d *Device) writeGlobalRelations(id int) {
-	row := bitvec.New(d.cfg.Subtables)
-	col := bitvec.New(d.cfg.Subtables)
+	row, col := d.relRow, d.relCol
+	row.Reset()
+	col.Reset()
 	for _, other := range d.order {
 		if other == id {
 			continue
@@ -935,7 +947,7 @@ func (d *Device) deleteEntry(loc location) {
 	r, _ := st.Rank(loc.slot)
 	st.Delete(loc.slot)
 	d.entries--
-	d.dirty[loc.st] = true
+	d.touched = append(d.touched, loc.st)
 	d.trace.Step(tracepkg.StageDelete, loc.st, loc.slot, ClassDelete.Cycles())
 	d.stats.deletes.Add(1)
 	d.stats.updateCycles.Add(ClassDelete.Cycles())
@@ -981,9 +993,7 @@ func (d *Device) ResetArrayStats() {
 	d.rdPrio.reset()
 	d.rdGlobal.reset()
 	d.resetTelemetry()
-	for _, id := range d.order {
-		d.dirty[id] = true
-	}
+	d.touched = append(d.touched, d.order...)
 	d.globalDirty = true
 	d.publishLocked()
 	for _, fn := range d.resetHooks {
@@ -1080,8 +1090,8 @@ func (d *Device) globalInvariantLocked() error {
 		}
 	}
 	s := d.snap.Load()
-	for _, id := range s.iv.order {
-		if sel := s.subs[id].match.Selection(); sel != s.sel {
+	for _, id := range s.order {
+		if sel := s.view(id).match.Selection(); sel != s.sel {
 			return fmt.Errorf("core: subtable %d view filtered on %p, epoch %d on %p", id, sel, s.epoch, s.sel)
 		}
 	}

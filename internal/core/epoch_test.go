@@ -14,12 +14,16 @@ import (
 
 // TestEpochAdvancesAndSharesCleanViews pins the copy-on-write
 // granularity of snapshot publication: every update publishes exactly
-// one new epoch, the touched subtable gets a fresh immutable view, and
-// the untouched subtables' views are shared by reference with the
-// previous epoch (no O(device) copying per update).
+// one new epoch, the touched subtable gets a fresh immutable view, the
+// untouched subtables' views are shared by reference with the previous
+// epoch, and so is every chunk of the view table that holds no touched
+// subtable (no O(device) copying per update).
 func TestEpochAdvancesAndSharesCleanViews(t *testing.T) {
-	d, _ := loadedDevice(t, 100)
+	d, _ := loadedDevice(t, 300)
 	s1 := d.snap.Load()
+	if len(s1.subs) < 2 {
+		t.Fatalf("the view table has %d chunks, want several", len(s1.subs))
+	}
 
 	extra := rules.Rule{ID: 1 << 20, Priority: 777,
 		SrcPort: rules.PortRange{Lo: 5, Hi: 5}, DstPort: rules.PortRange{Lo: 7, Hi: 7},
@@ -37,24 +41,32 @@ func TestEpochAdvancesAndSharesCleanViews(t *testing.T) {
 		t.Fatalf("Epoch() = %d, want %d", d.Epoch(), s2.epoch)
 	}
 	shared, changed := 0, 0
-	for id := range s2.subs {
+	touched := map[int]bool{} // view-table chunks holding a subtable the insert touched
+	for _, id := range s2.order {
 		switch {
-		case id >= len(s1.subs) || s1.subs[id] == nil || s2.subs[id] == nil:
-		case s1.subs[id] == s2.subs[id]:
+		case id >= len(s1.subs)*viewChunkSize || s1.view(id) == nil:
+			touched[id/viewChunkSize] = true
+		case s1.view(id) == s2.view(id):
 			shared++
 		default:
 			changed++
+			touched[id/viewChunkSize] = true
 		}
 	}
 	if shared == 0 {
 		t.Error("no clean subtable views shared across epochs: COW is copying the whole device")
+	}
+	for c := range min(len(s1.subs), len(s2.subs)) {
+		if same := s1.subs[c] == s2.subs[c]; same == touched[c] {
+			t.Errorf("view chunk %d shared = %v, holds a touched subtable = %v", c, same, touched[c])
+		}
 	}
 	// A non-reallocating insert touches one subtable; one reallocation
 	// adds at most one more.
 	if max := 1 + res.Reallocated; changed > max {
 		t.Errorf("%d subtable views rebuilt for an insert touching %d subtables", changed, max)
 	}
-	if res.Subtable < len(s1.subs) && s1.subs[res.Subtable] != nil && s1.subs[res.Subtable] == s2.subs[res.Subtable] {
+	if res.Subtable < len(s1.subs)*viewChunkSize && s1.view(res.Subtable) != nil && s1.view(res.Subtable) == s2.view(res.Subtable) {
 		t.Errorf("subtable %d received the insert but kept its old view", res.Subtable)
 	}
 

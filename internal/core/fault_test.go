@@ -52,7 +52,7 @@ func TestFaultInjectionPriorityMatrixDetected(t *testing.T) {
 	st.Insert(6, Entry{Word: ternary.MustParse("100*"), Rank: Rank{Priority: 9, RuleID: 2}})
 
 	// Healthy decision works.
-	sv := st.snapshotView(nil)
+	sv := st.snapshotView(nil, 0)
 	mv := viewSearch(sv, ternary.MustParseKey("1000"), &sram.Stats{})
 	if slot := viewDecide(sv, mv, nil); slot != 6 {
 		t.Fatalf("pre-fault winner = %d", slot)
@@ -70,7 +70,7 @@ func TestFaultInjectionPriorityMatrixDetected(t *testing.T) {
 	if slot := viewDecide(sv, mv, nil); slot != 6 {
 		t.Fatalf("published view changed under the fault: winner = %d", slot)
 	}
-	sv = st.snapshotView(nil)
+	sv = st.snapshotView(nil, 0)
 	expectDecidePanic(t, sv, mv, "corrupted priority matrix")
 	expectDecideReport(t, sv, mv, 6)
 }
@@ -103,7 +103,7 @@ func TestFaultInjectionMutualDominance(t *testing.T) {
 	row.Set(5)
 	st.prio.WriteRow(2, row)
 
-	sv := st.snapshotView(nil)
+	sv := st.snapshotView(nil, 0)
 	mv := bitvec.FromIndices(8, 2, 5)
 	expectDecidePanic(t, sv, mv, "mutual dominance")
 	expectDecideReport(t, sv, mv, 5)

@@ -15,13 +15,13 @@ import (
 // republish forces a fresh snapshot publication covering every
 // subtable and the global matrix. The corruption tests below poke
 // fault bits straight into the live arrays — bypassing the update path
-// that normally marks state dirty and republishes — so they must
+// that normally touches that state and republishes — so they must
 // republish by hand before the lock-free lookup path can observe the
 // fault, exactly as a real update touching that state would.
 func republish(d *Device) {
 	d.mu.Lock()
-	for i := range d.dirty {
-		d.dirty[i] = true
+	for id := range d.subs {
+		d.touched = append(d.touched, id)
 	}
 	d.globalDirty = true
 	d.publishLocked()

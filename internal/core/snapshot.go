@@ -28,26 +28,30 @@ import (
 // period — a retired epoch is reclaimed exactly when its last reader
 // drops it, with no hazard-pointer bookkeeping.
 //
-// Publication is copy-on-write at two levels. An update marks the
-// subtables it touched dirty (d.dirty), and publishLocked rebuilds only
-// those views, sharing every untouched view by reference with the
-// previous epoch — so an O(1) CATCAM insert pays an O(subtable)
-// republish, never an O(table) rebuild. Within a rebuilt view, every
-// part is shared with the previous epoch's view whenever its contents
-// are equal: the match view's position order and line slab, each
-// 16-row chunk of the priority matrix (sram.Array) and each slotMeta
-// chunk of ranks and actions. A delete writes neither the planes nor
-// the priority matrix, so it republishes only the match view's valid
-// mask, counts and filter bitmap and the one metadata chunk holding
-// the cleared rank; an insert copies the priority chunks its row and
-// column writes changed. The interval sequence (order and max
-// priorities) is shared the same way, so only an update that moved a
-// subtable maximum or assigned or released a subtable copies it. The
-// global relation matrix is republished only when an
-// assignment/release changed it (d.globalDirty), and then by chunk.
-// Sharing is decided by comparing contents, never by bookkeeping, so a
-// shared part is byte-identical to a fresh freeze whatever wrote the
-// live arrays.
+// Publication is copy-on-write at two levels. An update lists the
+// subtables it touched (d.touched), and publishLocked rebuilds only
+// those views. The views are held in a chunk table of viewChunkSize
+// pointers per chunk; a publish copies the small top level and each
+// chunk holding a touched subtable, and shares every other chunk by
+// reference with the previous epoch — so an O(1) CATCAM insert pays an
+// O(subtable) republish, never an O(table) rebuild, and no walk over
+// the active subtables. Within a rebuilt view, every part is shared
+// with the previous epoch's view whenever its contents are equal: the
+// match view's position order and line slab, each 16-row chunk of the
+// priority matrix (sram.Array) and each slotMeta chunk of ranks and
+// actions. A delete writes neither the planes nor the priority matrix,
+// so it republishes only the match view's valid mask, counts and
+// filter bitmap and the one metadata chunk holding the cleared rank;
+// an insert copies the priority chunks its row and column writes
+// changed. Each subtable's maximum priority rides its view, which is
+// rebuilt whenever the maximum moves (only an update to that subtable
+// can move it), so the interval order is all the epoch holds besides
+// the views; it changes only when a subtable is assigned or released,
+// which is also when the global relation matrix changes
+// (d.globalDirty), and only then is either copied — the matrix by
+// chunk. Within a view, sharing is decided by comparing contents,
+// never by bookkeeping, so a shared part is byte-identical to a fresh
+// freeze whatever wrote the live arrays.
 //
 // Torn reads are impossible by construction: every part of a view is
 // copied out of the live arrays under d.mu (sram.SnapshotView) or is
@@ -60,20 +64,22 @@ import (
 
 // subtableView is the immutable per-subtable read state: the frozen
 // match and priority arrays plus the rank/action metadata the reporter
-// reads, slot s in meta[s/metaChunk]. Fields are written only at
-// construction; prio and the meta chunks may be shared with other
-// epochs' views of the subtable.
+// reads, slot s in meta[s/metaChunk], and the priority of the
+// subtable's maximum, its interval's upper bound. Fields are written
+// only at construction; prio and the meta chunks may be shared with
+// other epochs' views of the subtable.
 //
 //catcam:snapshot
 type subtableView struct {
-	id    int
-	match *sram.TernaryView //catcam:immutable
-	prio  *sram.MatrixView  //catcam:immutable
-	meta  []*slotMeta       //catcam:immutable
+	id      int
+	maxPrio int
+	match   *sram.TernaryView //catcam:immutable
+	prio    *sram.MatrixView  //catcam:immutable
+	meta    []*slotMeta       //catcam:immutable
 
 	// Write-pressure stamps: the live arrays' cumulative write counters
 	// at view-construction time. Array writes happen only under d.mu and
-	// mark the subtable dirty, so a pointer-shared clean view always
+	// touch the subtable, so a pointer-shared clean view always
 	// carries the subtable's current write totals — the state
 	// observatory reads P-matrix row/column pressure from the published
 	// epoch without ever touching the device mutex.
@@ -96,11 +102,12 @@ type slotMeta struct {
 	actions [metaChunk]int  //catcam:immutable
 }
 
-// snapshotView freezes the subtable's current read state, sharing with
-// prev (the previous epoch's view of this subtable, or nil) the match
-// view's order and lines, every priority-matrix chunk and every
-// metadata chunk whose contents have not changed. Caller holds d.mu.
-func (st *Subtable) snapshotView(prev *subtableView) *subtableView {
+// snapshotView freezes the subtable's current read state, with maxPrio
+// the priority of its maximum, sharing with prev (the previous epoch's
+// view of this subtable, or nil) the match view's order and lines,
+// every priority-matrix chunk and every metadata chunk whose contents
+// have not changed. Caller holds d.mu.
+func (st *Subtable) snapshotView(prev *subtableView, maxPrio int) *subtableView {
 	var prevMatch *sram.TernaryView
 	var prevPrio *sram.MatrixView
 	var prevMeta []*slotMeta
@@ -110,6 +117,7 @@ func (st *Subtable) snapshotView(prev *subtableView) *subtableView {
 	match, prio := st.Stats()
 	return &subtableView{
 		id:             st.id,
+		maxPrio:        maxPrio,
 		match:          st.match.SnapshotViewSharing(prevMatch),
 		prio:           st.prio.SnapshotViewSharing(prevPrio),
 		meta:           st.snapshotMeta(prevMeta),
@@ -198,14 +206,16 @@ func (sv *subtableView) bestMatched(matchVec *bitvec.Vector) int {
 //catcam:snapshot
 type snapshot struct {
 	epoch uint64
-	cfg   Config
-	// iv is the interval sequence at publish time, shared by reference
-	// with the previous epoch while it is unchanged.
-	iv *intervals //catcam:immutable
-	// subs is indexed by subtable ID, up to the highest active one;
-	// nil for inactive subtables. Clean entries are shared by reference
-	// with the previous epoch.
-	subs   []*subtableView  //catcam:immutable
+	// order lists the active subtable IDs by rising maximum rank — the
+	// interval sequence — shared by reference with the previous epoch
+	// until a subtable is assigned or released.
+	order []int //catcam:immutable
+	// subs is the view table: subtable id's view is
+	// subs[id/viewChunkSize].views[id%viewChunkSize], nil for an
+	// inactive subtable (read it through view). The table reaches the
+	// highest active ID; a chunk holding no touched subtable is shared
+	// by reference with the previous epoch.
+	subs   []*viewChunk     //catcam:immutable
 	global *sram.MatrixView //catcam:immutable
 	count  int              // stored entries (the locator's entry count)
 	// sel is the filter's key positions, shared across epochs until
@@ -229,32 +239,97 @@ type snapshot struct {
 	trShard int
 }
 
-// intervals is the interval sequence: order lists the active subtable
-// IDs by rising maximum rank, and maxPrio[i] is the priority of
-// order[i]'s maximum. Fields are written only at construction.
+// viewChunkSize is how many subtable views one viewChunk holds: the
+// unit in which publication shares the view table between epochs. A
+// chunk is then one 128-byte size class.
+const viewChunkSize = 8
+
+// viewChunk is viewChunkSize consecutive entries of the view table.
+// match repeats each view's match view, so the lookup walk reaches a
+// subtable's filter in as many dependent loads as through a flat table.
+// Fields are written only at construction.
 //
 //catcam:snapshot
-type intervals struct {
-	order   []int //catcam:immutable
-	maxPrio []int //catcam:immutable
+type viewChunk struct {
+	views [viewChunkSize]*subtableView     //catcam:immutable
+	match [viewChunkSize]*sram.TernaryView //catcam:immutable
 }
 
-// snapshotIntervals freezes the interval sequence, returning prev (the
-// previous epoch's, or nil) when it is still current. Caller holds
-// d.mu.
-func (d *Device) snapshotIntervals(prev *intervals) *intervals {
-	same := prev != nil && slices.Equal(prev.order, d.order)
-	for i := 0; same && i < len(d.order); i++ {
-		same = prev.maxPrio[i] == d.maxOf[d.order[i]].Priority
+// view returns subtable id's view in this epoch, nil when id was
+// inactive. id must lie below the view table's reach, which every
+// active ID does. Unsigned, the index math is a shift and a mask, and
+// the slot within the chunk needs no bounds check.
+func (s *snapshot) view(id int) *subtableView {
+	return s.subs[uint(id)/viewChunkSize].views[uint(id)%viewChunkSize]
+}
+
+// matchView is view(id).match, read from the chunk.
+func (s *snapshot) matchView(id int) *sram.TernaryView {
+	return s.subs[uint(id)/viewChunkSize].match[uint(id)%viewChunkSize]
+}
+
+// snapshotOrder returns the interval order for the epoch after old:
+// old's own while no subtable has been assigned or released since, a
+// copy of the live order otherwise. The global matrix encodes the
+// order, so d.globalDirty is set whenever the order changed. Caller
+// holds d.mu.
+func (d *Device) snapshotOrder(old *snapshot) []int {
+	if old != nil && !d.globalDirty {
+		return old.order
 	}
-	if same {
-		return prev
+	return slices.Clone(d.order)
+}
+
+// snapshotSubs builds the view table for the next epoch from prev,
+// the previous epoch's, rebuilding the view of every touched subtable
+// and the chunk that holds it and sharing every other chunk, then
+// empties the touched list. Caller holds d.mu.
+func (d *Device) snapshotSubs(prev []*viewChunk) []*viewChunk {
+	// The table reaches the highest active ID, which only a touched
+	// subtable can have moved: an assigned one raises it, and a released
+	// top lowers it to the next active ID below.
+	slices.Sort(d.touched)
+	d.touched = slices.Compact(d.touched)
+	for _, id := range d.touched {
+		if d.active[id] {
+			d.span = max(d.span, id+1)
+		}
 	}
-	maxPrio := make([]int, len(d.order))
-	for i, id := range d.order {
-		maxPrio[i] = d.maxOf[id].Priority
+	for d.span > 0 && !d.active[d.span-1] {
+		d.span--
 	}
-	return &intervals{order: append([]int(nil), d.order...), maxPrio: maxPrio}
+	subs := make([]*viewChunk, (d.span+viewChunkSize-1)/viewChunkSize)
+	copy(subs, prev)
+	for c := len(prev); c < len(subs); c++ {
+		subs[c] = &viewChunk{}
+	}
+	// The touched IDs are sorted, so each chunk holding one is rebuilt
+	// once, from the previous epoch's chunk with the touched views
+	// replaced. Those past the table's reach were released.
+	rebuilt := 0
+	for i := 0; i < len(d.touched); {
+		c := d.touched[i] / viewChunkSize
+		if c >= len(subs) {
+			break
+		}
+		views, match := subs[c].views, subs[c].match
+		for ; i < len(d.touched) && d.touched[i]/viewChunkSize == c; i++ {
+			id := d.touched[i]
+			k := id % viewChunkSize
+			if !d.active[id] {
+				views[k], match[k] = nil, nil
+				continue
+			}
+			views[k] = d.subs[id].snapshotView(views[k], d.maxOf[id].Priority)
+			match[k] = views[k].match
+			rebuilt++
+		}
+		subs[c] = &viewChunk{views: views, match: match}
+	}
+	d.touched = d.touched[:0]
+	d.churn.viewsRebuilt.Add(uint64(rebuilt))
+	d.churn.viewsShared.Add(uint64(len(d.order) - rebuilt))
+	return subs
 }
 
 // publishLocked builds the next epoch from the live state and the
@@ -268,30 +343,11 @@ func (d *Device) publishLocked() {
 	d.rechooseFilter()
 	old := d.snap.Load()
 	var epoch uint64
-	var prevIv *intervals
+	var prevSubs []*viewChunk
 	if old != nil {
-		epoch, prevIv = old.epoch+1, old.iv
+		epoch, prevSubs = old.epoch+1, old.subs
 	}
-	// Subtable IDs are assigned lowest first (freeSubs), so the active
-	// ones are dense and subs need only reach the highest.
-	n := 0
-	for _, id := range d.order {
-		n = max(n, id+1)
-	}
-	subs := make([]*subtableView, n)
-	for _, id := range d.order {
-		var prev *subtableView
-		if old != nil && id < len(old.subs) {
-			prev = old.subs[id]
-		}
-		if prev != nil && !d.dirty[id] {
-			subs[id] = prev
-			d.churn.viewsShared.Add(1)
-		} else {
-			subs[id] = d.subs[id].snapshotView(prev)
-			d.churn.viewsRebuilt.Add(1)
-		}
-	}
+	subs := d.snapshotSubs(prevSubs)
 	var global *sram.MatrixView
 	if old != nil && !d.globalDirty {
 		global = old.global
@@ -306,8 +362,7 @@ func (d *Device) publishLocked() {
 	gstats := d.global.Stats()
 	s := &snapshot{
 		epoch:           epoch,
-		cfg:             d.cfg,
-		iv:              d.snapshotIntervals(prevIv),
+		order:           d.snapshotOrder(old),
 		subs:            subs,
 		global:          global,
 		count:           d.entries,
@@ -319,9 +374,6 @@ func (d *Device) publishLocked() {
 		tel:             d.tel,
 		trTable:         d.trTable,
 		trShard:         d.trShard,
-	}
-	for i := range d.dirty {
-		d.dirty[i] = false
 	}
 	d.globalDirty = false
 	d.churn.publishes.Add(1)
@@ -344,8 +396,8 @@ func (d *Device) publishLocked() {
 // churning at a steady size never does. Each position scores
 // min(entries caring 0, entries caring 1) summed over the active
 // subtables, and the top scores win (sram.SelectPositions). A new
-// choice recounts every match array's filter and marks every active
-// subtable dirty, so the epoch being published carries one selection
+// choice recounts every match array's filter and touches every active
+// subtable, so the epoch being published carries one selection
 // throughout. Caller holds d.mu.
 func (d *Device) rechooseFilter() {
 	if d.entries == 0 || d.selAt > 0 && d.entries < 2*d.selAt && 2*d.entries > d.selAt {
@@ -364,9 +416,7 @@ func (d *Device) rechooseFilter() {
 	for _, st := range d.subs {
 		st.match.SetSelection(sel)
 	}
-	for _, id := range d.order {
-		d.dirty[id] = true
-	}
+	d.touched = append(d.touched, d.order...)
 }
 
 // Epoch returns the published epoch counter — one increment per
@@ -462,12 +512,12 @@ func (d *Device) putScratch(sc *readScratch, s *snapshot) {
 
 // padKey widens a search key with trailing zeros into the scratch pad
 // buffer (no copy when the key is already device-wide).
-func (s *snapshot) padKey(sc *readScratch, k ternary.Key) ternary.Key {
-	if k.Width() == s.cfg.KeyWidth {
+func (d *Device) padKey(sc *readScratch, k ternary.Key) ternary.Key {
+	if k.Width() == d.cfg.KeyWidth {
 		return k
 	}
-	if k.Width() > s.cfg.KeyWidth {
-		panic(fmt.Sprintf("core: key width %d exceeds device width %d", k.Width(), s.cfg.KeyWidth))
+	if k.Width() > d.cfg.KeyWidth {
+		panic(fmt.Sprintf("core: key width %d exceeds device width %d", k.Width(), d.cfg.KeyWidth))
 	}
 	sc.padKey.LoadPadded(k)
 	return sc.padKey
@@ -502,8 +552,8 @@ func (s *snapshot) lookup(sc *readScratch, k ternary.Key) (Entry, int, bool) {
 	globalMatch.Reset()
 	top := -1
 	pats := s.sel.Patterns(k)
-	for _, id := range s.iv.order {
-		view := s.subs[id].match
+	for _, id := range s.order {
+		view := s.matchView(id)
 		if !view.Admits(pats) {
 			view.Charge(&sc.match)
 			continue
@@ -555,9 +605,9 @@ func (s *snapshot) lookup(sc *readScratch, k ternary.Key) (Entry, int, bool) {
 		// modelled search already happened in the walk above.
 		var offBooks sram.Stats
 		sc.hostSearches++
-		matchVec = s.subs[winner].match.SearchInto(sc.probe, sc.acc, k, &offBooks)
+		matchVec = s.view(winner).match.SearchInto(sc.probe, sc.acc, k, &offBooks)
 	}
-	sv := s.subs[winner]
+	sv := s.view(winner)
 	slot := sv.decide(sc.localReport, matchVec, &sc.prio, s.aud)
 	if slot < 0 {
 		return Entry{}, -1, false
@@ -583,7 +633,7 @@ func (s *snapshot) auditLookup(matchVec *bitvec.Vector, oneHot bool, top, winner
 			Detail: fmt.Sprintf("global matrix chose subtable %d, metadata walk %d", winner, top),
 		}
 	})
-	best := s.subs[winner].bestMatched(matchVec)
+	best := s.view(winner).bestMatched(matchVec)
 	s.aud.Check(flightrec.InvWinnerAgreement, best == slot, func() flightrec.Violation {
 		return flightrec.Violation{
 			Table: -1, Subtable: winner, RuleID: -1,

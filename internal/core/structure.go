@@ -43,10 +43,10 @@ func (c *epochChurn) reset() {
 type StructuralChurn struct {
 	// Publishes counts epoch publications (one per update/attach).
 	Publishes uint64 `json:"publishes"`
-	// ViewsRebuilt counts subtable views re-materialized because their
-	// subtable was dirty; ViewsShared counts views pointer-shared with
-	// the previous epoch. Their ratio is the COW efficiency of the
-	// publication scheme.
+	// ViewsRebuilt counts subtable views re-materialized because an
+	// update touched their subtable; ViewsShared counts views
+	// pointer-shared with the previous epoch. Their ratio is the COW
+	// efficiency of the publication scheme.
 	ViewsRebuilt uint64 `json:"views_rebuilt"`
 	ViewsShared  uint64 `json:"views_shared"`
 	// GlobalRebuilds counts global-matrix view copies (subtable
@@ -230,10 +230,11 @@ func (s *Structure) Finish() {
 // DeriveStructure derives the device's structural state from the
 // currently published epoch snapshot into dst (allocated when nil) and
 // returns it. Lock-free: one atomic snapshot load plus traversal of
-// frozen views and device atomics — never the device mutex — so the
-// observatory can sample at any rate without perturbing classify or
-// update latency. dst's slices are reused across calls; a sampling
-// loop reusing one Structure allocates nothing at steady state.
+// frozen views, the immutable config and device atomics — never the
+// device mutex — so the observatory can sample at any rate without
+// perturbing classify or update latency. dst's slices are reused
+// across calls; a sampling loop reusing one Structure allocates nothing
+// at steady state.
 //
 //catcam:hotpath
 func (d *Device) DeriveStructure(dst *Structure) *Structure {
@@ -244,11 +245,11 @@ func (d *Device) DeriveStructure(dst *Structure) *Structure {
 	dst.Reset()
 	dst.Epoch = s.epoch
 	dst.Entries = s.count
-	dst.TotalSubtables = s.cfg.Subtables
-	dst.SubtableCapacity = s.cfg.SubtableCapacity
-	dst.Capacity = s.cfg.Subtables * s.cfg.SubtableCapacity
-	dst.ActiveSubtables = len(s.iv.order)
-	dst.FreeSubtables = s.cfg.Subtables - len(s.iv.order)
+	dst.TotalSubtables = d.cfg.Subtables
+	dst.SubtableCapacity = d.cfg.SubtableCapacity
+	dst.Capacity = d.cfg.Subtables * d.cfg.SubtableCapacity
+	dst.ActiveSubtables = len(s.order)
+	dst.FreeSubtables = d.cfg.Subtables - len(s.order)
 	if dst.Capacity > 0 {
 		dst.Occupancy = float64(s.count) / float64(dst.Capacity)
 	}
@@ -258,11 +259,11 @@ func (d *Device) DeriveStructure(dst *Structure) *Structure {
 	prevMax := 0
 	fullRun := 0
 	var weightSum, weightedOcc float64
-	for i, id := range s.iv.order {
-		sv := s.subs[id]
+	for i, id := range s.order {
+		sv := s.view(id)
 		entries := sv.match.ValidCount()
 		capacity := sv.match.Rows()
-		maxP := s.iv.maxPrio[i]
+		maxP := sv.maxPrio
 		// Interval width in priority units: (prevMax, maxP], clamped to
 		// >= 1 (adjacent intervals can share a priority and differ only
 		// in rank tiebreaks; the first interval's floor is priority 0).
@@ -342,10 +343,10 @@ func (d *Device) DeriveStructure(dst *Structure) *Structure {
 func (d *Device) CarePerPosition(dst []uint64) []uint64 {
 	s := d.snap.Load()
 	base := len(dst)
-	dst = append(dst, make([]uint64, s.cfg.KeyWidth)...)
-	scratch := make([]uint64, 0, s.cfg.KeyWidth)
-	for _, id := range s.iv.order {
-		scratch = s.subs[id].match.CarePerPosition(scratch[:0])
+	dst = append(dst, make([]uint64, d.cfg.KeyWidth)...)
+	scratch := make([]uint64, 0, d.cfg.KeyWidth)
+	for _, id := range s.order {
+		scratch = s.view(id).match.CarePerPosition(scratch[:0])
 		for i, c := range scratch {
 			dst[base+i] += c
 		}

@@ -108,7 +108,7 @@ func TestSubtableFig5(t *testing.T) {
 	put(4, "1010", 4, 2) // R2
 	put(2, "101*", 3, 3) // R3
 
-	sv := st.snapshotView(nil)
+	sv := st.snapshotView(nil, 0)
 	mv := viewSearch(sv, ternary.MustParseKey("1010"), &sram.Stats{})
 	if got := mv.Indices(); len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 4 {
 		t.Fatalf("match vector = %v, want [1 2 4]", got)
@@ -147,7 +147,7 @@ func TestSubtableInsertAnySlotFig6(t *testing.T) {
 		{"1100", 4}, // only R4
 		{"0110", 1}, // R1
 	}
-	sv := st.snapshotView(nil)
+	sv := st.snapshotView(nil, 0)
 	for _, c := range cases {
 		slot := viewDecide(sv, viewSearch(sv, ternary.MustParseKey(c.key), &sram.Stats{}), nil)
 		if slot < 0 || st.Action(slot) != c.want {
@@ -161,7 +161,7 @@ func TestSubtableInsertAnySlotFig6(t *testing.T) {
 }
 
 func TestSubtableDecideEmpty(t *testing.T) {
-	sv := testSubtable(4, 4).snapshotView(nil)
+	sv := testSubtable(4, 4).snapshotView(nil, 0)
 	if viewDecide(sv, bitvec.New(4), nil) != -1 {
 		t.Fatal("empty match vector should yield -1")
 	}
@@ -195,7 +195,7 @@ func TestSubtableDeleteReinsert(t *testing.T) {
 	// Reinsert into the same slot with a different rank: stale priority
 	// bits must be fully overwritten.
 	st.Insert(0, Entry{Word: ternary.MustParse("1***"), Rank: Rank{Priority: 9, RuleID: 2}})
-	sv := st.snapshotView(nil)
+	sv := st.snapshotView(nil, 0)
 	if slot := viewDecide(sv, viewSearch(sv, ternary.MustParseKey("1100"), &sram.Stats{}), nil); slot != 0 {
 		t.Fatalf("reinserted high-priority rule should win, got slot %d", slot)
 	}
@@ -247,7 +247,7 @@ func TestSubtableCycleCosts(t *testing.T) {
 	// A search is charged to the reader's statistics, not the arrays'.
 	st.ResetStats()
 	var search sram.Stats
-	viewSearch(st.snapshotView(nil), ternary.MustParseKey("0000"), &search)
+	viewSearch(st.snapshotView(nil, 0), ternary.MustParseKey("0000"), &search)
 	m, p = st.Stats()
 	if search.Cycles != 1 || m.Cycles != 0 || p.Cycles != 0 {
 		t.Fatalf("search cycles = %d, arrays charged %d/%d", search.Cycles, m.Cycles, p.Cycles)

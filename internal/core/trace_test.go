@@ -45,8 +45,8 @@ func TestDeviceTraceSpans(t *testing.T) {
 	focus.LoadPadded(rules.EncodeHeader(hs[3]))
 	pats := s.sel.Patterns(focus)
 	admitted := map[int]bool{}
-	for _, id := range s.iv.order {
-		if s.subs[id].match.Admits(pats) {
+	for _, id := range s.order {
+		if s.view(id).match.Admits(pats) {
 			admitted[id] = true
 		}
 	}
