@@ -64,10 +64,7 @@ func main() {
 		Instruction: flowtable.Terminal(2)})
 
 	show := func(name string, h rules.Header) {
-		action, traces, err := p.Classify(h)
-		if err != nil {
-			log.Fatal(err)
-		}
+		action, traces := p.Classify(h)
 		path := ""
 		for _, tr := range traces {
 			path += fmt.Sprintf(" ->T%d", tr.TableID)

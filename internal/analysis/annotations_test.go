@@ -50,7 +50,6 @@ var pins = []pin{
 	// Lock ordering: the mutex fields feeding lockorder's module-wide
 	// acquisition graph (and lockcheck's guarded-access proof).
 	{"internal/core/device.go", "//catcam:guarded-by mu", `subs\s+\[\]\*Subtable`},
-	{"internal/flowtable/flowtable.go", "//catcam:guarded-by instrMu", `instr\s+map\[\[2\]int\]Instruction`},
 	{"internal/cluster/cluster.go", "//catcam:guarded-by routeMu", `owner\s+map\[int\]ownedRule`},
 }
 

@@ -2,7 +2,7 @@
 // the module-wide mutex acquisition order is acyclic. The locks under
 // proof are the mutex fields named by //catcam:guarded-by and
 // //catcam:write-guarded-by annotations (core.Device.mu,
-// cluster.Cluster.mu, the flowtable instrumentation mutex, ...);
+// cluster.Cluster.mu, cluster.Cluster.routeMu, ...);
 // lockcheck proves each is held where required, lockorder proves that
 // holding several at once cannot deadlock.
 //

@@ -28,8 +28,8 @@ func ExamplePipeline() {
 	fwd.ID = 3
 	p.Install(1, flowtable.FlowRule{Rule: fwd, Instruction: flowtable.Terminal(7)})
 
-	a, _, _ := p.Classify(rules.Header{SrcIP: 0x0A010101})
-	b, _, _ := p.Classify(rules.Header{SrcIP: 0x0A666601})
+	a, _ := p.Classify(rules.Header{SrcIP: 0x0A010101})
+	b, _ := p.Classify(rules.Header{SrcIP: 0x0A666601})
 	fmt.Println(a, b)
 	// Output:
 	// 7 -1

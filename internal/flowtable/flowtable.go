@@ -7,14 +7,17 @@
 // Each flow table is backed by one CATCAM engine (one match stage, as
 // in a dRMT processor) — either a single device or, for tables whose
 // rule count outgrows one device, a sharded cluster behind the same
-// Backend interface. A packet enters table 0; the winning entry's
-// instruction either emits a final action or forwards the packet to a
-// later table (goto-table, strictly increasing as OpenFlow requires).
-// A table miss applies the table's miss policy.
+// Backend interface. A packet enters the first table; the winning
+// entry's instruction either emits a final action or forwards the
+// packet to a later table (goto-table, strictly increasing as OpenFlow
+// requires). A table miss applies the table's miss policy.
 //
-// Because every table is a CATCAM, controller updates are O(1) at any
-// pipeline position — the end-to-end property the paper argues makes
-// reactive SDN policies viable on hardware.
+// A flow rule is stored once: its instruction is packed into the
+// action word of the entry its table's backend holds, so an install is
+// one insert and a lookup reads the instruction from the same snapshot
+// that matched the entry. Because every table is a CATCAM, controller
+// updates are O(1) at any pipeline position — the end-to-end property
+// the paper argues makes reactive SDN policies viable on hardware.
 package flowtable
 
 import (
@@ -22,6 +25,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"catcam/internal/cluster"
 	"catcam/internal/core"
@@ -126,23 +130,21 @@ type TableConfig struct {
 
 // Pipeline is an ordered set of flow tables.
 //
-// The classify paths (Classify and ClassifyBatch) are safe for
-// concurrent use — each call checks its working set out of a
-// sync.Pool, the instruction map is read under a shared lock, and the
-// backing devices classify lock-free — and may also run concurrently
-// with Install/Remove. Construction-time wiring (Attach*) still
-// requires a quiescent pipeline.
+// The classify paths (Classify and ClassifyBatch) take no lock and are
+// safe for concurrent use — each call checks its working set out of a
+// sync.Pool, the backing devices classify lock-free, and a hit's
+// instruction is the action word of the entry it matched — and may
+// also run concurrently with Install/Remove, each of which is one
+// backend update. Construction-time wiring (Attach*) still requires a
+// quiescent pipeline.
 type Pipeline struct {
-	tables map[int]*table
-	order  []int
-	// structs holds the state observatory's reusable per-table derive
-	// buffers (see structure.go).
-	structs structState
-	// instrMu guards instr: classify holds the read side for the
-	// duration of one traversal, Install/Remove the write side.
-	instrMu sync.RWMutex
-	// instr maps (tableID, ruleID) to the rule's instruction.
-	instr map[[2]int]Instruction //catcam:guarded-by instrMu
+	// tables is every table in traversal order (ascending ID); a goto
+	// word names its target by position here.
+	tables []*table
+	// structs is the state observatory's reusable per-table derive
+	// buffers (see structure.go); a derive takes them, so a concurrent
+	// one allocates its own.
+	structs atomic.Pointer[[]core.Structure]
 	// tel is the attached runtime telemetry; nil until AttachTelemetry.
 	tel *pipelineTelemetry
 	// scratchPool recycles classifyScratch working sets so concurrent
@@ -154,7 +156,7 @@ type Pipeline struct {
 //
 //catcam:scratch
 type classifyScratch struct {
-	cur     []int // per-packet position in order; -1 = terminated
+	cur     []int // per-packet position in tables; -1 = terminated
 	depth   []int // per-packet table visits, for telemetry
 	hdrs    []rules.Header
 	idxs    []int // packet index behind each batch entry
@@ -196,9 +198,8 @@ func (p *Pipeline) AttachTelemetry(reg *telemetry.Registry, ring *telemetry.Even
 			"classifications ending in a drop", labels),
 		ring: ring,
 	}
-	for _, id := range p.order {
-		t := p.tables[id]
-		tl := labels.Merged(telemetry.Labels{"table": strconv.Itoa(id)})
+	for _, t := range p.tables {
+		tl := labels.Merged(telemetry.Labels{"table": strconv.Itoa(t.cfg.ID)})
 		t.hits = reg.Counter("catcam_flowtable_classify_total",
 			"per-table classification outcomes", tl.Merged(telemetry.Labels{"result": "hit"}))
 		t.misses = reg.Counter("catcam_flowtable_classify_total",
@@ -211,8 +212,8 @@ func (p *Pipeline) AttachTelemetry(reg *telemetry.Registry, ring *telemetry.Even
 // devices into tt; each update trace carries its table ID. Passing nil
 // detaches.
 func (p *Pipeline) AttachTracer(tt *tracepkg.Tracer) {
-	for _, id := range p.order {
-		p.tables[id].dev.AttachTracer(tt)
+	for _, t := range p.tables {
+		t.dev.AttachTracer(tt)
 	}
 }
 
@@ -221,8 +222,8 @@ func (p *Pipeline) AttachTracer(tt *tracepkg.Tracer) {
 // distinct table labels) or the same auditor for a pooled view; a nil
 // return detaches that table.
 func (p *Pipeline) AttachAuditors(mk func(tableID int) *flightrec.Auditor) {
-	for _, id := range p.order {
-		p.tables[id].dev.AttachAuditor(mk(id))
+	for _, t := range p.tables {
+		t.dev.AttachAuditor(mk(t.cfg.ID))
 	}
 }
 
@@ -233,12 +234,12 @@ func (p *Pipeline) AttachAuditors(mk func(tableID int) *flightrec.Auditor) {
 // shard needs its own fresh shadow, since each mirrors only its own
 // partition of the table's rules.
 func (p *Pipeline) AttachShadows(mk func(tableID int) *flightrec.Shadow) {
-	for _, id := range p.order {
-		switch dev := p.tables[id].dev.(type) {
+	for _, t := range p.tables {
+		id := t.cfg.ID
+		switch dev := t.dev.(type) {
 		case *core.Device:
 			dev.AttachShadow(mk(id))
 		case *cluster.Cluster:
-			id := id
 			dev.AttachShadows(func(int) *flightrec.Shadow { return mk(id) })
 		}
 	}
@@ -248,32 +249,30 @@ func (p *Pipeline) AttachShadows(mk func(tableID int) *flightrec.Shadow) {
 // and returns the aggregate sweep accounting.
 func (p *Pipeline) AuditSweep() flightrec.SweepInfo {
 	var total flightrec.SweepInfo
-	for _, id := range p.order {
-		total.Add(p.tables[id].dev.AuditSweep())
+	for _, t := range p.tables {
+		total.Add(t.dev.AuditSweep())
 	}
 	return total
 }
 
-// Errors returned by pipeline operations.
+// Errors returned by Install and Remove.
 var (
 	ErrUnknownTable = errors.New("flowtable: unknown table")
 	ErrBackwardGoto = errors.New("flowtable: goto-table must target a later table")
+	ErrActionRange  = errors.New("flowtable: terminal action out of range")
 )
 
-// NewPipeline builds a pipeline; table IDs must be unique and are
-// traversed in ascending order.
+// NewPipeline builds a pipeline; configs list the tables in traversal
+// order, so their IDs must be strictly ascending.
 func NewPipeline(configs []TableConfig) (*Pipeline, error) {
 	if len(configs) == 0 {
 		return nil, errors.New("flowtable: no tables")
 	}
-	p := &Pipeline{
-		tables: make(map[int]*table, len(configs)),
-		instr:  make(map[[2]int]Instruction),
-	}
+	p := &Pipeline{tables: make([]*table, 0, len(configs))}
 	p.scratchPool.New = func() any { return new(classifyScratch) }
-	for _, c := range configs {
-		if _, dup := p.tables[c.ID]; dup {
-			return nil, fmt.Errorf("flowtable: duplicate table %d", c.ID)
+	for i, c := range configs {
+		if i > 0 && c.ID <= configs[i-1].ID {
+			return nil, fmt.Errorf("flowtable: table IDs must be unique and ascending, got %d after %d", c.ID, configs[i-1].ID)
 		}
 		if c.Partition != cluster.ModeInterval {
 			return nil, fmt.Errorf("flowtable: table %d: unknown partition %d, the cluster only partitions by priority interval", c.ID, c.Partition)
@@ -294,26 +293,33 @@ func NewPipeline(configs []TableConfig) (*Pipeline, error) {
 			d.SetTraceLabels(c.ID, -1)
 			dev = d
 		}
-		p.tables[c.ID] = &table{cfg: c, dev: dev}
-		p.order = append(p.order, c.ID)
-	}
-	for i := 1; i < len(p.order); i++ {
-		if p.order[i] <= p.order[i-1] {
-			return nil, fmt.Errorf("flowtable: table IDs must be ascending, got %v", p.order)
-		}
+		p.tables = append(p.tables, &table{cfg: c, dev: dev})
 	}
 	return p, nil
 }
 
+// position returns the traversal position of table id, or -1 when the
+// pipeline has no such table.
+func (p *Pipeline) position(id int) int {
+	for pos, t := range p.tables {
+		if t.cfg.ID == id {
+			return pos
+		}
+	}
+	return -1
+}
+
 // Table returns the engine backing a table (stats, invariants). The
 // concrete type is *core.Device or, for sharded tables,
-// *cluster.Cluster.
+// *cluster.Cluster. Its entries' actions are packed instructions, not
+// the actions their flow rules were installed with: a classify through
+// the engine directly reports words only the pipeline can decode.
 func (p *Pipeline) Table(id int) (Backend, bool) {
-	t, ok := p.tables[id]
-	if !ok {
+	pos := p.position(id)
+	if pos < 0 {
 		return nil, false
 	}
-	return t.dev, true
+	return p.tables[pos].dev, true
 }
 
 // Close does nothing: no table holds background resources.
@@ -323,85 +329,97 @@ func (p *Pipeline) Table(id int) (Backend, bool) {
 func (p *Pipeline) Close() {}
 
 // TableIDs returns the traversal order.
-func (p *Pipeline) TableIDs() []int { return append([]int(nil), p.order...) }
+func (p *Pipeline) TableIDs() []int {
+	ids := make([]int, len(p.tables))
+	for pos, t := range p.tables {
+		ids[pos] = t.cfg.ID
+	}
+	return ids
+}
 
 // Epoch returns the sum of every table's backend epoch — a monotonic
 // stamp that changes whenever any rule in any table changes, so a
 // front-end flow cache keyed on it never serves a decision staler than
 // the last install/remove. Lock-free (one snapshot load per backend).
-// The instruction map rides the same stamp: Install/Remove advance the
-// backend epoch before editing the instruction, so a decision cached
-// at epoch E and validated at E predates both halves of every
-// completed update (a reader racing the two halves of an in-flight
-// update sees the same transient any concurrent ClassifyBatch sees).
 func (p *Pipeline) Epoch() uint64 {
 	var e uint64
-	for _, id := range p.order {
-		e += p.tables[id].dev.Epoch()
+	for _, t := range p.tables {
+		e += t.dev.Epoch()
 	}
 	return e
 }
 
-// Install adds a flow rule to a table. Goto targets are validated
-// against the forward-only constraint at install time, as an OpenFlow
-// agent would.
+// pack returns the action word an entry stores for its flow rule's
+// instruction: v is the terminal action or, when next, the traversal
+// position of the goto target, and the low bit tells the two apart.
+// unpack is its inverse.
+func pack(v int, next bool) int {
+	w := v << 1
+	if next {
+		w |= 1
+	}
+	return w
+}
+
+func unpack(w int) (v int, next bool) { return w >> 1, w&1 != 0 }
+
+// Install adds a flow rule to a table: one backend insert of the rule
+// with its instruction packed into the action word, so a classify sees
+// the rule and its instruction together or not at all. Goto targets
+// are validated against the forward-only constraint, as an OpenFlow
+// agent would, and resolved to their traversal position; a terminal
+// action must survive the packing (any int32 does). The rule's own
+// Action is not stored.
 func (p *Pipeline) Install(tableID int, fr FlowRule) (core.UpdateResult, error) {
-	t, ok := p.tables[tableID]
-	if !ok {
+	pos := p.position(tableID)
+	if pos < 0 {
 		return core.UpdateResult{}, fmt.Errorf("%w: %d", ErrUnknownTable, tableID)
 	}
+	r := fr.Rule
 	if g := fr.Instruction.GotoTable; g >= 0 {
-		if _, ok := p.tables[g]; !ok {
+		gp := p.position(g)
+		if gp < 0 {
 			return core.UpdateResult{}, fmt.Errorf("%w: goto %d", ErrUnknownTable, g)
 		}
-		if g <= tableID {
+		if gp <= pos {
 			return core.UpdateResult{}, fmt.Errorf("%w: %d -> %d", ErrBackwardGoto, tableID, g)
 		}
+		r.Action = pack(gp, true)
+	} else {
+		a := fr.Instruction.Action
+		if v, _ := unpack(pack(a, false)); v != a {
+			return core.UpdateResult{}, fmt.Errorf("%w: %d", ErrActionRange, a)
+		}
+		r.Action = pack(a, false)
 	}
-	res, err := t.dev.InsertRule(fr.Rule)
-	if err != nil {
-		return res, err
-	}
-	p.instrMu.Lock()
-	p.instr[[2]int{tableID, fr.Rule.ID}] = fr.Instruction
-	p.instrMu.Unlock()
-	return res, nil
+	return p.tables[pos].dev.InsertRule(r)
 }
 
 // Remove deletes a rule from a table.
 func (p *Pipeline) Remove(tableID, ruleID int) (core.UpdateResult, error) {
-	t, ok := p.tables[tableID]
-	if !ok {
+	pos := p.position(tableID)
+	if pos < 0 {
 		return core.UpdateResult{}, fmt.Errorf("%w: %d", ErrUnknownTable, tableID)
 	}
-	res, err := t.dev.DeleteRule(ruleID)
-	if err != nil {
-		return res, err
-	}
-	p.instrMu.Lock()
-	delete(p.instr, [2]int{tableID, ruleID})
-	p.instrMu.Unlock()
-	return res, nil
+	return p.tables[pos].dev.DeleteRule(ruleID)
 }
 
 // Trace records one table visit during classification.
 type Trace struct {
 	TableID int
 	RuleID  int // -1 on miss
-	Action  int // meaningful when terminal
+	Action  int // the terminal or miss action; 0 on a goto
 }
 
 // Classify walks the pipeline for a header and returns the final action
 // plus the per-table trace: the batch wave on a batch of one, with the
-// visit log switched on. The error is ErrUnknownTable when a matched
-// entry's goto target is not a table of this pipeline (the packet
-// drops).
-func (p *Pipeline) Classify(h rules.Header) (int, []Trace, error) {
+// visit log switched on.
+func (p *Pipeline) Classify(h rules.Header) (int, []Trace) {
 	hs := [1]rules.Header{h}
 	var visits [1][]Trace
 	var out [1]int
-	dst, err := p.wave(nil, hs[:], out[:0], visits[:])
-	action, traces := dst[0], visits[0]
+	action := p.wave(nil, hs[:], out[:0], visits[:])[0]
+	traces := visits[0]
 	if t := p.tel; t != nil {
 		ev := telemetry.Event{Kind: telemetry.EvClassify, Table: -1, Subtable: -1,
 			RuleID: -1, Depth: len(traces)}
@@ -411,7 +429,7 @@ func (p *Pipeline) Classify(h rules.Header) (int, []Trace, error) {
 		}
 		t.ring.Emit(ev)
 	}
-	return action, traces, err
+	return action, traces
 }
 
 // ClassifyBatch classifies a batch of headers and appends one final
@@ -419,11 +437,13 @@ func (p *Pipeline) Classify(h rules.Header) (int, []Trace, error) {
 // goto-table is strictly forward, the whole batch is processed in one
 // ascending sweep over the tables: at each table, every packet
 // currently parked there is looked up in a single batched device call
-// (lock-free on the device side), and survivors move strictly
-// forward. Safe for concurrent use — each call checks its own working
-// set out of the pipeline's scratch pool — and with a reused dst the
-// call allocates nothing at steady state. Per-packet traces are not
-// collected; use Classify for those.
+// (lock-free on the device side), and each hit's instruction is
+// decoded from the matched entry's action word, so it comes from the
+// same snapshot as the match and costs no further lookup. Survivors
+// move strictly forward. Safe for concurrent use, with no lock taken —
+// each call checks its own working set out of the pipeline's scratch
+// pool — and with a reused dst the call allocates nothing at steady
+// state. Per-packet traces are not collected; use Classify for those.
 //
 // A non-nil tr records spans for one sampled batch: one table_classify
 // span per table wave, with the backend's own dispatch/shard/kernel
@@ -432,31 +452,24 @@ func (p *Pipeline) Classify(h rules.Header) (int, []Trace, error) {
 // interface, which the analyzer cannot prove through; the proven roots
 // are the concrete device and cluster batch lookups underneath.)
 func (p *Pipeline) ClassifyBatch(tr *tracepkg.Trace, hs []rules.Header, dst []int) []int {
-	dst, _ = p.wave(tr, hs, dst, nil) // a vanished goto target drops the packet
-	return dst
+	return p.wave(tr, hs, dst, nil)
 }
 
 // wave is the one goto walk: the ascending sweep ClassifyBatch
 // describes. visits, nil on the batch path, is Classify's per-packet
 // visit log (one slice per header); it costs the batch path one nil
-// test per visited table. The error reports the first goto whose
-// target is not in the pipeline; that packet drops.
-func (p *Pipeline) wave(tr *tracepkg.Trace, hs []rules.Header, dst []int, visits [][]Trace) ([]int, error) {
-	var err error
+// test per looked-up packet.
+func (p *Pipeline) wave(tr *tracepkg.Trace, hs []rules.Header, dst []int, visits [][]Trace) []int {
 	base := len(dst)
 	s := p.scratchPool.Get().(*classifyScratch)
 	defer p.scratchPool.Put(s)
-	p.instrMu.RLock()
-	defer p.instrMu.RUnlock()
 	s.cur, s.depth = s.cur[:0], s.depth[:0]
 	for range hs {
 		dst = append(dst, Drop) // packets that fall off the end drop
 		s.cur = append(s.cur, 0)
 		s.depth = append(s.depth, 0)
 	}
-	for pos := 0; pos < len(p.order); pos++ {
-		id := p.order[pos]
-		t := p.tables[id]
+	for pos, t := range p.tables {
 		s.hdrs, s.idxs = s.hdrs[:0], s.idxs[:0]
 		for i, c := range s.cur {
 			if c == pos {
@@ -474,45 +487,34 @@ func (p *Pipeline) wave(tr *tracepkg.Trace, hs []rules.Header, dst []int, visits
 		s.results = t.dev.LookupHeaderBatchTraced(tr, s.hdrs, s.results[:0])
 		if tr != nil {
 			//catcam:allow alloc "sampled trace span; rate-gated off the steady-state path"
-			tr.Span(tracepkg.StageTableClassify, id, -1, -1, -1, waveStart, 0)
+			tr.Span(tracepkg.StageTableClassify, t.cfg.ID, -1, -1, -1, waveStart, 0)
 		}
+		miss := t.cfg.Miss
 		for j, r := range s.results {
 			i := s.idxs[j]
 			s.depth[i]++
-			if !r.OK {
-				t.misses.Inc()
-				if t.cfg.Miss.Continue {
-					s.cur[i] = pos + 1
+			v := Trace{TableID: t.cfg.ID, RuleID: -1, Action: miss.MissAction}
+			next := -1 // the position the packet moves to; -1 terminates
+			if r.OK {
+				t.hits.Inc()
+				v.RuleID = r.Entry.Rank.RuleID
+				if w, isGoto := unpack(r.Entry.Action); isGoto {
+					v.Action, next = 0, w
 				} else {
-					s.cur[i] = -1
-					dst[base+i] = t.cfg.Miss.MissAction
+					v.Action = w
 				}
-				continue
-			}
-			t.hits.Inc()
-			ins := p.instr[[2]int{id, r.Entry.Rank.RuleID}]
-			if ins.GotoTable < 0 {
-				s.cur[i] = -1
-				dst[base+i] = ins.Action
-				continue
-			}
-			np := pos + 1
-			for np < len(p.order) && p.order[np] != ins.GotoTable {
-				np++
-			}
-			if np == len(p.order) && err == nil {
-				err = fmt.Errorf("%w: goto %d", ErrUnknownTable, ins.GotoTable)
-			}
-			s.cur[i] = np // len(order) drops the packet
-		}
-		if visits != nil {
-			for j, r := range s.results {
-				v := Trace{TableID: id, RuleID: -1, Action: t.cfg.Miss.MissAction}
-				if r.OK {
-					v.RuleID = r.Entry.Rank.RuleID
-					v.Action = p.instr[[2]int{id, v.RuleID}].Action
+			} else {
+				t.misses.Inc()
+				if miss.Continue {
+					next = pos + 1
 				}
-				visits[s.idxs[j]] = append(visits[s.idxs[j]], v)
+			}
+			s.cur[i] = next
+			if next < 0 {
+				dst[base+i] = v.Action
+			}
+			if visits != nil {
+				visits[i] = append(visits[i], v)
 			}
 		}
 	}
@@ -524,23 +526,23 @@ func (p *Pipeline) wave(tr *tracepkg.Trace, hs []rules.Header, dst []int, visits
 			}
 		}
 	}
-	return dst, err
+	return dst
 }
 
 // UpdateStats sums update statistics across every table.
 func (p *Pipeline) UpdateStats() core.Stats {
 	var total core.Stats
-	for _, id := range p.order {
-		total.Add(p.tables[id].dev.Stats())
+	for _, t := range p.tables {
+		total.Add(t.dev.Stats())
 	}
 	return total
 }
 
 // CheckInvariant verifies every table's device invariants.
 func (p *Pipeline) CheckInvariant() error {
-	for _, id := range p.order {
-		if err := p.tables[id].dev.CheckInvariant(); err != nil {
-			return fmt.Errorf("table %d: %w", id, err)
+	for _, t := range p.tables {
+		if err := t.dev.CheckInvariant(); err != nil {
+			return fmt.Errorf("table %d: %w", t.cfg.ID, err)
 		}
 	}
 	return nil

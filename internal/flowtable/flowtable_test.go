@@ -2,6 +2,7 @@ package flowtable
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"catcam/internal/core"
@@ -75,10 +76,7 @@ func TestClassifyChain(t *testing.T) {
 	p := buildPipeline(t)
 
 	// Good zone traffic: 0 -> 1 -> 2 -> port 7.
-	action, traces, err := p.Classify(rules.Header{SrcIP: 0x0A010101})
-	if err != nil {
-		t.Fatal(err)
-	}
+	action, traces := p.Classify(rules.Header{SrcIP: 0x0A010101})
 	if action != 7 {
 		t.Fatalf("action = %d, want 7", action)
 	}
@@ -87,19 +85,13 @@ func TestClassifyChain(t *testing.T) {
 	}
 
 	// Bad source: dropped at table 0, higher priority than the goto.
-	action, traces, err = p.Classify(rules.Header{SrcIP: 0x0A666601})
-	if err != nil {
-		t.Fatal(err)
-	}
+	action, traces = p.Classify(rules.Header{SrcIP: 0x0A666601})
 	if action != Drop || len(traces) != 1 {
 		t.Fatalf("bad source: action %d, traces %+v", action, traces)
 	}
 
 	// Unknown zone: table 1 misses and continues; table 2 forwards.
-	action, _, err = p.Classify(rules.Header{SrcIP: 0x0B010101})
-	if err != nil {
-		t.Fatal(err)
-	}
+	action, _ = p.Classify(rules.Header{SrcIP: 0x0B010101})
 	if action != 7 {
 		t.Fatalf("unknown zone action = %d, want 7", action)
 	}
@@ -115,10 +107,7 @@ func TestMissPolicyTerminal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	action, traces, err := p.Classify(rules.Header{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	action, traces := p.Classify(rules.Header{})
 	if action != 42 || len(traces) != 1 || traces[0].RuleID != -1 {
 		t.Fatalf("miss: action %d traces %+v", action, traces)
 	}
@@ -132,10 +121,7 @@ func TestMissContinueOffTheEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	action, traces, err := p.Classify(rules.Header{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	action, traces := p.Classify(rules.Header{})
 	if action != Drop || len(traces) != 2 {
 		t.Fatalf("fall-off: action %d traces %+v", action, traces)
 	}
@@ -157,10 +143,33 @@ func TestInstallValidation(t *testing.T) {
 	}
 }
 
+// TestTerminalActionRange: an entry's action word holds a terminal
+// action shifted left by one, so every int32 action comes back out of
+// a classify unchanged and an action that loses its top bit to the
+// shift is refused.
+func TestTerminalActionRange(t *testing.T) {
+	for _, a := range []int{Drop, 0, math.MaxInt32, math.MinInt32, math.MaxInt >> 1, math.MinInt >> 1} {
+		p, err := NewPipeline([]TableConfig{{ID: 0, Device: smallDev()}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustInstall(t, p, 0, FlowRule{Rule: anyRule(1, 1), Instruction: Terminal(a)})
+		if got, _ := p.Classify(rules.Header{}); got != a {
+			t.Errorf("terminal %d classifies as %d", a, got)
+		}
+	}
+	p := buildPipeline(t)
+	for _, a := range []int{math.MaxInt, math.MinInt, math.MaxInt>>1 + 1, math.MinInt>>1 - 1} {
+		if _, err := p.Install(1, FlowRule{Rule: anyRule(50, 1), Instruction: Terminal(a)}); !errors.Is(err, ErrActionRange) {
+			t.Errorf("terminal %d: err = %v, want ErrActionRange", a, err)
+		}
+	}
+}
+
 func TestLiveUpdateMidPipeline(t *testing.T) {
 	p := buildPipeline(t)
 	// Before: good traffic forwards to 7.
-	if action, _, _ := p.Classify(rules.Header{SrcIP: 0x0A010101}); action != 7 {
+	if action, _ := p.Classify(rules.Header{SrcIP: 0x0A010101}); action != 7 {
 		t.Fatalf("pre-update action = %d", action)
 	}
 	// Controller installs a higher-priority quarantine in table 1.
@@ -171,7 +180,7 @@ func TestLiveUpdateMidPipeline(t *testing.T) {
 	if res.Cycles > 5 {
 		t.Fatalf("mid-pipeline install cost %d cycles", res.Cycles)
 	}
-	if action, _, _ := p.Classify(rules.Header{SrcIP: 0x0A010101}); action != 1000 {
+	if action, _ := p.Classify(rules.Header{SrcIP: 0x0A010101}); action != 1000 {
 		t.Fatalf("post-update action = %d, want 1000", action)
 	}
 	// And removes it again: one cycle.
@@ -179,7 +188,7 @@ func TestLiveUpdateMidPipeline(t *testing.T) {
 	if err != nil || res.Cycles != 1 {
 		t.Fatalf("remove: %+v %v", res, err)
 	}
-	if action, _, _ := p.Classify(rules.Header{SrcIP: 0x0A010101}); action != 7 {
+	if action, _ := p.Classify(rules.Header{SrcIP: 0x0A010101}); action != 7 {
 		t.Fatalf("post-remove action = %d, want 7", action)
 	}
 }

@@ -1,10 +1,6 @@
 package flowtable
 
-import (
-	"sync"
-
-	"catcam/internal/core"
-)
+import "catcam/internal/core"
 
 // This file is the flowtable half of the state observatory: the
 // pipeline aggregates its tables' structural derivations behind the
@@ -13,38 +9,34 @@ import (
 // onto a dense pipeline-wide heatmap row (tables in pipeline order)
 // and tagged with their table ID.
 
-// structState holds the pipeline's reusable per-table derive buffers,
-// indexed by position in pipeline order.
-type structState struct {
-	mu      sync.Mutex
-	scratch []core.Structure //catcam:guarded-by mu
-}
-
 // DeriveStructure derives every table's backend structure and merges
 // them into dst (allocated when nil) with core.Structure.Merge, each
 // table's subtables tagged with its table ID. Lock-free with respect
-// to classify and update traffic.
+// to classify and update traffic: a derive takes the pipeline's
+// per-table buffers and puts them back, so a concurrent derive
+// allocates its own instead of waiting.
 func (p *Pipeline) DeriveStructure(dst *core.Structure) *core.Structure {
 	if dst == nil {
 		dst = &core.Structure{}
 	}
-	p.structs.mu.Lock()
-	defer p.structs.mu.Unlock()
-	if p.structs.scratch == nil {
-		p.structs.scratch = make([]core.Structure, len(p.order))
+	parts := p.structs.Swap(nil)
+	if parts == nil {
+		s := make([]core.Structure, len(p.tables))
+		parts = &s
 	}
 	dst.Reset()
-	for i, id := range p.order {
-		dst.Merge(p.tables[id].dev.DeriveStructure(&p.structs.scratch[i]), -1, id)
+	for i, t := range p.tables {
+		dst.Merge(t.dev.DeriveStructure(&(*parts)[i]), -1, t.cfg.ID)
 	}
 	dst.Finish()
+	p.structs.Store(parts)
 	return dst
 }
 
 // OnStatsReset registers fn with every table's backend: a stats reset
 // on any table clears the observatory state derived from the pipeline.
 func (p *Pipeline) OnStatsReset(fn func()) {
-	for _, id := range p.order {
-		p.tables[id].dev.OnStatsReset(fn)
+	for _, t := range p.tables {
+		t.dev.OnStatsReset(fn)
 	}
 }

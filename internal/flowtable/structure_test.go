@@ -1,7 +1,10 @@
 package flowtable
 
 import (
+	"sync"
 	"testing"
+
+	"catcam/internal/core"
 )
 
 func TestPipelineDeriveStructure(t *testing.T) {
@@ -56,4 +59,26 @@ func TestPipelineOnStatsReset(t *testing.T) {
 	if hooks != 1 {
 		t.Fatalf("hook ran %d times after one table reset, want 1", hooks)
 	}
+}
+
+// TestPipelineDeriveStructureConcurrent: derives from several
+// goroutines at once share the pipeline's per-table buffers without a
+// lock, so each must still see every table whole. Run with -race.
+func TestPipelineDeriveStructureConcurrent(t *testing.T) {
+	p := buildPipeline(t)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var s *core.Structure
+			for i := 0; i < 50; i++ {
+				if s = p.DeriveStructure(s); s.Entries != 4 || len(s.ShardEpochs) != 3 {
+					t.Errorf("derive %d: %d entries over %d tables, want 4 over 3", i, s.Entries, len(s.ShardEpochs))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -40,9 +40,9 @@ func TestFlowtableTelemetry(t *testing.T) {
 	if _, err := p.Install(1, FlowRule{Rule: wideRule(2, 10, 42), Instruction: Terminal(42)}); err != nil {
 		t.Fatal(err)
 	}
-	action, traces, err := p.Classify(rules.Header{})
-	if err != nil || action != 42 {
-		t.Fatalf("Classify = %d, %v; want 42", action, err)
+	action, traces := p.Classify(rules.Header{})
+	if action != 42 {
+		t.Fatalf("Classify = %d, want 42", action)
 	}
 	if len(traces) != 2 {
 		t.Fatalf("trace depth = %d, want 2", len(traces))
@@ -84,9 +84,9 @@ func TestFlowtableTelemetryMissAndDrop(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	p.AttachTelemetry(reg, nil, nil)
 	// Nothing installed: table 0 continues, table 1 drops.
-	action, _, err := p.Classify(rules.Header{})
-	if err != nil || action != Drop {
-		t.Fatalf("Classify = %d, %v; want Drop", action, err)
+	action, _ := p.Classify(rules.Header{})
+	if action != Drop {
+		t.Fatalf("Classify = %d, want Drop", action)
 	}
 	snap := reg.Snapshot()
 	for _, table := range []string{"0", "1"} {

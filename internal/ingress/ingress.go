@@ -54,36 +54,11 @@ type Backend interface {
 	Epoch() uint64
 }
 
-// BatchClassifier is the surface of *core.Device and *cluster.Cluster
-// (and of any flowtable.Backend holding either) that NewLookupBackend
-// adapts to the Backend interface. When its dynamic
-// type is *core.Device, the engine's flow caches revalidate stale
-// entries through the device's change log instead of missing on them.
-type BatchClassifier interface {
-	LookupHeaderBatchTraced(tr *tracepkg.Trace, hs []rules.Header, dst []core.LookupResult) []core.LookupResult
-	Epoch() uint64
-}
-
-// rankedBackend is a slow path whose answers carry their winning rule's
-// rank and whose epochs a flow cache can revalidate across: the lookup
-// backend over a single *core.Device. New type-asserts for it and hands
-// the device to every worker's flow cache. Every other Backend — over a
-// cluster, whose epoch is a sum over shards, a flowtable pipeline, or a
-// wrapper — keeps the flush behaviour: a stale stamp misses.
-type rankedBackend interface {
-	// classifyRanked is ClassifyBatch that also appends each answer's
-	// winning rank (zero for no match) to ranks.
-	classifyRanked(tr *tracepkg.Trace, hs []rules.Header, dst []Result, ranks []core.Rank) ([]Result, []core.Rank)
-	// revalidator is the device that revalidates cached answers, or nil
-	// when there is none.
-	revalidator() *core.Device
-}
-
-// lookupBackend adapts a BatchClassifier. The result-slice scratch is
-// pooled so concurrent workers share nothing and the steady state is
-// allocation-free.
+// lookupBackend adapts a single device or a cluster. The result-slice
+// scratch is pooled so concurrent workers share nothing and the steady
+// state is allocation-free.
 type lookupBackend struct {
-	dev BatchClassifier
+	dev flowtable.Backend
 	// rv is dev when it is a *core.Device, whose change log lets the flow
 	// cache revalidate; held concretely so the revalidating cache lookup
 	// stays a static, analyzer-checked call.
@@ -93,7 +68,7 @@ type lookupBackend struct {
 
 // NewLookupBackend wraps a single device or a cluster as the ingress
 // slow path.
-func NewLookupBackend(dev BatchClassifier) Backend {
+func NewLookupBackend(dev flowtable.Backend) Backend {
 	rv, _ := dev.(*core.Device)
 	return &lookupBackend{
 		dev:  dev,
@@ -107,7 +82,8 @@ func (b *lookupBackend) ClassifyBatch(tr *tracepkg.Trace, hs []rules.Header, dst
 	return dst
 }
 
-// classifyRanked keeps no ranks when ranks is nil.
+// classifyRanked is ClassifyBatch that also appends each answer's
+// winning rank (zero for no match) to ranks, unless ranks is nil.
 func (b *lookupBackend) classifyRanked(tr *tracepkg.Trace, hs []rules.Header, dst []Result, ranks []core.Rank) ([]Result, []core.Rank) {
 	sp := b.pool.Get().(*[]core.LookupResult)
 	res := b.dev.LookupHeaderBatchTraced(tr, hs, (*sp)[:0])
@@ -121,8 +97,6 @@ func (b *lookupBackend) classifyRanked(tr *tracepkg.Trace, hs []rules.Header, ds
 	b.pool.Put(sp)
 	return dst, ranks
 }
-
-func (b *lookupBackend) revalidator() *core.Device { return b.rv }
 
 func (b *lookupBackend) Epoch() uint64 { return b.dev.Epoch() }
 
@@ -273,9 +247,10 @@ func (c *counter) Value() uint64 { return c.v.Load() }
 type Engine struct {
 	cfg     Config
 	workers []*worker
-	// ranked is cfg.Backend when the flow caches revalidate through it,
-	// nil when they flush.
-	ranked rankedBackend
+	// ranked is cfg.Backend when the flow caches revalidate through its
+	// device, nil when they flush (over a cluster, a pipeline or a
+	// wrapper).
+	ranked *lookupBackend
 
 	done    chan struct{}
 	wg      sync.WaitGroup
@@ -302,8 +277,8 @@ func New(cfg Config) *Engine {
 		panic("ingress: Config.Backend is required")
 	}
 	e := &Engine{cfg: cfg, done: make(chan struct{})}
-	if rb, ok := cfg.Backend.(rankedBackend); ok && rb.revalidator() != nil && cfg.FlowCacheSize > 0 {
-		e.ranked = rb
+	if lb, ok := cfg.Backend.(*lookupBackend); ok && lb.rv != nil && cfg.FlowCacheSize > 0 {
+		e.ranked = lb
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		w := &worker{
@@ -318,7 +293,7 @@ func New(cfg Config) *Engine {
 			results:  make([]Result, 0, cfg.Burst),
 		}
 		if e.ranked != nil {
-			w.cache.dev = e.ranked.revalidator()
+			w.cache.dev = e.ranked.rv
 			w.ranks = make([]core.Rank, 0, cfg.Burst)
 		}
 		e.workers = append(e.workers, w)
