@@ -24,8 +24,7 @@
 // steady state allocates nothing.
 //
 // Live rebalancing migrates rules from hot/full shards to cold ones in
-// bounded batches (see rebalance.go), and snapshot/restore round-trips
-// a whole cluster deterministically (see snapshot.go).
+// bounded batches (see rebalance.go).
 package cluster
 
 import (
@@ -33,6 +32,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"catcam/internal/core"
@@ -65,20 +65,13 @@ type Config struct {
 	Shards int
 	// Device sizes each shard (every shard gets the same geometry).
 	Device core.Config
-	// Bounds optionally seeds the interval partition: Shards-1
-	// ascending priority upper bounds; shard i owns priorities p with
-	// Bounds[i-1] < p <= Bounds[i] (open below the first, unbounded
-	// above the last). Nil splits [0, 65536) evenly — the right prior
-	// for ClassBench-style uniform priorities; the rebalancer adapts
-	// the bounds to whatever the workload actually is.
-	Bounds []int
 }
 
 // ownedRule is the cluster's control-plane record of one installed
 // rule: which shard holds it and the full rule body (what an SDN
-// agent's rule store retains anyway). Migration and snapshot read the
-// body back from here rather than reverse-engineering range-expanded
-// ternary words out of the devices.
+// agent's rule store retains anyway). Migration reads the body back
+// from here rather than reverse-engineering range-expanded ternary
+// words out of the devices.
 type ownedRule struct {
 	shard int
 	rule  rules.Rule
@@ -89,17 +82,17 @@ type ownedRule struct {
 // Lock order (never take a later lock while holding an earlier one in
 // reverse): mu -> routeMu -> per-shard device mutexes.
 //
-//   - mu (RWMutex) is the migration epoch: classify and updates hold
-//     RLock, so they run concurrently with each other; a rebalance
-//     batch, a modify that crosses shards, snapshot restore and attach
-//     calls hold Lock, so a rule is never observed mid-flight between
-//     shards.
+//   - mu (RWMutex) is the migration epoch: classify, inserts and
+//     deletes hold RLock, so they run concurrently with each other;
+//     every modify, a rebalance batch and attach calls hold Lock, so a
+//     rule is never observed mid-flight between shards. It also guards
+//     the rebalance counters and the reset-hook list: written under
+//     Lock, read under RLock.
 //   - routeMu guards the routing state (owner map, interval bounds).
 //   - Classify takes no cluster-wide lock beyond mu.RLock: each call
 //     checks its own working set (a fanRound) out of roundPool, so
 //     concurrent classify batches proceed independently.
 type Cluster struct {
-	cfg    Config
 	shards []*core.Device // indexed by shard ID
 
 	mu      sync.RWMutex
@@ -115,16 +108,14 @@ type Cluster struct {
 	tel *clusterTelemetry
 	aud *flightrec.Auditor
 
-	rebalMu     sync.Mutex
-	rebalPasses uint64 //catcam:guarded-by rebalMu
-	rebalMoved  uint64 //catcam:guarded-by rebalMu
+	rebalPasses uint64   //catcam:guarded-by mu
+	rebalMoved  uint64   //catcam:guarded-by mu
+	resetHooks  []func() //catcam:guarded-by mu
 
-	// structMu serializes DeriveStructure's per-shard scratch buffers;
-	// hookMu guards the stats-reset observer list (see structure.go).
-	structMu     sync.Mutex
-	shardStructs []core.Structure //catcam:guarded-by structMu
-	hookMu       sync.Mutex
-	resetHooks   []func() //catcam:guarded-by hookMu
+	// structs is the state observatory's reusable per-shard derive
+	// buffers (see structure.go); a derive takes them, so a concurrent
+	// one allocates its own.
+	structs atomic.Pointer[[]core.Structure]
 }
 
 // fanRound is one classify call's working set: one result slice and
@@ -152,10 +143,7 @@ func New(cfg Config) *Cluster {
 	if cfg.Shards < 1 {
 		panic(fmt.Sprintf("cluster: invalid shard count %d", cfg.Shards))
 	}
-	c := &Cluster{
-		cfg:   cfg,
-		owner: make(map[int]ownedRule),
-	}
+	c := &Cluster{owner: make(map[int]ownedRule)}
 	c.roundPool.New = func() any {
 		return &fanRound{
 			results: make([][]core.LookupResult, cfg.Shards),
@@ -167,18 +155,11 @@ func New(cfg Config) *Cluster {
 		dev.SetTraceLabels(-1, i)
 		c.shards = append(c.shards, dev)
 	}
-	if cfg.Bounds != nil {
-		if len(cfg.Bounds) != cfg.Shards-1 {
-			panic(fmt.Sprintf("cluster: %d bounds for %d shards", len(cfg.Bounds), cfg.Shards))
-		}
-		if !sort.IntsAreSorted(cfg.Bounds) {
-			panic(fmt.Sprintf("cluster: bounds not ascending: %v", cfg.Bounds))
-		}
-		c.bounds = append([]int(nil), cfg.Bounds...)
-	} else {
-		for i := 1; i < cfg.Shards; i++ {
-			c.bounds = append(c.bounds, i*65536/cfg.Shards)
-		}
+	// Split [0, 65536) evenly, the right prior for ClassBench-style
+	// uniform priorities; the rebalancer adapts the bounds to whatever
+	// the workload actually is.
+	for i := 1; i < cfg.Shards; i++ {
+		c.bounds = append(c.bounds, i*65536/cfg.Shards)
 	}
 	return c
 }
@@ -190,8 +171,9 @@ func (c *Cluster) NumShards() int { return len(c.shards) }
 func (c *Cluster) Shard(i int) *core.Device { return c.shards[i] }
 
 // Bounds returns a copy of the interval partition bounds: Shards-1
-// ascending priority upper bounds, as Config.Bounds describes them.
-// The rebalancer moves them, so two calls may differ.
+// ascending priority upper bounds; shard i owns priorities p with
+// bounds[i-1] < p <= bounds[i] (open below the first, unbounded above
+// the last). The rebalancer moves them, so two calls may differ.
 func (c *Cluster) Bounds() []int {
 	c.routeMu.Lock()
 	defer c.routeMu.Unlock()
@@ -258,57 +240,39 @@ func (c *Cluster) DeleteRule(ruleID int) (core.UpdateResult, error) {
 }
 
 // ModifyRule replaces a rule with a new version keeping its ID; no
-// reader ever sees the rule absent. When the new priority stays inside
-// the interval of the shard that holds the old version, the shard's
-// Device.ModifyRule publishes the change as one epoch. A modify that
-// crosses shards takes the migration epoch (mu.Lock, as a rebalance
-// batch does): insert into the destination shard, delete from the
-// source, move the owner record, with classify excluded until all
-// three are done. A destination that cannot take the new version
-// returns its error with the old version still installed and owned.
-// Cycle costs of both phases are reported together, mirroring
-// Device.ModifyRule.
-func (c *Cluster) ModifyRule(ruleID int, newRule rules.Rule) (core.UpdateResult, error) {
+// reader ever sees the rule absent. Every modify holds the migration
+// epoch (mu.Lock, as a rebalance batch does), so the owner and the
+// destination it reads cannot move before the device calls. When the
+// new priority stays inside the interval of the shard that holds the
+// old version, the shard's Device.ModifyRule publishes the change as
+// one epoch. Otherwise the new version is inserted into the destination
+// shard, the old one deleted from the source and the owner record
+// moved, with classify excluded until all three are done. A destination
+// that cannot take the new version returns its error with the old
+// version still installed and owned. Cycle costs of both phases are
+// reported together, mirroring Device.ModifyRule.
+func (c *Cluster) ModifyRule(ruleID int, newRule rules.Rule) (res core.UpdateResult, err error) {
 	if newRule.ID != ruleID {
-		return core.UpdateResult{}, fmt.Errorf("cluster: modify must keep rule ID %d, got %d", ruleID, newRule.ID)
+		return res, fmt.Errorf("cluster: modify must keep rule ID %d, got %d", ruleID, newRule.ID)
 	}
 	if newRule.ExpansionCount() == 0 {
 		// Rejected before either path deletes the old version.
-		return core.UpdateResult{}, fmt.Errorf("cluster: modify of rule %d: %w", ruleID, core.ErrEmptyRule)
+		return res, fmt.Errorf("cluster: modify of rule %d: %w", ruleID, core.ErrEmptyRule)
 	}
-	// mu.RLock keeps the rebalancer from moving the rule between the
-	// routing read and the device call.
-	c.mu.RLock()
-	res, crosses, err := c.modify(ruleID, newRule, false)
-	c.mu.RUnlock()
-	if crosses {
-		// Routing is read again under the write lock: the rebalancer
-		// may have moved the rule or the bound since.
-		c.mu.Lock()
-		res, _, err = c.modify(ruleID, newRule, true)
-		c.mu.Unlock()
-	}
-	return res, err
-}
-
-// modify runs one modify with mu held. Crossing shards needs the write
-// side: with only the read side held (exclusive false) such a modify
-// touches nothing and reports crosses.
-func (c *Cluster) modify(ruleID int, newRule rules.Rule, exclusive bool) (res core.UpdateResult, crosses bool, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.routeMu.Lock()
 	o, ok := c.owner[ruleID]
 	dst := c.routeLocked(newRule.Priority)
 	c.routeMu.Unlock()
 	switch {
 	case !ok:
-		return res, false, core.ErrNotFound
-	case dst != o.shard && !exclusive:
-		return res, true, nil
+		return res, core.ErrNotFound
 	case dst == o.shard:
 		res, err = c.shards[dst].ModifyRule(ruleID, newRule)
 	default:
 		if res, err = c.move(newRule, o.shard, dst); err != nil {
-			return res, false, err // the old version is still installed and owned
+			return res, err // the old version is still installed and owned
 		}
 	}
 	c.routeMu.Lock()
@@ -320,7 +284,7 @@ func (c *Cluster) modify(ruleID int, newRule rules.Rule, exclusive bool) (res co
 		delete(c.owner, ruleID)
 	}
 	c.routeMu.Unlock()
-	return res, false, err
+	return res, err
 }
 
 // Lookup classifies one header and returns the winning action: a
@@ -547,9 +511,9 @@ func (c *Cluster) ResetStats() {
 	for _, s := range c.shards {
 		s.ResetStats()
 	}
-	c.hookMu.Lock()
+	c.mu.RLock()
 	hooks := append([]func(){}, c.resetHooks...)
-	c.hookMu.Unlock()
+	c.mu.RUnlock()
 	for _, fn := range hooks {
 		fn()
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"maps"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -25,6 +26,14 @@ func testDeviceConfig() core.Config {
 
 func testCluster(shards int) *Cluster {
 	return New(Config{Shards: shards, Device: testDeviceConfig()})
+}
+
+// owned copies the cluster's owner map: which shard holds each rule,
+// and the body it holds.
+func owned(c *Cluster) map[int]ownedRule {
+	c.routeMu.Lock()
+	defer c.routeMu.Unlock()
+	return maps.Clone(c.owner)
 }
 
 func clRule(id, prio int, src rules.Prefix) rules.Rule {
@@ -132,11 +141,7 @@ func TestClusterModifySameShardOneEpoch(t *testing.T) {
 		if err := c.CheckInvariant(); err != nil {
 			t.Fatal(err)
 		}
-		var held []rules.Rule
-		for _, rs := range c.Snapshot().Shards {
-			held = append(held, rs...)
-		}
-		if len(held) != 1 || held[0] != mod {
+		if held := owned(c); len(held) != 1 || held[3].rule != mod {
 			t.Fatalf("owner map holds %+v, want the new version %+v", held, mod)
 		}
 		if _, err := c.ModifyRule(9, clRule(9, 1, src)); !errors.Is(err, core.ErrNotFound) {
@@ -599,8 +604,8 @@ func TestClusterModifyDestinationFull(t *testing.T) {
 			if a, ok := c.Lookup(rules.Header{SrcIP: 0x0A010203, DstPort: 3}); !ok || a != old.Action {
 				t.Fatalf("after the refused modify the old version answers %d,%v, want %d", a, ok, old.Action)
 			}
-			if got := c.Snapshot().Shards[0]; len(got) != 1 || got[0] != old {
-				t.Fatalf("shard 0 owns %+v, want the old version %+v", got, old)
+			if got := owned(c); len(got) != tc.preload+1 || got[1] != (ownedRule{shard: 0, rule: old}) {
+				t.Fatalf("owner map holds %+v, want the old version %+v on shard 0", got[1], old)
 			}
 			if got := c.ShardEntries(); got[0] != 1 || got[1] != tc.preload {
 				t.Fatalf("shard entries %v, want [1 %d]", got, tc.preload)

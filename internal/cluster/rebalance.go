@@ -52,10 +52,8 @@ func (c *Cluster) RebalanceOnce(batch int) int {
 
 	moved := c.moveBoundary(donor, recipient, target)
 	if moved > 0 {
-		c.rebalMu.Lock()
 		c.rebalPasses++
 		c.rebalMoved += uint64(moved)
-		c.rebalMu.Unlock()
 		if t := c.tel; t != nil {
 			t.rebalances.Inc()
 			t.moved.Add(uint64(moved))
@@ -212,8 +210,8 @@ func (c *Cluster) migrateGroup(group []ownedRule, donor, recipient int) bool {
 // RebalanceStats returns how many passes moved rules and the total
 // rules moved.
 func (c *Cluster) RebalanceStats() (passes, moved uint64) {
-	c.rebalMu.Lock()
-	defer c.rebalMu.Unlock()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	return c.rebalPasses, c.rebalMoved
 }
 

@@ -15,21 +15,24 @@ import "catcam/internal/core"
 // them into dst (allocated when nil) with core.Structure.Merge, each
 // shard's subtables tagged with their shard. Lock-free with respect to
 // classify and update traffic — each shard derive is one atomic
-// snapshot load plus frozen-view traversal.
+// snapshot load plus frozen-view traversal. A derive takes the
+// cluster's per-shard buffers and puts them back, so a concurrent
+// derive allocates its own instead of waiting.
 func (c *Cluster) DeriveStructure(dst *core.Structure) *core.Structure {
 	if dst == nil {
 		dst = &core.Structure{}
 	}
-	c.structMu.Lock()
-	defer c.structMu.Unlock()
-	if c.shardStructs == nil {
-		c.shardStructs = make([]core.Structure, len(c.shards))
+	parts := c.structs.Swap(nil)
+	if parts == nil {
+		s := make([]core.Structure, len(c.shards))
+		parts = &s
 	}
 	dst.Reset()
 	for i, s := range c.shards {
-		dst.Merge(s.DeriveStructure(&c.shardStructs[i]), i, -1)
+		dst.Merge(s.DeriveStructure(&(*parts)[i]), i, -1)
 	}
 	dst.Finish()
+	c.structs.Store(parts)
 	return dst
 }
 
@@ -55,7 +58,7 @@ func (c *Cluster) CarePerPosition(dst []uint64) []uint64 {
 // core.Device.OnStatsReset, so an observatory sampling the cluster
 // clears its ring on reset.
 func (c *Cluster) OnStatsReset(fn func()) {
-	c.hookMu.Lock()
-	defer c.hookMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.resetHooks = append(c.resetHooks, fn)
 }

@@ -1,9 +1,14 @@
 package cluster
 
 import (
+	"fmt"
+	"runtime"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"catcam/internal/core"
 	"catcam/internal/rules"
 	"catcam/internal/telemetry"
 )
@@ -71,6 +76,85 @@ func TestClusterDeriveStructure(t *testing.T) {
 	}
 	if s.FragIndex < 0 || s.FragIndex > 1 {
 		t.Fatalf("weighted frag index %v out of range", s.FragIndex)
+	}
+}
+
+// TestClusterDeriveStructureConcurrent: derives from several
+// goroutines at once share the cluster's per-shard buffers without a
+// lock, so each must still see every shard whole while a writer churns
+// rules on both shards. Run with -race. A derive that reuses its
+// destination and finds the buffers back in place allocates nothing.
+func TestClusterDeriveStructureConcurrent(t *testing.T) {
+	c := testCluster(2)
+	const base, churn = 8, 8
+	for i := 0; i < base; i++ {
+		if _, err := c.InsertRule(spreadRule(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	width := testDeviceConfig().Subtables
+	complete := func(s *core.Structure) string {
+		perShard := [2]int{}
+		sum := 0
+		for _, sub := range s.Subtables {
+			perShard[sub.Shard] += sub.Entries
+			sum += sub.Entries
+		}
+		switch {
+		case len(s.ShardEpochs) != 2 || s.TotalSubtables != 2*width:
+			return fmt.Sprintf("%d shard epochs over %d subtables, want 2 over %d", len(s.ShardEpochs), s.TotalSubtables, 2*width)
+		case sum != s.Entries || s.Entries < base || s.Entries > base+churn:
+			return fmt.Sprintf("%d entries (subtables sum to %d), want %d..%d", s.Entries, sum, base, base+churn)
+		case perShard[0] == 0 || perShard[1] == 0:
+			return fmt.Sprintf("a shard is missing: per-shard entries %v", perShard)
+		}
+		return ""
+	}
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; !stop.Load(); i++ {
+			r := spreadRule(base + i%churn)
+			if _, err := c.InsertRule(r); err != nil {
+				t.Errorf("insert %d: %v", r.ID, err)
+				return
+			}
+			if _, err := c.DeleteRule(r.ID); err != nil {
+				t.Errorf("delete %d: %v", r.ID, err)
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+	var readers sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			var s *core.Structure
+			for i := 0; i < 50; i++ {
+				s = c.DeriveStructure(s)
+				if msg := complete(s); msg != "" {
+					t.Errorf("derive %d: %s", i, msg)
+					return
+				}
+				runtime.Gosched()
+			}
+		}()
+	}
+	readers.Wait()
+	stop.Store(true)
+	wg.Wait()
+
+	if raceEnabled {
+		return // the race detector perturbs AllocsPerRun
+	}
+	s := c.DeriveStructure(nil)
+	if n := testing.AllocsPerRun(100, func() { s = c.DeriveStructure(s) }); n != 0 {
+		t.Fatalf("steady-state derive allocates %v/op, want 0", n)
 	}
 }
 

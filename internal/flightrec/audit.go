@@ -131,8 +131,8 @@ func (s *SweepInfo) Add(o SweepInfo) {
 // catcam_audit_violations_total{invariant=...}), a bounded ring of the
 // most recent violations, and violation events on the shared telemetry
 // trace ring. Pass accounting (CheckPass) is a single atomic add, so
-// inline audits stay cheap; violations take a mutex — they are the
-// exceptional path.
+// inline audits stay cheap; a violation allocates its ring record —
+// violations are the exceptional path.
 type Auditor struct {
 	checks [invariantCount]*telemetry.Counter
 	fails  [invariantCount]*telemetry.Counter
@@ -143,11 +143,10 @@ type Auditor struct {
 
 	totalChecks atomic.Uint64
 	totalFails  atomic.Uint64
-	seq         atomic.Uint64
+	// recent retains the most recent violations and stamps their Seq.
+	recent *telemetry.Ring[Violation]
 
 	mu         sync.Mutex
-	recent     []Violation // ring of the most recent violations
-	next       int         // ring write cursor
 	sweeps     uint64
 	lastSweep  SweepInfo
 	sweepValid bool
@@ -162,7 +161,8 @@ func NewAuditor(reg *telemetry.Registry, ring *telemetry.EventRing, keep int, la
 	if keep <= 0 {
 		keep = 64
 	}
-	a := &Auditor{ring: ring, table: -1, recent: make([]Violation, 0, keep)}
+	a := &Auditor{ring: ring, table: -1,
+		recent: telemetry.NewRing(keep, func(v *Violation) *uint64 { return &v.Seq })}
 	if t, err := strconv.Atoi(labels["table"]); err == nil {
 		a.table = t
 	}
@@ -230,19 +230,11 @@ func (a *Auditor) Fail(v Violation) {
 	a.fails[v.Invariant].Inc()
 	a.totalChecks.Add(1)
 	a.totalFails.Add(1)
-	v.Seq = a.seq.Add(1)
 	v.UnixNano = time.Now().UnixNano()
 	if a.table >= 0 {
 		v.Table = a.table
 	}
-	a.mu.Lock()
-	if len(a.recent) < cap(a.recent) {
-		a.recent = append(a.recent, v)
-	} else {
-		a.recent[a.next] = v
-		a.next = (a.next + 1) % cap(a.recent)
-	}
-	a.mu.Unlock()
+	a.recent.Publish(&v)
 	a.ring.Emit(telemetry.Event{
 		Kind:     telemetry.EvViolation,
 		Table:    v.Table,
@@ -319,11 +311,8 @@ func (a *Auditor) Violations() []Violation {
 	if a == nil {
 		return nil
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]Violation, 0, len(a.recent))
-	out = append(out, a.recent[a.next:]...)
-	out = append(out, a.recent[:a.next]...)
+	out := []Violation{}
+	a.recent.Each(func(v *Violation) { out = append(out, *v) })
 	return out
 }
 

@@ -3,6 +3,7 @@ package flightrec
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -104,6 +105,13 @@ func TestAuditorCountersAndRing(t *testing.T) {
 
 func TestAuditorReportAndHandler(t *testing.T) {
 	a := NewAuditor(nil, nil, 8, nil)
+	// With nothing failed, /debug/audit serves an empty array, not null.
+	rec := httptest.NewRecorder()
+	a.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/audit", nil))
+	if !strings.Contains(rec.Body.String(), `"violations": []`) {
+		t.Fatalf("clean audit body lacks an empty violations array:\n%s", rec.Body.String())
+	}
+
 	a.SetLookupSampleEvery(2)
 	a.CheckPass(InvBitPlaneParity)
 	a.Fail(Violation{Invariant: InvPriorityMatrix, Subtable: 1, Detail: "bit flip"})
@@ -120,7 +128,7 @@ func TestAuditorReportAndHandler(t *testing.T) {
 		t.Fatalf("report lists %d invariants, want %d", len(rep.Invariants), invariantCount)
 	}
 
-	rec := httptest.NewRecorder()
+	rec = httptest.NewRecorder()
 	a.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/audit?n=0", nil))
 	var body Report
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
@@ -164,28 +172,42 @@ func TestShadowAgreementAndMismatch(t *testing.T) {
 	s := NewShadow(swclass.NewLinear(), a, -1)
 	s.SetSampleEvery(1)
 
+	// Each mirror call is bracketed the way the device brackets an
+	// update: BeginEpoch, the mirror, then SetEpoch of the new epoch.
 	r := testRule(1, 10)
+	s.BeginEpoch()
 	s.OnInsert(r)
+	s.SetEpoch(1)
 	h := rules.Header{Proto: 6}
 
 	// Agreement: device reports what the reference would.
-	s.Observe(h, r.Action, true)
+	s.ObserveEpoch(h, r.Action, true, 1)
 	if a.ViolationCount(InvShadowMatch) != 0 || a.Checks(InvShadowMatch) != 1 {
 		t.Fatalf("agreeing observe misreported: %d/%d",
 			a.Checks(InvShadowMatch), a.ViolationCount(InvShadowMatch))
 	}
 
 	// Action mismatch and hit/miss mismatch both fire.
-	s.Observe(h, r.Action+1, true)
-	s.Observe(h, 0, false)
+	s.ObserveEpoch(h, r.Action+1, true, 1)
+	s.ObserveEpoch(h, 0, false, 1)
 	if a.ViolationCount(InvShadowMatch) != 2 {
 		t.Fatalf("mismatches not detected: %d", a.ViolationCount(InvShadowMatch))
 	}
 
-	// After deleting the rule the reference misses; a device miss agrees.
+	// An answer from another epoch than the one the reference mirrors
+	// is skipped, not compared: mid-update, or from a retired epoch.
+	s.BeginEpoch()
+	s.ObserveEpoch(h, 0, false, 1)
 	s.OnDelete(r.ID)
-	s.Observe(h, 0, false)
-	if a.ViolationCount(InvShadowMatch) != 2 {
+	s.SetEpoch(2)
+	s.ObserveEpoch(h, r.Action+1, true, 1)
+	if a.Checks(InvShadowMatch) != 3 {
+		t.Fatalf("an observe of another epoch was compared: %d checks", a.Checks(InvShadowMatch))
+	}
+
+	// After deleting the rule the reference misses; a device miss agrees.
+	s.ObserveEpoch(h, 0, false, 2)
+	if a.ViolationCount(InvShadowMatch) != 2 || a.Checks(InvShadowMatch) != 4 {
 		t.Fatal("miss/miss flagged as mismatch")
 	}
 }
@@ -205,7 +227,7 @@ func TestShadowDesync(t *testing.T) {
 	if s.Sample() {
 		t.Fatal("desynced shadow still sampling")
 	}
-	s.Observe(rules.Header{}, 0, false)
+	s.ObserveEpoch(rules.Header{}, 0, false, 0)
 	if a.TotalChecks() != 0 {
 		t.Fatal("desynced shadow still observing")
 	}
@@ -216,7 +238,9 @@ func TestShadowNilSafety(t *testing.T) {
 	s.OnInsert(rules.Rule{})
 	s.OnDelete(0)
 	s.Desync("x")
-	s.Observe(rules.Header{}, 0, false)
+	s.BeginEpoch()
+	s.SetEpoch(1)
+	s.ObserveEpoch(rules.Header{}, 0, false, 1)
 	s.SetSampleEvery(1)
 	if s.Sample() {
 		t.Fatal("nil shadow sampled")
@@ -258,7 +282,7 @@ func TestConcurrentAuditAndTrace(t *testing.T) {
 				if i%50 == 0 {
 					a.Fail(Violation{Invariant: InvEvictionBound, Subtable: g, Detail: "x"})
 				}
-				s.Observe(rules.Header{Proto: 6}, 100, true)
+				s.ObserveEpoch(rules.Header{Proto: 6}, 100, true, 0)
 			}
 		}()
 	}

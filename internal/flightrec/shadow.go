@@ -21,8 +21,8 @@ import (
 // Mirror calls (OnInsert/OnDelete) must be made under the same
 // serialization as the device update they mirror (core calls them while
 // holding the device mutex), so the reference never observes a
-// half-applied update. Observe is internally locked and may race with
-// nothing: the shadow's own mutex orders it against mirror calls.
+// half-applied update. ObserveEpoch may race with them: the shadow's
+// own mutex orders it against mirror calls.
 type Shadow struct {
 	ref   swclass.Classifier
 	aud   *Auditor
@@ -100,13 +100,15 @@ func (s *Shadow) SetEpoch(e uint64) {
 	s.epoch.Store(e)
 }
 
-// ObserveEpoch is Observe for lock-free readers: it re-classifies the
-// header only when the reference still mirrors exactly the snapshot
-// epoch the device's answer came from, and silently skips otherwise
-// (the race is benign — a concurrent update retired the reader's
-// epoch, so comparing would measure staleness, not correctness). The
-// epoch test happens under the shadow mutex, which also orders it
-// against mirror calls. Nil-receiver safe.
+// ObserveEpoch re-classifies one header through the reference and
+// compares it with the device's decision, reporting the outcome as an
+// InvShadowMatch check; call it only for lookups where Sample()
+// returned true. It compares only when the reference still mirrors
+// exactly the snapshot epoch the device's answer came from, and
+// silently skips otherwise (the race is benign — a concurrent update
+// retired the reader's epoch, so comparing would measure staleness,
+// not correctness). The epoch test happens under the shadow mutex,
+// which also orders it against mirror calls. Nil-receiver safe.
 func (s *Shadow) ObserveEpoch(h rules.Header, action int, ok bool, epoch uint64) {
 	if s == nil || s.desynced.Load() {
 		return
@@ -118,7 +120,14 @@ func (s *Shadow) ObserveEpoch(h rules.Header, action int, ok bool, epoch uint64)
 	}
 	refAction, refOK, _ := s.ref.Lookup(h)
 	s.mu.Unlock()
-	s.check(h, action, ok, refAction, refOK)
+	match := refOK == ok && (!ok || refAction == action)
+	s.aud.Check(InvShadowMatch, match, func() Violation {
+		return Violation{
+			Table: s.table, Subtable: -1, RuleID: -1,
+			Detail: fmt.Sprintf("device (action=%d hit=%v) != %s reference (action=%d hit=%v)",
+				action, ok, s.ref.Name(), refAction, refOK),
+		}
+	})
 }
 
 // OnInsert mirrors a successful device insert. A mirror failure
@@ -170,31 +179,4 @@ func (s *Shadow) Desynced() (bool, string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return true, s.reason
-}
-
-// Observe re-classifies one header through the reference and compares
-// it with the device's decision, reporting the outcome as an
-// InvShadowMatch check. Call only for lookups where Sample() returned
-// true. Nil-receiver safe.
-func (s *Shadow) Observe(h rules.Header, action int, ok bool) {
-	if s == nil || s.desynced.Load() {
-		return
-	}
-	s.mu.Lock()
-	refAction, refOK, _ := s.ref.Lookup(h)
-	s.mu.Unlock()
-	s.check(h, action, ok, refAction, refOK)
-}
-
-// check reports one device-vs-reference comparison as an
-// InvShadowMatch outcome.
-func (s *Shadow) check(_ rules.Header, action int, ok bool, refAction int, refOK bool) {
-	match := refOK == ok && (!ok || refAction == action)
-	s.aud.Check(InvShadowMatch, match, func() Violation {
-		return Violation{
-			Table: s.table, Subtable: -1, RuleID: -1,
-			Detail: fmt.Sprintf("device (action=%d hit=%v) != %s reference (action=%d hit=%v)",
-				action, ok, s.ref.Name(), refAction, refOK),
-		}
-	})
 }

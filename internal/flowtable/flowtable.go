@@ -227,24 +227,6 @@ func (p *Pipeline) AttachAuditors(mk func(tableID int) *flightrec.Auditor) {
 	}
 }
 
-// AttachShadows attaches mk(tableID) as each table's differential
-// shadow classifier. Attach before installing rules: the shadow only
-// mirrors updates it observes. A nil return leaves that table
-// unshadowed. For a sharded table mk is called once per shard — every
-// shard needs its own fresh shadow, since each mirrors only its own
-// partition of the table's rules.
-func (p *Pipeline) AttachShadows(mk func(tableID int) *flightrec.Shadow) {
-	for _, t := range p.tables {
-		id := t.cfg.ID
-		switch dev := t.dev.(type) {
-		case *core.Device:
-			dev.AttachShadow(mk(id))
-		case *cluster.Cluster:
-			dev.AttachShadows(func(int) *flightrec.Shadow { return mk(id) })
-		}
-	}
-}
-
 // AuditSweep runs one background audit pass over every table's device
 // and returns the aggregate sweep accounting.
 func (p *Pipeline) AuditSweep() flightrec.SweepInfo {
