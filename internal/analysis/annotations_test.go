@@ -32,6 +32,10 @@ var pins = []pin{
 	{"internal/sram/view.go", "//catcam:snapshot", `^type TernaryView struct`},
 	{"internal/sram/view.go", "//catcam:snapshot", `^type MatrixView struct`},
 	{"internal/sram/view.go", "//catcam:snapshot", `^type careLines struct`},
+	// The cluster's cut: the one vector of shard views a classify round
+	// reads, through Cluster.cut.
+	{"internal/core/device.go", "//catcam:snapshot", `^type View struct`},
+	{"internal/cluster/cluster.go", "//catcam:snapshot", `^type cut struct`},
 
 	// SPSC ring roles: each mutating end of the ingress ring must keep
 	// its role mark, or ringcheck's cursor-ownership proof loses it.

@@ -10,18 +10,18 @@
 // Updates route to exactly one shard, so the O(1)-update story holds
 // end to end: a cluster insert is one device insert.
 //
-// # Classify runs in the caller
+// # Classify runs in the caller, against one cut
 //
 // Each shard is a complete core.Device whose classify path is
-// lock-free (epoch-published snapshots, see internal/core/snapshot.go
-// and DESIGN.md §13), so nothing below the cluster serializes
-// concurrent lookups. A classify call walks the shards itself, in the
-// caller's goroutine and in shard order, then reduces; the cluster
-// starts no goroutine. Parallelism comes from concurrent callers, as it
-// does for a single device. Each call checks its per-shard result
-// slices and epoch stamps out of a sync.Pool as a fanRound and returns
-// them after the reduce, so any number of calls run concurrently and
-// steady state allocates nothing.
+// lock-free (epoch-published snapshots, see DESIGN.md §13). Every
+// cluster update, after its shards publish, stores a new cut: one view
+// of every shard, published as a unit. A classify call loads the cut
+// once, takes no lock, walks the views in the caller's goroutine in
+// shard order and reduces, so a round answers as of one writer state,
+// as silicon's global decision reads every subtable's report of one
+// cycle. The cluster starts no goroutine. Each call checks its result
+// slices out of a sync.Pool (a fanRound), so steady state allocates
+// nothing.
 //
 // Live rebalancing migrates rules from hot/full shards to cold ones in
 // bounded batches (see rebalance.go).
@@ -82,31 +82,29 @@ type ownedRule struct {
 // Lock order (never take a later lock while holding an earlier one in
 // reverse): mu -> routeMu -> per-shard device mutexes.
 //
-//   - mu (RWMutex) is the migration epoch: classify, inserts and
-//     deletes hold RLock, so they run concurrently with each other;
-//     every modify, a rebalance batch and attach calls hold Lock, so a
-//     rule is never observed mid-flight between shards. It also guards
-//     the rebalance counters and the reset-hook list: written under
-//     Lock, read under RLock.
-//   - routeMu guards the routing state (owner map, interval bounds).
-//   - Classify takes no cluster-wide lock beyond mu.RLock: each call
-//     checks its own working set (a fanRound) out of roundPool, so
-//     concurrent classify batches proceed independently.
+//   - mu serializes writers: an insert, delete or modify, a rebalance
+//     batch and an attach each hold it across their shard updates and
+//     the cut they store. It also guards the instruments the next cut
+//     carries, the rebalance counters and the reset-hook list.
+//   - routeMu guards the routing state (owner map, interval bounds). A
+//     writer stores its cut and changes owner records under it at once.
+//   - Classify takes no lock: it loads the cut, and each call checks
+//     its own working set (a fanRound) out of roundPool.
 type Cluster struct {
 	shards []*core.Device // indexed by shard ID
 
-	mu      sync.RWMutex
+	mu      sync.Mutex
+	cut     atomic.Pointer[cut] //catcam:write-guarded-by mu
 	routeMu sync.Mutex
 	owner   map[int]ownedRule //catcam:guarded-by routeMu
 	bounds  []int             //catcam:guarded-by routeMu
 
 	// roundPool recycles fanRound working sets so the steady-state
-	// classify path allocates nothing. Rounds are self-contained: a
-	// checked-out round is owned by exactly one classify call.
+	// classify path allocates nothing.
 	roundPool sync.Pool
 
-	tel *clusterTelemetry
-	aud *flightrec.Auditor
+	tel *clusterTelemetry  //catcam:guarded-by mu
+	aud *flightrec.Auditor //catcam:guarded-by mu
 
 	rebalPasses uint64   //catcam:guarded-by mu
 	rebalMoved  uint64   //catcam:guarded-by mu
@@ -118,23 +116,25 @@ type Cluster struct {
 	structs atomic.Pointer[[]core.Structure]
 }
 
-// fanRound is one classify call's working set: one result slice and
-// one epoch stamp per shard. Rounds live in Cluster.roundPool; because
-// every round owns all of its mutable state, any number of rounds may
-// be in flight concurrently — the per-shard classify underneath is
-// lock-free.
+// cut is what a classify round reads: one view per shard, stored as a
+// unit after every cluster update. seq counts the cuts stored; the
+// instruments ride the cut as a device's ride its snapshot.
+//
+//catcam:snapshot
+type cut struct {
+	seq   uint64
+	parts []core.View        //catcam:immutable
+	tel   *clusterTelemetry  //catcam:allow epoch "internally synchronized instrument, not classify-read state"
+	aud   *flightrec.Auditor //catcam:allow epoch "internally synchronized instrument, not classify-read state"
+}
+
+// fanRound is one classify call's working set: one result slice per
+// shard. Rounds live in Cluster.roundPool; every round owns all of its
+// mutable state, so any number may be in flight concurrently.
 //
 //catcam:scratch
 type fanRound struct {
 	results [][]core.LookupResult // indexed by shard ID
-	// epochs records each shard's snapshot epoch just before that
-	// shard classified. auditReduce compares against the shard's
-	// current epoch to detect that an update published between classify
-	// and audit — the owner-map cross-check is skipped for such stale
-	// rounds (same suppression the shadow applies), because comparing
-	// time-T results against a time-T+δ owner map would report churn as
-	// corruption.
-	epochs []uint64 // indexed by shard ID
 }
 
 // New builds a cluster of cfg.Shards devices. It starts no goroutine:
@@ -145,10 +145,7 @@ func New(cfg Config) *Cluster {
 	}
 	c := &Cluster{owner: make(map[int]ownedRule)}
 	c.roundPool.New = func() any {
-		return &fanRound{
-			results: make([][]core.LookupResult, cfg.Shards),
-			epochs:  make([]uint64, cfg.Shards),
-		}
+		return &fanRound{results: make([][]core.LookupResult, cfg.Shards)}
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		dev := core.NewDevice(cfg.Device)
@@ -161,13 +158,43 @@ func New(cfg Config) *Cluster {
 	for i := 1; i < cfg.Shards; i++ {
 		c.bounds = append(c.bounds, i*65536/cfg.Shards)
 	}
+	c.publishLocked() // nothing else holds c yet
 	return c
+}
+
+// publishLocked stores the next cut: every shard's current view and
+// the attached instruments. Caller holds mu; this is the only place
+// c.cut is stored. A writer that changes owner records stores the cut
+// under routeMu with them (see auditReduce).
+func (c *Cluster) publishLocked() {
+	parts := make([]core.View, len(c.shards))
+	for i, s := range c.shards {
+		parts[i] = s.View()
+	}
+	var seq uint64
+	if old := c.cut.Load(); old != nil {
+		seq = old.seq + 1
+	}
+	c.cut.Store(&cut{seq: seq, parts: parts, tel: c.tel, aud: c.aud})
+}
+
+// SetTraceLabels sets table as the flow-table ID on every shard's
+// spans (each shard keeps its shard ID) and stores a cut of the
+// relabelled shards.
+func (c *Cluster) SetTraceLabels(table int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, s := range c.shards {
+		s.SetTraceLabels(table, i)
+	}
+	c.publishLocked()
 }
 
 // NumShards returns the shard count.
 func (c *Cluster) NumShards() int { return len(c.shards) }
 
-// Shard exposes one backing device (stats, invariants, tests).
+// Shard exposes one backing device (stats, invariants, tests). A change
+// published on it directly is behind the cut, which CheckInvariant reports.
 func (c *Cluster) Shard(i int) *core.Device { return c.shards[i] }
 
 // Bounds returns a copy of the interval partition bounds: Shards-1
@@ -203,18 +230,18 @@ func (c *Cluster) routeInsert(r rules.Rule) (int, error) {
 // cost is one device update: the cluster preserves the paper's O(1)
 // alteration end to end.
 func (c *Cluster) InsertRule(r rules.Rule) (core.UpdateResult, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	sh, err := c.routeInsert(r)
 	if err != nil {
 		return core.UpdateResult{}, err
 	}
-
 	res, err := c.shards[sh].InsertRule(r)
+	c.routeMu.Lock()
+	defer c.routeMu.Unlock()
+	c.publishLocked()
 	if err != nil {
-		c.routeMu.Lock()
 		delete(c.owner, r.ID)
-		c.routeMu.Unlock()
 	}
 	return res, err
 }
@@ -222,8 +249,8 @@ func (c *Cluster) InsertRule(r rules.Rule) (core.UpdateResult, error) {
 // DeleteRule routes the delete through the owner map to the one shard
 // holding the rule.
 func (c *Cluster) DeleteRule(ruleID int) (core.UpdateResult, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.routeMu.Lock()
 	o, ok := c.owner[ruleID]
 	c.routeMu.Unlock()
@@ -231,26 +258,25 @@ func (c *Cluster) DeleteRule(ruleID int) (core.UpdateResult, error) {
 		return core.UpdateResult{}, core.ErrNotFound
 	}
 	res, err := c.shards[o.shard].DeleteRule(ruleID)
+	c.routeMu.Lock()
+	defer c.routeMu.Unlock()
+	c.publishLocked()
 	if err == nil {
-		c.routeMu.Lock()
 		delete(c.owner, ruleID)
-		c.routeMu.Unlock()
 	}
 	return res, err
 }
 
 // ModifyRule replaces a rule with a new version keeping its ID; no
-// reader ever sees the rule absent. Every modify holds the migration
-// epoch (mu.Lock, as a rebalance batch does), so the owner and the
-// destination it reads cannot move before the device calls. When the
-// new priority stays inside the interval of the shard that holds the
-// old version, the shard's Device.ModifyRule publishes the change as
-// one epoch. Otherwise the new version is inserted into the destination
-// shard, the old one deleted from the source and the owner record
-// moved, with classify excluded until all three are done. A destination
-// that cannot take the new version returns its error with the old
-// version still installed and owned. Cycle costs of both phases are
-// reported together, mirroring Device.ModifyRule.
+// reader ever sees the rule absent. When the new priority stays inside
+// the interval of the shard that holds the old version, the shard's
+// Device.ModifyRule makes the change. Otherwise the new version is
+// inserted into the destination shard and the old one deleted from the
+// source. Either way one cut is stored after the shards, together with
+// the owner record's move, so a round sees the old version or the new
+// one. A destination that cannot take the new version returns its error with
+// the old version still installed and owned. Cycle costs of both
+// phases are reported together, mirroring Device.ModifyRule.
 func (c *Cluster) ModifyRule(ruleID int, newRule rules.Rule) (res core.UpdateResult, err error) {
 	if newRule.ID != ruleID {
 		return res, fmt.Errorf("cluster: modify must keep rule ID %d, got %d", ruleID, newRule.ID)
@@ -271,19 +297,19 @@ func (c *Cluster) ModifyRule(ruleID int, newRule rules.Rule) (res core.UpdateRes
 	case dst == o.shard:
 		res, err = c.shards[dst].ModifyRule(ruleID, newRule)
 	default:
-		if res, err = c.move(newRule, o.shard, dst); err != nil {
-			return res, err // the old version is still installed and owned
-		}
+		res, err = c.move(newRule, o.shard, dst)
 	}
 	c.routeMu.Lock()
+	defer c.routeMu.Unlock()
+	c.publishLocked()
 	switch {
 	case err == nil:
 		c.owner[ruleID] = ownedRule{shard: dst, rule: newRule}
+	case dst != o.shard: // the old version is still installed and owned
 	case !errors.Is(err, core.ErrNotFound):
 		// The device deleted the old version before its insert failed.
 		delete(c.owner, ruleID)
 	}
-	c.routeMu.Unlock()
 	return res, err
 }
 
@@ -309,12 +335,12 @@ func (c *Cluster) LookupHeaderBatch(hs []rules.Header, dst []core.LookupResult) 
 }
 
 // LookupHeaderBatchTraced classifies headers through the whole cluster:
-// the caller's goroutine runs the batch against every shard in shard
-// order (each lock-free, with pooled scratch), then the arbiter reduces
-// the per-shard winners to one result per header, appended to dst in
-// input order. Concurrent batches proceed independently — each checks
-// its own fanRound out of the pool. With a reused dst the steady-state
-// path allocates nothing.
+// it loads the cut once, runs the batch against every shard's view in
+// it, in shard order, then the arbiter reduces the per-shard winners to
+// one result per header, appended to dst in input order. It takes no
+// lock, and each call checks its own fanRound out of the pool, so
+// concurrent batches proceed independently. With a reused dst the
+// steady-state path allocates nothing.
 //
 // A sampled batch's tr (nil otherwise) receives a fanout_dispatch span
 // around the walk over the shards, one shard_kernel span per shard
@@ -328,19 +354,9 @@ func (c *Cluster) LookupHeaderBatchTraced(tr *trace.Trace, hs []rules.Header, ds
 		return dst
 	}
 	r := c.roundPool.Get().(*fanRound) //catcam:allow alloc "sync.Pool checkout; allocates only while the pool is cold"
-	dst = c.lookupBatch(r, tr, hs, dst)
-	c.roundPool.Put(r) //catcam:allow alloc "sync.Pool return; the checkin itself does not allocate"
-	return dst
-}
-
-// lookupBatch classifies hs against every shard into the round's
-// working set, then reduces. Takes only mu.RLock (the migration epoch)
-// — concurrent rounds do not serialize against each other.
-func (c *Cluster) lookupBatch(r *fanRound, tr *trace.Trace, hs []rules.Header, dst []core.LookupResult) []core.LookupResult {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	k := c.cut.Load()
 	var start time.Time
-	t := c.tel
+	t := k.tel
 	if t != nil {
 		start = time.Now()
 	}
@@ -349,16 +365,11 @@ func (c *Cluster) lookupBatch(r *fanRound, tr *trace.Trace, hs []rules.Header, d
 		dispatchStart = trace.Nanos()
 	}
 	for id, dev := range c.shards {
-		// Stamp the epoch BEFORE loading the classify snapshot: if the
-		// shard's epoch still equals this stamp at audit time, no
-		// publication happened in between, so the snapshot classified
-		// against was exactly this epoch's.
-		r.epochs[id] = dev.Epoch()
 		var shardStart uint64
 		if tr != nil {
 			shardStart = trace.Nanos()
 		}
-		r.results[id] = dev.LookupHeaderBatchTraced(tr, hs, r.results[id][:0])
+		r.results[id] = dev.LookupHeaderBatchAt(k.parts[id], tr, hs, r.results[id][:0])
 		if tr != nil {
 			//catcam:allow alloc "sampled trace span; rate-gated off the steady-state path"
 			tr.Span(trace.StageShardKernel, -1, id, -1, -1, shardStart, 0)
@@ -371,7 +382,7 @@ func (c *Cluster) lookupBatch(r *fanRound, tr *trace.Trace, hs []rules.Header, d
 		mergeStart = trace.Nanos()
 	}
 	for i := range hs {
-		dst = append(dst, c.reduce(r, i))
+		dst = append(dst, c.reduce(r, k, i))
 	}
 	if tr != nil {
 		//catcam:allow alloc "sampled trace span; rate-gated off the steady-state path"
@@ -381,6 +392,7 @@ func (c *Cluster) lookupBatch(r *fanRound, tr *trace.Trace, hs []rules.Header, d
 		t.lookups.Add(uint64(len(hs)))
 		t.fanoutNs.Observe(uint64(time.Since(start).Nanoseconds()))
 	}
+	c.roundPool.Put(r) //catcam:allow alloc "sync.Pool return; the checkin itself does not allocate"
 	return dst
 }
 
@@ -389,13 +401,13 @@ func (c *Cluster) lookupBatch(r *fanRound, tr *trace.Trace, hs []rules.Header, d
 // exactly as the global priority matrix picks the winning subtable by
 // interval order. Sampled classifications additionally verify the
 // arbiter against an independent rank walk (InvArbiterWinner).
-func (c *Cluster) reduce(r *fanRound, i int) core.LookupResult {
+func (c *Cluster) reduce(r *fanRound, k *cut, i int) core.LookupResult {
 	win := len(c.shards) - 1
 	for win >= 0 && !r.results[win][i].OK {
 		win--
 	}
-	if c.aud.SampleLookup() {
-		c.auditReduce(r, i, win) //catcam:allow alloc "sampled arbiter cross-check; rate-gated off the steady-state path"
+	if k.aud.SampleLookup() {
+		c.auditReduce(r, k, i, win) //catcam:allow alloc "sampled arbiter cross-check; rate-gated off the steady-state path"
 	}
 	if win < 0 {
 		return core.LookupResult{}
@@ -403,12 +415,11 @@ func (c *Cluster) reduce(r *fanRound, i int) core.LookupResult {
 	return r.results[win][i]
 }
 
-// auditReduce cross-checks one sampled arbitration: the arbiter's
-// winner must equal the rank-walk winner (the metadata reduction), and
-// the winning rule's owner-map record must name the shard that
-// reported it. Cold path; runs under mu.RLock with the round's results
-// still live.
-func (c *Cluster) auditReduce(r *fanRound, i, win int) {
+// auditReduce cross-checks one sampled arbitration of a round that read
+// cut k: the arbiter's winner must equal the rank-walk winner (the
+// metadata reduction), and the winning rule's owner-map record must
+// name the shard that reported it. Cold path.
+func (c *Cluster) auditReduce(r *fanRound, k *cut, i, win int) {
 	best := -1
 	for s := range c.shards {
 		if !r.results[s][i].OK {
@@ -418,7 +429,7 @@ func (c *Cluster) auditReduce(r *fanRound, i, win int) {
 			best = s
 		}
 	}
-	c.aud.Check(flightrec.InvArbiterWinner, best == win, func() flightrec.Violation {
+	k.aud.Check(flightrec.InvArbiterWinner, best == win, func() flightrec.Violation {
 		return flightrec.Violation{
 			Table: -1, Subtable: win, RuleID: -1,
 			Detail: fmt.Sprintf("arbiter chose shard %d, rank walk %d", win, best),
@@ -427,24 +438,18 @@ func (c *Cluster) auditReduce(r *fanRound, i, win int) {
 	if win < 0 {
 		return
 	}
-	// The owner-map cross-check compares the round's results against
-	// shared mutable state, so it is only meaningful when the winning
-	// shard has not published a new epoch since it classified: a
-	// concurrent delete removes the owner record after the round
-	// answered, and flagging that window would report churn as
-	// corruption. Seqlock order: lookupBatch stamped the epoch before the
-	// shard classified, the record is read here, and the stamp is validated
-	// only after that read. DeleteRule publishes before it drops the
-	// record, so a record it removed is never seen under a stamp that
-	// still validates; checking before the read leaves that window open.
+	// The owner record is live state, so it is compared only when no
+	// writer stored a cut after k: a writer stores its cut and changes
+	// records in one routeMu section, so a record read while k is still
+	// current is the one k's views hold.
 	id := r.results[win][i].Entry.Rank.RuleID
 	c.routeMu.Lock()
 	o, ok := c.owner[id]
 	c.routeMu.Unlock()
-	if c.shards[win].Epoch() != r.epochs[win] {
+	if c.cut.Load() != k {
 		return
 	}
-	c.aud.Check(flightrec.InvArbiterWinner, ok && o.shard == win, func() flightrec.Violation {
+	k.aud.Check(flightrec.InvArbiterWinner, ok && o.shard == win, func() flightrec.Violation {
 		return flightrec.Violation{
 			Table: -1, Subtable: win, RuleID: id,
 			Detail: fmt.Sprintf("winner rule %d owner record: present=%v shard=%d, reported by shard %d",
@@ -469,22 +474,14 @@ func (c *Cluster) Entries() int {
 	return n
 }
 
-// Epoch returns the sum of every shard's published epoch counter — a
-// monotonic stamp that advances whenever any shard publishes a new
-// snapshot (every update, attach, and rebalance step). Consumers that
-// cache classification decisions (the ingress flow cache) compare
-// stamps for equality: any rule change anywhere in the cluster changes
-// the value, invalidating cached decisions. Lock-free — one atomic
-// snapshot load per shard.
+// Epoch returns the sequence number of the current cut — a monotonic
+// stamp that advances with every cut stored (every update, attach and
+// rebalance group). Consumers that cache classification decisions (the
+// ingress flow cache) compare stamps for equality: any rule change
+// anywhere in the cluster changes the value. Lock-free: one load.
 //
 //catcam:hotpath
-func (c *Cluster) Epoch() uint64 {
-	var e uint64
-	for _, s := range c.shards {
-		e += s.Epoch()
-	}
-	return e
-}
+func (c *Cluster) Epoch() uint64 { return c.cut.Load().seq }
 
 // ShardEntries returns per-shard stored entry counts, index-aligned
 // with Shard.
@@ -511,21 +508,21 @@ func (c *Cluster) ResetStats() {
 	for _, s := range c.shards {
 		s.ResetStats()
 	}
-	c.mu.RLock()
+	c.mu.Lock()
 	hooks := append([]func(){}, c.resetHooks...)
-	c.mu.RUnlock()
+	c.mu.Unlock()
 	for _, fn := range hooks {
 		fn()
 	}
 }
 
 // CheckInvariant verifies every shard's device invariants plus the
-// cluster-level routing invariants (shard interval disjointness and
-// owner-map consistency). Test support; AuditSweep runs the same
-// cluster check under the auditor.
+// cluster-level routing invariants (shard interval disjointness,
+// owner-map consistency, a current cut). Test support; AuditSweep runs
+// the same cluster check under the auditor.
 func (c *Cluster) CheckInvariant() error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if err := c.routingInvariant(); err != nil {
 		return err
 	}
@@ -538,10 +535,16 @@ func (c *Cluster) CheckInvariant() error {
 }
 
 // routingInvariant checks the cluster-level structural invariants:
-// ascending interval bounds, every owner record naming a live shard,
-// and every owned rule inside its shard's interval. Callers hold mu
-// (read or write).
+// every cut part is its shard's current view (no shard published behind
+// the cluster), ascending interval bounds, every owner record naming a
+// live shard, and every owned rule inside its shard's interval.
+// Callers hold mu.
 func (c *Cluster) routingInvariant() error {
+	for i, v := range c.cut.Load().parts {
+		if v != c.shards[i].View() {
+			return fmt.Errorf("cluster: shard %d published behind the cut", i)
+		}
+	}
 	c.routeMu.Lock()
 	defer c.routeMu.Unlock()
 	if len(c.bounds) != len(c.shards)-1 {

@@ -14,6 +14,7 @@ import (
 	"catcam/internal/flightrec"
 	"catcam/internal/oracle"
 	"catcam/internal/rules"
+	"catcam/internal/swclass"
 	"catcam/internal/telemetry"
 )
 
@@ -430,12 +431,69 @@ func TestClusterAuditSweep(t *testing.T) {
 	}
 }
 
-// TestClusterChurnVsClassify races concurrent classify calls (three
-// caller goroutines, each walking every shard) against rule churn, with
-// the arbiter cross-check auditing every reduced header. Each round's epoch stamps must suppress the owner-map check
-// exactly for the rounds a concurrent update overtook — a violation
-// here means the audit reports churn as corruption (or a real arbiter
-// bug). Run with -race for the memory-model half of the claim.
+// answers appends cluster results to dst as the oracle's (action,
+// matched).
+func answers(dst []oracle.Answer, rs []core.LookupResult) []oracle.Answer {
+	for _, r := range rs {
+		dst = append(dst, oracle.Answer{Action: r.Entry.Action, Matched: r.OK})
+	}
+	return dst
+}
+
+// windowReaders starts n readers, each running classify(g, dst) until
+// the returned stop is called. A reader reads c.Epoch() before and after
+// every call and holds all of its answers, raced or not, to w over that
+// window; hs(g) names the headers reader g's answers are for. stop
+// closes w, waits for the readers and fails the test if they checked
+// nothing.
+func windowReaders(t *testing.T, c *Cluster, w *oracle.Window, n int, hs func(g int) []rules.Header,
+	classify func(g int, dst []core.LookupResult) []core.LookupResult) (stop func()) {
+	var halt atomic.Bool
+	var wg sync.WaitGroup
+	var checked, raced atomic.Uint64
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var res []core.LookupResult
+			var got []oracle.Answer
+			for !halt.Load() {
+				before := c.Epoch()
+				res = classify(g, res[:0])
+				after := c.Epoch()
+				if err := w.Check(hs(g), answers(got[:0], res), before, after); err != nil {
+					t.Error(err)
+					return
+				}
+				checked.Add(1)
+				if after != before {
+					raced.Add(1)
+				}
+				// A classify never blocks, so on one P hand the writer its
+				// turn instead of spinning to the next preemption.
+				runtime.Gosched()
+			}
+		}()
+	}
+	return sync.OnceFunc(func() {
+		w.Close()
+		halt.Store(true)
+		wg.Wait()
+		if checked.Load() == 0 {
+			t.Error("the readers checked nothing")
+		}
+		t.Logf("readers: %d calls checked, %d raced a cut, over %d cuts", checked.Load(), raced.Load(), w.Recorded())
+	})
+}
+
+// TestClusterChurnVsClassify races three classify goroutines, each
+// walking every shard through LookupHeaderBatch and Lookup, against
+// rule churn. Every answer must be swclass.Linear's at some cut between
+// the Cluster.Epoch() reads around its call (oracle.Window); the writer
+// mirrors each update and records the cut it stored. The arbiter audit
+// at 1-in-1 is a second check: it compares the owner map only while the
+// round's cut is current, so churn must raise no violation. Run with
+// -race for the memory-model half of the claim.
 func TestClusterChurnVsClassify(t *testing.T) {
 	t.Run("interval", func(t *testing.T) {
 		rs := classbench.Generate(classbench.Config{Family: classbench.ACL, Size: 150, Seed: 71})
@@ -444,41 +502,61 @@ func TestClusterChurnVsClassify(t *testing.T) {
 		aud.SetLookupSampleEvery(1)
 		c.AttachAuditor(aud)
 
+		m := oracle.NewMirror()
 		half := len(rs.Rules) / 2
 		for _, r := range rs.Rules[:half] {
 			if _, err := c.InsertRule(r); err != nil {
 				t.Fatalf("preload: %v", err)
 			}
+			if err := m.Apply(oracle.Insert, r, nil); err != nil {
+				t.Fatal(err)
+			}
 		}
 		headers := classbench.PacketTrace(rs, 64, 0.9, 72)
+		const iters = 10
+		w := oracle.NewWindow(m.Ref, headers, c.Epoch(), 1+iters*2*(len(rs.Rules)-half))
 
-		var stop atomic.Bool
-		var wg sync.WaitGroup
-		for g := 0; g < 3; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				var results []core.LookupResult
-				for !stop.Load() {
-					results = c.LookupHeaderBatch(headers, results[:0])
-					c.Lookup(headers[g%len(headers)])
+		stop := windowReaders(t, c, w, 3,
+			func(g int) []rules.Header {
+				if g == 0 {
+					return headers[:1]
 				}
-			}(g)
+				return headers
+			},
+			func(g int, dst []core.LookupResult) []core.LookupResult {
+				if g == 0 {
+					a, ok := c.Lookup(headers[0])
+					return append(dst, core.LookupResult{Entry: core.Entry{Action: a}, OK: ok})
+				}
+				return c.LookupHeaderBatch(headers, dst)
+			})
+		defer stop()
+		update := func(kind oracle.Kind, r rules.Rule) {
+			var err error
+			if kind == oracle.Delete {
+				_, err = c.DeleteRule(r.ID)
+			} else {
+				_, err = c.InsertRule(r)
+			}
+			if err == nil {
+				err = m.Apply(kind, r, nil)
+			}
+			if err == nil {
+				err = w.Record(c.Epoch())
+			}
+			if err != nil {
+				t.Fatalf("kind %d rule %d: %v", kind, r.ID, err)
+			}
 		}
-		for iter := 0; iter < 10; iter++ {
+		for iter := 0; iter < iters; iter++ {
 			for _, r := range rs.Rules[half:] {
-				if _, err := c.InsertRule(r); err != nil {
-					t.Errorf("churn insert: %v", err)
-				}
+				update(oracle.Insert, r)
 			}
 			for _, r := range rs.Rules[half:] {
-				if _, err := c.DeleteRule(r.ID); err != nil {
-					t.Errorf("churn delete: %v", err)
-				}
+				update(oracle.Delete, r)
 			}
 		}
-		stop.Store(true)
-		wg.Wait()
+		stop()
 
 		if n := aud.TotalViolations(); n != 0 {
 			for _, v := range aud.Violations() {
@@ -493,13 +571,14 @@ func TestClusterChurnVsClassify(t *testing.T) {
 }
 
 // TestClusterModifyChurnVsClassify: while a writer keeps modifying a
-// rule, a reader of a header that rule and a lower-priority catch-all
-// both cover must see one version or the other of the rule, never the
-// catch-all. A modify that stays on its shard is one device epoch; one
-// that flips the priority across a shard bound every iteration moves
-// the rule between shards under the migration epoch. Neither leaves a
-// hole, and the arbiter audit at 1-in-1 sees no winner it cannot
-// account for.
+// rule, a reader classifies a header that rule and a lower-priority
+// catch-all both cover. Every answer must be the reference's at some
+// cut between the Cluster.Epoch() reads around it, so one version or
+// the other of the rule and never the catch-all. A modify that stays on
+// its shard is one device epoch; one that flips the priority across a
+// shard bound every iteration moves the rule between shards. Each
+// stores one cut, and the arbiter audit at 1-in-1 sees no winner it
+// cannot account for.
 func TestClusterModifyChurnVsClassify(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -514,45 +593,43 @@ func TestClusterModifyChurnVsClassify(t *testing.T) {
 			aud := flightrec.NewAuditor(nil, nil, 64, nil)
 			aud.SetLookupSampleEvery(1)
 			c.AttachAuditor(aud)
-			const catchAll = 1
 			low := clRule(1, 10, rules.Prefix{Len: 0})
-			low.Action = catchAll
-			if _, err := c.InsertRule(low); err != nil {
-				t.Fatal(err)
-			}
 			src := rules.Prefix{Addr: 0x0A000000, Len: 8}
-			if _, err := c.InsertRule(clRule(2, 40000, src)); err != nil {
-				t.Fatal(err)
-			}
-			h := rules.Header{SrcIP: 0x0A010203}
-
-			var stop atomic.Bool
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for !stop.Load() {
-					if a, ok := c.Lookup(h); !ok || a == catchAll {
-						t.Errorf("reader fell through the modified rule: action %d matched %v", a, ok)
-						return
-					}
-					// Lookup runs in this goroutine and never blocks, so on
-					// one P hand the writer its turn instead of spinning to
-					// the next preemption.
-					runtime.Gosched()
+			m := oracle.NewMirror()
+			for _, r := range []rules.Rule{low, clRule(2, 40000, src)} {
+				if _, err := c.InsertRule(r); err != nil {
+					t.Fatal(err)
 				}
-			}()
-			for i := 0; i < 2000 && !t.Failed(); i++ {
+				if err := m.Apply(oracle.Insert, r, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			hs := []rules.Header{{SrcIP: 0x0A010203}}
+			const modifies = 2000
+			w := oracle.NewWindow(m.Ref, hs, c.Epoch(), 1+modifies)
+
+			stop := windowReaders(t, c, w, 1, func(int) []rules.Header { return hs },
+				func(_ int, dst []core.LookupResult) []core.LookupResult {
+					a, ok := c.Lookup(hs[0])
+					return append(dst, core.LookupResult{Entry: core.Entry{Action: a}, OK: ok})
+				})
+			defer stop()
+			for i := 0; i < modifies && !t.Failed(); i++ {
 				mod := clRule(2, 40000+i%2*tc.flip, src)
 				mod.Action = 100 + i
-				if _, err := c.ModifyRule(2, mod); err != nil {
-					t.Errorf("modify %d: %v", i, err)
-					break
+				_, err := c.ModifyRule(2, mod)
+				if err == nil {
+					err = m.Apply(oracle.Modify, mod, nil)
+				}
+				if err == nil {
+					err = w.Record(c.Epoch())
+				}
+				if err != nil {
+					t.Fatalf("modify %d: %v", i, err)
 				}
 				runtime.Gosched() // on one P, let the reader in between modifies
 			}
-			stop.Store(true)
-			wg.Wait()
+			stop()
 			if n := aud.ViolationCount(flightrec.InvArbiterWinner); n != 0 {
 				t.Fatalf("%d arbiter_winner violations under modify churn: %+v", n, aud.Violations())
 			}
@@ -560,6 +637,98 @@ func TestClusterModifyChurnVsClassify(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// interposer is a shadow reference that runs hook once, from inside the
+// next sampled lookup of the device it shadows: after that device
+// classified the header and before its lookup returns.
+type interposer struct {
+	*swclass.Linear
+	hook func()
+}
+
+func (p *interposer) Lookup(h rules.Header) (int, bool, int) {
+	if hook := p.hook; hook != nil {
+		p.hook = nil
+		hook()
+	}
+	return p.Linear.Lookup(h)
+}
+
+// TestClusterRoundReadsOneCut: rules L (priority 100, shard 0) and Y
+// (priority 40,000, shard 1) match one header. One writer inserts M
+// (priority 200, shard 0) and then deletes Y while a classify round is
+// between its shard-0 and shard-1 reads, so the writer states answer Y,
+// Y, M. The round must answer one of them. A round that read shard 0
+// before the writes and shard 1 after them answers L, which no writer
+// state had. The writer runs inside shard 0's shadow reference, which
+// the round calls after shard 0 classified; it detaches the shadows
+// first, or shard 0's insert would wait on the shadow lock the round
+// holds.
+func TestClusterRoundReadsOneCut(t *testing.T) {
+	c := testCluster(2) // shard 1 owns priorities above 32768
+	all := rules.Prefix{Len: 0}
+	l, y, m := clRule(1, 100, all), clRule(2, 40000, all), clRule(3, 200, all)
+	ref := &interposer{Linear: swclass.NewLinear()}
+	c.AttachShadows(func(shard int) *flightrec.Shadow {
+		if shard != 0 {
+			return nil
+		}
+		sh := flightrec.NewShadow(ref, nil, -1)
+		sh.SetSampleEvery(1)
+		return sh
+	})
+	for _, r := range []rules.Rule{l, y} {
+		if _, err := c.InsertRule(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref.hook = func() {
+		c.AttachShadows(func(int) *flightrec.Shadow { return nil })
+		if _, err := c.InsertRule(m); err != nil {
+			t.Error(err)
+		}
+		if _, err := c.DeleteRule(y.ID); err != nil {
+			t.Error(err)
+		}
+	}
+	h := rules.Header{SrcIP: 0x0A010203}
+	if a, ok := c.Lookup(h); !ok || (a != y.Action && a != m.Action) {
+		t.Errorf("the round answered %d (matched %v); the writer states answer %d (Y) or %d (M), and L is %d",
+			a, ok, y.Action, m.Action, l.Action)
+	}
+	if ref.hook != nil {
+		t.Fatal("the round never ran the writer")
+	}
+	if a, ok := c.Lookup(h); !ok || a != m.Action {
+		t.Fatalf("after the writer the cluster answers %d (matched %v), want M's %d", a, ok, m.Action)
+	}
+	if err := c.CheckInvariant(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestClusterShardPublishedBehindCut: a shard republished outside the
+// cluster leaves the cut holding its old view, so the cluster would go
+// on answering from that view; CheckInvariant and AuditSweep's
+// InvShardInterval must both say so. Cluster.SetTraceLabels relabels
+// the shards and stores a cut, so it leaves the cluster clean.
+func TestClusterShardPublishedBehindCut(t *testing.T) {
+	c := testCluster(2)
+	aud := flightrec.NewAuditor(nil, nil, 64, nil)
+	c.AttachAuditor(aud)
+	c.SetTraceLabels(7)
+	if err := c.CheckInvariant(); err != nil {
+		t.Fatalf("after Cluster.SetTraceLabels: %v", err)
+	}
+	c.Shard(0).SetTraceLabels(7, 0)
+	if err := c.CheckInvariant(); err == nil {
+		t.Fatal("CheckInvariant passed with shard 0 published behind the cut")
+	}
+	if s := c.AuditSweep(); s.Violations == 0 || aud.ViolationCount(flightrec.InvShardInterval) != 1 {
+		t.Fatalf("sweep %+v, %d shard_interval violations; want the stale cut reported once",
+			s, aud.ViolationCount(flightrec.InvShardInterval))
 	}
 }
 

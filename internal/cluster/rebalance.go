@@ -1,8 +1,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -13,13 +14,14 @@ import (
 
 // Live rebalancing: a background pass migrates rules from the fullest
 // shard to a neighbour in bounded batches, so a skewed priority
-// distribution does not strand capacity. Each batch runs under the
-// cluster's write lock — the migration epoch — so a classify never
-// observes a rule mid-flight between shards; the batches are bounded
-// (entries, not rules) to keep that exclusion window short. Only
-// boundary rules move, and the interval bound moves with them, so the
-// partition stays disjoint; rules sharing the cut priority migrate
-// together, because interval routing is a pure function of priority.
+// distribution does not strand capacity. Each batch holds the writers'
+// mutex, and each group of rules moved is stored as one cut, so a
+// classify never observes a rule mid-flight between shards; the batches
+// are bounded (entries, not rules) to keep other writers' wait short.
+// Only boundary rules move, and the interval bound moves with them, so
+// the partition stays disjoint; rules sharing the boundary priority
+// migrate together, because interval routing is a pure function of
+// priority.
 
 // RebalanceOnce runs one bounded migration pass: it picks the shard
 // with the most stored entries as donor and the donor's lighter
@@ -57,7 +59,7 @@ func (c *Cluster) RebalanceOnce(batch int) int {
 		if t := c.tel; t != nil {
 			t.rebalances.Inc()
 			t.moved.Add(uint64(moved))
-			t.event(telemetry.Event{
+			t.ring.Emit(telemetry.Event{
 				Kind: telemetry.EvRebalance, Table: -1, Subtable: donor, RuleID: -1,
 				Depth: moved,
 				Note:  fmt.Sprintf("shard %d -> %d: %d rules", donor, recipient, moved),
@@ -101,11 +103,8 @@ func (c *Cluster) donorRules(donor int) []ownedRule {
 			out = append(out, o)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].rule.Priority != out[j].rule.Priority {
-			return out[i].rule.Priority < out[j].rule.Priority
-		}
-		return out[i].rule.ID < out[j].rule.ID
+	slices.SortFunc(out, func(a, b ownedRule) int {
+		return cmp.Or(cmp.Compare(a.rule.Priority, b.rule.Priority), cmp.Compare(a.rule.ID, b.rule.ID))
 	})
 	return out
 }
@@ -125,9 +124,7 @@ func (c *Cluster) moveBoundary(donor, recipient, target int) int {
 	// Walk from the edge shared with the recipient: top of the donor
 	// when moving up, bottom when moving down.
 	if up {
-		for i, j := 0, len(rs)-1; i < j; i, j = i+1, j-1 {
-			rs[i], rs[j] = rs[j], rs[i]
-		}
+		slices.Reverse(rs)
 	}
 	var moved, movedEntries int
 	for i := 0; i < len(rs) && movedEntries < target; {
@@ -153,12 +150,12 @@ func (c *Cluster) moveBoundary(donor, recipient, target int) int {
 		// Slide the bound so the moved priorities now route to the
 		// recipient: moving up shrinks the donor's interval from
 		// above; moving down grows the recipient's from above.
-		cut := group[0].rule.Priority
+		edge := group[0].rule.Priority
 		c.routeMu.Lock()
 		if up {
-			c.bounds[donor] = cut - 1
+			c.bounds[donor] = edge - 1
 		} else {
-			c.bounds[recipient] = cut
+			c.bounds[recipient] = edge
 		}
 		c.routeMu.Unlock()
 		i = j
@@ -168,10 +165,11 @@ func (c *Cluster) moveBoundary(donor, recipient, target int) int {
 
 // move puts r on shard to, then deletes the rule of that ID from shard
 // from — in that order, so the rule is never absent from both devices
-// (classifies are excluded by mu anyway; this keeps the devices
-// individually consistent at every step) and a full destination leaves
-// everything as it was. Cycle costs of both phases are reported
-// together. Callers hold mu.Lock and move the owner record.
+// (classify reads only the cut the caller stores afterwards; this keeps
+// the devices individually consistent at every step) and a full
+// destination leaves everything as it was. Cycle costs of both phases
+// are reported together. Callers hold mu, store the cut and move the
+// owner record.
 func (c *Cluster) move(r rules.Rule, from, to int) (core.UpdateResult, error) {
 	res, err := c.shards[to].InsertRule(r)
 	if err != nil {
@@ -185,9 +183,10 @@ func (c *Cluster) move(r rules.Rule, from, to int) (core.UpdateResult, error) {
 	return res, nil
 }
 
-// migrateGroup moves one rule group donor -> recipient. On a
-// recipient-full failure the group's already-moved members return to
-// the donor and the migration reports false. Callers hold mu.
+// migrateGroup moves one rule group donor -> recipient, then stores the
+// cut and the owner records together. On a recipient-full failure the
+// group's already-moved members return to the donor and the migration
+// reports false. Callers hold mu.
 func (c *Cluster) migrateGroup(group []ownedRule, donor, recipient int) bool {
 	for k, o := range group {
 		if _, err := c.move(o.rule, donor, recipient); err != nil {
@@ -196,10 +195,12 @@ func (c *Cluster) migrateGroup(group []ownedRule, donor, recipient int) bool {
 					panic(fmt.Sprintf("cluster: rollback of rule %d to shard %d failed: %v", prev.rule.ID, donor, err))
 				}
 			}
+			c.publishLocked() // the shards republished, unchanged
 			return false
 		}
 	}
 	c.routeMu.Lock()
+	c.publishLocked()
 	for _, o := range group {
 		c.owner[o.rule.ID] = ownedRule{shard: recipient, rule: o.rule}
 	}
@@ -210,8 +211,8 @@ func (c *Cluster) migrateGroup(group []ownedRule, donor, recipient int) bool {
 // RebalanceStats returns how many passes moved rules and the total
 // rules moved.
 func (c *Cluster) RebalanceStats() (passes, moved uint64) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.rebalPasses, c.rebalMoved
 }
 
@@ -231,6 +232,5 @@ func (c *Cluster) StartRebalancer(interval time.Duration, batch int) (stop func(
 			}
 		}
 	}()
-	var once sync.Once
-	return func() { once.Do(func() { close(done) }) }
+	return sync.OnceFunc(func() { close(done) })
 }

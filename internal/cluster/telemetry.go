@@ -20,23 +20,16 @@ type clusterTelemetry struct {
 	ring       *telemetry.EventRing
 }
 
-// event forwards a cluster event to the ring.
-func (t *clusterTelemetry) event(e telemetry.Event) {
-	if t == nil || t.ring == nil {
-		return
-	}
-	t.ring.Emit(e)
-}
-
 // AttachTelemetry registers cluster metrics on reg — an aggregate
 // classify counter, the classify batch latency histogram and rebalance
 // counters — and attaches every shard's device with a {"shard": "<i>"}
 // label so per-shard update histograms, lookup counters and occupancy
 // gauges stay distinct series on the shared registry. Passing a nil
-// registry detaches.
+// registry detaches. Stores a cut carrying the new instruments.
 func (c *Cluster) AttachTelemetry(reg *telemetry.Registry, ring *telemetry.EventRing, labels telemetry.Labels) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	defer c.publishLocked()
 	if reg == nil {
 		c.tel = nil
 		for _, s := range c.shards {
@@ -76,11 +69,12 @@ func (c *Cluster) AttachTracer(tt *trace.Tracer) {
 // AuditSweep verifies InvShardInterval. Passing nil detaches.
 func (c *Cluster) AttachAuditor(aud *flightrec.Auditor) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.aud = aud
-	c.mu.Unlock()
 	for _, s := range c.shards {
 		s.AttachAuditor(aud)
 	}
+	c.publishLocked()
 }
 
 // AttachShadows attaches mk(shard) as each shard's differential shadow
@@ -89,9 +83,12 @@ func (c *Cluster) AttachAuditor(aud *flightrec.Auditor) {
 // checked against a shard-level reference. Attach before installing
 // rules; a nil return leaves that shard unshadowed.
 func (c *Cluster) AttachShadows(mk func(shard int) *flightrec.Shadow) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for i, s := range c.shards {
 		s.AttachShadow(mk(i))
 	}
+	c.publishLocked()
 }
 
 // AuditSweep runs one background audit pass over every shard's device
@@ -100,9 +97,7 @@ func (c *Cluster) AttachShadows(mk func(shard int) *flightrec.Shadow) {
 // the aggregate sweep accounting. Returns the zero SweepInfo when no
 // auditor is attached.
 func (c *Cluster) AuditSweep() flightrec.SweepInfo {
-	c.mu.RLock()
-	aud := c.aud
-	c.mu.RUnlock()
+	aud := c.cut.Load().aud
 	if aud == nil {
 		return flightrec.SweepInfo{}
 	}
@@ -110,9 +105,9 @@ func (c *Cluster) AuditSweep() flightrec.SweepInfo {
 	for _, s := range c.shards {
 		total.Add(s.AuditSweep())
 	}
-	c.mu.RLock()
+	c.mu.Lock()
 	err := c.routingInvariant()
-	c.mu.RUnlock()
+	c.mu.Unlock()
 	ok := aud.Check(flightrec.InvShardInterval, err == nil, func() flightrec.Violation {
 		return flightrec.Violation{
 			Table: -1, Subtable: -1, RuleID: -1, Detail: err.Error(),

@@ -419,11 +419,29 @@ func (d *Device) LookupHeaderBatch(hs []rules.Header, dst []LookupResult) []Look
 	return d.LookupHeaderBatchTraced(nil, hs, dst)
 }
 
-// LookupHeaderBatchTraced is LookupBatch over packet headers, the one
-// header classify loop: each header is encoded into the scratch key and
-// classified, with one result appended to dst per header. Allocates
-// nothing when dst has capacity; safe for any number of concurrent
-// callers.
+// LookupHeaderBatchTraced is LookupHeaderBatchAt against the published
+// view.
+//
+//catcam:hotpath
+func (d *Device) LookupHeaderBatchTraced(tr *tracepkg.Trace, hs []rules.Header, dst []LookupResult) []LookupResult {
+	return d.LookupHeaderBatchAt(d.View(), tr, hs, dst)
+}
+
+// View is one published epoch of a device as an opaque, immutable read
+// handle. A composite that must read several devices as of one state
+// (cluster's cut) holds their views and classifies against them.
+//
+//catcam:snapshot
+type View struct{ s *snapshot }
+
+// View returns the published epoch. Lock-free: one atomic load.
+func (d *Device) View() View { return View{d.snap.Load()} }
+
+// LookupHeaderBatchAt is LookupBatch over packet headers against view
+// v, one of this device's, the one header classify loop: each header is
+// encoded into the scratch key and classified, with one result appended
+// to dst per header. Allocates nothing when dst has capacity; safe for
+// any number of concurrent callers.
 //
 // A sampled batch's tr (nil otherwise) receives, per key, a
 // device_lookup span carrying the winning subtable and the modeled
@@ -435,8 +453,8 @@ func (d *Device) LookupHeaderBatch(hs []rules.Header, dst []LookupResult) []Look
 // from two epochs.
 //
 //catcam:hotpath
-func (d *Device) LookupHeaderBatchTraced(tr *tracepkg.Trace, hs []rules.Header, dst []LookupResult) []LookupResult {
-	s := d.snap.Load()
+func (d *Device) LookupHeaderBatchAt(v View, tr *tracepkg.Trace, hs []rules.Header, dst []LookupResult) []LookupResult {
+	s := v.s
 	sc := d.getScratch()
 	sc.tr, sc.focus = tr, tr.Focus()
 	for i, h := range hs {

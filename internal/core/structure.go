@@ -111,7 +111,7 @@ type SubtableStructure struct {
 type Structure struct {
 	// Epoch is the published epoch the observation derives from; after
 	// cluster or pipeline aggregation it is the highest part's epoch,
-	// not the sum Cluster.Epoch and Pipeline.Epoch return. ShardEpochs
+	// not Cluster.Epoch's cut sequence or Pipeline.Epoch's sum. ShardEpochs
 	// lists the parts' epochs: one per shard for a cluster, and for a
 	// pipeline one per single-device table or per shard of a sharded
 	// table, in pipeline order (nil for a standalone device).

@@ -50,11 +50,12 @@ type Backend interface {
 	Stats() core.Stats
 	ResetStats()
 	CheckInvariant() error
-	// Epoch returns the backend's published-snapshot epoch stamp: a
-	// monotonic counter that advances on every rule change (see
-	// core.Device.Epoch and cluster.Cluster.Epoch). The ingress flow
-	// cache compares stamps for equality to invalidate cached
-	// decisions. Lock-free on both implementations.
+	// Epoch returns the backend's publication stamp: a monotonic
+	// counter that advances on every rule change — a device's snapshot
+	// epoch (core.Device.Epoch), a cluster's cut sequence
+	// (cluster.Cluster.Epoch). The ingress flow cache compares stamps
+	// for equality to invalidate cached decisions. Lock-free on both
+	// implementations.
 	Epoch() uint64
 	// DeriveStructure derives the backend's structural state for the
 	// state observatory — lock-free on both implementations (epoch
@@ -266,9 +267,7 @@ func NewPipeline(configs []TableConfig) (*Pipeline, error) {
 		var dev Backend
 		if c.Shards >= 2 {
 			cl := cluster.New(cluster.Config{Shards: c.Shards, Device: c.Device})
-			for i := 0; i < cl.NumShards(); i++ {
-				cl.Shard(i).SetTraceLabels(c.ID, i)
-			}
+			cl.SetTraceLabels(c.ID)
 			dev = cl
 		} else {
 			d := core.NewDevice(c.Device)
@@ -319,10 +318,11 @@ func (p *Pipeline) TableIDs() []int {
 	return ids
 }
 
-// Epoch returns the sum of every table's backend epoch — a monotonic
-// stamp that changes whenever any rule in any table changes, so a
-// front-end flow cache keyed on it never serves a decision staler than
-// the last install/remove. Lock-free (one snapshot load per backend).
+// Epoch returns the sum of every table's backend epoch (a clustered
+// table's is its cut sequence) — a monotonic stamp that changes
+// whenever any rule in any table changes, so a front-end flow cache
+// keyed on it never serves a decision staler than the last
+// install/remove. Lock-free (one load per backend).
 func (p *Pipeline) Epoch() uint64 {
 	var e uint64
 	for _, t := range p.tables {

@@ -236,8 +236,8 @@ func TestFlowCacheRevalidates(t *testing.T) {
 // only the two interface methods show through.
 type foreignBackend struct{ Backend }
 
-// TestFlowCacheFlushesWithoutChangeLog: over a cluster, whose epoch is a
-// sum over shards, a flowtable pipeline, or a Backend from outside the
+// TestFlowCacheFlushesWithoutChangeLog: over a cluster, whose epoch is
+// its cut's sequence, a flowtable pipeline, or a Backend from outside the
 // package, a publish that changes no decision still turns every cached
 // decision into a stale miss.
 func TestFlowCacheFlushesWithoutChangeLog(t *testing.T) {
