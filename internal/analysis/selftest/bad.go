@@ -108,16 +108,27 @@ func republish(h *epochHolder, s *epochSnap) {
 	_ = h
 }
 
-// ringT is an SPSC ring with role-marked endpoints.
+// ringT is an SPSC ring with role-marked endpoints; the producer keeps
+// a plain copy of head.
 type ringT struct {
-	head atomic.Uint64
-	tail atomic.Uint64
+	head      atomic.Uint64
+	tail      atomic.Uint64
+	headCache uint64
 }
 
 // push is the producer end.
 //
 //catcam:ring-producer
-func (r *ringT) push() { r.tail.Add(1) }
+func (r *ringT) push() {
+	r.headCache = r.head.Load()
+	r.tail.Add(1)
+}
+
+// peek violates ringcheck: a consumer writing the producer's copy of
+// head.
+//
+//catcam:ring-consumer
+func (r *ringT) peek() { r.headCache = r.head.Load() }
 
 // pop is the consumer end.
 //

@@ -42,7 +42,7 @@ func TestBadFileTripsEveryAnalyzer(t *testing.T) {
 		t.Fatalf("framework.Run: %v", err)
 	}
 	counts := make(map[string]int)
-	var sawWriteGuarded, sawImmutable bool
+	var sawWriteGuarded, sawImmutable, sawSideLocal bool
 	for _, d := range diags {
 		counts[d.Analyzer]++
 		if d.Analyzer == "lockcheck" && strings.Contains(d.Message, "write-guarded") {
@@ -50,6 +50,9 @@ func TestBadFileTripsEveryAnalyzer(t *testing.T) {
 		}
 		if d.Analyzer == "lockcheck" && d.Category == "immutable" {
 			sawImmutable = true
+		}
+		if d.Analyzer == "ringcheck" && strings.Contains(d.Message, "ringT.headCache is written by both") {
+			sawSideLocal = true
 		}
 	}
 	for _, a := range suite {
@@ -65,6 +68,11 @@ func TestBadFileTripsEveryAnalyzer(t *testing.T) {
 	}
 	if !sawImmutable {
 		t.Errorf("immutable-field write (view.Mutate) not flagged; findings: %v", diags)
+	}
+	// A consumer writing the producer's side-local copy of head must
+	// trip ringcheck's field-ownership rule.
+	if !sawSideLocal {
+		t.Errorf("consumer write to the producer's head copy (ringT.peek) not flagged; findings: %v", diags)
 	}
 }
 
