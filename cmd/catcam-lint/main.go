@@ -24,41 +24,24 @@
 //	            mutexes stays acyclic
 //	directives  every //catcam: annotation parses
 //
-// Two modes:
+// Usage:
 //
-//	go vet -vettool=$(go env GOBIN)/catcam-lint ./...   (unit mode)
-//	catcam-lint [-tags t1,t2] ./...                      (standalone)
+//	catcam-lint [-tags t1,t2] [-json] packages...
 //
-// In vettool mode the go command drives the analysis per compilation
-// unit and facts flow through .vetx files; packages outside the
-// catcam module are skipped (empty fact set) since the suite's
-// invariants are about this codebase only. Standalone mode loads the
-// module from source itself — no vet harness required.
+// It loads the module from source itself, through `go list`. Every
+// matched package is analyzed together with its _test.go files,
+// external test packages included; packages
+// outside the catcam module are only imported, never analyzed, since
+// the suite's invariants are about this codebase. Findings print as
+// file:line:col: analyzer: message, with file names relative to the
+// working directory. Exit status: 0 clean, 2 findings, 1 error.
 package main
 
 import (
-	"catcam/internal/analysis/atomiccheck"
-	"catcam/internal/analysis/cyclecheck"
-	"catcam/internal/analysis/directives"
-	"catcam/internal/analysis/epochcheck"
+	"catcam/internal/analysis"
 	"catcam/internal/analysis/framework"
-	"catcam/internal/analysis/hotpath"
-	"catcam/internal/analysis/lockcheck"
-	"catcam/internal/analysis/lockorder"
-	"catcam/internal/analysis/poolcheck"
-	"catcam/internal/analysis/ringcheck"
 )
 
 func main() {
-	framework.Main("catcam", []*framework.Analyzer{
-		hotpath.Analyzer,
-		lockcheck.Analyzer,
-		atomiccheck.Analyzer,
-		cyclecheck.Analyzer,
-		epochcheck.Analyzer,
-		ringcheck.Analyzer,
-		poolcheck.Analyzer,
-		lockorder.Analyzer,
-		directives.Analyzer,
-	})
+	framework.Main(analysis.Analyzers)
 }

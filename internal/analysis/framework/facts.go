@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"go/types"
-	"os"
 )
 
 // ObjectKey names a package-level function, method, or type within
@@ -42,55 +41,43 @@ func keyOf(obj types.Object) (ObjectKey, bool) {
 	return ObjectKey{}, false
 }
 
-// PackageFacts holds the serialized facts of one package, keyed by
+// factStore holds the gob-encoded facts of one package, keyed by
 // analyzer name then object.
-type PackageFacts struct {
-	ByAnalyzer map[string]map[ObjectKey][]byte
+type factStore map[string]map[ObjectKey][]byte
+
+// exportFact encodes f into the current package's store under k.
+func (p *Pass) exportFact(k ObjectKey, f Fact) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
+		panic(fmt.Sprintf("analysis: encoding %s fact %v: %v", p.Analyzer.Name, k, err))
+	}
+	store := p.facts[p.Pkg.Path()]
+	if store[p.Analyzer.Name] == nil {
+		store[p.Analyzer.Name] = map[ObjectKey][]byte{}
+	}
+	store[p.Analyzer.Name][k] = buf.Bytes()
 }
 
-// NewPackageFacts returns an empty fact store.
-func NewPackageFacts() *PackageFacts {
-	return &PackageFacts{ByAnalyzer: map[string]map[ObjectKey][]byte{}}
+// importFact decodes into f the fact stored under k for pkg — the
+// current package (this same run) or an analyzed dependency — and
+// reports whether one exists. Decoding gives each importer its own
+// copy.
+func (p *Pass) importFact(pkg *types.Package, k ObjectKey, f Fact) bool {
+	enc, ok := p.facts[pkg.Path()][p.Analyzer.Name][k]
+	return ok && gob.NewDecoder(bytes.NewReader(enc)).Decode(f) == nil
 }
 
 // ExportPackageFact attaches a fact to the current package as a
 // whole, under the analyzer's reserved package slot. Each analyzer
 // holds at most one package fact per package; a second export
 // overwrites the first.
-func (p *Pass) ExportPackageFact(f Fact) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
-		panic(fmt.Sprintf("analysis: encoding %s package fact: %v", p.Analyzer.Name, err))
-	}
-	m := p.facts.ByAnalyzer[p.Analyzer.Name]
-	if m == nil {
-		m = map[ObjectKey][]byte{}
-		p.facts.ByAnalyzer[p.Analyzer.Name] = m
-	}
-	m[pkgFactKey] = buf.Bytes()
-}
+func (p *Pass) ExportPackageFact(f Fact) { p.exportFact(pkgFactKey, f) }
 
 // ImportPackageFact fills f with the package fact previously exported
 // for pkg — the current package (this same run) or a dependency — and
 // reports whether one exists.
 func (p *Pass) ImportPackageFact(pkg *types.Package, f Fact) bool {
-	if pkg == nil {
-		return false
-	}
-	var store *PackageFacts
-	if pkg == p.Pkg {
-		store = p.facts
-	} else if p.depFact != nil {
-		store = p.depFact(pkg.Path())
-	}
-	if store == nil {
-		return false
-	}
-	enc, ok := store.ByAnalyzer[p.Analyzer.Name][pkgFactKey]
-	if !ok {
-		return false
-	}
-	return gob.NewDecoder(bytes.NewReader(enc)).Decode(f) == nil
+	return pkg != nil && p.importFact(pkg, pkgFactKey, f)
 }
 
 // ExportObjectFact attaches a fact to a function, method, or type of
@@ -99,20 +86,9 @@ func (p *Pass) ExportObjectFact(obj types.Object, f Fact) {
 	if obj == nil || obj.Pkg() != p.Pkg {
 		return
 	}
-	k, ok := keyOf(obj)
-	if !ok {
-		return
+	if k, ok := keyOf(obj); ok {
+		p.exportFact(k, f)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
-		panic(fmt.Sprintf("analysis: encoding %s fact for %s: %v", p.Analyzer.Name, obj.Name(), err))
-	}
-	m := p.facts.ByAnalyzer[p.Analyzer.Name]
-	if m == nil {
-		m = map[ObjectKey][]byte{}
-		p.facts.ByAnalyzer[p.Analyzer.Name] = m
-	}
-	m[k] = buf.Bytes()
 }
 
 // ImportObjectFact fills f with the fact previously exported for obj —
@@ -123,71 +99,5 @@ func (p *Pass) ImportObjectFact(obj types.Object, f Fact) bool {
 		return false
 	}
 	k, ok := keyOf(obj)
-	if !ok {
-		return false
-	}
-	var store *PackageFacts
-	if obj.Pkg() == p.Pkg {
-		store = p.facts
-	} else if p.depFact != nil {
-		store = p.depFact(obj.Pkg().Path())
-	}
-	if store == nil {
-		return false
-	}
-	enc, ok := store.ByAnalyzer[p.Analyzer.Name][k]
-	if !ok {
-		return false
-	}
-	if err := gob.NewDecoder(bytes.NewReader(enc)).Decode(f); err != nil {
-		return false
-	}
-	return true
-}
-
-// vetxPayload is the on-disk form of a package's facts (the .vetx
-// files go vet shuttles between dependency and dependent runs). go
-// vet treats the content as opaque; only catcam-lint reads it.
-type vetxPayload struct {
-	ByAnalyzer map[string]map[ObjectKey][]byte
-}
-
-// WriteFactsFile serializes facts to path. An empty store writes a
-// valid (empty) file: go vet requires the vetx output to exist even
-// for packages the tool skips.
-func WriteFactsFile(path string, facts *PackageFacts) error {
-	var buf bytes.Buffer
-	payload := vetxPayload{}
-	if facts != nil {
-		payload.ByAnalyzer = facts.ByAnalyzer
-	}
-	if err := gob.NewEncoder(&buf).Encode(payload); err != nil {
-		return err
-	}
-	return os.WriteFile(path, buf.Bytes(), 0o666)
-}
-
-// ReadFactsFile loads a facts file written by WriteFactsFile. Missing
-// or empty files yield an empty store rather than an error: deps
-// outside the module legitimately carry no facts.
-func ReadFactsFile(path string) (*PackageFacts, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return NewPackageFacts(), nil
-		}
-		return nil, err
-	}
-	if len(data) == 0 {
-		return NewPackageFacts(), nil
-	}
-	var payload vetxPayload
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&payload); err != nil {
-		return nil, fmt.Errorf("reading facts %s: %w", path, err)
-	}
-	pf := NewPackageFacts()
-	if payload.ByAnalyzer != nil {
-		pf.ByAnalyzer = payload.ByAnalyzer
-	}
-	return pf, nil
+	return ok && p.importFact(obj.Pkg(), k, f)
 }

@@ -1,11 +1,11 @@
 // Package framework is a small, dependency-free re-implementation of
 // the go/analysis runner surface that catcam-lint is built on. The
-// container the project builds in has no module cache and no network,
-// so golang.org/x/tools is unavailable; this package provides the
-// subset catcam's analyzers need — single-pass analyzers over a
-// type-checked package, cross-package object facts, a standalone
-// driver backed by `go list -export`, and a `go vet -vettool`
-// unitchecker-protocol driver — using only the standard library.
+// module takes no dependencies, so golang.org/x/tools is not
+// available; this package provides the subset catcam's analyzers
+// need — single-pass analyzers over a type-checked package,
+// cross-package object facts, and one driver (Run, behind the Main
+// command line) that loads the module from source through
+// `go list -export` — using only the standard library.
 //
 // The analyzers communicate with the source tree through `//catcam:`
 // comment directives (written without a space, like //go: directives,
@@ -37,9 +37,8 @@ import (
 )
 
 // Fact is a piece of analyzer-produced information attached to a
-// package-level function or method, serialized across package
-// boundaries (gob in vetx files under go vet, in-memory in the
-// standalone driver).
+// package-level function or method. It crosses package boundaries
+// gob-encoded in memory, so each importer decodes its own copy.
 type Fact interface{ AFact() }
 
 // Analyzer describes one static check.
@@ -67,9 +66,8 @@ type Pass struct {
 	TypesInfo *types.Info
 	Module    string // module path of the package under analysis ("" if unknown)
 
-	diags   *[]Diagnostic
-	facts   *PackageFacts                   // facts being accumulated for Pkg
-	depFact func(path string) *PackageFacts // imported facts by package path
+	diags *[]Diagnostic
+	facts map[string]factStore // by package path: Pkg's (being accumulated) and its analyzed deps'
 }
 
 // Reportf records a diagnostic.

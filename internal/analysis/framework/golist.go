@@ -2,6 +2,7 @@ package framework
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"go/importer"
@@ -11,25 +12,24 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 )
 
 // listPackage is the subset of `go list -json` output the driver uses.
 type listPackage struct {
-	ImportPath  string
-	Name        string
-	Dir         string
-	GoFiles     []string
-	TestGoFiles []string
-	TestImports []string
-	CgoFiles    []string
-	Imports     []string
-	Export      string
-	Standard    bool
-	DepOnly     bool
-	ForTest     string
-	Module      *struct {
+	ImportPath   string
+	Dir          string
+	GoFiles      []string
+	TestGoFiles  []string
+	XTestGoFiles []string
+	TestImports  []string
+	CgoFiles     []string
+	Imports      []string
+	Export       string
+	DepOnly      bool
+	ForTest      string
+	Module       *struct {
 		Path      string
 		GoVersion string
 	}
@@ -38,16 +38,11 @@ type listPackage struct {
 	}
 }
 
-// Config configures a standalone (non-vettool) analysis run.
+// Config configures an analysis run.
 type Config struct {
 	Dir      string   // directory to run `go list` in (any dir inside the target module)
 	Patterns []string // package patterns, e.g. ./...
 	Tags     []string // build tags, e.g. for the lint selftest package
-	// Tests merges each matched package's in-package _test.go files
-	// (TestGoFiles) into the analysis, the same view `go vet` gets.
-	// External test packages (package foo_test) are not synthesized;
-	// the vet-mode driver covers those.
-	Tests bool
 }
 
 // FlatDiag is a resolved diagnostic ready for printing or matching.
@@ -67,7 +62,9 @@ func (d FlatDiag) String() string {
 // dependency order, importing everything else from compiler export
 // data), runs the analyzers over each, and returns the diagnostics of
 // the packages that matched the patterns. Facts flow between module
-// packages in memory.
+// packages in memory. A matched package is analyzed with its
+// in-package _test.go files merged in, and its external test package
+// (package foo_test), if any, is analyzed as foo_test.
 func Run(cfg Config, analyzers []*Analyzer) ([]FlatDiag, error) {
 	pkgs, err := goList(cfg)
 	if err != nil {
@@ -100,7 +97,6 @@ func Run(cfg Config, analyzers []*Analyzer) ([]FlatDiag, error) {
 
 	// Export-data importer for everything outside the module; the
 	// lookup indirection lets source-loaded module packages shadow it.
-	var imp types.Importer
 	gcImp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		p, ok := byPath[path]
 		if !ok || p.Export == "" {
@@ -108,7 +104,7 @@ func Run(cfg Config, analyzers []*Analyzer) ([]FlatDiag, error) {
 		}
 		return os.Open(p.Export)
 	})
-	imp = importerFunc(func(path string) (*types.Package, error) {
+	imp := importerFunc(func(path string) (*types.Package, error) {
 		if tp, ok := sourceLoaded[path]; ok {
 			return tp, nil
 		}
@@ -128,7 +124,7 @@ func Run(cfg Config, analyzers []*Analyzer) ([]FlatDiag, error) {
 		}
 		state[p.ImportPath] = 1
 		imports := p.Imports
-		if cfg.Tests && !p.DepOnly {
+		if !p.DepOnly {
 			// Test files may import in-module packages the non-test
 			// package does not; those must typecheck first.
 			imports = append(append([]string{}, imports...), p.TestImports...)
@@ -152,44 +148,26 @@ func Run(cfg Config, analyzers []*Analyzer) ([]FlatDiag, error) {
 		}
 	}
 
-	factsByPath := map[string]*PackageFacts{}
-	depFact := func(path string) *PackageFacts { return factsByPath[path] }
-
+	facts := map[string]factStore{}
 	var out []FlatDiag
-	for _, p := range moduleOrder {
-		if len(p.CgoFiles) > 0 {
-			return nil, fmt.Errorf("analysis: %s uses cgo, unsupported", p.ImportPath)
-		}
+	analyze := func(p *listPackage, path string, files []string) error {
 		goVersion := ""
 		if p.Module != nil && p.Module.GoVersion != "" {
 			goVersion = "go" + p.Module.GoVersion
 		}
-		// go list reports GoFiles relative to the package directory.
-		files := p.GoFiles
-		if cfg.Tests && !p.DepOnly {
-			files = append(append([]string{}, files...), p.TestGoFiles...)
-		}
+		// go list reports file names relative to the package directory.
 		goFiles := make([]string, len(files))
 		for i, f := range files {
-			if filepath.IsAbs(f) {
-				goFiles[i] = f
-			} else {
-				goFiles[i] = filepath.Join(p.Dir, f)
-			}
+			goFiles[i] = filepath.Join(p.Dir, f)
 		}
-		lp, err := typecheck(fset, p.ImportPath, goFiles, imp, goVersion)
+		lp, err := typecheck(fset, path, goFiles, imp, goVersion)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		sourceLoaded[p.ImportPath] = lp.Pkg
-		facts := NewPackageFacts()
-		diags, err := runAnalyzers(analyzers, lp, module, facts, depFact)
-		if err != nil {
-			return nil, err
-		}
-		factsByPath[p.ImportPath] = facts
-		if p.DepOnly {
-			continue // facts only; diagnostics are for the named packages
+		sourceLoaded[path] = lp.Pkg
+		diags, err := runAnalyzers(analyzers, lp, module, facts)
+		if err != nil || p.DepOnly {
+			return err // a dependency yields facts only; diagnostics are for the named packages
 		}
 		for _, d := range diags {
 			out = append(out, FlatDiag{
@@ -199,28 +177,43 @@ func Run(cfg Config, analyzers []*Analyzer) ([]FlatDiag, error) {
 				Message:  d.Message,
 			})
 		}
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Position, out[j].Position
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
+	for _, p := range moduleOrder {
+		if len(p.CgoFiles) > 0 {
+			return nil, fmt.Errorf("analysis: %s uses cgo, unsupported", p.ImportPath)
 		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
+		files := p.GoFiles
+		if !p.DepOnly {
+			files = append(append([]string{}, files...), p.TestGoFiles...)
 		}
-		return out[i].Message < out[j].Message
+		if err := analyze(p, p.ImportPath, files); err != nil {
+			return nil, err
+		}
+	}
+	// An external test package may import foo through packages that
+	// themselves import foo, so it is checked only once every module
+	// package is loaded. Nothing imports it, so it stays out of the
+	// topological order.
+	for _, p := range moduleOrder {
+		if !p.DepOnly && len(p.XTestGoFiles) > 0 {
+			if err := analyze(p, p.ImportPath+"_test", p.XTestGoFiles); err != nil {
+				return nil, err
+			}
+		}
+	}
+	slices.SortFunc(out, func(a, b FlatDiag) int {
+		return cmp.Or(strings.Compare(a.Position.Filename, b.Position.Filename),
+			cmp.Compare(a.Position.Line, b.Position.Line), strings.Compare(a.Message, b.Message))
 	})
 	return out, nil
 }
 
 func goList(cfg Config) ([]*listPackage, error) {
-	args := []string{"list", "-e", "-export", "-deps",
-		"-json=ImportPath,Name,Dir,GoFiles,TestGoFiles,TestImports,CgoFiles,Imports,Export,Standard,DepOnly,ForTest,Module,Error"}
-	if cfg.Tests {
-		// -test pulls the test-only dependency closure (with export
-		// data) into the listing so the merged TestGoFiles typecheck.
-		args = append(args, "-test")
-	}
+	// -test pulls the test-only dependency closure (with export data)
+	// into the listing so test files typecheck.
+	args := []string{"list", "-e", "-export", "-deps", "-test",
+		"-json=ImportPath,Dir,GoFiles,TestGoFiles,XTestGoFiles,TestImports,CgoFiles,Imports,Export,DepOnly,ForTest,Module,Error"}
 	if len(cfg.Tags) > 0 {
 		args = append(args, "-tags", strings.Join(cfg.Tags, ","))
 	}
@@ -233,8 +226,7 @@ func goList(cfg Config) ([]*listPackage, error) {
 	if err != nil {
 		return nil, fmt.Errorf("go list: %v\n%s", err, stderr.String())
 	}
-	var pkgs []*listPackage
-	seen := map[string]bool{}
+	var plain, variants []*listPackage
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
 		p := new(listPackage)
@@ -245,22 +237,43 @@ func goList(cfg Config) ([]*listPackage, error) {
 		}
 		// Under -test, go list also emits per-test pseudo-packages:
 		// the generated main ("foo.test"), the package recompiled with
-		// its test files ("foo [foo.test]"), and external test
-		// packages ("foo_test [foo.test]"). The driver builds its own
-		// test view by merging TestGoFiles into the plain package, so
-		// the pseudo-entries are dropped; only the plain closure (which
-		// now includes test-only deps) is kept.
-		if p.ForTest != "" || strings.HasSuffix(p.ImportPath, ".test") {
+		// its test files ("foo [foo.test]"), the external test package
+		// ("foo_test [foo.test]"), and packages recompiled because they
+		// import foo ("bar [foo.test]"). The driver builds its own test
+		// view from the plain package's TestGoFiles and XTestGoFiles,
+		// so the first three are dropped. The last is kept under its
+		// plain path: when only foo's external test imports bar, it is
+		// bar's only listing.
+		if strings.HasSuffix(p.ImportPath, ".test") {
 			continue
+		}
+		if p.ForTest != "" {
+			path, _, _ := strings.Cut(p.ImportPath, " [")
+			if path == p.ForTest || path == p.ForTest+"_test" {
+				continue
+			}
+			p.ImportPath, p.DepOnly = path, true
+			for i, ip := range p.Imports {
+				p.Imports[i], _, _ = strings.Cut(ip, " [")
+			}
 		}
 		if p.Error != nil {
 			return nil, fmt.Errorf("go list: %s: %s", p.ImportPath, p.Error.Err)
 		}
-		if seen[p.ImportPath] {
-			continue
+		if p.ForTest != "" {
+			variants = append(variants, p)
+		} else {
+			plain = append(plain, p)
 		}
-		seen[p.ImportPath] = true
-		pkgs = append(pkgs, p)
+	}
+	// A package's plain listing wins over its test variants.
+	var pkgs []*listPackage
+	seen := map[string]bool{}
+	for _, p := range append(plain, variants...) {
+		if !seen[p.ImportPath] {
+			seen[p.ImportPath] = true
+			pkgs = append(pkgs, p)
+		}
 	}
 	return pkgs, nil
 }

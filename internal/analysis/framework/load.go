@@ -63,12 +63,12 @@ func typecheck(fset *token.FileSet, path string, goFiles []string, imp types.Imp
 	return &LoadedPackage{Path: path, Fset: fset, Files: files, Pkg: pkg, Info: info}, nil
 }
 
-// runAnalyzers runs each analyzer over lp, accumulating facts into
-// facts and returning diagnostics. depFact resolves previously
-// computed fact stores of dependency packages.
-func runAnalyzers(analyzers []*Analyzer, lp *LoadedPackage, module string,
-	facts *PackageFacts, depFact func(string) *PackageFacts) ([]Diagnostic, error) {
-
+// runAnalyzers runs each analyzer over lp, accumulating lp's facts
+// into facts[lp.Path], and returns the diagnostics. facts holds the
+// stores of the packages analyzed before lp, its dependencies among
+// them.
+func runAnalyzers(analyzers []*Analyzer, lp *LoadedPackage, module string, facts map[string]factStore) ([]Diagnostic, error) {
+	facts[lp.Path] = factStore{}
 	var diags []Diagnostic
 	for _, an := range analyzers {
 		pass := &Pass{
@@ -80,7 +80,6 @@ func runAnalyzers(analyzers []*Analyzer, lp *LoadedPackage, module string,
 			Module:    module,
 			diags:     &diags,
 			facts:     facts,
-			depFact:   depFact,
 		}
 		if err := an.Run(pass); err != nil {
 			return nil, fmt.Errorf("analyzer %s on %s: %w", an.Name, lp.Path, err)

@@ -4,29 +4,13 @@ import (
 	"strings"
 	"testing"
 
-	"catcam/internal/analysis/atomiccheck"
-	"catcam/internal/analysis/cyclecheck"
-	"catcam/internal/analysis/directives"
-	"catcam/internal/analysis/epochcheck"
+	"catcam/internal/analysis"
 	"catcam/internal/analysis/framework"
-	"catcam/internal/analysis/hotpath"
-	"catcam/internal/analysis/lockcheck"
-	"catcam/internal/analysis/lockorder"
-	"catcam/internal/analysis/poolcheck"
-	"catcam/internal/analysis/ringcheck"
 )
 
-var suite = []*framework.Analyzer{
-	hotpath.Analyzer,
-	lockcheck.Analyzer,
-	atomiccheck.Analyzer,
-	cyclecheck.Analyzer,
-	epochcheck.Analyzer,
-	ringcheck.Analyzer,
-	poolcheck.Analyzer,
-	lockorder.Analyzer,
-	directives.Analyzer,
-}
+// suite is the list catcam-lint runs, so the canary proves the
+// binary's analyzers and not a copy of them.
+var suite = analysis.Analyzers
 
 // TestBadFileTripsEveryAnalyzer is the canary's canary: running the
 // suite over this package with the selftest tag must produce at least

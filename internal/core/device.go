@@ -145,9 +145,10 @@ type location struct {
 // and ModifyRule all run through the update bracket (Device.update),
 // which publishes exactly one epoch per request (DESIGN.md §17). The
 // classify path (Lookup, LookupBatch, LookupHeaderBatch,
-// LookupHeaderBatchTraced, and Revalidate over the change log)
-// acquires no lock at all — it loads the current epoch snapshot
-// (d.snap) with one atomic pointer read and traverses the frozen
+// LookupHeaderBatchTraced, LookupHeaderBatchAt, and Revalidate over
+// the change log) acquires no lock at all — it loads the current epoch
+// snapshot (d.snap) with one atomic pointer read, or reads the View
+// LookupHeaderBatchAt is handed, and traverses the frozen
 // structure with per-goroutine pooled scratch, so concurrent lookups
 // scale with cores. The hot path
 // performs no allocation at steady state. See snapshot.go for the
