@@ -161,7 +161,6 @@ import (
 const (
 	eventRingCap     = 4096 // /events
 	spanRingCap      = 1024 // /debug/trace, /debug/timeline, /debug/blame
-	stateRingFrames  = 360  // /debug/state
 	rebalanceBatch   = 64   // max entries migrated per rebalance pass
 	escalationWindow = 30 * time.Second
 )
@@ -278,10 +277,7 @@ func run(o options) error {
 	// epoch snapshot, mirrored into catcam_state_* metrics and served at
 	// /debug/state. Its Reset rides the engine's stats-reset hook, so the
 	// post-bulk-load ResetStats below also clears the frame ring.
-	obs := stateobs.New(eng, stateobs.Config{
-		RingFrames: stateRingFrames,
-		Horizon:    o.stateHorizon,
-	})
+	obs := stateobs.New(eng, stateobs.Config{Horizon: o.stateHorizon})
 	obs.AttachTelemetry(reg, nil)
 
 	// Span layer: one tracer samples classify batches, updates and
@@ -571,8 +567,8 @@ func run(o options) error {
 			}
 			body["shard_epochs"] = epochs
 		} else {
-			body["entries"] = reg.Gauge("catcam_entries", "", nil).Value()
-			body["active_subtables"] = reg.Gauge("catcam_active_subtables", "", nil).Value()
+			body["entries"] = dev.Len()
+			body["active_subtables"] = dev.ActiveSubtables()
 			body["epoch"] = dev.Epoch()
 		}
 		_ = json.NewEncoder(w).Encode(body)

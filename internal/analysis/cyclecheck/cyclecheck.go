@@ -46,10 +46,9 @@ func (*MutatorFact) AFact() {}
 
 // Analyzer is the cyclecheck analyzer.
 var Analyzer = &framework.Analyzer{
-	Name:      "cyclecheck",
-	Doc:       "mutations of //catcam:cycle-state storage must be accompanied by modeled-cycle accounting",
-	Run:       run,
-	FactTypes: []framework.Fact{&MutatorFact{}},
+	Name: "cyclecheck",
+	Doc:  "mutations of //catcam:cycle-state storage must be accompanied by modeled-cycle accounting",
+	Run:  run,
 }
 
 func run(pass *framework.Pass) error {

@@ -57,10 +57,9 @@ import (
 
 // Analyzer is the epochcheck analyzer.
 var Analyzer = &framework.Analyzer{
-	Name:      "epochcheck",
-	Doc:       "types marked //catcam:snapshot are transitively write-dead after epoch publication",
-	Run:       run,
-	FactTypes: []framework.Fact{new(SnapshotFact)},
+	Name: "epochcheck",
+	Doc:  "types marked //catcam:snapshot are transitively write-dead after epoch publication",
+	Run:  run,
 }
 
 // SnapshotFact marks a named type as proven epoch-published snapshot

@@ -43,10 +43,9 @@ type Fact interface{ AFact() }
 
 // Analyzer describes one static check.
 type Analyzer struct {
-	Name      string
-	Doc       string
-	Run       func(*Pass) error
-	FactTypes []Fact // prototypes of the concrete fact types this analyzer uses
+	Name string
+	Doc  string
+	Run  func(*Pass) error
 }
 
 // Diagnostic is one finding.

@@ -45,10 +45,9 @@ func (*Allocates) AFact() {}
 
 // Analyzer is the hotpath analyzer.
 var Analyzer = &framework.Analyzer{
-	Name:      "hotpath",
-	Doc:       "//catcam:hotpath functions must not allocate, transitively within the module",
-	Run:       run,
-	FactTypes: []framework.Fact{new(Allocates)},
+	Name: "hotpath",
+	Doc:  "//catcam:hotpath functions must not allocate, transitively within the module",
+	Run:  run,
 }
 
 type site struct {

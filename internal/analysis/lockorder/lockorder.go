@@ -38,10 +38,9 @@ import (
 
 // Analyzer is the lockorder analyzer.
 var Analyzer = &framework.Analyzer{
-	Name:      "lockorder",
-	Doc:       "the module-wide acquisition order of //catcam:guarded-by mutexes must stay acyclic",
-	Run:       run,
-	FactTypes: []framework.Fact{new(MutexesFact), new(AcquiresFact), new(EdgesFact)},
+	Name: "lockorder",
+	Doc:  "the module-wide acquisition order of //catcam:guarded-by mutexes must stay acyclic",
+	Run:  run,
 }
 
 // MutexesFact lists the tracked mutex fields of an annotated struct,

@@ -36,10 +36,9 @@ import (
 
 // Analyzer is the poolcheck analyzer.
 var Analyzer = &framework.Analyzer{
-	Name:      "poolcheck",
-	Doc:       "//catcam:scratch pool memory must not escape into snapshots, globals, or exported returns",
-	Run:       run,
-	FactTypes: []framework.Fact{new(ScratchFact)},
+	Name: "poolcheck",
+	Doc:  "//catcam:scratch pool memory must not escape into snapshots, globals, or exported returns",
+	Run:  run,
 }
 
 // ScratchFact marks a named type as pooled per-goroutine scratch,

@@ -42,10 +42,9 @@ import (
 
 // Analyzer is the ringcheck analyzer.
 var Analyzer = &framework.Analyzer{
-	Name:      "ringcheck",
-	Doc:       "//catcam:ring-producer / //catcam:ring-consumer functions are the only drivers of each SPSC ring end",
-	Run:       run,
-	FactTypes: []framework.Fact{new(RoleFact)},
+	Name: "ringcheck",
+	Doc:  "//catcam:ring-producer / //catcam:ring-consumer functions are the only drivers of each SPSC ring end",
+	Run:  run,
 }
 
 // RoleFact records a function's SPSC role, exported so cross-package

@@ -115,23 +115,21 @@ type Config struct {
 	Family Family
 	Size   int   // number of rules
 	Seed   int64 // deterministic seed
-	// MaxPriority is the top of the priority range; defaults to 65535
-	// (the 16-bit OpenFlow priority field) when zero.
-	MaxPriority int
 }
+
+// maxPriority is the top of the priority range: the 16-bit OpenFlow
+// priority field.
+const maxPriority = 65535
 
 // Generate produces a synthetic ruleset. Rules are emitted in
 // descending-priority order (like a first-match ACL file); IDs are
 // 0..Size-1 in file order. Priorities are unique and spread across
-// [1, MaxPriority].
+// [1, maxPriority], or [1, Size] when Size exceeds it.
 func Generate(cfg Config) *rules.Ruleset {
 	if cfg.Size <= 0 {
 		return &rules.Ruleset{}
 	}
-	maxPrio := cfg.MaxPriority
-	if maxPrio == 0 {
-		maxPrio = 65535
-	}
+	maxPrio := maxPriority
 	if maxPrio < cfg.Size {
 		maxPrio = cfg.Size // keep priorities unique
 	}
@@ -342,7 +340,7 @@ func updateTrace(rs *rules.Ruleset, n int, seed int64, freshPriorities bool) []U
 			r.ID = nextID
 			nextID++
 			if freshPriorities {
-				r.Priority = 1 + rng.Intn(65535)
+				r.Priority = 1 + rng.Intn(maxPriority)
 			}
 			live = append(live, r)
 			trace = append(trace, Update{Op: OpInsert, Rule: r})

@@ -85,7 +85,8 @@ type ownedRule struct {
 //   - mu serializes writers: an insert, delete or modify, a rebalance
 //     batch and an attach each hold it across their shard updates and
 //     the cut they store. It also guards the instruments the next cut
-//     carries, the rebalance counters and the reset-hook list.
+//     carries and the reset-hook list. The rebalance counters are
+//     atomics, written under it and read without it.
 //   - routeMu guards the routing state (owner map, interval bounds). A
 //     writer stores its cut and changes owner records under it at once.
 //   - Classify takes no lock: it loads the cut, and each call checks
@@ -106,8 +107,8 @@ type Cluster struct {
 	tel *clusterTelemetry  //catcam:guarded-by mu
 	aud *flightrec.Auditor //catcam:guarded-by mu
 
-	rebalPasses uint64   //catcam:guarded-by mu
-	rebalMoved  uint64   //catcam:guarded-by mu
+	rebalPasses atomic.Uint64
+	rebalMoved  atomic.Uint64
 	resetHooks  []func() //catcam:guarded-by mu
 
 	// structs is the state observatory's reusable per-shard derive

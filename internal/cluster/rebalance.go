@@ -54,11 +54,9 @@ func (c *Cluster) RebalanceOnce(batch int) int {
 
 	moved := c.moveBoundary(donor, recipient, target)
 	if moved > 0 {
-		c.rebalPasses++
-		c.rebalMoved += uint64(moved)
+		c.rebalPasses.Add(1)
+		c.rebalMoved.Add(uint64(moved))
 		if t := c.tel; t != nil {
-			t.rebalances.Inc()
-			t.moved.Add(uint64(moved))
 			t.ring.Emit(telemetry.Event{
 				Kind: telemetry.EvRebalance, Table: -1, Subtable: donor, RuleID: -1,
 				Depth: moved,
@@ -211,9 +209,7 @@ func (c *Cluster) migrateGroup(group []ownedRule, donor, recipient int) bool {
 // RebalanceStats returns how many passes moved rules and the total
 // rules moved.
 func (c *Cluster) RebalanceStats() (passes, moved uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.rebalPasses, c.rebalMoved
+	return c.rebalPasses.Load(), c.rebalMoved.Load()
 }
 
 // StartRebalancer runs RebalanceOnce(batch) every interval on a

@@ -209,9 +209,9 @@ func TestClusterEpochGauges(t *testing.T) {
 		}
 	}
 	everyShardHolds(t, c)
+	gauges := reg.Snapshot().Gauges
 	for i := 0; i < 2; i++ {
-		labels := telemetry.Labels{"shard": strconv.Itoa(i)}
-		got := reg.Gauge("catcam_epoch", "", labels).Value()
+		got := gauges[`catcam_epoch{shard="`+strconv.Itoa(i)+`"}`]
 		if want := int64(c.Shard(i).Epoch()); got != want {
 			t.Fatalf("shard %d catcam_epoch = %d, want %d", i, got, want)
 		}

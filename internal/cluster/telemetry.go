@@ -13,19 +13,18 @@ import (
 // device metrics attach directly to the shard devices with a "shard"
 // label.
 type clusterTelemetry struct {
-	lookups    *telemetry.Counter
-	fanoutNs   *telemetry.Histogram
-	rebalances *telemetry.Counter
-	moved      *telemetry.Counter
-	ring       *telemetry.EventRing
+	lookups  *telemetry.Counter
+	fanoutNs *telemetry.Histogram
+	ring     *telemetry.EventRing
 }
 
 // AttachTelemetry registers cluster metrics on reg — an aggregate
-// classify counter, the classify batch latency histogram and rebalance
-// counters — and attaches every shard's device with a {"shard": "<i>"}
-// label so per-shard update histograms, lookup counters and occupancy
-// gauges stay distinct series on the shared registry. Passing a nil
-// registry detaches. Stores a cut carrying the new instruments.
+// classify counter, the classify batch latency histogram and the
+// rebalance counters, which read RebalanceStats' atomics — and
+// attaches every shard's device with a {"shard": "<i>"} label so
+// per-shard update histograms, lookup counters and occupancy gauges
+// stay distinct series on the shared registry. Passing a nil registry
+// detaches. Stores a cut carrying the new instruments.
 func (c *Cluster) AttachTelemetry(reg *telemetry.Registry, ring *telemetry.EventRing, labels telemetry.Labels) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -43,12 +42,12 @@ func (c *Cluster) AttachTelemetry(reg *telemetry.Registry, ring *telemetry.Event
 		fanoutNs: reg.Histogram("catcam_cluster_fanout_ns",
 			"wall-clock nanoseconds per cluster classify batch (shard walk, arbiter reduce)",
 			telemetry.DefaultLatencyBuckets, labels),
-		rebalances: reg.Counter("catcam_cluster_rebalance_passes_total",
-			"rebalance passes that migrated at least one rule", labels),
-		moved: reg.Counter("catcam_cluster_rebalance_rules_total",
-			"rules migrated between shards by the rebalancer", labels),
 		ring: ring,
 	}
+	reg.CounterFunc("catcam_cluster_rebalance_passes_total",
+		"rebalance passes that migrated at least one rule", labels, c.rebalPasses.Load)
+	reg.CounterFunc("catcam_cluster_rebalance_rules_total",
+		"rules migrated between shards by the rebalancer", labels, c.rebalMoved.Load)
 	for i, s := range c.shards {
 		s.AttachTelemetry(reg, ring, labels.Merged(telemetry.Labels{"shard": strconv.Itoa(i)}))
 	}

@@ -409,7 +409,7 @@ func (d *Device) LookupBatch(keys []ternary.Key, dst []LookupResult) []LookupRes
 		e, _, ok := s.lookup(sc, d.padKey(sc, k))
 		dst = append(dst, LookupResult{Entry: e, OK: ok})
 	}
-	d.putScratch(sc, s)
+	d.putScratch(sc)
 	return dst
 }
 
@@ -475,7 +475,7 @@ func (d *Device) LookupHeaderBatchAt(v View, tr *tracepkg.Trace, hs []rules.Head
 		}
 		dst = append(dst, LookupResult{Entry: e, OK: ok})
 	}
-	d.putScratch(sc, s)
+	d.putScratch(sc)
 	return dst
 }
 
@@ -743,7 +743,6 @@ func (d *Device) insertEntry(e Entry) (UpdateResult, error) {
 		st.Delete(slot)
 		d.forgetLoc(evicted.Rank)
 		if t := d.tel; t != nil {
-			t.reallocs.Inc()
 			t.event(telemetry.Event{Kind: telemetry.EvRealloc, Subtable: dst,
 				RuleID: evicted.Rank.RuleID, Cycles: ClassInsertRealloc.Cycles(), Depth: 1})
 		}
@@ -893,7 +892,6 @@ func (d *Device) assignSubtable(max Rank, pos int) int {
 	// adds no cycles of its own to the update class.
 	d.trace.Step(tracepkg.StageGlobalUpdate, id, -1, 0)
 	if t := d.tel; t != nil {
-		t.fresh.Inc()
 		t.event(telemetry.Event{Kind: telemetry.EvFreshSubtable, Subtable: id,
 			RuleID: -1, Depth: pos})
 	}

@@ -234,7 +234,6 @@ type snapshot struct {
 	// device fields; all nil-safe, internally synchronized.
 	aud     *flightrec.Auditor //catcam:allow epoch "internally synchronized instrument, not classify-read state"
 	shadow  *flightrec.Shadow  //catcam:allow epoch "internally synchronized instrument, not classify-read state"
-	tel     *deviceTelemetry   //catcam:allow epoch "internally synchronized instrument, not classify-read state"
 	trTable int
 	trShard int
 }
@@ -371,15 +370,11 @@ func (d *Device) publishLocked() {
 		globalColWrites: gstats.ColWrites,
 		aud:             d.aud,
 		shadow:          d.shadow,
-		tel:             d.tel,
 		trTable:         d.trTable,
 		trShard:         d.trShard,
 	}
 	d.globalDirty = false
 	d.churn.publishes.Add(1)
-	if t := d.tel; t != nil {
-		t.epochG.Set(int64(s.epoch))
-	}
 	// The epoch's change record is whole before the epoch is visible.
 	d.log.write(s.epoch, d.pending)
 	d.pending = changeRecord{}
@@ -489,18 +484,14 @@ func (d *Device) getScratch() *readScratch {
 }
 
 // putScratch flushes the scratch's batch-local accounting into the
-// device's atomic counters and the snapshot's telemetry, then returns
-// it to the pool.
+// device's atomic counters, then returns it to the pool.
 //
 //catcam:hotpath
-func (d *Device) putScratch(sc *readScratch, s *snapshot) {
+func (d *Device) putScratch(sc *readScratch) {
 	d.churn.scratchBatches.Add(1)
 	d.churn.hostSearches.Add(sc.hostSearches)
 	d.stats.lookups.Add(sc.lookups)
 	d.stats.lookupCycles.Add(sc.lookupCycles)
-	if t := s.tel; t != nil {
-		t.lookups.Add(sc.lookups)
-	}
 	d.rdMatch.add(&sc.match)
 	d.rdPrio.add(&sc.prio)
 	d.rdGlobal.add(&sc.global)

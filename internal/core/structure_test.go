@@ -230,19 +230,19 @@ func TestResetArrayStatsClearsWritePressure(t *testing.T) {
 }
 
 // TestEpochGaugeExported: the published snapshot epoch is a /metrics
-// series, not just a /healthz field — it tracks every publication and
-// resyncs on telemetry attach.
+// series, not just a /healthz field — it tracks every publication,
+// the attach's included.
 func TestEpochGaugeExported(t *testing.T) {
 	d := NewDevice(smallConfig())
 	fillDevice(t, d, 4)
 	reg := telemetry.NewRegistry()
 	d.AttachTelemetry(reg, nil, nil)
-	g := reg.Gauge("catcam_epoch", "", nil)
-	if got := g.Value(); got != int64(d.Epoch()) {
+	g := func() int64 { return reg.Snapshot().Gauges["catcam_epoch"] }
+	if got := g(); got != int64(d.Epoch()) {
 		t.Fatalf("catcam_epoch = %d after attach, want %d", got, d.Epoch())
 	}
 	fillDevice(t, d, 3)
-	if got := g.Value(); got != int64(d.Epoch()) || got == 0 {
+	if got := g(); got != int64(d.Epoch()) || got == 0 {
 		t.Fatalf("catcam_epoch = %d after updates, want %d", got, d.Epoch())
 	}
 }

@@ -15,13 +15,7 @@ type deviceTelemetry struct {
 	// name is the op label.
 	updateCycles [telemetry.EvModify + 1]*telemetry.Histogram
 	updateErrors [telemetry.EvModify + 1]*telemetry.Counter
-	lookups      *telemetry.Counter
-	reallocs     *telemetry.Counter
-	fresh        *telemetry.Counter
 	chainDepth   *telemetry.Histogram
-	activeSubs   *telemetry.Gauge
-	entries      *telemetry.Gauge
-	epochG       *telemetry.Gauge
 	ring         *telemetry.EventRing
 	table        int // flowtable ID carried on events; -1 standalone
 }
@@ -33,6 +27,11 @@ type deviceTelemetry struct {
 // a flowtable passes {"table": "<id>"} so per-table series stay
 // distinct on a shared registry; when a numeric "table" label is
 // present it is also carried on ring events.
+//
+// The lookup, reallocation and fresh-subtable counters and the
+// entries, active-subtable and epoch gauges are read series: the
+// registry reads Stats, Len, ActiveSubtables and Epoch when it
+// exports, so they keep reading the device after a detach.
 //
 // Attaching replaces any previous attachment. Passing a nil registry
 // detaches.
@@ -50,20 +49,22 @@ func (d *Device) AttachTelemetry(reg *telemetry.Registry, ring *telemetry.EventR
 			table = n
 		}
 	}
+	reg.CounterFunc("catcam_lookups_total", "lookups performed", labels, d.stats.lookups.Load)
+	reg.CounterFunc("catcam_reallocations_total", "rules evicted between subtables", labels, d.stats.reallocations.Load)
+	reg.CounterFunc("catcam_fresh_subtables_total", "subtables assigned at runtime", labels, d.stats.freshSubtables.Load)
 	t := &deviceTelemetry{
-		lookups:  reg.Counter("catcam_lookups_total", "lookups performed", labels),
-		reallocs: reg.Counter("catcam_reallocations_total", "rules evicted between subtables", labels),
-		fresh:    reg.Counter("catcam_fresh_subtables_total", "subtables assigned at runtime", labels),
 		chainDepth: reg.Histogram("catcam_eviction_chain_depth",
 			"rules moved per reallocating insert (1 in the paper's design; >1 only under the chained-reallocation ablation)",
 			telemetry.DefaultDepthBuckets, labels),
-		activeSubs: reg.Gauge("catcam_active_subtables", "subtables currently in use", labels),
-		entries:    reg.Gauge("catcam_entries", "stored entries post range expansion", labels),
-		epochG: reg.Gauge("catcam_epoch",
-			"published snapshot epoch (per shard in cluster mode)", labels),
 		ring:  ring,
 		table: table,
 	}
+	reg.GaugeFunc("catcam_active_subtables", "subtables currently in use", labels,
+		func() int64 { return int64(d.ActiveSubtables()) })
+	reg.GaugeFunc("catcam_entries", "stored entries post range expansion", labels,
+		func() int64 { return int64(d.Len()) })
+	reg.GaugeFunc("catcam_epoch", "published snapshot epoch (per shard in cluster mode)", labels,
+		func() int64 { return int64(d.Epoch()) })
 	for kind := range t.updateCycles {
 		op := labels.Merged(telemetry.Labels{"op": telemetry.EventKind(kind).String()})
 		t.updateCycles[kind] = reg.Histogram("catcam_update_cycles", "cycle cost per update request",
@@ -72,8 +73,7 @@ func (d *Device) AttachTelemetry(reg *telemetry.Registry, ring *telemetry.EventR
 			"updates rejected (device full / rule not present)", op)
 	}
 	d.tel = t
-	t.syncGauges(d)
-	d.publishLocked() // readers pick up the telemetry with the next epoch
+	d.publishLocked() // an attach publishes an epoch, as Epoch counts
 }
 
 // event forwards an event to the ring with the device's table ID.
@@ -83,18 +83,6 @@ func (t *deviceTelemetry) event(e telemetry.Event) {
 	}
 	e.Table = t.table
 	t.ring.Emit(e)
-}
-
-// syncGauges publishes the device's instantaneous occupancy state.
-func (t *deviceTelemetry) syncGauges(d *Device) {
-	if t == nil {
-		return
-	}
-	t.activeSubs.Set(int64(len(d.order)))
-	t.entries.Set(int64(d.entries))
-	if s := d.snap.Load(); s != nil {
-		t.epochG.Set(int64(s.epoch))
-	}
 }
 
 // observeOp records a completed (or rejected) top-level update.
@@ -118,13 +106,13 @@ func (d *Device) observeOp(kind telemetry.EventKind, ruleID int, res UpdateResul
 		Cycles:   res.Cycles,
 		Depth:    res.Reallocated,
 	})
-	t.syncGauges(d)
 }
 
 // resetTelemetry zeroes the device's attached metrics and drops
 // retained events, so warmup traffic does not pollute reported
-// quantiles. Gauges are re-synced (they describe current state, not
-// history). No-op when telemetry is not attached.
+// quantiles. The read series need nothing: they read the device's
+// own counters, which its resets zero. No-op when telemetry is not
+// attached.
 func (d *Device) resetTelemetry() {
 	t := d.tel
 	if t == nil {
@@ -134,10 +122,6 @@ func (d *Device) resetTelemetry() {
 		t.updateCycles[kind].Reset()
 		t.updateErrors[kind].Reset()
 	}
-	t.lookups.Reset()
-	t.reallocs.Reset()
-	t.fresh.Reset()
 	t.chainDepth.Reset()
 	t.ring.Reset()
-	t.syncGauges(d)
 }

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"catcam/internal/telemetry"
@@ -141,8 +140,6 @@ type Auditor struct {
 
 	lookupSampler telemetry.Sampler
 
-	totalChecks atomic.Uint64
-	totalFails  atomic.Uint64
 	// recent retains the most recent violations and stamps their Seq.
 	recent *telemetry.Ring[Violation]
 
@@ -213,7 +210,6 @@ func (a *Auditor) CheckPass(inv Invariant) {
 		return
 	}
 	a.checks[inv].Inc()
-	a.totalChecks.Add(1)
 }
 
 // Fail records a failed check: both counters advance, the violation is
@@ -228,8 +224,6 @@ func (a *Auditor) Fail(v Violation) {
 	}
 	a.checks[v.Invariant].Inc()
 	a.fails[v.Invariant].Inc()
-	a.totalChecks.Add(1)
-	a.totalFails.Add(1)
 	v.UnixNano = time.Now().UnixNano()
 	if a.table >= 0 {
 		v.Table = a.table
@@ -290,20 +284,23 @@ func (a *Auditor) ViolationCount(inv Invariant) uint64 {
 	return a.fails[inv].Value()
 }
 
-// TotalChecks returns the check count across all invariants.
+// TotalChecks returns the check count across all invariants: the sum
+// of the per-invariant counters.
 func (a *Auditor) TotalChecks() uint64 {
-	if a == nil {
-		return 0
+	var n uint64
+	for i := 0; a != nil && i < invariantCount; i++ {
+		n += a.checks[i].Value()
 	}
-	return a.totalChecks.Load()
+	return n
 }
 
 // TotalViolations returns the violation count across all invariants.
 func (a *Auditor) TotalViolations() uint64 {
-	if a == nil {
-		return 0
+	var n uint64
+	for i := 0; a != nil && i < invariantCount; i++ {
+		n += a.fails[i].Value()
 	}
-	return a.totalFails.Load()
+	return n
 }
 
 // Violations returns the retained violations oldest-first.

@@ -266,13 +266,7 @@ type Engine struct {
 	stopped bool
 
 	// Telemetry (nil until AttachTelemetry; every use is nil-safe).
-	packetsC  *telemetry.Counter
-	dropsC    *telemetry.Counter
-	hitsC     *telemetry.Counter
-	missesC   *telemetry.Counter
-	staleC    *telemetry.Counter
 	ppsGauge  *telemetry.Gauge
-	occGauges []*telemetry.Gauge
 	burstHist *telemetry.Histogram
 	pktHist   *telemetry.Histogram
 }
@@ -313,21 +307,31 @@ func New(cfg Config) *Engine {
 func (e *Engine) Workers() int { return len(e.workers) }
 
 // AttachTelemetry registers the ingress metric family on reg. Call
-// before Start.
+// before Start. The packet, drop and cache counters sum the workers'
+// own counters and the ring occupancy reads each ring, when the
+// registry exports.
 func (e *Engine) AttachTelemetry(reg *telemetry.Registry, labels telemetry.Labels) {
 	if reg == nil {
 		return
 	}
-	e.packetsC = reg.Counter("catcam_ingress_packets_total",
-		"Packets classified by the ingress fast path (cache hits + slow-path misses).", labels)
-	e.dropsC = reg.Counter("catcam_ingress_drops_total",
-		"Packets dropped at dispatch because the target worker's ring was full.", labels)
-	e.hitsC = reg.Counter("catcam_ingress_cache_hits_total",
-		"Flow-cache hits (decision served without touching the ternary array).", labels)
-	e.missesC = reg.Counter("catcam_ingress_cache_misses_total",
-		"Flow-cache misses (decision refilled through the ternary slow path).", labels)
-	e.staleC = reg.Counter("catcam_ingress_cache_stale_misses_total",
-		"Flow-cache misses on an entry stamped at an older epoch that could not be revalidated (the rest are cold or capacity misses).", labels)
+	sum := func(field func(*worker) *counter) func() uint64 {
+		return func() (n uint64) {
+			for _, w := range e.workers {
+				n += field(w).Value()
+			}
+			return n
+		}
+	}
+	reg.CounterFunc("catcam_ingress_packets_total", "Packets classified by the ingress fast path (cache hits + slow-path misses).",
+		labels, sum(func(w *worker) *counter { return &w.packets }))
+	reg.CounterFunc("catcam_ingress_drops_total", "Packets dropped at dispatch because the target worker's ring was full.",
+		labels, sum(func(w *worker) *counter { return &w.drops }))
+	reg.CounterFunc("catcam_ingress_cache_hits_total", "Flow-cache hits (decision served without touching the ternary array).",
+		labels, sum(func(w *worker) *counter { return &w.hits }))
+	reg.CounterFunc("catcam_ingress_cache_misses_total", "Flow-cache misses (decision refilled through the ternary slow path).",
+		labels, sum(func(w *worker) *counter { return &w.misses }))
+	reg.CounterFunc("catcam_ingress_cache_stale_misses_total", "Flow-cache misses on an entry stamped at an older epoch that could not be revalidated (the rest are cold or capacity misses).",
+		labels, sum(func(w *worker) *counter { return &w.stale }))
 	e.ppsGauge = reg.Gauge("catcam_ingress_pps",
 		"Ingress throughput over the last rate-sampling interval, packets per second.", labels)
 	e.burstHist = reg.Histogram("catcam_ingress_burst_ns",
@@ -336,10 +340,11 @@ func (e *Engine) AttachTelemetry(reg *telemetry.Registry, labels telemetry.Label
 	e.pktHist = reg.Histogram("catcam_ingress_packet_ns",
 		"Amortized per-packet ingress latency (burst time / burst size).",
 		telemetry.DefaultLatencyBuckets, labels)
-	for i := range e.workers {
-		e.occGauges = append(e.occGauges, reg.Gauge("catcam_ingress_ring_occupancy",
+	for i, w := range e.workers {
+		reg.GaugeFunc("catcam_ingress_ring_occupancy",
 			"Instantaneous ring occupancy sampled at each burst drain.",
-			labels.Merged(telemetry.Labels{"worker": fmt.Sprint(i)})))
+			labels.Merged(telemetry.Labels{"worker": fmt.Sprint(i)}),
+			func() int64 { return int64(w.ring.Len()) })
 	}
 }
 
@@ -432,7 +437,6 @@ func (e *Engine) Dispatch(h rules.Header) bool {
 	w := e.workers[e.workerFor(h)]
 	if !w.ring.TryPush(h) {
 		w.drops.Inc()
-		e.dropsC.Inc()
 		return false
 	}
 	return true
@@ -600,13 +604,6 @@ func (w *worker) process(hs []rules.Header) {
 	w.hits.Add(nPkts - nMiss)
 	w.misses.Add(nMiss)
 	w.stale.Add(nStale)
-	eng.packetsC.Add(nPkts)
-	eng.hitsC.Add(nPkts - nMiss)
-	eng.missesC.Add(nMiss)
-	eng.staleC.Add(nStale)
-	if eng.occGauges != nil {
-		eng.occGauges[w.id].Set(int64(w.ring.Len()))
-	}
 	if eng.pktHist != nil {
 		eng.pktHist.Observe(durNs / nPkts)
 	}

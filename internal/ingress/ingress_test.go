@@ -118,8 +118,7 @@ func TestEngineEndToEnd(t *testing.T) {
 
 func counterValue(t *testing.T, reg *telemetry.Registry, name string) uint64 {
 	t.Helper()
-	c := reg.Counter(name, "", nil)
-	return c.Value()
+	return reg.Snapshot().Counters[name]
 }
 
 func TestEngineFlowAffinity(t *testing.T) {

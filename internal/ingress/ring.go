@@ -79,11 +79,15 @@ func NewRing(capacity int) *Ring {
 func (r *Ring) Cap() int { return len(r.buf) }
 
 // Len returns the current occupancy. Exact from either endpoint's own
-// goroutine; a momentary snapshot from anywhere else.
+// goroutine; a momentary snapshot from anywhere else. The head is
+// loaded first: the tail never trails a head loaded before it, so a
+// reader on neither side cannot see a pop past the tail it loaded and
+// report a wrapped, negative occupancy.
 //
 //catcam:hotpath
 func (r *Ring) Len() int {
-	return int(r.tail.Load() - r.head.Load())
+	h := r.head.Load()
+	return int(r.tail.Load() - h)
 }
 
 // TryPush enqueues one header, or reports false when the ring is full

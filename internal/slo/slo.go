@@ -11,10 +11,9 @@
 // that window that were bad, divided by the budget — burn 1.0 spends
 // the budget exactly at the objective's edge, burn 14.4 exhausts a
 // 30-day budget in ~2 days. An objective pages only when BOTH a fast
-// window (default 5m — "is it happening now?") and a slow window
-// (default 1h — "has it been happening long enough to matter?") exceed
-// the threshold, which suppresses both one-spike false pages and
-// stale-page tails.
+// window (5m — "is it happening now?") and a slow window (1h — "has it
+// been happening long enough to matter?") exceed the threshold, which
+// suppresses both one-spike false pages and stale-page tails.
 //
 // The engine is sampled, not event-driven: Sample() reads each
 // objective's cumulative (bad, total) counters and appends a
@@ -61,16 +60,8 @@ type objectiveState struct {
 	trips uint64
 }
 
-// Config parameterizes the engine. Zero values take the defaults.
+// Config carries the engine's burn-transition hooks.
 type Config struct {
-	// FastWindow is the "is it happening" window (default 5m).
-	FastWindow time.Duration
-	// SlowWindow is the "does it matter" window (default 1h).
-	SlowWindow time.Duration
-	// Threshold is the burn rate both windows must exceed to page
-	// (default 14.4 — the workbook's 2%-of-monthly-budget-in-an-hour
-	// rate).
-	Threshold float64
 	// OnBurnStart, if set, runs when an objective transitions into
 	// burning (called outside the engine lock).
 	OnBurnStart func(name string)
@@ -78,11 +69,15 @@ type Config struct {
 	OnBurnEnd func(name string)
 }
 
-// Defaults (exported so catcam-serve flags can cite them).
+// The windows and the burn threshold every objective is judged by.
 const (
+	// DefaultFastWindow is the "is it happening" window.
 	DefaultFastWindow = 5 * time.Minute
+	// DefaultSlowWindow is the "does it matter" window.
 	DefaultSlowWindow = time.Hour
-	DefaultThreshold  = 14.4
+	// DefaultThreshold is the burn rate both windows must exceed to
+	// page: the workbook's 2%-of-monthly-budget-in-an-hour rate.
+	DefaultThreshold = 14.4
 )
 
 // Engine evaluates a set of objectives against sampled counters.
@@ -95,18 +90,6 @@ type Engine struct {
 
 // New builds an engine; register objectives with Add.
 func New(cfg Config) *Engine {
-	if cfg.FastWindow <= 0 {
-		cfg.FastWindow = DefaultFastWindow
-	}
-	if cfg.SlowWindow <= 0 {
-		cfg.SlowWindow = DefaultSlowWindow
-	}
-	if cfg.SlowWindow < cfg.FastWindow {
-		panic(fmt.Sprintf("slo: slow window %v shorter than fast window %v", cfg.SlowWindow, cfg.FastWindow))
-	}
-	if cfg.Threshold <= 0 {
-		cfg.Threshold = DefaultThreshold
-	}
 	return &Engine{cfg: cfg}
 }
 
@@ -135,7 +118,7 @@ func (e *Engine) Sample(now time.Time) {
 		st.samples = append(st.samples, point{at: now, bad: bad, total: total})
 		// Prune: keep one point at or before the slow-window horizon so
 		// the slow burn always has a full-window baseline.
-		horizon := now.Add(-e.cfg.SlowWindow)
+		horizon := now.Add(-DefaultSlowWindow)
 		cut := 0
 		for cut+1 < len(st.samples) && st.samples[cut+1].at.Before(horizon) {
 			cut++
@@ -202,15 +185,15 @@ func (e *Engine) Evaluate(now time.Time) Status {
 	e.mu.Lock()
 	s := Status{
 		Healthy:       true,
-		Threshold:     e.cfg.Threshold,
-		FastWindowSec: e.cfg.FastWindow.Seconds(),
-		SlowWindowSec: e.cfg.SlowWindow.Seconds(),
+		Threshold:     DefaultThreshold,
+		FastWindowSec: DefaultFastWindow.Seconds(),
+		SlowWindowSec: DefaultSlowWindow.Seconds(),
 	}
 	var started, ended []string
 	for _, st := range e.objs {
-		fast := st.burn(e.cfg.FastWindow, now)
-		slow := st.burn(e.cfg.SlowWindow, now)
-		burning := fast >= e.cfg.Threshold && slow >= e.cfg.Threshold
+		fast := st.burn(DefaultFastWindow, now)
+		slow := st.burn(DefaultSlowWindow, now)
+		burning := fast >= DefaultThreshold && slow >= DefaultThreshold
 		if burning && !st.burning {
 			st.trips++
 			started = append(started, st.obj.Name)

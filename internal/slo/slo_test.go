@@ -28,7 +28,7 @@ func (f *fakeCounter) add(bad, total uint64) {
 // bad-event fraction divided by the error budget.
 func TestBurnMath(t *testing.T) {
 	var fc fakeCounter
-	e := New(Config{FastWindow: time.Minute, SlowWindow: 10 * time.Minute, Threshold: 10})
+	e := New(Config{})
 	e.Add(Objective{Name: "x", Target: 0.99, Source: fc.source})
 
 	now := time.Unix(1000, 0)
@@ -47,14 +47,14 @@ func TestBurnMath(t *testing.T) {
 		t.Fatalf("slow burn = %v, want 5", o.SlowBurn)
 	}
 	if o.Burning || !st.Healthy {
-		t.Fatalf("burn 5 under threshold 10 must not page: %+v", o)
+		t.Fatalf("burn 5 under threshold %v must not page: %+v", DefaultThreshold, o)
 	}
 	if o.Bad != 50 || o.Total != 1000 {
 		t.Fatalf("cumulative counters = %d/%d, want 50/1000", o.Bad, o.Total)
 	}
 
-	// An idle window (no new events) burns nothing.
-	now = now.Add(5 * time.Minute)
+	// An idle fast window (no new events) burns nothing.
+	now = now.Add(DefaultFastWindow)
 	e.Sample(now)
 	if b := e.Evaluate(now).Objectives[0].FastBurn; b != 0 {
 		t.Fatalf("idle fast window burns %v, want 0", b)
@@ -65,24 +65,24 @@ func TestBurnMath(t *testing.T) {
 // are dropped, but one pre-horizon baseline is retained.
 func TestSamplePruning(t *testing.T) {
 	var fc fakeCounter
-	e := New(Config{FastWindow: time.Minute, SlowWindow: 10 * time.Minute})
+	e := New(Config{})
 	e.Add(Objective{Name: "x", Target: 0.999, Source: fc.source})
 	now := time.Unix(0, 0)
-	for i := 0; i < 600; i++ {
+	for i := 0; i < 1000; i++ {
 		fc.add(0, 10)
 		now = now.Add(15 * time.Second)
 		e.Sample(now)
 	}
 	st := e.objs[0]
-	// 10m window at 15s cadence = 40 in-window points + 1 baseline, with
-	// a point or two of slack from the strict-inequality prune.
-	if n := len(st.samples); n > 45 {
+	// 1h window at 15s cadence = 240 in-window points + 1 baseline,
+	// with a point or two of slack from the strict-inequality prune.
+	if n := len(st.samples); n > 245 {
 		t.Fatalf("ring grew to %d points, pruning broken", n)
 	}
 	if last := st.samples[len(st.samples)-1].at; !last.Equal(now) {
 		t.Fatalf("newest sample %v, want %v", last, now)
 	}
-	if oldest := st.samples[0].at; now.Sub(oldest) < 10*time.Minute {
+	if oldest := st.samples[0].at; now.Sub(oldest) < DefaultSlowWindow {
 		t.Fatalf("oldest retained point %v inside the slow window; baseline lost", oldest)
 	}
 }
@@ -99,17 +99,14 @@ func TestObjectiveValidation(t *testing.T) {
 		f()
 	}
 	e := New(Config{})
-	if e.cfg.FastWindow != DefaultFastWindow || e.cfg.SlowWindow != DefaultSlowWindow ||
-		e.cfg.Threshold != DefaultThreshold {
-		t.Fatalf("zero config did not take defaults: %+v", e.cfg)
+	if st := e.Evaluate(time.Unix(0, 0)); st.FastWindowSec != DefaultFastWindow.Seconds() ||
+		st.SlowWindowSec != DefaultSlowWindow.Seconds() || st.Threshold != DefaultThreshold {
+		t.Fatalf("status does not report the windows and threshold: %+v", st)
 	}
 	var fc fakeCounter
 	mustPanic("target 0", func() { e.Add(Objective{Name: "a", Target: 0, Source: fc.source}) })
 	mustPanic("target 1", func() { e.Add(Objective{Name: "b", Target: 1, Source: fc.source}) })
 	mustPanic("nil source", func() { e.Add(Objective{Name: "c", Target: 0.9}) })
-	mustPanic("inverted windows", func() {
-		New(Config{FastWindow: time.Hour, SlowWindow: time.Minute})
-	})
 }
 
 // TestHandler serves the evaluated status as JSON.
@@ -188,8 +185,6 @@ func TestSeededLatencyRegression(t *testing.T) {
 	now := time.Unix(10_000, 0)
 	var burnStarts, burnEnds int
 	e := New(Config{
-		FastWindow: 5 * time.Minute,
-		SlowWindow: time.Hour,
 		OnBurnStart: func(string) {
 			burnStarts++
 			esc.Trigger(now)
@@ -235,7 +230,7 @@ func TestSeededLatencyRegression(t *testing.T) {
 	for i := 0; i < 40 && trippedAt.IsZero(); i++ {
 		st := step(800, 200)
 		o := st.Objectives[0]
-		if o.FastBurn >= e.cfg.Threshold && !o.Burning {
+		if o.FastBurn >= DefaultThreshold && !o.Burning {
 			fastTrippedEarly = true
 		}
 		if o.Burning {

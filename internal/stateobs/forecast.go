@@ -59,12 +59,12 @@ func (o *Observatory) forecastLocked() Forecast {
 	}
 
 	// Already over a limit: unhealthy regardless of trend.
-	if o.cfg.FillLimit <= 1 && last.Occupancy >= o.cfg.FillLimit {
+	if last.Occupancy >= fillLimit {
 		f.TimeToFillSeconds = 0
 		f.HeadroomOK = false
 		f.Reason = "occupancy at fill limit"
 	}
-	if last.FragIndex >= o.cfg.FragStall {
+	if last.FragIndex >= fragStall {
 		f.TimeToStallSeconds = 0
 		if f.HeadroomOK {
 			f.HeadroomOK = false
@@ -108,14 +108,14 @@ func (o *Observatory) forecastLocked() Forecast {
 
 	const eps = 1e-12
 	if f.TimeToFillSeconds != 0 && capacity > 0 && f.FillPerSec > eps {
-		remaining := o.cfg.FillLimit*float64(capacity) - float64(last.Entries)
+		remaining := fillLimit*float64(capacity) - float64(last.Entries)
 		if remaining < 0 {
 			remaining = 0
 		}
 		f.TimeToFillSeconds = remaining / f.FillPerSec
 	}
 	if f.TimeToStallSeconds != 0 && f.FragPerSec > eps {
-		remaining := o.cfg.FragStall - last.FragIndex
+		remaining := fragStall - last.FragIndex
 		if remaining < 0 {
 			remaining = 0
 		}

@@ -57,15 +57,18 @@ type Config struct {
 	// unhealthy headroom when projected time-to-fill or time-to-stall
 	// falls inside it (default 10m).
 	Horizon time.Duration
-	// FillLimit is the occupancy treated as full for forecasting
-	// (default 1.0).
-	FillLimit float64
-	// FragStall is the fragmentation index treated as an insert stall
-	// for forecasting (default 0.99): with interval-weighted expected
-	// occupancy that high, essentially every insert lands in a full
-	// subtable and must evict or spend a fresh subtable.
-	FragStall float64
 }
+
+// The forecaster's limits.
+const (
+	// fillLimit is the occupancy treated as full.
+	fillLimit = 1.0
+	// fragStall is the fragmentation index treated as an insert stall:
+	// with interval-weighted expected occupancy that high, essentially
+	// every insert lands in a full subtable and must evict or spend a
+	// fresh subtable.
+	fragStall = 0.99
+)
 
 func (c Config) withDefaults() Config {
 	if c.RingFrames <= 0 {
@@ -73,12 +76,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Horizon <= 0 {
 		c.Horizon = 10 * time.Minute
-	}
-	if c.FillLimit <= 0 {
-		c.FillLimit = 1.0
-	}
-	if c.FragStall <= 0 {
-		c.FragStall = 0.99
 	}
 	return c
 }
@@ -137,8 +134,6 @@ type obsTelemetry struct {
 	ttfSeconds     *telemetry.Gauge
 	ttsSeconds     *telemetry.Gauge
 	headroomOK     *telemetry.Gauge
-	headroomChecks *telemetry.Counter
-	headroomBad    *telemetry.Counter
 	fillPct        *telemetry.Histogram
 	densityPermil  *telemetry.Histogram
 }
@@ -168,7 +163,8 @@ type Observatory struct {
 
 	// Headroom SLO counters: one check per sweep, bad when the
 	// forecaster reports unhealthy headroom. Atomic so the SLO engine's
-	// sampler reads them without the observatory lock.
+	// sampler and the registry's export read them without the
+	// observatory lock.
 	hdrChecks atomic.Uint64
 	hdrBad    atomic.Uint64
 }
@@ -226,15 +222,15 @@ func (o *Observatory) AttachTelemetry(reg *telemetry.Registry, labels telemetry.
 		ttfSeconds:     reg.Gauge("catcam_state_time_to_fill_seconds", "forecast seconds until occupancy reaches the fill limit (-1: no filling trend)", labels),
 		ttsSeconds:     reg.Gauge("catcam_state_time_to_stall_seconds", "forecast seconds until the fragmentation index reaches the stall threshold (-1: no trend)", labels),
 		headroomOK:     reg.Gauge("catcam_state_headroom_ok", "1 when the capacity forecaster reports healthy headroom over the horizon", labels),
-		headroomChecks: reg.Counter("catcam_state_headroom_checks_total", "capacity-headroom forecaster evaluations (one per sweep)", labels),
-		headroomBad:    reg.Counter("catcam_state_headroom_bad_total", "sweeps whose capacity-headroom forecast was unhealthy (the capacity SLO's bad-event counter)", labels),
-		fillPct: reg.Histogram("catcam_state_subtable_fill_pct",
-			"per-subtable fill percentage distribution at the last sweep (reset and refilled per sweep)",
-			fillPctBuckets, labels),
-		densityPermil: reg.Histogram("catcam_state_interval_density_permille",
-			"per-subtable priority-interval density (entries per 1000 priority units) at the last sweep (reset and refilled per sweep)",
-			densityBuckets, labels),
 	}
+	reg.CounterFunc("catcam_state_headroom_checks_total", "capacity-headroom forecaster evaluations (one per sweep)", labels, o.hdrChecks.Load)
+	reg.CounterFunc("catcam_state_headroom_bad_total", "sweeps whose capacity-headroom forecast was unhealthy (the capacity SLO's bad-event counter)", labels, o.hdrBad.Load)
+	o.tel.fillPct = reg.Histogram("catcam_state_subtable_fill_pct",
+		"per-subtable fill percentage distribution at the last sweep (reset and refilled per sweep)",
+		fillPctBuckets, labels)
+	o.tel.densityPermil = reg.Histogram("catcam_state_interval_density_permille",
+		"per-subtable priority-interval density (entries per 1000 priority units) at the last sweep (reset and refilled per sweep)",
+		densityBuckets, labels)
 }
 
 // Sweep derives the source's structural state, records a frame, and
@@ -329,10 +325,6 @@ func (o *Observatory) publishLocked(s *core.Structure) {
 		t.headroomOK.Set(1)
 	} else {
 		t.headroomOK.Set(0)
-	}
-	t.headroomChecks.Inc()
-	if !o.forecast.HeadroomOK {
-		t.headroomBad.Inc()
 	}
 
 	t.fillPct.Reset()
@@ -460,8 +452,6 @@ func (o *Observatory) Reset() {
 		t.ttfSeconds.Set(-1)
 		t.ttsSeconds.Set(-1)
 		t.headroomOK.Set(1)
-		t.headroomChecks.Reset()
-		t.headroomBad.Reset()
 		t.fillPct.Reset()
 		t.densityPermil.Reset()
 	}

@@ -131,7 +131,7 @@ func TestTelemetryMirrorsAndResetHook(t *testing.T) {
 	} {
 		var v int64
 		if name == "catcam_state_headroom_checks_total" {
-			v = int64(reg.Counter(name, "", nil).Value())
+			v = int64(reg.Snapshot().Counters[name])
 		} else {
 			v = gauge(name)
 		}
@@ -157,7 +157,7 @@ func TestTelemetryMirrorsAndResetHook(t *testing.T) {
 func TestForecastRaisesCapacityBurnBeforeFull(t *testing.T) {
 	d := core.NewDevice(smallConfig()) // 64 slots
 	obs := stateobs.New(d, stateobs.Config{RingFrames: 16, Horizon: 30 * time.Second})
-	eng := slo.New(slo.Config{FastWindow: 5 * time.Second, SlowWindow: 20 * time.Second})
+	eng := slo.New(slo.Config{})
 	eng.Add(slo.Objective{
 		Name:   "capacity_headroom",
 		Target: 0.999,

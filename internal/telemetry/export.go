@@ -59,9 +59,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 		switch f.typ {
 		case typeCounter:
-			pf("%s%s %d\n", f.name, s.sig, s.c.Value())
+			pf("%s%s %d\n", f.name, s.sig, s.count())
 		case typeGauge:
-			pf("%s%s %d\n", f.name, s.sig, s.g.Value())
+			pf("%s%s %d\n", f.name, s.sig, s.level())
 		case typeHistogram:
 			bounds := s.h.Bounds()
 			counts := s.h.BucketCounts()
@@ -137,9 +137,9 @@ func (r *Registry) Snapshot() Snapshot {
 		key := f.name + s.sig
 		switch f.typ {
 		case typeCounter:
-			snap.Counters[key] = s.c.Value()
+			snap.Counters[key] = s.count()
 		case typeGauge:
-			snap.Gauges[key] = s.g.Value()
+			snap.Gauges[key] = s.level()
 		case typeHistogram:
 			snap.Histograms[key] = HistogramSnapshot{
 				Count:     s.h.Count(),

@@ -11,6 +11,11 @@
 // never per observation — so instrumented device/pipeline code pays a
 // handful of uncontended atomics per operation.
 //
+// A count its owner already keeps is registered as a read series
+// (CounterFunc, GaugeFunc): the registry calls the owner's read
+// function at export time, so the count has one writer and the
+// exported series cannot drift from it.
+//
 // All metric methods are nil-receiver safe: un-attached instrumentation
 // costs a single pointer test.
 package telemetry
@@ -138,14 +143,6 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// Reset zeroes the gauge.
-func (g *Gauge) Reset() {
-	if g == nil {
-		return
-	}
-	g.v.Store(0)
-}
-
 // metricType discriminates registry families.
 type metricType int
 
@@ -167,13 +164,17 @@ func (t metricType) String() string {
 	return "untyped"
 }
 
-// series is one labeled instance within a family.
+// series is one labeled instance within a family. count and level
+// are what an export reads: the stored instrument's Value, or the
+// function a read series was registered with.
 type series struct {
 	labels Labels
 	sig    string
 	c      *Counter
 	g      *Gauge
 	h      *Histogram
+	count  func() uint64
+	level  func() int64
 }
 
 // family groups all series sharing a metric name.
@@ -241,7 +242,9 @@ func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 	defer r.mu.Unlock()
 	s := r.getFamily(name, help, typeCounter, nil).getSeries(labels)
 	if s.c == nil {
+		notBoth(name, s, s.count != nil)
 		s.c = &Counter{}
+		s.count = s.c.Value
 	}
 	return s.c
 }
@@ -255,9 +258,48 @@ func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
 	defer r.mu.Unlock()
 	s := r.getFamily(name, help, typeGauge, nil).getSeries(labels)
 	if s.g == nil {
+		notBoth(name, s, s.level != nil)
 		s.g = &Gauge{}
+		s.level = s.g.Value
 	}
 	return s.g
+}
+
+// CounterFunc registers the counter series name{labels} as a read
+// series: every export calls fn for its value. fn must be lock-free —
+// atomic loads or a published-snapshot load — because it runs under
+// the registry lock, so a scrape never waits on a writer. Registering
+// the series again replaces fn.
+func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() uint64) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s := r.getFamily(name, help, typeCounter, nil).getSeries(labels)
+	notBoth(name, s, s.c != nil)
+	s.count = fn
+}
+
+// GaugeFunc is CounterFunc for a gauge series.
+func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() int64) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s := r.getFamily(name, help, typeGauge, nil).getSeries(labels)
+	notBoth(name, s, s.g != nil)
+	s.level = fn
+}
+
+// notBoth panics when a series would be both stored and read: it is
+// one or the other, and asking for the other kind is an
+// instrumentation bug.
+func notBoth(name string, s *series, both bool) {
+	if both {
+		panic(fmt.Sprintf("telemetry: series %s%s registered both stored and read", name, s.sig))
+	}
 }
 
 // Histogram returns (creating if needed) the histogram series
@@ -278,23 +320,6 @@ func (r *Registry) Histogram(name, help string, bounds []uint64, labels Labels) 
 		s.h = NewHistogram(f.bounds)
 	}
 	return s.h
-}
-
-// Reset zeroes every metric in the registry (histogram buckets, sums,
-// counters, gauges). Series and families remain registered.
-func (r *Registry) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, f := range r.families {
-		for _, s := range f.series {
-			s.c.Reset()
-			s.g.Reset()
-			s.h.Reset()
-		}
-	}
 }
 
 // visit walks families in registration order, series in sorted label

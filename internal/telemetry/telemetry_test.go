@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 )
@@ -104,22 +105,46 @@ func TestLabelsSignature(t *testing.T) {
 	}
 }
 
-func TestRegistryReset(t *testing.T) {
-	reg := NewRegistry()
-	c := reg.Counter("c_total", "", nil)
-	g := reg.Gauge("g", "", nil)
-	h := reg.Histogram("h_cycles", "", []uint64{1, 10}, nil)
-	c.Add(5)
-	g.Set(7)
-	h.Observe(3)
-	reg.Reset()
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
-		t.Error("Reset must zero all metrics")
+// TestReadSeries pins the read series' contract: it exports exactly
+// as a stored series with the same value does, every export reads the
+// function afresh, re-registering replaces the function, and a series
+// cannot be both stored and read.
+func TestReadSeries(t *testing.T) {
+	stored, read := NewRegistry(), NewRegistry()
+	stored.Counter("c_total", "a count", Labels{"k": "v"}).Add(5)
+	stored.Gauge("g", "a level", nil).Set(-7)
+	n := uint64(5)
+	read.CounterFunc("c_total", "a count", Labels{"k": "v"}, func() uint64 { return n })
+	read.GaugeFunc("g", "a level", nil, func() int64 { return -7 })
+	var a, b bytes.Buffer
+	if err := stored.WritePrometheus(&a); err != nil {
+		t.Fatal(err)
 	}
-	// Series survive a reset.
-	if c2 := reg.Counter("c_total", "", nil); c2 != c {
-		t.Error("Reset must not drop series")
+	if err := read.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
 	}
+	if a.String() != b.String() {
+		t.Fatalf("read series export differs from stored:\n%s\nvs\n%s", b.String(), a.String())
+	}
+	n = 9
+	if got := read.Snapshot().Counters[`c_total{k="v"}`]; got != 9 {
+		t.Fatalf("export read %d, want the function's current 9", got)
+	}
+	read.CounterFunc("c_total", "a count", Labels{"k": "v"}, func() uint64 { return 1 })
+	if got := read.Snapshot().Counters[`c_total{k="v"}`]; got != 1 {
+		t.Fatalf("re-registered series read %d, want 1", got)
+	}
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: want panic", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("stored over read", func() { read.Counter("c_total", "", Labels{"k": "v"}) })
+	mustPanic("read over stored", func() { stored.GaugeFunc("g", "", nil, func() int64 { return 0 }) })
 }
 
 func TestNilSafety(t *testing.T) {
@@ -130,7 +155,8 @@ func TestNilSafety(t *testing.T) {
 	c.Inc()
 	g.Set(1)
 	h.Observe(1)
-	reg.Reset()
+	reg.CounterFunc("x_total", "", nil, func() uint64 { return 1 })
+	reg.GaugeFunc("y_level", "", nil, func() int64 { return 1 })
 	var ring *EventRing
 	ring.Emit(Event{})
 	if ring.Snapshot() != nil || ring.Total() != 0 {
