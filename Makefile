@@ -26,7 +26,7 @@ fmt:
 	gofmt -l -w .
 
 # lint runs the catcam-lint analyzer suite (hotpath, lockcheck,
-# atomiccheck, cyclecheck, epochcheck, ringcheck, poolcheck, lockorder,
+# atomiccheck, cyclecheck, epochcheck, ringcheck, poolcheck,
 # directives) over the whole module, _test.go files and external test
 # packages included; exit 2 when findings exist. Zero external
 # dependencies: the suite and its analysis framework live in

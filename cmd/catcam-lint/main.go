@@ -4,7 +4,9 @@
 //	hotpath     //catcam:hotpath functions (and everything they call
 //	            in-module) perform no allocation
 //	lockcheck   //catcam:guarded-by fields are only touched under
-//	            their mutex, and locking methods don't self-deadlock
+//	            their mutex, no lock is re-acquired while held, and the
+//	            module-wide acquisition order of annotated mutexes
+//	            stays acyclic
 //	atomiccheck locations manipulated with sync/atomic are never
 //	            accessed with plain loads/stores, and typed atomics
 //	            are never copied
@@ -20,8 +22,6 @@
 //	            per package
 //	poolcheck   //catcam:scratch pool memory never escapes into
 //	            globals, non-scratch objects, or exported returns
-//	lockorder   the module-wide acquisition order of annotated
-//	            mutexes stays acyclic
 //	directives  every //catcam: annotation parses
 //
 // Usage:

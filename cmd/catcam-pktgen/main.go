@@ -24,18 +24,6 @@ import (
 	"catcam/internal/rules"
 )
 
-func parseFamily(s string) (classbench.Family, error) {
-	switch strings.ToLower(s) {
-	case "acl":
-		return classbench.ACL, nil
-	case "fw":
-		return classbench.FW, nil
-	case "ipc":
-		return classbench.IPC, nil
-	}
-	return 0, fmt.Errorf("unknown family %q (want acl, fw, or ipc)", s)
-}
-
 func main() {
 	family := flag.String("family", "acl", "ruleset family: acl, fw, or ipc")
 	nRules := flag.Int("rules", 1000, "ruleset size the flow universe is drawn against")
@@ -59,7 +47,7 @@ func main() {
 	if *out == "" {
 		fatal(fmt.Errorf("-out is required (or use -summarize)"))
 	}
-	fam, err := parseFamily(*family)
+	fam, err := classbench.ParseFamily(*family)
 	if err != nil {
 		fatal(err)
 	}

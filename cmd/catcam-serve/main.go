@@ -136,7 +136,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime/pprof"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -238,16 +237,9 @@ func main() {
 }
 
 func run(o options) error {
-	var fam classbench.Family
-	switch strings.ToUpper(o.family) {
-	case "ACL":
-		fam = classbench.ACL
-	case "FW":
-		fam = classbench.FW
-	case "IPC":
-		fam = classbench.IPC
-	default:
-		return fmt.Errorf("unknown family %q", o.family)
+	fam, err := classbench.ParseFamily(o.family)
+	if err != nil {
+		return err
 	}
 	if o.shards < 1 {
 		return fmt.Errorf("invalid -shards %d", o.shards)

@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"catcam/internal/classbench"
 	"catcam/internal/core"
@@ -38,16 +37,9 @@ func main() {
 }
 
 func run(family string, size int, seed int64, updates, packets, subtables, slots int, verify bool) error {
-	var fam classbench.Family
-	switch strings.ToUpper(family) {
-	case "ACL":
-		fam = classbench.ACL
-	case "FW":
-		fam = classbench.FW
-	case "IPC":
-		fam = classbench.IPC
-	default:
-		return fmt.Errorf("unknown family %q", family)
+	fam, err := classbench.ParseFamily(family)
+	if err != nil {
+		return err
 	}
 
 	rs := classbench.Generate(classbench.Config{Family: fam, Size: size, Seed: seed})

@@ -12,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"catcam/internal/classbench"
 )
@@ -26,16 +25,9 @@ func main() {
 	stats := flag.Bool("stats", false, "emit structural statistics instead of rules")
 	flag.Parse()
 
-	var fam classbench.Family
-	switch strings.ToUpper(*family) {
-	case "ACL":
-		fam = classbench.ACL
-	case "FW":
-		fam = classbench.FW
-	case "IPC":
-		fam = classbench.IPC
-	default:
-		fmt.Fprintf(os.Stderr, "classbench-gen: unknown family %q\n", *family)
+	fam, err := classbench.ParseFamily(*family)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "classbench-gen: %v\n", err)
 		os.Exit(1)
 	}
 

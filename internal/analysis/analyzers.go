@@ -11,7 +11,6 @@ import (
 	"catcam/internal/analysis/framework"
 	"catcam/internal/analysis/hotpath"
 	"catcam/internal/analysis/lockcheck"
-	"catcam/internal/analysis/lockorder"
 	"catcam/internal/analysis/poolcheck"
 	"catcam/internal/analysis/ringcheck"
 )
@@ -25,6 +24,5 @@ var Analyzers = []*framework.Analyzer{
 	epochcheck.Analyzer,
 	ringcheck.Analyzer,
 	poolcheck.Analyzer,
-	lockorder.Analyzer,
 	directives.Analyzer,
 }

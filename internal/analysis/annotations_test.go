@@ -51,8 +51,8 @@ var pins = []pin{
 	{"internal/flowtable/flowtable.go", "//catcam:scratch", `^type classifyScratch struct`},
 	{"internal/cluster/cluster.go", "//catcam:scratch", `^type fanRound struct`},
 
-	// Lock ordering: the mutex fields feeding lockorder's module-wide
-	// acquisition graph (and lockcheck's guarded-access proof).
+	// Lock discipline: the mutex fields feeding lockcheck's
+	// guarded-access proof and its module-wide acquisition graph.
 	{"internal/core/device.go", "//catcam:guarded-by mu", `subs\s+\[\]\*Subtable`},
 	{"internal/cluster/cluster.go", "//catcam:guarded-by routeMu", `owner\s+map\[int\]ownedRule`},
 }

@@ -90,7 +90,7 @@ func run(pass *framework.Pass) error {
 				if !ok || !atomicVars[v] || v.IsField() {
 					return
 				}
-				if sel, ok := parentOf(stack).(*ast.SelectorExpr); ok && sel.Sel == n {
+				if sel, ok := framework.ParentOf(stack).(*ast.SelectorExpr); ok && sel.Sel == n {
 					return // handled as the selector
 				}
 				if !inAtomicArg(info, n, stack) {
@@ -246,11 +246,4 @@ func inAtomicArg(info *types.Info, n ast.Node, stack []ast.Node) bool {
 		}
 	}
 	return false
-}
-
-func parentOf(stack []ast.Node) ast.Node {
-	if len(stack) == 0 {
-		return nil
-	}
-	return stack[len(stack)-1]
 }

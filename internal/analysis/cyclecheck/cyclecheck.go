@@ -111,7 +111,7 @@ func run(pass *framework.Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			recv := receiverVar(info, fd)
+			recv := framework.ReceiverVar(info, fd)
 			if recv == nil {
 				continue // plain functions and constructors build fresh state
 			}
@@ -204,7 +204,7 @@ func run(pass *framework.Pass) error {
 			for _, s := range sites {
 				pass.Reportf(s.pos, "cycles",
 					"%s mutates cycle-state field %s without accounting modeled cycles (no update of a %s-rooted ...Cycles field in this method)",
-					methodName(info, fd), s.field.Name(), recv.Name())
+					framework.MethodName(info.Defs[fd.Name].(*types.Func)), s.field.Name(), recv.Name())
 			}
 		}
 	}
@@ -213,21 +213,4 @@ func run(pass *framework.Pass) error {
 
 func fieldHasDirective(f *ast.Field, verb string) bool {
 	return framework.HasDirective(f.Doc, verb) || framework.HasDirective(f.Comment, verb)
-}
-
-func receiverVar(info *types.Info, fd *ast.FuncDecl) *types.Var {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
-		return nil
-	}
-	v, _ := info.Defs[fd.Recv.List[0].Names[0]].(*types.Var)
-	return v
-}
-
-func methodName(info *types.Info, fd *ast.FuncDecl) string {
-	if fn, ok := info.Defs[fd.Name].(*types.Func); ok {
-		if named := framework.ReceiverNamed(fn); named != nil {
-			return "(*" + named.Obj().Name() + ")." + fn.Name()
-		}
-	}
-	return fd.Name.Name
 }

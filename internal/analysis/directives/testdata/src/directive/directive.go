@@ -9,6 +9,7 @@ type thing struct {
 	a int //catcam:guarded-by mu
 	b int //catcam:gaurded-by mu // want `malformed catcam directive`
 	c int //catcam:cycle-state
+	d int //catcam:immutable // want `malformed catcam directive`
 }
 
 //catcam:hotpath

@@ -239,7 +239,7 @@ func (c *checker) checkAtomicPointer(structName string, field *ast.Field, t type
 		switch t := t.(type) {
 		case *types.Named:
 			if elem, ok := atomicPointerElem(t); ok {
-				named := asNamedStruct(elem)
+				named := framework.AsNamedStruct(elem)
 				if named != nil && c.inModule(named) && !c.isSnapshotNamed(named) {
 					c.pass.Reportf(field.Pos(), "epoch",
 						"%s.%s epoch-publishes %s via atomic.Pointer, but %s is not marked //catcam:snapshot",
@@ -337,21 +337,6 @@ func atomicPointerElem(named *types.Named) (types.Type, bool) {
 		return nil, false
 	}
 	return args.At(0), true
-}
-
-func asNamedStruct(t types.Type) *types.Named {
-	t = types.Unalias(t)
-	if p, ok := t.(*types.Pointer); ok {
-		t = types.Unalias(p.Elem())
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return nil
-	}
-	if _, ok := named.Underlying().(*types.Struct); !ok {
-		return nil
-	}
-	return named
 }
 
 func fieldLabel(field *ast.Field) string {
@@ -456,7 +441,7 @@ func (c *checker) checkWrite(fd *ast.FuncDecl, lhs, rhs ast.Expr, stack []ast.No
 // target is rooted in a fresh local and positioned inside its
 // construction window.
 func (c *checker) constructionWindow(sel *ast.SelectorExpr, fresh map[*types.Var]*freshLocal) *freshLocal {
-	root := rootIdent(sel)
+	root := framework.RootIdent(sel)
 	if root == nil {
 		return nil
 	}
@@ -530,7 +515,7 @@ func (c *checker) checkCompositeLit(fd *ast.FuncDecl, lit *ast.CompositeLit, sta
 // COW idiom of sharing immutable views with the previous epoch).
 func (c *checker) freshValue(e ast.Expr, fresh map[*types.Var]*freshLocal) bool {
 	e = ast.Unparen(e)
-	if t := c.info.TypeOf(e); t != nil && typeNoPointers(t, map[types.Type]bool{}) {
+	if t := c.info.TypeOf(e); t != nil && framework.TypeNoPointers(t) {
 		return true
 	}
 	if c.isSnapshotValueType(c.info.TypeOf(e)) {
@@ -652,7 +637,7 @@ func (c *checker) analyzeFresh(fd *ast.FuncDecl) map[*types.Var]*freshLocal {
 		if fl == nil {
 			return
 		}
-		parent := parentOf(stack)
+		parent := framework.ParentOf(stack)
 		switch p := parent.(type) {
 		case *ast.SelectorExpr:
 			if p.X == id {
@@ -756,29 +741,6 @@ func peelToSelector(e ast.Expr) *ast.SelectorExpr {
 	}
 }
 
-// rootIdent walks selector/index/star/paren chains down to the
-// identifier the expression is rooted in.
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch t := e.(type) {
-		case *ast.ParenExpr:
-			e = t.X
-		case *ast.SelectorExpr:
-			e = t.X
-		case *ast.IndexExpr:
-			e = t.X
-		case *ast.SliceExpr:
-			e = t.X
-		case *ast.StarExpr:
-			e = t.X
-		case *ast.Ident:
-			return t
-		default:
-			return nil
-		}
-	}
-}
-
 func snapshotTypeName(t types.Type) string {
 	t = types.Unalias(t)
 	if p, ok := t.(*types.Pointer); ok {
@@ -795,38 +757,4 @@ func deref(t types.Type) types.Type {
 		return p.Elem()
 	}
 	return t
-}
-
-// typeNoPointers reports whether values of t carry no references at
-// all — storing such a value copies it outright, so it can never alias
-// live memory. Strings count: their bytes are immutable.
-func typeNoPointers(t types.Type, seen map[types.Type]bool) bool {
-	t = types.Unalias(t)
-	if seen[t] {
-		return true
-	}
-	seen[t] = true
-	switch t := t.(type) {
-	case *types.Basic:
-		return t.Kind() != types.UnsafePointer
-	case *types.Named:
-		return typeNoPointers(t.Underlying(), seen)
-	case *types.Struct:
-		for i := 0; i < t.NumFields(); i++ {
-			if !typeNoPointers(t.Field(i).Type(), seen) {
-				return false
-			}
-		}
-		return true
-	case *types.Array:
-		return typeNoPointers(t.Elem(), seen)
-	}
-	return false
-}
-
-func parentOf(stack []ast.Node) ast.Node {
-	if len(stack) == 0 {
-		return nil
-	}
-	return stack[len(stack)-1]
 }

@@ -13,6 +13,8 @@
 //
 //	//catcam:hotpath                 — function must not allocate, transitively
 //	//catcam:guarded-by <mu>         — struct field is protected by mutex field <mu>
+//	//catcam:write-guarded-by <mu>   — struct field is written only under <mu>;
+//	                                   reads are free (lockcheck)
 //	//catcam:cycle-state             — struct field is modeled SRAM/priority state
 //	//catcam:mutator                 — method mutates its receiver (cyclecheck fact)
 //	//catcam:snapshot                — struct type is epoch-published read state:
@@ -91,7 +93,7 @@ func (p *Pass) InModule(pkg *types.Package) bool {
 // Directive is one parsed //catcam: comment.
 type Directive struct {
 	Pos      token.Pos
-	Verb     string // "hotpath", "guarded-by", "write-guarded-by", "immutable", "cycle-state", "mutator", "snapshot", "scratch", "ring-producer", "ring-consumer", "allow"
+	Verb     string // "hotpath", "guarded-by", "write-guarded-by", "cycle-state", "mutator", "snapshot", "scratch", "ring-producer", "ring-consumer", "allow"
 	Args     string // raw text after the verb
 	Category string // for allow: the suppressed category
 	Reason   string // for allow: the quoted justification
@@ -112,7 +114,7 @@ func parseDirective(c *ast.Comment) (d Directive, ok bool) {
 	}
 	verb, rest := fields[0], strings.TrimSpace(strings.TrimPrefix(text, fields[0]))
 	switch verb {
-	case "hotpath", "cycle-state", "mutator", "guarded-by", "write-guarded-by", "immutable",
+	case "hotpath", "cycle-state", "mutator", "guarded-by", "write-guarded-by",
 		"snapshot", "scratch", "ring-producer", "ring-consumer":
 		d.Verb, d.Args = verb, rest
 	case "allow":
@@ -290,4 +292,109 @@ func ReceiverNamed(fn *types.Func) *types.Named {
 	}
 	named, _ := t.(*types.Named)
 	return named
+}
+
+// MethodName renders a function for messages: "(*T).m" for a method
+// of T, the bare name for a plain function.
+func MethodName(fn *types.Func) string {
+	if named := ReceiverNamed(fn); named != nil {
+		return "(*" + named.Obj().Name() + ")." + fn.Name()
+	}
+	return fn.Name()
+}
+
+// ReceiverVar returns the named receiver variable of a method
+// declaration, or nil for plain functions and unnamed receivers.
+func ReceiverVar(info *types.Info, fd *ast.FuncDecl) *types.Var {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
+		return nil
+	}
+	v, _ := info.Defs[fd.Recv.List[0].Names[0]].(*types.Var)
+	return v
+}
+
+// IsIdentFor reports whether e is (a parenthesized) use of v.
+func IsIdentFor(info *types.Info, e ast.Expr, v *types.Var) bool {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	return ok && id != nil && info.Uses[id] == v
+}
+
+// ParentOf returns the innermost node of a WalkStack stack, or nil.
+func ParentOf(stack []ast.Node) ast.Node {
+	if len(stack) == 0 {
+		return nil
+	}
+	return stack[len(stack)-1]
+}
+
+// RootIdent walks selector/index/slice/star/paren chains down to the
+// identifier the expression is rooted in, or nil.
+func RootIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch t := e.(type) {
+		case *ast.ParenExpr:
+			e = t.X
+		case *ast.SelectorExpr:
+			e = t.X
+		case *ast.IndexExpr:
+			e = t.X
+		case *ast.SliceExpr:
+			e = t.X
+		case *ast.StarExpr:
+			e = t.X
+		case *ast.Ident:
+			return t
+		default:
+			return nil
+		}
+	}
+}
+
+// AsNamedStruct returns t (after peeling one pointer) as a named
+// struct type, or nil.
+func AsNamedStruct(t types.Type) *types.Named {
+	t = types.Unalias(t)
+	if p, ok := t.(*types.Pointer); ok {
+		t = types.Unalias(p.Elem())
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return nil
+	}
+	if _, ok := named.Underlying().(*types.Struct); !ok {
+		return nil
+	}
+	return named
+}
+
+// TypeNoPointers reports whether values of t carry no references at
+// all — storing such a value copies it outright, so it can never alias
+// other memory. Strings count: their bytes are immutable.
+func TypeNoPointers(t types.Type) bool {
+	seen := map[types.Type]bool{}
+	var pure func(t types.Type) bool
+	pure = func(t types.Type) bool {
+		t = types.Unalias(t)
+		if seen[t] {
+			return true
+		}
+		seen[t] = true
+		switch t := t.(type) {
+		case *types.Basic:
+			return t.Kind() != types.UnsafePointer
+		case *types.Named:
+			return pure(t.Underlying())
+		case *types.Struct:
+			for i := 0; i < t.NumFields(); i++ {
+				if !pure(t.Field(i).Type()) {
+					return false
+				}
+			}
+			return true
+		case *types.Array:
+			return pure(t.Elem())
+		}
+		return false
+	}
+	return pure(t)
 }

@@ -226,7 +226,7 @@ func collect(pass *framework.Pass, allows *framework.Allows, fd *ast.FuncDecl, f
 		case *ast.SelectorExpr:
 			// Bound method value: binding a receiver allocates.
 			if sel := info.Selections[n]; sel != nil && sel.Kind() == types.MethodVal {
-				if parent := parentOf(stack); parent != nil {
+				if parent := framework.ParentOf(stack); parent != nil {
 					if call, ok := parent.(*ast.CallExpr); ok && call.Fun == n {
 						break // ordinary method call, handled above
 					}
@@ -333,7 +333,7 @@ func isSelfAppend(call *ast.CallExpr, stack []ast.Node) bool {
 	if len(call.Args) == 0 {
 		return false
 	}
-	parent := parentOf(stack)
+	parent := framework.ParentOf(stack)
 	asg, ok := parent.(*ast.AssignStmt)
 	if !ok || len(asg.Lhs) != 1 || len(asg.Rhs) != 1 || asg.Rhs[0] != call {
 		return false
@@ -553,13 +553,6 @@ func enclosingSig(info *types.Info, stack []ast.Node, ret *ast.ReturnStmt) *type
 		}
 	}
 	return nil
-}
-
-func parentOf(stack []ast.Node) ast.Node {
-	if len(stack) == 0 {
-		return nil
-	}
-	return stack[len(stack)-1]
 }
 
 func qualified(fn *types.Func) string {

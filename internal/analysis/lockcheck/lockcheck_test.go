@@ -11,3 +11,11 @@ import (
 func TestLockcheck(t *testing.T) {
 	analysistest.Run(t, []*framework.Analyzer{lockcheck.Analyzer}, "locks")
 }
+
+func TestLockorder(t *testing.T) {
+	analysistest.Run(t, []*framework.Analyzer{lockcheck.Analyzer}, "order")
+}
+
+func TestCrossPackageCycle(t *testing.T) {
+	analysistest.Run(t, []*framework.Analyzer{lockcheck.Analyzer}, "lockdep/lib", "lockdep/use")
+}

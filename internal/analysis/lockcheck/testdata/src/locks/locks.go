@@ -63,6 +63,25 @@ func (d *Device) SequentialOK() {
 	_ = d.Good() // released before the call: fine
 }
 
+func (d *Device) Relock() {
+	d.mu.Lock()
+	d.mu.Lock() // want `\(\*Device\)\.Relock acquires mu while already holding it \(self-deadlock\)`
+	d.mu.Unlock()
+	d.mu.Unlock()
+}
+
+// ClosureScoped's closure releases mu when the closure returns, so the
+// later call does not run under it.
+func (d *Device) ClosureScoped() {
+	read := func() int {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return d.stats
+	}
+	_ = read()
+	_ = d.Good()
+}
+
 func (d *Device) ReadOnly() int {
 	d.rw.RLock()
 	defer d.rw.RUnlock()

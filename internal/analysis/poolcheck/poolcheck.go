@@ -247,7 +247,7 @@ func (c *checker) checkPoolGet(ta *ast.TypeAssertExpr, stack []ast.Node) {
 	if t == nil {
 		return
 	}
-	named := asNamedStruct(t)
+	named := framework.AsNamedStruct(t)
 	if named == nil {
 		return
 	}
@@ -269,7 +269,7 @@ func (c *checker) checkPoolGet(ta *ast.TypeAssertExpr, stack []ast.Node) {
 // variables, and fields/elements of non-scratch objects.
 func (c *checker) checkSink(fd *ast.FuncDecl, lhs, rhs ast.Expr, stack []ast.Node) {
 	lhs = ast.Unparen(lhs)
-	root := rootIdent(lhs)
+	root := framework.RootIdent(lhs)
 
 	switch l := lhs.(type) {
 	case *ast.Ident:
@@ -347,7 +347,7 @@ func (c *checker) taintedExpr(e ast.Expr) bool {
 						return true
 					}
 					if st, ok := types.Unalias(t).Underlying().(*types.Slice); ok &&
-						typeNoPointers(st.Elem(), map[types.Type]bool{}) {
+						framework.TypeNoPointers(st.Elem()) {
 						return false
 					}
 					for _, a := range e.Args[1:] {
@@ -382,7 +382,7 @@ func (c *checker) taintedExpr(e ast.Expr) bool {
 		if c.isScratch(t) {
 			return true
 		}
-		if root := rootIdent(e); root != nil {
+		if root := framework.RootIdent(e); root != nil {
 			v := c.identVar(root)
 			if v != nil && (c.taint[v] || (c.isScratch(v.Type()) && !c.fresh[v])) {
 				return true
@@ -415,31 +415,7 @@ func (c *checker) identVar(id *ast.Ident) *types.Var {
 // referenceTyped reports whether values of t can alias other memory at
 // all; pure values (ints, pointer-free structs) cannot leak scratch.
 func referenceTyped(t types.Type) bool {
-	return !typeNoPointers(t, map[types.Type]bool{})
-}
-
-func typeNoPointers(t types.Type, seen map[types.Type]bool) bool {
-	t = types.Unalias(t)
-	if seen[t] {
-		return true
-	}
-	seen[t] = true
-	switch t := t.(type) {
-	case *types.Basic:
-		return t.Kind() != types.UnsafePointer
-	case *types.Named:
-		return typeNoPointers(t.Underlying(), seen)
-	case *types.Struct:
-		for i := 0; i < t.NumFields(); i++ {
-			if !typeNoPointers(t.Field(i).Type(), seen) {
-				return false
-			}
-		}
-		return true
-	case *types.Array:
-		return typeNoPointers(t.Elem(), seen)
-	}
-	return false
+	return !framework.TypeNoPointers(t)
 }
 
 func isFreshAlloc(e ast.Expr) bool {
@@ -476,42 +452,6 @@ func isSyncPool(t types.Type) bool {
 	return named.Obj().Pkg().Path() == "sync" && named.Obj().Name() == "Pool"
 }
 
-func asNamedStruct(t types.Type) *types.Named {
-	t = types.Unalias(t)
-	if p, ok := t.(*types.Pointer); ok {
-		t = types.Unalias(p.Elem())
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return nil
-	}
-	if _, ok := named.Underlying().(*types.Struct); !ok {
-		return nil
-	}
-	return named
-}
-
 func isPackageLevel(v *types.Var) bool {
 	return v.Parent() != nil && v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
-}
-
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch t := e.(type) {
-		case *ast.ParenExpr:
-			e = t.X
-		case *ast.SelectorExpr:
-			e = t.X
-		case *ast.IndexExpr:
-			e = t.X
-		case *ast.SliceExpr:
-			e = t.X
-		case *ast.StarExpr:
-			e = t.X
-		case *ast.Ident:
-			return t
-		default:
-			return nil
-		}
-	}
 }

@@ -154,7 +154,7 @@ func run(pass *framework.Pass) error {
 			callerMarked = true
 		}
 		recvNamed := framework.ReceiverNamed(obj)
-		recv := receiverVar(info, fd)
+		recv := framework.ReceiverVar(info, fd)
 		onRingType := recvNamed != nil && ringTypes[recvNamed.Obj()]
 		mutatesRing := false
 		// recordWrite notes a write to receiver field f by a role-marked
@@ -184,7 +184,7 @@ func run(pass *framework.Pass) error {
 					switch sel.Sel.Name {
 					case "Store", "Add", "Swap", "CompareAndSwap":
 						if inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok &&
-							recv != nil && isIdentFor(info, inner.X, recv) && isAtomicField(info, inner.Sel) {
+							recv != nil && framework.IsIdentFor(info, inner.X, recv) && isAtomicField(info, inner.Sel) {
 							if onRingType {
 								mutatesRing = true
 								recordWrite(inner.Sel, n.Pos(), true)
@@ -214,7 +214,7 @@ func run(pass *framework.Pass) error {
 				switch {
 				case callerMarked && callerRole != calleeRole:
 					if !allows.Allowed("ring", n.Pos(), stack) {
-						pass.Reportf(n.Pos(), "ring", "%s (ring-%s) calls %s (ring-%s): a function must not cross SPSC roles", funcName(obj), callerRole, funcName(callee), calleeRole)
+						pass.Reportf(n.Pos(), "ring", "%s (ring-%s) calls %s (ring-%s): a function must not cross SPSC roles", framework.MethodName(obj), callerRole, framework.MethodName(callee), calleeRole)
 					}
 				case !callerMarked && isRingMethod(callee):
 					if inSpawnedClosure(stack) {
@@ -230,7 +230,7 @@ func run(pass *framework.Pass) error {
 						}
 					}
 					if !allows.Allowed("ring", n.Pos(), stack) {
-						pass.Reportf(n.Pos(), "ring", "%s calls ring-%s method %s without being marked //catcam:ring-%s (SPSC: only the %s side may drive this end of the ring)", funcName(obj), calleeRole, funcName(callee), calleeRole, calleeRole)
+						pass.Reportf(n.Pos(), "ring", "%s calls ring-%s method %s without being marked //catcam:ring-%s (SPSC: only the %s side may drive this end of the ring)", framework.MethodName(obj), calleeRole, framework.MethodName(callee), calleeRole, calleeRole)
 					}
 				}
 
@@ -255,7 +255,7 @@ func run(pass *framework.Pass) error {
 						continue
 					}
 					sel, ok := ast.Unparen(idx.X).(*ast.SelectorExpr)
-					if !ok || !isIdentFor(info, sel.X, recv) {
+					if !ok || !framework.IsIdentFor(info, sel.X, recv) {
 						continue
 					}
 					if _, isSlice := types.Unalias(info.TypeOf(idx.X)).(*types.Slice); isSlice {
@@ -274,7 +274,7 @@ func run(pass *framework.Pass) error {
 
 		if onRingType && mutatesRing && !callerMarked {
 			if !allows.Allowed("ring", fd.Pos(), nil) {
-				pass.Reportf(fd.Pos(), "ring", "%s mutates ring state of %s but carries no //catcam:ring-producer or //catcam:ring-consumer mark", funcName(obj), recvNamed.Obj().Name())
+				pass.Reportf(fd.Pos(), "ring", "%s mutates ring state of %s but carries no //catcam:ring-producer or //catcam:ring-consumer mark", framework.MethodName(obj), recvNamed.Obj().Name())
 			}
 		}
 	}
@@ -388,7 +388,7 @@ func receiverField(info *types.Info, e ast.Expr, recv *types.Var) *ast.Ident {
 	for {
 		switch x := ast.Unparen(e).(type) {
 		case *ast.SelectorExpr:
-			if isIdentFor(info, x.X, recv) {
+			if framework.IsIdentFor(info, x.X, recv) {
 				if _, ok := info.Uses[x.Sel].(*types.Var); ok {
 					return x.Sel
 				}
@@ -418,24 +418,4 @@ func isAtomicField(info *types.Info, sel *ast.Ident) bool {
 		return false
 	}
 	return named.Obj().Pkg().Path() == "sync/atomic"
-}
-
-func receiverVar(info *types.Info, fd *ast.FuncDecl) *types.Var {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
-		return nil
-	}
-	v, _ := info.Defs[fd.Recv.List[0].Names[0]].(*types.Var)
-	return v
-}
-
-func isIdentFor(info *types.Info, e ast.Expr, v *types.Var) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && id != nil && info.Uses[id] == v
-}
-
-func funcName(fn *types.Func) string {
-	if named := framework.ReceiverNamed(fn); named != nil {
-		return "(*" + named.Obj().Name() + ")." + fn.Name()
-	}
-	return fn.Name()
 }

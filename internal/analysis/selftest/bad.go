@@ -76,11 +76,11 @@ func (p *pub) PublishLocked(v *int) {
 	p.snap.Store(v)
 }
 
-// view violates the immutable rule: Mutate reassigns a field declared
-// assignable only in composite literals at construction.
-type view struct {
-	rows []uint64 //catcam:immutable
-}
+// view is epoch-published read state; Mutate violates epochcheck's
+// write-dead rule by reassigning a field after construction.
+//
+//catcam:snapshot
+type view struct{ rows []uint64 }
 
 // Mutate rewrites published snapshot state in place (bad).
 func (v *view) Mutate(rs []uint64) { v.rows = rs }
@@ -164,7 +164,7 @@ var leakedScratch []int
 func leakScratch(s *scratchT) { leakedScratch = s.buf }
 
 // lockA and lockB are acquired in both orders below: the lock-order
-// cycle lockorder exists to reject.
+// cycle lockcheck's order rule exists to reject.
 type lockA struct {
 	mu sync.Mutex
 	n  int //catcam:guarded-by mu

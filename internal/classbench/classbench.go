@@ -25,6 +25,7 @@ package classbench
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"catcam/internal/rules"
 )
@@ -53,6 +54,18 @@ func (f Family) String() string {
 
 // Families lists all generated families in paper order.
 func Families() []Family { return []Family{ACL, FW, IPC} }
+
+// ParseFamily returns the family named s, ignoring case.
+func ParseFamily(s string) (Family, error) {
+	names := make([]string, 0, len(Families()))
+	for _, f := range Families() {
+		if strings.EqualFold(s, f.String()) {
+			return f, nil
+		}
+		names = append(names, f.String())
+	}
+	return 0, fmt.Errorf("unknown family %q (want %s)", s, strings.Join(names, ", "))
+}
 
 // profile captures the per-family generation parameters.
 type profile struct {

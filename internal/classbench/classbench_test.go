@@ -216,6 +216,34 @@ func TestFamilyString(t *testing.T) {
 	}
 }
 
+func TestParseFamily(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Family
+		ok   bool
+	}{
+		{"ACL", ACL, true},
+		{"acl", ACL, true},
+		{"Fw", FW, true},
+		{"ipc", IPC, true},
+		{"IPC", IPC, true},
+		{"", 0, false},
+		{"acl ", 0, false},
+		{"Family(0)", 0, false},
+		{"tcam", 0, false},
+	} {
+		got, err := ParseFamily(tc.in)
+		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
+			t.Errorf("ParseFamily(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		}
+	}
+	for _, f := range Families() {
+		if got, err := ParseFamily(f.String()); err != nil || got != f {
+			t.Errorf("ParseFamily(%q) = %v, %v; want the family back", f, got, err)
+		}
+	}
+}
+
 func TestGenerateLargeKeepsPrioritiesDistinct(t *testing.T) {
 	rs := Generate(Config{Family: ACL, Size: 40000, Seed: 19})
 	seen := make(map[int]bool, len(rs.Rules))

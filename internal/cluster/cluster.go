@@ -124,7 +124,7 @@ type Cluster struct {
 //catcam:snapshot
 type cut struct {
 	seq   uint64
-	parts []core.View        //catcam:immutable
+	parts []core.View
 	tel   *clusterTelemetry  //catcam:allow epoch "internally synchronized instrument, not classify-read state"
 	aud   *flightrec.Auditor //catcam:allow epoch "internally synchronized instrument, not classify-read state"
 }

@@ -230,7 +230,6 @@ type Device struct {
 	// the device-side counters; see OnStatsReset.
 	resetHooks []func() //catcam:guarded-by mu
 	// tel is the attached runtime telemetry; nil until AttachTelemetry.
-	// Written under mu; the read path uses the snapshot's copy.
 	tel *deviceTelemetry //catcam:guarded-by mu
 
 	// Flight-recorder instruments (see flightrec.go); all nil until
@@ -459,16 +458,16 @@ func (d *Device) LookupHeaderBatchAt(v View, tr *tracepkg.Trace, hs []rules.Head
 	sc := d.getScratch()
 	sc.tr, sc.focus = tr, tr.Focus()
 	for i, h := range hs {
-		var start, cyc0 uint64
+		var start uint64
 		if tr != nil {
-			start, cyc0 = tracepkg.Nanos(), sc.lookupCycles
+			start = tracepkg.Nanos()
 			sc.keyIdx = i
 		}
 		rules.EncodeHeaderInto(&sc.encKey, h)
 		e, sub, ok := s.lookup(sc, d.padKey(sc, sc.encKey))
 		if tr != nil {
 			//catcam:allow alloc "sampled trace span; rate-gated off the steady-state path"
-			tr.Span(tracepkg.StageDeviceLookup, s.trTable, s.trShard, sub, i, start, sc.lookupCycles-cyc0)
+			tr.Span(tracepkg.StageDeviceLookup, s.trTable, s.trShard, sub, i, start, 1) // one pipelined cycle per lookup
 		}
 		if s.shadow.Sample() {
 			s.shadow.ObserveEpoch(h, e.Action, ok, s.epoch) //catcam:allow alloc "sampled shadow re-classification; rate-gated off the steady-state path"
@@ -810,7 +809,6 @@ func (d *Device) chainFeasible(pos int) bool {
 // totals are the sums of the results callers were handed. A chain's
 // hops are moves of this entry's request, not inserts of their own.
 func (d *Device) account(res UpdateResult) {
-	d.stats.inserts.Add(1)
 	d.stats.updateCycles.Add(res.Cycles)
 	if res.Class == ClassInsertRealloc {
 		d.stats.reallocInserts.Add(1)

@@ -59,8 +59,8 @@ import (
 // reachable to readers only via the atomic Store (which orders all
 // those writes before the pointer publication), and nothing ever
 // writes a published snapshot again — the lint suite's
-// //catcam:snapshot, //catcam:immutable and //catcam:write-guarded-by
-// annotations prove both halves at compile time.
+// //catcam:snapshot and //catcam:write-guarded-by annotations prove
+// both halves at compile time.
 
 // subtableView is the immutable per-subtable read state: the frozen
 // match and priority arrays plus the rank/action metadata the reporter
@@ -73,9 +73,9 @@ import (
 type subtableView struct {
 	id      int
 	maxPrio int
-	match   *sram.TernaryView //catcam:immutable
-	prio    *sram.MatrixView  //catcam:immutable
-	meta    []*slotMeta       //catcam:immutable
+	match   *sram.TernaryView
+	prio    *sram.MatrixView
+	meta    []*slotMeta
 
 	// Write-pressure stamps: the live arrays' cumulative write counters
 	// at view-construction time. Array writes happen only under d.mu and
@@ -83,9 +83,9 @@ type subtableView struct {
 	// carries the subtable's current write totals — the state
 	// observatory reads P-matrix row/column pressure from the published
 	// epoch without ever touching the device mutex.
-	matchRowWrites uint64 //catcam:immutable
-	prioRowWrites  uint64 //catcam:immutable
-	prioColWrites  uint64 //catcam:immutable
+	matchRowWrites uint64
+	prioRowWrites  uint64
+	prioColWrites  uint64
 }
 
 // metaChunk is how many slots one slotMeta holds: the unit in which
@@ -98,8 +98,8 @@ const metaChunk = 16
 //
 //catcam:snapshot
 type slotMeta struct {
-	ranks   [metaChunk]Rank //catcam:immutable
-	actions [metaChunk]int  //catcam:immutable
+	ranks   [metaChunk]Rank
+	actions [metaChunk]int
 }
 
 // snapshotView freezes the subtable's current read state, with maxPrio
@@ -209,26 +209,26 @@ type snapshot struct {
 	// order lists the active subtable IDs by rising maximum rank — the
 	// interval sequence — shared by reference with the previous epoch
 	// until a subtable is assigned or released.
-	order []int //catcam:immutable
+	order []int
 	// subs is the view table: subtable id's view is
 	// subs[id/viewChunkSize].views[id%viewChunkSize], nil for an
 	// inactive subtable (read it through view). The table reaches the
 	// highest active ID; a chunk holding no touched subtable is shared
 	// by reference with the previous epoch.
-	subs   []*viewChunk     //catcam:immutable
-	global *sram.MatrixView //catcam:immutable
-	count  int              // stored entries (the locator's entry count)
+	subs   []*viewChunk
+	global *sram.MatrixView
+	count  int // stored entries (the locator's entry count)
 	// sel is the filter's key positions, shared across epochs until
 	// the device re-chooses them; every view in subs was frozen for
 	// exactly these (CheckInvariant), so lookup extracts a key's
 	// patterns once for all of them.
-	sel *sram.Selection //catcam:immutable
+	sel *sram.Selection
 
 	// Global-matrix write-pressure stamps at publish time (the matrix's
 	// own counters are mutated only under d.mu, so they ride the epoch
 	// for lock-free structural derivation).
-	globalRowWrites uint64 //catcam:immutable
-	globalColWrites uint64 //catcam:immutable
+	globalRowWrites uint64
+	globalColWrites uint64
 
 	// Instruments ride the snapshot so readers never touch mutable
 	// device fields; all nil-safe, internally synchronized.
@@ -250,8 +250,8 @@ const viewChunkSize = 8
 //
 //catcam:snapshot
 type viewChunk struct {
-	views [viewChunkSize]*subtableView     //catcam:immutable
-	match [viewChunkSize]*sram.TernaryView //catcam:immutable
+	views [viewChunkSize]*subtableView
+	match [viewChunkSize]*sram.TernaryView
 }
 
 // view returns subtable id's view in this epoch, nil when id was
@@ -444,7 +444,6 @@ type readScratch struct {
 	// device's atomic counters so concurrent readers do not contend on
 	// a shared cache line per lookup.
 	lookups      uint64
-	lookupCycles uint64
 	hostSearches uint64     // searches the host ran; the model charges every active subtable
 	match        sram.Stats // all match matrices, aggregated
 	prio         sram.Stats // all local priority matrices, aggregated
@@ -491,11 +490,10 @@ func (d *Device) putScratch(sc *readScratch) {
 	d.churn.scratchBatches.Add(1)
 	d.churn.hostSearches.Add(sc.hostSearches)
 	d.stats.lookups.Add(sc.lookups)
-	d.stats.lookupCycles.Add(sc.lookupCycles)
 	d.rdMatch.add(&sc.match)
 	d.rdPrio.add(&sc.prio)
 	d.rdGlobal.add(&sc.global)
-	sc.lookups, sc.lookupCycles, sc.hostSearches = 0, 0, 0
+	sc.lookups, sc.hostSearches = 0, 0
 	sc.match, sc.prio, sc.global = sram.Stats{}, sram.Stats{}, sram.Stats{}
 	sc.tr, sc.keyIdx, sc.focus = nil, 0, 0
 	d.readPool.Put(sc) //catcam:allow alloc "sync.Pool return; boxing a pointer does not allocate at steady state"
@@ -523,7 +521,6 @@ func (d *Device) padKey(sc *readScratch, k ternary.Key) ternary.Key {
 //catcam:hotpath
 func (s *snapshot) lookup(sc *readScratch, k ternary.Key) (Entry, int, bool) {
 	sc.lookups++
-	sc.lookupCycles++
 
 	// traceKernel gates the per-subtable sram_kernel spans: only the
 	// traced batch's one focus key records them.
@@ -694,40 +691,39 @@ func (a *atomicArrayStats) reset() {
 // are flushed from read scratches.
 type deviceStats struct {
 	lookups        atomic.Uint64
-	inserts        atomic.Uint64
 	deletes        atomic.Uint64
 	reallocations  atomic.Uint64
 	directInserts  atomic.Uint64
 	reallocInserts atomic.Uint64
 	updateCycles   atomic.Uint64
-	lookupCycles   atomic.Uint64
 	freshSubtables atomic.Uint64
 }
 
 // snapshot returns the current totals as the exported Stats shape.
+// Every insert is direct or reallocating, and every lookup is charged
+// one pipelined cycle, so Inserts and LookupCycles are derived.
 func (s *deviceStats) snapshot() Stats {
-	return Stats{
+	st := Stats{
 		Lookups:        s.lookups.Load(),
-		Inserts:        s.inserts.Load(),
 		Deletes:        s.deletes.Load(),
 		Reallocations:  s.reallocations.Load(),
 		DirectInserts:  s.directInserts.Load(),
 		ReallocInserts: s.reallocInserts.Load(),
 		UpdateCycles:   s.updateCycles.Load(),
-		LookupCycles:   s.lookupCycles.Load(),
 		FreshSubtables: s.freshSubtables.Load(),
 	}
+	st.Inserts = st.DirectInserts + st.ReallocInserts
+	st.LookupCycles = st.Lookups
+	return st
 }
 
 // reset zeroes every counter.
 func (s *deviceStats) reset() {
 	s.lookups.Store(0)
-	s.inserts.Store(0)
 	s.deletes.Store(0)
 	s.reallocations.Store(0)
 	s.directInserts.Store(0)
 	s.reallocInserts.Store(0)
 	s.updateCycles.Store(0)
-	s.lookupCycles.Store(0)
 	s.freshSubtables.Store(0)
 }

@@ -40,7 +40,6 @@ func (d *Device) AttachTelemetry(reg *telemetry.Registry, ring *telemetry.EventR
 	defer d.mu.Unlock()
 	if reg == nil {
 		d.tel = nil
-		d.publishLocked()
 		return
 	}
 	table := -1
@@ -73,7 +72,6 @@ func (d *Device) AttachTelemetry(reg *telemetry.Registry, ring *telemetry.EventR
 			"updates rejected (device full / rule not present)", op)
 	}
 	d.tel = t
-	d.publishLocked() // an attach publishes an epoch, as Epoch counts
 }
 
 // event forwards an event to the ring with the device's table ID.

@@ -41,10 +41,8 @@ type FlowCache struct {
 	sets    uint64
 	entries []flowEntry // 2*sets entries; set i occupies [2i, 2i+1]
 	// dev revalidates entries with an older stamp; nil flushes them.
-	dev    *core.Device
-	hits   uint64
-	misses uint64
-	stale  uint64 // the misses on an entry with an older stamp
+	dev   *core.Device
+	stale uint64 // the misses on an entry with an older stamp
 }
 
 // flowEntry is one cached decision. ok distinguishes an empty slot from
@@ -92,18 +90,10 @@ func (c *FlowCache) Cap() int {
 	return len(c.entries)
 }
 
-// Stats returns the lifetime hit and miss counts (both 0 for nil).
-// Private to the owning worker, like the cache itself.
-func (c *FlowCache) Stats() (hits, misses uint64) {
-	if c == nil {
-		return 0, 0
-	}
-	return c.hits, c.misses
-}
-
-// StaleMisses returns how many of the misses found an entry for the
-// flow stamped at an older epoch that could not be revalidated; the
-// rest are cold or capacity misses (0 for nil).
+// StaleMisses returns how many misses found an entry for the flow
+// stamped at an older epoch that could not be revalidated; the rest
+// are cold or capacity misses (0 for nil). Private to the owning
+// worker, like the cache itself.
 func (c *FlowCache) StaleMisses() uint64 {
 	if c == nil {
 		return 0
@@ -141,25 +131,21 @@ func (c *FlowCache) Lookup(h rules.Header, epoch uint64) (action int32, matched,
 	i := int(flowHash(h)&(c.sets-1)) * 2
 	e0 := &c.entries[i]
 	if e0.live && e0.epoch == epoch && e0.hdr == h {
-		c.hits++
 		return e0.action, e0.ok, true
 	}
 	e := e0
 	if !(e.live && e.hdr == h) {
 		if e = &c.entries[i+1]; !(e.live && e.hdr == h) {
-			c.misses++
 			return 0, false, false
 		}
 	}
 	if e.epoch != epoch && !c.revalidate(e, epoch) {
-		c.misses++
 		c.stale++
 		return 0, false, false
 	}
 	if e != e0 {
 		*e0, *e = *e, *e0
 	}
-	c.hits++
 	return e0.action, e0.ok, true
 }
 

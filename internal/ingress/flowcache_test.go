@@ -21,8 +21,8 @@ func TestFlowCacheNilIsOff(t *testing.T) {
 	if c.Cap() != 0 {
 		t.Fatalf("nil Cap = %d", c.Cap())
 	}
-	if h, m := c.Stats(); h != 0 || m != 0 || c.StaleMisses() != 0 {
-		t.Fatalf("nil Stats = %d, %d, %d stale", h, m, c.StaleMisses())
+	if c.StaleMisses() != 0 {
+		t.Fatalf("nil StaleMisses = %d", c.StaleMisses())
 	}
 }
 
@@ -117,13 +117,15 @@ func TestFlowCacheRefillNoDuplicate(t *testing.T) {
 func TestFlowCacheStats(t *testing.T) {
 	c := NewFlowCache(64)
 	h := hdr(9)
-	c.Lookup(h, 1) // miss
+	if _, _, hit := c.Lookup(h, 1); hit {
+		t.Fatal("cold lookup hit")
+	}
 	c.Insert(h, 1, 1, true)
-	c.Lookup(h, 1) // hit
-	c.Lookup(h, 2) // epoch miss
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 2 {
-		t.Fatalf("Stats = (%d, %d), want (1, 2)", hits, misses)
+	if _, _, hit := c.Lookup(h, 1); !hit {
+		t.Fatal("lookup at the fill epoch missed")
+	}
+	if _, _, hit := c.Lookup(h, 2); hit {
+		t.Fatal("lookup at a later epoch hit without a change log")
 	}
 	if stale := c.StaleMisses(); stale != 1 {
 		t.Fatalf("StaleMisses = %d, want 1: the cold miss is not stale", stale)

@@ -342,7 +342,7 @@ func (e *Engine) AttachTelemetry(reg *telemetry.Registry, labels telemetry.Label
 		telemetry.DefaultLatencyBuckets, labels)
 	for i, w := range e.workers {
 		reg.GaugeFunc("catcam_ingress_ring_occupancy",
-			"Instantaneous ring occupancy sampled at each burst drain.",
+			"Instantaneous ring occupancy, read from the ring at scrape time.",
 			labels.Merged(telemetry.Labels{"worker": fmt.Sprint(i)}),
 			func() int64 { return int64(w.ring.Len()) })
 	}
@@ -352,7 +352,8 @@ func (e *Engine) AttachTelemetry(reg *telemetry.Registry, labels telemetry.Label
 // AttachTelemetry) so callers can wire SLO objectives against it.
 func (e *Engine) BurstLatency() *telemetry.Histogram { return e.burstHist }
 
-// Start launches the worker goroutines plus the pps sampler.
+// Start launches the worker goroutines, plus the pps sampler when
+// AttachTelemetry registered its gauge.
 func (e *Engine) Start() {
 	if e.started {
 		panic("ingress: Start called twice")
@@ -364,6 +365,9 @@ func (e *Engine) Start() {
 			defer e.wg.Done()
 			w.run()
 		}(w)
+	}
+	if e.ppsGauge == nil {
+		return
 	}
 	e.wg.Add(1)
 	go func() {
@@ -520,7 +524,7 @@ func (e *Engine) rateLoop() {
 				total += w.packets.Value()
 			}
 			dt := now.Sub(lastAt).Seconds()
-			if dt > 0 && e.ppsGauge != nil {
+			if dt > 0 {
 				e.ppsGauge.Set(int64(float64(total-last) / dt))
 			}
 			last, lastAt = total, now

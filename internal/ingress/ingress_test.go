@@ -1,6 +1,8 @@
 package ingress
 
 import (
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -187,7 +189,7 @@ func TestFlowCacheInvalidationOnUpdate(t *testing.T) {
 	}
 	// Same burst again: all hits now.
 	e.ProcessSync(0, burst)
-	if hits, _ := e.workers[0].cache.Stats(); hits == 0 {
+	if e.workers[0].hits.Value() == 0 {
 		t.Fatal("second burst produced no cache hits")
 	}
 
@@ -328,7 +330,7 @@ func TestDifferentialCacheOnOffUnderChurn(t *testing.T) {
 			}
 		}
 	}
-	if hits, _ := cached.workers[0].cache.Stats(); hits == 0 {
+	if cached.workers[0].hits.Value() == 0 {
 		t.Fatal("cached engine never hit its cache")
 	}
 	t.Logf("%d bursts checked, %d raced an update", bursts, raced)
@@ -392,8 +394,7 @@ func TestCachedFastPathAllocFree(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("warm cached burst allocates %v per run, want 0", n)
 	}
-	hits, _ := e.workers[0].cache.Stats()
-	if hits == 0 {
+	if e.workers[0].hits.Value() == 0 {
 		t.Fatal("alloc guard measured a cold path")
 	}
 
@@ -425,4 +426,34 @@ func TestCachedFastPathAllocFree(t *testing.T) {
 		t.Fatalf("%d hits and %d stale misses over 201 revalidating bursts of %d",
 			s.CacheHits-before.CacheHits, s.StaleMisses-before.StaleMisses, len(burst))
 	}
+}
+
+// TestRateSamplerOnlyWithGauge checks that Start launches the pps
+// sampler only when AttachTelemetry registered the gauge it feeds: an
+// uninstrumented engine runs its workers and nothing else.
+func TestRateSamplerOnlyWithGauge(t *testing.T) {
+	dev, _ := testDevice(t, 10)
+	for _, attach := range []bool{false, true} {
+		e := New(Config{Workers: 2, RingSize: 64, Burst: 8, Backend: NewLookupBackend(dev)})
+		if attach {
+			e.AttachTelemetry(telemetry.NewRegistry(), nil)
+		}
+		e.Start()
+		got := startedBy("catcam/internal/ingress.(*Engine).Start")
+		e.Stop()
+		want := e.Workers()
+		if attach {
+			want++
+		}
+		if got != want {
+			t.Errorf("telemetry attached=%v: Start launched %d goroutines, want %d", attach, got, want)
+		}
+	}
+}
+
+// startedBy counts the live goroutines whose creator is fn.
+func startedBy(fn string) int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return strings.Count(string(buf), "created by "+fn+" ")
 }

@@ -39,11 +39,11 @@ import (
 type TernaryView struct {
 	rows       int
 	width      int
-	walk       careLines    //catcam:immutable
-	counts     []uint16     //catcam:immutable
-	valid      []uint64     //catcam:immutable
-	filter     filterBitmap //catcam:immutable
-	sel        *Selection   //catcam:immutable
+	walk       careLines
+	counts     []uint16
+	valid      []uint64
+	filter     filterBitmap
+	sel        *Selection
 	validCount int
 	searchFJ   float64
 }
@@ -60,8 +60,8 @@ type TernaryView struct {
 //
 //catcam:snapshot
 type careLines struct {
-	order []uint16 //catcam:immutable
-	lines []uint64 //catcam:immutable
+	order []uint16
+	lines []uint64
 }
 
 // SnapshotView freezes the array's current search state into an
@@ -329,7 +329,7 @@ func (v *TernaryView) SearchInto(dst *bitvec.Vector, acc []uint64, k ternary.Key
 //catcam:snapshot
 type MatrixView struct {
 	params Params
-	chunks []*[ChunkRows]uint64 //catcam:immutable
+	chunks []*[ChunkRows]uint64
 }
 
 // SnapshotView freezes the matrix's current contents into an immutable
