@@ -18,8 +18,10 @@
 //     valid.Set(r) on a cycle-state field is recognized even though
 //     Set lives in another package.
 //
-// A method that writes a cycle-state field — directly, or by calling
-// a mutator method on an expression rooted in one — must also contain
+// A method that writes a cycle-state field — directly, through a
+// local variable that aliases it (a chunk pointer, a subslice, a range
+// variable over a slab of chunks), or by calling a mutator method on
+// an expression rooted in one — must also contain
 // a cycle-accounting statement: an increment/assignment to a
 // receiver-rooted field whose name ends in "Cycles" (in practice
 // <recv>.stats.Cycles). Methods that account elsewhere by design
@@ -119,14 +121,24 @@ func run(pass *framework.Pass) error {
 			var sites []site
 			accounted := false
 
-			// cycleRoot resolves an expression like t.planeValue[i] or
-			// t.valid to the cycle-state field it passes through, when
-			// the chain is rooted at the receiver.
+			// aliases maps a local variable holding a reference into
+			// cycle-state storage (a slice, pointer or map taken from a
+			// receiver-rooted cycle-state expression, such as a chunk of
+			// a slab or a subslice of it) to the field it aliases, so a
+			// write through the local is a write to the field.
+			aliases := map[*types.Var]*types.Var{}
+
+			// cycleRoot resolves an expression like t.planeValue[i],
+			// t.valid or chunk[j] to the cycle-state field it passes
+			// through, when the chain is rooted at the receiver or at a
+			// local alias of its cycle-state storage.
 			cycleRoot := func(e ast.Expr) *types.Var {
 				var found *types.Var
 				for {
 					switch x := ast.Unparen(e).(type) {
 					case *ast.IndexExpr:
+						e = x.X
+					case *ast.SliceExpr:
 						e = x.X
 					case *ast.StarExpr:
 						e = x.X
@@ -139,11 +151,57 @@ func run(pass *framework.Pass) error {
 						if info.Uses[x] == recv {
 							return found
 						}
+						if v, ok := info.Uses[x].(*types.Var); ok && aliases[v] != nil {
+							if found != nil {
+								return found
+							}
+							return aliases[v]
+						}
 						return nil
 					default:
 						return nil
 					}
 				}
+			}
+
+			// alias records lhs as an alias of field f when lhs is a
+			// local variable of a reference type.
+			alias := func(lhs ast.Expr, f *types.Var) bool {
+				id, ok := lhs.(*ast.Ident)
+				if !ok || f == nil {
+					return false
+				}
+				v, ok := info.ObjectOf(id).(*types.Var)
+				if !ok || v.IsField() || v.Parent() == pass.Pkg.Scope() || aliases[v] != nil || !isReference(v.Type()) {
+					return false
+				}
+				aliases[v] = f
+				return true
+			}
+			// An alias may be made from another, so collect to a fixpoint.
+			for changed := true; changed; {
+				changed = false
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.AssignStmt:
+						if len(n.Lhs) == len(n.Rhs) {
+							for i, lhs := range n.Lhs {
+								changed = alias(lhs, cycleRoot(n.Rhs[i])) || changed
+							}
+						}
+					case *ast.ValueSpec:
+						if len(n.Names) == len(n.Values) {
+							for i, name := range n.Names {
+								changed = alias(name, cycleRoot(n.Values[i])) || changed
+							}
+						}
+					case *ast.RangeStmt:
+						if n.Value != nil {
+							changed = alias(n.Value, cycleRoot(n.X)) || changed
+						}
+					}
+					return true
+				})
 			}
 
 			// isAccounting reports a write to a receiver-rooted field
@@ -209,6 +267,16 @@ func run(pass *framework.Pass) error {
 		}
 	}
 	return nil
+}
+
+// isReference reports whether a value of type t shares the storage it
+// was taken from: a pointer, slice or map.
+func isReference(t types.Type) bool {
+	switch t.Underlying().(type) {
+	case *types.Pointer, *types.Slice, *types.Map:
+		return true
+	}
+	return false
 }
 
 func fieldHasDirective(f *ast.Field, verb string) bool {

@@ -78,3 +78,46 @@ func newArray(n int) *array {
 func otherReceiverIsFine(a *array, b *vec) {
 	b.Set(1) // b is not rooted in a cycle-state field of a receiver
 }
+
+// slab keeps its modeled bits in one slice and reaches them through a
+// table of chunk pointers into it, as sram.Array does: a write through
+// a chunk is a write to the bits, so both are cycle-state.
+type slab struct {
+	bits   []uint64     //catcam:cycle-state
+	chunks []*[4]uint64 //catcam:cycle-state
+	stats  stats
+}
+
+func (s *slab) SneakChunk(k, j int) {
+	s.chunks[k][j] = 1 // want `\(\*slab\)\.SneakChunk mutates cycle-state field chunks without accounting modeled cycles`
+}
+
+func (s *slab) SneakRangeAlias() {
+	for _, c := range s.chunks {
+		c[0] = 1 // want `\(\*slab\)\.SneakRangeAlias mutates cycle-state field chunks without accounting modeled cycles`
+	}
+}
+
+func (s *slab) SneakLocalAlias(k int) {
+	c := s.chunks[k]
+	c[1] |= 2 // want `\(\*slab\)\.SneakLocalAlias mutates cycle-state field chunks without accounting modeled cycles`
+}
+
+func (s *slab) SneakSubslice(i int) {
+	var tail = s.bits[i:]
+	head := tail[:1]
+	head[0]++ // want `\(\*slab\)\.SneakSubslice mutates cycle-state field bits without accounting modeled cycles`
+}
+
+func (s *slab) AccountedAlias(k int) {
+	s.stats.Cycles += 2
+	for j, c := 0, s.chunks[k]; j < len(c); j++ {
+		c[j] = 0
+	}
+}
+
+func (s *slab) CopyIsNoAlias(i int) uint64 {
+	w := s.bits[i] // a value copy, not a reference
+	w |= 1
+	return w
+}

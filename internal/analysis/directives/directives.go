@@ -22,7 +22,7 @@ var Analyzer = &framework.Analyzer{
 func run(pass *framework.Pass) error {
 	for _, c := range framework.MalformedDirectives(pass.Files) {
 		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		pass.Reportf(c.Pos(), "directive", "malformed catcam directive %q: want catcam:{hotpath|guarded-by <mu>|write-guarded-by <mu>|cycle-state|mutator|snapshot|scratch|ring-producer|ring-consumer|allow <category> \"reason\"}", text)
+		pass.Reportf(c.Pos(), "directive", "malformed catcam directive %q: want %s", text, framework.Usage())
 	}
 	return nil
 }

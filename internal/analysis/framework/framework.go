@@ -9,24 +9,9 @@
 //
 // The analyzers communicate with the source tree through `//catcam:`
 // comment directives (written without a space, like //go: directives,
-// so gofmt preserves them):
-//
-//	//catcam:hotpath                 — function must not allocate, transitively
-//	//catcam:guarded-by <mu>         — struct field is protected by mutex field <mu>
-//	//catcam:write-guarded-by <mu>   — struct field is written only under <mu>;
-//	                                   reads are free (lockcheck)
-//	//catcam:cycle-state             — struct field is modeled SRAM/priority state
-//	//catcam:mutator                 — method mutates its receiver (cyclecheck fact)
-//	//catcam:snapshot                — struct type is epoch-published read state:
-//	                                   write-dead after publication (epochcheck)
-//	//catcam:scratch                 — struct type is pooled per-goroutine scratch:
-//	                                   must never escape its owner (poolcheck)
-//	//catcam:ring-producer           — function/method is the producer side of an
-//	                                   SPSC ring (ringcheck)
-//	//catcam:ring-consumer           — function/method is the consumer side of an
-//	                                   SPSC ring (ringcheck)
-//	//catcam:allow <cat> "reason"    — suppress findings of category <cat> for the
-//	                                   statement this comment is attached to
+// so gofmt preserves them). The verbs, with the argument each takes
+// and what it declares, are listed once, in Verbs; a //catcam: comment
+// with any other verb is itself a finding (the directives analyzer).
 package framework
 
 import (
@@ -34,6 +19,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -90,10 +76,42 @@ func (p *Pass) InModule(pkg *types.Package) bool {
 	return path == p.Module || strings.HasPrefix(path, p.Module+"/")
 }
 
+// Verb is one //catcam: directive verb.
+type Verb struct {
+	Name string
+	Arg  string // the argument it takes, as its usage shows it ("" for none)
+	Doc  string // what it declares, and the analyzer that reads it
+}
+
+// Verbs is the one table of directive verbs: parseDirective accepts
+// exactly these, and Usage lists them.
+var Verbs = []Verb{
+	{"hotpath", "", "function must not allocate, transitively (hotpath)"},
+	{"guarded-by", "<mu>", "struct field is protected by mutex field <mu> (lockcheck)"},
+	{"write-guarded-by", "<mu>", "struct field is written only under <mu>; reads are free (lockcheck)"},
+	{"cycle-state", "", "struct field is modeled SRAM/priority state (cyclecheck)"},
+	{"mutator", "", "method mutates its receiver (a cyclecheck fact)"},
+	{"snapshot", "", "struct type is epoch-published read state: write-dead after publication (epochcheck)"},
+	{"scratch", "", "struct type is pooled per-goroutine scratch: must never escape its owner (poolcheck)"},
+	{"ring-producer", "", "function or method is the producer side of an SPSC ring (ringcheck)"},
+	{"ring-consumer", "", "function or method is the consumer side of an SPSC ring (ringcheck)"},
+	{"allow", `<category> "reason"`, "suppresses findings of the category for the statement it is attached to"},
+}
+
+// Usage renders Verbs as one line, each verb with its argument:
+// catcam:{hotpath|guarded-by <mu>|...}.
+func Usage() string {
+	forms := make([]string, len(Verbs))
+	for i, v := range Verbs {
+		forms[i] = strings.TrimSpace(v.Name + " " + v.Arg)
+	}
+	return "catcam:{" + strings.Join(forms, "|") + "}"
+}
+
 // Directive is one parsed //catcam: comment.
 type Directive struct {
 	Pos      token.Pos
-	Verb     string // "hotpath", "guarded-by", "write-guarded-by", "cycle-state", "mutator", "snapshot", "scratch", "ring-producer", "ring-consumer", "allow"
+	Verb     string // the Name of one of Verbs
 	Args     string // raw text after the verb
 	Category string // for allow: the suppressed category
 	Reason   string // for allow: the quoted justification
@@ -113,11 +131,12 @@ func parseDirective(c *ast.Comment) (d Directive, ok bool) {
 		return d, true
 	}
 	verb, rest := fields[0], strings.TrimSpace(strings.TrimPrefix(text, fields[0]))
-	switch verb {
-	case "hotpath", "cycle-state", "mutator", "guarded-by", "write-guarded-by",
-		"snapshot", "scratch", "ring-producer", "ring-consumer":
+	switch {
+	case !slices.ContainsFunc(Verbs, func(v Verb) bool { return v.Name == verb }):
+		// malformed: unknown verb
+	case verb != "allow":
 		d.Verb, d.Args = verb, rest
-	case "allow":
+	default:
 		parts := strings.Fields(rest)
 		if len(parts) == 0 {
 			return d, true // malformed: no category

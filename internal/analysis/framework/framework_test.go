@@ -3,6 +3,7 @@ package framework
 import (
 	"bytes"
 	"encoding/json"
+	"go/ast"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -110,6 +111,30 @@ func TestPrintedFindingsMatchProblemMatcher(t *testing.T) {
 		}
 		if file := m[pat.File]; filepath.IsAbs(file) || !strings.HasSuffix(file, "_test.go") {
 			t.Errorf("%q: file %q is not relative to the working directory", line, file)
+		}
+	}
+}
+
+// TestVerbTable checks that parseDirective accepts exactly the verbs
+// in Verbs: each parses with its argument, and a verb outside the table
+// is malformed.
+func TestVerbTable(t *testing.T) {
+	for _, v := range Verbs {
+		text := "//catcam:" + v.Name
+		switch v.Name {
+		case "allow":
+			text += ` cycles "a reason"`
+		case "guarded-by", "write-guarded-by":
+			text += " mu"
+		}
+		d, ok := parseDirective(&ast.Comment{Text: text})
+		if !ok || d.Verb != v.Name {
+			t.Errorf("%q parsed as verb %q (directive %v), want %q", text, d.Verb, ok, v.Name)
+		}
+	}
+	for _, text := range []string{"//catcam:immutable", "//catcam:hot-path", "//catcam:"} {
+		if d, ok := parseDirective(&ast.Comment{Text: text}); !ok || d.Verb != "" {
+			t.Errorf("%q parsed as verb %q, want malformed", text, d.Verb)
 		}
 	}
 }

@@ -190,6 +190,18 @@ func (v *Vector) AndNotWord(i int, w uint64) {
 	v.words[i] &^= w
 }
 
+// SetWord overwrites word i of v (bits 64i to 64i+63) with w, dropping
+// the bits of w past Len: the store of a producer that computes 64 bits
+// at once.
+//
+//catcam:mutator
+func (v *Vector) SetWord(i int, w uint64) {
+	v.words[i] = w
+	if i == len(v.words)-1 {
+		v.trim()
+	}
+}
+
 // Or sets v = v OR o and returns v.
 //
 //catcam:mutator

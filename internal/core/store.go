@@ -63,18 +63,30 @@ func (s *PriorityStore) ValidRef() *bitvec.Vector { return s.valid }
 // the priority matrix for the new rule's slot: row[j] = new beats slot
 // j, col[i] = slot i beats new. One comparator fires per valid slot
 // (single-cycle in hardware). Allocates nothing.
+//
+// The host builds each 64 slots' row word in registers, without a
+// branch per slot: a priority compare shifts one bit per slot into the
+// word, and another marks the slots whose priority ties the new one's
+// (a rule's own rows, and rules sharing a priority), which alone go on
+// to the rule ID and sequence. The column word is the valid slots the
+// new rank does not beat: ranks are distinct, so each of them beats it.
 func (s *PriorityStore) CompareAll(r Rank, row, col *bitvec.Vector) {
-	row.Reset()
-	col.Reset()
-	for wi, w := range s.valid.Words() {
-		for ; w != 0; w &= w - 1 {
-			i := wi*64 + bits.TrailingZeros64(w)
-			if r.Beats(s.ranks[i]) {
-				row.Set(i)
-			} else {
-				col.Set(i)
-			}
+	for wi, valid := range s.valid.Words() {
+		ranks := s.ranks[wi*64:]
+		ranks = ranks[:min(len(ranks), 64)]
+		var beats, ties uint64
+		for j := len(ranks) - 1; j >= 0; j-- {
+			p := ranks[j].Priority
+			beats = beats<<1 | b2u(p < r.Priority)
+			ties = ties<<1 | b2u(p == r.Priority)
 		}
+		for m := ties & valid; m != 0; m &= m - 1 {
+			j := bits.TrailingZeros64(m)
+			beats |= r.beatsBit(ranks[j]) << j
+		}
+		beats &= valid
+		row.SetWord(wi, beats)
+		col.SetWord(wi, valid&^beats)
 	}
 }
 

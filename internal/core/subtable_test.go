@@ -87,6 +87,36 @@ func TestPriorityStoreBroadcast(t *testing.T) {
 	if n := testing.AllocsPerRun(10, func() { s.CompareAll(Rank{Priority: 40}, row, col) }); n != 0 {
 		t.Errorf("CompareAll allocates %.1f/op", n)
 	}
+
+	// Ties: 200 slots (three full words and an 8-slot tail) whose ranks
+	// share priorities, and within a priority rule IDs, so the rule ID
+	// and then the sequence decide; every fifth slot vacant, and the
+	// slots of one word all valid. Each broadcast must agree with Beats
+	// slot by slot, and say nothing of a vacant slot.
+	s = NewPriorityStore(200)
+	for i := 0; i < s.Capacity(); i++ {
+		if i%5 == 4 && i/64 != 1 {
+			continue
+		}
+		s.Set(i, Rank{Priority: i % 3, RuleID: i / 7 % 2, Seq: i})
+	}
+	row, col = bitvec.New(200), bitvec.New(200)
+	for _, r := range []Rank{
+		{Priority: 1, RuleID: 1, Seq: 100}, // ties priority and rule ID with stored ranks
+		{Priority: 1, RuleID: 0, Seq: 1000},
+		{Priority: 2, RuleID: 1, Seq: -1},
+		{Priority: -1}, {Priority: 3}, // beats none, beats all
+	} {
+		s.CompareAll(r, row, col)
+		for i := 0; i < s.Capacity(); i++ {
+			o, valid := s.Rank(i)
+			wantRow, wantCol := valid && r.Beats(o), valid && o.Beats(r)
+			if row.Get(i) != wantRow || col.Get(i) != wantCol {
+				t.Fatalf("new %v vs slot %d %v (valid %v): row %v col %v, want %v %v",
+					r, i, o, valid, row.Get(i), col.Get(i), wantRow, wantCol)
+			}
+		}
+	}
 }
 
 func TestPriorityStoreEmptyMax(t *testing.T) {

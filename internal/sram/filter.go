@@ -102,45 +102,41 @@ type filterBitmap [FilterGroups][filterPatterns / 64]uint64
 
 // tally moves entry word w's contributions to the per-position care and
 // one counts and to the filter counts by delta: +1 as w arrives, -1 as
-// it leaves, added mod 2^16 as tallyGroups adds. (WriteEntry counts an
-// arriving word's positions in the plane scatter it runs anyway, and
-// tallies only its groups.)
+// it leaves, added mod 2^16 as tallyGroups adds. The position counts
+// move by bit walks over w's care and value words (a word's values lie
+// inside its cares).
 func (t *TernaryArray) tally(w ternary.Word, delta int32) {
 	d := uint16(delta)
 	value, care := w.PlaneWords()
-	for wi, cw := range care {
-		for ; cw != 0; cw &= cw - 1 {
-			b := bits.TrailingZeros64(cw)
-			t.cares[wi*64+b] += d
-			t.ones[wi*64+b] += d & -uint16(value[wi]>>b&1)
+	for wi, c := range care {
+		cares, ones := t.cares[wi*64:], t.ones[wi*64:]
+		for ; c != 0; c &= c - 1 {
+			cares[bits.TrailingZeros64(c)] += d
+		}
+		for v := value[wi]; v != 0; v &= v - 1 {
+			ones[bits.TrailingZeros64(v)] += d
 		}
 	}
 	t.tallyGroups(w, d)
 }
 
 // tallyGroups adds delta (mod 2^16, so 0xFFFF takes one away) to the
-// filter count of every pattern w is compatible with. An entry that is
-// a wildcard at k of a group's positions is compatible with 2^k
-// patterns, enumerated by a subset walk of those free positions.
+// filter count of every pattern w is compatible with, and sets each
+// such pattern's bitmap bit to whether its count is non-zero, without a
+// branch. An entry that is a wildcard at k of a group's positions is
+// compatible with 2^k patterns: those that agree with its value where
+// it cares, enumerated by a subset walk of the free positions.
 func (t *TernaryArray) tallyGroups(w ternary.Word, delta uint16) {
 	value, care := w.PlaneWords()
+	fixed, cared := t.sel.patterns(value), t.sel.patterns(care)
 	f := t.filter
-	for g, positions := range t.sel.pos {
-		var fixed, free uint
-		for j, pos := range positions {
-			c := uint(care[pos>>6]>>(pos&63)) & 1
-			v := uint(value[pos>>6]>>(pos&63)) & 1
-			fixed |= c & v << j
-			free |= (c ^ 1) << j
-		}
+	for g := range cared {
+		counts, set := &f.n[g], &f.set[g]
+		free := ^cared[g]
 		for sub := free; ; sub = (sub - 1) & free {
-			p := fixed | sub
-			f.n[g][p] += delta
-			if f.n[g][p] != 0 {
-				f.set[g][p/64] |= 1 << (p % 64)
-			} else {
-				f.set[g][p/64] &^= 1 << (p % 64)
-			}
+			p := fixed[g] | sub
+			counts[p] += delta
+			set[p/64] = set[p/64]&^(1<<(p%64)) | b2u(counts[p] != 0)<<(p%64)
 			if sub == 0 {
 				break
 			}
@@ -197,3 +193,12 @@ func (v *TernaryView) Admits(pats [FilterGroups]uint8) bool {
 
 // Selection returns the positions the view's filter was frozen for.
 func (v *TernaryView) Selection() *Selection { return v.sel }
+
+// b2u is 1 for true and 0 for false; the compiler lowers it to a
+// flag-setting instruction, not a branch.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}

@@ -124,14 +124,18 @@ func (s *Stats) Add(o Stats) {
 type Array struct {
 	params   Params
 	rowWords int
-	bits     []uint64 //catcam:cycle-state
-	chunks   []*[ChunkRows]uint64
+	bits     []uint64             //catcam:cycle-state
+	chunks   []*[ChunkRows]uint64 //catcam:cycle-state
 	stats    Stats
 }
 
 // ChunkRows is the height of a priority-matrix chunk, the unit in which
 // frozen matrices share storage between epochs.
 const ChunkRows = 16
+
+// chunksPerWord is how many chunks' rows one 64-bit row vector word
+// spans: the active rows of a decision, or a column write's data.
+const chunksPerWord = 64 / ChunkRows
 
 // NewArray returns a zeroed array with the given parameters.
 func NewArray(p Params) *Array {
@@ -208,21 +212,7 @@ func (a *Array) WriteRow(r int, v *bitvec.Vector) {
 // separate cycles (§V-B), independent of the number of rows. v holds one
 // bit per row.
 func (a *Array) WriteColumn(c int, v *bitvec.Vector) {
-	a.checkCol(c)
-	if v.Len() != a.params.Rows {
-		panic(fmt.Sprintf("sram: column height %d != %d", v.Len(), a.params.Rows))
-	}
-	a.stats.Cycles += 2
-	a.stats.ColWrites++
-	a.stats.EnergyFJ += 2 * a.params.WriteEnergyPJ * 1000
-	wi, bit := c/64, uint64(1)<<(c%64)
-	for r := 0; r < a.params.Rows; r++ {
-		if v.Get(r) {
-			a.bits[a.word(r, wi)] |= bit
-		} else {
-			a.bits[a.word(r, wi)] &^= bit
-		}
-	}
+	a.writeColumn(c, v, 2, 0, 1)
 }
 
 // WriteColumnRowwise is the ablation path a conventional SRAM would be
@@ -230,19 +220,35 @@ func (a *Array) WriteColumn(c int, v *bitvec.Vector) {
 // It costs Rows cycles and Rows write energies, demonstrating why the
 // dual-voltage column write is required for O(1) insertion.
 func (a *Array) WriteColumnRowwise(c int, v *bitvec.Vector) {
+	rows := uint64(a.params.Rows)
+	a.writeColumn(c, v, rows, rows, 0)
+}
+
+// writeColumn stores v into column c and charges the write's cost: the
+// given cycles, each one write energy, and the given row and column
+// write counts. The host writes a chunk's 16 rows per step, without a
+// branch: it rotates the chunk's 16 bits of v so that row j's bit sits
+// at the column's position, merges it into word j, and rotates the
+// next row's bit in. The rows a height short of a chunk multiple pads
+// get v's zero tail bits.
+func (a *Array) writeColumn(c int, v *bitvec.Vector, cycles, rowWrites, colWrites uint64) {
 	a.checkCol(c)
 	if v.Len() != a.params.Rows {
 		panic(fmt.Sprintf("sram: column height %d != %d", v.Len(), a.params.Rows))
 	}
-	a.stats.Cycles += uint64(a.params.Rows)
-	a.stats.RowWrites += uint64(a.params.Rows)
-	a.stats.EnergyFJ += float64(a.params.Rows) * a.params.WriteEnergyPJ * 1000
-	wi, bit := c/64, uint64(1)<<(c%64)
-	for r := 0; r < a.params.Rows; r++ {
-		if v.Get(r) {
-			a.bits[a.word(r, wi)] |= bit
-		} else {
-			a.bits[a.word(r, wi)] &^= bit
+	a.stats.Cycles += cycles
+	a.stats.RowWrites += rowWrites
+	a.stats.ColWrites += colWrites
+	a.stats.EnergyFJ += float64(cycles) * a.params.WriteEnergyPJ * 1000
+	sh := uint(c % 64)
+	bit := uint64(1) << sh
+	src := v.Words()
+	for cr, k := 0, c/64; k < len(a.chunks); cr, k = cr+1, k+a.rowWords {
+		s := bits.RotateLeft64(src[cr/chunksPerWord]>>(cr%chunksPerWord*ChunkRows), int(sh))
+		chunk := a.chunks[k]
+		for j := range chunk {
+			chunk[j] = chunk[j]&^bit | s&bit
+			s = bits.RotateLeft64(s, -1)
 		}
 	}
 }
@@ -306,7 +312,16 @@ func columnNOR(p Params, chunks []*[ChunkRows]uint64, dst, active *bitvec.Vector
 			shift := bits.TrailingZeros64(w) &^ (ChunkRows - 1)
 			m := w >> shift & (1<<ChunkRows - 1)
 			w &^= m << shift
-			for cw, c := range chunks[(wi*64+shift)/ChunkRows*rowWords:][:rowWords] {
+			row := chunks[(wi*64+shift)/ChunkRows*rowWords:][:rowWords]
+			if m == 1<<ChunkRows-1 {
+				// Every row of the chunk is active, as in the all-valid
+				// decision that finds a subtable's maximum.
+				for cw, c := range row {
+					dst.AndNotWord(cw, orChunk(c))
+				}
+				continue
+			}
+			for cw, c := range row {
 				var rows uint64
 				for mm := m; mm != 0; mm &= mm - 1 {
 					rows |= c[bits.TrailingZeros64(mm)]
@@ -316,6 +331,13 @@ func columnNOR(p Params, chunks []*[ChunkRows]uint64, dst, active *bitvec.Vector
 		}
 	}
 	return dst
+}
+
+// orChunk returns the OR of a chunk's 16 words, in a tree of four
+// independent chains.
+func orChunk(c *[ChunkRows]uint64) uint64 {
+	return (c[0] | c[1] | c[2] | c[3]) | (c[4] | c[5] | c[6] | c[7]) |
+		(c[8] | c[9] | c[10] | c[11]) | (c[12] | c[13] | c[14] | c[15])
 }
 
 // TernaryArray is the transposed-8T match matrix: Rows ternary entries
@@ -334,7 +356,10 @@ func columnNOR(p Params, chunks []*[ChunkRows]uint64, dst, active *bitvec.Vector
 // match. Cycle and energy accounting are independent of which
 // representation the host touches, and of whether it searches at all.
 type TernaryArray struct {
-	params  Params
+	params Params
+	// entries holds each row's word. An invalidated row keeps its stale
+	// word, as its planes keep their bits, so the next write into the
+	// row knows which positions it must clear (sliceEntry).
 	entries []ternary.Word //catcam:cycle-state
 	valid   *bitvec.Vector //catcam:cycle-state
 	stats   Stats
@@ -471,48 +496,61 @@ func (t *TernaryArray) WriteEntry(r int, w ternary.Word) {
 		t.ones = make([]uint16, t.Width())
 		t.filter = new(filterCounts)
 	}
+	old := t.entries[r]
 	if t.valid.Get(r) {
-		t.tally(t.entries[r], -1) // the previous occupant leaves
+		t.tally(old, -1) // the previous occupant leaves
 	} else {
 		t.validCount++
 	}
 	t.entries[r] = w
 	t.valid.Set(r)
-	t.sliceEntry(r, w)
-	t.tallyGroups(w, 1)
+	t.sliceEntry(r, old, w)
+	t.tally(w, 1)
 }
 
 // sliceEntry scatters w's (value, care) bit pairs into the transposed
-// planes at entry column r, counts w in the care and one counts of the
-// positions it cares at, and moves the stored-care count of every
-// position whose care bit it flips. Every position is written — set or
-// cleared — so stale planes from a previous occupant cannot survive.
+// planes at entry column r over old, the word the row held (valid or
+// stale; the zero Word if the row was never written), and moves the
+// stored-care count of every position whose care bit it flips.
+//
+// It works 64 positions (one word of the planes) at a time, and within
+// a word only over the span of positions old or w cares at: a word's
+// values lie inside its cares, so outside that span both planes hold 0
+// at r before and after. The scatter merges each position's two bits
+// into its line without a branch: w's words are rotated so that the
+// position's bit sits at r's, and rotated on by one per line. The
+// stored-care counts move by bit walks over the care bits w flips from
+// old's, not by a test per position.
 //
 //catcam:allow cycles "plane scatter is part of WriteEntry's single modeled write cycle"
-func (t *TernaryArray) sliceEntry(r int, w ternary.Word) {
+func (t *TernaryArray) sliceEntry(r int, old, w ternary.Word) {
 	value, care := w.PlaneWords()
+	_, held := old.PlaneWords()
 	first, bit := t.cell(r, 0)
-	for pos := range t.cares {
-		i := first + pos*lineWords
-		pw, pb := pos/64, uint(pos%64)
-		if value[pw]&(1<<pb) != 0 {
-			t.planes[i] |= bit
-		} else {
-			t.planes[i] &^= bit
+	sh := r % 64
+	for pw, c := range care {
+		var was uint64
+		if held != nil {
+			was = held[pw]
 		}
-		was := t.planes[i+blockWords]&bit != 0
-		if care[pw]&(1<<pb) != 0 {
-			t.planes[i+blockWords] |= bit
-			t.cares[pos]++
-			t.ones[pos] += uint16(value[pw] >> pb & 1)
-			if !was {
-				t.stored[pos]++
-			}
-		} else {
-			t.planes[i+blockWords] &^= bit
-			if was {
-				t.stored[pos]--
-			}
+		span := c | was
+		if span == 0 {
+			continue
+		}
+		b0, b1 := bits.TrailingZeros64(span), 64-bits.LeadingZeros64(span)
+		vr, cr := bits.RotateLeft64(value[pw], sh-b0), bits.RotateLeft64(c, sh-b0)
+		planes := t.planes
+		for i, end := first+(pw*64+b0)*lineWords, first+(pw*64+b1)*lineWords; i < end; i += lineWords {
+			planes[i] = planes[i]&^bit | vr&bit
+			planes[i+blockWords] = planes[i+blockWords]&^bit | cr&bit
+			vr, cr = bits.RotateLeft64(vr, -1), bits.RotateLeft64(cr, -1)
+		}
+		stored := t.stored[pw*64:]
+		for m := c &^ was; m != 0; m &= m - 1 {
+			stored[bits.TrailingZeros64(m)]++
+		}
+		for m := was &^ c; m != 0; m &= m - 1 {
+			stored[bits.TrailingZeros64(m)]--
 		}
 	}
 }
@@ -542,10 +580,12 @@ func (t *TernaryArray) EntryWord(r int) (ternary.Word, bool) {
 	return t.entries[r], true
 }
 
-// Invalidate clears entry r (rule deletion: one cycle). The planes are
-// left stale on purpose: a search starts its accumulator from the valid
+// Invalidate clears entry r (rule deletion: one cycle). Only the valid
+// bit clears, as in the silicon: the planes and the row's word are left
+// stale on purpose. A search starts its accumulator from the valid
 // mask, so plane bits of invalid entries can never surface, and the
-// next WriteEntry into the row rewrites every position. The valid
+// next WriteEntry into the row rewrites every position the stale word
+// or the new one cares at, knowing from the stale word which. The valid
 // counts drop the entry at once, so a pattern only it was compatible
 // with leaves the next view's filter. The stored-care counts keep it
 // until that rewrite, so the next view lists the same positions in the
@@ -561,7 +601,6 @@ func (t *TernaryArray) Invalidate(r int) {
 		t.tally(t.entries[r], -1)
 	}
 	t.valid.Clear(r)
-	t.entries[r] = ternary.Word{}
 }
 
 // Search broadcasts the key on the search lines and senses every match

@@ -460,3 +460,106 @@ func TestQuickColumnNORAgainstNaive(t *testing.T) {
 		}
 	}
 }
+
+// FuzzArrayWrites drives a square priority array with a random run of
+// row writes, column writes (dual-voltage and row-wise) and column
+// NORs, and checks every stored bit, every NOR report and the
+// statistics against a [][]bool reference and the cost formulas of
+// each operation. The arrays are 4×4 (one short chunk), 40×40 (a
+// partial word and a partial chunk) and 256×256 (Table I's), and the
+// vectors sparse at a fuzzed density, empty, or all active: the case
+// the word-wide kernels treat apart.
+func FuzzArrayWrites(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(40), uint8(128))
+	f.Add(int64(2), uint8(1), uint8(60), uint8(30))
+	f.Add(int64(3), uint8(2), uint8(24), uint8(200))
+	f.Add(int64(4), uint8(2), uint8(12), uint8(5))
+	f.Add(int64(54), uint8(1), uint8(3), uint8(62)) // a column only one row of a full chunk blocks
+	f.Fuzz(func(t *testing.T, seed int64, size, ops, density uint8) {
+		n := [...]int{4, 40, 256}[size%3]
+		rng := rand.New(rand.NewSource(seed))
+		p := smallParams(n, n)
+		a := NewArray(p)
+		ref := make([][]bool, n)
+		for r := range ref {
+			ref[r] = make([]bool, n)
+		}
+		vector := func() *bitvec.Vector {
+			v := bitvec.New(n)
+			switch k := rng.Intn(8); {
+			case k < 2:
+				v.SetAll()
+			case k == 2: // empty
+			default:
+				for i := 0; i < n; i++ {
+					if rng.Intn(256) < int(density) {
+						v.Set(i)
+					}
+				}
+			}
+			return v
+		}
+		var want Stats
+		// nor runs a NOR over active and checks its report and cost.
+		nor := func(op int, active *bitvec.Vector) {
+			dst := bitvec.New(n)
+			dst.SetAll() // overwritten, never accumulated into
+			a.ColumnNORInto(dst, active)
+			for c := 0; c < n; c++ {
+				bit := active.Get(c)
+				for r := 0; r < n && bit; r++ {
+					bit = !(active.Get(r) && ref[r][c])
+				}
+				if dst.Get(c) != bit {
+					t.Fatalf("op %d: NOR column %d = %v, want %v (active %s)", op, c, dst.Get(c), bit, active)
+				}
+			}
+			want.Cycles++
+			want.NOROps++
+			want.EnergyFJ += p.ComputeEnergyFJ(active.Count())
+		}
+		for op := 0; op < int(ops%64); op++ {
+			switch v, i := vector(), rng.Intn(n); rng.Intn(4) {
+			case 0:
+				a.WriteRow(i, v)
+				for c := range ref[i] {
+					ref[i][c] = v.Get(c)
+				}
+				want.Cycles++
+				want.RowWrites++
+				want.EnergyFJ += p.WriteEnergyPJ * 1000
+			case 1:
+				a.WriteColumn(i, v)
+				for r := range ref {
+					ref[r][i] = v.Get(r)
+				}
+				want.Cycles += 2
+				want.ColWrites++
+				want.EnergyFJ += 2 * p.WriteEnergyPJ * 1000
+			case 2:
+				a.WriteColumnRowwise(i, v)
+				for r := range ref {
+					ref[r][i] = v.Get(r)
+				}
+				want.Cycles += uint64(n)
+				want.RowWrites += uint64(n)
+				want.EnergyFJ += float64(n) * p.WriteEnergyPJ * 1000
+			case 3:
+				nor(op, v)
+			}
+			if got := a.Stats(); got != want {
+				t.Fatalf("op %d: stats %+v, want %+v", op, got, want)
+			}
+		}
+		for r := range ref {
+			for c, bit := range ref[r] {
+				if a.Bit(r, c) != bit {
+					t.Fatalf("bit (%d, %d) = %v, want %v", r, c, a.Bit(r, c), bit)
+				}
+			}
+		}
+		all := bitvec.New(n)
+		all.SetAll()
+		nor(int(ops%64), all) // the all-valid decision that finds a maximum
+	})
+}
