@@ -287,6 +287,25 @@ func (v *Vector) First() int {
 	return -1
 }
 
+// NextSet returns the index of the lowest set bit at or above i, or -1
+// if none; a walk over the set bits in order is First, then NextSet
+// from one past each.
+func (v *Vector) NextSet(i int) int {
+	if i < 0 {
+		i = 0
+	}
+	for wi := i / wordBits; wi < len(v.words); wi++ {
+		w := v.words[wi]
+		if wi == i/wordBits {
+			w &= ^uint64(0) << (i % wordBits)
+		}
+		if w != 0 {
+			return wi*wordBits + bits.TrailingZeros64(w)
+		}
+	}
+	return -1
+}
+
 // FirstZero returns the index of the lowest clear bit, or -1 when all
 // Len bits are set. It scans word-wise — one complement and one
 // trailing-zero count per 64 bits — which is what makes free-slot scans

@@ -197,6 +197,44 @@ func TestFirstLast(t *testing.T) {
 	}
 }
 
+// TestQuickNextSet: walking First, then NextSet from one past each
+// hit, visits exactly Indices, and NextSet from any point lands on the
+// first index at or above it.
+func TestQuickNextSet(t *testing.T) {
+	f := func(idx []uint8, from uint8) bool {
+		v := New(200)
+		for _, i := range idx {
+			if int(i) < v.Len() {
+				v.Set(int(i))
+			}
+		}
+		var walk []int
+		for i := v.First(); i >= 0; i = v.NextSet(i + 1) {
+			walk = append(walk, i)
+		}
+		want := v.Indices()
+		if len(walk) != len(want) {
+			return false
+		}
+		for j := range walk {
+			if walk[j] != want[j] {
+				return false
+			}
+		}
+		next := -1
+		for _, i := range want {
+			if i >= int(from) {
+				next = i
+				break
+			}
+		}
+		return v.NextSet(int(from)) == next
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestForEachEarlyStop(t *testing.T) {
 	v := FromIndices(100, 1, 2, 3, 4)
 	var seen []int

@@ -7,7 +7,6 @@ import (
 
 	"catcam/internal/classbench"
 	"catcam/internal/rules"
-	"catcam/internal/ternary"
 )
 
 // The update-side rungs above the sram kernels: one subtable
@@ -25,14 +24,12 @@ func fullSubtable() (*Subtable, []Entry) {
 	rng := rand.New(rand.NewSource(1))
 	entries := make([]Entry, 0, cfg.SubtableCapacity)
 	for _, r := range rs.Rules {
-		for _, w := range r.Encode() {
+		for _, w := range r.EncodeWidth(cfg.KeyWidth) {
 			if len(entries) == cap(entries) {
 				break
 			}
-			wide := ternary.NewWord(cfg.KeyWidth)
-			wide.Slot(0, w)
 			i := len(entries)
-			e := Entry{Word: wide, Rank: Rank{Priority: rng.Intn(1 << 16), RuleID: i, Seq: i}, Action: i}
+			e := Entry{Word: w, Rank: Rank{Priority: rng.Intn(1 << 16), RuleID: i, Seq: i}, Action: i}
 			st.Insert(i, e)
 			entries = append(entries, e)
 		}
@@ -106,44 +103,51 @@ func BenchmarkInsertRuleMultiRow(b *testing.B) {
 }
 
 // BenchmarkPublish times one update's publishLocked on a device of
-// 1,024 subtables loaded with ACL tables of 1K, 10K and 20K rules: the
-// update (a rule's delete, or its re-insert, in turn) runs off the
-// clock, the publication it ends with on it.
+// 1,024 subtables loaded with ACL tables of 1K, 10K and 20K rules, a
+// rule's delete and its re-insert apart: /delete times the publication
+// that ends a delete, /insert the one that ends the re-insert. The
+// update and the other half of the pair, with its publication, run off
+// the clock, so every op starts from the whole table.
 func BenchmarkPublish(b *testing.B) {
 	cfg := Compact()
 	cfg.Subtables = 1024
 	for _, size := range []int{1000, 10000, 20000} {
-		var d *Device
-		var rs *rules.Ruleset
 		b.Run(fmt.Sprintf("ACL-%dK", size/1000), func(b *testing.B) {
-			b.StopTimer()
-			if d == nil { // b.Run calls back once per trial N: load once
-				d, rs = loadACL(b, cfg, size)
-			}
+			d, rs := loadACL(b, cfg, size)
 			d.mu.Lock()
 			defer d.mu.Unlock()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				r := rs.Rules[i/2%len(rs.Rules)]
+			// step runs one half of rule r's delete and re-insert and
+			// publishes it, the publication on the clock when timed.
+			step := func(b *testing.B, r rules.Rule, del, timed bool) {
 				var err error
-				if i%2 == 0 {
+				if del {
 					_, err = d.deleteRule(r.ID)
 				} else {
-					_, err = d.insertRule(r, r.Encode())
+					_, err = d.insertRule(r, r.EncodeWidth(cfg.KeyWidth))
 				}
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.StartTimer()
+				if timed {
+					b.StartTimer()
+				}
 				d.publishLocked()
 				b.StopTimer()
 			}
-			if b.N%2 == 1 { // leave the table whole for the next trial
-				r := rs.Rules[b.N/2%len(rs.Rules)]
-				if _, err := d.insertRule(r, r.Encode()); err != nil {
-					b.Fatal(err)
+			for _, del := range []bool{true, false} {
+				name := "insert"
+				if del {
+					name = "delete"
 				}
-				d.publishLocked()
+				b.Run(name, func(b *testing.B) {
+					b.StopTimer()
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						r := rs.Rules[i%len(rs.Rules)]
+						step(b, r, true, del)
+						step(b, r, false, !del)
+					}
+				})
 			}
 		})
 	}

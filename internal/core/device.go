@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -353,8 +355,8 @@ func (d *Device) CyclesToNanos(cycles uint64) float64 {
 	return float64(cycles) * 1e3 / d.cfg.FrequencyMHz
 }
 
-// padWord widens a ternary word to the device key width with trailing
-// wildcards.
+// padWord widens a raw ternary word (InsertWord's) to the device key
+// width with trailing wildcards; a rule is encoded at the key width.
 func (d *Device) padWord(w ternary.Word) ternary.Word {
 	if w.Width() == d.cfg.KeyWidth {
 		return w
@@ -508,7 +510,7 @@ type updateOp struct {
 	event telemetry.EventKind // the request's telemetry kind
 	del   bool                // run the delete body on rule.ID first
 	rule  rules.Rule          // the ID; for a storing request also priority, action and body
-	words []ternary.Word      // the entries to store, encoded before the lock; nil for a delete
+	words []ternary.Word      // the entries to store, encoded at the key width before the lock; nil for a delete
 	raw   bool                // words have no rule-level form the shadow could mirror
 }
 
@@ -558,7 +560,7 @@ func (d *Device) update(op updateOp) (UpdateResult, error) {
 // returned. A rule with no entries is rejected with ErrEmptyRule before
 // any state is touched.
 func (d *Device) InsertRule(r rules.Rule) (UpdateResult, error) {
-	words := r.Encode()
+	words := r.EncodeWidth(d.cfg.KeyWidth)
 	if len(words) == 0 {
 		return UpdateResult{}, fmt.Errorf("%w: rule %d", ErrEmptyRule, r.ID)
 	}
@@ -571,7 +573,7 @@ func (d *Device) InsertRule(r rules.Rule) (UpdateResult, error) {
 // 5-tuples. The word is padded to the device key width; ruleID is the
 // handle for DeleteRule.
 func (d *Device) InsertWord(w ternary.Word, priority, ruleID, action int) (UpdateResult, error) {
-	words := [1]ternary.Word{w}
+	words := [1]ternary.Word{d.padWord(w)}
 	return d.update(updateOp{name: "insert_word", event: telemetry.EvInsert, words: words[:], raw: true,
 		rule: rules.Rule{ID: ruleID, Priority: priority, Action: action}})
 }
@@ -593,7 +595,7 @@ func (d *Device) ModifyRule(ruleID int, newRule rules.Rule) (UpdateResult, error
 	if newRule.ID != ruleID {
 		return UpdateResult{}, fmt.Errorf("core: modify must keep rule ID %d, got %d", ruleID, newRule.ID)
 	}
-	words := newRule.Encode()
+	words := newRule.EncodeWidth(d.cfg.KeyWidth)
 	if len(words) == 0 {
 		return UpdateResult{}, fmt.Errorf("%w: rule %d", ErrEmptyRule, ruleID)
 	}
@@ -601,7 +603,8 @@ func (d *Device) ModifyRule(ruleID int, newRule rules.Rule) (UpdateResult, error
 }
 
 // insertRule is the insert body: it stores words, the (non-empty)
-// entries of r, rolling all of them back when one does not fit.
+// entries of r at the device key width, rolling all of them back when
+// one does not fit.
 func (d *Device) insertRule(r rules.Rule, words []ternary.Word) (UpdateResult, error) {
 	var total UpdateResult
 	if d.locs[r.ID] == nil {
@@ -612,7 +615,7 @@ func (d *Device) insertRule(r rules.Rule, words []ternary.Word) (UpdateResult, e
 		d.trace.NextEntry(i)
 		seq := d.seqCounter
 		d.seqCounter++
-		e := Entry{Word: d.padWord(w), Rank: Rank{Priority: r.Priority, RuleID: r.ID, Seq: seq}, Action: r.Action}
+		e := Entry{Word: w, Rank: Rank{Priority: r.Priority, RuleID: r.ID, Seq: seq}, Action: r.Action}
 		res, err := d.insertEntry(e)
 		d.auditEvictionBound(res)
 		if err != nil {
@@ -1037,9 +1040,10 @@ func (d *Device) Occupancy() float64 {
 // subtable's interval, subtable maxes match their contents, the global
 // priority matrix encodes the order, every view the last epoch
 // published was filtered on that epoch's key positions, and every
-// subtable's priority matrix agrees with its stored ranks. Test
-// support; the flight recorder's AuditSweep runs the same checks
-// incrementally.
+// subtable's priority matrix agrees with its stored ranks, and then
+// that the last epoch is what a fresh freeze of the live state gives
+// (publishedLocked). Test support; the flight recorder's AuditSweep
+// runs all but the last check incrementally.
 func (d *Device) CheckInvariant() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -1050,6 +1054,40 @@ func (d *Device) CheckInvariant() error {
 		if err := d.subs[id].CheckInvariant(); err != nil {
 			return err
 		}
+	}
+	return d.publishedLocked()
+}
+
+// publishedLocked holds the last epoch to a fresh freeze of the live
+// arrays: its interval order, every active subtable's view (match view,
+// priority matrix, metadata, maximum and write stamps) and the global
+// view. A publish takes every part no write marked from the previous
+// epoch unread (snapshot.go), so a write that skipped its mark shows
+// here as a published part that differs from the live one. Caller holds
+// d.mu.
+func (d *Device) publishedLocked() error {
+	s := d.snap.Load()
+	if !slices.Equal(s.order, d.order) {
+		return fmt.Errorf("core: epoch %d publishes order %v, live %v", s.epoch, s.order, d.order)
+	}
+	for _, id := range d.order {
+		got, want := s.view(id), d.subs[id].snapshotView(nil, d.maxOf[id].Priority)
+		for _, part := range []struct {
+			name      string
+			got, want any
+		}{
+			{"match view", got.match, want.match},
+			{"priority matrix", got.prio, want.prio},
+			{"metadata", got.meta, want.meta},
+			{"view", *got, *want},
+		} {
+			if !reflect.DeepEqual(part.got, part.want) {
+				return fmt.Errorf("core: epoch %d: subtable %d's published %s differs from a fresh freeze", s.epoch, id, part.name)
+			}
+		}
+	}
+	if !reflect.DeepEqual(s.global, d.global.SnapshotView()) {
+		return fmt.Errorf("core: epoch %d's global matrix differs from a fresh freeze", s.epoch)
 	}
 	return nil
 }

@@ -49,9 +49,16 @@ import (
 // the views; it changes only when a subtable is assigned or released,
 // which is also when the global relation matrix changes
 // (d.globalDirty), and only then is either copied — the matrix by
-// chunk. Within a view, sharing is decided by comparing contents,
-// never by bookkeeping, so a shared part is byte-identical to a fresh
-// freeze whatever wrote the live arrays.
+// chunk. Within a view, written-part marks name the candidates and
+// contents decide. Each live array marks the parts its writes reach
+// (sram.Array each chunk, sram.TernaryArray its planes, a Subtable
+// each metadata chunk) and remembers what its last sharing freeze
+// returned; a publish over exactly that compares only the marked parts
+// and takes the rest unread, and over anything else compares every
+// part. A compared part is shared only when its contents are equal, so
+// a shared part is byte-identical to a fresh freeze. The marks are
+// trusted, so CheckInvariant holds every published view to a fresh
+// freeze: a write that skipped its mark fails it.
 //
 // Torn reads are impossible by construction: every part of a view is
 // copied out of the live arrays under d.mu (sram.SnapshotView) or is
@@ -129,16 +136,28 @@ func (st *Subtable) snapshotView(prev *subtableView, maxPrio int) *subtableView 
 
 // snapshotMeta freezes the slot metadata chunk by chunk, taking each
 // chunk of prev whose ranks and actions equal the live ones and
-// allocating only the chunks that changed.
+// allocating only the chunks that changed. When prev is the table the
+// last such freeze returned, only the chunks Insert or Delete wrote
+// since are compared; every other chunk is prev's unread. A non-nil
+// prev makes the returned table the record's. Caller holds d.mu.
 func (st *Subtable) snapshotMeta(prev []*slotMeta) []*slotMeta {
 	meta := make([]*slotMeta, (len(st.actions)+metaChunk-1)/metaChunk)
+	trusted := len(prev) == len(meta) && len(st.lastMeta) == len(meta) && &prev[0] == &st.lastMeta[0]
 	for c := range meta {
+		if trusted && !st.metaWritten.Get(c) {
+			meta[c] = prev[c]
+			continue
+		}
 		ranks, actions := chunkAt(st.store.ranks, c), chunkAt(st.actions, c)
 		if c < len(prev) && prev[c].ranks == ranks && prev[c].actions == actions {
 			meta[c] = prev[c]
 			continue
 		}
 		meta[c] = &slotMeta{ranks: ranks, actions: actions}
+	}
+	if prev != nil {
+		st.lastMeta = meta
+		st.metaWritten.Reset()
 	}
 	return meta
 }

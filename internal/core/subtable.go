@@ -28,6 +28,12 @@ type Subtable struct {
 	store *PriorityStore
 	// actions is reporter metadata (what the switch does on a match).
 	actions []int
+	// metaWritten has bit c set when Insert or Delete has written slot
+	// metadata chunk c (slots c*metaChunk on) since the last freeze that
+	// shared with a previous view, and lastMeta is the chunk table that
+	// freeze returned (snapshotMeta).
+	metaWritten *bitvec.Vector
+	lastMeta    []*slotMeta
 	// report is the reusable output buffer of RecomputeMax's priority
 	// decision, and row/col those of Insert's comparator broadcast, so
 	// neither allocates at steady state.
@@ -51,14 +57,15 @@ func NewSubtable(id, capacity, width int, matchParams, prioParams sram.Params) *
 		panic(fmt.Sprintf("core: match matrix rows %d != capacity %d", matchParams.Rows, capacity))
 	}
 	return &Subtable{
-		id:      id,
-		match:   sram.NewTernaryArray(matchParams, width),
-		prio:    sram.NewArray(prioParams),
-		store:   NewPriorityStore(capacity),
-		actions: make([]int, capacity),
-		report:  bitvec.New(capacity),
-		row:     bitvec.New(capacity),
-		col:     bitvec.New(capacity),
+		id:          id,
+		match:       sram.NewTernaryArray(matchParams, width),
+		prio:        sram.NewArray(prioParams),
+		store:       NewPriorityStore(capacity),
+		actions:     make([]int, capacity),
+		metaWritten: bitvec.New((capacity + metaChunk - 1) / metaChunk),
+		report:      bitvec.New(capacity),
+		row:         bitvec.New(capacity),
+		col:         bitvec.New(capacity),
 	}
 }
 
@@ -94,6 +101,7 @@ func (st *Subtable) Insert(slot int, e Entry) {
 	st.prio.WriteColumn(slot, st.col)
 	st.store.Set(slot, e.Rank)
 	st.actions[slot] = e.Action
+	st.metaWritten.Set(slot / metaChunk)
 }
 
 // Delete invalidates a slot (1 cycle). Stale priority-matrix bits are
@@ -106,6 +114,7 @@ func (st *Subtable) Delete(slot int) {
 	}
 	st.match.Invalidate(slot)
 	st.store.Clear(slot)
+	st.metaWritten.Set(slot / metaChunk)
 }
 
 // ReadEntry reads a stored entry back out (1 cycle in the match matrix,

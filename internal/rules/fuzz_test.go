@@ -1,6 +1,10 @@
 package rules
 
-import "testing"
+import (
+	"testing"
+
+	"catcam/internal/ternary"
+)
 
 // FuzzRangeToPrefixes verifies the cover is exact at fuzzer-chosen
 // probe points.
@@ -36,33 +40,86 @@ func FuzzRangeToPrefixes(f *testing.F) {
 }
 
 // FuzzEncodeMatches verifies that ternary encoding agrees with rule
-// semantics on fuzzer-chosen headers.
+// semantics on fuzzer-chosen rules and headers, every field fuzzed: both
+// prefixes (lengths folded into 0..32), both port ranges (a reversed
+// range is swapped), the protocol and its wildcard. It checks Encode's
+// TupleBits-wide words against the header's key, and EncodeWidth(160)'s
+// words, a device's width, against the same key padded with zeros, and
+// holds each of those words to its Encode counterpart widened by Slot.
 func FuzzEncodeMatches(f *testing.F) {
-	f.Add(uint32(0x0A000000), 8, uint32(0x0A010203), uint16(80), uint16(443), uint8(6))
-	f.Fuzz(func(t *testing.T, addr uint32, plen int, src uint32, pLo, pHi uint16, proto uint8) {
-		if plen < 0 || plen > 32 || pLo > pHi {
-			return
+	f.Add(uint32(0x0A000000), uint8(8), uint32(0), uint8(0), uint16(80), uint16(443), uint16(0), uint16(65535), uint8(6), false,
+		uint32(0x0A010203), uint32(0x01020304), uint16(80), uint16(9), uint8(6))
+	f.Add(uint32(0xC0A80000), uint8(16), uint32(0x0A0A0A0A), uint8(32), uint16(1024), uint16(65535), uint16(1), uint16(1023), uint8(17), true,
+		uint32(0xC0A80101), uint32(0x0A0A0A0A), uint16(2048), uint16(22), uint8(1))
+	f.Add(uint32(0xFFFFFFFF), uint8(33), uint32(0x80000000), uint8(1), uint16(65535), uint16(0), uint16(7), uint16(7), uint8(255), false,
+		uint32(0xFFFFFFFF), uint32(0x80000001), uint16(65535), uint16(7), uint8(255))
+	f.Fuzz(func(t *testing.T, srcAddr uint32, srcLen uint8, dstAddr uint32, dstLen uint8,
+		sLo, sHi, dLo, dHi uint16, proto uint8, protoWild bool,
+		hSrc, hDst uint32, hSport, hDport uint16, hProto uint8) {
+		if sLo > sHi {
+			sLo, sHi = sHi, sLo
+		}
+		if dLo > dHi {
+			dLo, dHi = dHi, dLo
 		}
 		r := Rule{
 			ID: 1, Priority: 1,
-			SrcIP:   Prefix{Addr: addr, Len: plen}.Canonical(),
-			DstIP:   Prefix{},
-			SrcPort: PortRange{Lo: pLo, Hi: pHi},
-			DstPort: FullPortRange(),
-			Proto:   proto,
+			SrcIP:         Prefix{Addr: srcAddr, Len: int(srcLen % 33)}.Canonical(),
+			DstIP:         Prefix{Addr: dstAddr, Len: int(dstLen % 33)}.Canonical(),
+			SrcPort:       PortRange{Lo: sLo, Hi: sHi},
+			DstPort:       PortRange{Lo: dLo, Hi: dHi},
+			Proto:         proto,
+			ProtoWildcard: protoWild,
 		}
-		h := Header{SrcIP: src, SrcPort: pLo, DstPort: 9, Proto: proto}
-		key := EncodeHeader(h)
-		matched := false
-		for _, w := range r.Encode() {
-			if w.Match(key) {
-				matched = true
-				break
+		words, wideWords := r.Encode(), r.EncodeWidth(160)
+		if len(words) != r.ExpansionCount() || len(wideWords) != len(words) {
+			t.Fatalf("rule %v: Encode %d words, EncodeWidth %d, ExpansionCount %d",
+				r, len(words), len(wideWords), r.ExpansionCount())
+		}
+		for i, w := range words {
+			padded := ternary.NewWord(160)
+			padded.Slot(0, w)
+			if !wideWords[i].Equal(padded) {
+				t.Fatalf("rule %v word %d: EncodeWidth %s, Encode widened %s", r, i, wideWords[i], padded)
 			}
 		}
-		if matched != r.Matches(h) {
-			t.Fatalf("encode/semantic mismatch: rule %v header %+v encoded=%v want=%v",
-				r, h, matched, r.Matches(h))
+		// The fuzzed header, and one moved inside the rule field by field,
+		// which the rule must match.
+		inside := Header{
+			SrcIP:   r.SrcIP.Addr | hSrc&^prefixMask(r.SrcIP.Len),
+			DstIP:   r.DstIP.Addr | hDst&^prefixMask(r.DstIP.Len),
+			SrcPort: sLo + uint16(uint32(hSport)%(uint32(sHi-sLo)+1)),
+			DstPort: dLo + uint16(uint32(hDport)%(uint32(dHi-dLo)+1)),
+			Proto:   proto,
+		}
+		if protoWild {
+			inside.Proto = hProto
+		}
+		for _, h := range []Header{{SrcIP: hSrc, DstIP: hDst, SrcPort: hSport, DstPort: hDport, Proto: hProto}, inside} {
+			key := EncodeHeader(h)
+			wide := ternary.NewKey(160)
+			wide.LoadPadded(key)
+			matched, wideMatched := false, false
+			for i, w := range words {
+				matched = matched || w.Match(key)
+				wideMatched = wideMatched || wideWords[i].Match(wide)
+			}
+			if want := r.Matches(h); matched != want || wideMatched != want {
+				t.Fatalf("encode/semantic mismatch: rule %v header %+v Encode=%v EncodeWidth=%v want=%v",
+					r, h, matched, wideMatched, want)
+			}
+		}
+		if !r.Matches(inside) {
+			t.Fatalf("rule %v does not match header %+v built inside it", r, inside)
 		}
 	})
+}
+
+// prefixMask returns the mask of an IPv4 prefix of length n's
+// significant bits.
+func prefixMask(n int) uint32 {
+	if n == 0 {
+		return 0
+	}
+	return ^uint32(0) << (32 - n)
 }

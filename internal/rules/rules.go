@@ -234,29 +234,32 @@ func (p Prefix16) Contains(v uint16) bool {
 // expansion words carry the same priority and action. The word layout is
 // srcIP | dstIP | srcPort | dstPort | proto, most significant first.
 func (r Rule) Encode() []ternary.Word {
-	src := ternary.Prefix(uint64(r.SrcIP.Addr), r.SrcIP.Len, SrcIPBits)
-	dst := ternary.Prefix(uint64(r.DstIP.Addr), r.DstIP.Len, DstIPBits)
+	return r.EncodeWidth(TupleBits)
+}
 
-	var proto ternary.Word
-	if r.ProtoWildcard {
-		proto = ternary.NewWord(ProtoBits)
-	} else {
-		proto = ternary.FromUint(uint64(r.Proto), ProtoBits)
+// EncodeWidth is Encode into words width positions wide: the five fields
+// fill the most significant TupleBits positions as Encode lays them out,
+// and the rest are wildcards, as a device wider than the tuple stores
+// them. Each word is built once, field by field, word-wise.
+func (r Rule) EncodeWidth(width int) []ternary.Word {
+	if width < TupleBits {
+		panic(fmt.Sprintf("rules: encode width %d below the tuple's %d", width, TupleBits))
 	}
-
+	protoLen := ProtoBits
+	if r.ProtoWildcard {
+		protoLen = 0
+	}
 	sports := RangeToPrefixes(r.SrcPort)
 	dports := RangeToPrefixes(r.DstPort)
 	out := make([]ternary.Word, 0, len(sports)*len(dports))
 	for _, sp := range sports {
-		spw := ternary.Prefix(uint64(sp.Value), sp.Len, SrcPortBits)
 		for _, dp := range dports {
-			dpw := ternary.Prefix(uint64(dp.Value), dp.Len, DstPortBits)
-			w := ternary.NewWord(TupleBits)
-			w.Slot(srcIPOff, src)
-			w.Slot(dstIPOff, dst)
-			w.Slot(srcPortOff, spw)
-			w.Slot(dstPortOff, dpw)
-			w.Slot(protoOff, proto)
+			w := ternary.NewWord(width)
+			w.SetPrefix(srcIPOff, SrcIPBits, uint64(r.SrcIP.Addr), r.SrcIP.Len)
+			w.SetPrefix(dstIPOff, DstIPBits, uint64(r.DstIP.Addr), r.DstIP.Len)
+			w.SetPrefix(srcPortOff, SrcPortBits, uint64(sp.Value), sp.Len)
+			w.SetPrefix(dstPortOff, DstPortBits, uint64(dp.Value), dp.Len)
+			w.SetPrefix(protoOff, ProtoBits, uint64(r.Proto), protoLen)
 			out = append(out, w)
 		}
 	}

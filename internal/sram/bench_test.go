@@ -18,10 +18,8 @@ func aclWords(n, width int) []ternary.Word {
 	rs := classbench.Generate(classbench.Config{Family: classbench.ACL, Size: 1000, Seed: 5})
 	var words []ternary.Word
 	for _, r := range rs.Rules {
-		for _, w := range r.Encode() {
-			wide := ternary.NewWord(width)
-			wide.Slot(0, w)
-			words = append(words, wide)
+		for _, w := range r.EncodeWidth(width) {
+			words = append(words, w)
 			if len(words) == n {
 				return words
 			}
@@ -94,5 +92,28 @@ func BenchmarkColumnNORAllValid(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		a.ColumnNORInto(dst, active)
+	}
+}
+
+// patternSink keeps BenchmarkSelectionPatterns' gathers live.
+var patternSink uint8
+
+// BenchmarkSelectionPatterns is the filter's gather for one entry write
+// or leave (tallyGroups): an ACL-1K row's fixed and cared patterns, on
+// the positions a 256×160 array loaded with 256 such rows scores best.
+func BenchmarkSelectionPatterns(b *testing.B) {
+	p := MatchMatrixParams()
+	words := aclWords(p.Rows, p.Cols)
+	t := NewTernaryArray(p, p.Cols)
+	for r, w := range words {
+		t.WriteEntry(r, w)
+	}
+	scores := make([]int, p.Cols)
+	t.AddSplitScores(scores)
+	sel := SelectPositions(p.Cols, scores)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		fixed, cared := sel.wordPatterns(words[i%len(words)].PlaneWords())
+		patternSink ^= fixed[i%FilterGroups] ^ cared[i%FilterGroups]
 	}
 }

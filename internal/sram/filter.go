@@ -20,7 +20,9 @@ import (
 // work (Zane, Narlikar & Basu, "CoolCAMs", INFOCOM 2003).
 
 // The filter's shape: FilterGroups groups of FilterBits positions, so a
-// key has one filterPatterns-valued pattern per group.
+// key has one filterPatterns-valued pattern per group. wordPatterns
+// gathers all 2*FilterGroups*FilterBits bits of an entry word into one
+// 64-bit register.
 const (
 	FilterGroups   = 4
 	FilterBits     = 8
@@ -37,6 +39,17 @@ const (
 //catcam:snapshot
 type Selection struct {
 	pos [FilterGroups][FilterBits]uint16
+	// at locates pos[g][j] in a packed plane, at index g*FilterBits+j:
+	// the index of the word holding it and its shift within that word,
+	// worked out once here for the gather an entry write or leave runs
+	// (wordPatterns).
+	at [FilterGroups * FilterBits]planeBit
+}
+
+// planeBit is where one position lives in a packed plane.
+type planeBit struct {
+	word  uint16
+	shift uint8
 }
 
 // SelectPositions picks the FilterGroups*FilterBits positions of a
@@ -56,9 +69,21 @@ func SelectPositions(width int, scores []int) *Selection {
 	if scores != nil {
 		sort.SliceStable(byScore, func(a, b int) bool { return scores[byScore[a]] > scores[byScore[b]] })
 	}
-	s := &Selection{}
+	var pos [FilterGroups][FilterBits]uint16
 	for i := 0; i < FilterGroups*FilterBits; i++ {
-		s.pos[i%FilterGroups][i/FilterGroups] = uint16(byScore[i%width])
+		pos[i%FilterGroups][i/FilterGroups] = uint16(byScore[i%width])
+	}
+	return selectionOf(pos)
+}
+
+// selectionOf returns the selection of the given positions, each
+// located in a packed plane.
+func selectionOf(pos [FilterGroups][FilterBits]uint16) *Selection {
+	s := &Selection{pos: pos}
+	for g := range pos {
+		for j, p := range pos[g] {
+			s.at[g*FilterBits+j] = planeBit{word: p / 64, shift: uint8(p % 64)}
+		}
 	}
 	return s
 }
@@ -70,9 +95,8 @@ func (s *Selection) Patterns(k ternary.Key) [FilterGroups]uint8 {
 	return s.patterns(k.Words())
 }
 
-// patterns gathers the selected bits of a packed plane (a key, or a
-// word's value or care plane): bit j of pattern g is the plane's bit at
-// s.pos[g][j].
+// patterns gathers the selected bits of a packed key plane: bit j of
+// pattern g is the plane's bit at s.pos[g][j].
 //
 //catcam:hotpath
 func (s *Selection) patterns(plane []uint64) [FilterGroups]uint8 {
@@ -85,6 +109,24 @@ func (s *Selection) patterns(plane []uint64) [FilterGroups]uint8 {
 		pats[g] = uint8(p)
 	}
 	return pats
+}
+
+// wordPatterns gathers an entry word's patterns from its two planes in
+// one pass: fixed from the value plane, cared from the care plane, bit
+// j of group g from position s.pos[g][j] of each. Both gather into one
+// register, the value bits in its low half and the care bits in its
+// high half, one OR per position.
+func (s *Selection) wordPatterns(value, care []uint64) (fixed, cared [FilterGroups]uint8) {
+	care = care[:len(value)]
+	var both uint64
+	for i, at := range s.at {
+		both |= (value[at.word]>>at.shift&1 | care[at.word]>>at.shift&1<<len(s.at)) << i
+	}
+	for g := range fixed {
+		fixed[g] = uint8(both >> (g * FilterBits))
+		cared[g] = uint8(both >> (len(s.at) + g*FilterBits))
+	}
+	return fixed, cared
 }
 
 // filterCounts holds, per group and pattern, how many valid entries are
@@ -127,8 +169,7 @@ func (t *TernaryArray) tally(w ternary.Word, delta int32) {
 // compatible with 2^k patterns: those that agree with its value where
 // it cares, enumerated by a subset walk of the free positions.
 func (t *TernaryArray) tallyGroups(w ternary.Word, delta uint16) {
-	value, care := w.PlaneWords()
-	fixed, cared := t.sel.patterns(value), t.sel.patterns(care)
+	fixed, cared := t.sel.wordPatterns(w.PlaneWords())
 	f := t.filter
 	for g := range cared {
 		counts, set := &f.n[g], &f.set[g]

@@ -207,6 +207,64 @@ func TestViewDropsPositionsNoStoredRowCares(t *testing.T) {
 	probe("the rewrite")
 }
 
+// TestTernaryWrittenPartRecord: while no write has reached the planes
+// since the last sharing freeze, a freeze over the view it returned
+// takes that view's order and lines unread, so a plane bit changed
+// behind the write paths' backs stays unpublished (the gap
+// core.Device.CheckInvariant closes). Any other previous view is
+// compared in full, a plain SnapshotView between two sharing freezes
+// neither reads nor clears the record, and WriteEntry and
+// InjectPlaneFault mark the planes.
+func TestTernaryWrittenPartRecord(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	a := newTestArray(256, 160)
+	for r := 0; r < 200; r++ {
+		a.WriteEntry(r, ternary.Random(rng, 160, 0.5))
+	}
+	fresh := func(step string, v *TernaryView) {
+		t.Helper()
+		if !reflect.DeepEqual(v, a.SnapshotView()) {
+			t.Fatalf("%s: the sharing freeze differs from a fresh one", step)
+		}
+	}
+	old := a.SnapshotView()
+	v1 := a.SnapshotViewSharing(old)
+	fresh("first", v1)
+
+	a.Invalidate(3)
+	a.Invalidate(150)
+	a.SnapshotView() // an audit freeze between two publishes
+	v2 := a.SnapshotViewSharing(v1)
+	if !v2.SharesSearchState(v1) {
+		t.Fatal("a freeze after invalidations alone did not take the recorded order and lines")
+	}
+	fresh("invalidations", v2)
+
+	pos := int(v2.walk.order[0])
+	i, bit := a.cell(7, pos)
+	a.planes[i+blockWords] ^= bit // no write path: nothing marks the planes
+	if v3 := a.SnapshotViewSharing(v2); !v3.SharesSearchState(v2) {
+		t.Fatal("a freeze over the recorded view compared planes no write marked")
+	}
+	if reflect.DeepEqual(a.SnapshotViewSharing(nil).walk, v2.walk) {
+		t.Fatal("the unmarked change did not reach the live planes")
+	}
+	fresh("a view other than the recorded one", a.SnapshotViewSharing(old))
+	a.planes[i+blockWords] ^= bit
+
+	v5 := a.SnapshotViewSharing(v2)
+	if a.InjectPlaneFault(8) < 0 {
+		t.Fatal("row 8 holds no cared position")
+	}
+	v6 := a.SnapshotViewSharing(v5)
+	if v6.SharesSearchState(v5) {
+		t.Fatal("a freeze after a plane fault took the recorded lines")
+	}
+	fresh("plane fault", v6)
+	a.WriteEntry(3, ternary.Random(rng, 160, 0.5))
+	fresh("entry write", a.SnapshotViewSharing(v6))
+}
+
 // TestSnapshotViewSharingMatchLines: a freeze takes the previous view's
 // order and lines after invalidations, and builds its own once a write
 // changes the lines, whether or not it changes the order; either way
@@ -414,16 +472,54 @@ func TestSelectPositions(t *testing.T) {
 	}
 }
 
+// TestWordPatternsMatchReference holds the one-pass gather of an entry
+// word's fixed and cared patterns to a bit-at-a-time reference, on
+// random words of one to ten plane words under random and scored
+// selections, repeats and the last position included.
+func TestWordPatternsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	gather := func(sel *Selection, plane []uint64) (pats [FilterGroups]uint8) {
+		for g := range sel.pos {
+			for j, pos := range sel.pos[g] {
+				if plane[pos/64]&(1<<(pos%64)) != 0 {
+					pats[g] |= 1 << j
+				}
+			}
+		}
+		return pats
+	}
+	for _, width := range []int{5, 64, 100, 160, 640} {
+		scores := make([]int, width)
+		for i := range scores {
+			scores[i] = rng.Intn(8)
+		}
+		scores[width-1] = 9
+		for _, sel := range []*Selection{randomSelection(rng, width), SelectPositions(width, scores), SelectPositions(width, nil)} {
+			for i := 0; i < 200; i++ {
+				w := ternary.Random(rng, width, rng.Float64())
+				value, care := w.PlaneWords()
+				fixed, cared := sel.wordPatterns(value, care)
+				if want := gather(sel, value); fixed != want {
+					t.Fatalf("width %d %s: fixed patterns %v, want %v", width, w, fixed, want)
+				}
+				if want := gather(sel, care); cared != want {
+					t.Fatalf("width %d %s: cared patterns %v, want %v", width, w, cared, want)
+				}
+			}
+		}
+	}
+}
+
 // randomSelection draws a selection of positions of a width-wide key,
 // repeats allowed.
 func randomSelection(rng *rand.Rand, width int) *Selection {
-	s := &Selection{}
-	for g := range s.pos {
-		for j := range s.pos[g] {
-			s.pos[g][j] = uint16(rng.Intn(width))
+	var pos [FilterGroups][FilterBits]uint16
+	for g := range pos {
+		for j := range pos[g] {
+			pos[g][j] = uint16(rng.Intn(width))
 		}
 	}
-	return s
+	return selectionOf(pos)
 }
 
 func TestFirstFree(t *testing.T) {

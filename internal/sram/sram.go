@@ -126,7 +126,13 @@ type Array struct {
 	rowWords int
 	bits     []uint64             //catcam:cycle-state
 	chunks   []*[ChunkRows]uint64 //catcam:cycle-state
-	stats    Stats
+	// written has bit k set when a write has reached chunk k since the
+	// last freeze that shared with a previous view, and last is the view
+	// that freeze returned: SnapshotViewSharing compares only the written
+	// chunks with last and takes the rest from it.
+	written *bitvec.Vector
+	last    *MatrixView
+	stats   Stats
 }
 
 // ChunkRows is the height of a priority-matrix chunk, the unit in which
@@ -148,7 +154,7 @@ func NewArray(p Params) *Array {
 	for k := range chunks {
 		chunks[k] = (*[ChunkRows]uint64)(bits[k*ChunkRows:])
 	}
-	return &Array{params: p, rowWords: rowWords, bits: bits, chunks: chunks}
+	return &Array{params: p, rowWords: rowWords, bits: bits, chunks: chunks, written: bitvec.New(len(chunks))}
 }
 
 // Params returns the array's physical parameters.
@@ -204,6 +210,7 @@ func (a *Array) WriteRow(r int, v *bitvec.Vector) {
 	a.stats.EnergyFJ += a.params.WriteEnergyPJ * 1000
 	for wi, w := range v.Words() {
 		a.bits[a.word(r, wi)] = w
+		a.written.Set(r/ChunkRows*a.rowWords + wi)
 	}
 }
 
@@ -230,7 +237,8 @@ func (a *Array) WriteColumnRowwise(c int, v *bitvec.Vector) {
 // branch: it rotates the chunk's 16 bits of v so that row j's bit sits
 // at the column's position, merges it into word j, and rotates the
 // next row's bit in. The rows a height short of a chunk multiple pads
-// get v's zero tail bits.
+// get v's zero tail bits. Each chunk of the column is marked written
+// for the next sharing freeze, as WriteRow marks its row's.
 func (a *Array) writeColumn(c int, v *bitvec.Vector, cycles, rowWrites, colWrites uint64) {
 	a.checkCol(c)
 	if v.Len() != a.params.Rows {
@@ -246,6 +254,7 @@ func (a *Array) writeColumn(c int, v *bitvec.Vector, cycles, rowWrites, colWrite
 	for cr, k := 0, c/64; k < len(a.chunks); cr, k = cr+1, k+a.rowWords {
 		s := bits.RotateLeft64(src[cr/chunksPerWord]>>(cr%chunksPerWord*ChunkRows), int(sh))
 		chunk := a.chunks[k]
+		a.written.Set(k)
 		for j := range chunk {
 			chunk[j] = chunk[j]&^bit | s&bit
 			s = bits.RotateLeft64(s, -1)
@@ -394,6 +403,14 @@ type TernaryArray struct {
 	// validCount caches valid.Count() so per-search energy accounting
 	// does not re-popcount the mask.
 	validCount int
+
+	// planesWritten is set when a write has reached the planes or the
+	// stored-care counts since the last freeze that shared with a
+	// previous view, and last is the view that freeze returned: while it
+	// is clear, SnapshotViewSharing takes last's position order and lines
+	// without comparing them.
+	planesWritten bool
+	last          *TernaryView
 }
 
 // The planes are cut into blocks of blockRows entries. Within a block
@@ -520,10 +537,12 @@ func (t *TernaryArray) WriteEntry(r int, w ternary.Word) {
 // into its line without a branch: w's words are rotated so that the
 // position's bit sits at r's, and rotated on by one per line. The
 // stored-care counts move by bit walks over the care bits w flips from
-// old's, not by a test per position.
+// old's, not by a test per position. It marks the planes written for
+// the next sharing freeze.
 //
 //catcam:allow cycles "plane scatter is part of WriteEntry's single modeled write cycle"
 func (t *TernaryArray) sliceEntry(r int, old, w ternary.Word) {
+	t.planesWritten = true
 	value, care := w.PlaneWords()
 	_, held := old.PlaneWords()
 	first, bit := t.cell(r, 0)
@@ -722,6 +741,7 @@ func (t *TernaryArray) InjectPlaneFault(r int) int {
 	for pos := 0; pos < t.Width(); pos++ {
 		if i, bit := t.cell(r, pos); t.planes[i+blockWords]&bit != 0 {
 			t.planes[i] ^= bit
+			t.planesWritten = true
 			return pos
 		}
 	}
@@ -737,8 +757,8 @@ func (t *TernaryArray) InjectFilterFault(r int) bool {
 	if !t.valid.Get(r) {
 		return false
 	}
-	value, care := t.entries[r].PlaneWords()
-	t.filter.n[0][t.sel.patterns(value)[0]&t.sel.patterns(care)[0]]--
+	fixed, cared := t.sel.wordPatterns(t.entries[r].PlaneWords())
+	t.filter.n[0][fixed[0]&cared[0]]--
 	return true
 }
 
@@ -752,6 +772,7 @@ func (t *TernaryArray) InjectStoredFault(r int) int {
 	for pos := range t.stored {
 		if i, bit := t.cell(r, pos); t.planes[i+blockWords]&bit != 0 {
 			t.stored[pos]--
+			t.planesWritten = true
 			return pos
 		}
 	}

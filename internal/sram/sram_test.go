@@ -139,6 +139,66 @@ func TestSnapshotViewSharing(t *testing.T) {
 	}
 }
 
+// TestArrayWrittenPartRecord: a sharing freeze over the view the last
+// one returned compares only the chunks written since and takes every
+// other chunk from that view unread, so a chunk changed behind the
+// write paths' backs stays the previous view's (the gap
+// core.Device.CheckInvariant closes). Any other previous view is
+// compared chunk by chunk, and a plain SnapshotView between two
+// sharing freezes neither reads nor clears the record.
+func TestArrayWrittenPartRecord(t *testing.T) {
+	const n = 256
+	rng := rand.New(rand.NewSource(47))
+	randomRow := func() *bitvec.Vector {
+		v := bitvec.New(n)
+		for i := 0; i < n; i++ {
+			if rng.Intn(2) == 0 {
+				v.Set(i)
+			}
+		}
+		return v
+	}
+	a := NewArray(smallParams(n, n))
+	for r := 0; r < n; r++ {
+		a.WriteRow(r, randomRow())
+	}
+	old := a.SnapshotView()
+	v1 := a.SnapshotViewSharing(old)
+	if v1 != old {
+		t.Fatal("an unchanged matrix was copied")
+	}
+
+	const row = 40
+	a.WriteRow(row, randomRow())
+	a.SnapshotView() // an audit freeze between two publishes
+	v2 := a.SnapshotViewSharing(v1)
+	if !reflect.DeepEqual(v2, a.SnapshotView()) {
+		t.Fatal("the freeze after a row write differs from a fresh one")
+	}
+	for r := 0; r < n; r += ChunkRows {
+		for c := 0; c < n; c += 64 {
+			if shared := v2.SharesChunk(v1, r, c); shared == (r/ChunkRows == row/ChunkRows) {
+				t.Fatalf("chunk of (%d, %d) shared = %v after a write to row %d", r, c, shared, row)
+			}
+		}
+	}
+
+	a.chunks[0][0] ^= 1 // no write path: nothing marks the chunk
+	if v3 := a.SnapshotViewSharing(v2); v3 != v2 {
+		t.Fatal("a freeze over the recorded view read a chunk no write marked")
+	}
+	if reflect.DeepEqual(v2, a.SnapshotView()) {
+		t.Fatal("the unmarked change did not reach the live array")
+	}
+	v4 := a.SnapshotViewSharing(old)
+	if !reflect.DeepEqual(v4, a.SnapshotView()) {
+		t.Fatal("a freeze over a view other than the recorded one trusted the record")
+	}
+	if a.SnapshotViewSharing(v4) != v4 {
+		t.Fatal("the full compare's view is not the matrix's contents")
+	}
+}
+
 // TestMatrixViewColumnNORMatchesArray holds a frozen view's decision
 // to the live array's, bit for bit and in its accounting, at heights
 // that fill a chunk partly, exactly and many times over, both for a

@@ -67,7 +67,9 @@ type careLines struct {
 // SnapshotView freezes the array's current search state into an
 // immutable view. Every line is copied; the returned view stays valid
 // (and constant) across later writes to the array. Not a modeled
-// hardware access: no cycle or energy accounting.
+// hardware access: no cycle or energy accounting. It neither reads nor
+// clears the written-part record SnapshotViewSharing keeps, so an audit
+// may freeze the array between publishes.
 func (t *TernaryArray) SnapshotView() *TernaryView {
 	return t.SnapshotViewSharing(nil)
 }
@@ -77,14 +79,21 @@ func (t *TernaryArray) SnapshotView() *TernaryView {
 // when they are still the array's: when prev lists the order the
 // stored-care counts give now and every line it holds equals the live
 // one. A delete changes neither, so its view copies only the valid
-// mask, the counts and the filter bitmap. The decision compares
-// contents, so a shared view is byte-identical to a fresh freeze.
+// mask, the counts and the filter bitmap. Contents decide: a shared
+// view is byte-identical to a fresh freeze. The written-part record
+// names the candidates: when prev is the view the last such freeze
+// returned and no write has reached the planes since, prev's order and
+// lines are the array's without a compare. Any other prev is compared
+// in full. A non-nil prev makes the returned view the record's.
 func (t *TernaryArray) SnapshotViewSharing(prev *TernaryView) *TernaryView {
 	var walk careLines
-	if prev != nil && prev.rows == t.params.Rows && prev.width == t.Width() &&
-		t.isCareOrder(prev.walk.order) && t.linesEqual(prev.walk) {
+	switch {
+	case prev == nil || prev.rows != t.params.Rows || prev.width != t.Width():
+		walk = t.freezeLines()
+	case prev == t.last && !t.planesWritten,
+		t.isCareOrder(prev.walk.order) && t.linesEqual(prev.walk):
 		walk = prev.walk
-	} else {
+	default:
 		walk = t.freezeLines()
 	}
 	counts := make([]uint16, len(walk.order))
@@ -93,7 +102,7 @@ func (t *TernaryArray) SnapshotViewSharing(prev *TernaryView) *TernaryView {
 	}
 	valid := make([]uint64, len(t.planes)/(t.Width()*lineWords)*blockWords)
 	copy(valid, t.valid.Words())
-	return &TernaryView{
+	v := &TernaryView{
 		rows:       t.params.Rows,
 		width:      t.Width(),
 		walk:       walk,
@@ -104,6 +113,10 @@ func (t *TernaryArray) SnapshotViewSharing(prev *TernaryView) *TernaryView {
 		validCount: t.validCount,
 		searchFJ:   float64(t.subarrays) * t.params.ComputeEnergyFJ(t.validCount),
 	}
+	if prev != nil {
+		t.last, t.planesWritten = v, false
+	}
+	return v
 }
 
 // freezeLines copies the positions stored rows care at, in careOrder,
@@ -334,9 +347,11 @@ type MatrixView struct {
 
 // SnapshotView freezes the matrix's current contents into an immutable
 // view holding a copy of every chunk; later WriteRow/WriteColumn calls
-// on the array cannot reach it. Not a modeled hardware access.
+// on the array cannot reach it. Not a modeled hardware access. It
+// neither reads nor clears the written-part record SnapshotViewSharing
+// keeps.
 func (a *Array) SnapshotView() *MatrixView {
-	return a.SnapshotViewSharing(nil)
+	return a.freeze(nil, false)
 }
 
 // SnapshotViewSharing is SnapshotView that shares with prev (the
@@ -344,17 +359,33 @@ func (a *Array) SnapshotView() *MatrixView {
 // unchanged, copying only the chunks a write changed, and returns prev
 // itself when none did — a delete never writes the matrix, and an
 // insert's row and column writes change at most 19 of a 256×256
-// matrix's 64 chunks. The decision compares chunk contents, so a view that shares
-// is byte-identical to a fresh freeze.
+// matrix's 64 chunks. Contents decide, so a view that shares is
+// byte-identical to a fresh freeze. The written-part record names the
+// candidates: when prev is the view the last such freeze returned,
+// only the chunks written since are compared, and every other chunk is
+// prev's unread. Any other prev is compared chunk by chunk in full. A
+// non-nil prev makes the returned view the record's.
 func (a *Array) SnapshotViewSharing(prev *MatrixView) *MatrixView {
+	if prev == nil || prev.params != a.params {
+		return a.SnapshotView()
+	}
+	v := a.freeze(prev, prev == a.last)
+	a.written.Reset()
+	a.last = v
+	return v
+}
+
+// freeze returns the view of the live chunks over prev (nil for none):
+// prev's table with a copy of each chunk that differs from prev's, or
+// prev itself when none does. trusted compares only the chunks written
+// since the last sharing freeze, prev being the view it returned.
+func (a *Array) freeze(prev *MatrixView, trusted bool) *MatrixView {
 	if a.params.Rows != a.params.Cols {
 		panic("sram: MatrixView requires a square array")
 	}
-	if prev != nil && prev.params != a.params {
-		prev = nil
-	}
 	var chunks []*[ChunkRows]uint64
-	for k, live := range a.chunks {
+	for k := a.candidate(trusted, 0); k < len(a.chunks); k = a.candidate(trusted, k+1) {
+		live := a.chunks[k]
 		if prev != nil && *prev.chunks[k] == *live {
 			continue
 		}
@@ -371,6 +402,20 @@ func (a *Array) SnapshotViewSharing(prev *MatrixView) *MatrixView {
 		return prev
 	}
 	return &MatrixView{params: a.params, chunks: chunks}
+}
+
+// candidate returns the first chunk at or after k that a freeze must
+// compare: k itself unless the written-part record is trusted, the next
+// chunk written since the last sharing freeze if it is, and
+// len(a.chunks) when none is left.
+func (a *Array) candidate(trusted bool, k int) int {
+	if !trusted {
+		return k
+	}
+	if k = a.written.NextSet(k); k < 0 {
+		return len(a.chunks)
+	}
+	return k
 }
 
 // SharesChunk reports whether v and o hold the chunk with bit (r, c) in

@@ -43,12 +43,15 @@ func tailMask(width int) uint64 {
 	return ^uint64(0)
 }
 
-// NewWord returns an all-wildcard ternary word of the given width.
+// NewWord returns an all-wildcard ternary word of the given width. Its
+// value and care planes share one allocation.
 func NewWord(width int) Word {
 	if width <= 0 {
 		panic(fmt.Sprintf("ternary: non-positive width %d", width))
 	}
-	return Word{width: width, value: make([]uint64, words(width)), care: make([]uint64, words(width))}
+	n := words(width)
+	planes := make([]uint64, 2*n)
+	return Word{width: width, value: planes[:n:n], care: planes[n:]}
 }
 
 // NewKey returns an all-zero key of the given width.
@@ -421,6 +424,35 @@ func (k *Key) SetUint(off, width int, v uint64) {
 	if spill := uint(width) + sh; spill > wordBits {
 		drop := uint(wordBits) - sh
 		k.bits[wi+1] = k.bits[wi+1]&^(mask>>drop) | v>>drop
+	}
+}
+
+// SetPrefix writes into positions [off, off+width) of w, most
+// significant first, the top plen bits of v's low width bits, followed
+// by wildcards: Slot of Prefix(v, plen, width) without the intermediate
+// word, set word-wise as Key.SetUint sets a key field. The rule encoder
+// writes every field of a stored word with it.
+//
+//catcam:mutator
+func (w *Word) SetPrefix(off, width int, v uint64, plen int) {
+	if off < 0 || width <= 0 || width > 64 || off+width > w.width {
+		panic(fmt.Sprintf("ternary: set-prefix [%d,%d) outside width %d", off, off+width, w.width))
+	}
+	if plen < 0 || plen > width {
+		panic(fmt.Sprintf("ternary: prefix length %d outside [0,%d]", plen, width))
+	}
+	mask := ^uint64(0) >> uint(64-width)
+	care := mask &^ (mask >> uint(plen))
+	v &= care
+	// Storage position of the field's least significant bit.
+	lo := w.width - off - width
+	wi, sh := lo/wordBits, uint(lo%wordBits)
+	w.value[wi] = w.value[wi]&^(mask<<sh) | v<<sh
+	w.care[wi] = w.care[wi]&^(mask<<sh) | care<<sh
+	if spill := uint(width) + sh; spill > wordBits {
+		drop := uint(wordBits) - sh
+		w.value[wi+1] = w.value[wi+1]&^(mask>>drop) | v>>drop
+		w.care[wi+1] = w.care[wi+1]&^(mask>>drop) | care>>drop
 	}
 }
 

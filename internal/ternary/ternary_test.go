@@ -255,6 +255,28 @@ func TestQuickSlotMatchesBitwise(t *testing.T) {
 	}
 }
 
+// TestQuickSetPrefixMatchesSlot: SetPrefix writes what Slot of the
+// matching Prefix word writes, fields straddling a storage word and
+// filling one whole included, and leaves every other position alone.
+func TestQuickSetPrefixMatchesSlot(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 3000; trial++ {
+		width := 1 + rng.Intn(700)
+		n := 1 + rng.Intn(min(width, 64))
+		off := rng.Intn(width - n + 1)
+		plen := rng.Intn(n + 1)
+		v := rng.Uint64()
+		w := Random(rng, width, 0.3)
+		want := w.Copy()
+		want.Slot(off, Prefix(v&(^uint64(0)>>(64-n)), plen, n))
+		got := w.Copy()
+		got.SetPrefix(off, n, v, plen)
+		if !got.Equal(want) {
+			t.Fatalf("SetPrefix(%d, %d, %#x, %d) into %s = %s, want %s", off, n, v, plen, w, got, want)
+		}
+	}
+}
+
 // Property: Subsumes implies Overlaps, and Subsumes implies every
 // matching key of the subsumed word matches the subsuming word.
 func TestQuickSubsumeImpliesOverlapAndMatch(t *testing.T) {
