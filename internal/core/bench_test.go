@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"catcam/internal/bitvec"
 	"catcam/internal/classbench"
 	"catcam/internal/rules"
 )
@@ -34,20 +35,29 @@ func fullSubtable() (*Subtable, []Entry) {
 			entries = append(entries, e)
 		}
 	}
+	st.flush()
 	return st, entries
 }
 
 // BenchmarkSubtableInsert alters a full subtable: CompareAll is the
-// comparator broadcast alone, DeleteInsert a slot's delete and the
-// 3-cycle re-insert of its entry (broadcast, entry write, priority row
-// and column writes).
+// comparator broadcast of one pending entry against the other slots
+// alone (each slot's class, also bit-sliced), DeleteInsert a slot's delete
+// and the 3-cycle re-insert of its entry (entry write, then at the
+// next delete's flush the broadcast and the priority row and column
+// writes).
 func BenchmarkSubtableInsert(b *testing.B) {
 	st, entries := fullSubtable()
 	n := len(entries)
 	b.Run("CompareAll", func(b *testing.B) {
+		fs, pending := newFlushScratch(n), bitvec.New(n)
+		pend := fs.pend[:1]
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			st.store.CompareAll(entries[i%n].Rank, st.row, st.col)
+			slot := i % n
+			pend[0] = pendingSlot{rank: entries[slot].Rank, slot: slot}
+			pending.Set(slot)
+			st.store.CompareAll(pend, pending.Words(), fs.class, fs.planes)
+			pending.Clear(slot)
 		}
 	})
 	b.Run("DeleteInsert", func(b *testing.B) {
@@ -102,12 +112,77 @@ func BenchmarkInsertRuleMultiRow(b *testing.B) {
 	}
 }
 
+// BenchmarkInsertRuleMultiRowFull inserts, in turn, each ACL-1K rule
+// that encodes to 24 rows or more into a full subtable, so every row
+// evicts: the other half of the update tail. The device is the
+// Compact geometry cut to 2 subtables. The first holds fillers ranked
+// below the rule and, above it, a copy of the rule with the most rows,
+// so each row of the rule evicts the subtable's maximum into the
+// second. One op is the insert and its publication; off the clock, the
+// rule and the copy are deleted and the copy re-inserted, which fills
+// the first subtable again and empties the second.
+func BenchmarkInsertRuleMultiRowFull(b *testing.B) {
+	cfg := Compact()
+	cfg.Subtables = 2
+	rs := classbench.Generate(classbench.Config{Family: classbench.ACL, Size: 1000, Seed: 5})
+	var multi []rules.Rule
+	var top rules.Rule
+	for _, r := range rs.Rules {
+		if n := len(r.Encode()); n >= 24 {
+			r.Priority = 1
+			multi = append(multi, r)
+			if n > len(top.Encode()) {
+				top = r
+			}
+		}
+	}
+	if len(multi) == 0 {
+		b.Fatal("no rule of 24 rows or more")
+	}
+	top.ID, top.Priority = len(rs.Rules), 2
+	d := NewDevice(cfg)
+	if _, err := d.InsertRule(top); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; !d.subs[d.order[0]].Full(); i++ {
+		w := rs.Rules[i%len(rs.Rules)].EncodeWidth(cfg.KeyWidth)[0]
+		if _, err := d.InsertWord(w, 0, len(rs.Rules)+1+i, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := multi[i%len(multi)]
+		res, err := d.InsertRule(r)
+		b.StopTimer()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rows := len(r.Encode()); res.Reallocated != rows {
+			b.Fatalf("rule %d: %d of %d rows evicted", r.ID, res.Reallocated, rows)
+		}
+		for _, id := range []int{r.ID, top.ID} {
+			if _, err := d.DeleteRule(id); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := d.InsertRule(top); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}
+
 // BenchmarkPublish times one update's publishLocked on a device of
 // 1,024 subtables loaded with ACL tables of 1K, 10K and 20K rules, a
 // rule's delete and its re-insert apart: /delete times the publication
 // that ends a delete, /insert the one that ends the re-insert. The
 // update and the other half of the pair, with its publication, run off
-// the clock, so every op starts from the whole table.
+// the clock, so every op starts from the whole table. So that the
+// publication off the clock does not warm the caches for the timed one,
+// a buffer larger than L2 is swept before every timed publication, on
+// both halves.
 func BenchmarkPublish(b *testing.B) {
 	cfg := Compact()
 	cfg.Subtables = 1024
@@ -129,6 +204,7 @@ func BenchmarkPublish(b *testing.B) {
 					b.Fatal(err)
 				}
 				if timed {
+					sweepCaches()
 					b.StartTimer()
 				}
 				d.publishLocked()
@@ -150,5 +226,17 @@ func BenchmarkPublish(b *testing.B) {
 				})
 			}
 		})
+	}
+}
+
+// sweep is 8 MB, four times the 2 MB L2 cache of the host DESIGN.md
+// §17's rungs were measured on.
+var sweep = make([]uint64, 8<<20/8)
+
+// sweepCaches reads and writes every cache line of sweep, so what a
+// timed section reads next comes from L3 or memory, not L1 or L2.
+func sweepCaches() {
+	for i := 0; i < len(sweep); i += 8 {
+		sweep[i]++
 	}
 }

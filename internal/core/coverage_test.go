@@ -83,6 +83,7 @@ func TestNewDeviceValidation(t *testing.T) {
 		{Subtables: 8, SubtableCapacity: 8, KeyWidth: 100}, // not a multiple of 160
 		{Subtables: 8, SubtableCapacity: -1},
 		{Subtables: 8, SubtableCapacity: 8, KeyWidth: -160},
+		{Subtables: 1, SubtableCapacity: 1 << 16}, // a flush's 16-bit classes
 	} {
 		if cfg.Validate() == nil {
 			t.Fatalf("case %d: Validate accepts %+v", i, cfg)

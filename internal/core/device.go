@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"sort"
@@ -52,12 +53,13 @@ type Config struct {
 }
 
 // Validate reports whether the configuration describes a buildable
-// device: positive geometry and a key width that is zero (one
-// subarray) or a positive multiple of the match subarray width.
+// device: positive geometry, at most 65,535 slots a subtable (a flush
+// counts pending entries in 16 bits), and a key width that is zero
+// (one subarray) or a positive multiple of the match subarray width.
 // NewDevice panics with this error; callers that take a Config from
 // outside the program check it first.
 func (c Config) Validate() error {
-	if c.Subtables <= 0 || c.SubtableCapacity <= 0 {
+	if c.Subtables <= 0 || c.SubtableCapacity <= 0 || c.SubtableCapacity > math.MaxUint16 {
 		return fmt.Errorf("core: invalid config %+v", c)
 	}
 	if cols := sram.MatchMatrixParams().Cols; c.KeyWidth < 0 || c.KeyWidth%cols != 0 {
@@ -297,9 +299,11 @@ func NewDevice(cfg Config) *Device {
 	}
 	d.readPool.New = func() any { return d.newReadScratch() }
 	d.sel = sram.SelectPositions(cfg.KeyWidth, nil)
+	scratch := newFlushScratch(cfg.SubtableCapacity)
 	for i := range d.subs {
 		d.subs[i] = NewSubtable(i, cfg.SubtableCapacity, cfg.KeyWidth, matchP, prioP)
 		d.subs[i].match.SetSelection(d.sel)
+		d.subs[i].scratch = scratch
 	}
 	for i := cfg.Subtables - 1; i >= 0; i-- {
 		d.freeSubs = append(d.freeSubs, i)

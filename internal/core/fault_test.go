@@ -16,6 +16,16 @@ import (
 // published view's, detects it: fail-stop without an auditor,
 // fail-report with one.
 
+// injectRowFault edits live row r of st's priority matrix through
+// edit. Pending writes are flushed first, so none of them lands on the
+// fault later.
+func injectRowFault(st *Subtable, r int, edit func(*bitvec.Vector)) {
+	st.flush()
+	row := st.prio.ReadRow(r)
+	edit(row)
+	st.prio.WriteRow(r, row)
+}
+
 // expectDecidePanic runs the view's decision with no auditor attached
 // and requires the fail-stop.
 func expectDecidePanic(t *testing.T, sv *subtableView, mv *bitvec.Vector, what string) {
@@ -61,9 +71,7 @@ func TestFaultInjectionPriorityMatrixDetected(t *testing.T) {
 	// Inject: clear P[6][4] — the winner's row bit that suppresses the
 	// loser at slot 4. With P[4][6] already 0, neither matched column
 	// is suppressed and the report vector carries two bits.
-	row := st.prio.ReadRow(6)
-	row.Clear(4)
-	st.prio.WriteRow(6, row)
+	injectRowFault(st, 6, func(row *bitvec.Vector) { row.Clear(4) })
 
 	// The view published before the fault still decides correctly; the
 	// next one carries the corrupted matrix.
@@ -83,9 +91,7 @@ func TestFaultInjectionCaughtByInvariant(t *testing.T) {
 	if err := st.CheckInvariant(); err != nil {
 		t.Fatal(err)
 	}
-	row := st.prio.ReadRow(1)
-	row.Clear(0)
-	st.prio.WriteRow(1, row)
+	injectRowFault(st, 1, func(row *bitvec.Vector) { row.Clear(0) })
 	if err := st.CheckInvariant(); err == nil {
 		t.Fatal("invariant missed the corrupted cell")
 	}
@@ -99,9 +105,7 @@ func TestFaultInjectionMutualDominance(t *testing.T) {
 	st.Insert(2, Entry{Word: ternary.MustParse("1***"), Rank: Rank{Priority: 1, RuleID: 0}})
 	st.Insert(5, Entry{Word: ternary.MustParse("10**"), Rank: Rank{Priority: 5, RuleID: 1}})
 	// P[2][5] = 1 (spurious: rule0 also beats rule1 now).
-	row := st.prio.ReadRow(2)
-	row.Set(5)
-	st.prio.WriteRow(2, row)
+	injectRowFault(st, 2, func(row *bitvec.Vector) { row.Set(5) })
 
 	sv := st.snapshotView(nil, 0)
 	mv := bitvec.FromIndices(8, 2, 5)

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"catcam/internal/bitvec"
 	"catcam/internal/classbench"
 	"catcam/internal/flightrec"
 	"catcam/internal/rules"
@@ -238,9 +239,7 @@ func TestAuditorDetectsCorruptedLocalMatrix(t *testing.T) {
 			lose = s
 		}
 	}
-	row := st.prio.ReadRow(win)
-	row.Clear(lose)
-	st.prio.WriteRow(win, row)
+	injectRowFault(st, win, func(row *bitvec.Vector) { row.Clear(lose) })
 	republish(d)
 
 	e, ok := classifyKey(d, ternary.MustParseKey("1000"))

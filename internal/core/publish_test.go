@@ -10,6 +10,7 @@ import (
 	"time"
 	"unsafe"
 
+	"catcam/internal/bitvec"
 	"catcam/internal/classbench"
 	"catcam/internal/flightrec"
 	"catcam/internal/oracle"
@@ -149,9 +150,7 @@ func TestPublishSharesUnchangedParts(t *testing.T) {
 	// part of the device stays shared.
 	d.mu.Lock()
 	st := d.subs[at.st]
-	row := st.prio.ReadRow(at.slot)
-	row.SetAll()
-	st.prio.WriteRow(at.slot, row)
+	injectRowFault(st, at.slot, func(row *bitvec.Vector) { row.SetAll() })
 	d.mu.Unlock()
 	before := d.snap.Load()
 	republish(d)
@@ -525,9 +524,12 @@ func TestUpdateBytesPerOpPinned(t *testing.T) {
 // TestUpdateBytesFlatInTableSize pins that what an update allocates
 // does not grow with the number of active subtables: on a Compact
 // device with 1,024 subtables, 4,000 UpdateTraceFresh ops (seed 7) over
-// ACL-10K (table seed 5) allocate at most 1.15 times what they do over
-// ACL-1K. The time per op is logged, not gated: run with -v to
-// compare it across table sizes.
+// ACL-10K (table seed 5) allocate at most 1,165 B/op more than they do
+// over ACL-1K. The bound is on the difference, not the ratio, because
+// what grows with the table is a fixed amount per op, so a saving made
+// on both sides would raise a ratio; 1,165 B is what a 1.15 ratio
+// allowed at ACL-1K's 7,766 B/op. The time per op is logged, not
+// gated: run with -v to compare it across table sizes.
 func TestUpdateBytesFlatInTableSize(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts")
@@ -537,8 +539,8 @@ func TestUpdateBytesFlatInTableSize(t *testing.T) {
 	small, smallUs := updateCost(t, cfg, 1000, 4000)
 	large, largeUs := updateCost(t, cfg, 10000, 4000)
 	t.Logf("ACL-1K: %.0f B/op, %.1f µs/op; ACL-10K: %.0f B/op, %.1f µs/op", small, smallUs, large, largeUs)
-	if ratio := large / small; ratio > 1.15 {
-		t.Errorf("ACL-10K updates allocate %.2f times what ACL-1K updates do, want <= 1.15", ratio)
+	if diff := large - small; diff > 1165 {
+		t.Errorf("ACL-10K updates allocate %.0f B/op more than ACL-1K updates do, want <= 1,165", diff)
 	}
 }
 

@@ -50,23 +50,6 @@ func (r Rank) Less(o Rank) bool {
 // Beats reports whether r wins over o (the P[i][j] bit).
 func (r Rank) Beats(o Rank) bool { return o.Less(r) }
 
-// beatsBit is Beats as a 0/1 word, computed without a branch: the
-// three fields' comparisons combine lexicographically.
-func (r Rank) beatsBit(o Rank) uint64 {
-	return b2u(o.Priority < r.Priority) |
-		b2u(o.Priority == r.Priority)&(b2u(o.RuleID < r.RuleID)|
-			b2u(o.RuleID == r.RuleID)&b2u(o.Seq < r.Seq))
-}
-
-// b2u is 1 for true and 0 for false; the compiler lowers it to a
-// flag-setting instruction, not a branch.
-func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 func (r Rank) String() string {
 	return fmt.Sprintf("(%d,%d,%d)", r.Priority, r.RuleID, r.Seq)
 }

@@ -113,8 +113,10 @@ type slotMeta struct {
 // the priority of its maximum, sharing with prev (the previous epoch's
 // view of this subtable, or nil) the match view's order and lines,
 // every priority-matrix chunk and every metadata chunk whose contents
-// have not changed. Caller holds d.mu.
+// have not changed. Pending priority-matrix writes are flushed first.
+// Caller holds d.mu.
 func (st *Subtable) snapshotView(prev *subtableView, maxPrio int) *subtableView {
+	st.flush()
 	var prevMatch *sram.TernaryView
 	var prevPrio *sram.MatrixView
 	var prevMeta []*slotMeta

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"catcam/internal/bitvec"
 	"catcam/internal/flightrec"
@@ -34,10 +36,17 @@ type Subtable struct {
 	// freeze returned (snapshotMeta).
 	metaWritten *bitvec.Vector
 	lastMeta    []*slotMeta
+	// pending has bit s set when Insert stored slot s's entry and charged
+	// its priority-matrix row and column writes, which flush has not yet
+	// performed. flush runs before anything reads the live matrix.
+	pending *bitvec.Vector
+	// scratch is flush's working storage, shared by every subtable of a
+	// device (updates serialize on its lock); a subtable built on its own
+	// makes its own at its first flush.
+	scratch *flushScratch
 	// report is the reusable output buffer of RecomputeMax's priority
-	// decision, and row/col those of Insert's comparator broadcast, so
-	// neither allocates at steady state.
-	report, row, col *bitvec.Vector
+	// decision, so it does not allocate at steady state.
+	report *bitvec.Vector
 	// aud, when attached by the device, switches a broken one-hot
 	// guarantee in RecomputeMax from fail-stop (panic) to fail-report
 	// with a metadata-derived fallback answer. Lookups decide over the
@@ -63,9 +72,40 @@ func NewSubtable(id, capacity, width int, matchParams, prioParams sram.Params) *
 		store:       NewPriorityStore(capacity),
 		actions:     make([]int, capacity),
 		metaWritten: bitvec.New((capacity + metaChunk - 1) / metaChunk),
+		pending:     bitvec.New(capacity),
 		report:      bitvec.New(capacity),
-		row:         bitvec.New(capacity),
-		col:         bitvec.New(capacity),
+	}
+}
+
+// flushScratch is what one flush works in, sized for a capacity once:
+// the pending slots with their ranks, in rank order, with room for
+// CompareAll's padding; each row's class, which also covers the rows
+// that pad the priority matrix to whole chunks; the classes
+// bit-sliced; the class masks; the running OR of the class buckets;
+// and the row being written.
+type flushScratch struct {
+	pend   []pendingSlot
+	class  []uint16
+	planes []uint64
+	masks  []uint64
+	below  []uint64
+	row    []uint64
+}
+
+type pendingSlot struct {
+	rank Rank
+	slot int
+}
+
+func newFlushScratch(capacity int) *flushScratch {
+	w := (capacity + 63) / 64
+	return &flushScratch{
+		pend:   make([]pendingSlot, 0, 1<<bits.Len(uint(capacity))),
+		class:  make([]uint16, (capacity+sram.ChunkRows-1)/sram.ChunkRows*sram.ChunkRows),
+		planes: make([]uint64, bits.Len(uint(capacity))*w),
+		masks:  make([]uint64, (capacity+1)*w),
+		below:  make([]uint64, w),
+		row:    make([]uint64, w),
 	}
 }
 
@@ -89,32 +129,116 @@ func (st *Subtable) FreeSlot() int { return st.match.FirstFree() }
 
 // Insert writes e into the given free slot: the match matrix row
 // (1 cycle) in parallel with the priority matrix row + column write
-// (1 + 2 cycles), per §VIII-A a 3-cycle operation. The priority vectors
-// come from the store's comparators.
+// (1 + 2 cycles), per §VIII-A a 3-cycle operation. All three are
+// charged here, in that order, but the priority row and column are
+// only marked pending: flush writes them, with those of every other
+// entry inserted since the last read of the matrix, from one
+// comparator broadcast (CompareAll). The matrix a reader sees, and
+// every statistic, is what writing each entry at once would give.
 func (st *Subtable) Insert(slot int, e Entry) {
 	if st.match.IsValid(slot) {
 		panic(fmt.Sprintf("core: subtable %d slot %d occupied", st.id, slot))
 	}
-	st.store.CompareAll(e.Rank, st.row, st.col)
 	st.match.WriteEntry(slot, e.Word)
-	st.prio.WriteRow(slot, st.row)
-	st.prio.WriteColumn(slot, st.col)
+	st.prio.ChargeEntryWrite()
 	st.store.Set(slot, e.Rank)
 	st.actions[slot] = e.Action
+	st.pending.Set(slot)
 	st.metaWritten.Set(slot / metaChunk)
 }
 
 // Delete invalidates a slot (1 cycle). Stale priority-matrix bits are
 // harmless: an invalid slot never matches, so its word-line never
 // activates, and its row/column are rewritten on the next insert into
-// the slot.
+// the slot. Pending writes are flushed first, while the slot is still
+// valid, so the stale bits are those writing each entry at once leaves.
 func (st *Subtable) Delete(slot int) {
 	if !st.match.IsValid(slot) {
 		panic(fmt.Sprintf("core: subtable %d slot %d already free", st.id, slot))
 	}
+	st.flush()
 	st.match.Invalidate(slot)
 	st.store.Clear(slot)
 	st.metaWritten.Set(slot / metaChunk)
+}
+
+// flush performs the pending priority-matrix writes in one pass: for k
+// pending entries, one comparator broadcast of (capacity + k) ·
+// bits.Len(k) compares and O(capacity + k · bits.Len(k)) word work,
+// instead of k broadcasts and k column writes. Between two flushes
+// only inserts run (Delete flushes first), so writing each entry at
+// once would leave P[i][s] = slot i valid and beating slot s, for every
+// row i and pending slot s, and the same in every column of a pending
+// row. flush sorts the pending ranks and broadcasts them (CompareAll),
+// which gives each row its class, the number of pending ranks it
+// beats, also bit-sliced. Pending entry t's row is then the other
+// valid slots of classes 0 to t, a running OR of the class buckets,
+// and the t lowest pending slots. The pending columns of all rows are
+// written with one masked store per row and word, the class picking
+// the row's mask: the class lowest pending slots. flush runs before
+// every read of the live matrix: RecomputeMax, Delete, snapshotView
+// and CheckInvariant. Insert charged the cycles.
+func (st *Subtable) flush() {
+	if !st.pending.Any() {
+		return
+	}
+	fs := st.scratch
+	if fs == nil {
+		fs = newFlushScratch(st.Capacity())
+		st.scratch = fs
+	}
+	pend := fs.pend[:0]
+	for wi, w := range st.pending.Words() {
+		for ; w != 0; w &= w - 1 {
+			slot := wi*64 + bits.TrailingZeros64(w)
+			pend = append(pend, pendingSlot{rank: st.store.ranks[slot], slot: slot})
+		}
+	}
+	slices.SortFunc(pend, byRank)
+	w, classes := len(fs.row), len(pend)+1
+	st.store.CompareAll(pend, st.pending.Words(), fs.class, fs.planes)
+
+	// masks[wi*classes+c] is word wi of the c lowest pending slots.
+	masks := fs.masks[:w*classes]
+	for wi := 0; wi < w; wi++ {
+		masks[wi*classes] = 0
+	}
+	for t, p := range pend {
+		for wi := 0; wi < w; wi++ {
+			masks[wi*classes+t+1] = masks[wi*classes+t]
+		}
+		masks[p.slot/64*classes+t+1] |= 1 << (p.slot % 64)
+	}
+
+	// Bucket t, the valid slots not pending of class t, is where the
+	// planes spell t; below gathers the buckets up to t.
+	L, valid, pending := bits.Len(uint(len(pend))), st.store.valid.Words(), st.pending.Words()
+	below, row := fs.below, fs.row
+	clear(below)
+	for t, p := range pend {
+		for wi := range row {
+			bucket := valid[wi] &^ pending[wi]
+			for b, pl := range fs.planes[wi*L : (wi+1)*L] {
+				bucket &= pl ^ (uint64(t>>b&1) - 1)
+			}
+			below[wi] |= bucket
+			row[wi] = below[wi] | masks[wi*classes+t]
+		}
+		st.prio.WriteOwedRow(p.slot, row)
+	}
+	st.prio.WriteOwedColumns(st.pending.Words(), fs.class, masks)
+	st.pending.Reset()
+}
+
+// byRank orders pending slots by increasing rank.
+func byRank(a, b pendingSlot) int {
+	switch {
+	case a.rank.Less(b.rank):
+		return -1
+	case a.rank == b.rank:
+		return 0
+	}
+	return 1
 }
 
 // ReadEntry reads a stored entry back out (1 cycle in the match matrix,
@@ -139,6 +263,7 @@ func (st *Subtable) Action(slot int) int { return st.actions[slot] }
 // holding the subtable's maximum priority in one cycle, with no sorted
 // structure. Returns -1 when empty.
 func (st *Subtable) RecomputeMax() int {
+	st.flush()
 	valid := st.store.ValidRef()
 	if !valid.Any() {
 		return -1
@@ -169,9 +294,14 @@ func (st *Subtable) ResetStats() {
 }
 
 // CheckInvariant verifies the priority matrix agrees with the store:
-// for every pair of valid slots, P[i][j] == rank_i beats rank_j. Test
-// support, not a hardware operation.
+// for every pair of valid slots, P[i][j] == rank_i beats rank_j, and
+// no charged write is left unperformed once pending writes are flushed.
+// Test support, not a hardware operation.
 func (st *Subtable) CheckInvariant() error {
+	st.flush()
+	if n := st.prio.OwedCycles(); n != 0 {
+		return fmt.Errorf("core: subtable %d owes %d cycles of priority-matrix writes after a flush", st.id, n)
+	}
 	valid := st.store.Valid()
 	idx := valid.Indices()
 	for _, i := range idx {

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"math"
+	"math/bits"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"catcam/internal/bitvec"
@@ -52,47 +56,112 @@ func TestRankOrder(t *testing.T) {
 	}
 }
 
-// TestPriorityStoreBroadcast: CompareAll splits the valid slots into the
-// new rank's row (slots it beats) and column (slots that beat it).
+// broadcast stores pend's ranks in their slots, as Insert does, sorts
+// pend and runs CompareAll over it into scratch filled with ones, so
+// that what it does not overwrite shows. It returns the pending mask,
+// the classes and the class planes.
+func broadcast(s *PriorityStore, pend []pendingSlot) (*bitvec.Vector, []uint16, []uint64) {
+	pending := bitvec.New(s.Capacity())
+	for _, p := range pend {
+		s.Set(p.slot, p.rank)
+		pending.Set(p.slot)
+	}
+	slices.SortFunc(pend, byRank)
+	fs := newFlushScratch(s.Capacity())
+	for i := range fs.class {
+		fs.class[i] = ^uint16(0)
+	}
+	for i := range fs.planes {
+		fs.planes[i] = ^uint64(0)
+	}
+	s.CompareAll(append(fs.pend, pend...), pending.Words(), fs.class, fs.planes)
+	return pending, fs.class, fs.planes
+}
+
+// checkBroadcast holds CompareAll's output to Beats, row by row: a
+// valid slot not pending is in the class of the pending ranks it
+// beats, in class and in planes, pend[t] in class t, and any other row
+// in class 0.
+func checkBroadcast(t *testing.T, s *PriorityStore, pend []pendingSlot, pending *bitvec.Vector, class []uint16, planes []uint64) {
+	t.Helper()
+	L := bits.Len(uint(len(pend)))
+	for i := range class {
+		want, listed := 0, false
+		if i < s.Capacity() && pending.Get(i) {
+			for want < len(pend) && pend[want].slot != i {
+				want++
+			}
+		} else if i < s.Capacity() {
+			r, valid := s.Rank(i)
+			for _, p := range pend {
+				if valid && r.Beats(p.rank) {
+					want++
+				}
+			}
+			listed = valid
+		}
+		if int(class[i]) != want {
+			t.Fatalf("row %d: class %d, want %d", i, class[i], want)
+		}
+		if !listed {
+			continue
+		}
+		got := 0
+		for b, pl := range planes[i/64*L : (i/64+1)*L] {
+			got |= int(pl>>(i%64)&1) << b
+		}
+		if got != want {
+			t.Fatalf("row %d: planes spell class %d, want %d", i, got, want)
+		}
+	}
+}
+
+// TestPriorityStoreBroadcast: CompareAll gives every row the number of
+// pending ranks it beats, and buckets the valid slots not pending by it.
 func TestPriorityStoreBroadcast(t *testing.T) {
 	s := NewPriorityStore(8)
 	s.Set(1, Rank{Priority: 10})
 	s.Set(3, Rank{Priority: 30})
 	s.Set(5, Rank{Priority: 50})
-	row, col := bitvec.New(8), bitvec.New(8)
-	row.SetAll() // CompareAll overwrites, never accumulates
-	s.CompareAll(Rank{Priority: 40}, row, col)
-	if got := row.Indices(); len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("row = %v, want [1 3]", got)
+	pend := []pendingSlot{{rank: Rank{Priority: 40}, slot: 7}, {rank: Rank{Priority: 5}, slot: 0}}
+	pending, class, planes := broadcast(s, pend)
+	// Priority 5 beats no slot; 40 beats slots 1 and 3 (its row) and
+	// loses to slot 5 (its column).
+	if want := []uint16{0, 1, 0, 1, 0, 2, 0, 1}; !slices.Equal(class[:8], want) {
+		t.Fatalf("class = %v, want %v", class[:8], want)
 	}
-	if got := col.Indices(); len(got) != 1 || got[0] != 5 {
-		t.Fatalf("col = %v, want [5]", got)
+	if planes[0]&(1<<1|1<<3|1<<5) != 1<<1|1<<3 || planes[1]&(1<<1|1<<3|1<<5) != 1<<5 {
+		t.Fatalf("planes = %b, want classes 1, 1 and 2 at slots 1, 3 and 5", planes[:2])
 	}
+	checkBroadcast(t, s, pend, pending, class, planes)
 	if s.MaxSlot() != 5 {
 		t.Fatalf("MaxSlot = %d", s.MaxSlot())
 	}
 	s.Clear(5)
-	if s.MaxSlot() != 3 {
+	if s.MaxSlot() != 7 {
 		t.Fatalf("MaxSlot after clear = %d", s.MaxSlot())
 	}
 	if _, ok := s.Rank(5); ok {
 		t.Fatal("cleared slot still has rank")
 	}
-	if s.Count() != 2 || s.Capacity() != 8 {
+	if s.Count() != 4 || s.Capacity() != 8 {
 		t.Fatal("counts wrong")
 	}
 	if raceEnabled {
 		return // race instrumentation perturbs allocation counts
 	}
-	if n := testing.AllocsPerRun(10, func() { s.CompareAll(Rank{Priority: 40}, row, col) }); n != 0 {
+	fs := newFlushScratch(s.Capacity())
+	pend = append(fs.pend, pend...)
+	if n := testing.AllocsPerRun(10, func() { s.CompareAll(pend, pending.Words(), class, planes) }); n != 0 {
 		t.Errorf("CompareAll allocates %.1f/op", n)
 	}
 
 	// Ties: 200 slots (three full words and an 8-slot tail) whose ranks
 	// share priorities, and within a priority rule IDs, so the rule ID
 	// and then the sequence decide; every fifth slot vacant, and the
-	// slots of one word all valid. Each broadcast must agree with Beats
-	// slot by slot, and say nothing of a vacant slot.
+	// slots of one word all valid. Pending ranks go into vacant slots:
+	// some tie stored ones' priority and rule ID, one beats none, one
+	// beats all, and one pending alone is the single insert's broadcast.
 	s = NewPriorityStore(200)
 	for i := 0; i < s.Capacity(); i++ {
 		if i%5 == 4 && i/64 != 1 {
@@ -100,22 +169,47 @@ func TestPriorityStoreBroadcast(t *testing.T) {
 		}
 		s.Set(i, Rank{Priority: i % 3, RuleID: i / 7 % 2, Seq: i})
 	}
-	row, col = bitvec.New(200), bitvec.New(200)
-	for _, r := range []Rank{
-		{Priority: 1, RuleID: 1, Seq: 100}, // ties priority and rule ID with stored ranks
-		{Priority: 1, RuleID: 0, Seq: 1000},
-		{Priority: 2, RuleID: 1, Seq: -1},
-		{Priority: -1}, {Priority: 3}, // beats none, beats all
-	} {
-		s.CompareAll(r, row, col)
-		for i := 0; i < s.Capacity(); i++ {
-			o, valid := s.Rank(i)
-			wantRow, wantCol := valid && r.Beats(o), valid && o.Beats(r)
-			if row.Get(i) != wantRow || col.Get(i) != wantCol {
-				t.Fatalf("new %v vs slot %d %v (valid %v): row %v col %v, want %v %v",
-					r, i, o, valid, row.Get(i), col.Get(i), wantRow, wantCol)
+	pend = []pendingSlot{
+		{rank: Rank{Priority: 1, RuleID: 1, Seq: 100}, slot: 4}, // ties priority and rule ID with stored ranks
+		{rank: Rank{Priority: 1, RuleID: 0, Seq: 1000}, slot: 9},
+		{rank: Rank{Priority: 1, RuleID: 0, Seq: 50}, slot: 14},
+		{rank: Rank{Priority: 2, RuleID: 1, Seq: -1}, slot: 19},
+		{rank: Rank{Priority: -1}, slot: 24}, {rank: Rank{Priority: 3}, slot: 199}, // beats none, beats all
+	}
+	pending, class, planes = broadcast(s, pend)
+	checkBroadcast(t, s, pend, pending, class, planes)
+	s.Clear(4)
+	pend = []pendingSlot{{rank: Rank{Priority: 1, RuleID: 1, Seq: 8}, slot: 4}}
+	for _, p := range []int{9, 14, 19, 24, 199} {
+		s.Clear(p)
+	}
+	pending, class, planes = broadcast(s, pend)
+	checkBroadcast(t, s, pend, pending, class, planes)
+
+	// Every count of pending ranks up to 70 (one to seven search steps,
+	// with and without padding) over 130 slots whose priorities mostly
+	// tie, some at math.MaxInt, the padding's priority.
+	rng := rand.New(rand.NewSource(1))
+	for k := 1; k <= 70; k++ {
+		s = NewPriorityStore(130)
+		prio := func() int {
+			if rng.Intn(8) == 0 {
+				return math.MaxInt
+			}
+			return rng.Intn(6) - 2
+		}
+		slots := rng.Perm(s.Capacity())
+		for _, i := range slots[k:] {
+			if rng.Intn(6) > 0 {
+				s.Set(i, Rank{Priority: prio(), RuleID: rng.Intn(3), Seq: i})
 			}
 		}
+		pend = pend[:0]
+		for _, i := range slots[:k] {
+			pend = append(pend, pendingSlot{rank: Rank{Priority: prio(), RuleID: rng.Intn(3), Seq: i}, slot: i})
+		}
+		pending, class, planes = broadcast(s, pend)
+		checkBroadcast(t, s, pend, pending, class, planes)
 	}
 }
 

@@ -133,6 +133,10 @@ type Array struct {
 	written *bitvec.Vector
 	last    *MatrixView
 	stats   Stats
+	// owedCycles is the cost of the writes ChargeEntryWrite charged and
+	// WriteOwedColumns and WriteOwedRow have not yet performed: each
+	// deferred write settles its share, and one never charged panics.
+	owedCycles uint64
 }
 
 // ChunkRows is the height of a priority-matrix chunk, the unit in which
@@ -261,6 +265,100 @@ func (a *Array) writeColumn(c int, v *bitvec.Vector, cycles, rowWrites, colWrite
 		}
 	}
 }
+
+// ChargeEntryWrite charges one entry's row write (1 cycle) and
+// dual-voltage column write (2 cycles), as WriteRow then WriteColumn
+// would, but leaves the data to be written later: the array owes those
+// 3 cycles' writes until WriteOwedColumns and WriteOwedRow perform
+// them. A caller that inserts several entries before anything reads
+// the array writes all their rows and columns in one pass, while every
+// Stats field, the energy sum's order of additions included, moves as
+// if each entry had been written at once.
+func (a *Array) ChargeEntryWrite() {
+	a.stats.Cycles++
+	a.stats.RowWrites++
+	a.stats.EnergyFJ += a.params.WriteEnergyPJ * 1000
+	a.stats.Cycles += 2
+	a.stats.ColWrites++
+	a.stats.EnergyFJ += 2 * a.params.WriteEnergyPJ * 1000
+	a.owedCycles += 3
+}
+
+// OwedCycles returns the cycles charged by ChargeEntryWrite whose
+// writes are still to be performed: zero once every deferred write is.
+func (a *Array) OwedCycles() uint64 { return a.owedCycles }
+
+// checkOwed panics unless n cycles of deferred writes were charged.
+func (a *Array) checkOwed(n uint64) {
+	if n > a.owedCycles {
+		panic(fmt.Sprintf("sram: deferred writes of %d cycles, %d charged", n, a.owedCycles))
+	}
+}
+
+// WriteOwedColumns performs the deferred column writes of the columns
+// set in cols (one word per 64 columns), all in one pass over the
+// rows, with one masked store per row and column word: row r's bits in
+// those columns become mask class[r] of the word, and its other
+// columns keep their bits. masks holds the same number n of masks for
+// every column word wi, mask c at masks[wi*n+c]; a mask has bits only
+// in cols. Entries ranked in a sorted run see the run's lower ranks as
+// a prefix, which is why one mask per class serves every row. Each
+// column settles the 2 cycles ChargeEntryWrite charged for it, and
+// every chunk of the columns' words is marked written, as writeColumn
+// marks its column's. class covers the rows a height short of a chunk
+// multiple pads too, with class 0, whose mask is empty.
+func (a *Array) WriteOwedColumns(cols []uint64, class []uint16, masks []uint64) {
+	if len(cols) != a.rowWords || len(class) < len(a.chunks)/a.rowWords*ChunkRows || len(masks)%a.rowWords != 0 {
+		panic(fmt.Sprintf("sram: %d column words, %d row classes and %d masks for a %dx%d array",
+			len(cols), len(class), len(masks), a.params.Rows, a.params.Cols))
+	}
+	var n uint64
+	for _, w := range cols {
+		n += 2 * uint64(bits.OnesCount64(w))
+	}
+	a.checkOwed(n)
+	a.owedCycles -= n
+	classes := len(masks) / a.rowWords
+	for wi, cw := range cols {
+		if cw == 0 {
+			continue
+		}
+		mw, keep := masks[wi*classes:(wi+1)*classes], ^cw
+		for base, k := 0, wi; k < len(a.chunks); base, k = base+ChunkRows, k+a.rowWords {
+			maskChunk(a.chunks[k], (*[ChunkRows]uint16)(class[base:]), keep, mw)
+			a.written.Set(k)
+		}
+	}
+}
+
+// maskChunk stores in each word j of chunk the bits keep keeps and mask
+// cls[j] of mw.
+func maskChunk(chunk *[ChunkRows]uint64, cls *[ChunkRows]uint16, keep uint64, mw []uint64) {
+	for j, c := range cls {
+		chunk[j] = chunk[j]&keep | mw[c]
+	}
+}
+
+// WriteOwedRow performs the deferred row write of row r, storing words
+// (one per 64 columns), settles the cycle ChargeEntryWrite charged for
+// it and marks the row's chunks written, as WriteRow does.
+func (a *Array) WriteOwedRow(r int, words []uint64) {
+	a.checkRow(r)
+	if len(words) != a.rowWords {
+		panic(fmt.Sprintf("sram: row of %d words != %d", len(words), a.rowWords))
+	}
+	a.checkOwed(1)
+	a.owedCycles--
+	for wi, w := range words {
+		a.bits[a.word(r, wi)] = w
+		a.written.Set(r/ChunkRows*a.rowWords + wi)
+	}
+}
+
+// Written returns a copy of the written-part record: bit k is set when
+// a write has reached chunk k since the last sharing freeze. Test
+// support.
+func (a *Array) Written() *bitvec.Vector { return a.written.Copy() }
 
 // Bit returns the stored bit at (r, c) without cycle accounting
 // (debug/verification path, not a hardware access).

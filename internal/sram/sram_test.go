@@ -276,6 +276,45 @@ func TestColumnWritePreservesOtherColumns(t *testing.T) {
 	}
 }
 
+// TestOwedWritesSettle: deferred writes charge what WriteRow and
+// WriteColumn charge, when charged, and store what they store when
+// performed; a write never charged panics. The 40-row array pads its
+// last chunk and its last column word.
+func TestOwedWritesSettle(t *testing.T) {
+	p := smallParams(40, 40)
+	owed, now := NewArray(p), NewArray(p)
+	// Row 3 ranks below row 17; both are inserted, with row 5 already
+	// stored below both and row 30 above both.
+	now.WriteRow(3, bitvec.FromIndices(40, 5))
+	now.WriteColumn(3, bitvec.FromIndices(40, 30))
+	now.WriteRow(17, bitvec.FromIndices(40, 3, 5))
+	now.WriteColumn(17, bitvec.FromIndices(40, 30))
+	owed.ChargeEntryWrite()
+	owed.ChargeEntryWrite()
+	if owed.Stats() != now.Stats() || owed.OwedCycles() != 6 {
+		t.Fatalf("charged %+v, owing %d; written at once %+v", owed.Stats(), owed.OwedCycles(), now.Stats())
+	}
+	// Classes: row 17 beats row 3, row 30 beats both; masks per class
+	// are the prefixes of the run (3, then 17).
+	class := make([]uint16, 48)
+	class[17], class[30] = 1, 2
+	owed.WriteOwedColumns([]uint64{1<<3 | 1<<17}, class, []uint64{0, 1 << 3, 1<<3 | 1<<17})
+	owed.WriteOwedRow(3, bitvec.FromIndices(40, 5).Words())
+	owed.WriteOwedRow(17, bitvec.FromIndices(40, 3, 5).Words())
+	if owed.OwedCycles() != 0 || owed.Stats() != now.Stats() {
+		t.Fatalf("after the writes: owing %d, stats %+v", owed.OwedCycles(), owed.Stats())
+	}
+	if !reflect.DeepEqual(owed.SnapshotView(), now.SnapshotView()) || !owed.Written().Equal(now.Written()) {
+		t.Fatal("deferred writes stored or marked other chunks than writing at once")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a write never charged was performed")
+		}
+	}()
+	owed.WriteOwedRow(3, bitvec.FromIndices(40, 5).Words())
+}
+
 func TestColumnRowwiseAblationCost(t *testing.T) {
 	fast := NewArray(smallParams(16, 16))
 	slow := NewArray(smallParams(16, 16))
