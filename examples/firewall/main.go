@@ -25,8 +25,9 @@ func main() {
 	trace := classbench.UpdateTrace(rs, churn, 43)
 	headers := classbench.PacketTrace(rs, packets, 0.85, 44)
 
-	// FW rules expand to ~15-20 entries each, so use the prototype's
-	// 64K-entry geometry.
+	// FW rules range-expand to several entries each (about 4 at this
+	// key width, with its port predicate columns), so use the
+	// prototype's 64K-entry geometry.
 	dev := catcam.New(catcam.Compact())
 	ref := &catcam.Ruleset{}
 

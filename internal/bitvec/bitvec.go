@@ -65,9 +65,19 @@ func (v *Vector) LoadWords(ws []uint64) *Vector {
 }
 
 func (v *Vector) check(i int) {
-	if i < 0 || i >= v.n {
-		panic(fmt.Sprintf("bitvec: index %d out of range [0,%d)", i, v.n))
+	if uint(i) >= uint(v.n) {
+		panic(indexError{i, v.n})
 	}
+}
+
+// indexError is check's panic value, an out-of-range index i of an
+// n-bit vector. It formats only when printed, which keeps check, and
+// with it Set, Clear and Get, within the compiler's inlining budget: a
+// formatting call in check alone exceeds it.
+type indexError struct{ i, n int }
+
+func (e indexError) Error() string {
+	return fmt.Sprintf("bitvec: index %d out of range [0,%d)", e.i, e.n)
 }
 
 // Set sets bit i to 1.

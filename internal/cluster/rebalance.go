@@ -124,6 +124,7 @@ func (c *Cluster) moveBoundary(donor, recipient, target int) int {
 	if up {
 		slices.Reverse(rs)
 	}
+	width := c.shards[donor].Config().KeyWidth
 	var moved, movedEntries int
 	for i := 0; i < len(rs) && movedEntries < target; {
 		// The tie group: every donor rule at this priority.
@@ -142,7 +143,7 @@ func (c *Cluster) moveBoundary(donor, recipient, target int) int {
 			break
 		}
 		for _, o := range group {
-			movedEntries += o.rule.ExpansionCount()
+			movedEntries += o.rule.ExpansionCountWidth(width)
 		}
 		moved += len(group)
 		// Slide the bound so the moved priorities now route to the

@@ -39,13 +39,13 @@ func TestInsertWordAndPadding(t *testing.T) {
 	if err != nil || res.Cycles != 3 {
 		t.Fatalf("InsertWord: %+v %v", res, err)
 	}
-	// A 4-bit key pads with zeros; the stored word pads with wildcards,
-	// so the padded key matches iff the prefix matches.
-	e, ok := classifyKey(d, ternary.MustParseKey("1010"))
+	// A 4-bit key padded with zeros matches the word padded with
+	// wildcards iff the prefix matches.
+	e, ok := classifyKey(d, paddedKey(d, "1010"))
 	if !ok || e.Action != 42 {
 		t.Fatalf("lookup = %+v %v", e, ok)
 	}
-	if _, ok := classifyKey(d, ternary.MustParseKey("1011")); ok {
+	if _, ok := classifyKey(d, paddedKey(d, "1011")); ok {
 		t.Fatal("wrong key matched")
 	}
 	if _, err := d.DeleteRule(1); err != nil {
@@ -74,6 +74,19 @@ func TestLookupBatchOversizePanics(t *testing.T) {
 		}
 	}()
 	d.LookupBatch([]ternary.Key{ternary.NewKey(320)}, nil)
+}
+
+// TestLookupBatchNarrowKeyPanics holds LookupBatch to device-wide keys:
+// a 5-tuple key zero-padded would read 0 in the port predicate columns
+// and miss every predicate row, so a narrow key is refused outright.
+func TestLookupBatchNarrowKeyPanics(t *testing.T) {
+	d := NewDevice(Config{Subtables: 2, SubtableCapacity: 4, KeyWidth: 160})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("narrow key accepted")
+		}
+	}()
+	d.LookupBatch([]ternary.Key{rules.EncodeHeader(rules.Header{})}, nil)
 }
 
 func TestNewDeviceValidation(t *testing.T) {

@@ -406,12 +406,20 @@ type LookupResult struct {
 // latency; concurrent batches proceed in parallel, never serializing on
 // a lock.
 //
+// Every key must be exactly the device's key width, as
+// rules.EncodeHeaderInto writes it at that width, and a key of any
+// other width panics: a narrower key zero-padded would leave the port
+// predicate columns 0 and silently miss every predicate row.
+//
 //catcam:hotpath
 func (d *Device) LookupBatch(keys []ternary.Key, dst []LookupResult) []LookupResult {
 	s := d.snap.Load()
 	sc := d.getScratch()
 	for _, k := range keys {
-		e, _, ok := s.lookup(sc, d.padKey(sc, k))
+		if k.Width() != d.cfg.KeyWidth {
+			panic(fmt.Sprintf("core: key width %d is not the device width %d", k.Width(), d.cfg.KeyWidth))
+		}
+		e, _, ok := s.lookup(sc, k)
 		dst = append(dst, LookupResult{Entry: e, OK: ok})
 	}
 	d.putScratch(sc)
@@ -445,9 +453,9 @@ func (d *Device) View() View { return View{d.snap.Load()} }
 
 // LookupHeaderBatchAt is LookupBatch over packet headers against view
 // v, one of this device's, the one header classify loop: each header is
-// encoded into the scratch key and classified, with one result appended
-// to dst per header. Allocates nothing when dst has capacity; safe for
-// any number of concurrent callers.
+// encoded straight into the scratch's device-wide key and classified,
+// with one result appended to dst per header. Allocates nothing when
+// dst has capacity; safe for any number of concurrent callers.
 //
 // A sampled batch's tr (nil otherwise) receives, per key, a
 // device_lookup span carrying the winning subtable and the modeled
@@ -469,8 +477,8 @@ func (d *Device) LookupHeaderBatchAt(v View, tr *tracepkg.Trace, hs []rules.Head
 			start = tracepkg.Nanos()
 			sc.keyIdx = i
 		}
-		rules.EncodeHeaderInto(&sc.encKey, h)
-		e, sub, ok := s.lookup(sc, d.padKey(sc, sc.encKey))
+		rules.EncodeHeaderInto(&sc.key, h)
+		e, sub, ok := s.lookup(sc, sc.key)
 		if tr != nil {
 			//catcam:allow alloc "sampled trace span; rate-gated off the steady-state path"
 			tr.Span(tracepkg.StageDeviceLookup, s.trTable, s.trShard, sub, i, start, 1) // one pipelined cycle per lookup

@@ -219,15 +219,30 @@ func TestDeleteMaxRefreshesInterval(t *testing.T) {
 func TestRangeExpansionRollbackOnFull(t *testing.T) {
 	cfg := Config{Subtables: 1, SubtableCapacity: 4, KeyWidth: 160}
 	d := NewDevice(cfg)
-	// This rule expands to 6 entries (port range 1024-65535) but only 4
-	// slots exist: insertion must fail and leave the device empty.
+	// This rule expands to 16 entries (port range 1025-65535, one past
+	// the predicate's reach) but only 4 slots exist: insertion must fail
+	// and leave the device empty.
 	r := mkRule(1, 5, rules.Prefix{Len: 0})
-	r.DstPort = rules.PortRange{Lo: 1024, Hi: 0xFFFF}
+	r.DstPort = rules.PortRange{Lo: 1025, Hi: 0xFFFF}
+	if n := r.ExpansionCountWidth(cfg.KeyWidth); n <= cfg.SubtableCapacity {
+		t.Fatalf("rule expands to %d entries, want more than the %d slots", n, cfg.SubtableCapacity)
+	}
 	if _, err := d.InsertRule(r); !errors.Is(err, ErrFull) {
 		t.Fatalf("want ErrFull, got %v", err)
 	}
 	if d.Len() != 0 {
 		t.Fatalf("partial insert left %d entries", d.Len())
+	}
+	if err := d.CheckInvariant(); err != nil {
+		t.Fatal(err)
+	}
+	// 1024-65535 is the dst-port predicate row alone: one entry.
+	r.DstPort = rules.PortRange{Lo: 1024, Hi: 0xFFFF}
+	if _, err := d.InsertRule(r); err != nil {
+		t.Fatal(err)
+	}
+	if d.Len() != 1 {
+		t.Fatalf("1024-65535 stored %d entries, want 1", d.Len())
 	}
 	if err := d.CheckInvariant(); err != nil {
 		t.Fatal(err)

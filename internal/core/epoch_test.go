@@ -109,7 +109,7 @@ func TestEpochDifferentialVsLinear(t *testing.T) {
 						phase, i, path, e.Rank.RuleID, e.Action, ok, idOf[want], want, wantOK)
 				}
 			}
-			e, ok := classifyKey(d, rules.EncodeHeader(h))
+			e, ok := classifyKey(d, headerKey(d, h))
 			agree("LookupBatch", e, ok)
 			agree("LookupHeaderBatch", batch[i].Entry, batch[i].OK)
 			if action, ok := d.Lookup(h); ok != wantOK || (ok && action != want) {

@@ -242,7 +242,7 @@ func TestAuditorDetectsCorruptedLocalMatrix(t *testing.T) {
 	injectRowFault(st, win, func(row *bitvec.Vector) { row.Clear(lose) })
 	republish(d)
 
-	e, ok := classifyKey(d, ternary.MustParseKey("1000"))
+	e, ok := classifyKey(d, paddedKey(d, "1000"))
 	if !ok || e.Action != 200 {
 		t.Fatalf("fallback answer = %+v/%v, want action 200", e, ok)
 	}
@@ -275,7 +275,7 @@ func TestAuditorDetectsCorruptedGlobalMatrix(t *testing.T) {
 	d.global.WriteRow(top, row)
 	republish(d)
 
-	e, ok := classifyKey(d, ternary.MustParseKey("1000"))
+	e, ok := classifyKey(d, paddedKey(d, "1000"))
 	if !ok || e.Action != 103 {
 		t.Fatalf("fallback answer = %+v/%v, want action 103", e, ok)
 	}
@@ -311,7 +311,7 @@ func TestGlobalMatrixNamingAnotherSubtable(t *testing.T) {
 	republish(d)
 
 	match0, _, _ := d.ArrayStats()
-	e, ok := classifyKey(d, ternary.MustParseKey("1000"))
+	e, ok := classifyKey(d, paddedKey(d, "1000"))
 	if !ok || e.Action != 101 {
 		t.Fatalf("answer = %+v/%v, want action 101 (the best entry of the subtable the matrix named)", e, ok)
 	}
@@ -398,7 +398,7 @@ func TestLookupAllocFreeInstrumented(t *testing.T) {
 
 	keys := make([]ternary.Key, len(headers))
 	for i, h := range headers {
-		keys[i] = rules.EncodeHeader(h)
+		keys[i] = headerKey(d, h)
 	}
 	results := make([]LookupResult, 0, len(headers))
 	d.LookupBatch(keys, results[:0])

@@ -52,7 +52,7 @@ func runStream(t *testing.T, data []byte) streamEdges {
 	for op, o := range ops {
 		if o.Kind == oracle.Lookup {
 			h := o.Header
-			e, ok := classifyKey(d, rules.EncodeHeader(h))
+			e, ok := classifyKey(d, headerKey(d, h))
 			agree(op, "LookupBatch", h, e, ok)
 			action, ok := d.Lookup(h)
 			agree(op, "Lookup", h, Entry{Rank: e.Rank, Action: action}, ok)
@@ -86,13 +86,13 @@ func runStream(t *testing.T, data []byte) streamEdges {
 			edges.released = edges.released || d.ActiveSubtables() < active
 		}
 		if isLive {
-			entries -= old.ExpansionCount()
+			entries -= old.ExpansionCountWidth(d.Config().KeyWidth)
 		}
 		if err := m.Apply(kind, r, err); err != nil {
 			t.Fatalf("op %d: %v", op, err)
 		}
 		if now, in := m.Live[r.ID]; in {
-			entries += now.ExpansionCount()
+			entries += now.ExpansionCountWidth(d.Config().KeyWidth)
 		}
 
 		if updates++; updates%invariantEvery == 0 {

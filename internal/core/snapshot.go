@@ -8,7 +8,6 @@ import (
 
 	"catcam/internal/bitvec"
 	"catcam/internal/flightrec"
-	"catcam/internal/rules"
 	"catcam/internal/sram"
 	"catcam/internal/ternary"
 	tracepkg "catcam/internal/trace"
@@ -451,8 +450,7 @@ func (d *Device) Epoch() uint64 {
 //
 //catcam:scratch
 type readScratch struct {
-	encKey      ternary.Key
-	padKey      ternary.Key
+	key         ternary.Key // a header's search key, device-wide
 	globalMatch *bitvec.Vector
 	report      *bitvec.Vector // global priority report
 	localReport *bitvec.Vector // winning subtable's report
@@ -483,8 +481,7 @@ type readScratch struct {
 func (d *Device) newReadScratch() *readScratch {
 	d.churn.scratchAllocs.Add(1)
 	return &readScratch{
-		encKey:      ternary.NewKey(rules.TupleBits),
-		padKey:      ternary.NewKey(d.cfg.KeyWidth),
+		key:         ternary.NewKey(d.cfg.KeyWidth),
 		globalMatch: bitvec.New(d.cfg.Subtables),
 		report:      bitvec.New(d.cfg.Subtables),
 		localReport: bitvec.New(d.cfg.SubtableCapacity),
@@ -518,19 +515,6 @@ func (d *Device) putScratch(sc *readScratch) {
 	sc.match, sc.prio, sc.global = sram.Stats{}, sram.Stats{}, sram.Stats{}
 	sc.tr, sc.keyIdx, sc.focus = nil, 0, 0
 	d.readPool.Put(sc) //catcam:allow alloc "sync.Pool return; boxing a pointer does not allocate at steady state"
-}
-
-// padKey widens a search key with trailing zeros into the scratch pad
-// buffer (no copy when the key is already device-wide).
-func (d *Device) padKey(sc *readScratch, k ternary.Key) ternary.Key {
-	if k.Width() == d.cfg.KeyWidth {
-		return k
-	}
-	if k.Width() > d.cfg.KeyWidth {
-		panic(fmt.Sprintf("core: key width %d exceeds device width %d", k.Width(), d.cfg.KeyWidth))
-	}
-	sc.padKey.LoadPadded(k)
-	return sc.padKey
 }
 
 // lookup is the lock-free lookup core: subtable search fan-out, global

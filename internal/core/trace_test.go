@@ -3,8 +3,6 @@ package core
 import (
 	"testing"
 
-	"catcam/internal/rules"
-	"catcam/internal/ternary"
 	"catcam/internal/trace"
 )
 
@@ -41,8 +39,7 @@ func TestDeviceTraceSpans(t *testing.T) {
 	res := d.LookupHeaderBatchTraced(tr, hs, nil)
 
 	s := d.snap.Load()
-	focus := ternary.NewKey(d.cfg.KeyWidth)
-	focus.LoadPadded(rules.EncodeHeader(hs[3]))
+	focus := headerKey(d, hs[3])
 	pats := s.sel.Patterns(focus)
 	admitted := map[int]bool{}
 	for _, id := range s.order {
@@ -113,7 +110,7 @@ func TestTraceDoesNotOutliveItsBatch(t *testing.T) {
 	if want == 0 {
 		t.Fatal("traced batch recorded no spans")
 	}
-	classifyKey(d, rules.EncodeHeader(hs[0]))
+	classifyKey(d, headerKey(d, hs[0]))
 	d.Lookup(hs[0])
 	d.LookupHeaderBatch(hs, nil)
 	if got := tr.SpanCount(); got != want {

@@ -432,14 +432,16 @@ func TestCachedFastPathAllocFree(t *testing.T) {
 // sampler only when AttachTelemetry registered the gauge it feeds: an
 // uninstrumented engine runs its workers and nothing else.
 func TestRateSamplerOnlyWithGauge(t *testing.T) {
+	const start = "catcam/internal/ingress.(*Engine).Start"
 	dev, _ := testDevice(t, 10)
 	for _, attach := range []bool{false, true} {
+		awaitRetired(t, start)
 		e := New(Config{Workers: 2, RingSize: 64, Burst: 8, Backend: NewLookupBackend(dev)})
 		if attach {
 			e.AttachTelemetry(telemetry.NewRegistry(), nil)
 		}
 		e.Start()
-		got := startedBy("catcam/internal/ingress.(*Engine).Start")
+		got := startedBy(start)
 		e.Stop()
 		want := e.Workers()
 		if attach {
@@ -448,6 +450,23 @@ func TestRateSamplerOnlyWithGauge(t *testing.T) {
 		if got != want {
 			t.Errorf("telemetry attached=%v: Start launched %d goroutines, want %d", attach, got, want)
 		}
+	}
+}
+
+// awaitRetired waits until no goroutine created by fn is listed. Stop
+// returns once every goroutine Start launched has signalled its wait
+// group, which a goroutine does as its last act; the scheduler retires
+// it just after, so an earlier engine's goroutine can still be listed
+// for a moment (long enough to show under the race detector). One that
+// is still listed after 5 s was never stopped, and fails the test.
+func awaitRetired(t *testing.T, fn string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for n := startedBy(fn); n != 0; n = startedBy(fn) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines created by %s still live 5 s after their engines stopped", n, fn)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

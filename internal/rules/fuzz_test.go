@@ -43,9 +43,12 @@ func FuzzRangeToPrefixes(f *testing.F) {
 // semantics on fuzzer-chosen rules and headers, every field fuzzed: both
 // prefixes (lengths folded into 0..32), both port ranges (a reversed
 // range is swapped), the protocol and its wildcard. It checks Encode's
-// TupleBits-wide words against the header's key, and EncodeWidth(160)'s
-// words, a device's width, against the same key padded with zeros, and
-// holds each of those words to its Encode counterpart widened by Slot.
+// TupleBits-wide words against the header's TupleBits-wide key, and
+// EncodeWidth(160)'s words, a device's width with the port predicate
+// columns, against the header's 160-wide key, both against Rule.Matches.
+// The wide cover is never longer than the flat one and, when neither
+// port field takes a predicate row, is the flat cover word for word,
+// each word its Encode counterpart widened by Slot.
 func FuzzEncodeMatches(f *testing.F) {
 	f.Add(uint32(0x0A000000), uint8(8), uint32(0), uint8(0), uint16(80), uint16(443), uint16(0), uint16(65535), uint8(6), false,
 		uint32(0x0A010203), uint32(0x01020304), uint16(80), uint16(9), uint8(6))
@@ -72,15 +75,26 @@ func FuzzEncodeMatches(f *testing.F) {
 			ProtoWildcard: protoWild,
 		}
 		words, wideWords := r.Encode(), r.EncodeWidth(160)
-		if len(words) != r.ExpansionCount() || len(wideWords) != len(words) {
-			t.Fatalf("rule %v: Encode %d words, EncodeWidth %d, ExpansionCount %d",
-				r, len(words), len(wideWords), r.ExpansionCount())
+		if len(words) != r.ExpansionCount() || len(wideWords) != r.ExpansionCountWidth(160) {
+			t.Fatalf("rule %v: Encode %d words, ExpansionCount %d; EncodeWidth %d, ExpansionCountWidth %d",
+				r, len(words), r.ExpansionCount(), len(wideWords), r.ExpansionCountWidth(160))
 		}
-		for i, w := range words {
-			padded := ternary.NewWord(160)
-			padded.Slot(0, w)
-			if !wideWords[i].Equal(padded) {
-				t.Fatalf("rule %v word %d: EncodeWidth %s, Encode widened %s", r, i, wideWords[i], padded)
+		// A field takes the predicate row iff its range ends at 65535 and
+		// starts in (0, HighPorts].
+		takesPredicate := func(p PortRange) bool { return p.Hi == 0xFFFF && p.Lo > 0 && p.Lo <= HighPorts }
+		if len(wideWords) > len(words) {
+			t.Fatalf("rule %v: EncodeWidth(160) %d words, more than Encode's %d", r, len(wideWords), len(words))
+		}
+		if !takesPredicate(r.SrcPort) && !takesPredicate(r.DstPort) {
+			if len(wideWords) != len(words) {
+				t.Fatalf("rule %v takes no predicate: EncodeWidth(160) %d words, Encode %d", r, len(wideWords), len(words))
+			}
+			for i, w := range words {
+				padded := ternary.NewWord(160)
+				padded.Slot(0, w)
+				if !wideWords[i].Equal(padded) {
+					t.Fatalf("rule %v word %d: EncodeWidth %s, Encode widened %s", r, i, wideWords[i], padded)
+				}
 			}
 		}
 		// The fuzzed header, and one moved inside the rule field by field,
@@ -98,11 +112,13 @@ func FuzzEncodeMatches(f *testing.F) {
 		for _, h := range []Header{{SrcIP: hSrc, DstIP: hDst, SrcPort: hSport, DstPort: hDport, Proto: hProto}, inside} {
 			key := EncodeHeader(h)
 			wide := ternary.NewKey(160)
-			wide.LoadPadded(key)
+			EncodeHeaderInto(&wide, h)
 			matched, wideMatched := false, false
-			for i, w := range words {
+			for _, w := range words {
 				matched = matched || w.Match(key)
-				wideMatched = wideMatched || wideWords[i].Match(wide)
+			}
+			for _, w := range wideWords {
+				wideMatched = wideMatched || w.Match(wide)
 			}
 			if want := r.Matches(h); matched != want || wideMatched != want {
 				t.Fatalf("encode/semantic mismatch: rule %v header %+v Encode=%v EncodeWidth=%v want=%v",

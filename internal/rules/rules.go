@@ -38,6 +38,22 @@ const (
 	srcPortOff = dstIPOff + DstIPBits
 	dstPortOff = srcPortOff + SrcPortBits
 	protoOff   = dstPortOff + DstPortBits
+
+	// The port predicate columns, just below the tuple: a key's bit is
+	// 1 when the header's source (destination) port is HighPorts or
+	// more. Each is a function of the header alone.
+	srcHighOff = TupleBits
+	dstHighOff = TupleBits + 1
+)
+
+// Port predicates: a key at least PredicateWidth wide spends two of its
+// spare positions on "src port ≥ HighPorts" and "dst port ≥ HighPorts",
+// so that a range ending at 65535 and starting at or below HighPorts —
+// ClassBench's 1024-65535 is the common one — needs one row for its
+// upper part instead of a prefix per power-of-two block.
+const (
+	HighPorts      = 1024
+	PredicateWidth = TupleBits + 2
 )
 
 // PortRange is an inclusive [Lo, Hi] range over 16-bit ports.
@@ -238,9 +254,15 @@ func (r Rule) Encode() []ternary.Word {
 }
 
 // EncodeWidth is Encode into words width positions wide: the five fields
-// fill the most significant TupleBits positions as Encode lays them out,
-// and the rest are wildcards, as a device wider than the tuple stores
-// them. Each word is built once, field by field, word-wise.
+// fill the most significant TupleBits positions as Encode lays them out.
+// At a width of PredicateWidth or more the next two positions are the
+// port predicate columns (srcHighOff, dstHighOff): a port range
+// [lo, 65535] with 0 < lo ≤ HighPorts is covered by the prefixes of
+// [lo, HighPorts-1] plus one row that sets its predicate column to 1 and
+// wildcards the port's 16 bits, where a plain expansion needs up to 6
+// more prefixes. Every other position is a wildcard, as a device wider
+// than the tuple stores it. Each word is built once, field by field,
+// word-wise.
 func (r Rule) EncodeWidth(width int) []ternary.Word {
 	if width < TupleBits {
 		panic(fmt.Sprintf("rules: encode width %d below the tuple's %d", width, TupleBits))
@@ -249,16 +271,18 @@ func (r Rule) EncodeWidth(width int) []ternary.Word {
 	if r.ProtoWildcard {
 		protoLen = 0
 	}
-	sports := RangeToPrefixes(r.SrcPort)
-	dports := RangeToPrefixes(r.DstPort)
-	out := make([]ternary.Word, 0, len(sports)*len(dports))
-	for _, sp := range sports {
-		for _, dp := range dports {
+	pred := width >= PredicateWidth
+	sports, sHigh := portCover(r.SrcPort, pred)
+	dports, dHigh := portCover(r.DstPort, pred)
+	ns, nd := coverRows(sports, sHigh), coverRows(dports, dHigh)
+	out := make([]ternary.Word, 0, ns*nd)
+	for i := 0; i < ns; i++ {
+		for j := 0; j < nd; j++ {
 			w := ternary.NewWord(width)
 			w.SetPrefix(srcIPOff, SrcIPBits, uint64(r.SrcIP.Addr), r.SrcIP.Len)
 			w.SetPrefix(dstIPOff, DstIPBits, uint64(r.DstIP.Addr), r.DstIP.Len)
-			w.SetPrefix(srcPortOff, SrcPortBits, uint64(sp.Value), sp.Len)
-			w.SetPrefix(dstPortOff, DstPortBits, uint64(dp.Value), dp.Len)
+			setPortRow(&w, srcPortOff, srcHighOff, sports, i)
+			setPortRow(&w, dstPortOff, dstHighOff, dports, j)
 			w.SetPrefix(protoOff, ProtoBits, uint64(r.Proto), protoLen)
 			out = append(out, w)
 		}
@@ -266,10 +290,52 @@ func (r Rule) EncodeWidth(width int) []ternary.Word {
 	return out
 }
 
+// portCover is one port field's cover: the prefixes of its range and,
+// when high, one row more, the field's predicate row. The predicate
+// serves a range [lo, 65535] with 0 < lo ≤ HighPorts, and only when
+// pred (the key has the predicate columns); the prefixes then cover
+// [lo, HighPorts-1].
+func portCover(r PortRange, pred bool) (prefixes []Prefix16, high bool) {
+	if pred && r.Hi == 0xFFFF && r.Lo > 0 && r.Lo <= HighPorts {
+		return RangeToPrefixes(PortRange{Lo: r.Lo, Hi: HighPorts - 1}), true
+	}
+	return RangeToPrefixes(r), false
+}
+
+// coverRows is the number of rows a port cover expands to.
+func coverRows(prefixes []Prefix16, high bool) int {
+	if high {
+		return len(prefixes) + 1
+	}
+	return len(prefixes)
+}
+
+// setPortRow writes row i of a port field's cover into w: prefix i into
+// the 16-bit field at off (both port fields are SrcPortBits wide), or,
+// past the prefixes, the predicate row, a 1 at highOff with the field's
+// bits left wildcards.
+func setPortRow(w *ternary.Word, off, highOff int, prefixes []Prefix16, i int) {
+	if i == len(prefixes) {
+		w.SetBit(highOff, ternary.One)
+		return
+	}
+	w.SetPrefix(off, SrcPortBits, uint64(prefixes[i].Value), prefixes[i].Len)
+}
+
 // ExpansionCount returns how many ternary words Encode will produce,
 // without building them.
 func (r Rule) ExpansionCount() int {
-	return len(RangeToPrefixes(r.SrcPort)) * len(RangeToPrefixes(r.DstPort))
+	return r.ExpansionCountWidth(TupleBits)
+}
+
+// ExpansionCountWidth returns how many ternary words EncodeWidth(width)
+// will produce, the entries the rule takes in a device of that key
+// width, without building them.
+func (r Rule) ExpansionCountWidth(width int) int {
+	pred := width >= PredicateWidth
+	sports, sHigh := portCover(r.SrcPort, pred)
+	dports, dHigh := portCover(r.DstPort, pred)
+	return coverRows(sports, sHigh) * coverRows(dports, dHigh)
 }
 
 // EncodeHeader returns the search key for a header, in the same layout
@@ -280,19 +346,35 @@ func EncodeHeader(h Header) ternary.Key {
 	return k
 }
 
-// EncodeHeaderInto encodes a header into a caller-owned TupleBits-wide
-// key without allocating — the hot classify path reuses one buffer per
-// device/engine. Every position is overwritten (the five fields tile
-// the full width), so no prior zeroing is needed.
+// EncodeHeaderInto encodes a header into a caller-owned key of any width
+// of TupleBits or more, the search key for words EncodeWidth built at
+// that width, without allocating: the hot classify path reuses one
+// device-width buffer per scratch. The tuple fills the top TupleBits
+// positions; a key of PredicateWidth or more carries the two port
+// predicates next; every other position is zeroed, so no prior zeroing
+// is needed.
 func EncodeHeaderInto(k *ternary.Key, h Header) {
-	if k.Width() != TupleBits {
-		panic(fmt.Sprintf("rules: encode buffer width %d != %d", k.Width(), TupleBits))
+	if k.Width() < TupleBits {
+		panic(fmt.Sprintf("rules: encode buffer width %d below the tuple's %d", k.Width(), TupleBits))
 	}
-	k.SetUint(srcIPOff, SrcIPBits, uint64(h.SrcIP))
-	k.SetUint(dstIPOff, DstIPBits, uint64(h.DstIP))
-	k.SetUint(srcPortOff, SrcPortBits, uint64(h.SrcPort))
-	k.SetUint(dstPortOff, DstPortBits, uint64(h.DstPort))
-	k.SetUint(protoOff, ProtoBits, uint64(h.Proto))
+	// The tuple as a 104-bit number: lo holds proto, the ports and the
+	// low 24 bits of the destination address, hi the rest.
+	lo := uint64(h.DstIP)<<40 | uint64(h.SrcPort)<<24 | uint64(h.DstPort)<<8 | uint64(h.Proto)
+	hi := uint64(h.SrcIP)<<8 | uint64(h.DstIP)>>24
+	n := TupleBits
+	if k.Width() >= PredicateWidth {
+		hi, lo = hi<<2|lo>>62, lo<<2|isHigh(h.SrcPort)<<1|isHigh(h.DstPort)
+		n = PredicateWidth
+	}
+	k.LoadTop(hi, lo, n)
+}
+
+// isHigh is a port's predicate bit: 1 when the port is HighPorts or more.
+func isHigh(p uint16) uint64 {
+	if p >= HighPorts {
+		return 1
+	}
+	return 0
 }
 
 // Ruleset is an ordered collection of rules with unique IDs.

@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -206,6 +207,73 @@ func TestEncodeWidth(t *testing.T) {
 	}
 	if EncodeHeader(randomHeader(rand.New(rand.NewSource(2)))).Width() != TupleBits {
 		t.Fatal("header key width wrong")
+	}
+}
+
+// TestEncodeHeaderIntoLayout holds EncodeHeaderInto at several key
+// widths to a key built bit by bit: the five fields at the top, the two
+// port predicates next when the key has PredicateWidth positions, zeros
+// below, whatever the buffer held before. A key narrower than the tuple
+// panics.
+func TestEncodeHeaderIntoLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	hs := []Header{{}, {SrcPort: 1023, DstPort: 1024}, {SrcPort: 1024, DstPort: 1023},
+		{SrcIP: ^uint32(0), DstIP: ^uint32(0), SrcPort: 0xFFFF, DstPort: 0xFFFF, Proto: 0xFF}}
+	for i := 0; i < 50; i++ {
+		hs = append(hs, randomHeader(rng))
+	}
+	for _, width := range []int{TupleBits, TupleBits + 1, PredicateWidth, 128, 160, 640} {
+		for _, h := range hs {
+			want := ternary.NewKey(width)
+			for _, f := range []struct {
+				off, bits int
+				v         uint64
+			}{
+				{srcIPOff, SrcIPBits, uint64(h.SrcIP)}, {dstIPOff, DstIPBits, uint64(h.DstIP)},
+				{srcPortOff, SrcPortBits, uint64(h.SrcPort)}, {dstPortOff, DstPortBits, uint64(h.DstPort)},
+				{protoOff, ProtoBits, uint64(h.Proto)},
+			} {
+				want.SlotKey(f.off, ternary.KeyFromUint(f.v, f.bits))
+			}
+			if width >= PredicateWidth {
+				want.SetKeyBit(srcHighOff, h.SrcPort >= HighPorts)
+				want.SetKeyBit(dstHighOff, h.DstPort >= HighPorts)
+			}
+			got := ternary.NewKey(width)
+			for i := 0; i < width; i++ { // stale contents the encoder must overwrite
+				got.SetKeyBit(i, true)
+			}
+			EncodeHeaderInto(&got, h)
+			if got.String() != want.String() {
+				t.Fatalf("width %d header %+v:\n got %s\nwant %s", width, h, got, want)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a key narrower than the tuple was accepted")
+		}
+	}()
+	k := ternary.NewKey(TupleBits - 1)
+	EncodeHeaderInto(&k, Header{})
+}
+
+// BenchmarkEncodeHeaderInto times the header encoder at the tuple's
+// width and at a Compact device's, with the port predicates.
+func BenchmarkEncodeHeaderInto(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	hs := make([]Header, 1024)
+	for i := range hs {
+		hs[i] = randomHeader(rng)
+	}
+	for _, width := range []int{TupleBits, 160} {
+		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
+			k := ternary.NewKey(width)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				EncodeHeaderInto(&k, hs[i%len(hs)])
+			}
+		})
 	}
 }
 

@@ -96,7 +96,7 @@ func BenchmarkColumnNORAllValid(b *testing.B) {
 }
 
 // patternSink keeps BenchmarkSelectionPatterns' gathers live.
-var patternSink uint8
+var patternSink uint16
 
 // BenchmarkSelectionPatterns is the filter's gather for one entry write
 // or leave (tallyGroups): an ACL-1K row's fixed and cared patterns, on

@@ -21,11 +21,15 @@ import (
 
 // The filter's shape: FilterGroups groups of FilterBits positions, so a
 // key has one filterPatterns-valued pattern per group. wordPatterns
-// gathers all 2*FilterGroups*FilterBits bits of an entry word into one
-// 64-bit register.
+// gathers each plane's FilterGroups*FilterBits bits of an entry word
+// into one 64-bit register. Nine bits a group, not eight: a subtable
+// holding rules of few rows holds many distinct rules, whose patterns
+// fill a 256-pattern bitmap; on ClassBench ACL-5K with the port
+// predicate columns (DESIGN.md §18) a lookup is admitted to about 11
+// subtables at 4×9 against 15–17 at 4×8, for 128 more bytes a view.
 const (
 	FilterGroups   = 4
-	FilterBits     = 8
+	FilterBits     = 9
 	filterPatterns = 1 << FilterBits
 )
 
@@ -91,7 +95,7 @@ func selectionOf(pos [FilterGroups][FilterBits]uint16) *Selection {
 // Patterns extracts key k's pattern in every group.
 //
 //catcam:hotpath
-func (s *Selection) Patterns(k ternary.Key) [FilterGroups]uint8 {
+func (s *Selection) Patterns(k ternary.Key) [FilterGroups]uint16 {
 	return s.patterns(k.Words())
 }
 
@@ -99,32 +103,32 @@ func (s *Selection) Patterns(k ternary.Key) [FilterGroups]uint8 {
 // pattern g is the plane's bit at s.pos[g][j].
 //
 //catcam:hotpath
-func (s *Selection) patterns(plane []uint64) [FilterGroups]uint8 {
-	var pats [FilterGroups]uint8
+func (s *Selection) patterns(plane []uint64) [FilterGroups]uint16 {
+	var pats [FilterGroups]uint16
 	for g := range s.pos {
 		var p uint
 		for j, pos := range s.pos[g] {
 			p |= uint(plane[pos>>6]>>(pos&63)&1) << j
 		}
-		pats[g] = uint8(p)
+		pats[g] = uint16(p)
 	}
 	return pats
 }
 
 // wordPatterns gathers an entry word's patterns from its two planes in
 // one pass: fixed from the value plane, cared from the care plane, bit
-// j of group g from position s.pos[g][j] of each. Both gather into one
-// register, the value bits in its low half and the care bits in its
-// high half, one OR per position.
-func (s *Selection) wordPatterns(value, care []uint64) (fixed, cared [FilterGroups]uint8) {
+// j of group g from position s.pos[g][j] of each. Each plane gathers
+// into one register, bit g*FilterBits+j for that position.
+func (s *Selection) wordPatterns(value, care []uint64) (fixed, cared [FilterGroups]uint16) {
 	care = care[:len(value)]
-	var both uint64
+	var vs, cs uint64
 	for i, at := range s.at {
-		both |= (value[at.word]>>at.shift&1 | care[at.word]>>at.shift&1<<len(s.at)) << i
+		vs |= value[at.word] >> at.shift & 1 << i
+		cs |= care[at.word] >> at.shift & 1 << i
 	}
 	for g := range fixed {
-		fixed[g] = uint8(both >> (g * FilterBits))
-		cared[g] = uint8(both >> (len(s.at) + g*FilterBits))
+		fixed[g] = uint16(vs >> (g * FilterBits) & (filterPatterns - 1))
+		cared[g] = uint16(cs >> (g * FilterBits) & (filterPatterns - 1))
 	}
 	return fixed, cared
 }
@@ -173,7 +177,7 @@ func (t *TernaryArray) tallyGroups(w ternary.Word, delta uint16) {
 	f := t.filter
 	for g := range cared {
 		counts, set := &f.n[g], &f.set[g]
-		free := ^cared[g]
+		free := ^cared[g] & (filterPatterns - 1)
 		for sub := free; ; sub = (sub - 1) & free {
 			p := fixed[g] | sub
 			counts[p] += delta
@@ -225,7 +229,7 @@ func (t *TernaryArray) AddSplitScores(scores []int) {
 // so its search would come back empty.
 //
 //catcam:hotpath
-func (v *TernaryView) Admits(pats [FilterGroups]uint8) bool {
+func (v *TernaryView) Admits(pats [FilterGroups]uint16) bool {
 	return (v.filter[0][pats[0]>>6]>>(pats[0]&63))&
 		(v.filter[1][pats[1]>>6]>>(pats[1]&63))&
 		(v.filter[2][pats[2]>>6]>>(pats[2]&63))&

@@ -478,7 +478,7 @@ func TestSelectPositions(t *testing.T) {
 // selections, repeats and the last position included.
 func TestWordPatternsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
-	gather := func(sel *Selection, plane []uint64) (pats [FilterGroups]uint8) {
+	gather := func(sel *Selection, plane []uint64) (pats [FilterGroups]uint16) {
 		for g := range sel.pos {
 			for j, pos := range sel.pos[g] {
 				if plane[pos/64]&(1<<(pos%64)) != 0 {

@@ -5,49 +5,6 @@ import (
 	"testing"
 )
 
-// TestSetUint pins the word-wise field writer against the bit-by-bit
-// path across word-boundary-straddling offsets.
-func TestSetUint(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 500; trial++ {
-		width := 1 + rng.Intn(140)
-		k := RandomKey(rng, width)
-		fw := 1 + rng.Intn(64)
-		if fw > width {
-			fw = width
-		}
-		off := rng.Intn(width - fw + 1)
-		v := rng.Uint64()
-
-		want := MustParseKey(k.String())
-		for i := 0; i < fw; i++ {
-			want.SetKeyBit(off+i, v&(1<<uint(fw-1-i)) != 0)
-		}
-		k.SetUint(off, fw, v)
-		if k.String() != want.String() {
-			t.Fatalf("SetUint(%d,%d,%#x) = %s, want %s", off, fw, v, k, want)
-		}
-	}
-}
-
-func TestSetUintFullTuple(t *testing.T) {
-	// The header encoder's exact tiling: 32+32+16+16+8 = 104 bits.
-	k := NewKey(104)
-	k.SetUint(0, 32, 0x0A0B0C0D)
-	k.SetUint(32, 32, 0xC0A80001)
-	k.SetUint(64, 16, 0x1234)
-	k.SetUint(80, 16, 0x0050)
-	k.SetUint(96, 8, 0x11)
-	want := KeyFromUint(0x0A0B0C0D, 32).String() +
-		KeyFromUint(0xC0A80001, 32).String() +
-		KeyFromUint(0x1234, 16).String() +
-		KeyFromUint(0x0050, 16).String() +
-		KeyFromUint(0x11, 8).String()
-	if k.String() != want {
-		t.Fatalf("tuple encode mismatch:\n got %s\nwant %s", k, want)
-	}
-}
-
 // TestLoadPadded pins the word-shift padding against SlotKey.
 func TestLoadPadded(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -63,5 +20,36 @@ func TestLoadPadded(t *testing.T) {
 		if got.String() != want.String() {
 			t.Fatalf("LoadPadded %d->%d:\n got %s\nwant %s", narrow, wide, got, want)
 		}
+	}
+}
+
+// TestLoadTop pins the word-wise load of a 65..128-bit number against
+// SlotKey of its two halves into a zeroed key, at every alignment.
+func TestLoadTop(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for trial := 0; trial < 500; trial++ {
+		n := 65 + rng.Intn(64)
+		width := n + rng.Intn(200)
+		hi, lo := rng.Uint64(), rng.Uint64()
+
+		want := NewKey(width)
+		want.SlotKey(0, KeyFromUint(hi, n-64))
+		want.SlotKey(n-64, KeyFromUint(lo, 64))
+		got := RandomKey(rng, width) // pre-filled with garbage to overwrite
+		got.LoadTop(hi, lo, n)
+		if got.String() != want.String() {
+			t.Fatalf("LoadTop %d bits into %d:\n got %s\nwant %s", n, width, got, want)
+		}
+	}
+	for _, c := range []struct{ n, width int }{{64, 160}, {129, 160}, {106, 104}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("LoadTop of %d bits into width %d accepted", c.n, c.width)
+				}
+			}()
+			k := NewKey(c.width)
+			k.LoadTop(0, 0, c.n)
+		}()
 	}
 }

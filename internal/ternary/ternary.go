@@ -405,33 +405,42 @@ func (k *Key) LoadPadded(o Key) {
 	k.bits[len(k.bits)-1] &= tailMask(k.width)
 }
 
-// SetUint writes v's low width bits into key positions
-// [off, off+width), most significant first — SlotKey of KeyFromUint
-// without the intermediate allocation, used by the allocation-free
-// header encoder.
+// LoadTop overwrites k with an n-bit number, 64 < n ≤ 128, at position
+// 0 (most significant) and the remaining positions zeroed: hi holds its
+// top n-64 bits and lo its low 64. It is LoadPadded of that number's
+// key without building the key, word-wise and allocation-free; the
+// header encoder writes a search key with it. It panics if n is out of
+// range or wider than k.
 //
 //catcam:mutator
-func (k *Key) SetUint(off, width int, v uint64) {
-	if off < 0 || width <= 0 || width > 64 || off+width > k.width {
-		panic(fmt.Sprintf("ternary: set-uint [%d,%d) outside width %d", off, off+width, k.width))
+func (k *Key) LoadTop(hi, lo uint64, n int) {
+	if n <= wordBits || n > 2*wordBits || n > k.width {
+		panic(fmt.Sprintf("ternary: load-top of %d bits into width %d", n, k.width))
 	}
-	mask := ^uint64(0) >> uint(64-width)
-	v &= mask
-	// Storage position of the field's least significant bit.
-	lo := k.width - off - width
-	wi, sh := lo/wordBits, uint(lo%wordBits)
-	k.bits[wi] = k.bits[wi]&^(mask<<sh) | v<<sh
-	if spill := uint(width) + sh; spill > wordBits {
-		drop := uint(wordBits) - sh
-		k.bits[wi+1] = k.bits[wi+1]&^(mask>>drop) | v>>drop
+	hi &= ^uint64(0) >> uint(2*wordBits-n)
+	bits := k.bits
+	clear(bits)
+	// The number's bit 0 lands at storage position width-n: bit bs of
+	// word wi. Its 128 bits span words wi..wi+2, the last only when
+	// shifted.
+	pos := uint(k.width - n)
+	wi, bs := pos/wordBits, pos%wordBits
+	bits[wi] = lo << bs
+	if bs == 0 {
+		bits[wi+1] = hi
+		return
+	}
+	bits[wi+1] = hi<<bs | lo>>(wordBits-bs)
+	if top := hi >> (wordBits - bs); top != 0 {
+		bits[wi+2] = top
 	}
 }
 
 // SetPrefix writes into positions [off, off+width) of w, most
 // significant first, the top plen bits of v's low width bits, followed
 // by wildcards: Slot of Prefix(v, plen, width) without the intermediate
-// word, set word-wise as Key.SetUint sets a key field. The rule encoder
-// writes every field of a stored word with it.
+// word, set word-wise. The rule encoder writes every field of a stored
+// word with it.
 //
 //catcam:mutator
 func (w *Word) SetPrefix(off, width int, v uint64, plen int) {
