@@ -94,7 +94,6 @@ type results struct {
 		updates   int
 		occupancy float64
 		reg       *telemetry.Registry
-		ring      *telemetry.EventRing
 	}
 
 	wear, softWear rram.Lifetime // §IX at the Table II update rate, and at 1M updates/s
@@ -176,8 +175,7 @@ func compute(experiment string, quick bool, updates int) (*results, error) {
 		w := bench.NewWorkload(classbench.ACL, fig15Size,
 			bench.WorkloadOptions{Updates: matrixCfg.Updates, Headers: 1000, FlatPorts: true})
 		r.tele.reg = telemetry.NewRegistry()
-		r.tele.ring = telemetry.NewEventRing(256)
-		dev, err := bench.RunTelemetryChurn(w, core.Compact(), r.tele.reg, r.tele.ring)
+		dev, err := bench.RunTelemetryChurn(w, core.Compact(), r.tele.reg)
 		if err != nil {
 			return nil, err
 		}
@@ -247,7 +245,6 @@ var sections = []struct {
 		fmt.Fprintf(&b, "workload %s: %d updates, occupancy %.0f%%\n",
 			r.tele.label, r.tele.updates, r.tele.occupancy*100)
 		b.WriteString(bench.FormatTelemetrySummary(r.tele.reg))
-		fmt.Fprintf(&b, "(trace ring retains %d of %d events)\n", len(r.tele.ring.Snapshot()), r.tele.ring.Total())
 		b.WriteString("\n--- Prometheus exposition (/metrics) ---\n")
 		r.tele.reg.WritePrometheus(&b) // a strings.Builder does not fail
 		return b.String()

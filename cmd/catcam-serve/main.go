@@ -15,7 +15,6 @@
 //	                catcam_update_cycles histograms with p50/p99/p999)
 //	/metrics.json   JSON snapshot of the same registry, with per-bucket
 //	                trace-ID exemplars on the serve latency histogram
-//	/events         recent structured update events (?kind= ?n= filters)
 //	/healthz        liveness plus occupancy, audit summary, SLO verdict
 //	                and (in cluster mode) per-shard entries, bounds and
 //	                rebalancer accounting
@@ -158,7 +157,6 @@ import (
 // and how long an SLO burn holds sampling at 100% with the CPU profile
 // running.
 const (
-	eventRingCap     = 4096 // /events
 	spanRingCap      = 1024 // /debug/trace, /debug/timeline, /debug/blame
 	rebalanceBatch   = 64   // max entries migrated per rebalance pass
 	escalationWindow = 30 * time.Second
@@ -246,7 +244,6 @@ func run(o options) error {
 	}
 
 	reg := telemetry.NewRegistry()
-	ring := telemetry.NewEventRing(eventRingCap)
 	devCfg := core.Config{
 		Subtables: o.subtables, SubtableCapacity: o.slots,
 		KeyWidth: 160, FrequencyMHz: 500,
@@ -263,7 +260,7 @@ func run(o options) error {
 		dev = core.NewDevice(devCfg)
 		eng = dev
 	}
-	eng.AttachTelemetry(reg, ring, nil)
+	eng.AttachTelemetry(reg, nil, nil)
 
 	// State observatory: lock-free structural sweeps over the published
 	// epoch snapshot, mirrored into catcam_state_* metrics and served at
@@ -284,7 +281,7 @@ func run(o options) error {
 	// corrupted decision is reported rather than fatal) and the optional
 	// shadow classifier. The shadow must attach before the bulk load so
 	// it mirrors every rule.
-	aud := flightrec.NewAuditor(reg, ring, 256, nil)
+	aud := flightrec.NewAuditor(reg, nil, 256, nil)
 	aud.SetLookupSampleEvery(o.auditEvery)
 	eng.AttachAuditor(aud)
 	var shadows []*flightrec.Shadow
@@ -510,7 +507,6 @@ func run(o options) error {
 	start := time.Now()
 	http.Handle("/metrics", reg.MetricsHandler())
 	http.Handle("/metrics.json", reg.JSONHandler())
-	http.Handle("/events", ring.Handler())
 	http.Handle("/debug/trace", tracer.UpdateHandler())
 	http.Handle("/debug/audit", aud.Handler())
 	http.Handle("/slo", sloEng.Handler())
@@ -523,7 +519,6 @@ func run(o options) error {
 			"status":            "ok",
 			"uptime_seconds":    time.Since(start).Seconds(),
 			"workload":          fmt.Sprintf("%s %d", fam, o.size),
-			"events_emitted":    ring.Total(),
 			"audit_checks":      aud.TotalChecks(),
 			"audit_violations":  aud.TotalViolations(),
 			"traces_recorded":   tracer.Total(), // the one tracer, as span_traces
@@ -579,7 +574,7 @@ func run(o options) error {
 		fmt.Printf("catcam-serve: ingress: %d workers, %d-decision flow caches, %d-flow universe (zipf-s %.2f)\n",
 			o.workers, o.flowcacheSize, o.ingressFlows, o.zipfS)
 	}
-	fmt.Printf("catcam-serve: listening on %s (/metrics /metrics.json /events /healthz /slo /debug/trace /debug/timeline /debug/blame /debug/state /debug/audit /debug/vars /debug/pprof)\n", o.addr)
+	fmt.Printf("catcam-serve: listening on %s (/metrics /metrics.json /healthz /slo /debug/trace /debug/timeline /debug/blame /debug/state /debug/audit /debug/vars /debug/pprof)\n", o.addr)
 
 	ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSig()

@@ -12,7 +12,7 @@ import (
 )
 
 // RunTelemetryChurn replays a workload's update trace and packet trace
-// against a device instrumented with the given registry and ring — the
+// against a device instrumented with the given registry — the
 // live-data path behind `catcam-bench -experiment telemetry` and the
 // smoke test for the whole observability substrate. The initial bulk
 // load counts as warmup: ResetStats clears both device statistics and
@@ -20,9 +20,9 @@ import (
 // steady state only. Lookups are interleaved with updates (one header drawn
 // per update) to keep both the update and lookup counters moving the
 // way live traffic would.
-func RunTelemetryChurn(w *Workload, cfg core.Config, reg *telemetry.Registry, ring *telemetry.EventRing) (*core.Device, error) {
+func RunTelemetryChurn(w *Workload, cfg core.Config, reg *telemetry.Registry) (*core.Device, error) {
 	d := core.NewDevice(cfg)
-	d.AttachTelemetry(reg, ring, nil)
+	d.AttachTelemetry(reg, nil, nil)
 
 	load := make([]rules.Rule, len(w.Ruleset.Rules))
 	copy(load, w.Ruleset.Rules)

@@ -367,9 +367,8 @@ func settledGoroutines() int {
 
 func TestClusterTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	ring := telemetry.NewEventRing(64)
 	c := testCluster(2)
-	c.AttachTelemetry(reg, ring, nil)
+	c.AttachTelemetry(reg, nil, nil)
 	if _, err := c.InsertRule(clRule(1, 10, rules.Prefix{Len: 0})); err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 
 	"catcam/internal/core"
 	"catcam/internal/rules"
-	"catcam/internal/telemetry"
 )
 
 // Live rebalancing: a background pass migrates rules from the fullest
@@ -56,13 +55,6 @@ func (c *Cluster) RebalanceOnce(batch int) int {
 	if moved > 0 {
 		c.rebalPasses.Add(1)
 		c.rebalMoved.Add(uint64(moved))
-		if t := c.tel; t != nil {
-			t.ring.Emit(telemetry.Event{
-				Kind: telemetry.EvRebalance, Table: -1, Subtable: donor, RuleID: -1,
-				Depth: moved,
-				Note:  fmt.Sprintf("shard %d -> %d: %d rules", donor, recipient, moved),
-			})
-		}
 	}
 	return moved
 }

@@ -15,7 +15,6 @@ import (
 type clusterTelemetry struct {
 	lookups  *telemetry.Counter
 	fanoutNs *telemetry.Histogram
-	ring     *telemetry.EventRing
 }
 
 // AttachTelemetry registers cluster metrics on reg — an aggregate
@@ -23,9 +22,11 @@ type clusterTelemetry struct {
 // rebalance counters, which read RebalanceStats' atomics — and
 // attaches every shard's device with a {"shard": "<i>"} label so
 // per-shard update histograms, lookup counters and occupancy gauges
-// stay distinct series on the shared registry. Passing a nil registry
-// detaches. Stores a cut carrying the new instruments.
-func (c *Cluster) AttachTelemetry(reg *telemetry.Registry, ring *telemetry.EventRing, labels telemetry.Labels) {
+// stay distinct series on the shared registry. The ring is ignored
+// (see telemetry.EventRing); it keeps the flowtable.Backend signature.
+// Passing a nil registry detaches. Stores a cut carrying the new
+// instruments.
+func (c *Cluster) AttachTelemetry(reg *telemetry.Registry, _ *telemetry.EventRing, labels telemetry.Labels) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	defer c.publishLocked()
@@ -42,14 +43,13 @@ func (c *Cluster) AttachTelemetry(reg *telemetry.Registry, ring *telemetry.Event
 		fanoutNs: reg.Histogram("catcam_cluster_fanout_ns",
 			"wall-clock nanoseconds per cluster classify batch (shard walk, arbiter reduce)",
 			telemetry.DefaultLatencyBuckets, labels),
-		ring: ring,
 	}
 	reg.CounterFunc("catcam_cluster_rebalance_passes_total",
 		"rebalance passes that migrated at least one rule", labels, c.rebalPasses.Load)
 	reg.CounterFunc("catcam_cluster_rebalance_rules_total",
 		"rules migrated between shards by the rebalancer", labels, c.rebalMoved.Load)
 	for i, s := range c.shards {
-		s.AttachTelemetry(reg, ring, labels.Merged(telemetry.Labels{"shard": strconv.Itoa(i)}))
+		s.AttachTelemetry(reg, nil, labels.Merged(telemetry.Labels{"shard": strconv.Itoa(i)}))
 	}
 }
 

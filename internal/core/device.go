@@ -14,7 +14,6 @@ import (
 	"catcam/internal/flightrec"
 	"catcam/internal/rules"
 	"catcam/internal/sram"
-	"catcam/internal/telemetry"
 	"catcam/internal/ternary"
 	tracepkg "catcam/internal/trace"
 )
@@ -518,12 +517,12 @@ type UpdateResult struct {
 // updateOp describes one update request to the bracket: a plain value
 // whose fields the bracket switches on, so a request allocates nothing.
 type updateOp struct {
-	name  string              // the update trace's op name
-	event telemetry.EventKind // the request's telemetry kind
-	del   bool                // run the delete body on rule.ID first
-	rule  rules.Rule          // the ID; for a storing request also priority, action and body
-	words []ternary.Word      // the entries to store, encoded at the key width before the lock; nil for a delete
-	raw   bool                // words have no rule-level form the shadow could mirror
+	name  string         // the update trace's op name
+	kind  opKind         // the request's per-op telemetry series
+	del   bool           // run the delete body on rule.ID first
+	rule  rules.Rule     // the ID; for a storing request also priority, action and body
+	words []ternary.Word // the entries to store, encoded at the key width before the lock; nil for a delete
+	raw   bool           // words have no rule-level form the shadow could mirror
 }
 
 // update is the one update bracket; every alteration of the table goes
@@ -561,7 +560,7 @@ func (d *Device) update(op updateOp) (UpdateResult, error) {
 		}
 	}
 	d.publishLocked()
-	d.observeOp(op.event, id, res, err)
+	d.observeOp(op.kind, res, err)
 	d.tracer.FinishUpdate(d.trace, res.Cycles, err)
 	d.trace = nil
 	return res, err
@@ -576,7 +575,7 @@ func (d *Device) InsertRule(r rules.Rule) (UpdateResult, error) {
 	if len(words) == 0 {
 		return UpdateResult{}, fmt.Errorf("%w: rule %d", ErrEmptyRule, r.ID)
 	}
-	return d.update(updateOp{name: "insert", event: telemetry.EvInsert, rule: r, words: words})
+	return d.update(updateOp{name: "insert", kind: opInsert, rule: r, words: words})
 }
 
 // InsertWord inserts one pre-encoded ternary entry — the path a
@@ -586,13 +585,13 @@ func (d *Device) InsertRule(r rules.Rule) (UpdateResult, error) {
 // handle for DeleteRule.
 func (d *Device) InsertWord(w ternary.Word, priority, ruleID, action int) (UpdateResult, error) {
 	words := [1]ternary.Word{d.padWord(w)}
-	return d.update(updateOp{name: "insert_word", event: telemetry.EvInsert, words: words[:], raw: true,
+	return d.update(updateOp{name: "insert_word", kind: opInsert, words: words[:], raw: true,
 		rule: rules.Rule{ID: ruleID, Priority: priority, Action: action}})
 }
 
 // DeleteRule removes every entry of the rule.
 func (d *Device) DeleteRule(ruleID int) (UpdateResult, error) {
-	return d.update(updateOp{name: "delete", event: telemetry.EvDelete, del: true, rule: rules.Rule{ID: ruleID}})
+	return d.update(updateOp{name: "delete", kind: opDelete, del: true, rule: rules.Rule{ID: ruleID}})
 }
 
 // ModifyRule replaces a rule with a new version, per §III-C:
@@ -611,7 +610,7 @@ func (d *Device) ModifyRule(ruleID int, newRule rules.Rule) (UpdateResult, error
 	if len(words) == 0 {
 		return UpdateResult{}, fmt.Errorf("%w: rule %d", ErrEmptyRule, ruleID)
 	}
-	return d.update(updateOp{name: "modify", event: telemetry.EvModify, del: true, rule: newRule, words: words})
+	return d.update(updateOp{name: "modify", kind: opModify, del: true, rule: newRule, words: words})
 }
 
 // insertRule is the insert body: it stores words, the (non-empty)
@@ -756,10 +755,6 @@ func (d *Device) insertEntry(e Entry) (UpdateResult, error) {
 		evicted = st.ReadEntry(slot)
 		st.Delete(slot)
 		d.forgetLoc(evicted.Rank)
-		if t := d.tel; t != nil {
-			t.event(telemetry.Event{Kind: telemetry.EvRealloc, Subtable: dst,
-				RuleID: evicted.Rank.RuleID, Cycles: ClassInsertRealloc.Cycles(), Depth: 1})
-		}
 		d.placeEntryAt(dst, slot, e)
 	}
 	d.trace.Step(tracepkg.StageEntryWrite, dst, slot, ClassInsertDirect.Cycles())
@@ -788,10 +783,6 @@ func (d *Device) insertEntry(e Entry) (UpdateResult, error) {
 		res.Cycles += sub.Cycles
 		res.Reallocated += sub.Reallocated
 		res.FreshTables += sub.FreshTables
-		if t := d.tel; t != nil {
-			t.event(telemetry.Event{Kind: telemetry.EvChain, Subtable: dst,
-				RuleID: e.Rank.RuleID, Cycles: res.Cycles, Depth: res.Reallocated})
-		}
 		return res, nil
 	case freshSubtable:
 		evictTo = d.assignSubtable(evicted.Rank, pos+1)
@@ -904,10 +895,6 @@ func (d *Device) assignSubtable(max Rank, pos int) int {
 	// Overlapped with the local 3-cycle entry write (§VIII-A), so it
 	// adds no cycles of its own to the update class.
 	d.trace.Step(tracepkg.StageGlobalUpdate, id, -1, 0)
-	if t := d.tel; t != nil {
-		t.event(telemetry.Event{Kind: telemetry.EvFreshSubtable, Subtable: id,
-			RuleID: -1, Depth: pos})
-	}
 	return id
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
@@ -16,6 +17,8 @@ import (
 	"catcam/internal/oracle"
 	"catcam/internal/rules"
 	"catcam/internal/sram"
+	"catcam/internal/telemetry"
+	"catcam/internal/trace"
 )
 
 // TestPublishSharesUnchangedParts pins the copy-on-write granularity
@@ -518,6 +521,58 @@ func TestUpdateBytesPerOpPinned(t *testing.T) {
 				t.Errorf("updates allocate %.0f B/op, want <= %.0f", perOp, tc.bound)
 			}
 		})
+	}
+}
+
+// TestObserversAddNoUpdateBytes pins the update path's observer cost at
+// zero: a Compact device over ACL-1K (table seed 5), wired as
+// catcam-serve wires it (registry telemetry, an auditor, a tracer at
+// sampling 0), allocates exactly the bytes and the allocations of a bare
+// device over 4,000 delete+insert pairs. A structured-event ring on the
+// update path read 160.6 B and 2.01 allocations more per pair.
+func TestObserversAddNoUpdateBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation perturbs allocation counts")
+	}
+	rs := classbench.Generate(classbench.Config{Family: classbench.ACL, Size: 1000, Seed: 5})
+	cost := func(observe bool) (bytes, allocs uint64) {
+		d := NewDevice(Compact())
+		if observe {
+			reg := telemetry.NewRegistry()
+			d.AttachTelemetry(reg, nil, nil)
+			d.AttachAuditor(flightrec.NewAuditor(reg, nil, 256, nil))
+			d.AttachTracer(trace.NewTracer(1024))
+		}
+		for _, r := range rs.Rules {
+			if _, err := d.InsertRule(r); err != nil {
+				t.Fatalf("load rule %d: %v", r.ID, err)
+			}
+		}
+		// The collector is off while the pairs run: with it on, the two
+		// counts drift apart by up to 48 B and 2 allocations, either way,
+		// as collection cycles land at different points of the runs.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < 4000; i++ {
+			r := rs.Rules[i%len(rs.Rules)]
+			if _, err := d.DeleteRule(r.ID); err != nil {
+				t.Fatalf("delete rule %d: %v", r.ID, err)
+			}
+			if _, err := d.InsertRule(r); err != nil {
+				t.Fatalf("insert rule %d: %v", r.ID, err)
+			}
+		}
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc, m1.Mallocs - m0.Mallocs
+	}
+	bareB, bareN := cost(false)
+	obsB, obsN := cost(true)
+	t.Logf("bare %.1f B, %.2f allocs per pair; observed %.1f B, %.2f allocs",
+		float64(bareB)/4000, float64(bareN)/4000, float64(obsB)/4000, float64(obsN)/4000)
+	if obsB != bareB || obsN != bareN {
+		t.Errorf("observers add %d B and %d allocations over 4,000 pairs, want 0 and 0",
+			int64(obsB-bareB), int64(obsN-bareN))
 	}
 }
 

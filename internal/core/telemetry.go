@@ -1,32 +1,34 @@
 package core
 
-import (
-	"strconv"
+import "catcam/internal/telemetry"
 
-	"catcam/internal/telemetry"
+// opKind indexes the per-request update series; opLabels names it as
+// the series' op label. An insert_word request counts as an insert.
+type opKind uint8
+
+const (
+	opInsert opKind = iota
+	opDelete
+	opModify
+	opKinds
 )
+
+var opLabels = [opKinds]string{"insert", "delete", "modify"}
 
 // deviceTelemetry holds the metric instances a device reports into
 // when telemetry is attached. All fields may be nil-backed no-ops;
 // every hot-path hook is a single nil test plus a few atomics.
 type deviceTelemetry struct {
-	// updateCycles and updateErrors are the per-request series, indexed
-	// by the request's event kind (EvInsert, EvDelete, EvModify), whose
-	// name is the op label.
-	updateCycles [telemetry.EvModify + 1]*telemetry.Histogram
-	updateErrors [telemetry.EvModify + 1]*telemetry.Counter
+	updateCycles [opKinds]*telemetry.Histogram
+	updateErrors [opKinds]*telemetry.Counter
 	chainDepth   *telemetry.Histogram
-	ring         *telemetry.EventRing
-	table        int // flowtable ID carried on events; -1 standalone
 }
 
 // AttachTelemetry registers this device's metrics on reg and starts
-// reporting into them. The optional ring receives structured update
-// events (insert/delete/modify, reallocations, fresh-subtable
-// assignments, eviction chains). Labels are attached to every series —
-// a flowtable passes {"table": "<id>"} so per-table series stay
-// distinct on a shared registry; when a numeric "table" label is
-// present it is also carried on ring events.
+// reporting into them. Labels are attached to every series — a
+// flowtable passes {"table": "<id>"} so per-table series stay distinct
+// on a shared registry. The ring is ignored (see telemetry.EventRing):
+// an update's steps are recorded by the update trace (AttachTracer).
 //
 // The lookup, reallocation and fresh-subtable counters and the
 // entries, active-subtable and epoch gauges are read series: the
@@ -35,18 +37,12 @@ type deviceTelemetry struct {
 //
 // Attaching replaces any previous attachment. Passing a nil registry
 // detaches.
-func (d *Device) AttachTelemetry(reg *telemetry.Registry, ring *telemetry.EventRing, labels telemetry.Labels) {
+func (d *Device) AttachTelemetry(reg *telemetry.Registry, _ *telemetry.EventRing, labels telemetry.Labels) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if reg == nil {
 		d.tel = nil
 		return
-	}
-	table := -1
-	if s, ok := labels["table"]; ok {
-		if n, err := strconv.Atoi(s); err == nil {
-			table = n
-		}
 	}
 	reg.CounterFunc("catcam_lookups_total", "lookups performed", labels, d.stats.lookups.Load)
 	reg.CounterFunc("catcam_reallocations_total", "rules evicted between subtables", labels, d.stats.reallocations.Load)
@@ -55,8 +51,6 @@ func (d *Device) AttachTelemetry(reg *telemetry.Registry, ring *telemetry.EventR
 		chainDepth: reg.Histogram("catcam_eviction_chain_depth",
 			"rules moved per reallocating insert (1 in the paper's design; >1 only under the chained-reallocation ablation)",
 			telemetry.DefaultDepthBuckets, labels),
-		ring:  ring,
-		table: table,
 	}
 	reg.GaugeFunc("catcam_active_subtables", "subtables currently in use", labels,
 		func() int64 { return int64(d.ActiveSubtables()) })
@@ -65,7 +59,7 @@ func (d *Device) AttachTelemetry(reg *telemetry.Registry, ring *telemetry.EventR
 	reg.GaugeFunc("catcam_epoch", "published snapshot epoch (per shard in cluster mode)", labels,
 		func() int64 { return int64(d.Epoch()) })
 	for kind := range t.updateCycles {
-		op := labels.Merged(telemetry.Labels{"op": telemetry.EventKind(kind).String()})
+		op := labels.Merged(telemetry.Labels{"op": opLabels[kind]})
 		t.updateCycles[kind] = reg.Histogram("catcam_update_cycles", "cycle cost per update request",
 			telemetry.DefaultCycleBuckets, op)
 		t.updateErrors[kind] = reg.Counter("catcam_update_errors_total",
@@ -74,17 +68,8 @@ func (d *Device) AttachTelemetry(reg *telemetry.Registry, ring *telemetry.EventR
 	d.tel = t
 }
 
-// event forwards an event to the ring with the device's table ID.
-func (t *deviceTelemetry) event(e telemetry.Event) {
-	if t == nil || t.ring == nil {
-		return
-	}
-	e.Table = t.table
-	t.ring.Emit(e)
-}
-
 // observeOp records a completed (or rejected) top-level update.
-func (d *Device) observeOp(kind telemetry.EventKind, ruleID int, res UpdateResult, err error) {
+func (d *Device) observeOp(kind opKind, res UpdateResult, err error) {
 	t := d.tel
 	if t == nil {
 		return
@@ -97,20 +82,12 @@ func (d *Device) observeOp(kind telemetry.EventKind, ruleID int, res UpdateResul
 	if res.Reallocated > 0 {
 		t.chainDepth.Observe(uint64(res.Reallocated))
 	}
-	t.event(telemetry.Event{
-		Kind:     kind,
-		Subtable: res.Subtable,
-		RuleID:   ruleID,
-		Cycles:   res.Cycles,
-		Depth:    res.Reallocated,
-	})
 }
 
-// resetTelemetry zeroes the device's attached metrics and drops
-// retained events, so warmup traffic does not pollute reported
-// quantiles. The read series need nothing: they read the device's
-// own counters, which its resets zero. No-op when telemetry is not
-// attached.
+// resetTelemetry zeroes the device's attached metrics, so warmup
+// traffic does not pollute reported quantiles. The read series need
+// nothing: they read the device's own counters, which its resets zero.
+// No-op when telemetry is not attached.
 func (d *Device) resetTelemetry() {
 	t := d.tel
 	if t == nil {
@@ -121,5 +98,4 @@ func (d *Device) resetTelemetry() {
 		t.updateErrors[kind].Reset()
 	}
 	t.chainDepth.Reset()
-	t.ring.Reset()
 }

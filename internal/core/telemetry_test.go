@@ -6,15 +6,20 @@ import (
 
 	"catcam/internal/rules"
 	"catcam/internal/telemetry"
+	"catcam/internal/trace"
 )
 
-func telDevice(t *testing.T) (*Device, *telemetry.Registry, *telemetry.EventRing) {
+// telDevice is a 4x4 device reporting into a fresh registry, with every
+// update traced.
+func telDevice(t *testing.T) (*Device, *telemetry.Registry, *trace.Tracer) {
 	t.Helper()
 	d := NewDevice(Config{Subtables: 4, SubtableCapacity: 4, KeyWidth: 160, FrequencyMHz: 500})
 	reg := telemetry.NewRegistry()
-	ring := telemetry.NewEventRing(128)
-	d.AttachTelemetry(reg, ring, nil)
-	return d, reg, ring
+	d.AttachTelemetry(reg, nil, nil)
+	tt := trace.NewTracer(128)
+	tt.SetSampleEvery(1)
+	d.AttachTracer(tt)
+	return d, reg, tt
 }
 
 func telRule(id, prio int) rules.Rule {
@@ -25,7 +30,7 @@ func telRule(id, prio int) rules.Rule {
 }
 
 func TestDeviceTelemetryHistograms(t *testing.T) {
-	d, reg, ring := telDevice(t)
+	d, reg, tt := telDevice(t)
 	for i := 0; i < 12; i++ {
 		if _, err := d.InsertRule(telRule(i, i+1)); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
@@ -70,8 +75,8 @@ func TestDeviceTelemetryHistograms(t *testing.T) {
 	if got := snap.Gauges["catcam_entries"]; got != int64(d.Len()) {
 		t.Errorf("entries gauge = %d, device has %d", got, d.Len())
 	}
-	if ring.Total() == 0 {
-		t.Error("no trace events emitted")
+	if got := tt.Total(); got != 14 {
+		t.Errorf("%d update traces for 14 requests", got)
 	}
 	// /metrics output must contain non-zero cycle buckets and a p99.
 	var b strings.Builder
@@ -86,8 +91,12 @@ func TestDeviceTelemetryHistograms(t *testing.T) {
 	}
 }
 
+// TestDeviceTelemetryReallocEvents checks that the update trace records
+// every reallocation (an evict_locate step, then the eviction_hop that
+// re-places the evicted maximum) and every fresh-subtable assignment,
+// agreeing with the registry's counters.
 func TestDeviceTelemetryReallocEvents(t *testing.T) {
-	d, reg, ring := telDevice(t)
+	d, reg, tt := telDevice(t)
 	// Fill to force reallocations (4x4 device, 16 slots; interleaved
 	// priorities force mid-interval inserts into full subtables).
 	prios := []int{100, 200, 300, 400, 150, 250, 350, 50, 120, 130, 140, 160}
@@ -99,26 +108,31 @@ func TestDeviceTelemetryReallocEvents(t *testing.T) {
 	if d.Stats().Reallocations == 0 {
 		t.Skip("workload produced no reallocations; geometry changed?")
 	}
-	var reallocEvents, freshEvents int
-	for _, e := range ring.Snapshot() {
-		switch e.Kind {
-		case telemetry.EvRealloc:
-			reallocEvents++
-			if e.Subtable < 0 {
-				t.Error("realloc event missing subtable")
+	steps := map[trace.Stage]uint64{}
+	for _, tr := range tt.Snapshot() {
+		for _, sp := range tr.Spans {
+			steps[sp.Stage]++
+			switch sp.Stage {
+			case trace.StageEvictLocate, trace.StageEvictionHop, trace.StageFreshSubtable:
+				if sp.Subtable < 0 {
+					t.Errorf("%s step of trace %d has no subtable", sp.Stage, tr.ID)
+				}
 			}
-		case telemetry.EvFreshSubtable:
-			freshEvents++
 		}
 	}
-	if reallocEvents == 0 {
-		t.Error("no realloc events despite reallocations in stats")
+	snap := reg.Snapshot()
+	realloc := snap.Counters["catcam_reallocations_total"]
+	if realloc != d.Stats().Reallocations {
+		t.Errorf("realloc counter = %d, stats = %d", realloc, d.Stats().Reallocations)
 	}
-	if freshEvents == 0 {
-		t.Error("no fresh-subtable events")
+	if steps[trace.StageEvictLocate] != realloc || steps[trace.StageEvictionHop] != realloc {
+		t.Errorf("%d evict_locate and %d eviction_hop steps, want %d each (one per reallocation)",
+			steps[trace.StageEvictLocate], steps[trace.StageEvictionHop], realloc)
 	}
-	if got := reg.Snapshot().Counters["catcam_reallocations_total"]; got != d.Stats().Reallocations {
-		t.Errorf("realloc counter = %d, stats = %d", got, d.Stats().Reallocations)
+	fresh := snap.Counters["catcam_fresh_subtables_total"]
+	if fresh == 0 || steps[trace.StageFreshSubtable] != fresh {
+		t.Errorf("%d fresh_subtable steps, %d fresh subtables counted, want equal and non-zero",
+			steps[trace.StageFreshSubtable], fresh)
 	}
 }
 
@@ -155,7 +169,7 @@ func TestDeviceTelemetryErrors(t *testing.T) {
 }
 
 func TestResetStatsResetsTelemetry(t *testing.T) {
-	d, reg, ring := telDevice(t)
+	d, reg, _ := telDevice(t)
 	for i := 0; i < 6; i++ {
 		if _, err := d.InsertRule(telRule(i, i+1)); err != nil {
 			t.Fatal(err)
@@ -169,9 +183,6 @@ func TestResetStatsResetsTelemetry(t *testing.T) {
 	}
 	if got := snap.Counters["catcam_lookups_total"]; got != 0 {
 		t.Errorf("lookup counter after ResetStats = %d, want 0", got)
-	}
-	if got := len(ring.Snapshot()); got != 0 {
-		t.Errorf("ring retains %d events after ResetStats", got)
 	}
 	// Gauges describe current state and must survive the reset.
 	if got := snap.Gauges["catcam_entries"]; got != int64(d.Len()) {
@@ -188,12 +199,12 @@ func TestResetStatsResetsTelemetry(t *testing.T) {
 }
 
 func TestDetachTelemetry(t *testing.T) {
-	d, _, ring := telDevice(t)
+	d, reg, _ := telDevice(t)
 	d.AttachTelemetry(nil, nil, nil)
 	if _, err := d.InsertRule(telRule(1, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if ring.Total() != 0 {
-		t.Error("detached device still emits events")
+	if got := reg.Snapshot().Histograms[`catcam_update_cycles{op="insert"}`].Count; got != 0 {
+		t.Errorf("detached device still observes: insert count %d", got)
 	}
 }

@@ -12,50 +12,50 @@ import (
 // so each request — accepted or rejected — publishes exactly one epoch,
 // finishes exactly one update trace, ending in that publish, whose step
 // cycles sum to the cost it reported, lands exactly once in telemetry
-// (an event, or an error count), and leaves no trace in flight.
+// (one cycle observation in its op's series, or one error count), and
+// leaves no trace in flight.
 func TestUpdateBracketOncePerRequest(t *testing.T) {
 	// A 2×2 device holding priorities 10, 20 | 30 (one free slot), or
 	// 10, 20 | 30, 40 (full, no free subtable) for the rejected inserts.
 	for _, c := range []struct {
 		name    string
 		full    bool
-		op      string              // the update trace's op name
-		kind    telemetry.EventKind // the request's own event; its name is the op label
+		op      string // the update trace's op name
+		label   string // the op label of its telemetry series
 		run     func(d *Device) (UpdateResult, error)
 		wantErr error
 	}{
-		{"insert", false, "insert", telemetry.EvInsert, func(d *Device) (UpdateResult, error) {
+		{"insert", false, "insert", "insert", func(d *Device) (UpdateResult, error) {
 			return d.InsertRule(telRule(9, 35))
 		}, nil},
-		{"insert/full", true, "insert", telemetry.EvInsert, func(d *Device) (UpdateResult, error) {
+		{"insert/full", true, "insert", "insert", func(d *Device) (UpdateResult, error) {
 			return d.InsertRule(telRule(9, 35))
 		}, ErrFull},
-		{"insert_word", false, "insert_word", telemetry.EvInsert, func(d *Device) (UpdateResult, error) {
+		{"insert_word", false, "insert_word", "insert", func(d *Device) (UpdateResult, error) {
 			return d.InsertWord(ternary.MustParse("1***"), 35, 9, 9)
 		}, nil},
-		{"insert_word/full", true, "insert_word", telemetry.EvInsert, func(d *Device) (UpdateResult, error) {
+		{"insert_word/full", true, "insert_word", "insert", func(d *Device) (UpdateResult, error) {
 			return d.InsertWord(ternary.MustParse("1***"), 35, 9, 9)
 		}, ErrFull},
-		{"delete", false, "delete", telemetry.EvDelete, func(d *Device) (UpdateResult, error) {
+		{"delete", false, "delete", "delete", func(d *Device) (UpdateResult, error) {
 			return d.DeleteRule(1)
 		}, nil},
-		{"delete/unknown", false, "delete", telemetry.EvDelete, func(d *Device) (UpdateResult, error) {
+		{"delete/unknown", false, "delete", "delete", func(d *Device) (UpdateResult, error) {
 			return d.DeleteRule(77)
 		}, ErrNotFound},
-		{"modify", false, "modify", telemetry.EvModify, func(d *Device) (UpdateResult, error) {
+		{"modify", false, "modify", "modify", func(d *Device) (UpdateResult, error) {
 			return d.ModifyRule(1, telRule(1, 15))
 		}, nil},
 		// The delete phase frees a slot below, the new version targets
 		// the full subtable above: one delete cycle, then ErrFull.
-		{"modify/full", true, "modify", telemetry.EvModify, func(d *Device) (UpdateResult, error) {
+		{"modify/full", true, "modify", "modify", func(d *Device) (UpdateResult, error) {
 			return d.ModifyRule(1, telRule(1, 35))
 		}, ErrFull},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			d, tt, _, _ := instrumented(Config{Subtables: 2, SubtableCapacity: 2, KeyWidth: 160})
 			reg := telemetry.NewRegistry()
-			ring := telemetry.NewEventRing(64)
-			d.AttachTelemetry(reg, ring, nil)
+			d.AttachTelemetry(reg, nil, nil)
 			n := 3
 			if c.full {
 				n = 4
@@ -65,9 +65,21 @@ func TestUpdateBracketOncePerRequest(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			errKey := `catcam_update_errors_total{op="` + c.kind.String() + `"}`
+			// observed reads the request's own cycle series, all of them
+			// together, and its error counter.
+			observed := func() (own, total, errs uint64) {
+				snap := reg.Snapshot()
+				for _, l := range opLabels {
+					n := snap.Histograms[`catcam_update_cycles{op="`+l+`"}`].Count
+					total += n
+					if l == c.label {
+						own = n
+					}
+				}
+				return own, total, snap.Counters[`catcam_update_errors_total{op="`+c.label+`"}`]
+			}
 			epoch0, traces0 := d.Epoch(), tt.Total()
-			events0, errs0 := ring.Total(), reg.Snapshot().Counters[errKey]
+			own0, total0, errs0 := observed()
 
 			res, err := c.run(d)
 			if !errors.Is(err, c.wantErr) {
@@ -90,17 +102,11 @@ func TestUpdateBracketOncePerRequest(t *testing.T) {
 				t.Errorf("trace cycles %d, steps sum %d, result %d: %+v",
 					tr.Cycles, tr.SpanCycles(), res.Cycles, tr.Spans)
 			}
-			own := 0
-			evs := ring.Snapshot()
-			for _, e := range evs[len(evs)-int(ring.Total()-events0):] {
-				if e.Kind == c.kind {
-					own++
-				}
-			}
-			errs := reg.Snapshot().Counters[errKey] - errs0
-			if wantEv, wantErrs := btoi(err == nil), uint64(btoi(err != nil)); own != wantEv || errs != wantErrs {
-				t.Errorf("telemetry saw %d %v events and %d errors, want %d and %d",
-					own, c.kind, errs, wantEv, wantErrs)
+			own, total, errs := observed()
+			want := uint64(btoi(err == nil))
+			if own-own0 != want || total-total0 != want || errs-errs0 != 1-want {
+				t.Errorf("telemetry saw %d %s observations (%d in all series) and %d errors, want %d, %d and %d",
+					own-own0, c.label, total-total0, errs-errs0, want, want, 1-want)
 			}
 			d.mu.Lock()
 			inFlight := d.trace

@@ -127,15 +127,14 @@ func (s *SweepInfo) Add(o SweepInfo) {
 
 // Auditor collects invariant check outcomes: per-invariant check and
 // violation counters (exported as catcam_audit_checks_total /
-// catcam_audit_violations_total{invariant=...}), a bounded ring of the
-// most recent violations, and violation events on the shared telemetry
-// trace ring. Pass accounting (CheckPass) is a single atomic add, so
-// inline audits stay cheap; a violation allocates its ring record —
-// violations are the exceptional path.
+// catcam_audit_violations_total{invariant=...}) and a bounded ring of
+// the most recent violations (served at /debug/audit). Pass accounting
+// (CheckPass) is a single atomic add, so inline audits stay cheap; a
+// violation allocates its ring record — violations are the exceptional
+// path.
 type Auditor struct {
 	checks [invariantCount]*telemetry.Counter
 	fails  [invariantCount]*telemetry.Counter
-	ring   *telemetry.EventRing
 	table  int
 
 	lookupSampler telemetry.Sampler
@@ -150,15 +149,16 @@ type Auditor struct {
 }
 
 // NewAuditor builds an auditor retaining up to keep recent violations.
-// reg and ring may be nil (counters and events are then dropped);
-// labels (e.g. {"table": "0"}) scope the exported counter series, and
-// a "table" label also tags violations and events. Lookup sampling
-// starts disabled; call SetLookupSampleEvery.
-func NewAuditor(reg *telemetry.Registry, ring *telemetry.EventRing, keep int, labels telemetry.Labels) *Auditor {
+// reg may be nil (the counters are then unregistered); labels (e.g.
+// {"table": "0"}) scope the exported counter series, and a "table"
+// label also tags violations. The ring is ignored (see
+// telemetry.EventRing). Lookup sampling starts disabled; call
+// SetLookupSampleEvery.
+func NewAuditor(reg *telemetry.Registry, _ *telemetry.EventRing, keep int, labels telemetry.Labels) *Auditor {
 	if keep <= 0 {
 		keep = 64
 	}
-	a := &Auditor{ring: ring, table: -1,
+	a := &Auditor{table: -1,
 		recent: telemetry.NewRing(keep, func(v *Violation) *uint64 { return &v.Seq })}
 	if t, err := strconv.Atoi(labels["table"]); err == nil {
 		a.table = t
@@ -212,12 +212,12 @@ func (a *Auditor) CheckPass(inv Invariant) {
 	a.checks[inv].Inc()
 }
 
-// Fail records a failed check: both counters advance, the violation is
-// retained (oldest dropped beyond the keep bound), and an EvViolation
-// event lands on the telemetry ring. Nil-receiver safe. The violation's
-// Seq and UnixNano are assigned here; when the auditor carries a
-// "table" label it overrides the violation's Table (reporters inside a
-// device pass -1, not knowing their pipeline position).
+// Fail records a failed check: both counters advance and the violation
+// is retained (oldest dropped beyond the keep bound). Nil-receiver
+// safe. The violation's Seq and UnixNano are assigned here; when the
+// auditor carries a "table" label it overrides the violation's Table
+// (reporters inside a device pass -1, not knowing their pipeline
+// position).
 func (a *Auditor) Fail(v Violation) {
 	if a == nil {
 		return
@@ -229,13 +229,6 @@ func (a *Auditor) Fail(v Violation) {
 		v.Table = a.table
 	}
 	a.recent.Publish(&v)
-	a.ring.Emit(telemetry.Event{
-		Kind:     telemetry.EvViolation,
-		Table:    v.Table,
-		Subtable: v.Subtable,
-		RuleID:   v.RuleID,
-		Note:     v.Invariant.String() + ": " + v.Detail,
-	})
 }
 
 // Check records one check outcome: pass when ok, otherwise the

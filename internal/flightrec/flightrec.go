@@ -10,8 +10,8 @@
 //     metadata cache, eviction-chain length ≤ 1) plus background sweeps
 //     (priority-matrix antisymmetry/irreflexivity, global interval
 //     disjointness, bit-plane ≡ scalar match-array consistency) feed
-//     per-invariant check/violation counters, violation events on the
-//     shared telemetry ring, and a /debug/audit report.
+//     per-invariant check/violation counters and a ring of recent
+//     violations, served as the /debug/audit report.
 //
 //   - Shadow: differential checking. A sampled fraction of lookups is
 //     re-classified through a software reference classifier

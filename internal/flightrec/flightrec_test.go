@@ -54,8 +54,7 @@ func TestSamplerGating(t *testing.T) {
 
 func TestAuditorCountersAndRing(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	ring := telemetry.NewEventRing(16)
-	a := NewAuditor(reg, ring, 2, telemetry.Labels{"table": "3"})
+	a := NewAuditor(reg, nil, 2, telemetry.Labels{"table": "3"})
 
 	a.CheckPass(InvReportOneHot)
 	a.Check(InvReportOneHot, true, func() Violation { t.Fatal("detail called on pass"); return Violation{} })
@@ -79,19 +78,11 @@ func TestAuditorCountersAndRing(t *testing.T) {
 	if len(vs) != 2 || vs[0].Seq != 2 || vs[1].Seq != 3 {
 		t.Fatalf("violation ring wrong: %+v", vs)
 	}
-	// The "table" label propagates into violations left at zero.
-	if vs[0].Table != 3 {
-		t.Fatalf("table label not applied: %+v", vs[0])
-	}
-
-	// Violations land on the telemetry ring as EvViolation events.
-	events := ring.Snapshot()
-	if len(events) != 3 {
-		t.Fatalf("expected 3 violation events, got %d", len(events))
-	}
-	for _, e := range events {
-		if e.Kind != telemetry.EvViolation || e.Table != 3 || e.Note == "" {
-			t.Fatalf("bad violation event: %+v", e)
+	// The "table" label propagates into every retained violation, which
+	// keeps what its reporter filled in.
+	for i, v := range vs {
+		if v.Table != 3 || v.Invariant != InvEvictionBound || v.RuleID != 11+i || v.Detail == "" {
+			t.Fatalf("violation %d = %+v, want table 3, eviction_bound, rule %d, a detail", i, v, 11+i)
 		}
 	}
 
@@ -255,10 +246,9 @@ func TestShadowNilSafety(t *testing.T) {
 // report reads, beside update-trace publication on a shared tracer.
 func TestConcurrentAuditAndTrace(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	ring := telemetry.NewEventRing(64)
 	tt := trace.NewTracer(32)
 	tt.SetSampleEvery(2)
-	a := NewAuditor(reg, ring, 16, nil)
+	a := NewAuditor(reg, nil, 16, nil)
 	a.SetLookupSampleEvery(2)
 	s := NewShadow(swclass.NewLinear(), a, -1)
 	s.SetSampleEvery(1)

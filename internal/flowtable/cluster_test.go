@@ -100,8 +100,7 @@ func TestClusterBackedPipeline(t *testing.T) {
 func TestClusterBackedPipelineTelemetry(t *testing.T) {
 	p := buildShardedPipeline(t)
 	reg := telemetry.NewRegistry()
-	ring := telemetry.NewEventRing(64)
-	p.AttachTelemetry(reg, ring, nil)
+	p.AttachTelemetry(reg, nil, nil)
 	p.Classify(rules.Header{SrcIP: 0x0A010203})
 	snap := reg.Snapshot()
 	// The sharded table's devices export with both table and shard labels.

@@ -43,6 +43,7 @@ type Backend interface {
 	InsertRule(rules.Rule) (core.UpdateResult, error)
 	DeleteRule(ruleID int) (core.UpdateResult, error)
 	LookupHeaderBatchTraced(tr *tracepkg.Trace, hs []rules.Header, dst []core.LookupResult) []core.LookupResult
+	// AttachTelemetry's ring is ignored (see telemetry.EventRing).
 	AttachTelemetry(reg *telemetry.Registry, ring *telemetry.EventRing, labels telemetry.Labels)
 	AttachTracer(tt *tracepkg.Tracer)
 	AttachAuditor(aud *flightrec.Auditor)
@@ -175,15 +176,14 @@ type table struct {
 type pipelineTelemetry struct {
 	gotoDepth *telemetry.Histogram
 	drops     *telemetry.Counter
-	ring      *telemetry.EventRing
 }
 
 // AttachTelemetry registers classification metrics on reg — per-table
 // hit/miss counters and a goto-chain depth histogram — and attaches
 // every table's backing device with a {"table": "<id>"} label so
-// per-table update histograms and trace events land on the same
-// registry and ring.
-func (p *Pipeline) AttachTelemetry(reg *telemetry.Registry, ring *telemetry.EventRing, labels telemetry.Labels) {
+// per-table update histograms land on the same registry. The ring is
+// ignored (see telemetry.EventRing).
+func (p *Pipeline) AttachTelemetry(reg *telemetry.Registry, _ *telemetry.EventRing, labels telemetry.Labels) {
 	if reg == nil {
 		p.tel = nil
 		for _, t := range p.tables {
@@ -197,7 +197,6 @@ func (p *Pipeline) AttachTelemetry(reg *telemetry.Registry, ring *telemetry.Even
 			"tables visited per classification", telemetry.DefaultDepthBuckets, labels),
 		drops: reg.Counter("catcam_flowtable_drops_total",
 			"classifications ending in a drop", labels),
-		ring: ring,
 	}
 	for _, t := range p.tables {
 		tl := labels.Merged(telemetry.Labels{"table": strconv.Itoa(t.cfg.ID)})
@@ -205,7 +204,7 @@ func (p *Pipeline) AttachTelemetry(reg *telemetry.Registry, ring *telemetry.Even
 			"per-table classification outcomes", tl.Merged(telemetry.Labels{"result": "hit"}))
 		t.misses = reg.Counter("catcam_flowtable_classify_total",
 			"per-table classification outcomes", tl.Merged(telemetry.Labels{"result": "miss"}))
-		t.dev.AttachTelemetry(reg, ring, tl)
+		t.dev.AttachTelemetry(reg, nil, tl)
 	}
 }
 
@@ -401,17 +400,7 @@ func (p *Pipeline) Classify(h rules.Header) (int, []Trace) {
 	var visits [1][]Trace
 	var out [1]int
 	action := p.wave(nil, hs[:], out[:0], visits[:])[0]
-	traces := visits[0]
-	if t := p.tel; t != nil {
-		ev := telemetry.Event{Kind: telemetry.EvClassify, Table: -1, Subtable: -1,
-			RuleID: -1, Depth: len(traces)}
-		if n := len(traces); n > 0 {
-			ev.Table = traces[n-1].TableID
-			ev.RuleID = traces[n-1].RuleID
-		}
-		t.ring.Emit(ev)
-	}
-	return action, traces
+	return action, visits[0]
 }
 
 // ClassifyBatch classifies a batch of headers and appends one final

@@ -3,13 +3,12 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
-	"net/http/httptest"
 	"strings"
 	"testing"
 )
 
 // Exporter edge cases: Prometheus label-value escaping, empty
-// registries, /events filter combinations, and the exemplar surface.
+// registries, and the exemplar surface.
 
 // TestPrometheusLabelEscaping pins the text-format escaping rules for
 // hostile label values: the 0.0.4 exposition format requires backslash,
@@ -81,68 +80,6 @@ func TestEmptyRegistryExport(t *testing.T) {
 	var nilReg *Registry
 	if err := nilReg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestEventsFilterCombinations drives the /events handler through the
-// ?kind= and ?n= combinations: single kind, multi-kind, kind+n, n
-// alone, empty segments, and the 400 paths.
-func TestEventsFilterCombinations(t *testing.T) {
-	ring := NewEventRing(32)
-	for i := 0; i < 5; i++ {
-		ring.Emit(Event{Kind: EvInsert, RuleID: i})
-	}
-	for i := 0; i < 3; i++ {
-		ring.Emit(Event{Kind: EvRealloc, RuleID: 100 + i})
-	}
-	ring.Emit(Event{Kind: EvDelete, RuleID: 999})
-	h := ring.Handler()
-
-	get := func(query string) (int, []Event) {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("GET", "/events"+query, nil))
-		if rec.Code != 200 {
-			return rec.Code, nil
-		}
-		var resp struct {
-			Events []Event `json:"events"`
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-			t.Fatalf("%s: bad JSON: %v", query, err)
-		}
-		return rec.Code, resp.Events
-	}
-
-	if _, evs := get(""); len(evs) != 9 {
-		t.Fatalf("no filter: %d events, want 9", len(evs))
-	}
-	if _, evs := get("?kind=insert"); len(evs) != 5 {
-		t.Fatalf("kind=insert: %d events, want 5", len(evs))
-	}
-	if _, evs := get("?kind=insert,realloc"); len(evs) != 8 {
-		t.Fatalf("kind=insert,realloc: %d events, want 8", len(evs))
-	}
-	// Empty segments in the list are ignored.
-	if _, evs := get("?kind=,insert,"); len(evs) != 5 {
-		t.Fatalf("kind=,insert,: %d events, want 5", len(evs))
-	}
-	if _, evs := get("?n=2"); len(evs) != 2 || evs[1].RuleID != 999 {
-		t.Fatalf("n=2: got %+v, want the 2 most recent ending in rule 999", evs)
-	}
-	if _, evs := get("?n=0"); len(evs) != 0 {
-		t.Fatalf("n=0: %d events, want 0", len(evs))
-	}
-	if _, evs := get("?n=100"); len(evs) != 9 {
-		t.Fatalf("n>len: %d events, want all 9", len(evs))
-	}
-	// kind+n compose: filter first, then keep most recent n.
-	if _, evs := get("?kind=insert&n=2"); len(evs) != 2 || evs[0].Kind != EvInsert || evs[0].RuleID != 3 {
-		t.Fatalf("kind=insert&n=2: got %+v, want inserts 3,4", evs)
-	}
-	for _, bad := range []string{"?kind=nonsense", "?kind=insert,nope", "?n=-1", "?n=x"} {
-		if code, _ := get(bad); code != 400 {
-			t.Fatalf("%s: code %d, want 400", bad, code)
-		}
 	}
 }
 

@@ -181,56 +181,3 @@ func (r *Registry) JSONHandler() http.Handler {
 		_ = r.WriteJSON(w)
 	})
 }
-
-// Handler serves the retained trace events as a JSON array
-// (oldest-first) with total/capacity metadata. Query parameters:
-// ?kind=insert,realloc filters by event kind (symbolic names,
-// comma-separable); ?n=K keeps only the K most recent events after
-// filtering. Unknown kind names yield 400.
-func (r *EventRing) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		events := r.Snapshot()
-		if ks := req.URL.Query().Get("kind"); ks != "" {
-			var want []EventKind
-			for _, name := range strings.Split(ks, ",") {
-				if name == "" {
-					continue
-				}
-				var k EventKind
-				if err := k.UnmarshalText([]byte(name)); err != nil {
-					http.Error(w, err.Error(), http.StatusBadRequest)
-					return
-				}
-				want = append(want, k)
-			}
-			kept := events[:0]
-			for _, e := range events {
-				for _, k := range want {
-					if e.Kind == k {
-						kept = append(kept, e)
-						break
-					}
-				}
-			}
-			events = kept
-		}
-		if ns := req.URL.Query().Get("n"); ns != "" {
-			n, err := strconv.Atoi(ns)
-			if err != nil || n < 0 {
-				http.Error(w, fmt.Sprintf("telemetry: bad n %q", ns), http.StatusBadRequest)
-				return
-			}
-			if n < len(events) {
-				events = events[len(events)-n:]
-			}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(struct {
-			Total    uint64  `json:"total_emitted"`
-			Capacity int     `json:"capacity"`
-			Events   []Event `json:"events"`
-		}{r.Total(), r.Cap(), events})
-	})
-}

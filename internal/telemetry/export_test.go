@@ -169,8 +169,6 @@ func TestJSONSnapshot(t *testing.T) {
 
 func TestHTTPHandlers(t *testing.T) {
 	reg := newExportRegistry()
-	ring := NewEventRing(4)
-	ring.Emit(Event{Kind: EvInsert, Cycles: 3})
 
 	rec := httptest.NewRecorder()
 	reg.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -183,18 +181,5 @@ func TestHTTPHandlers(t *testing.T) {
 	reg.JSONHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics.json", nil))
 	if rec.Code != 200 || !json.Valid(rec.Body.Bytes()) {
 		t.Errorf("/metrics.json: code %d, invalid JSON", rec.Code)
-	}
-
-	rec = httptest.NewRecorder()
-	ring.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/events", nil))
-	var events struct {
-		Total  uint64  `json:"total_emitted"`
-		Events []Event `json:"events"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &events); err != nil {
-		t.Fatalf("/events: %v", err)
-	}
-	if events.Total != 1 || len(events.Events) != 1 {
-		t.Errorf("/events = %+v, want one event", events)
 	}
 }

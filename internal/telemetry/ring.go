@@ -30,8 +30,8 @@ func (s *Sampler) Hit() bool {
 }
 
 // Ring is the bounded overwrite ring behind every retained-record view
-// in the tree: the event ring here, the span tracer (internal/trace)
-// and the flight recorder (internal/flightrec). Publishers claim a slot
+// in the tree: the span tracer (internal/trace) and the auditor's
+// recent violations (internal/flightrec). Publishers claim a slot
 // with one atomic add and publish with one atomic pointer store;
 // readers walk it without blocking publishers (and vice versa) — no
 // locks anywhere. When the ring is full the oldest records are
@@ -94,10 +94,16 @@ func (r *Ring[T]) Each(f func(*T)) {
 	}
 }
 
-// Reset drops all retained records. The sequence keeps counting from
-// where it was so readers never see sequence numbers go backwards.
-func (r *Ring[T]) Reset() {
-	for i := range r.slots {
-		r.slots[i].Store(nil)
-	}
-}
+// EventRing is what is left of the retired structured-event ring: it
+// holds nothing. The update trace (internal/trace) is the one record of
+// an update's steps.
+//
+// Deprecated: kept only because benchmark/ still builds one and passes
+// it to the AttachTelemetry methods and flightrec.NewAuditor, which
+// ignore it; deleted with the benchmark-side edits of ROADMAP item 5.
+type EventRing struct{}
+
+// NewEventRing returns an empty EventRing; capacity is ignored.
+//
+// Deprecated: see EventRing.
+func NewEventRing(capacity int) *EventRing { return &EventRing{} }

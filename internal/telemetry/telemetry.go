@@ -1,7 +1,8 @@
 // Package telemetry is the runtime observability substrate for the
 // CATCAM system: atomic counters, gauges, fixed-bucket latency
-// histograms with quantile estimation, and a bounded event-trace ring
-// buffer, plus Prometheus-text and JSON snapshot encoders.
+// histograms with quantile estimation, and the bounded overwrite ring
+// behind the retained-record views, plus Prometheus-text and JSON
+// snapshot encoders.
 //
 // The package is deliberately zero-dependency (stdlib only) and
 // allocation-free on the hot path: Counter.Add, Gauge.Set and

@@ -38,13 +38,12 @@ func newObservedStack(t *testing.T) *observedStack {
 	t.Helper()
 	geom := core.Config{Subtables: 32, SubtableCapacity: 16, KeyWidth: 160}
 	s := &observedStack{reg: telemetry.NewRegistry()}
-	ring := telemetry.NewEventRing(64)
 
 	s.dev = core.NewDevice(geom)
-	s.dev.AttachTelemetry(s.reg, ring, nil)
+	s.dev.AttachTelemetry(s.reg, nil, nil)
 
 	s.cl = cluster.New(cluster.Config{Shards: 2, Device: geom})
-	s.cl.AttachTelemetry(s.reg, ring, nil)
+	s.cl.AttachTelemetry(s.reg, nil, nil)
 
 	p, err := flowtable.NewPipeline([]flowtable.TableConfig{
 		{ID: 0, Device: geom, Miss: flowtable.MissPolicy{Continue: true}},
@@ -54,12 +53,12 @@ func newObservedStack(t *testing.T) *observedStack {
 		t.Fatal(err)
 	}
 	s.p = p
-	s.p.AttachTelemetry(s.reg, ring, nil)
+	s.p.AttachTelemetry(s.reg, nil, nil)
 
 	s.eng = ingress.New(ingress.Config{Workers: 2, FlowCacheSize: 64, Backend: ingress.NewPipelineBackend(s.p)})
 	s.eng.AttachTelemetry(s.reg, nil)
 
-	s.aud = flightrec.NewAuditor(s.reg, ring, 0, nil)
+	s.aud = flightrec.NewAuditor(s.reg, nil, 0, nil)
 	s.dev.AttachAuditor(s.aud)
 
 	s.obs = stateobs.New(s.dev, stateobs.Config{})
