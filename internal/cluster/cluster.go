@@ -273,17 +273,17 @@ func (c *Cluster) DeleteRule(ruleID int) (core.UpdateResult, error) {
 // the interval of the shard that holds the old version, the shard's
 // Device.ModifyRule makes the change. Otherwise the new version is
 // inserted into the destination shard and the old one deleted from the
-// source. Either way one cut is stored after the shards, together with
-// the owner record's move, so a round sees the old version or the new
-// one. A destination that cannot take the new version returns its error with
-// the old version still installed and owned. Cycle costs of both
+// source. Either way the new version is stored first, one cut is stored
+// after the shards, and the owner record moves only on success, so a
+// round sees the old version or the new one, and a failed modify leaves
+// the old version installed, owned and answering. Cycle costs of both
 // phases are reported together, mirroring Device.ModifyRule.
 func (c *Cluster) ModifyRule(ruleID int, newRule rules.Rule) (res core.UpdateResult, err error) {
 	if newRule.ID != ruleID {
 		return res, fmt.Errorf("cluster: modify must keep rule ID %d, got %d", ruleID, newRule.ID)
 	}
 	if newRule.ExpansionCount() == 0 {
-		// Rejected before either path deletes the old version.
+		// Rejected before either path touches a shard.
 		return res, fmt.Errorf("cluster: modify of rule %d: %w", ruleID, core.ErrEmptyRule)
 	}
 	c.mu.Lock()
@@ -303,13 +303,8 @@ func (c *Cluster) ModifyRule(ruleID int, newRule rules.Rule) (res core.UpdateRes
 	c.routeMu.Lock()
 	defer c.routeMu.Unlock()
 	c.publishLocked()
-	switch {
-	case err == nil:
+	if err == nil {
 		c.owner[ruleID] = ownedRule{shard: dst, rule: newRule}
-	case dst != o.shard: // the old version is still installed and owned
-	case !errors.Is(err, core.ErrNotFound):
-		// The device deleted the old version before its insert failed.
-		delete(c.owner, ruleID)
 	}
 	return res, err
 }

@@ -575,27 +575,41 @@ func TestClusterChurnVsClassify(t *testing.T) {
 // cut between the Cluster.Epoch() reads around it, so one version or
 // the other of the rule and never the catch-all. A modify that stays on
 // its shard is one device epoch; one that flips the priority across a
-// shard bound every iteration moves the rule between shards. Each
-// stores one cut, and the arbiter audit at 1-in-1 sees no winner it
+// shard bound every iteration moves the rule between shards. On a full
+// shard every other modify's new version does not fit and is refused,
+// with the old version still installed, owned and answering. Each
+// stores one cut, the writer finds the installed version answering
+// after every modify, and the arbiter audit at 1-in-1 sees no winner it
 // cannot account for.
 func TestClusterModifyChurnVsClassify(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		flip int // the modify alternates priority 40000 and 40000+flip
+		// full: the shards are one 4-slot subtable each, shard 2 holds
+		// two fillers beside the rule, and every other modify's new
+		// version stores 4 rows, which do not fit beside the old one.
+		full bool
 	}{
-		{"interval", 1},
+		{"interval", 1, false},
 		// 40000 is shard 2's, 50000 shard 3's (bounds 16384, 32768, 49152).
-		{"interval/cross-shard", 10000},
+		{"interval/cross-shard", 10000, false},
+		{"interval/full-shard", 0, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := testCluster(4)
+			src := rules.Prefix{Addr: 0x0A000000, Len: 8}
+			load := []rules.Rule{clRule(1, 10, rules.Prefix{Len: 0}), clRule(2, 40000, src)}
+			if tc.full {
+				c = New(Config{Shards: 4, Device: core.Config{Subtables: 1, SubtableCapacity: 4, KeyWidth: 160}})
+				for id := 3; id <= 4; id++ {
+					load = append(load, clRule(id, 40000+id, rules.Prefix{Addr: 0x0B000000, Len: 8}))
+				}
+			}
 			aud := flightrec.NewAuditor(nil, nil, 64, nil)
 			aud.SetLookupSampleEvery(1)
 			c.AttachAuditor(aud)
-			low := clRule(1, 10, rules.Prefix{Len: 0})
-			src := rules.Prefix{Addr: 0x0A000000, Len: 8}
 			m := oracle.NewMirror()
-			for _, r := range []rules.Rule{low, clRule(2, 40000, src)} {
+			for _, r := range load {
 				if _, err := c.InsertRule(r); err != nil {
 					t.Fatal(err)
 				}
@@ -616,19 +630,28 @@ func TestClusterModifyChurnVsClassify(t *testing.T) {
 			for i := 0; i < modifies && !t.Failed(); i++ {
 				mod := clRule(2, 40000+i%2*tc.flip, src)
 				mod.Action = 100 + i
+				var want error
+				if tc.full && i%2 == 1 {
+					mod.DstPort, want = rules.PortRange{Lo: 1, Hi: 6}, core.ErrFull // 4 rows
+				}
 				_, err := c.ModifyRule(2, mod)
-				if err == nil {
-					err = m.Apply(oracle.Modify, mod, nil)
+				if !errors.Is(err, want) {
+					t.Fatalf("modify %d: %v, want %v", i, err, want)
 				}
-				if err == nil {
-					err = w.Record(c.Epoch())
+				for _, e := range []error{m.Apply(oracle.Modify, mod, err), w.Record(c.Epoch())} {
+					if e != nil {
+						t.Fatalf("modify %d: %v", i, e)
+					}
 				}
-				if err != nil {
-					t.Fatalf("modify %d: %v", i, err)
+				if a, ok := c.Lookup(hs[0]); !ok || a != m.Live[2].Action {
+					t.Fatalf("modify %d (err %v): the header answers %d,%v, want the installed version's %d", i, err, a, ok, m.Live[2].Action)
 				}
 				runtime.Gosched() // on one P, let the reader in between modifies
 			}
 			stop()
+			if got := owned(c)[2].rule; got != m.Live[2] {
+				t.Fatalf("owner map holds %+v, want the installed version %+v", got, m.Live[2])
+			}
 			if n := aud.ViolationCount(flightrec.InvArbiterWinner); n != 0 {
 				t.Fatalf("%d arbiter_winner violations under modify churn: %+v", n, aud.Violations())
 			}

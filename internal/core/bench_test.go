@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -84,21 +85,29 @@ func loadACL(b *testing.B, cfg Config, size int) (*Device, *rules.Ruleset) {
 	return d, rs
 }
 
-// BenchmarkInsertRuleMultiRow deletes and re-inserts, in turn, each
-// ACL-1K rule that encodes to 24 rows or more, on the loaded seed-5
-// Compact device: the rules that set the update tail. One op is the
-// pair, each half with its own publication.
-func BenchmarkInsertRuleMultiRow(b *testing.B) {
-	d, rs := loadACL(b, Compact(), 1000)
+// multiRow returns the rules of rs that store 24 rows or more at the
+// key width of cfg: the rules that set the update tail.
+func multiRow(b *testing.B, cfg Config, rs *rules.Ruleset) []rules.Rule {
+	b.Helper()
 	var multi []rules.Rule
 	for _, r := range rs.Rules {
-		if len(r.Encode()) >= 24 {
+		if r.ExpansionCountWidth(cfg.KeyWidth) >= 24 {
 			multi = append(multi, r)
 		}
 	}
 	if len(multi) == 0 {
 		b.Fatal("no rule of 24 rows or more")
 	}
+	return multi
+}
+
+// BenchmarkInsertRuleMultiRow deletes and re-inserts, in turn, each
+// ACL-5K rule that stores 24 rows or more, on the loaded seed-5 Compact
+// device. One op is the pair, each half with its own publication.
+func BenchmarkInsertRuleMultiRow(b *testing.B) {
+	cfg := Compact()
+	d, rs := loadACL(b, cfg, 5000)
+	multi := multiRow(b, cfg, rs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -112,32 +121,26 @@ func BenchmarkInsertRuleMultiRow(b *testing.B) {
 	}
 }
 
-// BenchmarkInsertRuleMultiRowFull inserts, in turn, each ACL-1K rule
-// that encodes to 24 rows or more into a full subtable, so every row
-// evicts: the other half of the update tail. The device is the
-// Compact geometry cut to 2 subtables. The first holds fillers ranked
-// below the rule and, above it, a copy of the rule with the most rows,
-// so each row of the rule evicts the subtable's maximum into the
+// BenchmarkInsertRuleMultiRowFull inserts, in turn, each ACL-5K rule
+// (table seed 5) that stores 24 rows or more into a full subtable, so
+// every row evicts: the other half of the update tail. The device is
+// the Compact geometry cut to 2 subtables. The first holds fillers
+// ranked below the rule and, above it, a copy of the rule with the most
+// rows, so each row of the rule evicts the subtable's maximum into the
 // second. One op is the insert and its publication; off the clock, the
 // rule and the copy are deleted and the copy re-inserted, which fills
 // the first subtable again and empties the second.
 func BenchmarkInsertRuleMultiRowFull(b *testing.B) {
 	cfg := Compact()
 	cfg.Subtables = 2
-	rs := classbench.Generate(classbench.Config{Family: classbench.ACL, Size: 1000, Seed: 5})
-	var multi []rules.Rule
+	rs := classbench.Generate(classbench.Config{Family: classbench.ACL, Size: 5000, Seed: 5})
+	multi := multiRow(b, cfg, rs)
 	var top rules.Rule
-	for _, r := range rs.Rules {
-		if n := len(r.Encode()); n >= 24 {
-			r.Priority = 1
-			multi = append(multi, r)
-			if n > len(top.Encode()) {
-				top = r
-			}
+	for i := range multi {
+		multi[i].Priority = 1
+		if multi[i].ExpansionCountWidth(cfg.KeyWidth) > top.ExpansionCountWidth(cfg.KeyWidth) {
+			top = multi[i]
 		}
-	}
-	if len(multi) == 0 {
-		b.Fatal("no rule of 24 rows or more")
 	}
 	top.ID, top.Priority = len(rs.Rules), 2
 	d := NewDevice(cfg)
@@ -159,7 +162,7 @@ func BenchmarkInsertRuleMultiRowFull(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if rows := len(r.Encode()); res.Reallocated != rows {
+		if rows := r.ExpansionCountWidth(cfg.KeyWidth); res.Reallocated != rows {
 			b.Fatalf("rule %d: %d of %d rows evicted", r.ID, res.Reallocated, rows)
 		}
 		for _, id := range []int{r.ID, top.ID} {
@@ -196,7 +199,7 @@ func BenchmarkPublish(b *testing.B) {
 			step := func(b *testing.B, r rules.Rule, del, timed bool) {
 				var err error
 				if del {
-					_, err = d.deleteRule(r.ID)
+					d.deleteSeqs(r.ID, 0, math.MaxInt)
 				} else {
 					_, err = d.insertRule(r, r.EncodeWidth(cfg.KeyWidth))
 				}

@@ -519,7 +519,7 @@ type UpdateResult struct {
 type updateOp struct {
 	name  string         // the update trace's op name
 	kind  opKind         // the request's per-op telemetry series
-	del   bool           // run the delete body on rule.ID first
+	del   bool           // delete rule.ID's entries stored before the request, after storing words
 	rule  rules.Rule     // the ID; for a storing request also priority, action and body
 	words []ternary.Word // the entries to store, encoded at the key width before the lock; nil for a delete
 	raw   bool           // words have no rule-level form the shadow could mirror
@@ -527,37 +527,40 @@ type updateOp struct {
 
 // update is the one update bracket; every alteration of the table goes
 // through it. It takes the device lock, pauses shadow comparisons, opens
-// the (sampled) update trace, runs the delete body and then the insert
+// the (sampled) update trace, runs the insert body and then the delete
 // body as the request asks — an insert or a delete is one of them, a
 // modify is both (§III-C) — mirrors the change into the shadow and the
 // change log's pending record, publishes exactly one epoch (the trace's
 // publish step), reports to telemetry, and finishes the trace with the
-// request's total modelled cycles.
+// request's total modelled cycles. A modify deletes the entries stored
+// before the request (seq below first) only once its new version fits,
+// so an update that returns an error leaves the rule set as it was.
 func (d *Device) update(op updateOp) (UpdateResult, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.shadow.BeginEpoch()
 	id := op.rule.ID
 	d.trace = d.tracer.StartUpdate(op.name, id, d.trTable, d.trShard)
-	var res UpdateResult
+	res := UpdateResult{Class: ClassDelete, Subtable: -1} // a delete's; the insert body's replaces it
 	var err error
-	if op.del {
-		if res, err = d.deleteRule(id); err == nil {
-			d.shadow.OnDelete(id)
-			d.pending.remove(id)
-		}
+	first := d.seqCounter
+	if op.del && len(d.locs[id]) == 0 {
+		err = ErrNotFound
 	}
 	if err == nil && op.words != nil {
-		deleted := res.Cycles
 		res, err = d.insertRule(op.rule, op.words)
-		res.Cycles += deleted // a modify reports both phases together
-		if err == nil && op.raw {
-			d.shadow.Desync("raw word insert bypasses the rule-level mirror")
-			d.pending.opaque()
-		} else if err == nil {
-			d.shadow.OnInsert(op.rule)
-			d.pending.add(op.rule)
-		}
+	}
+	if err == nil && op.del {
+		res.Cycles += d.deleteSeqs(id, 0, first) // a modify reports both phases together
+		d.shadow.OnDelete(id)
+		d.pending.remove(id)
+	}
+	if err == nil && op.raw {
+		d.shadow.Desync("raw word insert bypasses the rule-level mirror")
+		d.pending.opaque()
+	} else if err == nil && op.words != nil {
+		d.shadow.OnInsert(op.rule)
+		d.pending.add(op.rule)
 	}
 	d.publishLocked()
 	d.observeOp(op.kind, res, err)
@@ -599,9 +602,9 @@ func (d *Device) DeleteRule(ruleID int) (UpdateResult, error) {
 // inserting its new version." The new rule keeps the given ID; cycle
 // costs of both phases are reported together. Both phases run inside
 // one update bracket and publish as one epoch, so no reader sees the
-// rule absent. A new version with no entries is rejected with
-// ErrEmptyRule before the old one is deleted; one whose insert fails
-// with ErrFull leaves the old version deleted (ROADMAP item 3).
+// rule absent. The new version is stored before the old one is
+// deleted, so it needs room beside the old entries; ErrEmptyRule,
+// ErrNotFound and ErrFull each leave the old version answering.
 func (d *Device) ModifyRule(ruleID int, newRule rules.Rule) (UpdateResult, error) {
 	if newRule.ID != ruleID {
 		return UpdateResult{}, fmt.Errorf("core: modify must keep rule ID %d, got %d", ruleID, newRule.ID)
@@ -629,8 +632,11 @@ func (d *Device) insertRule(r rules.Rule, words []ternary.Word) (UpdateResult, e
 		e := Entry{Word: w, Rank: Rank{Priority: r.Priority, RuleID: r.ID, Seq: seq}, Action: r.Action}
 		res, err := d.insertEntry(e)
 		d.auditEvictionBound(res)
+		if t := d.tel; t != nil && res.Reallocated > 0 {
+			t.chainDepth.Observe(uint64(res.Reallocated)) // per entry: 1 in the paper's design
+		}
 		if err != nil {
-			d.rollBack(r.ID, first)
+			total.Cycles += d.deleteSeqs(r.ID, first, math.MaxInt) // the rollback's deletes, as the trace and counters hold them
 			return total, err
 		}
 		d.account(res)
@@ -643,38 +649,25 @@ func (d *Device) insertRule(r rules.Rule, words []ternary.Word) (UpdateResult, e
 	return total, nil
 }
 
-// rollBack undoes a failed rule insert: the entries this request stored
-// (seq >= first, the tail of the rule's seq-ordered locator record) are
-// deleted in insertion order.
-func (d *Device) rollBack(ruleID, first int) {
+// deleteSeqs is the one delete body, for a delete, a modify's old
+// version and a failed insert's rollback: one 1-cycle invalidation per
+// entry of rule ruleID with seq in [lo, hi), in seq order, each dropped
+// from the rule's locator record, which goes once it empties. It
+// returns the cycles charged.
+func (d *Device) deleteSeqs(ruleID, lo, hi int) uint64 {
 	locs := d.locs[ruleID]
-	keep := sort.Search(len(locs), func(i int) bool { return locs[i].seq >= first })
-	for _, l := range locs[keep:] {
+	i := sort.Search(len(locs), func(k int) bool { return locs[k].seq >= lo })
+	j := sort.Search(len(locs), func(k int) bool { return locs[k].seq >= hi })
+	for k, l := range locs[i:j] {
+		d.trace.NextEntry(k)
 		d.deleteEntry(l.location)
 	}
-	if keep == 0 {
+	if locs = append(locs[:i], locs[j:]...); len(locs) == 0 {
 		delete(d.locs, ruleID)
 	} else {
-		d.locs[ruleID] = locs[:keep]
+		d.locs[ruleID] = locs
 	}
-}
-
-// deleteRule is the delete body: one 1-cycle invalidation per entry.
-func (d *Device) deleteRule(ruleID int) (UpdateResult, error) {
-	locs := d.locs[ruleID]
-	if len(locs) == 0 {
-		return UpdateResult{}, ErrNotFound
-	}
-	delete(d.locs, ruleID)
-	var total UpdateResult
-	total.Class = ClassDelete
-	total.Subtable = -1
-	for i, l := range locs {
-		d.trace.NextEntry(i)
-		d.deleteEntry(l.location)
-		total.Cycles += ClassDelete.Cycles()
-	}
-	return total, nil
+	return uint64(j-i) * ClassDelete.Cycles()
 }
 
 // targetSubtable locates the interval containing rank r: the active

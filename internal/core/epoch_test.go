@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -273,6 +275,78 @@ func TestEpochChurnVsClassify(t *testing.T) {
 	}
 	if n := aud.TotalViolations(); n != 0 {
 		t.Fatalf("%d invariant violations under churn-vs-classify", n)
+	}
+	if err := d.CheckInvariant(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestModifyRefusedChurnVsClassify races readers against a writer whose
+// modifies of one rule alternately fit and are refused. The rule and a
+// lower-priority catch-all both match the readers' header, on a device
+// of one 4-slot subtable with one slot free: a 1-row version fits, and a
+// 4-row one meets ErrFull before the old version is deleted. Every
+// answer must be the reference's at an epoch its batch could have seen,
+// the writer must find the installed version answering after every
+// modify, refused or not, so no reader ever sees the catch-all, and the
+// shadow, comparing every lookup, stays in step. Run with -race.
+func TestModifyRefusedChurnVsClassify(t *testing.T) {
+	d := NewDevice(Config{Subtables: 1, SubtableCapacity: 4, KeyWidth: 160})
+	aud := flightrec.NewAuditor(nil, nil, 64, nil)
+	aud.SetLookupSampleEvery(1)
+	sh := flightrec.NewShadow(swclass.NewLinear(), aud, -1)
+	sh.SetSampleEvery(1)
+	d.AttachAuditor(aud)
+	d.AttachShadow(sh)
+	rule := func(id, prio int, src uint32) rules.Rule {
+		return rules.Rule{ID: id, Priority: prio, Action: id, SrcIP: rules.Prefix{Addr: src, Len: 8},
+			SrcPort: rules.FullPortRange(), DstPort: rules.FullPortRange(), ProtoWildcard: true}
+	}
+	low := rule(1, 10, 0)
+	low.SrcIP.Len = 0
+	hs := []rules.Header{{SrcIP: 0x0A010203}}
+	const modifies = 1000
+	m := oracle.NewMirror()
+	w := oracle.NewWindow(m.Ref, hs, d.Epoch(), 1+3+modifies)
+	for _, r := range []rules.Rule{low, rule(2, 40000, 0x0A000000), rule(3, 20, 0x0B000000)} {
+		churn(t, d, m, w, oracle.Insert, r)
+	}
+
+	stop := windowReaders(t, d, w, hs,
+		func(dst []LookupResult) []LookupResult { return d.LookupHeaderBatch(hs, dst) },
+		func(dst []LookupResult) []LookupResult {
+			action, ok := d.Lookup(hs[0])
+			return append(dst, LookupResult{Entry: Entry{Action: action}, OK: ok})
+		})
+	defer stop()
+	for i := 0; i < modifies && !t.Failed(); i++ {
+		mod := rule(2, 40000, 0x0A000000)
+		mod.Action = 100 + i
+		var want error
+		if i%2 == 1 {
+			mod.DstPort, want = rules.PortRange{Lo: 1, Hi: 6}, ErrFull // 4 rows
+		}
+		_, err := d.ModifyRule(2, mod)
+		if !errors.Is(err, want) {
+			t.Fatalf("modify %d: %v, want %v", i, err, want)
+		}
+		for _, e := range []error{m.Apply(oracle.Modify, mod, err), w.Record(d.Epoch())} {
+			if e != nil {
+				t.Fatalf("modify %d: %v", i, e)
+			}
+		}
+		if action, ok := d.Lookup(hs[0]); !ok || action != m.Live[2].Action {
+			t.Fatalf("modify %d (err %v): the header answers %d,%v, want the installed version's %d", i, err, action, ok, m.Live[2].Action)
+		}
+		runtime.Gosched() // on one P, let the readers in between modifies
+	}
+	stop()
+
+	if got, reason := sh.Desynced(); got {
+		t.Fatalf("shadow desynced: %s", reason)
+	}
+	if n := aud.TotalViolations(); n != 0 {
+		t.Fatalf("%d invariant violations under refused modifies", n)
 	}
 	if err := d.CheckInvariant(); err != nil {
 		t.Fatal(err)

@@ -188,7 +188,8 @@ func FuzzSubtablePriorityFlush(f *testing.F) {
 				}
 			case k == 10:
 				// An insert stored part of a rule and is rolled back,
-				// newest entry first, as insertRule undoes an ErrFull.
+				// here newest entry first; deleteSeqs undoes an ErrFull
+				// oldest first, and either order must flush alike.
 				slots := run(1 + rng.Intn(min(n/2, 40)))
 				for i := len(slots) - 1; i >= 0; i-- {
 					del(slots[i])

@@ -16,6 +16,9 @@ type streamEdges struct {
 	full       bool // ErrFull
 	rolledBack bool // an ErrFull insert had already stored entries to undo
 	notFound   bool // ErrNotFound
+	// modifyRefused: a modify of a live rule returned ErrFull, and the
+	// old version must still answer.
+	modifyRefused bool
 }
 
 // invariantEvery spaces runStream's CheckInvariant calls: every k-th
@@ -60,7 +63,7 @@ func runStream(t *testing.T, data []byte) streamEdges {
 		}
 		kind, r := m.Kind(o), o.Rule
 		old, isLive := m.Live[r.ID]
-		active, before := d.ActiveSubtables(), d.Stats()
+		active, before, stored := d.ActiveSubtables(), d.Stats(), d.Len()
 		if isLive { // a delete or modify: does it remove a subtable's maximum?
 			d.mu.Lock()
 			for _, l := range d.locs[r.ID] {
@@ -77,13 +80,17 @@ func runStream(t *testing.T, data []byte) streamEdges {
 				t.Fatalf("op %d: rule %d is not installed, got %v, want ErrNotFound", op, r.ID, err)
 			}
 			edges.notFound = true
-		case errors.Is(err, ErrFull) && kind != oracle.Delete: // a failed modify loses the old version too
+		case errors.Is(err, ErrFull) && kind != oracle.Delete:
 			edges.full = true
 			edges.rolledBack = edges.rolledBack || kind == oracle.Insert && d.Stats().Inserts > before.Inserts
+			edges.modifyRefused = edges.modifyRefused || kind == oracle.Modify
 		case err != nil:
 			t.Fatalf("op %d: kind %d rule %v: %v", op, kind, r, err)
 		case kind == oracle.Delete:
 			edges.released = edges.released || d.ActiveSubtables() < active
+		}
+		if err != nil && d.Len() != stored {
+			t.Fatalf("op %d: kind %d rule %d failed with %v but the device went from %d to %d entries", op, kind, r.ID, err, stored, d.Len())
 		}
 		if isLive {
 			entries -= old.ExpansionCountWidth(d.Config().KeyWidth)
@@ -123,7 +130,8 @@ func runStream(t *testing.T, data []byte) streamEdges {
 // FuzzDeviceVsLinear drives random insert/delete/modify/lookup streams
 // through a device small enough to fill and checks, after every op:
 // the same winner (action, matched, rule ID) as swclass.Linear on every
-// lookup entry point, the stored-entry count, and the modelled cycle
+// lookup entry point, the stored-entry count (one an update that
+// returned an error left as it was), and the modelled cycle
 // identity UpdateCycles = 3·direct + 5·realloc + 1·deletes; and every
 // invariantEvery-th update and at the end, CheckInvariant. ErrFull and
 // ErrNotFound are outcomes, never panics. The seed corpus is
@@ -134,8 +142,9 @@ func FuzzDeviceVsLinear(f *testing.F) {
 
 // TestStreamSeedsReachEdges keeps the seed corpus honest: between them
 // the seeds must reach a full subtable and the eviction it forces, a
-// delete of a subtable's maximum, a released subtable, and a full
-// device whose failed insert rolls entries back.
+// delete of a subtable's maximum, a released subtable, a full device
+// whose failed insert rolls entries back, and a modify of a live rule
+// refused with ErrFull, after which the probes find the old version.
 func TestStreamSeedsReachEdges(t *testing.T) {
 	var all streamEdges
 	seeds, err := oracle.Seeds("testdata/fuzz/FuzzDeviceVsLinear")
@@ -151,8 +160,9 @@ func TestStreamSeedsReachEdges(t *testing.T) {
 		all.full = all.full || e.full
 		all.notFound = all.notFound || e.notFound
 		all.rolledBack = all.rolledBack || e.rolledBack
+		all.modifyRefused = all.modifyRefused || e.modifyRefused
 	}
-	if want := (streamEdges{evicted: true, maxDeleted: true, released: true, full: true, notFound: true, rolledBack: true}); all != want {
+	if want := (streamEdges{evicted: true, maxDeleted: true, released: true, full: true, notFound: true, rolledBack: true, modifyRefused: true}); all != want {
 		t.Fatalf("seed corpus reaches %+v, want %+v", all, want)
 	}
 }

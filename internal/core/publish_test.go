@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -230,8 +231,10 @@ func sharesOrder(a, b *snapshot) bool {
 // an inactive slot is nil, a chunk repeats its views' match views, a
 // chunk none of whose views changed is the
 // previous epoch's, and an epoch that touched every subtable rebuilt
-// every chunk. The stream opens with a modify whose delete empties the
-// only subtable and whose insert reassigns it, crosses filter
+// every chunk. The stream opens with fillers that take every subtable
+// but some, and one more filler that takes the rest, meets ErrFull and
+// rolls back, so subtables are assigned and released again in one
+// published epoch; it crosses filter
 // re-choices while loading and unloading, releases the highest active
 // subtable, and mixes in ResetArrayStats and full republishes, epochs
 // that change no rule. It runs at two subtable capacities: at 64 slots
@@ -265,7 +268,14 @@ func partSharingChurn(t *testing.T, capacity int, partViews, chunkTable bool) {
 	d.AttachAuditor(aud)
 	headers := classbench.PacketTrace(rs, 64, 0.9, 96)
 	m := oracle.NewMirror()
-	w := oracle.NewWindow(m.Ref, headers, d.Epoch(), 1+2*(2+320)+d.cfg.SubtableCapacity)
+	// filler k ranks above every ClassBench rule and stores 324 rows.
+	filler := func(k int) rules.Rule {
+		return rules.Rule{ID: 1<<20 + k, Priority: 65535, Action: 1<<20 + k,
+			SrcIP: rules.Prefix{Addr: 0xFFFFFFFF, Len: 32}, DstIP: rules.Prefix{Addr: 0xFFFFFFFF, Len: 32},
+			SrcPort: rules.PortRange{Lo: 1, Hi: 1022}, DstPort: rules.PortRange{Lo: 1, Hi: 1022}, ProtoWildcard: true}
+	}
+	fillers := d.cfg.Subtables*capacity/filler(0).ExpansionCountWidth(d.cfg.KeyWidth) + 1
+	w := oracle.NewWindow(m.Ref, headers, d.Epoch(), 1+2*(1+fillers+320)+d.cfg.SubtableCapacity)
 	batch := func(dst []LookupResult) []LookupResult { return d.LookupHeaderBatch(headers, dst) }
 	stop := windowReaders(t, d, w, headers, batch, batch)
 	defer stop()
@@ -372,21 +382,45 @@ func partSharingChurn(t *testing.T, capacity int, partViews, chunkTable bool) {
 		return true
 	}
 
-	// A lone rule's modify empties its subtable, releases it, and the
-	// insert half takes the same subtable back from the free pool.
 	first := rs.Rules[0]
-	lone := churn(t, d, m, w, oracle.Insert, first).Subtable
+	churn(t, d, m, w, oracle.Insert, first)
 	check("first insert", rechosen())
-	next := rs.Rules[1]
-	next.ID = first.ID
-	if res := churn(t, d, m, w, oracle.Modify, next); res.FreshTables != 1 || res.Subtable != lone {
-		t.Fatalf("lone modify %+v: want subtable %d released and reassigned", res, lone)
+	// Fillers take subtables until one does not fit: it takes the free
+	// subtables left, meets ErrFull, and its rollback releases them in
+	// the epoch that assigned them.
+	var stored []rules.Rule
+	for k := 0; ; k++ {
+		f := filler(k)
+		free := d.cfg.Subtables - d.ActiveSubtables()
+		res, err := d.InsertRule(f)
+		for _, e := range []error{m.Apply(oracle.Insert, f, err), w.Record(d.Epoch())} {
+			if e != nil {
+				t.Fatalf("filler %d: %v", k, e)
+			}
+		}
+		if err == nil {
+			check("filler", rechosen())
+			stored = append(stored, f)
+			continue
+		}
+		if !errors.Is(err, ErrFull) || k >= fillers {
+			t.Fatalf("filler %d: %v", k, err)
+		}
+		if res.FreshTables == 0 || res.FreshTables != free || d.ActiveSubtables() != d.cfg.Subtables-free {
+			t.Fatalf("refused filler %+v with %d free subtables, %d active after: want all of them assigned and released", res, free, d.ActiveSubtables())
+		}
+		t.Logf("filler %d refused after taking the %d free subtables", k, free)
+		check("refused filler", rechosen())
+		break
 	}
-	check("lone modify", rechosen())
+	for _, f := range stored {
+		churn(t, d, m, w, oracle.Delete, f)
+		check("filler delete", rechosen())
+	}
 
 	rng := rand.New(rand.NewSource(97))
-	live := []rules.Rule{next}
-	pending := append([]rules.Rule(nil), rs.Rules[2:]...)
+	live := []rules.Rule{first}
+	pending := append([]rules.Rule(nil), rs.Rules[1:]...)
 	remove := func(j int) {
 		pending = append(pending, live[j])
 		live[j] = live[len(live)-1]

@@ -79,9 +79,6 @@ func (d *Device) observeOp(kind opKind, res UpdateResult, err error) {
 		return
 	}
 	t.updateCycles[kind].Observe(res.Cycles)
-	if res.Reallocated > 0 {
-		t.chainDepth.Observe(uint64(res.Reallocated))
-	}
 }
 
 // resetTelemetry zeroes the device's attached metrics, so warmup

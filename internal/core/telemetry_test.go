@@ -208,3 +208,38 @@ func TestDetachTelemetry(t *testing.T) {
 		t.Errorf("detached device still observes: insert count %d", got)
 	}
 }
+
+// TestEvictionChainDepthPerEntry: catcam_eviction_chain_depth observes
+// each stored entry's own moves. Two full 4-slot subtables hold
+// priorities 10-40 and 50-80, and a 4-row rule ranked 15 goes into the
+// first. In the paper's mode each row that evicts moves one entry, so
+// the series observes only 1s, one per evicting row; under the
+// chained-reallocation ablation an evicted maximum pushes the full
+// successor's maximum on, and the series observes 2.
+func TestEvictionChainDepthPerEntry(t *testing.T) {
+	for _, chained := range []bool{false, true} {
+		d := NewDevice(Config{Subtables: 3, SubtableCapacity: 4, KeyWidth: 160, ChainedReallocation: chained})
+		reg := telemetry.NewRegistry()
+		d.AttachTelemetry(reg, nil, nil)
+		for i := 1; i <= 8; i++ {
+			if _, err := d.InsertRule(telRule(i, 10*i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wide := telRule(9, 15)
+		wide.DstPort = rules.PortRange{Lo: 1, Hi: 6} // 4 rows
+		res, err := d.InsertRule(wide)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := reg.Snapshot().Histograms["catcam_eviction_chain_depth"]
+		switch {
+		case h.Sum != uint64(res.Reallocated):
+			t.Errorf("chained=%v: depths sum to %d, the insert moved %d entries", chained, h.Sum, res.Reallocated)
+		case !chained && (h.Max != 1 || h.Count < 2):
+			t.Errorf("paper's mode: %d observations, max %d; want one 1 per evicting row, of several", h.Count, h.Max)
+		case chained && h.Max < 2:
+			t.Errorf("chained reallocation: max depth %d over %d observations, want a chain of 2 or more", h.Max, h.Count)
+		}
+	}
+}

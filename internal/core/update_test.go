@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"catcam/internal/rules"
 	"catcam/internal/telemetry"
 	"catcam/internal/ternary"
 )
@@ -31,6 +32,13 @@ func TestUpdateBracketOncePerRequest(t *testing.T) {
 		{"insert/full", true, "insert", "insert", func(d *Device) (UpdateResult, error) {
 			return d.InsertRule(telRule(9, 35))
 		}, ErrFull},
+		// A 4-row rule: the first row takes the free slot, the second
+		// finds no room, and the rollback deletes the first.
+		{"insert/rolled back", false, "insert", "insert", func(d *Device) (UpdateResult, error) {
+			r := telRule(9, 35)
+			r.DstPort = rules.PortRange{Lo: 1, Hi: 6}
+			return d.InsertRule(r)
+		}, ErrFull},
 		{"insert_word", false, "insert_word", "insert", func(d *Device) (UpdateResult, error) {
 			return d.InsertWord(ternary.MustParse("1***"), 35, 9, 9)
 		}, nil},
@@ -46,8 +54,9 @@ func TestUpdateBracketOncePerRequest(t *testing.T) {
 		{"modify", false, "modify", "modify", func(d *Device) (UpdateResult, error) {
 			return d.ModifyRule(1, telRule(1, 15))
 		}, nil},
-		// The delete phase frees a slot below, the new version targets
-		// the full subtable above: one delete cycle, then ErrFull.
+		// The new version targets the full subtable above, with no free
+		// subtable to evict into, before the old one is deleted: ErrFull
+		// at no cycle, the old version still stored.
 		{"modify/full", true, "modify", "modify", func(d *Device) (UpdateResult, error) {
 			return d.ModifyRule(1, telRule(1, 35))
 		}, ErrFull},

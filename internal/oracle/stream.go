@@ -161,21 +161,20 @@ func (m *Mirror) Kind(o Op) Kind {
 	return o.Kind
 }
 
-// Apply mirrors an update run as kind on r that returned err. A delete
-// or a modify of a live ID removes it, even when the modify's insert
-// then fails (Device.ModifyRule's documented loss); an insert or modify
-// that returned no error installs r.
+// Apply mirrors an update run as kind on r that returned err. An update
+// that returned an error changes nothing. Otherwise a delete or a modify
+// removes the live rule of r's ID, and an insert or a modify installs r.
 func (m *Mirror) Apply(kind Kind, r rules.Rule, err error) error {
-	if kind == Lookup {
+	if kind == Lookup || err != nil {
 		return nil
 	}
-	if _, live := m.Live[r.ID]; live && kind != Insert {
+	if kind != Insert {
 		delete(m.Live, r.ID)
 		if err := m.Ref.Delete(r.ID); err != nil {
 			return err
 		}
 	}
-	if kind == Delete || err != nil {
+	if kind == Delete {
 		return nil
 	}
 	m.Live[r.ID] = r

@@ -293,9 +293,12 @@ func (v *TernaryView) Charge(st *Stats) {
 // all 64 lanes of a word without a branch and knocks out the entries
 // whose stored value disagrees at a position they care about. The walk
 // leaves a block when its accumulator empties, which the most-cared
-// positions bring about soonest: on ClassBench ACL-5K a search visits
-// about 17 of some 100 listed positions, where walking from the most
-// significant position down took about 33.
+// positions bring about soonest. On ClassBench ACL-5K probed with one
+// 4,096-header PacketTrace batch at locality 0.8, a search visited 16.6
+// of 103 listed positions when this order came in, where walking from
+// the most significant position down took 33.1; benchmark traffic
+// (ACL-5K seed 1, 64-header batches from a 1 Mi-flow trace) visits
+// about 40 of 106 (DESIGN.md §8).
 //
 //catcam:hotpath
 func (v *TernaryView) SearchInto(dst *bitvec.Vector, acc []uint64, k ternary.Key, st *Stats) *bitvec.Vector {
