@@ -4,11 +4,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"catcam/internal/bitvec"
 	"catcam/internal/classbench"
 	"catcam/internal/rules"
+	"catcam/internal/sram"
+	"catcam/internal/ternary"
 )
 
 // The update-side rungs above the sram kernels: one subtable
@@ -241,5 +244,94 @@ var sweep = make([]uint64, 8<<20/8)
 func sweepCaches() {
 	for i := 0; i < len(sweep); i += 8 {
 		sweep[i]++
+	}
+}
+
+// The lookup-side rungs: the match kernel alone, replaying the searches
+// a lookup runs on the host, and the batch classify above it. Both use
+// one table and one trace, built once per test binary (lookupRung).
+
+// lookupSetup is the lookup rungs' table and trace: ACL-5K (table seed
+// 5) in a Compact device, 16,384 PacketTrace headers at locality 0.8
+// (seed 1) and their keys, and every search a lookup of those keys
+// runs on the host: for each key, each subtable the bit-selection
+// filter admits, in walk order.
+type lookupSetup struct {
+	d        *Device
+	headers  []rules.Header
+	keys     []ternary.Key
+	searches []recordedSearch
+}
+
+// recordedSearch is one host search: the view searched and the index
+// of the key it was searched with.
+type recordedSearch struct {
+	view *sram.TernaryView
+	key  int32
+}
+
+var (
+	lookupOnce sync.Once
+	lookupData lookupSetup
+)
+
+// lookupRung returns the lookup rungs' setup, building it on the first
+// call.
+func lookupRung(tb testing.TB) *lookupSetup {
+	tb.Helper()
+	lookupOnce.Do(func() {
+		rs := classbench.Generate(classbench.Config{Family: classbench.ACL, Size: 5000, Seed: 5})
+		d := NewDevice(Compact())
+		for _, r := range rs.Rules {
+			if _, err := d.InsertRule(r); err != nil {
+				panic(fmt.Sprintf("load rule %d: %v", r.ID, err))
+			}
+		}
+		ls := lookupSetup{d: d, headers: classbench.PacketTrace(rs, 16384, 0.8, 1)}
+		s := d.snap.Load()
+		for i, h := range ls.headers {
+			k := ternary.NewKey(d.cfg.KeyWidth)
+			rules.EncodeHeaderInto(&k, h)
+			ls.keys = append(ls.keys, k)
+			pats := s.sel.Patterns(k)
+			for _, id := range s.order {
+				if v := s.matchView(id); v.Admits(pats) {
+					ls.searches = append(ls.searches, recordedSearch{view: v, key: int32(i)})
+				}
+			}
+		}
+		lookupData = ls
+	})
+	return &lookupData
+}
+
+// BenchmarkSearchInto replays the recorded host searches through the
+// match kernel, one search per op, in the order the lookups ran them.
+func BenchmarkSearchInto(b *testing.B) {
+	ls := lookupRung(b)
+	rows := ls.searches[0].view.Rows()
+	dst, acc := bitvec.New(rows), make([]uint64, ls.searches[0].view.RowWords())
+	var st sram.Stats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := ls.searches[i%len(ls.searches)]
+		s.view.SearchInto(dst, acc, ls.keys[s.key], &st)
+	}
+}
+
+// BenchmarkLookupHeaderBatch classifies the trace in 64-header batches
+// through LookupHeaderBatch, one batch per op: the filter walk, the
+// kernel searches, the priority decisions and the metadata readout of
+// 64 lookups.
+func BenchmarkLookupHeaderBatch(b *testing.B) {
+	ls := lookupRung(b)
+	const batch = 64
+	dst := make([]LookupResult, 0, batch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := i % (len(ls.headers) / batch) * batch
+		dst = ls.d.LookupHeaderBatch(ls.headers[off:off+batch], dst[:0])
 	}
 }

@@ -72,6 +72,27 @@ func BenchmarkWriteEntryFreeSlot(b *testing.B) {
 	}
 }
 
+// BenchmarkFreezeAfterWrite is what an insert costs the match array
+// on the update path: one entry write into a full 256×160 array of
+// ACL-1K rows, in place of a row's word, and the freeze that shares
+// with the view before it, which copies the listed pairs' lines. The
+// valid count holds, so no write re-derives the pair order.
+func BenchmarkFreezeAfterWrite(b *testing.B) {
+	p := MatchMatrixParams()
+	words := aclWords(p.Rows, p.Cols)
+	t := NewTernaryArray(p, p.Cols)
+	for r, w := range words {
+		t.WriteEntry(r, w)
+	}
+	v := t.SnapshotViewSharing(nil)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r := i % len(words)
+		t.WriteEntry(r, words[(r+1+i/len(words))%len(words)])
+		v = t.SnapshotViewSharing(v)
+	}
+}
+
 // BenchmarkColumnNORAllValid is RecomputeMax's priority decision: the
 // all-true NOR over a full 256×256 matrix, every row active.
 func BenchmarkColumnNORAllValid(b *testing.B) {

@@ -3,6 +3,8 @@ package sram
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"catcam/internal/bitvec"
@@ -164,14 +166,15 @@ func TestSearchAccountingParity(t *testing.T) {
 	}
 }
 
-// TestViewDropsPositionsNoStoredRowCares: a position cared at only by
-// an entry that was since invalidated stays in the view while the
-// row's stale planes do, with no valid entry counted there, and leaves
-// it once a write replaces them; the search answers exactly throughout.
+// TestViewDropsPositionsNoStoredRowCares: a pair cared at only by an
+// entry that was since invalidated stays in the view while the row's
+// stale lines do, with no valid entry counted there, and leaves it
+// once a write replaces them; the search answers exactly throughout.
 func TestViewDropsPositionsNoStoredRowCares(t *testing.T) {
 	a := newTestArray(256, 160)
 	// SetBit counts from the most significant end: index 9 is storage
-	// position 150, index 156 position 3.
+	// position 150, the low one of pair 75, and index 156 position 3,
+	// the high one of pair 1.
 	only := ternary.NewWord(160)
 	only.SetBit(9, ternary.One) // nobody else cares at position 150
 	shared := ternary.NewWord(160)
@@ -179,7 +182,7 @@ func TestViewDropsPositionsNoStoredRowCares(t *testing.T) {
 	a.WriteEntry(7, only)
 	a.WriteEntry(8, shared)
 	if got := a.SnapshotView().walk.order; len(got) != 2 {
-		t.Fatalf("view lists %v, want positions 150 and 3", got)
+		t.Fatalf("view lists %v, want pairs 75 and 1", got)
 	}
 	probe := func(step string) {
 		t.Helper()
@@ -196,13 +199,14 @@ func TestViewDropsPositionsNoStoredRowCares(t *testing.T) {
 	}
 	a.Invalidate(7)
 	v := a.SnapshotView()
-	if len(v.walk.order) != 2 || v.walk.order[0] != 150 || v.counts[0] != 0 {
-		t.Fatalf("view lists %v with valid counts %v after invalidating row 7, want [150 3] with none at 150", v.walk.order, v.counts)
+	// Both pairs score 0, so the more significant one comes first.
+	if len(v.walk.order) != 2 || v.walk.order[0] != 75 || v.counts[0] != 0 {
+		t.Fatalf("view lists %v with valid counts %v after invalidating row 7, want [75 1] with none at position 150", v.walk.order, v.counts)
 	}
 	probe("the invalidate")
 	a.WriteEntry(7, shared)
-	if v := a.SnapshotView(); len(v.walk.order) != 1 || v.walk.order[0] != 3 {
-		t.Fatalf("view lists %v once row 7 is rewritten, want [3]", v.walk.order)
+	if v := a.SnapshotView(); len(v.walk.order) != 1 || v.walk.order[0] != 1 {
+		t.Fatalf("view lists %v once row 7 is rewritten, want [1]", v.walk.order)
 	}
 	probe("the rewrite")
 }
@@ -240,9 +244,8 @@ func TestTernaryWrittenPartRecord(t *testing.T) {
 	}
 	fresh("invalidations", v2)
 
-	pos := int(v2.walk.order[0])
-	i, bit := a.cell(7, pos)
-	a.planes[i+blockWords] ^= bit // no write path: nothing marks the planes
+	i, bit := a.lineBit(7, int(v2.walk.order[0]), 0)
+	a.planes[i] ^= bit // no write path: nothing marks the planes
 	if v3 := a.SnapshotViewSharing(v2); !v3.SharesSearchState(v2) {
 		t.Fatal("a freeze over the recorded view compared planes no write marked")
 	}
@@ -250,7 +253,7 @@ func TestTernaryWrittenPartRecord(t *testing.T) {
 		t.Fatal("the unmarked change did not reach the live planes")
 	}
 	fresh("a view other than the recorded one", a.SnapshotViewSharing(old))
-	a.planes[i+blockWords] ^= bit
+	a.planes[i] ^= bit
 
 	v5 := a.SnapshotViewSharing(v2)
 	if a.InjectPlaneFault(8) < 0 {
@@ -315,14 +318,15 @@ func TestSnapshotViewSharingMatchLines(t *testing.T) {
 }
 
 // TestViewExactToStarOverwrite: overwriting a fully specified entry
-// with an all-wildcard one in place takes every one of its care counts
-// back, so an array of wildcards lists nothing and matches any key.
+// with an all-wildcard one in place takes every one of its stored-care
+// counts back, so an array of wildcards lists no pair and matches any
+// key.
 func TestViewExactToStarOverwrite(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	a := newTestArray(256, 160)
 	a.WriteEntry(5, ternary.FromUint(0xDEAD, 160))
-	if got := len(a.SnapshotView().walk.order); got != 160 {
-		t.Fatalf("exact entry lists %d positions, want 160", got)
+	if got := len(a.SnapshotView().walk.order); got != 80 {
+		t.Fatalf("exact entry lists %d pairs, want 80", got)
 	}
 	a.WriteEntry(5, ternary.NewWord(160))
 	if got := a.SnapshotView().walk.order; len(got) != 0 {
@@ -350,55 +354,117 @@ func TestViewAllWildcardArray(t *testing.T) {
 	}
 }
 
-// TestViewCareOrder: the view lists exactly the positions some stored
-// row cares at, by falling stored-care count, with CarePerPosition
-// agreeing with the valid counts the live array keeps.
+// TestViewCareOrder: the array orders its pairs by falling split score,
+// the more significant first among equal scores, as of the last write
+// that found the valid count doubled or halved; writes in between and
+// invalidations leave the order where it was, and so the view's pairs
+// and lines. A view lists exactly the pairs some stored row cares at,
+// in the array's order, with CarePerPosition agreeing with the valid
+// counts the live array keeps.
 func TestViewCareOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	a := newTestArray(300, 160)
-	for step := 0; step < 900; step++ {
-		if r := rng.Intn(300); rng.Intn(3) == 0 && a.IsValid(r) {
+	// splitOrder is the order the pair scores give now.
+	splitOrder := func() []uint16 {
+		order := make([]uint16, a.pairs())
+		for i := range order {
+			order[i] = uint16(i)
+		}
+		sort.SliceStable(order, func(i, j int) bool {
+			si, sj := a.pairScore(int(order[i])), a.pairScore(int(order[j]))
+			return si > sj || si == sj && order[i] > order[j]
+		})
+		return order
+	}
+	checkView := func(step string, v *TernaryView) {
+		t.Helper()
+		var listed []uint16
+		for _, p := range a.order {
+			if a.stored[p] > 0 {
+				listed = append(listed, p)
+			}
+		}
+		if !slices.Equal(v.walk.order, listed) {
+			t.Fatalf("%s: view lists %v, want the stored-care pairs of the array's order %v", step, v.walk.order, listed)
+		}
+		for pos, n := range v.CarePerPosition(nil) {
+			if n != uint64(a.cares[pos]) {
+				t.Fatalf("%s: position %d: view counts %d carers, array %d", step, pos, n, a.cares[pos])
+			}
+		}
+	}
+	word := func() ternary.Word { return ternary.Random(rng, 160, rng.Float64()) }
+
+	for r := 0; a.ValidCount() < 128; r++ {
+		a.WriteEntry(r, word())
+	}
+	if a.orderAt != 128 || !slices.Equal(a.order, splitOrder()) {
+		t.Fatalf("derived at %d valid entries as %v, want at 128 as %v", a.orderAt, a.order, splitOrder())
+	}
+	derived := slices.Clone(a.order)
+	prev := a.SnapshotView()
+	checkView("load", prev)
+
+	// Invalidations down to 64 valid entries, and rewrites in place,
+	// move the scores but not the order.
+	for a.ValidCount() > 64 {
+		r := rng.Intn(128)
+		if a.IsValid(r) && rng.Intn(3) == 0 {
+			a.WriteEntry(r, word())
+		} else if a.IsValid(r) {
 			a.Invalidate(r)
-		} else {
-			a.WriteEntry(r, ternary.Random(rng, 160, rng.Float64()))
 		}
 	}
-	v := a.SnapshotView()
-	prof := v.CarePerPosition(nil)
-	listed := 0
-	for pos, n := range prof {
-		if n != uint64(a.cares[pos]) {
-			t.Fatalf("position %d: view counts %d carers, array %d", pos, n, a.cares[pos])
-		}
-		if a.stored[pos] > 0 {
-			listed++
-		}
+	if !slices.Equal(a.order, derived) {
+		t.Fatalf("the order moved without a doubling or halving write: %v, derived %v", a.order, derived)
 	}
-	if listed != len(v.walk.order) {
-		t.Fatalf("view lists %d positions, stored rows care at %d", len(v.walk.order), listed)
+	if slices.Equal(splitOrder(), derived) {
+		t.Fatal("the churn left the scores' order as it was: the test proves nothing")
 	}
-	for i := 1; i < len(v.walk.order); i++ {
-		if c0, c1 := a.stored[v.walk.order[i-1]], a.stored[v.walk.order[i]]; c0 < c1 {
-			t.Fatalf("order[%d]=%d (%d stored carers) before order[%d]=%d (%d stored carers)",
-				i-1, v.walk.order[i-1], c0, i, v.walk.order[i], c1)
+	checkView("churn", a.SnapshotView())
+	for r := 0; r < 128; r++ {
+		if a.IsValid(r) && rng.Intn(2) == 0 {
+			a.Invalidate(r)
 		}
 	}
-	if !a.isCareOrder(v.walk.order) {
-		t.Fatal("isCareOrder rejects the order careOrder built")
+	v := a.SnapshotViewSharing(prev)
+	v = a.SnapshotViewSharing(v)
+	if !slices.Equal(a.order, derived) {
+		t.Fatal("invalidations moved the order")
 	}
+	for r := 0; r < 128; r++ {
+		if !a.IsValid(r) {
+			continue
+		}
+		a.Invalidate(r)
+		if w := a.SnapshotViewSharing(v); !w.SharesSearchState(v) {
+			t.Fatalf("invalidating row %d changed the view's pairs or lines", r)
+		}
+		break
+	}
+
+	// The next write into a free row finds the count halved.
+	a.WriteEntry(a.FirstFree(), word())
+	if int(a.orderAt) != a.ValidCount() || 2*a.orderAt > 128 || !slices.Equal(a.order, splitOrder()) {
+		t.Fatalf("a write at %d valid entries, half of 128, left the order derived at %d", a.ValidCount(), a.orderAt)
+	}
+	checkView("halved", a.SnapshotView())
 }
 
-// TestAuditPlanesCatchesCountMismatch seeds a care, one or filter
-// count, a filter bitmap bit, or a stored-care undercount, that
+// TestAuditPlanesCatchesCountMismatch seeds a care or filter count, a
+// pair-line bit, a filter bitmap bit, a stored-care undercount, a pair
+// order entry out of range or a pair order one pair short, that
 // disagrees with the stored words or planes: AuditPlanes must report
-// each.
+// each, without panicking.
 func TestAuditPlanesCatchesCountMismatch(t *testing.T) {
 	for name, skew := range map[string]func(a *TernaryArray){
 		"care":   func(a *TernaryArray) { a.cares[10]++ },
-		"one":    func(a *TernaryArray) { a.ones[4]-- },
+		"line":   func(a *TernaryArray) { i, bit := a.lineBit(0, 2, 0); a.planes[i] ^= bit },
 		"filter": func(a *TernaryArray) { a.InjectFilterFault(0) },
 		"bitmap": func(a *TernaryArray) { a.filter.set[3][2] ^= 1 << 7 },
 		"stored": func(a *TernaryArray) { a.InjectStoredFault(0) },
+		"order":  func(a *TernaryArray) { a.order[0] = uint16(len(a.order)) },
+		"short":  func(a *TernaryArray) { a.order = a.order[1:] },
 	} {
 		a := newTestArray(64, 64)
 		a.WriteEntry(0, ternary.FromUint(0xF0, 64))
@@ -550,13 +616,22 @@ func TestFirstFree(t *testing.T) {
 // entries that span more than one block, and that the filter admits
 // every key that matches. The positions change halfway through the
 // writes, so both the recount and the per-write upkeep are fuzzed.
-// Last, rows are invalidated and the array frozen sharing with the
-// view before: that view's order and lines must be taken over, and
-// still answer exactly.
+// Seeds 6 mod 8 wildcard the high position of every pair, so each
+// listed pair is cared at one position only. Then rows are invalidated
+// and the array frozen sharing with the view before: that view's order
+// and lines must be taken over, and still answer exactly. Last, rows
+// are invalidated down to half the count the pair order was derived at
+// and written until a write derives it again, or written until one
+// finds the count doubled: the view frozen over the one before must
+// equal a fresh freeze, and answer exactly.
 func FuzzSearchEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(64), uint8(80))
 	f.Add(int64(42), uint8(200), uint8(160))
 	f.Add(int64(7), uint8(255), uint8(33))
+	f.Add(int64(9), uint8(90), uint8(1))     // an odd width whose one position is a lone pair's low half
+	f.Add(int64(11), uint8(150), uint8(131)) // an odd width over three plane words, on two blocks
+	f.Add(int64(6), uint8(120), uint8(64))   // every pair cared at its low position only
+	f.Add(int64(4), uint8(3), uint8(20))     // few rows: the order derived at 1 and 2 valid entries
 	f.Fuzz(func(t *testing.T, seed int64, rows8, width uint8) {
 		if rows8 == 0 || width == 0 {
 			return
@@ -565,12 +640,21 @@ func FuzzSearchEquivalence(f *testing.F) {
 		rows := int(rows8) * (1 + int(seed&1))
 		rng := rand.New(rand.NewSource(seed))
 		a := newTestArray(rows, int(width))
+		word := func() ternary.Word {
+			w := ternary.Random(rng, int(width), rng.Float64())
+			if seed%8 == 6 {
+				for pos := 1; pos < int(width); pos += 2 {
+					w.SetBit(int(width)-1-pos, ternary.Star)
+				}
+			}
+			return w
+		}
 		for i := 0; i < rows; i++ {
 			if i == rows/2 {
 				a.SetSelection(randomSelection(rng, int(width)))
 			}
 			if rng.Intn(3) != 0 {
-				a.WriteEntry(rng.Intn(rows), ternary.Random(rng, int(width), rng.Float64()))
+				a.WriteEntry(rng.Intn(rows), word())
 			} else if r := rng.Intn(rows); a.IsValid(r) {
 				a.Invalidate(r)
 			}
@@ -602,6 +686,26 @@ func FuzzSearchEquivalence(f *testing.F) {
 		}
 		for _, k := range keys {
 			checkViewEquivalence(t, a, v, k)
+		}
+
+		for r := 0; r < rows && 2*(a.ValidCount()+1) > int(a.orderAt); r++ {
+			if a.IsValid(r) {
+				a.Invalidate(r)
+			}
+		}
+		for derived := false; !derived && a.FirstFree() >= 0; {
+			n, at := a.ValidCount()+1, int(a.orderAt)
+			derived = at == 0 || n >= 2*at || 2*n <= at
+			w := word()
+			keys = append(keys, ternary.RandomMatchingKey(rng, w))
+			a.WriteEntry(a.FirstFree(), w)
+		}
+		w := a.SnapshotViewSharing(v)
+		if !reflect.DeepEqual(w, a.SnapshotView()) {
+			t.Fatal("the freeze after a re-derivation differs from a fresh one")
+		}
+		for _, k := range keys {
+			checkViewEquivalence(t, a, w, k)
 		}
 	})
 }

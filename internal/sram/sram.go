@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"catcam/internal/bitvec"
 	"catcam/internal/ternary"
@@ -452,21 +453,26 @@ func orChunk(c *[ChunkRows]uint64) uint64 {
 //
 // Host-side it keeps two representations of the same contents. The
 // row-major entries slice is the write/readback view. The bit-sliced
-// planes are the search view: for every ternary position there is one
-// value plane and one care plane, each one bit per entry packed into
-// uint64 words, so a search evaluates 64 entries per word operation —
-// the same bulk bit-parallelism the silicon's match lines provide,
-// applied to simulator throughput. Searches run over a frozen
-// TernaryView (view.go), which keeps only the positions some stored
-// row cares at, most-cared first, and carries the bit-selection
-// filter (filter.go) that lets a lookup skip a search that cannot
-// match. Cycle and energy accounting are independent of which
-// representation the host touches, and of whether it searches at all.
+// pair lines are the search view: adjacent key positions 2p and 2p+1
+// form pair p, and for each of the pair's four 2-bit key patterns one
+// line holds, one bit per entry packed into uint64 words, the entries
+// that pattern rules out — those caring at one of the two positions
+// with the other value. A search thus evaluates 64 entries per word
+// operation and two positions per step — the bulk bit-parallelism the
+// silicon's match lines provide, applied to simulator throughput; it is
+// the RAM-based CAM layout of Nguyen et al. (arXiv 1804.02330), a
+// sub-key addressing a word of every entry's match bit. Searches run
+// over a frozen TernaryView (view.go), which keeps only the pairs some
+// stored row cares at, in the array's split order, and carries the
+// bit-selection filter (filter.go) that lets a lookup skip a search
+// that cannot match. Cycle and energy accounting are independent of
+// which representation the host touches, and of whether it searches at
+// all.
 type TernaryArray struct {
 	params Params
 	// entries holds each row's word. An invalidated row keeps its stale
-	// word, as its planes keep their bits, so the next write into the
-	// row knows which positions it must clear (sliceEntry).
+	// word, as its lines keep their bits, so the next write into the
+	// row knows which pairs it must clear (sliceEntry).
 	entries []ternary.Word //catcam:cycle-state
 	valid   *bitvec.Vector //catcam:cycle-state
 	stats   Stats
@@ -475,58 +481,68 @@ type TernaryArray struct {
 	// scales search energy accounting.
 	subarrays int
 
-	// planes holds the bit-sliced planes in lines (see blockRows):
-	// position pos of block b is the line at (b*Width()+pos)*lineWords.
-	// Positions follow the storage order of ternary.Word.PlaneWords:
-	// position 0 is the least significant (right-most) ternary bit.
+	// planes holds the pair lines (see blockRows): pattern pat of pair p
+	// in block b is the line at (b*pairs()+p)*pairWords+pat*blockWords,
+	// where bit 0 of pat is the key bit at position 2p and bit 1 the key
+	// bit at 2p+1. Positions follow the storage order of
+	// ternary.Word.PlaneWords: position 0 is the least significant
+	// (right-most) ternary bit. A row caring at neither position of a
+	// pair has its bit clear in all four lines, so zeroed planes hold
+	// all-wildcard rows, and an odd width's last pair, whose high
+	// position no row cares at, reads the same whatever that key bit.
 	planes []uint64 //catcam:cycle-state
-	// stored[pos] counts the stored rows caring at position pos, that
-	// is the rows whose care plane is set there: valid entries, and
+	// stored[p] counts the stored rows caring at pair p, that is the
+	// rows whose bit is set in one of its lines: valid entries, and
 	// invalidated ones no write has replaced yet (Invalidate leaves the
-	// planes alone). It is the order a view visits positions in, and
-	// which it drops, so a delete leaves both as they were.
-	// cares[pos] counts the valid entries caring at pos, and ones[pos]
-	// those of them caring with value 1; with cares it scores pos for
-	// the filter (AddSplitScores). filter counts, for the key positions
-	// sel names, the valid entries compatible with each group pattern.
-	// sliceEntry keeps stored exact, WriteEntry and Invalidate (tally)
-	// the rest. A count is at most Rows, so 16 bits hold it
-	// (NewTernaryArray). All are nil until the first write, so an array
-	// that never holds a rule does not pay for them.
+	// planes alone). It says which pairs a view lists, so a delete
+	// leaves the listing as it was. cares[pos] counts the valid entries
+	// caring at pos, for the state observatory's care profile. order
+	// lists every pair by falling split score (deriveOrder), derived
+	// when the valid count stood at orderAt. filter counts, for the key
+	// positions sel names, the valid entries compatible with each group
+	// pattern. sliceEntry keeps stored exact, WriteEntry and Invalidate
+	// (tally) cares and filter, and WriteEntry re-derives order. A count
+	// is at most Rows, so 16 bits hold it (NewTernaryArray). All are nil
+	// until the first write, so an array that never holds a rule does
+	// not pay for them.
 	stored []uint16
 	cares  []uint16
-	ones   []uint16
+	order  []uint16
 	filter *filterCounts
 	sel    *Selection
 	// validCount caches valid.Count() so per-search energy accounting
 	// does not re-popcount the mask.
 	validCount int
 
-	// planesWritten is set when a write has reached the planes or the
-	// stored-care counts since the last freeze that shared with a
-	// previous view, and last is the view that freeze returned: while it
-	// is clear, SnapshotViewSharing takes last's position order and lines
-	// without comparing them.
+	// planesWritten is set when a write has reached the planes, the
+	// stored-care counts or the order since the last freeze that shared
+	// with a previous view, and last is the view that freeze returned:
+	// while it is clear, SnapshotViewSharing takes last's pair order and
+	// lines without comparing them. orderAt (see order) sits beside the
+	// flag, in its padding.
 	planesWritten bool
+	orderAt       uint16
 	last          *TernaryView
 }
 
 // The planes are cut into blocks of blockRows entries. Within a block
-// each position owns one line: its blockWords value-plane words, then
-// its blockWords care-plane words, so a search visiting a position
-// reads one 64-byte line and keeps the block's accumulator in four
-// registers. Arrays of other heights pad their last block.
+// each pair owns pairWords words: its four pattern lines of blockWords
+// words each, so a search step reads one line, a 32-byte load chosen by
+// the key's two bits, and keeps the block's accumulator in four
+// registers. Arrays of other heights pad their last block. evenBits
+// holds the low position of each pair of a plane word.
 const (
 	blockRows  = 256
 	blockWords = blockRows / 64
-	lineWords  = 2 * blockWords
+	pairWords  = 4 * blockWords
+	evenBits   = 0x5555555555555555
 )
 
 // NewTernaryArray returns an empty match matrix of rows entries, each
 // width ternary bits wide, built from physical subarrays with the given
 // parameters. width must be a multiple of p.Cols; the ratio is the
 // subarray count. Width and height are at most 65,535, so a frozen
-// view holds positions and counts in 16 bits. The filter starts on the
+// view holds pairs and counts in 16 bits. The filter starts on the
 // positions SelectPositions picks from zero scores.
 func NewTernaryArray(p Params, width int) *TernaryArray {
 	if width <= 0 || width%p.Cols != 0 {
@@ -541,7 +557,7 @@ func NewTernaryArray(p Params, width int) *TernaryArray {
 		entries:   make([]ternary.Word, p.Rows),
 		valid:     bitvec.New(p.Rows),
 		subarrays: width / p.Cols,
-		planes:    make([]uint64, blocks*width*lineWords),
+		planes:    make([]uint64, blocks*((width+1)/2)*pairWords),
 		sel:       SelectPositions(width, nil),
 	}
 }
@@ -551,6 +567,10 @@ func (t *TernaryArray) Rows() int { return t.params.Rows }
 
 // Width returns the logical entry width in ternary bits.
 func (t *TernaryArray) Width() int { return t.params.Cols * t.subarrays }
+
+// pairs returns the number of position pairs, an odd width's last
+// position alone in the last.
+func (t *TernaryArray) pairs() int { return (t.Width() + 1) / 2 }
 
 // Subarrays returns the physical subarray count per entry.
 func (t *TernaryArray) Subarrays() int { return t.subarrays }
@@ -582,11 +602,33 @@ func (t *TernaryArray) checkRow(r int) {
 	}
 }
 
-// cell locates entry r at position pos in the planes: the index of its
-// value-plane word (its care-plane word is blockWords further on) and
-// its bit within both.
-func (t *TernaryArray) cell(r, pos int) (int, uint64) {
-	return (r/blockRows*t.Width()+pos)*lineWords + r%blockRows/64, 1 << (r % 64)
+// lineBit locates entry r in the line of pattern pat of pair p: the
+// index of the word holding its bit, and the bit.
+func (t *TernaryArray) lineBit(r, p, pat int) (int, uint64) {
+	return (r/blockRows*t.pairs()+p)*pairWords + pat*blockWords + r%blockRows/64, 1 << (r % 64)
+}
+
+// rowPair returns entry r's bits in the four lines of pair p, bit pat
+// for pattern pat.
+func (t *TernaryArray) rowPair(r, p int) uint8 {
+	var n uint8
+	for pat := 0; pat < 4; pat++ {
+		if i, bit := t.lineBit(r, p, pat); t.planes[i]&bit != 0 {
+			n |= 1 << pat
+		}
+	}
+	return n
+}
+
+// pairPatterns returns the patterns of pair p that a word with planes
+// (value, care) rules out, bit pat for pattern pat: what rowPair reads
+// for a row holding the word.
+func pairPatterns(value, care []uint64, p int) uint8 {
+	sh := uint(p%32) * 2
+	c := care[p/32] >> sh & 3
+	one, zero := c&(value[p/32]>>sh), c&^(value[p/32]>>sh)
+	lo1, lo0, hi1, hi0 := one&1, zero&1, one>>1&1, zero>>1&1
+	return uint8(lo1 | hi1 | (lo0|hi1)<<1 | (lo1|hi0)<<2 | (lo0|hi0)<<3)
 }
 
 // WriteEntry stores a ternary word in row r and marks it valid. One
@@ -597,6 +639,8 @@ func (t *TernaryArray) cell(r, pos int) (int, uint64) {
 // convention once built (every constructor in ternary returns a fresh
 // word), and the bit-sliced planes are derived from w at write time, so
 // a caller mutating w afterwards would desynchronize the two views.
+// A write that finds the valid count doubled or halved since the pair
+// order was last derived derives it again (deriveOrder).
 func (t *TernaryArray) WriteEntry(r int, w ternary.Word) {
 	t.checkRow(r)
 	if w.Width() != t.Width() {
@@ -606,9 +650,9 @@ func (t *TernaryArray) WriteEntry(r int, w ternary.Word) {
 	t.stats.RowWrites++
 	t.stats.EnergyFJ += float64(t.subarrays) * t.params.WriteEnergyPJ * 1000
 	if t.cares == nil {
-		t.stored = make([]uint16, t.Width())
-		t.cares = make([]uint16, t.Width())
-		t.ones = make([]uint16, t.Width())
+		t.stored = make([]uint16, t.pairs())
+		t.cares = make([]uint16, 2*t.pairs())
+		t.order = make([]uint16, t.pairs())
 		t.filter = new(filterCounts)
 	}
 	old := t.entries[r]
@@ -621,29 +665,34 @@ func (t *TernaryArray) WriteEntry(r int, w ternary.Word) {
 	t.valid.Set(r)
 	t.sliceEntry(r, old, w)
 	t.tally(w, 1)
+	if at := int(t.orderAt); at == 0 || t.validCount >= 2*at || 2*t.validCount <= at {
+		t.deriveOrder()
+	}
 }
 
-// sliceEntry scatters w's (value, care) bit pairs into the transposed
-// planes at entry column r over old, the word the row held (valid or
-// stale; the zero Word if the row was never written), and moves the
-// stored-care count of every position whose care bit it flips.
+// sliceEntry scatters w's bits into the pair lines at entry column r
+// over old, the word the row held (valid or stale; the zero Word if the
+// row was never written), and moves the stored-care count of every pair
+// whose cared-at state it flips.
 //
-// It works 64 positions (one word of the planes) at a time, and within
-// a word only over the span of positions old or w cares at: a word's
-// values lie inside its cares, so outside that span both planes hold 0
-// at r before and after. The scatter merges each position's two bits
-// into its line without a branch: w's words are rotated so that the
-// position's bit sits at r's, and rotated on by one per line. The
-// stored-care counts move by bit walks over the care bits w flips from
-// old's, not by a test per position. It marks the planes written for
-// the next sharing freeze.
+// It works 64 positions (one word of each plane, 32 pairs) at a time,
+// and within a word only over the pairs old or w cares at: outside
+// them the row's bits are clear before and after. From w's care and
+// value words it forms, at each pair's low bit, the four patterns' bits
+// (a pattern is ruled out where its key bit differs from a cared value
+// at either position), and merges each pair's four bits into its lines
+// without a branch: the four words are rotated so that the pair's bit
+// sits at r's, and rotated on by two per pair. The stored-care counts
+// move by bit walks over the pairs w's cares flip from old's, not by a
+// test per pair. It marks the planes written for the next sharing
+// freeze.
 //
 //catcam:allow cycles "plane scatter is part of WriteEntry's single modeled write cycle"
 func (t *TernaryArray) sliceEntry(r int, old, w ternary.Word) {
 	t.planesWritten = true
 	value, care := w.PlaneWords()
 	_, held := old.PlaneWords()
-	first, bit := t.cell(r, 0)
+	first, bit := t.lineBit(r, 0, 0)
 	sh := r % 64
 	for pw, c := range care {
 		var was uint64
@@ -654,22 +703,74 @@ func (t *TernaryArray) sliceEntry(r int, old, w ternary.Word) {
 		if span == 0 {
 			continue
 		}
-		b0, b1 := bits.TrailingZeros64(span), 64-bits.LeadingZeros64(span)
-		vr, cr := bits.RotateLeft64(value[pw], sh-b0), bits.RotateLeft64(c, sh-b0)
+		j0, j1 := bits.TrailingZeros64(span)/2, (65-bits.LeadingZeros64(span))/2
+		one, zero := c&value[pw], c&^value[pw]
+		lo1, lo0, hi1, hi0 := one&evenBits, zero&evenBits, one>>1&evenBits, zero>>1&evenBits
+		rot := sh - 2*j0
+		x0, x1 := bits.RotateLeft64(lo1|hi1, rot), bits.RotateLeft64(lo0|hi1, rot)
+		x2, x3 := bits.RotateLeft64(lo1|hi0, rot), bits.RotateLeft64(lo0|hi0, rot)
 		planes := t.planes
-		for i, end := first+(pw*64+b0)*lineWords, first+(pw*64+b1)*lineWords; i < end; i += lineWords {
-			planes[i] = planes[i]&^bit | vr&bit
-			planes[i+blockWords] = planes[i+blockWords]&^bit | cr&bit
-			vr, cr = bits.RotateLeft64(vr, -1), bits.RotateLeft64(cr, -1)
+		for i, end := first+(pw*32+j0)*pairWords, first+(pw*32+j1)*pairWords; i < end; i += pairWords {
+			planes[i] = planes[i]&^bit | x0&bit
+			planes[i+blockWords] = planes[i+blockWords]&^bit | x1&bit
+			planes[i+2*blockWords] = planes[i+2*blockWords]&^bit | x2&bit
+			planes[i+3*blockWords] = planes[i+3*blockWords]&^bit | x3&bit
+			x0, x1 = bits.RotateLeft64(x0, -2), bits.RotateLeft64(x1, -2)
+			x2, x3 = bits.RotateLeft64(x2, -2), bits.RotateLeft64(x3, -2)
 		}
-		stored := t.stored[pw*64:]
-		for m := c &^ was; m != 0; m &= m - 1 {
-			stored[bits.TrailingZeros64(m)]++
+		now, then := (c|c>>1)&evenBits, (was|was>>1)&evenBits
+		stored := t.stored[pw*32:]
+		for m := now &^ then; m != 0; m &= m - 1 {
+			stored[bits.TrailingZeros64(m)/2]++
 		}
-		for m := was &^ c; m != 0; m &= m - 1 {
-			stored[bits.TrailingZeros64(m)]--
+		for m := then &^ now; m != 0; m &= m - 1 {
+			stored[bits.TrailingZeros64(m)/2]--
 		}
 	}
+}
+
+// deriveOrder sorts every pair into order by falling split score
+// (pairScore) and, among equal scores, most significant first, and
+// records the valid count it was derived at. WriteEntry calls it only
+// when that count has doubled or halved since, as the device re-picks
+// the filter's positions, so a bulk load derives it a logarithmic
+// number of times, a table churning at a steady size never does, and a
+// delete never moves it: the pairs a view lists and their lines stay
+// the previous view's.
+func (t *TernaryArray) deriveOrder() {
+	t.orderAt = uint16(t.validCount)
+	var small [512]uint32
+	keys := small[:0]
+	if len(t.order) > len(small) {
+		keys = make([]uint32, 0, len(t.order))
+	}
+	for p := range t.order {
+		keys = append(keys, uint32(t.pairScore(p))<<16|uint32(p))
+	}
+	slices.Sort(keys)
+	for i, k := range keys {
+		t.order[len(keys)-1-i] = uint16(k)
+	}
+}
+
+// pairScore returns pair p's split score: the least, over its four key
+// patterns, of the valid entries the pattern rules out, so the entries
+// a search step at the pair knocks out whatever the key. It is bit
+// selection's criterion (filter.go) applied to the walk: the pairs
+// that split the entries most evenly end a search soonest.
+func (t *TernaryArray) pairScore(p int) int {
+	var out [4]int
+	pairs := len(t.order)
+	valid := t.valid.Words()
+	for b, vi := 0, 0; vi < len(valid); b, vi = b+1, vi+blockWords {
+		l := t.planes[(b*pairs+p)*pairWords:]
+		for w, v := range valid[vi:min(vi+blockWords, len(valid))] {
+			for pat := range out {
+				out[pat] += bits.OnesCount64(l[pat*blockWords+w] & v)
+			}
+		}
+	}
+	return min(out[0], out[1], out[2], out[3])
 }
 
 // ReadEntry reads back entry r (used when a rule is reallocated between
@@ -701,13 +802,14 @@ func (t *TernaryArray) EntryWord(r int) (ternary.Word, bool) {
 // bit clears, as in the silicon: the planes and the row's word are left
 // stale on purpose. A search starts its accumulator from the valid
 // mask, so plane bits of invalid entries can never surface, and the
-// next WriteEntry into the row rewrites every position the stale word
-// or the new one cares at, knowing from the stale word which. The valid
+// next WriteEntry into the row rewrites every pair the stale word or
+// the new one cares at, knowing from the stale word which. The valid
 // counts drop the entry at once, so a pattern only it was compatible
 // with leaves the next view's filter. The stored-care counts keep it
-// until that rewrite, so the next view lists the same positions in the
-// same order over the same lines, and can take both from the previous
-// view (SnapshotViewSharing).
+// until that rewrite, and the pair order moves only at a write, so the
+// next view lists the same pairs in the same order over the same
+// lines, and can take both from the previous view
+// (SnapshotViewSharing).
 func (t *TernaryArray) Invalidate(r int) {
 	t.checkRow(r)
 	t.stats.Cycles++
@@ -753,36 +855,26 @@ func (t *TernaryArray) AuditSearchParity(k ternary.Key) error {
 }
 
 // AuditPlanes verifies the bit-sliced search state against the
-// row-major write view: for every valid entry, the stored (value, care)
-// plane bits must equal the planes re-derived from the entry's word;
-// every position's stored-care count must equal its recount from the
-// care planes (an undercount would drop a position valid entries care
-// at from the next view, so its search would match keys they reject);
-// every position's care and one counts must equal the number of valid
-// entries caring there (an undercount would misscore the position for
-// the filter); and every filter count and bitmap bit must equal its
+// row-major write view: for every valid entry, its bits in every pair's
+// four lines must equal the patterns its word rules out there; every
+// pair's stored-care count must equal its recount from the lines (an
+// undercount would drop a pair valid entries care at from the next
+// view, so its search would match keys they reject); every position's
+// care count must equal the number of valid entries caring there; the
+// pair order must list every pair once (a pair it dropped would go
+// unsearched); and every filter count and bitmap bit must equal its
 // recount from the words (an undercount could make a lookup skip a
 // subtable that matches). Returns the first divergence. Verification
 // access: no cycle/energy accounting.
 func (t *TernaryArray) AuditPlanes() error {
-	width := t.Width()
-	want := &TernaryArray{sel: t.sel, cares: make([]uint16, width), ones: make([]uint16, width), filter: new(filterCounts)}
+	pairs := t.pairs()
+	want := &TernaryArray{sel: t.sel, cares: make([]uint16, 2*pairs), filter: new(filterCounts)}
 	var err error
 	t.valid.ForEach(func(r int) bool {
 		value, care := t.entries[r].PlaneWords()
-		for pos := 0; pos < width; pos++ {
-			i, bit := t.cell(r, pos)
-			pw, pb := pos/64, uint(pos%64)
-			wantValue := value[pw]&(1<<pb) != 0
-			wantCare := care[pw]&(1<<pb) != 0
-			if got := t.planes[i]&bit != 0; got != wantValue {
-				err = fmt.Errorf("sram: entry %d position %d value plane %v != stored word %v",
-					r, pos, got, wantValue)
-				return false
-			}
-			if got := t.planes[i+blockWords]&bit != 0; got != wantCare {
-				err = fmt.Errorf("sram: entry %d position %d care plane %v != stored word %v",
-					r, pos, got, wantCare)
+		for p := 0; p < pairs; p++ {
+			if got, n := t.rowPair(r, p), pairPatterns(value, care, p); got != n {
+				err = fmt.Errorf("sram: entry %d pair %d lines rule out patterns %04b, its stored word %04b", r, p, got, n)
 				return false
 			}
 		}
@@ -792,24 +884,34 @@ func (t *TernaryArray) AuditPlanes() error {
 	if err != nil || t.cares == nil { // counts exist from the first write on
 		return err
 	}
-	for pos, got := range t.stored {
+	for p, got := range t.stored {
 		n := 0
-		for i := pos*lineWords + blockWords; i < len(t.planes); i += width * lineWords {
-			for _, w := range t.planes[i : i+blockWords] {
-				n += bits.OnesCount64(w)
+		for i := p * pairWords; i < len(t.planes); i += pairs * pairWords {
+			for w := i; w < i+blockWords; w++ {
+				n += bits.OnesCount64(t.planes[w] | t.planes[w+blockWords] | t.planes[w+2*blockWords] | t.planes[w+3*blockWords])
 			}
 		}
 		if int(got) != n {
-			return fmt.Errorf("sram: position %d stored-care count %d != %d rows whose care plane is set", pos, got, n)
+			return fmt.Errorf("sram: pair %d stored-care count %d != %d rows whose lines are set", p, got, n)
 		}
 	}
 	for pos := range want.cares {
 		if got, n := t.cares[pos], want.cares[pos]; got != n {
 			return fmt.Errorf("sram: position %d care count %d != %d valid entries caring", pos, got, n)
 		}
-		if got, n := t.ones[pos], want.ones[pos]; got != n {
-			return fmt.Errorf("sram: position %d one count %d != %d valid entries caring 1", pos, got, n)
+	}
+	if len(t.order) != pairs {
+		return fmt.Errorf("sram: pair order lists %d pairs, not %d", len(t.order), pairs)
+	}
+	seen := make([]bool, pairs)
+	for _, p := range t.order {
+		if int(p) >= pairs {
+			return fmt.Errorf("sram: pair order %v lists pair %d of %d", t.order, p, pairs)
 		}
+		if seen[p] {
+			return fmt.Errorf("sram: pair order %v lists pair %d twice", t.order, p)
+		}
+		seen[p] = true
 	}
 	for g := range want.filter.n {
 		for p, n := range want.filter.n[g] {
@@ -824,11 +926,14 @@ func (t *TernaryArray) AuditPlanes() error {
 	return nil
 }
 
-// InjectPlaneFault flips the value-plane bit of entry r at its first
+// InjectPlaneFault flips the value entry r's lines hold at its first
 // cared position, desynchronizing the bit-sliced search view from the
 // row-major word — the seeded corruption the auditor tests use to prove
-// the plane and parity audits fire. Returns the flipped position, or -1
-// when the entry is invalid or fully wildcarded. Test hook only.
+// the plane and parity audits fire. Flipping the value at a pair's low
+// position swaps the row's bits between the patterns that differ in
+// their low key bit, and at its high position between those that
+// differ in their high one. Returns the flipped position, or -1 when
+// the entry is invalid or fully wildcarded. Test hook only.
 //
 //catcam:allow cycles "deliberate corruption hook for auditor tests, not a modeled access"
 func (t *TernaryArray) InjectPlaneFault(r int) int {
@@ -836,12 +941,26 @@ func (t *TernaryArray) InjectPlaneFault(r int) int {
 	if !t.valid.Get(r) {
 		return -1
 	}
-	for pos := 0; pos < t.Width(); pos++ {
-		if i, bit := t.cell(r, pos); t.planes[i+blockWords]&bit != 0 {
-			t.planes[i] ^= bit
-			t.planesWritten = true
-			return pos
+	_, care := t.entries[r].PlaneWords()
+	for wi, c := range care {
+		if c == 0 {
+			continue
 		}
+		pos := wi*64 + bits.TrailingZeros64(c)
+		flip := 1 << (pos % 2)
+		for pat := 0; pat < 4; pat++ {
+			if pat&flip != 0 {
+				continue
+			}
+			i, bit := t.lineBit(r, pos/2, pat)
+			j, _ := t.lineBit(r, pos/2, pat|flip)
+			if (t.planes[i]^t.planes[j])&bit != 0 {
+				t.planes[i] ^= bit
+				t.planes[j] ^= bit
+			}
+		}
+		t.planesWritten = true
+		return pos
 	}
 	return -1
 }
@@ -861,17 +980,17 @@ func (t *TernaryArray) InjectFilterFault(r int) bool {
 }
 
 // InjectStoredFault takes row r out of the stored-care count of the
-// first position its care plane is set at, as a lost update would — the
-// seeded undercount the auditor tests use to prove AuditPlanes recounts
-// the stored-care counts. Returns that position, or -1 when the row's
-// care plane is clear everywhere. Test hook only.
+// first pair its lines are set at, as a lost update would — the seeded
+// undercount the auditor tests use to prove AuditPlanes recounts the
+// stored-care counts. Returns that pair, or -1 when the row's lines
+// are clear everywhere. Test hook only.
 func (t *TernaryArray) InjectStoredFault(r int) int {
 	t.checkRow(r)
-	for pos := range t.stored {
-		if i, bit := t.cell(r, pos); t.planes[i+blockWords]&bit != 0 {
-			t.stored[pos]--
+	for p := range t.stored {
+		if t.rowPair(r, p) != 0 {
+			t.stored[p]--
 			t.planesWritten = true
-			return pos
+			return p
 		}
 	}
 	return -1

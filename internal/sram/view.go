@@ -9,7 +9,7 @@ import (
 
 // This file holds the immutable read-side views of the two array
 // flavours. A view is a frozen copy of exactly the state a search
-// touches — bit-sliced match planes and the valid mask for the ternary
+// touches — bit-sliced pair lines and the valid mask for the ternary
 // array, the row-bit chunks for a priority matrix — built under the
 // writer's lock by SnapshotViewSharing and then shared, unsynchronized,
 // by any number of concurrent readers. Every part is either copied out
@@ -25,15 +25,16 @@ import (
 
 // TernaryView is an immutable snapshot of a TernaryArray's search
 // state, compacted and ordered for the search kernel: rows and width
-// are the array's entry count and key width; walk holds the
-// positions the kernel visits and their lines (careLines), held inline
-// so a search reaches them without another load; counts holds how many
-// valid entries care at each listed position; valid is the valid mask,
-// padded to whole blocks. filter is the bit-selection filter's bitmap
-// (filter.go) for the positions sel names, held inline so freezing it
-// allocates nothing. searchFJ is the energy one search of the view is
-// charged. All fields are written only at construction; walk's slices
-// may be shared with other views of the same array.
+// are the array's entry count and key width; walk holds the pairs the
+// kernel visits and their lines (careLines), held inline so a search
+// reaches them without another load; counts holds, for each listed
+// pair, how many valid entries care at its low position and at its
+// high one; valid is the valid mask, padded to whole blocks. filter is
+// the bit-selection filter's bitmap (filter.go) for the positions sel
+// names, held inline so freezing it allocates nothing. searchFJ is the
+// energy one search of the view is charged. All fields are written
+// only at construction; walk's slices may be shared with other views
+// of the same array.
 //
 //catcam:snapshot
 type TernaryView struct {
@@ -48,14 +49,14 @@ type TernaryView struct {
 	searchFJ   float64
 }
 
-// careLines is what a search walks: order lists the positions at least
-// one stored row cares at (a valid entry, or an invalidated one whose
-// planes no write has replaced yet), by falling count of those rows;
-// lines holds, block by block (see blockRows), one line per listed
-// position in that order. Positions no stored row cares at match every
-// entry and are dropped. A search starts from the valid mask, so the
-// lines of invalidated rows never surface, and ordering by stored rows
-// rather than valid ones lets a delete leave order and lines as they
+// careLines is what a search walks: order lists the pairs at least one
+// stored row cares at (a valid entry, or an invalidated one whose lines
+// no write has replaced yet), in the array's split order; lines holds,
+// block by block (see blockRows), the four pattern lines of each listed
+// pair in that order. Pairs no stored row cares at match every entry
+// and are dropped. A search starts from the valid mask, so the lines of
+// invalidated rows never surface, and listing by stored rows in an
+// order only a write moves lets a delete leave order and lines as they
 // were. Fields are written only at construction.
 //
 //catcam:snapshot
@@ -74,33 +75,34 @@ func (t *TernaryArray) SnapshotView() *TernaryView {
 	return t.SnapshotViewSharing(nil)
 }
 
-// SnapshotViewSharing is SnapshotView that takes the position order and
-// the line slab from prev (the previous view of this array, or nil)
-// when they are still the array's: when prev lists the order the
-// stored-care counts give now and every line it holds equals the live
-// one. A delete changes neither, so its view copies only the valid
-// mask, the counts and the filter bitmap. Contents decide: a shared
-// view is byte-identical to a fresh freeze. The written-part record
-// names the candidates: when prev is the view the last such freeze
-// returned and no write has reached the planes since, prev's order and
-// lines are the array's without a compare. Any other prev is compared
-// in full. A non-nil prev makes the returned view the record's.
+// SnapshotViewSharing is SnapshotView that takes the pair order and the
+// line slab from prev (the previous view of this array, or nil) when
+// they are still the array's: when prev lists the pairs the array's
+// order and stored-care counts give now and every line it holds equals
+// the live one. A delete changes neither, so its view copies only the
+// valid mask, the counts and the filter bitmap. Contents decide: a
+// shared view is byte-identical to a fresh freeze. The written-part
+// record names the candidates: when prev is the view the last such
+// freeze returned and no write has reached the planes since, prev's
+// order and lines are the array's without a compare. Any other prev is
+// compared in full. A non-nil prev makes the returned view the
+// record's.
 func (t *TernaryArray) SnapshotViewSharing(prev *TernaryView) *TernaryView {
 	var walk careLines
 	switch {
 	case prev == nil || prev.rows != t.params.Rows || prev.width != t.Width():
 		walk = t.freezeLines()
 	case prev == t.last && !t.planesWritten,
-		t.isCareOrder(prev.walk.order) && t.linesEqual(prev.walk):
+		t.isListed(prev.walk.order) && t.linesEqual(prev.walk):
 		walk = prev.walk
 	default:
 		walk = t.freezeLines()
 	}
-	counts := make([]uint16, len(walk.order))
-	for i, pos := range walk.order {
-		counts[i] = uint16(t.cares[pos])
+	counts := make([]uint16, 2*len(walk.order))
+	for i, p := range walk.order {
+		counts[2*i], counts[2*i+1] = t.cares[2*p], t.cares[2*p+1]
 	}
-	valid := make([]uint64, len(t.planes)/(t.Width()*lineWords)*blockWords)
+	valid := make([]uint64, len(t.planes)/(t.pairs()*pairWords)*blockWords)
 	copy(valid, t.valid.Words())
 	v := &TernaryView{
 		rows:       t.params.Rows,
@@ -119,93 +121,58 @@ func (t *TernaryArray) SnapshotViewSharing(prev *TernaryView) *TernaryView {
 	return v
 }
 
-// freezeLines copies the positions stored rows care at, in careOrder,
-// and their lines out of the planes.
+// freezeLines copies the pairs stored rows care at, in the array's
+// order, and their lines out of the planes.
 func (t *TernaryArray) freezeLines() careLines {
-	n := t.caredPositions()
-	order := make([]uint16, n)
-	t.careOrder(order)
-	width := t.Width()
-	lines := make([]uint64, len(t.planes)/width*n)
-	for b := 0; b*width*lineWords < len(t.planes); b++ {
-		for i, pos := range order {
-			from, to := (b*width+int(pos))*lineWords, (b*n+i)*lineWords
-			copy(lines[to:to+lineWords], t.planes[from:from+lineWords])
-		}
-	}
-	return careLines{order: order, lines: lines}
-}
-
-// caredPositions returns the number of positions at least one stored
-// row cares at.
-func (t *TernaryArray) caredPositions() int {
 	n := 0
 	for _, c := range t.stored {
 		if c > 0 {
 			n++
 		}
 	}
-	return n
-}
-
-// careOrder fills order, sized to the number of positions at least one
-// stored row cares at, with those positions by falling stored-care
-// count and, among equal counts, most significant first: a counting
-// sort, since a count is at most Rows.
-func (t *TernaryArray) careOrder(order []uint16) {
-	var small [blockRows + 1]int32
-	first := small[:]
-	if t.params.Rows >= len(small) {
-		first = make([]int32, t.params.Rows+1)
-	}
-	for _, c := range t.stored {
-		first[c]++
-	}
-	// first[c] becomes the order index of the first position cared at
-	// by exactly c stored rows.
-	next := int32(0)
-	for c := t.params.Rows; c > 0; c-- {
-		first[c], next = next, next+first[c]
-	}
-	for pos := len(t.stored) - 1; pos >= 0; pos-- {
-		if c := t.stored[pos]; c > 0 {
-			order[first[c]] = uint16(pos)
-			first[c]++
+	order, i := make([]uint16, n), 0
+	for _, p := range t.order {
+		if t.stored[p] > 0 {
+			order[i] = p
+			i++
 		}
 	}
+	pairs := t.pairs()
+	lines := make([]uint64, len(t.planes)/pairs*n)
+	for b := 0; b*pairs*pairWords < len(t.planes); b++ {
+		for i, p := range order {
+			from, to := (b*pairs+int(p))*pairWords, (b*n+i)*pairWords
+			copy(lines[to:to+pairWords], t.planes[from:from+pairWords])
+		}
+	}
+	return careLines{order: order, lines: lines}
 }
 
-// isCareOrder reports whether order is what careOrder would produce
-// now, without building it: order must list as many positions as
-// stored rows care at, each cared at, by strictly falling (count,
-// position). Strictness makes the listed positions distinct, so they
-// are exactly the cared-at ones, in the one order careOrder gives.
-func (t *TernaryArray) isCareOrder(order []uint16) bool {
-	if t.caredPositions() != len(order) {
-		return false
-	}
-	for i, pos := range order {
-		c := t.stored[pos]
-		if c == 0 {
+// isListed reports whether order is what freezeLines would list now,
+// without building it: the pairs of the array's order that stored rows
+// care at, in that order.
+func (t *TernaryArray) isListed(order []uint16) bool {
+	i := 0
+	for _, p := range t.order {
+		if t.stored[p] == 0 {
+			continue
+		}
+		if i == len(order) || order[i] != p {
 			return false
 		}
-		if i > 0 {
-			if p := order[i-1]; t.stored[p] < c || t.stored[p] == c && p < pos {
-				return false
-			}
-		}
+		i++
 	}
-	return true
+	return i == len(order)
 }
 
 // linesEqual reports whether every line of w equals the live planes at
-// the position it is listed for.
+// the pair it is listed for.
 func (t *TernaryArray) linesEqual(w careLines) bool {
-	width, n := t.Width(), len(w.order)
-	for b := 0; b*width*lineWords < len(t.planes); b++ {
-		for i, pos := range w.order {
-			from, at := (b*width+int(pos))*lineWords, (b*n+i)*lineWords
-			if *(*[lineWords]uint64)(t.planes[from:]) != *(*[lineWords]uint64)(w.lines[at:]) {
+	pairs, n := t.pairs(), len(w.order)
+	for b := 0; b*pairs*pairWords < len(t.planes); b++ {
+		for i, p := range w.order {
+			from, at := (b*pairs+int(p))*pairWords, (b*n+i)*pairWords
+			if *(*[pairWords]uint64)(t.planes[from:]) != *(*[pairWords]uint64)(w.lines[at:]) {
 				return false
 			}
 		}
@@ -213,9 +180,9 @@ func (t *TernaryArray) linesEqual(w careLines) bool {
 	return true
 }
 
-// SharesSearchState reports whether v and o hold the same position
-// order and line slab in memory, not merely equal ones: what a freeze
-// that took both from the previous view hands back. Test support.
+// SharesSearchState reports whether v and o hold the same pair order
+// and line slab in memory, not merely equal ones: what a freeze that
+// took both from the previous view hands back. Test support.
 func (v *TernaryView) SharesSearchState(o *TernaryView) bool {
 	return sameBacking(v.walk.order, o.walk.order) && sameBacking(v.walk.lines, o.walk.lines)
 }
@@ -261,8 +228,12 @@ func (v *TernaryView) CarePerPosition(dst []uint64) []uint64 {
 	for pos := 0; pos < v.Width(); pos++ {
 		dst = append(dst, 0)
 	}
-	for i, pos := range v.walk.order {
-		dst[base+int(pos)] = uint64(v.counts[i])
+	for i, p := range v.walk.order {
+		for half, pos := range [2]int{2 * int(p), 2*int(p) + 1} {
+			if pos < v.Width() {
+				dst[base+pos] = uint64(v.counts[2*i+half])
+			}
+		}
 	}
 	return dst
 }
@@ -289,16 +260,19 @@ func (v *TernaryView) Charge(st *Stats) {
 // st (Charge).
 //
 // Each block's accumulator starts as its valid mask and lives in four
-// registers. Visiting a listed position broadcasts the key bit there to
-// all 64 lanes of a word without a branch and knocks out the entries
-// whose stored value disagrees at a position they care about. The walk
-// leaves a block when its accumulator empties, which the most-cared
-// positions bring about soonest. On ClassBench ACL-5K probed with one
-// 4,096-header PacketTrace batch at locality 0.8, a search visited 16.6
-// of 103 listed positions when this order came in, where walking from
-// the most significant position down took 33.1; benchmark traffic
-// (ACL-5K seed 1, 64-header batches from a 1 Mi-flow trace) visits
-// about 40 of 106 (DESIGN.md §8).
+// registers. A step at a listed pair reads the key's two bits there
+// with one shift, as a pattern index, and clears the entries the line
+// of that pattern rules out: one 32-byte load and four and-nots for two
+// positions, without a branch. The walk takes the pairs two at a time
+// and leaves a block when its accumulator empties, tested once per two
+// pairs (one test and branch for four positions, 12 % faster on the
+// rung below than a test per pair), which the pairs that split the
+// entries most evenly, listed first, bring about soonest. On the
+// lookup rungs' traffic (ACL-5K table seed 5 in a Compact device,
+// 16,384 PacketTrace headers at locality 0.8, the 206,244 searches the
+// filter admits) a search reads 21.1 of 52.9 listed pairs, where the
+// walk by single positions in falling care order read 45.9 of 106; on
+// table seed 1, 22.3 of 53.0 (DESIGN.md §8).
 //
 //catcam:hotpath
 func (v *TernaryView) SearchInto(dst *bitvec.Vector, acc []uint64, k ternary.Key, st *Stats) *bitvec.Vector {
@@ -314,17 +288,26 @@ func (v *TernaryView) SearchInto(dst *bitvec.Vector, acc []uint64, k ternary.Key
 	for b := 0; b*blockWords < len(v.valid); b++ {
 		vw := (*[blockWords]uint64)(v.valid[b*blockWords:])
 		a0, a1, a2, a3 := vw[0], vw[1], vw[2], vw[3]
-		lines := v.walk.lines[b*n*lineWords:]
-		for i, pos := range order {
-			if a0|a1|a2|a3 == 0 {
-				break
-			}
-			bcast := -(kw[pos>>6] >> (pos & 63) & 1)
-			l := (*[lineWords]uint64)(lines[i*lineWords:])
-			a0 &^= (l[0] ^ bcast) & l[4]
-			a1 &^= (l[1] ^ bcast) & l[5]
-			a2 &^= (l[2] ^ bcast) & l[6]
-			a3 &^= (l[3] ^ bcast) & l[7]
+		lines := v.walk.lines[b*n*pairWords:]
+		i := 0
+		for ; i+1 < n && a0|a1|a2|a3 != 0; i += 2 {
+			l := (*[2 * pairWords]uint64)(lines[i*pairWords:])
+			p, q := order[i], order[i+1]
+			at := kw[p>>5] >> (p & 31 * 2) & 3 * blockWords
+			bt := kw[q>>5]>>(q&31*2)&3*blockWords + pairWords
+			a0 &^= l[at] | l[bt]
+			a1 &^= l[at+1] | l[bt+1]
+			a2 &^= l[at+2] | l[bt+2]
+			a3 &^= l[at+3] | l[bt+3]
+		}
+		if i < n && a0|a1|a2|a3 != 0 {
+			p := order[i]
+			l := (*[pairWords]uint64)(lines[i*pairWords:])
+			at := kw[p>>5] >> (p & 31 * 2) & 3 * blockWords
+			a0 &^= l[at]
+			a1 &^= l[at+1]
+			a2 &^= l[at+2]
+			a3 &^= l[at+3]
 		}
 		if w := acc[b*blockWords:]; len(w) >= blockWords {
 			w[0], w[1], w[2], w[3] = a0, a1, a2, a3
@@ -334,6 +317,33 @@ func (v *TernaryView) SearchInto(dst *bitvec.Vector, acc []uint64, k ternary.Key
 		}
 	}
 	return dst.LoadWords(acc)
+}
+
+// ListedPairs returns how many pairs the view lists: the longest walk
+// a search can take in one block. Test support.
+func (v *TernaryView) ListedPairs() int { return len(v.walk.order) }
+
+// WalkSteps returns how many pairs SearchInto reads for key k, summed
+// over the blocks: the walk's length, which the kernel's time follows.
+// Like the kernel it tests the accumulator every second pair. Test
+// support.
+func (v *TernaryView) WalkSteps(k ternary.Key) int {
+	kw := k.Words()
+	n, steps := len(v.walk.order), 0
+	for b := 0; b*blockWords < len(v.valid); b++ {
+		acc := *(*[blockWords]uint64)(v.valid[b*blockWords:])
+		for i := 0; i < n && acc != [blockWords]uint64{}; i += 2 {
+			for j := i; j < min(i+2, n); j++ {
+				p := v.walk.order[j]
+				pat := int(kw[p>>5] >> (p & 31 * 2) & 3)
+				for w := range acc {
+					acc[w] &^= v.walk.lines[(b*n+j)*pairWords+pat*blockWords+w]
+				}
+				steps++
+			}
+		}
+	}
+	return steps
 }
 
 // MatrixView is an immutable snapshot of a square priority matrix: the
